@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-json lint-manifest race chaos chaos-long fuzz-smoke bench-allocs bench-membership bench-observability bench-failpoint bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-json lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-membership bench-observability bench-failpoint bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -75,6 +75,18 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBatchFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
+# workloads through the client-visible path, the run a PR is judged on.
+bench:
+	bash benchmark/run.sh
+
+# The same program at a tenth of the length: it exits non-zero on a compile
+# break against the product API, a missing metric or any failed check, so a
+# PR that would break the benchmark fails here first. Numbers from a run
+# this short are not comparable with `make bench`.
+bench-smoke:
+	bash benchmark/run.sh -seconds 2 -windows 4 -setups 1
 
 # Re-measures the numbers pinned in BENCH_allocs.json: exact allocs/op on
 # the three zero-alloc hot paths (singleton decode→Decide→encode, batch(32)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/qosserver"
 	"repro/internal/router"
 	"repro/internal/store"
-	"repro/internal/table"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -51,7 +50,6 @@ func BenchmarkLeaseZipfHot(b *testing.B) {
 			}
 			srv, err := qosserver.New(qosserver.Config{
 				Addr:          "127.0.0.1:0",
-				TableKind:     table.KindSharded,
 				Store:         db,
 				DefaultRule:   bucket.Rule{RefillRate: leaseBenchRate, Capacity: leaseBenchCap, Credit: leaseBenchCap},
 				LeaseFraction: 0.5,

@@ -18,7 +18,6 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/qosserver"
 	"repro/internal/router"
-	"repro/internal/table"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -28,7 +27,6 @@ func newBenchServer(b *testing.B) *qosserver.Server {
 	b.Helper()
 	srv, err := qosserver.New(qosserver.Config{
 		Addr:        "127.0.0.1:0",
-		TableKind:   table.KindSharded,
 		DefaultRule: bucket.Rule{RefillRate: 1e12, Capacity: 1e12, Credit: 1e12},
 	})
 	if err != nil {
@@ -69,7 +67,6 @@ func BenchmarkObservabilityDecide(b *testing.B) {
 func BenchmarkObservabilityDecideAudited(b *testing.B) {
 	srv, err := qosserver.New(qosserver.Config{
 		Addr:          "127.0.0.1:0",
-		TableKind:     table.KindSharded,
 		DefaultRule:   bucket.Rule{RefillRate: 1e12, Capacity: 1e12, Credit: 1e12},
 		Audit:         true,
 		AuditInterval: time.Hour,

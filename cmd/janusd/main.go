@@ -27,7 +27,6 @@ import (
 	"repro/internal/minisql"
 	"repro/internal/qosserver"
 	"repro/internal/store"
-	"repro/internal/table"
 )
 
 func main() {
@@ -39,12 +38,10 @@ func main() {
 		codelTarget = flag.Duration("codel-target", qosserver.DefaultCodelTarget, "CoDel queue sojourn target (negative disables queue management)")
 		codelIv     = flag.Duration("codel-interval", qosserver.DefaultCodelInterval, "CoDel standing-queue detection interval")
 		dbAddr      = flag.String("db", "", "minisql database address (empty = no database)")
-		tableKind   = flag.String("table", "sharded", "QoS table implementation: sharded|mutex")
 		defRate     = flag.Float64("default-rate", 0, "default rule refill rate (req/s) for unknown keys")
 		defCapacity = flag.Float64("default-capacity", 0, "default rule bucket capacity for unknown keys")
 		syncIv      = flag.Duration("sync", 5*time.Second, "database rule sync interval (0 disables)")
 		checkpoint  = flag.Duration("checkpoint", 10*time.Second, "database checkpoint interval (0 disables)")
-		refill      = flag.Duration("refill", 0, "housekeeping refill tick (0 = exact lazy refill)")
 		replAddr    = flag.String("repl", "", "HA replication listen address (empty disables)")
 		follow      = flag.String("follow", "", "run as slave replicating from this master replication address")
 		followIv    = flag.Duration("follow-interval", 100*time.Millisecond, "slave replication pull interval")
@@ -86,9 +83,7 @@ func main() {
 		QueueSize:          *queue,
 		CodelTarget:        *codelTarget,
 		CodelInterval:      *codelIv,
-		TableKind:          table.Kind(*tableKind),
 		DefaultRule:        bucket.Rule{RefillRate: *defRate, Capacity: *defCapacity, Credit: *defCapacity},
-		RefillInterval:     *refill,
 		SyncInterval:       *syncIv,
 		CheckpointInterval: *checkpoint,
 		Store:              st,
@@ -186,8 +181,8 @@ func main() {
 	if !reuseport {
 		intakeMode = "single-socket"
 	}
-	logger.Printf("QoS server on udp://%s (table=%s workers=%d listeners=%d/%s codel-target=%v)",
-		srv.Addr(), *tableKind, *workers, nl, intakeMode, *codelTarget)
+	logger.Printf("QoS server on udp://%s (workers=%d listeners=%d/%s codel-target=%v)",
+		srv.Addr(), *workers, nl, intakeMode, *codelTarget)
 	if srv.ReplicationAddr() != "" {
 		logger.Printf("HA replication on tcp://%s", srv.ReplicationAddr())
 	}

@@ -12,14 +12,11 @@
 // to C, and depletes to zero under sustained overload, throttling the user
 // to exactly A requests per second.
 //
-// Buckets support two refill disciplines:
-//
-//   - Lazy: credit owed since the last interaction is applied at consume
-//     time. This is exact at any instant and is the default.
-//   - Tick: a housekeeping goroutine calls Refill periodically (the paper's
-//     "house-keeping thread ... refills the leaky buckets ... with
-//     predefined intervals"). Between ticks the credit is a floor of the
-//     exact value.
+// Refill is lazy: the credit owed since the last interaction is applied
+// when the bucket is next touched, so f(t) is exact at any instant and no
+// thread has to sweep the buckets (the paper's "house-keeping thread ...
+// refills the leaky buckets ... with predefined intervals" survives only as
+// an arm of BenchmarkAblationRefillStrategy).
 //
 // All methods are safe for concurrent use.
 package bucket
@@ -84,37 +81,24 @@ type Bucket struct {
 	reserved   float64 // refill delegated to credit leases (internal/lease)
 	credit     float64
 	last       time.Time // instant credit was last brought current
-	lazy       bool      // apply elapsed refill on every interaction
 }
-
-// Option configures a Bucket.
-type Option func(*Bucket)
-
-// WithTickRefill disables lazy refill; credit then only grows when Refill is
-// called (housekeeping-thread discipline).
-func WithTickRefill() Option { return func(b *Bucket) { b.lazy = false } }
 
 // New creates a bucket from a rule. If the rule carries no explicit credit
 // and was not loaded from a checkpoint, pass rule.Credit = rule.Capacity for
 // the paper's "initially fully filled" behaviour. now anchors the refill
 // clock.
-func New(rule Rule, now time.Time, opts ...Option) *Bucket {
-	b := &Bucket{
+func New(rule Rule, now time.Time) *Bucket {
+	return &Bucket{
 		capacity:   rule.Capacity,
 		refillRate: rule.RefillRate,
 		credit:     clamp(rule.Credit, rule.Capacity),
 		last:       now,
-		lazy:       true,
 	}
-	for _, o := range opts {
-		o(b)
-	}
-	return b
 }
 
 // NewFull creates a bucket that starts at full capacity.
-func NewFull(key string, rate, capacity float64, now time.Time, opts ...Option) *Bucket {
-	return New(Rule{Key: key, RefillRate: rate, Capacity: capacity, Credit: capacity}, now, opts...)
+func NewFull(key string, rate, capacity float64, now time.Time) *Bucket {
+	return New(Rule{Key: key, RefillRate: rate, Capacity: capacity, Credit: capacity}, now)
 }
 
 func clamp(v, capacity float64) float64 {
@@ -152,9 +136,7 @@ func (b *Bucket) advanceLocked(now time.Time) {
 func (b *Bucket) TryConsume(n float64, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	if b.credit >= n && n > 0 {
 		b.credit -= n
 		return true
@@ -165,22 +147,11 @@ func (b *Bucket) TryConsume(n float64, now time.Time) bool {
 // Allow is TryConsume(1, now): one API call costs one credit.
 func (b *Bucket) Allow(now time.Time) bool { return b.TryConsume(1, now) }
 
-// Refill brings the credit current to now; used by the housekeeping thread
-// under the tick discipline (it is harmless, and a no-op beyond clock
-// advancement, under the lazy discipline).
-func (b *Bucket) Refill(now time.Time) {
-	b.mu.Lock()
-	b.advanceLocked(now)
-	b.mu.Unlock()
-}
-
 // Credit returns the credit available at time now.
 func (b *Bucket) Credit(now time.Time) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	return b.credit
 }
 
@@ -199,9 +170,7 @@ func (b *Bucket) SetCredit(credit float64, now time.Time) {
 // refill clock is first brought current so no accrued credit is lost.
 func (b *Bucket) Update(rate, capacity float64, now time.Time) {
 	b.mu.Lock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	b.refillRate = rate
 	b.capacity = capacity
 	b.credit = clamp(b.credit, capacity)
@@ -223,9 +192,7 @@ func (b *Bucket) Reserve(delta float64, now time.Time) bool {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	if b.reserved+delta > b.refillRate {
 		return false
 	}
@@ -241,9 +208,7 @@ func (b *Bucket) Release(delta float64, now time.Time) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	b.reserved -= delta
 	if b.reserved < 0 {
 		b.reserved = 0
@@ -276,8 +241,6 @@ func (b *Bucket) RefillRate() float64 {
 func (b *Bucket) Rule(key string, now time.Time) Rule {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.lazy {
-		b.advanceLocked(now)
-	}
+	b.advanceLocked(now)
 	return Rule{Key: key, RefillRate: b.refillRate, Capacity: b.capacity, Credit: b.credit}
 }

@@ -116,23 +116,6 @@ func TestBurstThenSteadyState(t *testing.T) {
 	}
 }
 
-func TestTickRefillOnlyOnRefill(t *testing.T) {
-	b := NewFull("k", 10, 10, t0, WithTickRefill())
-	for i := 0; i < 10; i++ {
-		if !b.Allow(t0) {
-			t.Fatalf("drain request %d denied", i)
-		}
-	}
-	// Time passes but nobody ticks: still empty.
-	if b.Allow(t0.Add(time.Minute)) {
-		t.Fatal("tick bucket refilled without Refill call")
-	}
-	b.Refill(t0.Add(time.Minute))
-	if got := b.Credit(t0.Add(time.Minute)); got != 10 {
-		t.Fatalf("credit after tick = %v, want 10", got)
-	}
-}
-
 func TestClockBackwardsDoesNotInflate(t *testing.T) {
 	b := NewFull("k", 100, 100, t0)
 	for i := 0; i < 100; i++ {
@@ -239,7 +222,7 @@ func TestCreditInvariantProperty(t *testing.T) {
 			case 0:
 				b.TryConsume(amt, now)
 			case 1:
-				b.Refill(now)
+				b.Credit(now) // bring credit current, as any reader does
 			case 2:
 				b.SetCredit(o.Amount, now)
 			case 3:

@@ -23,7 +23,6 @@ import (
 	"repro/internal/qosserver"
 	"repro/internal/router"
 	"repro/internal/store"
-	"repro/internal/table"
 	"repro/internal/transport"
 )
 
@@ -63,14 +62,10 @@ type Config struct {
 	LBHopDelay func()
 	// DefaultRule applies to unknown keys (zero value denies).
 	DefaultRule bucket.Rule
-	// TableKind selects the QoS table implementation.
-	TableKind table.Kind
-	// SyncInterval / CheckpointInterval / RefillInterval configure the QoS
-	// server maintenance threads (0 disables the respective thread; refill
-	// then uses the exact lazy discipline).
+	// SyncInterval / CheckpointInterval configure the QoS server
+	// maintenance threads (0 disables the respective thread).
 	SyncInterval       time.Duration
 	CheckpointInterval time.Duration
-	RefillInterval     time.Duration
 	// Transport tunes the router→QoS UDP exchange.
 	Transport transport.Config
 	// DefaultReply is the router's verdict when a QoS server is
@@ -130,9 +125,14 @@ func (c *Config) defaults() {
 		c.QoSServers = 1
 	}
 	if c.Transport.Timeout == 0 {
-		// Loopback with Go schedulers needs a little more headroom than
-		// the paper's intra-AZ 100µs; the discipline is identical.
-		c.Transport = transport.Config{Timeout: 20 * time.Millisecond, Retries: transport.DefaultRetries}
+		// The paper's intra-AZ 100µs discipline, with the budget (timeout ×
+		// 5 attempts = 250ms) sized from the slowest thing a QoS worker
+		// does while the router waits: a first-sight store.Get. Measured
+		// with benchmark/run.sh -workload dns-miss at GOMAXPROCS 1, it
+		// stalls 30–85ms in every run and > 100ms in 3 of 17, always inside
+		// a GC mark phase; a shorter budget expires first and the router
+		// fabricates a default reply for a healthy server.
+		c.Transport = transport.Config{Timeout: 50 * time.Millisecond, Retries: transport.DefaultRetries}
 	}
 	if c.HAInterval <= 0 {
 		c.HAInterval = 50 * time.Millisecond
@@ -358,9 +358,7 @@ func (c *Cluster) qosConfig() qosserver.Config {
 		Addr:               "127.0.0.1:0",
 		Workers:            c.cfg.QoSWorkers,
 		Listeners:          c.cfg.QoSListeners,
-		TableKind:          c.cfg.TableKind,
 		DefaultRule:        c.cfg.DefaultRule,
-		RefillInterval:     c.cfg.RefillInterval,
 		SyncInterval:       c.cfg.SyncInterval,
 		CheckpointInterval: c.cfg.CheckpointInterval,
 		CodelTarget:        c.cfg.CodelTarget,
@@ -693,30 +691,12 @@ func (c *Cluster) AggregateQoSStats() qosserver.Stats {
 	pairs := append([]*QoSPair(nil), c.QoS...)
 	c.mu.Unlock()
 	var agg qosserver.Stats
-	add := func(s qosserver.Stats) {
-		agg.Received += s.Received
-		agg.Dropped += s.Dropped
-		agg.Degraded += s.Degraded
-		agg.Malformed += s.Malformed
-		agg.Decisions += s.Decisions
-		agg.Allowed += s.Allowed
-		agg.Denied += s.Denied
-		agg.DBQueries += s.DBQueries
-		agg.DefaultHit += s.DefaultHit
-		agg.DBErrors += s.DBErrors
-		agg.SendErrors += s.SendErrors
-		agg.LeaseGrants += s.LeaseGrants
-		agg.LeaseDenies += s.LeaseDenies
-		agg.LeaseRevokes += s.LeaseRevokes
-		agg.Leases += s.Leases
-		agg.LeasedRate += s.LeasedRate
-	}
 	for _, p := range pairs {
 		if p.Master != nil {
-			add(p.Master.Stats())
+			agg.Add(p.Master.Stats())
 		}
 		if p.Slave != nil {
-			add(p.Slave.Stats())
+			agg.Add(p.Slave.Stats())
 		}
 	}
 	return agg

@@ -9,6 +9,9 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/lb"
 	"repro/internal/loadgen"
+	"repro/internal/minisql"
+	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 func rules(n int, rate, capacity float64) []bucket.Rule {
@@ -314,5 +317,52 @@ func TestQoSIntakeAndAuditPassThrough(t *testing.T) {
 	}
 	if c.QoS[0].Master.SojournTotal().Count() == 0 {
 		t.Fatal("sojourn histogram empty")
+	}
+}
+
+// slowDB delays every statement by more than one router→QoS transport
+// timeout, as a first-sight store.Get stalled inside a GC mark phase does.
+type slowDB struct {
+	inner store.Executor
+	delay time.Duration
+}
+
+func (d slowDB) Execute(sql string, args ...minisql.Value) (minisql.Result, error) {
+	time.Sleep(d.delay)
+	return d.inner.Execute(sql, args...)
+}
+
+// TestFirstSightSurvivesSlowDB pins the sizing of the default transport
+// budget: a rule fetch that takes 150ms must still return the rule's
+// verdict, not a reply the router fabricated for a healthy server. The
+// retries queued behind the fetch are decided too, hence the spare credit.
+func TestFirstSightSurvivesSlowDB(t *testing.T) {
+	c := newCluster(t, Config{Mode: DNS, Membership: true, Rules: rules(16, 0, 10)})
+	// Every QoS server holds this *store.Store, and nothing has used it
+	// since boot seeded the rules, so its executor can still be swapped.
+	// The server that will read it is started after the swap, which is
+	// what orders the write before its workers' reads.
+	*c.Store = *store.New(slowDB{inner: c.dbPool, delay: 150 * time.Millisecond})
+	pair, err := c.AddQoSServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key string
+	for _, r := range rules(16, 0, 10) {
+		if owner, _ := c.View().Owner(c.picker, r.Key); owner == pair.Name {
+			key = r.Key
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no seeded key is owned by the added server")
+	}
+
+	resp := c.Routers[0].Route(wire.Request{Key: key, Cost: 1})
+	if !resp.Allow || resp.Status != wire.StatusOK {
+		t.Fatalf("first-sight verdict = %+v, want the rule's allow", resp)
+	}
+	if st := c.Routers[0].Stats(); st.DefaultReplies != 0 || st.Timeouts != 0 {
+		t.Fatalf("router gave up on a slow but healthy server: %+v", st)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/qosserver"
 	"repro/internal/router"
 	"repro/internal/store"
-	"repro/internal/table"
 	"repro/internal/wire"
 )
 
@@ -39,15 +38,12 @@ type Config struct {
 	Workers int
 	// DefaultRule applies to unknown keys (zero value denies).
 	DefaultRule bucket.Rule
-	// TableKind selects the QoS table implementation.
-	TableKind table.Kind
 	// Rules seeds the rule database.
 	Rules []bucket.Rule
-	// SyncInterval / CheckpointInterval / RefillInterval enable the QoS
-	// server maintenance threads (see qosserver.Config).
+	// SyncInterval / CheckpointInterval enable the QoS server maintenance
+	// threads (see qosserver.Config).
 	SyncInterval       time.Duration
 	CheckpointInterval time.Duration
-	RefillInterval     time.Duration
 }
 
 // Janus is an embedded deployment.
@@ -74,12 +70,10 @@ func New(cfg Config) (*Janus, error) {
 		s, err := qosserver.New(qosserver.Config{
 			Addr:               "127.0.0.1:0",
 			Workers:            cfg.Workers,
-			TableKind:          cfg.TableKind,
 			DefaultRule:        cfg.DefaultRule,
 			Store:              j.store,
 			SyncInterval:       cfg.SyncInterval,
 			CheckpointInterval: cfg.CheckpointInterval,
-			RefillInterval:     cfg.RefillInterval,
 		})
 		if err != nil {
 			j.Close()
@@ -141,17 +135,7 @@ func (j *Janus) Partitions() int { return len(j.servers) }
 func (j *Janus) Stats() qosserver.Stats {
 	var agg qosserver.Stats
 	for _, s := range j.servers {
-		st := s.Stats()
-		agg.Received += st.Received
-		agg.Dropped += st.Dropped
-		agg.Degraded += st.Degraded
-		agg.Malformed += st.Malformed
-		agg.Decisions += st.Decisions
-		agg.Allowed += st.Allowed
-		agg.Denied += st.Denied
-		agg.DBQueries += st.DBQueries
-		agg.DefaultHit += st.DefaultHit
-		agg.DBErrors += st.DBErrors
+		agg.Add(s.Stats())
 	}
 	return agg
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bucket"
 )
@@ -141,25 +140,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	r, _, _ := j.Store().Get("k")
 	if r.Credit != 6 {
 		t.Fatalf("checkpointed credit = %v", r.Credit)
-	}
-}
-
-func TestRefillInterval(t *testing.T) {
-	j := newJanus(t, Config{
-		RefillInterval: 5 * time.Millisecond,
-		Rules:          []bucket.Rule{{Key: "k", RefillRate: 1000, Capacity: 2, Credit: 2}},
-	})
-	j.Check("k")
-	j.Check("k")
-	if j.Check("k") {
-		t.Fatal("empty bucket admitted before tick")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !j.Check("k") {
-		if time.Now().After(deadline) {
-			t.Fatal("tick refill never happened")
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -7,11 +7,10 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/minisql"
 	"repro/internal/store"
-	"repro/internal/table"
 	"repro/internal/wire"
 )
 
-func benchServer(b *testing.B, kind table.Kind, rules int) *Server {
+func benchServer(b *testing.B, rules int) *Server {
 	b.Helper()
 	st := store.New(minisql.NewEngine())
 	if err := st.Init(); err != nil {
@@ -22,7 +21,7 @@ func benchServer(b *testing.B, kind table.Kind, rules int) *Server {
 			b.Fatal(err)
 		}
 	}
-	s, err := New(Config{Addr: "127.0.0.1:0", Store: st, TableKind: kind})
+	s, err := New(Config{Addr: "127.0.0.1:0", Store: st})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func benchServer(b *testing.B, kind table.Kind, rules int) *Server {
 // BenchmarkDecideHotKey measures the resident-bucket decision path — the
 // per-request cost once a key's rule is cached locally.
 func BenchmarkDecideHotKey(b *testing.B) {
-	s := benchServer(b, table.KindSharded, 1)
+	s := benchServer(b, 1)
 	req := wire.Request{Key: "k0", Cost: 1}
 	s.Decide(req) // install
 	b.ResetTimer()
@@ -43,31 +42,28 @@ func BenchmarkDecideHotKey(b *testing.B) {
 }
 
 // BenchmarkDecideParallel measures contended decisions across a key
-// population, for both table kinds — the §V-C locking story.
+// population — the §V-C locking story on the table the product runs (the
+// single-lock comparison is BenchmarkAblationTableSharding).
 func BenchmarkDecideParallel(b *testing.B) {
-	for _, kind := range []table.Kind{table.KindMutex, table.KindSharded} {
-		b.Run(string(kind), func(b *testing.B) {
-			const keys = 256
-			s := benchServer(b, kind, keys)
-			for i := 0; i < keys; i++ {
-				s.Decide(wire.Request{Key: fmt.Sprintf("k%d", i), Cost: 1})
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					s.Decide(wire.Request{Key: fmt.Sprintf("k%d", i&(keys-1)), Cost: 1})
-					i++
-				}
-			})
-		})
+	const keys = 256
+	s := benchServer(b, keys)
+	for i := 0; i < keys; i++ {
+		s.Decide(wire.Request{Key: fmt.Sprintf("k%d", i), Cost: 1})
 	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			s.Decide(wire.Request{Key: fmt.Sprintf("k%d", i&(keys-1)), Cost: 1})
+			i++
+		}
+	})
 }
 
 // BenchmarkDecideColdKey measures the first-sight path: database fetch plus
 // bucket installation.
 func BenchmarkDecideColdKey(b *testing.B) {
-	s := benchServer(b, table.KindSharded, 0)
+	s := benchServer(b, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Decide(wire.Request{Key: fmt.Sprintf("cold-%d", i), Cost: 1})
@@ -79,7 +75,7 @@ func BenchmarkDecideColdKey(b *testing.B) {
 func BenchmarkSnapshotTable(b *testing.B) {
 	for _, n := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
-			s := benchServer(b, table.KindSharded, 0)
+			s := benchServer(b, 0)
 			for i := 0; i < n; i++ {
 				s.Decide(wire.Request{Key: fmt.Sprintf("k%d", i), Cost: 1})
 			}

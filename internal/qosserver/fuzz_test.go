@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/table"
 )
 
 // encodeFrame gob-encodes a frame the way the HA and handoff peers do, for
@@ -31,10 +30,9 @@ func encodeFrame(t *testing.F, f haFrame) []byte {
 func FuzzHAFrameDecode(f *testing.F) {
 	now := time.Unix(1700000000, 0)
 	srv, err := New(Config{
-		Addr:      "127.0.0.1:0",
-		Workers:   1,
-		TableKind: table.KindSharded,
-		Clock:     func() time.Time { return now },
+		Addr:    "127.0.0.1:0",
+		Workers: 1,
+		Clock:   func() time.Time { return now },
 	})
 	if err != nil {
 		f.Fatalf("start server: %v", err)

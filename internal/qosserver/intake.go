@@ -12,14 +12,6 @@ package qosserver
 // shard: the kernel spreads inbound flows across the sockets by flow hash,
 // and nothing on the per-datagram path is touched by two intakes.
 //
-// Alignment with the bucket table: when the server runs more than one
-// intake over the sharded table, the table is built with one shard GROUP
-// per intake (table.NewShardedAligned) and each intake's housekeeping
-// stripe refills only its own groups — the maintenance plane is partitioned
-// exactly like the receive plane. Cross-shard key movement — handoff,
-// lease revocation, rule-sync churn — keeps using the table's slow path
-// (Range/Put/Delete), which is group-oblivious by design.
-//
 // Portability: SO_REUSEPORT with per-socket load balancing is Linux
 // semantics. When the control hook fails — non-Linux build, exotic kernel,
 // restrictive sandbox — the server falls back to a single socket feeding

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bucket"
-	"repro/internal/table"
 )
 
 // BenchmarkObservabilitySojournObserve isolates the per-request cost of the
@@ -14,7 +13,6 @@ import (
 func BenchmarkObservabilitySojournObserve(b *testing.B) {
 	s, err := New(Config{
 		Addr:        "127.0.0.1:0",
-		TableKind:   table.KindSharded,
 		DefaultRule: bucket.Rule{RefillRate: 1e12, Capacity: 1e12, Credit: 1e12},
 	})
 	if err != nil {

@@ -4,22 +4,23 @@
 // The major components mirror the paper's Java implementation one-for-one:
 //
 //   - the local QoS table: a synchronized map from QoS key to leaky bucket
-//     (internal/table; sharded by default, single-lock available for the
-//     ablation);
+//     (internal/table, 64 independently locked shards);
 //   - the UDP listener goroutine, which receives datagrams from the request
 //     router and pushes them into a FIFO;
 //   - N worker goroutines polling the FIFO (N defaults to the number of
 //     available CPUs), which decode the request, make the leaky-bucket
 //     decision, and send the response back over UDP — without caring
 //     whether the router receives it (the router retries);
-//   - the housekeeping goroutine refilling buckets at a fixed interval
-//     (when tick refill is selected);
 //   - the system-maintenance goroutine re-querying the database for rule
 //     updates at a configurable interval;
 //   - the checkpoint goroutine writing current credits back to the
 //     database at a configurable interval;
 //   - the high-availability listener serving the local table to a slave
 //     (ha.go).
+//
+// The paper's house-keeping refill thread has no counterpart: buckets apply
+// eq. 1–2 lazily at consume time (internal/bucket), which is exact and
+// leaves nothing to sweep.
 //
 // A server never communicates with other QoS servers (§II-D: "There is no
 // communication between the QoS servers in Janus. They are totally unaware
@@ -78,14 +79,9 @@ type Config struct {
 	// above target before shedding starts, and the base of the control-law
 	// cadence. 0 selects DefaultCodelInterval (100ms).
 	CodelInterval time.Duration
-	// TableKind selects the local QoS table implementation.
-	TableKind table.Kind
 	// DefaultRule is applied to keys absent from the database (§II-D). Its
 	// Key field is ignored. The zero value denies all unknown keys.
 	DefaultRule bucket.Rule
-	// RefillInterval > 0 selects housekeeping-tick refill at that period;
-	// 0 selects exact lazy refill.
-	RefillInterval time.Duration
 	// SyncInterval > 0 enables periodic rule re-synchronization from the
 	// database.
 	SyncInterval time.Duration
@@ -162,15 +158,32 @@ type Stats struct {
 	LeasedRate   float64 // refill rate currently delegated, credits/second
 }
 
+// Add accumulates o into s field by field — the one sum every cluster-wide
+// or partition-wide view uses, so a new counter cannot be left out of one.
+func (s *Stats) Add(o Stats) {
+	s.Received += o.Received
+	s.Dropped += o.Dropped
+	s.Degraded += o.Degraded
+	s.Malformed += o.Malformed
+	s.Decisions += o.Decisions
+	s.Allowed += o.Allowed
+	s.Denied += o.Denied
+	s.DBQueries += o.DBQueries
+	s.DefaultHit += o.DefaultHit
+	s.DBErrors += o.DBErrors
+	s.SendErrors += o.SendErrors
+	s.LeaseGrants += o.LeaseGrants
+	s.LeaseDenies += o.LeaseDenies
+	s.LeaseRevokes += o.LeaseRevokes
+	s.Leases += o.Leases
+	s.LeasedRate += o.LeasedRate
+}
+
 // Server is a running QoS server node.
 type Server struct {
 	cfg   Config
 	table table.Table
-	// aligned is the group-aligned view of table when the sharded intake
-	// is active (nil otherwise): one bucket-shard group per intake, so the
-	// refill plane partitions exactly like the receive plane.
-	aligned *table.Sharded
-	clock   func() time.Time
+	clock func() time.Time
 
 	// intakes are the share-nothing receive slices (intake.go); intake 0's
 	// socket answers Addr(). reuseportFallback records that more than one
@@ -333,23 +346,9 @@ func New(cfg Config) (*Server, error) {
 		intakes[i] = in
 	}
 
-	// With a sharded multi-listener intake, align the bucket table's shard
-	// groups to the listeners so the maintenance plane (refill stripes)
-	// partitions exactly like the receive plane. Cross-shard key movement
-	// (handoff, lease revoke, sync churn) stays on the table's slow path.
-	var tbl table.Table
-	var aligned *table.Sharded
-	if len(intakes) > 1 && cfg.TableKind != table.KindMutex {
-		aligned = table.NewShardedAligned(len(intakes), 0)
-		tbl = aligned
-	} else {
-		tbl = table.New(cfg.TableKind)
-	}
-
 	s := &Server{
 		cfg:               cfg,
-		table:             tbl,
-		aligned:           aligned,
+		table:             table.New(""),
 		clock:             clock,
 		intakes:           intakes,
 		reuseportFallback: fallback,
@@ -436,20 +435,6 @@ func New(cfg Config) (*Server, error) {
 			go s.worker(in)
 		}
 	}
-	if cfg.RefillInterval > 0 {
-		if s.aligned != nil {
-			// One refill stripe per intake: intake i sweeps shard groups
-			// i, i+N, i+2N, ... so no two stripes ever touch the same
-			// shard locks — maintenance aligned with the receive plane.
-			for _, in := range s.intakes {
-				s.wg.Add(1)
-				go s.housekeepingStripe(in.id)
-			}
-		} else {
-			s.wg.Add(1)
-			go s.housekeeping()
-		}
-	}
 	if cfg.SyncInterval > 0 && cfg.Store != nil {
 		s.wg.Add(1)
 		go s.syncLoop()
@@ -499,9 +484,7 @@ var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 // CoDel controlling the queue the FIFO should never get near full: the
 // controller sheds by ANSWERING (worker-side) long before the queue fills.
 //
-// socket, which unblocks ReadFromUDP with an error and ends the loop.
-//
-//janus:deadlined the accept-style read blocks by design; Close() closes the
+//janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDP with an error and ends the loop
 func (s *Server) listen(in *intake) {
 	defer s.wg.Done()
 	for {
@@ -835,22 +818,17 @@ func (s *Server) installRule(key string, now time.Time) *bucket.Bucket {
 	return b
 }
 
-// newBucket builds a bucket honouring the configured refill discipline.
-// It is the single chokepoint for wholesale credit grants — first-sight
-// install, sync geometry change, handoff install, replication snapshot,
-// preload — so the audit ledger's Install hook lives here. (Min-merge
-// paths adjust existing buckets via SetCredit and grant nothing.)
+// newBucket is the single chokepoint for wholesale credit grants —
+// first-sight install, sync geometry change, handoff install, replication
+// snapshot, preload — so the audit ledger's Install hook lives here.
+// (Min-merge paths adjust existing buckets via SetCredit and grant nothing.)
 func (s *Server) newBucket(rule bucket.Rule, now time.Time) *bucket.Bucket {
-	var opts []bucket.Option
-	if s.cfg.RefillInterval > 0 {
-		opts = append(opts, bucket.WithTickRefill())
-	}
 	credit := rule.Credit
 	if credit > rule.Capacity {
 		credit = rule.Capacity
 	}
 	s.audit.Install(rule.Key, credit, rule.RefillRate)
-	return bucket.New(rule, now, opts...)
+	return bucket.New(rule, now)
 }
 
 // fetchRule queries the database; isDefault reports that the default rule
@@ -900,43 +878,6 @@ func (s *Server) Preload() error {
 		s.table.Put(r.Key, s.newBucket(r, now))
 	}
 	return nil
-}
-
-// housekeeping refills all buckets at the configured interval (§III-C);
-// the single-intake path.
-func (s *Server) housekeeping() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.RefillInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.table.RefillAll(s.clock())
-		}
-	}
-}
-
-// housekeepingStripe is intake id's refill stripe over the aligned table:
-// it sweeps shard groups id, id+N, id+2N, ... so concurrent stripes never
-// contend on a shard lock — the maintenance plane partitioned like the
-// receive plane.
-func (s *Server) housekeepingStripe(id int) {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.RefillInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			now := s.clock()
-			for g := id; g < s.aligned.Groups(); g += len(s.intakes) {
-				s.aligned.RefillGroup(g, now)
-			}
-		}
-	}
 }
 
 // syncLoop is the system-maintenance thread: it re-queries the database for

@@ -10,7 +10,7 @@ import (
 )
 
 // Race-detector stress tests (run via `make race`): every Table operation —
-// Get, GetOrCreate, Put, Delete, Len, Range, RefillAll — hammered
+// Get, GetOrCreate, Put, Delete, Len, Range — hammered
 // concurrently over a shared key space, for both implementations. The race
 // detector turns any unsynchronized map access in the mutex or sharded
 // paths into a test failure; the final assertions catch lost updates.
@@ -49,7 +49,6 @@ func TestTableRaceStress(t *testing.T) {
 								return true
 							})
 						default:
-							tbl.RefillAll(now.Add(time.Duration(i) * time.Millisecond))
 							tbl.Len()
 						}
 					}

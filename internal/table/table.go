@@ -2,24 +2,20 @@
 // (paper §III-C: "The local QoS table is represented by a synchronized hash
 // map, where the key is the QoS key and the value is the leaky bucket").
 //
-// Two implementations are provided behind the Table interface:
+// The table every QoS server runs is Sharded: the key space is split across
+// 64 independently locked shards chosen by a string hash, which removes the
+// global serialization point §V-C blames for the QoS layer's CPU
+// under-utilization ("the implementation of the locking mechanism being used
+// to manage the QoS rules in the local QoS table").
 //
-//   - Mutex: one lock around one map — the paper's original design. §V-C
-//     attributes the observed CPU under-utilization on the QoS server layer
-//     to "the implementation of the locking mechanism being used to manage
-//     the QoS rules in the local QoS table" and defers optimization to
-//     future work.
-//   - Sharded: the future-work optimization — the key space is split across
-//     independently locked shards chosen by a string hash, eliminating the
-//     global serialization point.
-//
-// The ablation benchmark BenchmarkAblationTableSharding quantifies the
-// difference.
+// Mutex — one lock around one map, the paper's original design — is kept
+// only as the reference implementation TestImplementationsAgreeProperty
+// compares Sharded against and as the §V-C arm of
+// BenchmarkAblationTableSharding; no product configuration selects it.
 package table
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/bucket"
 )
@@ -42,12 +38,10 @@ type Table interface {
 	// order is unspecified and entries inserted concurrently may or may not
 	// be visited.
 	Range(fn func(key string, b *bucket.Bucket) bool)
-	// RefillAll brings every bucket's credit current to now; used by the
-	// housekeeping thread under the tick-refill discipline.
-	RefillAll(now time.Time)
 }
 
-// Mutex is the paper's original single-lock synchronized hash map.
+// Mutex is the paper's original single-lock synchronized hash map: the
+// reference implementation for tests and the §V-C ablation.
 type Mutex struct {
 	mu sync.Mutex
 	m  map[string]*bucket.Bucket
@@ -112,30 +106,10 @@ func (t *Mutex) Range(fn func(string, *bucket.Bucket) bool) {
 	}
 }
 
-// RefillAll implements Table.
-func (t *Mutex) RefillAll(now time.Time) {
-	t.Range(func(_ string, b *bucket.Bucket) bool {
-		b.Refill(now)
-		return true
-	})
-}
-
 // Sharded splits the key space across independently locked shards.
-//
-// The shards may additionally be organized into GROUPS — contiguous runs of
-// perGroup shards — for the sharded SO_REUSEPORT intake (qosserver,
-// DESIGN.md §14): the QoS server builds the table with one group per
-// intake listener so per-group maintenance sweeps (refill stripes) align
-// with the receive plane and never contend across intakes. Grouping only
-// partitions iteration (RangeGroup/RefillGroup); the per-key operations are
-// group-oblivious, and cross-shard key movement (handoff, lease revoke,
-// rule-sync churn) keeps using the plain Range/Put/Delete slow path.
 type Sharded struct {
 	shards []shard
 	mask   uint32
-	// perGroup is the power-of-two number of consecutive shards per group;
-	// equal to len(shards) for an ungrouped table (one group).
-	perGroup uint32
 }
 
 type shard struct {
@@ -146,45 +120,21 @@ type shard struct {
 // DefaultShards is the shard count used by NewSharded when 0 is passed.
 const DefaultShards = 64
 
-// DefaultShardsPerGroup is the per-group shard count used by
-// NewShardedAligned when 0 is passed.
-const DefaultShardsPerGroup = 16
-
 // NewSharded returns a table with n shards; n is rounded up to a power of
 // two, and n <= 0 selects DefaultShards.
 func NewSharded(n int) *Sharded {
-	size := ceilPow2(n, DefaultShards)
-	t := &Sharded{shards: make([]shard, size), mask: uint32(size - 1), perGroup: uint32(size)}
+	size := DefaultShards
+	if n > 0 {
+		size = 1
+		for size < n {
+			size <<= 1
+		}
+	}
+	t := &Sharded{shards: make([]shard, size), mask: uint32(size - 1)}
 	for i := range t.shards {
 		t.shards[i].m = make(map[string]*bucket.Bucket)
 	}
 	return t
-}
-
-// NewShardedAligned returns a table whose shards are organized into groups
-// aligned to an external fan-out (one group per intake listener in
-// qosserver). Both groups and perGroup are rounded up to powers of two;
-// groups <= 0 selects one group, perGroup <= 0 selects
-// DefaultShardsPerGroup. The total shard count is groups * perGroup.
-func NewShardedAligned(groups, perGroup int) *Sharded {
-	g := ceilPow2(groups, 1)
-	p := ceilPow2(perGroup, DefaultShardsPerGroup)
-	t := NewSharded(g * p)
-	t.perGroup = uint32(p)
-	return t
-}
-
-// ceilPow2 rounds n up to a power of two; n <= 0 selects def (which must
-// itself be a power of two).
-func ceilPow2(n, def int) int {
-	if n <= 0 {
-		return def
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	return size
 }
 
 // hashFor hashes key with inline FNV-1a: hashing the string directly (no
@@ -204,45 +154,6 @@ func hashFor(key string) uint32 {
 //janus:hotpath
 func (t *Sharded) shardFor(key string) *shard {
 	return &t.shards[hashFor(key)&t.mask]
-}
-
-// Groups returns the number of shard groups (1 for an ungrouped table).
-func (t *Sharded) Groups() int { return len(t.shards) / int(t.perGroup) }
-
-// GroupFor returns the group key's shard belongs to. It uses the same hash
-// as the shard selection, so a group is exactly a contiguous run of
-// perGroup shards — the alignment contract the QoS server's refill stripes
-// rely on.
-//
-//janus:hotpath
-func (t *Sharded) GroupFor(key string) int {
-	return int((hashFor(key) & t.mask) / t.perGroup)
-}
-
-// RangeGroup is Range restricted to group g's shards. Each shard's lock is
-// held only while that shard is iterated.
-func (t *Sharded) RangeGroup(g int, fn func(string, *bucket.Bucket) bool) {
-	lo, hi := g*int(t.perGroup), (g+1)*int(t.perGroup)
-	for i := lo; i < hi; i++ {
-		s := &t.shards[i]
-		s.mu.RLock()
-		for k, b := range s.m {
-			if !fn(k, b) {
-				s.mu.RUnlock()
-				return
-			}
-		}
-		s.mu.RUnlock()
-	}
-}
-
-// RefillGroup brings group g's buckets current to now — one intake's
-// housekeeping stripe.
-func (t *Sharded) RefillGroup(g int, now time.Time) {
-	t.RangeGroup(g, func(_ string, b *bucket.Bucket) bool {
-		b.Refill(now)
-		return true
-	})
 }
 
 // Get implements Table.
@@ -322,25 +233,18 @@ func (t *Sharded) Range(fn func(string, *bucket.Bucket) bool) {
 	}
 }
 
-// RefillAll implements Table.
-func (t *Sharded) RefillAll(now time.Time) {
-	t.Range(func(_ string, b *bucket.Bucket) bool {
-		b.Refill(now)
-		return true
-	})
-}
-
-// Kind names a table implementation for configuration.
+// Kind names a table implementation.
 type Kind string
 
-// Supported table kinds.
+// Table kinds. Product code builds its table with New("") and gets
+// KindSharded; KindMutex is for the tests and ablation named above.
 const (
 	KindMutex   Kind = "mutex"
 	KindSharded Kind = "sharded"
 )
 
-// New constructs a table of the given kind; unknown kinds fall back to
-// sharded with default shard count.
+// New constructs a table of the given kind; anything but KindMutex is
+// sharded with the default shard count.
 func New(kind Kind) Table {
 	switch kind {
 	case KindMutex:

@@ -100,29 +100,6 @@ func TestTableRange(t *testing.T) {
 	}
 }
 
-func TestTableRefillAll(t *testing.T) {
-	for name, mk := range impls() {
-		t.Run(name, func(t *testing.T) {
-			tb := mk()
-			for i := 0; i < 10; i++ {
-				k := fmt.Sprintf("key-%d", i)
-				b := bucket.NewFull(k, 10, 10, t0, bucket.WithTickRefill())
-				for j := 0; j < 10; j++ {
-					b.Allow(t0)
-				}
-				tb.Put(k, b)
-			}
-			tb.RefillAll(t0.Add(time.Second))
-			tb.Range(func(k string, b *bucket.Bucket) bool {
-				if got := b.Credit(t0.Add(time.Second)); got != 10 {
-					t.Errorf("%s credit = %v, want 10", k, got)
-				}
-				return true
-			})
-		})
-	}
-}
-
 func TestGetOrCreateFactoryCalledOncePerKey(t *testing.T) {
 	for name, mk := range impls() {
 		t.Run(name, func(t *testing.T) {
