@@ -74,6 +74,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzBatchFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzClientResponse -fuzztime 10s ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
@@ -90,10 +92,11 @@ bench-smoke:
 
 # Re-measures the numbers pinned in BENCH_allocs.json: exact allocs/op on
 # the three zero-alloc hot paths (singleton decode→Decide→encode, batch(32)
-# decode→DecideBatchAppend→encode, lease-table hit). The pins assert the
-# budget exactly, so this is a test run, not a benchmark run.
+# decode→DecideBatchAppend→encode, lease-table hit), plus the client's:
+# client.Check on a warmed connection allocates nothing. The pins assert
+# the budget exactly, so this is a test run, not a benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/client -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_membership.json.
 bench-membership:

@@ -21,6 +21,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/loadgen"
 	"repro/internal/scenario"
 )
@@ -49,7 +50,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	checker := loadgen.NewHTTPChecker(*endpoint)
+	checker := client.New(*endpoint)
 
 	var res loadgen.Result
 	if *rate > 0 {

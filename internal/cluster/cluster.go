@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/client"
 	"repro/internal/dns"
 	"repro/internal/lb"
 	"repro/internal/lease"
@@ -426,20 +427,30 @@ func (c *Cluster) Endpoint() string {
 // Checker returns a loadgen.Checker appropriate for the cluster's mode: in
 // Gateway mode it targets the LB; in DNS mode it resolves the cluster
 // domain per the OS caching rules (first address, TTL cache) like a real
-// client.
+// client, and keeps one client per router address it was ever sent to. The
+// checker is safe for concurrent use.
 func (c *Cluster) Checker() loadgen.Checker {
 	if c.LB != nil {
-		return loadgen.NewHTTPChecker(c.LB.Addr())
+		return client.New(c.LB.Addr())
 	}
 	resolver := dns.NewResolver(c.DNS)
-	inner := loadgen.NewHTTPChecker("")
+	var (
+		mu     sync.Mutex
+		byAddr = map[string]*client.Client{}
+	)
 	return loadgen.CheckerFunc(func(key string) (bool, error) {
 		addr, err := resolver.ResolveOne(Domain)
 		if err != nil {
 			return false, err
 		}
-		inner.Endpoint = addr
-		return inner.Check(key)
+		mu.Lock()
+		cl := byAddr[addr]
+		if cl == nil {
+			cl = client.New(addr)
+			byAddr[addr] = cl
+		}
+		mu.Unlock()
+		return cl.Check(key)
 	})
 }
 

@@ -1,11 +1,9 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/dns"
-	"repro/internal/loadgen"
 )
 
 // TestDNSClientPinnedWithinTTL reproduces the §V-A client-side observation
@@ -19,15 +17,9 @@ func TestDNSClientPinnedWithinTTL(t *testing.T) {
 		Rules:   rules(1, 1e9, 1e9),
 	})
 	// A single client with an OS-style caching resolver.
-	resolver := dns.NewResolver(c.DNS)
-	inner := loadgen.NewHTTPChecker("")
+	checker := c.Checker()
 	for i := 0; i < 30; i++ {
-		addr, err := resolver.ResolveOne(Domain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner.Endpoint = addr
-		if ok, err := inner.Check("user-0"); err != nil || !ok {
+		if ok, err := checker.Check("user-0"); err != nil || !ok {
 			t.Fatalf("request %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -56,15 +48,9 @@ func TestDNSClientRotatesAfterTTL(t *testing.T) {
 		DNSTTL:  time.Nanosecond, // immediate expiry
 		Rules:   rules(1, 1e9, 1e9),
 	})
-	resolver := dns.NewResolver(c.DNS)
-	inner := loadgen.NewHTTPChecker("")
+	checker := c.Checker()
 	for i := 0; i < 20; i++ {
-		addr, err := resolver.ResolveOne(Domain)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner.Endpoint = addr
-		if ok, err := inner.Check("user-0"); err != nil || !ok {
+		if ok, err := checker.Check("user-0"); err != nil || !ok {
 			t.Fatalf("request %d: ok=%v err=%v", i, ok, err)
 		}
 	}
@@ -72,5 +58,44 @@ func TestDNSClientRotatesAfterTTL(t *testing.T) {
 		if r.Stats().Requests != 10 {
 			t.Fatalf("router %d served %d, want 10 (round robin across TTL expiries)", i, r.Stats().Requests)
 		}
+	}
+}
+
+// TestCheckerConcurrentDNS: one DNS-mode checker shared by several
+// goroutines (as loadgen.RunClosedLoop shares it) while the TTL expires
+// under them, so consecutive checks go to different routers. Run under
+// -race: the checker used to keep the resolved address in a shared field.
+func TestCheckerConcurrentDNS(t *testing.T) {
+	c := newCluster(t, Config{
+		Routers: 2,
+		Mode:    DNS,
+		DNSTTL:  time.Nanosecond,
+		Rules:   rules(1, 1e9, 1e9),
+	})
+	checker := c.Checker()
+	const workers, each = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if ok, err := checker.Check("user-0"); err != nil || !ok {
+					t.Errorf("ok=%v err=%v", ok, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var served int64
+	for _, r := range c.Routers {
+		if r.Stats().Requests == 0 {
+			t.Error("a router saw no traffic although the TTL expired on every check")
+		}
+		served += int64(r.Stats().Requests)
+	}
+	if served != workers*each {
+		t.Errorf("routers served %d checks, want %d", served, workers*each)
 	}
 }

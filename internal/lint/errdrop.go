@@ -6,9 +6,9 @@ import (
 )
 
 // NewErrDrop flags silently discarded errors from Close, SetDeadline, and
-// Write-family calls in the networking hot paths (internal/transport,
-// internal/router, internal/qosserver). The UDP discipline is deliberately
-// fire-and-forget at the protocol level — the router retries — but a
+// Write-family calls in the networking hot paths (errDropScope: transport,
+// router, qosserver, lb, debugz, trace, client). The UDP discipline is
+// deliberately fire-and-forget at the protocol level — the router retries — but a
 // *discarded Go error* is different: a failing WriteToUDP or Close that
 // vanishes leaves no trace in the stats counters, and §V of the paper
 // attributes exactly this class of silent drop to hard-to-diagnose accuracy
@@ -60,6 +60,7 @@ var errDropScope = []string{
 	"internal/lb",
 	"internal/debugz",
 	"internal/trace",
+	"internal/client",
 }
 
 var errDropMethods = map[string]bool{

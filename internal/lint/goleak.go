@@ -75,6 +75,7 @@ var daemonScope = []string{
 	"internal/membership",
 	"internal/lb",
 	"internal/debugz",
+	"internal/client",
 }
 
 // stopPathProof inspects a goroutine body and returns a short label for

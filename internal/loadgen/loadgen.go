@@ -2,15 +2,11 @@ package loadgen
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // Clock supplies time to a run. The zero value reads the real wall clock;
@@ -44,11 +40,11 @@ func (c Clock) After(d time.Duration) <-chan time.Time {
 	return time.After(d)
 }
 
-func (c Clock) now() time.Time                      { return c.Now() }
+func (c Clock) now() time.Time                         { return c.Now() }
 func (c Clock) after(d time.Duration) <-chan time.Time { return c.After(d) }
 
-// Checker performs one admission check; implementations include the HTTP
-// client (against an LB or a router) and in-process deployments.
+// Checker performs one admission check; implementations include
+// *client.Client (against an LB or a router) and in-process deployments.
 type Checker interface {
 	Check(key string) (allowed bool, err error)
 }
@@ -58,49 +54,6 @@ type CheckerFunc func(key string) (bool, error)
 
 // Check implements Checker.
 func (f CheckerFunc) Check(key string) (bool, error) { return f(key) }
-
-// HTTPChecker issues GET /qos?key=... against a Janus HTTP endpoint.
-type HTTPChecker struct {
-	// Endpoint is "host:port" of the LB or router.
-	Endpoint string
-	// Client is the underlying HTTP client; nil uses a pooled default.
-	Client *http.Client
-}
-
-// NewHTTPChecker builds a checker with a connection-pooled client.
-func NewHTTPChecker(endpoint string) *HTTPChecker {
-	return &HTTPChecker{
-		Endpoint: endpoint,
-		Client: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 512,
-				IdleConnTimeout:     30 * time.Second,
-			},
-			Timeout: 10 * time.Second,
-		},
-	}
-}
-
-// Check implements Checker.
-func (h *HTTPChecker) Check(key string) (bool, error) {
-	c := h.Client
-	if c == nil {
-		c = http.DefaultClient
-	}
-	resp, err := c.Get("http://" + h.Endpoint + wire.FormatHTTPQuery(wire.Request{Key: key, Cost: 1}))
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return false, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, fmt.Errorf("loadgen: HTTP %d: %s", resp.StatusCode, body)
-	}
-	return wire.ParseHTTPBody(string(body))
-}
 
 // Result aggregates one load-generation run.
 type Result struct {

@@ -3,10 +3,7 @@ package loadgen
 import (
 	"context"
 	"errors"
-	"io"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -149,37 +146,6 @@ func TestOpenLoopNoise(t *testing.T) {
 	})
 	if res.Accepted == 0 {
 		t.Fatal("no requests issued")
-	}
-}
-
-func TestHTTPChecker(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
-		if key == "boom" {
-			http.Error(w, "nope", http.StatusInternalServerError)
-			return
-		}
-		if key == "yes" {
-			io.WriteString(w, "true")
-		} else {
-			io.WriteString(w, "false")
-		}
-	}))
-	defer srv.Close()
-	c := NewHTTPChecker(srv.Listener.Addr().String())
-	if ok, err := c.Check("yes"); err != nil || !ok {
-		t.Fatalf("yes: %v %v", ok, err)
-	}
-	if ok, err := c.Check("no"); err != nil || ok {
-		t.Fatalf("no: %v %v", ok, err)
-	}
-	if _, err := c.Check("boom"); err == nil {
-		t.Fatal("500 not surfaced")
-	}
-	// Unreachable endpoint errors.
-	dead := NewHTTPChecker("127.0.0.1:1")
-	if _, err := dead.Check("k"); err == nil {
-		t.Fatal("unreachable endpoint succeeded")
 	}
 }
 

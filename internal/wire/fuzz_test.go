@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +109,19 @@ func checkAcceptedBatchResponse(t *testing.T, br BatchResponse) {
 			t.Fatalf("round trip changed entry %d: %+v -> %+v", i, br.Entries[i], back.Entries[i])
 		}
 	}
+}
+
+// FuzzAppendHTTPQuery: the appended request-URI is byte-identical to the
+// url.Values rendering for every key and cost.
+func FuzzAppendHTTPQuery(f *testing.F) {
+	f.Add("user-42", 1.0)
+	f.Add("a b&c=d%e+f/g", 2.5)
+	f.Add("\xff\xfe\x00", 0.0)
+	f.Add(strings.Repeat("k ", MaxKeyLen/2), 1e21)
+	f.Add("", math.Inf(1))
+	f.Fuzz(func(t *testing.T, key string, cost float64) {
+		checkHTTPQuery(t, key, cost)
+	})
 }
 
 func FuzzDecodeResponse(f *testing.F) {

@@ -29,12 +29,44 @@ const (
 
 // FormatHTTPQuery renders the request-URI (path + query) for a request.
 func FormatHTTPQuery(req Request) string {
-	v := url.Values{}
-	v.Set(HTTPKeyParam, req.Key)
+	return string(AppendHTTPQuery(nil, req))
+}
+
+// AppendHTTPQuery appends the request-URI to dst: the bytes
+// url.Values.Encode produces (parameters in sorted order, so cost
+// precedes key), without building the map or the string.
+//
+//janus:hotpath
+func AppendHTTPQuery(dst []byte, req Request) []byte {
+	dst = append(dst, HTTPPath+"?"...)
 	if req.Cost != 0 && req.Cost != 1 {
-		v.Set(HTTPCostParam, strconv.FormatFloat(req.Cost, 'f', -1, 64))
+		var num [32]byte
+		dst = append(dst, HTTPCostParam+"="...)
+		dst = appendQueryEscaped(dst, strconv.AppendFloat(num[:0], req.Cost, 'f', -1, 64))
+		dst = append(dst, '&')
 	}
-	return HTTPPath + "?" + v.Encode()
+	dst = append(dst, HTTPKeyParam+"="...)
+	return appendQueryEscaped(dst, req.Key)
+}
+
+// appendQueryEscaped appends s as url.QueryEscape renders it: unreserved
+// bytes verbatim, space as '+', every other byte as %XX.
+//
+//janus:hotpath
+func appendQueryEscaped[S string | []byte](dst []byte, s S) []byte {
+	const upperHex = "0123456789ABCDEF"
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '_', c == '.', c == '~':
+			dst = append(dst, c)
+		case c == ' ':
+			dst = append(dst, '+')
+		default:
+			dst = append(dst, '%', upperHex[c>>4], upperHex[c&15])
+		}
+	}
+	return dst
 }
 
 // ParseHTTPQuery extracts a Request from URL query values. A missing cost

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"math"
+	"math/rand"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -197,8 +199,12 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 		{Key: "1.2.3.4", Cost: 1},
 		{Key: "user/db?strange&chars=1", Cost: 2},
 		{Key: "k", Cost: 0.5},
+		{Key: "sp ace+%2B\xff/~", Cost: 1e-7},
 	} {
 		uri := FormatHTTPQuery(want)
+		if appended := string(AppendHTTPQuery([]byte("GET "), want)); appended != "GET "+uri {
+			t.Fatalf("AppendHTTPQuery = %q, FormatHTTPQuery = %q", appended, uri)
+		}
 		u, err := url.Parse(uri)
 		if err != nil {
 			t.Fatalf("parse %q: %v", uri, err)
@@ -210,6 +216,45 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 		if got.Key != want.Key || got.Cost != want.Cost {
 			t.Fatalf("round trip %q: got %+v, want %+v", uri, got, want)
 		}
+	}
+}
+
+// checkHTTPQuery holds AppendHTTPQuery to the encoder it replaced:
+// url.Values.Encode, which sorts the parameters and query-escapes each.
+func checkHTTPQuery(t *testing.T, key string, cost float64) {
+	t.Helper()
+	v := url.Values{}
+	v.Set(HTTPKeyParam, key)
+	if cost != 0 && cost != 1 {
+		v.Set(HTTPCostParam, strconv.FormatFloat(cost, 'f', -1, 64))
+	}
+	want := HTTPPath + "?" + v.Encode()
+	if got := string(AppendHTTPQuery(nil, Request{Key: key, Cost: cost})); got != want {
+		t.Fatalf("AppendHTTPQuery(%q, %v) = %q, url.Values gives %q", key, cost, got, want)
+	}
+}
+
+func TestAppendHTTPQueryMatchesURLValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const alphabet = "az09 &=%+/-_.~?#\x00\x7f\x80\xff\xc3"
+	for i := 0; i < 2000; i++ {
+		key := make([]byte, rng.Intn(40))
+		if i%200 == 0 {
+			key = make([]byte, MaxKeyLen)
+		}
+		for j := range key {
+			key[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		cost := []float64{0, 1, 2.5, 1e-9, 1e21, -3, math.Inf(1), math.NaN(), rng.Float64() * 100}[rng.Intn(9)]
+		checkHTTPQuery(t, string(key), cost)
+	}
+}
+
+func TestAppendHTTPQueryAllocs(t *testing.T) {
+	buf := make([]byte, 0, 256)
+	req := Request{Key: "user 42/db", Cost: 2.5}
+	if n := testing.AllocsPerRun(100, func() { buf = AppendHTTPQuery(buf[:0], req) }); n != 0 {
+		t.Fatalf("AppendHTTPQuery allocates %v times per call, want 0", n)
 	}
 }
 
