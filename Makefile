@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-json lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-membership bench-observability bench-failpoint bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-json lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -31,9 +31,14 @@ vet:
 # no silently dropped transport errors, one code site per failpoint
 # name, allocation-free //janus:hotpath functions, provable goroutine
 # stop paths, and deadline-dominated network reads/writes. See
-# internal/lint.
+# internal/lint. It also fails on a pointer to a BENCH_*.json that is not in
+# the tree, so a reference to a retired ledger cannot come back.
 lint:
 	$(GO) run ./cmd/janus-vet ./...
+	@for f in $$( { grep -rhoE 'BENCH_[a-z]+\.json' --include='*.go' --exclude-dir=.bench_build . ; \
+			grep -rhoE 'BENCH_[a-z]+\.json' Makefile .github README.md DESIGN.md EXPERIMENTS.md; } | sort -u ); do \
+		[ -e $$f ] || { echo "lint: $$f is referenced but not in the tree (a retired ledger?)"; exit 1; }; \
+	done
 
 # The same run with machine-readable output, for CI artifacts and editor
 # integrations. Exit codes are identical to the plain run.
@@ -90,28 +95,14 @@ bench:
 bench-smoke:
 	bash benchmark/run.sh -seconds 2 -windows 4 -setups 1
 
-# Re-measures the numbers pinned in BENCH_allocs.json: exact allocs/op on
-# the three zero-alloc hot paths (singleton decode→Decide→encode, batch(32)
-# decode→DecideBatchAppend→encode, lease-table hit), plus the client's:
-# client.Check on a warmed connection allocates nothing. The pins assert
-# the budget exactly, so this is a test run, not a benchmark run.
+# The alloc pins: exact allocs/op on the zero-alloc hot paths (singleton
+# decode→Decide→encode, batch(32) decode→DecideBatchAppend→encode, lease-table
+# hit, sojourn observe, audited Decide, CoDel dequeue — budgets in
+# internal/qosserver/allocpin_test.go), plus the client's: client.Check on a
+# warmed connection allocates nothing. The pins assert the budget exactly,
+# so this is a test run, not a benchmark run.
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/client -run AllocPin -count=1 -v
-
-# Regenerates the numbers recorded in BENCH_membership.json.
-bench-membership:
-	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/membership/
-
-# Regenerates the numbers recorded in BENCH_observability.json: the cost of
-# the tracing gate at sampling rates 0 / 0.01 / 1, the audited decision
-# path, and the per-request sojourn decomposition.
-bench-observability:
-	$(GO) test -run '^$$' -bench Observability -benchtime 2s . ./internal/qosserver/
-
-# Regenerates the numbers recorded in BENCH_failpoint.json: the disarmed
-# gate must stay ≤ 1 ns/op or it cannot live on the UDP hot paths.
-bench-failpoint:
-	$(GO) test -run '^$$' -bench . -benchtime 2s ./internal/failpoint/
 
 # Regenerates the numbers recorded in BENCH_batching.json: 64-way fan-in
 # with the coalescer off vs on. Acceptance: ≥ 2× decisions/sec with p99
@@ -146,16 +137,16 @@ race-overload:
 # multi-tenant rule classes, slow-loris) each run twice, as a deterministic
 # million-user DES and against a live loopback cluster with autoscale in
 # the loop, and every report is checked against the scenario's SLO budget.
-# Regenerates BENCH_scenarios.json. See internal/scenario and DESIGN.md §15.
+# Regenerates SCENARIOS_SLO.json. See internal/scenario and DESIGN.md §15.
 scenarios:
 	JANUS_SCENARIOS_REAL=1 JANUS_SCENARIO_SEED=$(JANUS_SCENARIO_SEED) \
-		JANUS_SCENARIOS_JSON=$(CURDIR)/BENCH_scenarios.json \
+		JANUS_SCENARIOS_JSON=$(CURDIR)/SCENARIOS_SLO.json \
 		$(GO) test -count=1 -v -run 'TestDES|TestRealScenariosMeetSLO' ./internal/scenario/
 
 # Nightly variant: the real tier runs each scenario's long budget (~3×).
 scenarios-long:
 	JANUS_SCENARIOS_REAL=1 JANUS_SCENARIO_BUDGET=long JANUS_SCENARIO_SEED=$(JANUS_SCENARIO_SEED) \
-		JANUS_SCENARIOS_JSON=$(CURDIR)/BENCH_scenarios.json \
+		JANUS_SCENARIOS_JSON=$(CURDIR)/SCENARIOS_SLO.json \
 		$(GO) test -count=1 -v -run 'TestDES|TestRealScenariosMeetSLO' ./internal/scenario/
 
 # The flash-crowd-under-loss race acceptance: the scenario invariant (20%

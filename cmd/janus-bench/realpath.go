@@ -1,362 +1,93 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"math"
-	"net/http"
-	"time"
 
-	"repro/internal/app"
-	"repro/internal/bucket"
-	"repro/internal/client"
-	"repro/internal/cluster"
-	"repro/internal/loadgen"
-	"repro/internal/memcache"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/minisql"
-	"repro/internal/router"
 	"repro/internal/textplot"
 )
 
-// Real-path experiments: these run the actual networked implementation on
-// loopback. Where AWS network distance matters (the gateway LB's extra TCP
-// leg in fig5) it is injected explicitly and noted in the output.
-
-// gatewayHopDelay models the extra connection the ELB opens to the back end
-// (paper §V-A: "using the gateway load balancer adds approximately 500
-// microsecond to the round-trip latency").
-const gatewayHopDelay = 500 * time.Microsecond
+// Real-path experiments: internal/experiments runs the actual networked
+// implementation on loopback and checks the paper's shape; this file prints
+// what it returns. A result that fails its shape check is printed before
+// the error is reported.
 
 func runFig5(o options) error {
-	mk := func(mode cluster.Mode, hop func()) (*cluster.Cluster, error) {
-		return cluster.New(cluster.Config{
-			Routers:    2,
-			QoSServers: 2,
-			Mode:       mode,
-			LBHopDelay: hop,
-			DefaultRule: bucket.Rule{ // clients use arbitrary keys
-				RefillRate: 1e12, Capacity: 1e12, Credit: 1e12,
-			},
-		})
-	}
-	measure := func(c *cluster.Cluster) (*metrics.Histogram, error) {
-		res := loadgen.RunClosedLoop(context.Background(), loadgen.ClosedLoopConfig{
-			Checker: c.Checker(),
-			Keys:    loadgen.NewUUIDGen(o.seed),
-			// Two single-thread clients, as in the paper's setup.
-			Concurrency: 2,
-			Requests:    int64(2 * o.fig5Requests),
-		})
-		if res.Errors > 0 {
-			return nil, fmt.Errorf("fig5: %d request errors", res.Errors)
-		}
-		return res.Latency, nil
-	}
-
-	dnsCluster, err := mk(cluster.DNS, nil)
-	if err != nil {
+	res, err := experiments.Fig5(experiments.Fig5Size{Requests: o.fig5Requests, Seed: o.seed})
+	if res.DNS == nil {
 		return err
 	}
-	defer dnsCluster.Close()
-	dnsLat, err := measure(dnsCluster)
-	if err != nil {
-		return err
-	}
-
-	gwCluster, err := mk(cluster.Gateway, func() { time.Sleep(gatewayHopDelay) })
-	if err != nil {
-		return err
-	}
-	defer gwCluster.Close()
-	gwLat, err := measure(gwCluster)
-	if err != nil {
-		return err
-	}
-
 	fmt.Printf("2 routers + 2 QoS servers; 2 single-thread clients × %d requests each\n", o.fig5Requests)
-	fmt.Printf("(gateway path includes an injected %v hop modelling the ELB's extra TCP leg)\n", gatewayHopDelay)
+	fmt.Printf("(gateway path includes an injected %v hop modelling the ELB's extra TCP leg)\n", experiments.GatewayHopDelay)
 	fmt.Printf("%-10s %12s %12s\n", "metric", "DNS LB", "Gateway LB")
-	row := func(name string, f func(h *metrics.Histogram) int64) {
-		fmt.Printf("%-10s %10dµs %10dµs\n", name, f(dnsLat)/1000, f(gwLat)/1000)
+	fmt.Printf("%-10s %10.0fµs %10.0fµs\n", "average", res.DNS.Mean()/1000, res.Gateway.Mean()/1000)
+	for _, p := range []float64{90, 99, 99.9} {
+		fmt.Printf("P%-9v %10dµs %10dµs\n", p, res.DNS.Percentile(p)/1000, res.Gateway.Percentile(p)/1000)
 	}
-	fmt.Printf("%-10s %10.0fµs %10.0fµs\n", "average", dnsLat.Mean()/1000, gwLat.Mean()/1000)
-	row("P90", func(h *metrics.Histogram) int64 { return h.Percentile(90) })
-	row("P99", func(h *metrics.Histogram) int64 { return h.Percentile(99) })
-	row("P99.9", func(h *metrics.Histogram) int64 { return h.Percentile(99.9) })
-	if gwLat.Mean() <= dnsLat.Mean() {
-		return fmt.Errorf("fig5 shape not reproduced: gateway (%.0fµs) not slower than DNS (%.0fµs)",
-			gwLat.Mean()/1000, dnsLat.Mean()/1000)
-	}
-	return nil
+	return err
 }
 
 func runFig6(o options) error {
-	const servers = 20
-	pops := []struct {
-		name string
-		gen  loadgen.KeyGen
-	}{
-		{"UUID", loadgen.NewUUIDGen(o.seed)},
-		{"TimeStamp", loadgen.NewTimestampGen(o.seed)},
-		{"EnglishVocabulary", loadgen.NewWordGen(o.seed)},
-		{"SequentialNumbers", loadgen.NewSequentialGen(loadgen.PaperSequentialStart)},
-	}
+	res, err := experiments.Fig6(experiments.Fig6Size{Keys: o.fig6Keys, Seed: o.seed})
 	fmt.Printf("%d keys per population across %d QoS servers (uniform = %.3f%%)\n",
-		o.fig6Keys, servers, 100.0/servers)
+		o.fig6Keys, experiments.Fig6Servers, 100.0/experiments.Fig6Servers)
 	fmt.Printf("%-20s %8s %8s %8s\n", "population", "min%", "max%", "stddev%")
-	for _, p := range pops {
-		counts := make([]int, servers)
-		seen := make(map[string]bool, o.fig6Keys)
-		for len(seen) < o.fig6Keys {
-			k := p.gen.Next()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			i, _ := router.SelectBackend(k, servers)
-			counts[i]++
-		}
-		min, max := math.MaxFloat64, 0.0
-		var w metrics.Welford
-		for _, c := range counts {
-			pct := float64(c) / float64(o.fig6Keys) * 100
-			if pct < min {
-				min = pct
-			}
-			if pct > max {
-				max = pct
-			}
-			w.Add(pct)
-		}
-		fmt.Printf("%-20s %8.3f %8.3f %8.4f\n", p.name, min, max, w.StdDev())
-		if min < 4.5 || max > 5.5 {
-			return fmt.Errorf("fig6: %s pressure outside the paper's band: [%.3f, %.3f]", p.name, min, max)
-		}
+	for _, p := range res.Populations {
+		fmt.Printf("%-20s %8.3f %8.3f %8.4f\n", p.Population, p.MinPct, p.MaxPct, p.StdDevPct)
 	}
 	fmt.Println("paper: min 4.933%, max 5.065%, stddev < 0.03%")
-	return nil
-}
-
-// fig13Stack boots Janus + the photo application (§V-D): the app behind its
-// own endpoint, Janus behind another, QoS key = client IP.
-type fig13Stack struct {
-	janus *cluster.Cluster
-	mcSrv *memcache.Server
-	photo *app.App
-}
-
-func newFig13Stack(withQoS bool) (*fig13Stack, error) {
-	s := &fig13Stack{}
-	var err error
-	s.janus, err = cluster.New(cluster.Config{
-		Routers:    2,
-		QoSServers: 2,
-		// Default rule: refill 10 req/s, capacity 100 (the paper's
-		// unknown-IP test).
-		DefaultRule: bucket.Rule{RefillRate: 10, Capacity: 100, Credit: 100},
-		// Custom rule for the known IP: refill 100 req/s, capacity 1000.
-		Rules: []bucket.Rule{{Key: "203.0.113.50", RefillRate: 100, Capacity: 1000, Credit: 1000}},
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.mcSrv, err = memcache.NewServer(memcache.NewCache(), "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	db := minisql.NewEngine()
-	if err := app.Seed(db, 50); err != nil {
-		s.Close()
-		return nil, err
-	}
-	var qc *client.Client
-	if withQoS {
-		qc = client.New(s.janus.Endpoint())
-	}
-	s.photo, err = app.New(app.Config{
-		Addr:         "127.0.0.1:0",
-		MemcacheAddr: s.mcSrv.Addr(),
-		DB:           db,
-		QoS:          qc,
-		LatestN:      10,
-	})
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *fig13Stack) Close() {
-	if s.photo != nil {
-		s.photo.Close()
-	}
-	if s.mcSrv != nil {
-		s.mcSrv.Close()
-	}
-	if s.janus != nil {
-		s.janus.Close()
-	}
-}
-
-// appChecker drives the photo app's index page as a given client IP;
-// "allowed" means HTTP 200, "denied" means the 403 throttle.
-func appChecker(addr string) loadgen.Checker {
-	httpClient := &http.Client{
-		Transport: &http.Transport{MaxIdleConnsPerHost: 256},
-		Timeout:   10 * time.Second,
-	}
-	return loadgen.CheckerFunc(func(ip string) (bool, error) {
-		req, err := http.NewRequest("GET", "http://"+addr+"/", nil)
-		if err != nil {
-			return false, err
-		}
-		req.Header.Set("X-Forwarded-For", ip)
-		resp, err := httpClient.Do(req)
-		if err != nil {
-			return false, err
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return true, nil
-		case http.StatusForbidden:
-			return false, nil
-		default:
-			return false, fmt.Errorf("HTTP %d", resp.StatusCode)
-		}
-	})
+	return err
 }
 
 func runFig13a(o options) error {
-	stack, err := newFig13Stack(true)
-	if err != nil {
+	res, err := experiments.Fig13a(experiments.Fig13aSize{
+		Duration:      o.fig13Duration,
+		KnownCapacity: experiments.PaperKnownCapacity,
+		Seed:          o.seed,
+	})
+	if len(res.Known.Accepted) == 0 {
 		return err
 	}
-	defer stack.Close()
-	checker := appChecker(stack.photo.Addr())
-
-	trace := func(ip string) (loadgen.Result, error) {
-		res := loadgen.RunOpenLoop(context.Background(), loadgen.OpenLoopConfig{
-			Checker:       checker,
-			Keys:          &loadgen.FixedGen{Key: ip},
-			Rate:          130,
-			NoiseFraction: 0.2,
-			Duration:      o.fig13Duration,
-			Seed:          o.seed,
-			TrackSeries:   true,
-		})
-		if res.Errors > 0 {
-			return res, fmt.Errorf("fig13a: %d request errors", res.Errors)
-		}
-		return res, nil
-	}
-
-	fmt.Printf("client at ~130 req/s (with noise) for %v\n", o.fig13Duration)
-	known, err := trace("203.0.113.50")
-	if err != nil {
-		return err
-	}
-	unknown, err := trace("198.51.100.99")
-	if err != nil {
-		return err
-	}
+	fmt.Printf("two clients at ~%d req/s (with noise) for %v\n", experiments.Fig13ClientRate, o.fig13Duration)
 	fmt.Printf("%4s %18s %18s %18s %18s\n", "sec",
 		"refill100 accept", "refill100 reject", "refill10 accept", "refill10 reject")
-	ka, kr := known.AcceptedSeries.Values(), known.RejectedSeries.Values()
-	ua, ur := unknown.AcceptedSeries.Values(), unknown.RejectedSeries.Values()
-	n := len(ka)
-	for _, s := range [][]float64{kr, ua, ur} {
-		if len(s) > n {
-			n = len(s)
-		}
-	}
 	at := func(s []float64, i int) float64 {
 		if i < len(s) {
 			return s[i]
 		}
 		return 0
 	}
-	for i := 0; i < n; i++ {
-		fmt.Printf("%4d %18.0f %18.0f %18.0f %18.0f\n", i, at(ka, i), at(kr, i), at(ua, i), at(ur, i))
+	k, u := res.Known, res.Unknown
+	for i := 0; i < max(len(k.Accepted), len(u.Accepted)); i++ {
+		fmt.Printf("%4d %18.0f %18.0f %18.0f %18.0f\n", i,
+			at(k.Accepted, i), at(k.Rejected, i), at(u.Accepted, i), at(u.Rejected, i))
 	}
 	fmt.Println()
 	fmt.Print(textplot.LineChart([]textplot.Series{
-		{Name: "refill100-accepted", Values: ka},
-		{Name: "refill10-accepted", Values: ua},
+		{Name: "refill100-accepted", Values: k.Accepted},
+		{Name: "refill10-accepted", Values: u.Accepted},
 	}, 64, 12))
 	fmt.Println("shape (paper): burst at full client rate while credit lasts, then clamp to the refill rate")
-	return nil
+	return err
 }
 
-func runFig13b(o options) error {
-	// Baseline: app without QoS support.
-	base, err := newFig13Stack(false)
-	if err != nil {
+func runFig13b(options) error {
+	const requests = 4000
+	res, err := experiments.Fig13b(experiments.Fig13bSize{Requests: requests})
+	if res.NoQoS == nil {
 		return err
 	}
-	defer base.Close()
-	baseRes := loadgen.RunClosedLoop(context.Background(), loadgen.ClosedLoopConfig{
-		Checker:     appChecker(base.photo.Addr()),
-		Keys:        &loadgen.FixedGen{Key: "203.0.113.50"},
-		Concurrency: 4,
-		Requests:    4000,
-	})
-	if baseRes.Errors > 0 {
-		return fmt.Errorf("fig13b baseline: %d errors", baseRes.Errors)
-	}
-
-	// With QoS: one run per rule; both also accumulate rejected latencies.
-	qos, err := newFig13Stack(true)
-	if err != nil {
-		return err
-	}
-	defer qos.Close()
-	checker := appChecker(qos.photo.Addr())
-	run := func(ip string) (loadgen.Result, error) {
-		res := loadgen.RunClosedLoop(context.Background(), loadgen.ClosedLoopConfig{
-			Checker:     checker,
-			Keys:        &loadgen.FixedGen{Key: ip},
-			Concurrency: 4,
-			Requests:    4000,
-		})
-		if res.Errors > 0 {
-			return res, fmt.Errorf("fig13b: %d errors", res.Errors)
-		}
-		return res, nil
-	}
-	r100, err := run("203.0.113.50")
-	if err != nil {
-		return err
-	}
-	r10, err := run("198.51.100.99")
-	if err != nil {
-		return err
-	}
-	rejected := metrics.NewHistogram()
-	rejected.Merge(r100.RejectedLatency)
-	rejected.Merge(r10.RejectedLatency)
-
+	fmt.Printf("%d closed-loop requests per configuration\n", requests)
 	fmt.Printf("%-8s %10s %12s %12s %12s\n", "metric", "NoQoS", "Refill=10", "Refill=100", "Rejected")
 	pr := func(name string, f func(h *metrics.Histogram) float64) {
 		fmt.Printf("%-8s %9.2fms %11.2fms %11.2fms %11.2fms\n", name,
-			f(baseRes.Latency)/1e6, f(r10.AcceptedLatency)/1e6, f(r100.AcceptedLatency)/1e6, f(rejected)/1e6)
+			f(res.NoQoS)/1e6, f(res.Refill10)/1e6, f(res.Refill100)/1e6, f(res.Rejected)/1e6)
 	}
-	pr("average", func(h *metrics.Histogram) float64 { return h.Mean() })
-	pr("P90", func(h *metrics.Histogram) float64 { return float64(h.Percentile(90)) })
-	pr("P99", func(h *metrics.Histogram) float64 { return float64(h.Percentile(99)) })
-	pr("P99.9", func(h *metrics.Histogram) float64 { return float64(h.Percentile(99.9)) })
+	pr("average", (*metrics.Histogram).Mean)
+	for _, p := range []float64{90, 99, 99.9} {
+		pr(fmt.Sprintf("P%v", p), func(h *metrics.Histogram) float64 { return float64(h.Percentile(p)) })
+	}
 	fmt.Println("shape (paper): accepted ≈ NoQoS + small overhead; rejected throttled far faster than serving the page")
-	if rejected.Count() == 0 {
-		return fmt.Errorf("fig13b: no rejected requests recorded")
-	}
-	if rejected.Mean() >= r100.AcceptedLatency.Mean() {
-		return fmt.Errorf("fig13b shape not reproduced: rejections (%.2fms) not faster than accepted (%.2fms)",
-			rejected.Mean()/1e6, r100.AcceptedLatency.Mean()/1e6)
-	}
-	return nil
+	return err
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,5 +179,41 @@ func TestBinariesEndToEnd(t *testing.T) {
 	// Unknown keys denied (default deny-all rule).
 	if ok, err := check("stranger"); err != nil || ok {
 		t.Fatalf("stranger: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestJanusBenchPrintsRealPathFigures runs the experiment harness over the
+// two quick real-path figures so its printer cannot rot silently (the
+// figures' shapes are internal/experiments' tests), and pins the ids.
+func TestJanusBenchPrintsRealPathFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping process-level integration in -short mode")
+	}
+	bin := buildBinaries(t, "janus-bench")["janus-bench"]
+
+	out, err := exec.Command(bin, "-run", "fig5,fig6", "-fig5-requests", "500", "-fig6-keys", "50000").CombinedOutput()
+	if err != nil {
+		t.Fatalf("janus-bench -run fig5,fig6: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"2 single-thread clients × 500 requests each", "Gateway LB", "average", "P99.9",
+		"50000 keys per population across 20 QoS servers", "SequentialNumbers", "--- fig6 done",
+	} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+
+	out, err = exec.Command(bin, "-list").Output()
+	if err != nil {
+		t.Fatalf("janus-bench -list: %v", err)
+	}
+	var ids []string
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		ids = append(ids, strings.Fields(line)[0])
+	}
+	const want = "table1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13a fig13b headline latency faillocal dnsskew"
+	if got := strings.Join(ids, " "); got != want {
+		t.Errorf("experiment ids = %s\nwant %s", got, want)
 	}
 }

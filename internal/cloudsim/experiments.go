@@ -8,7 +8,7 @@ import (
 
 // This file defines the scaling experiments of §V-B and §V-C as reusable
 // functions; cmd/janus-bench prints their results in the paper's layout and
-// bench_test.go wraps them as benchmarks.
+// experiments_test.go asserts their shapes.
 
 // ScalePoint is one x-position of a scaling figure.
 type ScalePoint struct {

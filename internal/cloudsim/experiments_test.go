@@ -1,15 +1,41 @@
 package cloudsim
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // The experiment tests assert the paper's qualitative findings — the
 // "shape" reproduction targets of EXPERIMENTS.md.
 
-func TestFig7ThroughputGrowsWithInstanceSize(t *testing.T) {
-	pts, err := Fig7RouterVertical(1)
-	if err != nil {
-		t.Fatal(err)
+// sweeps is one layer's two scaling series. A run is deterministic per seed
+// (TestDeterministicResults), so each compare experiment — which is its
+// vertical and its horizontal figure back to back — runs once per test
+// binary and the three tests of that layer assert on the same points.
+type sweeps struct{ vertical, horizontal []ScalePoint }
+
+func shared(compare func(seed int64) (v, h []ScalePoint, err error)) func(*testing.T) sweeps {
+	run := sync.OnceValues(func() (sweeps, error) {
+		v, h, err := compare(1)
+		return sweeps{v, h}, err
+	})
+	return func(t *testing.T) sweeps {
+		t.Helper()
+		s, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+}
+
+var (
+	routerSweeps = shared(Fig9RouterCompare)  // Fig 7 vertical, Fig 8 horizontal
+	serverSweeps = shared(Fig12ServerCompare) // Fig 10 vertical, Fig 11 horizontal
+)
+
+func TestFig7ThroughputGrowsWithInstanceSize(t *testing.T) {
+	pts := routerSweeps(t).vertical
 	if len(pts) != 5 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -30,10 +56,7 @@ func TestFig7ThroughputGrowsWithInstanceSize(t *testing.T) {
 }
 
 func TestFig8LinearThenSaturates(t *testing.T) {
-	pts, err := Fig8RouterHorizontal(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := routerSweeps(t).horizontal
 	if len(pts) != 10 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -57,10 +80,8 @@ func TestFig8LinearThenSaturates(t *testing.T) {
 }
 
 func TestFig9VerticalMatchesHorizontalForRouter(t *testing.T) {
-	v, h, err := Fig9RouterCompare(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := routerSweeps(t)
+	v, h := s.vertical, s.horizontal
 	// Compare at equal vCPUs where both exist and neither is saturated:
 	// vertical c3.2xlarge (8 vCPU) vs horizontal 2 × c3.xlarge (8 vCPU).
 	var vt, ht float64
@@ -83,10 +104,7 @@ func TestFig9VerticalMatchesHorizontalForRouter(t *testing.T) {
 }
 
 func TestFig10ServerVerticalGrows(t *testing.T) {
-	pts, err := Fig10ServerVertical(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := serverSweeps(t).vertical
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Throughput <= pts[i-1].Throughput {
 			t.Errorf("no growth from %s to %s", pts[i-1].Label, pts[i].Label)
@@ -105,10 +123,7 @@ func TestFig10ServerVerticalGrows(t *testing.T) {
 }
 
 func TestFig11LinearAndHeadline(t *testing.T) {
-	pts, err := Fig11ServerHorizontal(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := serverSweeps(t).horizontal
 	// Linear: 1 -> 8 nodes roughly 8x.
 	ratio := pts[7].Throughput / pts[0].Throughput
 	if ratio < 7 || ratio > 9 {
@@ -126,10 +141,8 @@ func TestFig11LinearAndHeadline(t *testing.T) {
 }
 
 func TestFig12VerticalSlightlyBeatsHorizontal(t *testing.T) {
-	v, h, err := Fig12ServerCompare(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := serverSweeps(t)
+	v, h := s.vertical, s.horizontal
 	// Compare 32 vCPUs: vertical c3.8xlarge vs horizontal 8 × c3.xlarge.
 	var vt, ht float64
 	for _, p := range v {

@@ -6,8 +6,10 @@ import (
 )
 
 // The disarmed gate is the cost every hot-path site pays on every operation
-// forever; the acceptance bar is ≤ 1 ns/op (BENCH_failpoint.json). The
-// armed path only runs during chaos, so its cost is uninteresting.
+// forever; the acceptance bar is ≤ 1 ns/op. The armed path only runs during
+// chaos, so its cost is uninteresting. Run with
+//
+//	go test -run '^$' -bench . ./internal/failpoint
 var fpBench = New("failpointtest/site/bench")
 
 // BenchmarkDisarmedGate measures the exact expression the transport send

@@ -29,9 +29,9 @@
 //		}
 //	}
 //
-// Armed() compiles to a single atomic pointer load and a nil comparison —
-// measured ≤ 1 ns, see BENCH_failpoint.json — so sites may sit on the
-// hottest paths in the system. The janus-vet failpointsite analyzer enforces
+// Armed() compiles to a single atomic pointer load and a nil comparison
+// (BenchmarkDisarmedGate measures it), so sites may sit on the hottest paths
+// in the system. The janus-vet failpointsite analyzer enforces
 // that every name has exactly one code site and follows the
 // tier/component/event naming convention.
 //

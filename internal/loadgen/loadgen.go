@@ -144,9 +144,11 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig) Result {
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
-		go func(w int) {
+		// Cloned here, not in the worker: Clone may draw from the parent
+		// generator's rng, which is not safe for concurrent use.
+		keys := cfg.Keys.Clone(w)
+		go func() {
 			defer wg.Done()
-			keys := cfg.Keys.Clone(w)
 			for {
 				if ctx.Err() != nil {
 					return
@@ -180,7 +182,7 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig) Result {
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	res.Accepted = accepted.Value()

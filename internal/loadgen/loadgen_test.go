@@ -16,8 +16,10 @@ func TestClosedLoopFixedRequestCount(t *testing.T) {
 		return true, nil
 	})
 	res := RunClosedLoop(context.Background(), ClosedLoopConfig{
-		Checker:     checker,
-		Keys:        &FixedGen{Key: "k"},
+		Checker: checker,
+		// A generator whose Clone draws from the parent's rng: under -race
+		// this fails if the workers are handed their clones concurrently.
+		Keys:        NewUUIDGen(1),
 		Concurrency: 4,
 		Requests:    1000,
 	})

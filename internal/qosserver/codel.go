@@ -89,8 +89,7 @@ func newCodel(target, interval time.Duration) *codel {
 // onDequeue consumes one dequeued packet's queue sojourn and reports
 // whether the worker must answer it degraded. It is the per-packet CoDel
 // decision — one uncontended lock, integer compares, and at most one
-// square root; allocation-free (pinned as codel_decide in
-// BENCH_allocs.json).
+// square root; allocation-free (pinned by TestAllocPinCodelDecide).
 //
 //janus:hotpath
 func (c *codel) onDequeue(sojournNs, nowNs int64) bool {

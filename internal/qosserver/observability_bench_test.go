@@ -9,7 +9,7 @@ import (
 // BenchmarkObservabilitySojournObserve isolates the per-request cost of the
 // sojourn decomposition itself — four histogram records plus the current-
 // sojourn gauge store, the price every decided packet pays (DESIGN.md §13).
-// Run by `make bench-observability` and recorded in BENCH_observability.json.
+// Run with `go test -run '^$' -bench SojournObserve ./internal/qosserver`.
 func BenchmarkObservabilitySojournObserve(b *testing.B) {
 	s, err := New(Config{
 		Addr:        "127.0.0.1:0",

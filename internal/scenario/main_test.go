@@ -9,8 +9,8 @@ import (
 )
 
 // benchCollector accumulates every run's report; when the suite passes and
-// JANUS_SCENARIOS_JSON names a path, TestMain writes the BENCH document
-// there — that is how `make scenarios` refreshes BENCH_scenarios.json.
+// JANUS_SCENARIOS_JSON names a path, TestMain writes the report document
+// there — that is how `make scenarios` refreshes SCENARIOS_SLO.json.
 var benchCollector Collector
 
 func collect(r Report) { benchCollector.Add(r) }

@@ -16,7 +16,7 @@ type ScaleEvent struct {
 }
 
 // Report is the machine-readable outcome of one scenario run — the record
-// appended to BENCH_scenarios.json and checked against the scenario's SLO.
+// appended to SCENARIOS_SLO.json and checked against the scenario's SLO.
 type Report struct {
 	Scenario        string  `json:"scenario"`
 	Tier            string  `json:"tier"` // "des" or "real"
@@ -140,7 +140,7 @@ func (s SLO) Check(r *Report) []string {
 	return v
 }
 
-// Bench is the on-disk BENCH_scenarios.json document.
+// Bench is the on-disk SCENARIOS_SLO.json document.
 type Bench struct {
 	Suite      string   `json:"suite"`
 	Command    string   `json:"command"`

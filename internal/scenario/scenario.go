@@ -20,7 +20,7 @@
 //
 // Every run emits a Report (admit accuracy, degraded/drop/error rates, p99
 // sojourn, the scale-event sequence, audit verdict) that is checked against
-// the scenario's per-tier SLO budget and appended to BENCH_scenarios.json.
+// the scenario's per-tier SLO budget and appended to SCENARIOS_SLO.json.
 package scenario
 
 import (
