@@ -115,21 +115,20 @@ bench-lease:
 	$(GO) test -run '^$$' -bench LeaseZipfHot -benchtime 2s .
 
 # Regenerates the numbers recorded in BENCH_hotpath.json: raw decisions/sec
-# through the sharded SO_REUSEPORT intake (seed single-socket recorded
-# alongside), then the governed offered-load profile at 1×/2×/4× measured
-# capacity. Acceptance: ≥ 1M decisions/sec; under sustained 2× overload the
+# through the intake (one socket, one FIFO, one worker), then the governed
+# offered-load profile at 1×/2×/4× measured capacity. Acceptance: ≥ 1M decisions/sec; under sustained 2× overload the
 # client-observed p99 is bounded (per-third p99 not monotonically growing)
 # and every request is answered — shed ones with a degraded default reply.
 bench-hotpath:
 	$(GO) test -run '^$$' -bench HotpathThroughput -benchtime 2s .
 	JANUS_BENCH_HOTPATH=1 $(GO) test -run TestHotpathOverloadProfile -count=1 -v .
 
-# The intake race-stress acceptance: the multi-listener + CoDel + handoff +
+# The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
 # lease + rule-churn suites, 20 consecutive green runs under the race
 # detector (ISSUE 9 satellite 3). Kept out of the pre-merge gate for time;
 # run it when touching intake, table sharding, or the CoDel controller.
 race-overload:
-	$(GO) test -race -count=20 -run 'TestCodel|TestOverload|TestIntakeShardedStress|TestMultiListener' ./internal/qosserver/
+	$(GO) test -race -count=20 -run 'TestCodel|TestOverload|TestIntakeShardedStress|TestIntakeServesConcurrentClients' ./internal/qosserver/
 	JANUS_CHAOS_SEED=$(JANUS_CHAOS_SEED) $(GO) test -race -count=20 -run TestInvariantCodelNeverInflatesAdmission ./chaostest/
 
 # The scenario suite — the SLO regression gate: five named adversarial

@@ -11,9 +11,8 @@ package repro
 // Two measurements, deliberately separated:
 //
 //   - BenchmarkHotpathThroughput: ungoverned closed-loop maximum. Raw
-//     batch-32 frames ping-pong over several client sockets, so the kernel
-//     spreads flows across the SO_REUSEPORT listeners; the seed
-//     single-socket intake runs as its own sub-benchmark for comparison.
+//     batch-32 frames ping-pong over several client sockets into the one
+//     intake socket and one worker.
 //   - TestHotpathOverloadProfile (gated by JANUS_BENCH_HOTPATH=1): offered
 //     load stepped through 1x/2x/4x of a capacity pinned by the
 //     qosserver/worker/decide failpoint, reporting client-observed p99 per
@@ -39,22 +38,6 @@ import (
 	"repro/internal/wire"
 )
 
-func newHotpathServer(tb testing.TB, listeners int) *qosserver.Server {
-	tb.Helper()
-	s, err := qosserver.New(qosserver.Config{
-		Addr:        "127.0.0.1:0",
-		Listeners:   listeners,
-		Workers:     listeners,
-		QueueSize:   8192,
-		DefaultRule: bucket.Rule{RefillRate: 1e9, Capacity: 1e9, Credit: 1e9},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	tb.Cleanup(func() { s.Close() })
-	return s
-}
-
 // hotpathFrame builds one batch frame of n entries on distinct keys per
 // sender, so bucket-shard contention is realistic rather than a single
 // cache-hot bucket.
@@ -76,87 +59,86 @@ func BenchmarkHotpathThroughput(b *testing.B) {
 		batch = 32
 		conns = 4
 	)
-	for _, tc := range []struct {
-		name      string
-		listeners int
-	}{
-		{"seed-single-socket", 1},
-		{"reuseport-4", 4},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			srv := newHotpathServer(b, tc.listeners)
-			ccs := make([]net.Conn, conns)
-			frames := make([][]byte, conns)
-			for i := range ccs {
-				conn, err := net.Dial("udp", srv.Addr())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer conn.Close()
-				ccs[i] = conn
-				frames[i] = hotpathFrame(b, i, batch)
-				// Warm: install the rules and prove the path end to end.
-				if _, err := conn.Write(frames[i]); err != nil {
-					b.Fatal(err)
-				}
-				buf := make([]byte, wire.MaxDatagram)
-				conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				if _, err := conn.Read(buf); err != nil {
-					b.Fatal(err)
-				}
-			}
+	srv, err := qosserver.New(qosserver.Config{
+		Addr:        "127.0.0.1:0",
+		Workers:     1,
+		QueueSize:   8192,
+		DefaultRule: bucket.Rule{RefillRate: 1e9, Capacity: 1e9, Credit: 1e9},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ccs := make([]net.Conn, conns)
+	frames := make([][]byte, conns)
+	for i := range ccs {
+		conn, err := net.Dial("udp", srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		ccs[i] = conn
+		frames[i] = hotpathFrame(b, i, batch)
+		// Warm: install the rules and prove the path end to end.
+		if _, err := conn.Write(frames[i]); err != nil {
+			b.Fatal(err)
+		}
+		buf := make([]byte, wire.MaxDatagram)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Read(buf); err != nil {
+			b.Fatal(err)
+		}
+	}
 
-			lat := metrics.NewHistogram()
-			var mu sync.Mutex
-			var frameGoal atomic.Int64
-			frameGoal.Store(int64((b.N + batch - 1) / batch))
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < conns; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					conn, frame := ccs[i], frames[i]
-					buf := make([]byte, wire.MaxDatagram)
-					h := metrics.NewHistogram()
-					for frameGoal.Add(-1) >= 0 {
-						t0 := time.Now()
-						if _, err := conn.Write(frame); err != nil {
-							b.Error(err)
-							return
-						}
-						// Ping-pong with resend on (rare loopback) loss: the
-						// frame is idempotent for the benchmark's purposes.
-						for {
-							conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-							if _, err := conn.Read(buf); err == nil {
-								break
-							}
-							if _, err := conn.Write(frame); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-						h.RecordDuration(time.Since(t0))
+	lat := metrics.NewHistogram()
+	var mu sync.Mutex
+	var frameGoal atomic.Int64
+	frameGoal.Store(int64((b.N + batch - 1) / batch))
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i := 0; i < conns; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			conn, frame := ccs[i], frames[i]
+			buf := make([]byte, wire.MaxDatagram)
+			h := metrics.NewHistogram()
+			for frameGoal.Add(-1) >= 0 {
+				t0 := time.Now()
+				if _, err := conn.Write(frame); err != nil {
+					b.Error(err)
+					return
+				}
+				// Ping-pong with resend on (rare loopback) loss: the
+				// frame is idempotent for the benchmark's purposes.
+				for {
+					conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+					if _, err := conn.Read(buf); err == nil {
+						break
 					}
-					mu.Lock()
-					lat.Merge(h)
-					mu.Unlock()
-				}(i)
+					if _, err := conn.Write(frame); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+				h.RecordDuration(time.Since(t0))
 			}
-			wg.Wait()
-			b.StopTimer()
-			decisions := lat.Count() * batch
-			if decisions > 0 {
-				elapsed := b.Elapsed().Seconds()
-				b.ReportMetric(float64(decisions)/elapsed, "decisions/s")
-				b.ReportMetric(float64(lat.Quantile(0.5)), "frame-p50-ns")
-				b.ReportMetric(float64(lat.Quantile(0.99)), "frame-p99-ns")
-			}
-			if st := srv.Stats(); st.Dropped > 0 {
-				b.Errorf("closed-loop bench lost %d datagrams to full FIFOs", st.Dropped)
-			}
-		})
+			mu.Lock()
+			lat.Merge(h)
+			mu.Unlock()
+		}(i)
+	}
+	wg.Wait()
+	b.StopTimer()
+	decisions := lat.Count() * batch
+	if decisions > 0 {
+		elapsed := b.Elapsed().Seconds()
+		b.ReportMetric(float64(decisions)/elapsed, "decisions/s")
+		b.ReportMetric(float64(lat.Quantile(0.5)), "frame-p50-ns")
+		b.ReportMetric(float64(lat.Quantile(0.99)), "frame-p99-ns")
+	}
+	if st := srv.Stats(); st.Dropped > 0 {
+		b.Errorf("closed-loop bench lost %d datagrams to full FIFOs", st.Dropped)
 	}
 }
 
@@ -194,7 +176,7 @@ func TestHotpathOverloadProfile(t *testing.T) {
 		phaseLen = 3 * time.Second
 	)
 	srv, err := qosserver.New(qosserver.Config{
-		Addr: "127.0.0.1:0", Listeners: 1, Workers: 1, QueueSize: 16384,
+		Addr: "127.0.0.1:0", Workers: 1, QueueSize: 16384,
 		CodelTarget: target, CodelInterval: interval,
 		DefaultRule: bucket.Rule{RefillRate: 1e9, Capacity: 1e9, Credit: 1e9},
 	})
@@ -272,14 +254,7 @@ func TestHotpathOverloadProfile(t *testing.T) {
 	runPhase := func(mult int) phaseResult {
 		// Drain the previous phase's backlog so phases don't bleed into
 		// each other's latency samples.
-		for deadline := time.Now().Add(30 * time.Second); ; {
-			depth := 0
-			for _, row := range srv.SnapshotIntake() {
-				depth += row.FIFODepth
-			}
-			if depth == 0 {
-				break
-			}
+		for deadline := time.Now().Add(30 * time.Second); srv.SnapshotIntake().FIFODepth != 0; {
 			if time.Now().After(deadline) {
 				t.Fatal("backlog never drained between phases")
 			}
@@ -316,14 +291,7 @@ func TestHotpathOverloadProfile(t *testing.T) {
 		}
 		// Wait for the whole backlog to be answered so the phase's tail
 		// latencies are counted, not dropped from the sample.
-		for deadline := time.Now().Add(60 * time.Second); ; {
-			depth := 0
-			for _, row := range srv.SnapshotIntake() {
-				depth += row.FIFODepth
-			}
-			if depth == 0 {
-				break
-			}
+		for deadline := time.Now().Add(60 * time.Second); srv.SnapshotIntake().FIFODepth != 0; {
 			if time.Now().After(deadline) {
 				t.Fatal("phase backlog never drained")
 			}

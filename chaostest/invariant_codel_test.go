@@ -49,7 +49,7 @@ func TestInvariantCodelNeverInflatesAdmission(t *testing.T) {
 	}
 	s, err := qosserver.New(qosserver.Config{
 		Addr: "127.0.0.1:0", Store: db,
-		Workers: 1, Listeners: 2, QueueSize: 8192,
+		Workers: 1, QueueSize: 8192,
 		CodelTarget: 20 * time.Millisecond, CodelInterval: 10 * time.Millisecond,
 		Audit: true,
 	})

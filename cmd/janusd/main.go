@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -32,10 +31,9 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7101", "UDP listen address")
-		listeners   = flag.Int("listeners", 0, "SO_REUSEPORT intake sockets (0 = #CPUs capped at 8, 1 = single socket)")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = #CPUs)")
-		queue       = flag.Int("queue", 65536, "per-listener FIFO capacity")
-		codelTarget = flag.Duration("codel-target", qosserver.DefaultCodelTarget, "CoDel queue sojourn target (negative disables queue management)")
+		queue       = flag.Int("queue", 65536, "intake FIFO capacity")
+		codelTarget = flag.Duration("codel-target", qosserver.DefaultCodelTarget, "CoDel queue sojourn target (<= 0 selects the default)")
 		codelIv     = flag.Duration("codel-interval", qosserver.DefaultCodelInterval, "CoDel standing-queue detection interval")
 		dbAddr      = flag.String("db", "", "minisql database address (empty = no database)")
 		defRate     = flag.Float64("default-rate", 0, "default rule refill rate (req/s) for unknown keys")
@@ -69,16 +67,8 @@ func main() {
 		}
 	}
 
-	nListeners := *listeners
-	if nListeners == 0 {
-		if nListeners = runtime.NumCPU(); nListeners > 8 {
-			nListeners = 8
-		}
-	}
-
 	cfg := qosserver.Config{
 		Addr:               *addr,
-		Listeners:          nListeners,
 		Workers:            *workers,
 		QueueSize:          *queue,
 		CodelTarget:        *codelTarget,
@@ -131,7 +121,7 @@ func main() {
 		Tracer:   srv.Tracer(),
 		Sections: []debugz.Section{{
 			Name: "qos",
-			Help: "intake state (listeners, FIFO depths, CoDel) and leaky-bucket table snapshot",
+			Help: "intake state (workers, FIFO depth, CoDel) and leaky-bucket table snapshot",
 			Fn: func() any {
 				return map[string]any{
 					"intake":  srv.SnapshotIntake(),
@@ -176,13 +166,8 @@ func main() {
 		logger.Printf("metrics/debug on http://%s", dbg.Addr())
 	}
 
-	nl, reuseport := srv.Listeners()
-	intakeMode := "reuseport"
-	if !reuseport {
-		intakeMode = "single-socket"
-	}
-	logger.Printf("QoS server on udp://%s (workers=%d listeners=%d/%s codel-target=%v)",
-		srv.Addr(), *workers, nl, intakeMode, *codelTarget)
+	logger.Printf("QoS server on udp://%s (workers=%d codel-target=%v)",
+		srv.Addr(), srv.SnapshotIntake().Workers, *codelTarget)
 	if srv.ReplicationAddr() != "" {
 		logger.Printf("HA replication on tcp://%s", srv.ReplicationAddr())
 	}

@@ -104,12 +104,8 @@ type Config struct {
 	LeaseFraction float64
 	// LeaseTTL is the lease lifetime; 0 means lease.DefaultTTL.
 	LeaseTTL time.Duration
-	// QoSListeners sets the number of SO_REUSEPORT intake sockets per QoS
-	// server (0 = single portable socket).
-	QoSListeners int
 	// CodelTarget / CodelInterval tune the CoDel intake controller on every
-	// QoS server (0 selects the qosserver defaults; negative CodelTarget
-	// disables CoDel, restoring drop-when-full).
+	// QoS server (0 selects the qosserver defaults).
 	CodelTarget   time.Duration
 	CodelInterval time.Duration
 	// Audit enables the online admission-audit ledger on every QoS server;
@@ -358,7 +354,6 @@ func (c *Cluster) qosConfig() qosserver.Config {
 	cfg := qosserver.Config{
 		Addr:               "127.0.0.1:0",
 		Workers:            c.cfg.QoSWorkers,
-		Listeners:          c.cfg.QoSListeners,
 		DefaultRule:        c.cfg.DefaultRule,
 		SyncInterval:       c.cfg.SyncInterval,
 		CheckpointInterval: c.cfg.CheckpointInterval,

@@ -288,7 +288,6 @@ func TestQoSIntakeAndAuditPassThrough(t *testing.T) {
 	c := newCluster(t, Config{
 		Routers:       1,
 		QoSServers:    1,
-		QoSListeners:  2,
 		CodelTarget:   5 * time.Millisecond,
 		CodelInterval: 50 * time.Millisecond,
 		Audit:         true,

@@ -52,9 +52,6 @@ type Config struct {
 	// HopDelay, when non-nil, is invoked once per proxied request and may
 	// sleep to model the extra network hop of a hardware appliance.
 	HopDelay func()
-	// MaxRetries bounds how many distinct back ends are tried per request
-	// when one fails (default: all).
-	MaxRetries int
 	// Logger receives operational messages; nil discards.
 	Logger *log.Logger
 	// Registry receives the LB's counters and latency histogram for
@@ -271,13 +268,9 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 			req.Header.Set(trace.Header, trace.FormatID(tid))
 		}
 	}
-	maxTries := l.cfg.MaxRetries
-	if maxTries <= 0 {
-		maxTries = len(l.Backends())
-		if maxTries == 0 {
-			maxTries = 1
-		}
-	}
+	// A failed back end is skipped and the next one tried, until every
+	// back end has had a turn.
+	maxTries := max(len(l.Backends()), 1)
 	skip := make(map[*backendState]bool, maxTries)
 	var lastErr error
 	for try := 0; try < maxTries; try++ {

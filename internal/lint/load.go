@@ -203,8 +203,8 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
 		}
 		// Honor build constraints (//go:build lines and _GOOS/_GOARCH file
 		// suffixes) for the host platform, like `go vet` does: without this,
-		// platform-split pairs such as qosserver's reuseport_{linux,stub}.go
-		// would both load into one package and redeclare each other.
+		// a platform-split pair (a linux file beside its !linux stub) would
+		// load both halves into one package and redeclare each other.
 		if ok, merr := build.Default.MatchFile(dir, name); merr != nil || !ok {
 			continue
 		}

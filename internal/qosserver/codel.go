@@ -1,6 +1,6 @@
 package qosserver
 
-// CoDel queue management for the intake FIFOs (DESIGN.md §14).
+// CoDel queue management for the intake FIFO (DESIGN.md §14).
 //
 // The seed FIFO dropped datagrams only when it was FULL — the bufferbloat
 // failure mode: under sustained overload a drop-when-full queue sits at its
@@ -37,7 +37,6 @@ package qosserver
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -52,14 +51,11 @@ const (
 	DefaultCodelInterval = 100 * time.Millisecond
 )
 
-// codel is one intake FIFO's CoDel controller. Every field except drops is
-// guarded by mu; the lock is private to one intake, so with the default one
-// worker per listener it is never contended.
+// codel is the intake FIFO's CoDel controller. Every mutable field is
+// guarded by mu, held for a few integer compares per dequeue.
 type codel struct {
 	targetNs   int64
 	intervalNs int64
-
-	drops atomic.Int64 // degraded entries, for the shared counter and /debug/qos
 
 	mu sync.Mutex
 	// firstAboveNs is the deadline by which a sojourn excursion above
@@ -77,8 +73,8 @@ type codel struct {
 	lastCount int64
 }
 
-// newCodel builds a controller; target <= 0 or interval <= 0 panic (the
-// Config layer resolves defaults and the disabled case before this).
+// newCodel builds a controller; target <= 0 or interval <= 0 panic (New
+// resolves the defaults before this).
 func newCodel(target, interval time.Duration) *codel {
 	if target <= 0 || interval <= 0 {
 		panic("qosserver: codel target and interval must be positive")
@@ -88,7 +84,7 @@ func newCodel(target, interval time.Duration) *codel {
 
 // onDequeue consumes one dequeued packet's queue sojourn and reports
 // whether the worker must answer it degraded. It is the per-packet CoDel
-// decision — one uncontended lock, integer compares, and at most one
+// decision — one short lock, integer compares, and at most one
 // square root; allocation-free (pinned by TestAllocPinCodelDecide).
 //
 //janus:hotpath

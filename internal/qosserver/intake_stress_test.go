@@ -14,12 +14,13 @@ import (
 )
 
 // TestIntakeShardedStress runs every control-plane churn source at once
-// against a multi-listener server while decision traffic flows: handoff
+// against a four-worker server while decision traffic flows: handoff
 // rebalancing to a second server and back, rule-sync churn (geometry edits
 // and delete/recreate, which revoke leases), and live lease grant traffic.
-// The point is the race surface: four share-nothing intakes and their
-// CoDel controllers on the hot path while the slow path rewrites the table
-// under them. Run under -race (the CI scenario target runs it -count=20).
+// The point is the race surface: four workers sharing the intake FIFO and
+// its CoDel controller on the hot path while the slow path rewrites the
+// table under them. Run under -race (`make race-overload` runs it
+// -count=20).
 func TestIntakeShardedStress(t *testing.T) {
 	const keys = 32
 	rules := make([]bucket.Rule, keys)
@@ -28,7 +29,7 @@ func TestIntakeShardedStress(t *testing.T) {
 	}
 	db := newDB(t, rules...)
 	src := newServer(t, Config{
-		Store: db, Listeners: 4, Workers: 4,
+		Store: db, Workers: 4,
 		ReplicationAddr: "127.0.0.1:0",
 		LeaseFraction:   0.5, LeaseTTL: 100 * time.Millisecond,
 		CodelInterval: 20 * time.Millisecond,
@@ -54,8 +55,8 @@ func TestIntakeShardedStress(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 
-	// Decision traffic across all intakes: distinct client sockets so the
-	// kernel spreads the flows across the SO_REUSEPORT listeners.
+	// Decision traffic from distinct client sockets, so the workers dequeue
+	// interleaved flows.
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(id int) {

@@ -1,67 +1,25 @@
 package qosserver
 
 import (
+	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-func TestListenIntakesSingle(t *testing.T) {
-	conns, fallback, err := listenIntakes("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conns[0].Close()
-	if len(conns) != 1 || fallback {
-		t.Fatalf("len=%d fallback=%v, want 1 false", len(conns), fallback)
-	}
-}
-
-func TestListenIntakesReuseport(t *testing.T) {
-	if !reuseportAvailable {
-		t.Skip("SO_REUSEPORT not available on this platform")
-	}
-	conns, fallback, err := listenIntakes("127.0.0.1:0", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	if len(conns) != 4 || fallback {
-		t.Fatalf("len=%d fallback=%v, want 4 false", len(conns), fallback)
-	}
-	// An ephemeral bind must resolve once: every socket shares the port the
-	// first bind drew.
-	addr0 := conns[0].LocalAddr().String()
-	for i, c := range conns {
-		if got := c.LocalAddr().String(); got != addr0 {
-			t.Fatalf("conn %d bound %s, conn 0 bound %s", i, got, addr0)
-		}
-	}
-}
-
-// TestMultiListenerServes drives a Listeners=4 server end-to-end from many
-// distinct client sockets (the kernel spreads flows by source port) and
-// checks every request is answered correctly no matter which intake slice
-// received it.
-func TestMultiListenerServes(t *testing.T) {
+// TestIntakeServesConcurrentClients drives the one intake — one socket, one
+// FIFO, one CoDel controller — end-to-end from many distinct client sockets
+// into a pool of workers, and checks every request is answered correctly no
+// matter which worker dequeued it.
+func TestIntakeServesConcurrentClients(t *testing.T) {
 	db := newDB(t, bucket.Rule{Key: "shared", RefillRate: 0, Capacity: 10_000, Credit: 10_000})
-	s := newServer(t, Config{Store: db, Listeners: 4, Workers: 4})
-
-	n, reuseport := s.Listeners()
-	if reuseportAvailable && (n != 4 || !reuseport) {
-		t.Fatalf("Listeners() = %d,%v, want 4,true", n, reuseport)
-	}
-	if !reuseportAvailable && n != 1 {
-		t.Fatalf("fallback Listeners() = %d, want 1", n)
-	}
+	s := newServer(t, Config{Store: db, Workers: 4})
 
 	const clients, perClient = 8, 50
 	var wg sync.WaitGroup
@@ -105,34 +63,50 @@ func TestMultiListenerServes(t *testing.T) {
 	if st.Degraded != 0 || st.Dropped != 0 {
 		t.Fatalf("healthy load degraded=%d dropped=%d", st.Degraded, st.Dropped)
 	}
-
-	snaps := s.SnapshotIntake()
-	if len(snaps) != n {
-		t.Fatalf("snapshot rows = %d, listeners = %d", len(snaps), n)
-	}
-	workers := 0
-	for _, row := range snaps {
-		if row.Workers < 1 {
-			t.Fatalf("intake %d has %d workers", row.Listener, row.Workers)
-		}
-		if row.CodelState != "ok" {
-			t.Fatalf("intake %d codel state %q, want ok", row.Listener, row.CodelState)
-		}
-		workers += row.Workers
-	}
-	if workers < 4 {
-		t.Fatalf("total workers = %d, want >= 4", workers)
+	if snap := s.SnapshotIntake(); snap.Workers != 4 || snap.CodelState != "ok" || snap.CodelDrops != 0 {
+		t.Fatalf("intake snapshot = %+v, want 4 workers, codel ok, 0 drops", snap)
 	}
 }
 
-func TestCodelDisabledByNegativeTarget(t *testing.T) {
-	s := newServer(t, Config{
-		DefaultRule: bucket.Rule{RefillRate: 1, Capacity: 1, Credit: 1},
-		CodelTarget: -1,
-	})
-	for _, row := range s.SnapshotIntake() {
-		if row.CodelState != "disabled" {
-			t.Fatalf("intake %d codel state %q, want disabled", row.Listener, row.CodelState)
+// TestCodelNonPositiveTargetSelectsDefault: CoDel has no off switch — a
+// zero or negative target runs the controller at DefaultCodelTarget.
+func TestCodelNonPositiveTargetSelectsDefault(t *testing.T) {
+	for _, target := range []time.Duration{0, -1} {
+		s := newServer(t, Config{
+			DefaultRule: bucket.Rule{RefillRate: 1, Capacity: 1, Credit: 1},
+			CodelTarget: target,
+		})
+		var prom bytes.Buffer
+		s.Registry().WriteProm(&prom)
+		if !strings.Contains(prom.String(), "\njanus_qos_codel_target_seconds 0.001\n") {
+			t.Fatalf("CodelTarget %v: /metrics has no janus_qos_codel_target_seconds 0.001", target)
 		}
+		if snap := s.SnapshotIntake(); snap.CodelState != "ok" {
+			t.Fatalf("CodelTarget %v: codel state %q, want ok", target, snap.CodelState)
+		}
+	}
+}
+
+// TestLongKeysAnswered: a key of any length the wire allows reaches the
+// decision, so the listener's read buffer must hold the largest datagram —
+// a truncated one fails to decode, is counted Malformed and never answered.
+func TestLongKeysAnswered(t *testing.T) {
+	s := newServer(t, Config{DefaultRule: bucket.Rule{RefillRate: 1e6, Capacity: 1e6, Credit: 1e6}})
+	c, err := transport.Dial(s.Addr(), clientCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, n := range []int{3_000, 60_000} {
+		resp, err := c.Do(wire.Request{Key: strings.Repeat("k", n), Cost: 1})
+		if err != nil {
+			t.Fatalf("%d-byte key: %v", n, err)
+		}
+		if !resp.Allow || resp.Status != wire.StatusDefaultRule {
+			t.Fatalf("%d-byte key: %+v, want allowed by the default rule", n, resp)
+		}
+	}
+	if m := s.Stats().Malformed; m != 0 {
+		t.Fatalf("Malformed = %d, want 0", m)
 	}
 }

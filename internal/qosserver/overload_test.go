@@ -219,34 +219,20 @@ func governService(t *testing.T, d time.Duration) {
 	t.Cleanup(func() { _ = failpoint.Disarm(fpWorkerDecide.Name()) })
 }
 
-// waitIntakeIdle polls until every intake FIFO is empty.
+// waitIntakeIdle polls until the intake FIFO is empty.
 func waitIntakeIdle(t *testing.T, s *Server) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
-	for {
-		depth := 0
-		for _, row := range s.SnapshotIntake() {
-			depth += row.FIFODepth
-		}
-		if depth == 0 {
-			return
-		}
+	for s.SnapshotIntake().FIFODepth != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("intake FIFOs never drained: %+v", s.SnapshotIntake())
+			t.Fatalf("intake FIFO never drained: %+v", s.SnapshotIntake())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// codelRecovered reports whether no intake is in the dropping state.
-func codelRecovered(s *Server) bool {
-	for _, row := range s.SnapshotIntake() {
-		if row.CodelState == "dropping" {
-			return false
-		}
-	}
-	return true
-}
+// codelRecovered reports whether the controller has left the dropping state.
+func codelRecovered(s *Server) bool { return s.SnapshotIntake().CodelState != "dropping" }
 
 // measureCapacity measures the governed full-path capacity in frames/sec by
 // serial ping-pong on its own socket: each probe waits for its reply, so the
@@ -311,7 +297,7 @@ func TestOverloadSustained2x(t *testing.T) {
 	)
 	db := newDB(t, bucket.Rule{Key: "tenant", RefillRate: 100, Capacity: 200, Credit: 200})
 	s := newServer(t, Config{
-		Store: db, Workers: 1, Listeners: 1, QueueSize: 8192,
+		Store: db, Workers: 1, QueueSize: 8192,
 		CodelTarget: target, CodelInterval: interval, Audit: true,
 	})
 	governService(t, svc)
@@ -404,7 +390,7 @@ func TestOverloadFlashCrowd(t *testing.T) {
 	)
 	db := newDB(t, bucket.Rule{Key: "flash", RefillRate: 1e6, Capacity: 1e6, Credit: 1e6})
 	s := newServer(t, Config{
-		Store: db, Workers: 1, Listeners: 1, QueueSize: 8192,
+		Store: db, Workers: 1, QueueSize: 8192,
 		CodelTarget: target, CodelInterval: interval, Audit: true,
 	})
 	governService(t, svc)
@@ -471,7 +457,7 @@ func TestOverloadSlowDrain(t *testing.T) {
 	)
 	db := newDB(t, bucket.Rule{Key: "drain", RefillRate: 1e6, Capacity: 1e6, Credit: 1e6})
 	s := newServer(t, Config{
-		Store: db, Workers: 1, Listeners: 1, QueueSize: 4096,
+		Store: db, Workers: 1, QueueSize: 4096,
 		CodelTarget: target, CodelInterval: interval, Audit: true,
 	})
 	conn, err := net.Dial("udp", s.Addr())

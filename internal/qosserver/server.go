@@ -10,7 +10,9 @@
 //   - N worker goroutines polling the FIFO (N defaults to the number of
 //     available CPUs), which decode the request, make the leaky-bucket
 //     decision, and send the response back over UDP — without caring
-//     whether the router receives it (the router retries);
+//     whether the router receives it (the router retries). A CoDel
+//     controller on the FIFO's sojourn (codel.go) has them answer with the
+//     degraded-mode default instead while a standing queue persists;
 //   - the system-maintenance goroutine re-querying the database for rule
 //     updates at a configurable interval;
 //   - the checkpoint goroutine writing current credits back to the
@@ -29,6 +31,7 @@ package qosserver
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"runtime"
@@ -52,28 +55,18 @@ import (
 type Config struct {
 	// Addr is the UDP listen address ("127.0.0.1:0" for ephemeral).
 	Addr string
-	// Workers is the number of worker goroutines polling the FIFOs; 0 means
+	// Workers is the number of worker goroutines polling the FIFO; 0 means
 	// the number of available CPUs (the paper: "N equals to the number of
-	// vCPU's available on the QoS server"). Workers are distributed across
-	// the intakes, at least one per intake.
+	// vCPU's available on the QoS server").
 	Workers int
-	// Listeners is the number of SO_REUSEPORT intake sockets, each owning a
-	// private FIFO, CoDel controller, and worker pool so the receive path
-	// is share-nothing from syscall to bucket shard (DESIGN.md §14). 0 or 1
-	// selects the single-socket intake; larger values require SO_REUSEPORT
-	// (Linux) and fall back to one socket — logged, not fatal — when the
-	// control hook fails.
-	Listeners int
-	// QueueSize is the per-intake FIFO capacity between listener and
-	// workers.
+	// QueueSize is the FIFO capacity between the listener and the workers.
 	QueueSize int
-	// CodelTarget is the CoDel sojourn target for the intake FIFOs: once
+	// CodelTarget is the CoDel sojourn target for the intake FIFO: once
 	// the queue-stage sojourn stays at or above it for CodelInterval, the
 	// server sheds queued requests by answering them with the degraded-mode
 	// default (StatusDegraded, no credit consumed) at the inverse-sqrt
-	// control-law cadence until the sojourn recovers. 0 selects
-	// DefaultCodelTarget (1ms); negative disables CoDel, restoring the
-	// seed's drop-only-when-full FIFO.
+	// control-law cadence until the sojourn recovers. 0 or negative selects
+	// DefaultCodelTarget (1ms); CoDel is always on.
 	CodelTarget time.Duration
 	// CodelInterval is the CoDel interval: how long the sojourn must remain
 	// above target before shedding starts, and the base of the control-law
@@ -132,9 +125,9 @@ type Config struct {
 // Stats are cumulative operation counters for one server.
 type Stats struct {
 	Received int64 // datagrams pulled off the sockets
-	// Dropped counts datagrams LOST because an intake FIFO was full — the
-	// client saw nothing and must retry. With CoDel enabled this should be
-	// near zero: the controller sheds by answering, not by losing.
+	// Dropped counts datagrams LOST because the intake FIFO was full — the
+	// client saw nothing and must retry. CoDel keeps this near zero: the
+	// controller sheds by answering, not by losing.
 	Dropped int64
 	// Degraded counts request entries ANSWERED with the degraded-mode
 	// default (StatusDegraded) by the CoDel controller instead of a real
@@ -185,12 +178,12 @@ type Server struct {
 	table table.Table
 	clock func() time.Time
 
-	// intakes are the share-nothing receive slices (intake.go); intake 0's
-	// socket answers Addr(). reuseportFallback records that more than one
-	// listener was requested but the SO_REUSEPORT bind failed and the
-	// server degraded to the portable single socket.
-	intakes           []*intake
-	reuseportFallback bool
+	// The intake (DESIGN.md §14): one UDP socket, one FIFO, and the CoDel
+	// controller that watches the FIFO's sojourn, in front of cfg.Workers
+	// worker goroutines.
+	conn *net.UDPConn
+	fifo chan packet
+	cdl  *codel
 
 	// defaults tracks keys served by the default rule, so responses carry
 	// StatusDefaultRule and checkpointing can skip them.
@@ -290,7 +283,11 @@ func (ks *keySet) Delete(key string) {
 
 // New starts a QoS server.
 func New(cfg Config) (*Server, error) {
-	conns, fallback, err := listenIntakes(cfg.Addr, cfg.Listeners)
+	laddr, err := net.ResolveUDPAddr("udp", cfg.Addr)
+	if err != nil {
+		return nil, fmt.Errorf("qosserver: listen %s: %w", cfg.Addr, err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("qosserver: listen %s: %w", cfg.Addr, err)
 	}
@@ -300,13 +297,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 64 * 1024
 	}
-	codelTarget := cfg.CodelTarget
-	if codelTarget == 0 {
-		codelTarget = DefaultCodelTarget
+	if cfg.CodelTarget <= 0 {
+		cfg.CodelTarget = DefaultCodelTarget
 	}
-	codelInterval := cfg.CodelInterval
-	if codelInterval <= 0 {
-		codelInterval = DefaultCodelInterval
+	if cfg.CodelInterval <= 0 {
+		cfg.CodelInterval = DefaultCodelInterval
+	}
+	if cfg.AuditInterval <= 0 {
+		cfg.AuditInterval = time.Second
 	}
 	clock := cfg.Clock
 	if clock == nil {
@@ -314,10 +312,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = log.New(discard{}, "", 0)
-	}
-	if fallback {
-		logger.Printf("qosserver: %d listeners requested but SO_REUSEPORT is unavailable; running the portable single-socket intake", cfg.Listeners)
+		logger = log.New(io.Discard, "", 0)
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -327,72 +322,43 @@ func New(cfg Config) (*Server, error) {
 	if tracer == nil {
 		tracer = trace.NewRecorder(trace.Config{})
 	}
-	// Build the intakes: each listener socket owns a private FIFO, CoDel
-	// controller, and worker share. Workers spread round-robin so every
-	// intake gets at least one.
-	intakes := make([]*intake, len(conns))
-	for i, c := range conns {
-		in := &intake{id: i, conn: c, fifo: make(chan packet, cfg.QueueSize)}
-		if codelTarget > 0 {
-			in.cdl = newCodel(codelTarget, codelInterval)
-		}
-		in.workers = cfg.Workers / len(conns)
-		if i < cfg.Workers%len(conns) {
-			in.workers++
-		}
-		if in.workers == 0 {
-			in.workers = 1
-		}
-		intakes[i] = in
-	}
 
 	s := &Server{
-		cfg:               cfg,
-		table:             table.New(""),
-		clock:             clock,
-		intakes:           intakes,
-		reuseportFallback: fallback,
-		decisionLatency:   metrics.NewHistogram(),
-		batchSize:         metrics.NewHistogram(),
-		registry:          reg,
-		tracer:            tracer,
-		received:          reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP sockets"),
-		dropped:           reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
-		codelDrops:        reg.Counter("janus_qos_codel_drops_total", "request entries answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
-		malformed:         reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
-		decisions:         reg.Counter("janus_qos_decisions_total", "admission decisions made"),
-		allowed:           reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
-		denied:            reg.Counter("janus_qos_decisions_denied_total", "decisions that denied the request"),
-		dbQueries:         reg.Counter("janus_qos_db_queries_total", "rule fetches that hit the database"),
-		defaultHit:        reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
-		dbErrors:          reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
-		sendErrors:        reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
-		quit:              make(chan struct{}),
-		logger:            logger,
+		cfg:             cfg,
+		table:           table.New(""),
+		clock:           clock,
+		conn:            conn,
+		fifo:            make(chan packet, cfg.QueueSize),
+		cdl:             newCodel(cfg.CodelTarget, cfg.CodelInterval),
+		decisionLatency: metrics.NewHistogram(),
+		batchSize:       metrics.NewHistogram(),
+		registry:        reg,
+		tracer:          tracer,
+		received:        reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP socket"),
+		dropped:         reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
+		codelDrops:      reg.Counter("janus_qos_codel_drops_total", "request entries answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
+		malformed:       reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
+		decisions:       reg.Counter("janus_qos_decisions_total", "admission decisions made"),
+		allowed:         reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
+		denied:          reg.Counter("janus_qos_decisions_denied_total", "decisions that denied the request"),
+		dbQueries:       reg.Counter("janus_qos_db_queries_total", "rule fetches that hit the database"),
+		defaultHit:      reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
+		dbErrors:        reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
+		sendErrors:      reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
+		quit:            make(chan struct{}),
+		logger:          logger,
 	}
 	reg.RegisterHistogram("janus_qos_decision_latency_ns", "worker-side admission decision latency in nanoseconds", s.decisionLatency)
 	reg.RegisterHistogram("janus_qos_batch_size", "request entries per received datagram (1 = unbatched router)", s.batchSize)
 	reg.GaugeFunc("janus_qos_table_keys", "keys resident in the local QoS table", func() float64 { return float64(s.table.Len()) })
-	reg.GaugeFunc("janus_qos_fifo_depth", "datagrams queued between listeners and workers, summed over intakes", func() float64 {
-		n := 0
-		for _, in := range s.intakes {
-			n += len(in.fifo)
+	reg.GaugeFunc("janus_qos_fifo_depth", "datagrams queued between the listener and the workers", func() float64 { return float64(len(s.fifo)) })
+	reg.GaugeFunc("janus_qos_codel_state", "1 while the intake FIFO's CoDel controller is in the dropping state (0 = queue healthy)", func() float64 {
+		if dropping, _ := s.cdl.snapshot(); dropping {
+			return 1
 		}
-		return float64(n)
+		return 0
 	})
-	reg.GaugeFunc("janus_qos_listeners", "intake listener sockets (1 = single-socket, >1 = SO_REUSEPORT sharded)", func() float64 { return float64(len(s.intakes)) })
-	if codelTarget > 0 {
-		reg.GaugeFunc("janus_qos_codel_state", "intake FIFOs currently in the CoDel dropping state (0 = all queues healthy)", func() float64 {
-			n := 0
-			for _, in := range s.intakes {
-				if dropping, _ := in.cdl.snapshot(); dropping {
-					n++
-				}
-			}
-			return float64(n)
-		})
-		reg.GaugeFunc("janus_qos_codel_target_seconds", "CoDel sojourn target", codelTarget.Seconds)
-	}
+	reg.GaugeFunc("janus_qos_codel_target_seconds", "CoDel sojourn target", cfg.CodelTarget.Seconds)
 	const sojournHelp = "per-stage request sojourn inside the QoS server in seconds (queue: socket recv to FIFO dequeue; decide: dequeue to all decisions made; send: decisions to response sent; total: recv to sent)"
 	s.sojournQueue = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "queue"})
 	s.sojournDecide = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "decide"})
@@ -420,36 +386,33 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ReplicationAddr != "" {
 		ha, err := newHAListener(s, cfg.ReplicationAddr)
 		if err != nil {
-			for _, in := range intakes {
-				_ = in.conn.Close()
-			}
+			_ = conn.Close()
 			return nil, err
 		}
 		s.ha = ha
 	}
-	for _, in := range s.intakes {
-		s.wg.Add(1)
-		go s.listen(in)
-		for i := 0; i < in.workers; i++ {
-			s.wg.Add(1)
-			go s.worker(in)
-		}
+	s.wg.Add(1 + cfg.Workers)
+	go s.listen()
+	for i := 0; i < cfg.Workers; i++ {
+		go s.worker()
 	}
 	if cfg.SyncInterval > 0 && cfg.Store != nil {
-		s.wg.Add(1)
-		go s.syncLoop()
+		// The system-maintenance thread: re-query the database for the
+		// resident keys' rules.
+		s.every(cfg.SyncInterval, func(time.Time) { s.SyncOnce() })
 	}
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
-		s.wg.Add(1)
-		go s.checkpointLoop()
+		s.every(cfg.CheckpointInterval, func(time.Time) { s.CheckpointOnce() })
 	}
 	if s.leases != nil {
-		s.wg.Add(1)
-		go s.leaseSweepLoop()
+		// Expire leases whose holders vanished, so their reserved rate
+		// returns to the shared bucket no later than one sweep after the TTL.
+		s.every(max(s.leases.TTL()/2, 10*time.Millisecond), func(now time.Time) { s.leases.Sweep(now) })
 	}
 	if s.audit != nil {
-		s.wg.Add(1)
-		go s.auditLoop()
+		// Overspends reach the counter and the flight recorder without
+		// anyone scraping /debug/audit.
+		s.every(cfg.AuditInterval, func(time.Time) { s.audit.Audit() })
 	}
 	// Readiness baseline: the server booted with whatever rules it has;
 	// staleness is measured from here until the first sync pass lands.
@@ -457,13 +420,27 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-type discard struct{}
+// every calls fn on a ticker of period d until Close — the one loop behind
+// rule sync, checkpointing, the lease sweep and the audit pass.
+func (s *Server) every(d time.Duration, fn func(now time.Time)) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		t := time.NewTicker(d)
+		defer t.Stop()
+		for {
+			select {
+			case <-s.quit:
+				return
+			case now := <-t.C:
+				fn(now)
+			}
+		}
+	}()
+}
 
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// Addr returns the UDP address the server listens on (all intake sockets
-// share it).
-func (s *Server) Addr() string { return s.intakes[0].conn.LocalAddr().String() }
+// Addr returns the UDP address the server listens on.
+func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
 
 // ReplicationAddr returns the HA listener address, or "" if HA is disabled.
 func (s *Server) ReplicationAddr() string {
@@ -478,18 +455,22 @@ func (s *Server) ReplicationAddr() string {
 // loss on the wire, and is recovered (or not) by the router's retries.
 var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 
-// listen is one intake's listener thread: it receives packets from its own
-// SO_REUSEPORT socket and pushes them into its private FIFO. A full FIFO
-// still drops the packet — the router's retry covers the loss — but with
-// CoDel controlling the queue the FIFO should never get near full: the
-// controller sheds by ANSWERING (worker-side) long before the queue fills.
+// listen is the listener thread: it receives packets from the socket and
+// pushes them into the FIFO. A full FIFO still drops the packet — the
+// router's retry covers the loss — but with CoDel controlling the queue the
+// FIFO should never get near full: the controller sheds by ANSWERING
+// (worker-side) long before the queue fills.
+//
+// One read buffer holds any datagram up to the UDP payload limit (a key may
+// be up to wire.MaxKeyLen bytes); each packet is queued as an exact-size
+// copy, since decoding copies keys out and nothing aliases the buffer.
 //
 //janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDP with an error and ends the loop
-func (s *Server) listen(in *intake) {
+func (s *Server) listen() {
 	defer s.wg.Done()
+	buf := make([]byte, wire.MaxDatagram)
 	for {
-		buf := make([]byte, 2048)
-		n, raddr, err := in.conn.ReadFromUDP(buf)
+		n, raddr, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -503,7 +484,7 @@ func (s *Server) listen(in *intake) {
 		}
 		s.received.Inc()
 		select {
-		case in.fifo <- packet{data: buf[:n], raddr: raddr, recvNs: s.clock().UnixNano()}:
+		case s.fifo <- packet{data: append([]byte(nil), buf[:n]...), raddr: raddr, recvNs: s.clock().UnixNano()}:
 		default:
 			s.dropped.Inc()
 		}
@@ -519,20 +500,20 @@ func (s *Server) listen(in *intake) {
 // shedding is cheap, which is what gives the controller leverage.
 var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 
-// worker polls its intake's FIFO, decides, and responds. One FIFO slot may
+// worker polls the FIFO, decides, and responds. One FIFO slot may
 // carry a whole coalesced batch (wire.FlagBatched): the worker evaluates
 // every entry against the bucket table in one pass and answers with one
 // batched response, so the fan-in amortization the router bought on the
 // send side is preserved through the server's queue and reply syscall.
 //
-// Before deciding, the dequeued packet's queue sojourn feeds the intake's
-// CoDel controller: a packet the controller sheds is answered immediately
+// Before deciding, the dequeued packet's queue sojourn feeds the CoDel
+// controller: a packet the controller sheds is answered immediately
 // with the degraded-mode default (StatusDegraded, the server's fail-open/
 // fail-closed verdict, no credit consumed) instead of being decided —
 // never silently dropped. The degraded path skips the admission decision
 // and the lease plumbing, which is what makes shedding cheaper than
 // serving and lets the control law actually shorten the queue.
-func (s *Server) worker(in *intake) {
+func (s *Server) worker() {
 	defer s.wg.Done()
 	// The decode batch, response slice, and encode buffer are owned by this
 	// worker and reused across packets: with a recurring key set the whole
@@ -545,7 +526,7 @@ func (s *Server) worker(in *intake) {
 		select {
 		case <-s.quit:
 			return
-		case pkt = <-in.fifo:
+		case pkt = <-s.fifo:
 		}
 		deqNs := s.clock().UnixNano()
 		if err := wire.DecodeBatchRequestReuse(pkt.data, &breq); err != nil {
@@ -553,8 +534,7 @@ func (s *Server) worker(in *intake) {
 			continue
 		}
 		s.batchSize.Record(int64(len(breq.Entries)))
-		if in.cdl != nil && in.cdl.onDequeue(deqNs-pkt.recvNs, deqNs) {
-			in.cdl.drops.Add(int64(len(breq.Entries)))
+		if s.cdl.onDequeue(deqNs-pkt.recvNs, deqNs) {
 			s.codelDrops.Add(int64(len(breq.Entries)))
 			resps = appendDegraded(resps[:0], breq.Entries, s.cfg.FailOpen)
 		} else {
@@ -586,7 +566,7 @@ func (s *Server) worker(in *intake) {
 		// send the kernel refused is counted, or silent drops would read as
 		// router-side packet loss.
 		//lint:ignore deadline fire-and-forget UDP send; WriteToUDP does not block on the peer
-		if _, err := in.conn.WriteToUDP(out, pkt.raddr); err != nil {
+		if _, err := s.conn.WriteToUDP(out, pkt.raddr); err != nil {
 			s.sendErrors.Inc()
 		}
 		s.observeSojourn(pkt.recvNs, deqNs, decNs, s.clock().UnixNano())
@@ -689,27 +669,6 @@ func (s *Server) revokeLeases(key string) {
 	if n := s.leases.Revoke(key); n > 0 {
 		s.leaseRevokes.Add(int64(n))
 		events.Record("lease", "revoke", key, float64(n))
-	}
-}
-
-// leaseSweepLoop periodically expires leases whose holders vanished, so
-// their reserved rate returns to the shared bucket no later than one sweep
-// interval after the TTL.
-func (s *Server) leaseSweepLoop() {
-	defer s.wg.Done()
-	every := s.leases.TTL() / 2
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case now := <-t.C:
-			s.leases.Sweep(now)
-		}
 	}
 }
 
@@ -880,25 +839,10 @@ func (s *Server) Preload() error {
 	return nil
 }
 
-// syncLoop is the system-maintenance thread: it re-queries the database for
-// the keys in the local table and updates bucket geometry in place; keys
-// deleted from the database are evicted so the next request re-resolves
-// them (picking up the default rule).
-func (s *Server) syncLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.SyncOnce()
-		}
-	}
-}
-
-// SyncOnce performs one rule synchronization pass. Exported so tests and
+// SyncOnce performs one rule synchronization pass: it re-queries the
+// database for the keys in the local table and updates bucket geometry in
+// place; keys deleted from the database are evicted so the next request
+// re-resolves them (picking up the default rule). Exported so tests and
 // orchestration can force a pass without waiting for the ticker.
 func (s *Server) SyncOnce() {
 	if s.cfg.Store == nil {
@@ -965,26 +909,6 @@ func (s *Server) SyncAge() (age time.Duration, enabled bool) {
 	return time.Duration(s.clock().UnixNano() - s.lastSyncNs.Load()), enabled
 }
 
-// auditLoop runs the periodic conservation pass so overspends reach the
-// counter and the flight recorder without anyone scraping /debug/audit.
-func (s *Server) auditLoop() {
-	defer s.wg.Done()
-	every := s.cfg.AuditInterval
-	if every <= 0 {
-		every = time.Second
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.audit.Audit()
-		}
-	}
-}
-
 // AuditReport runs one on-demand audit pass — the /debug/audit document.
 // With auditing disabled the verdict is "disabled".
 func (s *Server) AuditReport() audit.Report {
@@ -992,21 +916,6 @@ func (s *Server) AuditReport() audit.Report {
 		return audit.Report{Verdict: "disabled"}
 	}
 	return s.audit.Audit()
-}
-
-// checkpointLoop periodically writes current credits back to the database.
-func (s *Server) checkpointLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.CheckpointInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-			s.CheckpointOnce()
-		}
-	}
 }
 
 // CheckpointOnce performs one credit write-back pass.
@@ -1068,6 +977,36 @@ func (s *Server) Registry() *metrics.Registry { return s.registry }
 // Tracer returns the trace recorder holding the server's worker spans.
 func (s *Server) Tracer() *trace.Recorder { return s.tracer }
 
+// IntakeSnapshot is the /debug/qos view of the intake.
+type IntakeSnapshot struct {
+	Workers      int `json:"workers"`
+	FIFODepth    int `json:"fifo_depth"`
+	FIFOCapacity int `json:"fifo_capacity"`
+	// CodelState is "ok" or "dropping".
+	CodelState string `json:"codel_state"`
+	// CodelCount is the dropping-episode degrade count (cadence position).
+	CodelCount int64 `json:"codel_count,omitempty"`
+	// CodelDrops is the total degraded entries shed
+	// (janus_qos_codel_drops_total).
+	CodelDrops int64 `json:"codel_drops"`
+}
+
+// SnapshotIntake captures the live intake state — worker count, FIFO depth,
+// CoDel controller state — for /debug/qos.
+func (s *Server) SnapshotIntake() IntakeSnapshot {
+	snap := IntakeSnapshot{
+		Workers:      s.cfg.Workers,
+		FIFODepth:    len(s.fifo),
+		FIFOCapacity: cap(s.fifo),
+		CodelState:   "ok",
+		CodelDrops:   s.codelDrops.Value(),
+	}
+	if dropping, count := s.cdl.snapshot(); dropping {
+		snap.CodelState, snap.CodelCount = "dropping", count
+	}
+	return snap
+}
+
 // BucketSnapshot is one row of the /debug/qos bucket-table dump.
 type BucketSnapshot struct {
 	Key        string  `json:"key"`
@@ -1113,11 +1052,7 @@ func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
 		close(s.quit)
-		for _, in := range s.intakes {
-			if cerr := in.conn.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+		err = s.conn.Close()
 		if s.ha != nil {
 			s.ha.Close()
 		}

@@ -35,7 +35,7 @@ func realRules(sc Scenario) []bucket.Rule {
 
 // RunReal executes the scenario's real tier: a live loopback cluster
 // (gateway LB → routers with batched UDP transport and optional leases →
-// one QoS server with SO_REUSEPORT intake, CoDel shedding and the audit
+// one QoS server with CoDel shedding on its intake FIFO and the audit
 // ledger), the decide path pinned by the worker/decide failpoint so the
 // governed capacity is known, and an autoscale.Group scaling the router
 // layer on the LB's measured windowed p90. long selects the nightly
@@ -49,7 +49,6 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 		Routers:       p.MinRouters,
 		QoSServers:    1,
 		QoSWorkers:    1,
-		QoSListeners:  2,
 		CodelTarget:   20 * time.Millisecond,
 		CodelInterval: 50 * time.Millisecond,
 		Audit:         true,

@@ -13,10 +13,10 @@
 //     layer driven by a windowed latency quantile.
 //   - Real tier (RunReal): the same shape at max real throughput against a
 //     live loopback cluster — gateway LB, routers with lease tables and
-//     batched UDP transport, QoS servers with SO_REUSEPORT intake, CoDel
-//     shedding and the online audit ledger — with autoscale.Group wired to
-//     the LB's measured p90 so scale-out/scale-in events are part of the
-//     asserted trace.
+//     batched UDP transport, QoS servers with CoDel shedding on their
+//     intake FIFO and the online audit ledger — with autoscale.Group wired
+//     to the LB's measured p90 so scale-out/scale-in events are part of
+//     the asserted trace.
 //
 // Every run emits a Report (admit accuracy, degraded/drop/error rates, p99
 // sojourn, the scale-event sequence, audit verdict) that is checked against
@@ -200,7 +200,7 @@ var registry = []Scenario{
 		},
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 7 * time.Second, LongDuration: 21 * time.Second,
-			Workers: 64,
+			Workers:    64,
 			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
 			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 		},
@@ -231,7 +231,7 @@ var registry = []Scenario{
 		},
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 8 * time.Second, LongDuration: 24 * time.Second,
-			Workers: 96,
+			Workers:    96,
 			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
 			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 		},
@@ -267,7 +267,7 @@ var registry = []Scenario{
 		},
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 6 * time.Second, LongDuration: 18 * time.Second,
-			Workers: 48,
+			Workers:    48,
 			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
 			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 		},

@@ -61,9 +61,6 @@ type Config struct {
 	Timeout time.Duration
 	// Retries is the maximum number of attempts (DefaultRetries if zero).
 	Retries int
-	// Delay, when non-nil, is invoked once per attempt and may sleep to
-	// model network latency (used by experiments; nil in production).
-	Delay func()
 	// Stats, when non-nil, shares attempt/timeout/response counters across
 	// every client built from this config — the router passes a
 	// registry-backed set so one /metrics page aggregates all its backend
@@ -276,19 +273,15 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	// The whole exchange runs against one budget of Retries × Timeout,
 	// fixed before the first attempt. Each attempt waits at most Timeout,
 	// and anything that stalls the send side (scheduling, injected delay
-	// failpoints, a slow Config.Delay hook) eats into the budget instead of
-	// extending it — so 5 retries can never take much more than ~5× the
-	// per-try timeout, which is the latency bound the router's default
-	// reply promises (§III-B).
+	// failpoints) eats into the budget instead of extending it — so 5
+	// retries can never take much more than ~5× the per-try timeout, which
+	// is the latency bound the router's default reply promises (§III-B).
 	deadline := time.Now().Add(time.Duration(c.cfg.Retries) * c.cfg.Timeout)
 	timer := time.NewTimer(c.cfg.Timeout)
 	defer timer.Stop()
 	attempts := 0
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
 		attempts = attempt + 1
-		if c.cfg.Delay != nil {
-			c.cfg.Delay()
-		}
 		sends := 1
 		if fpClientSend.Armed() {
 			switch o := fpClientSend.EvalPeer(c.raddr); o.Kind {

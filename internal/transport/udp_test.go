@@ -187,28 +187,6 @@ func TestDialBadAddress(t *testing.T) {
 	}
 }
 
-func TestDelayHookInvokedPerAttempt(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", echoHandler)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetDropEvery(1)
-	var calls atomic.Int64
-	c, err := Dial(srv.Addr(), Config{
-		Timeout: time.Millisecond, Retries: 4,
-		Delay: func() { calls.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Do(wire.Request{Key: "alice"})
-	if calls.Load() != 4 {
-		t.Fatalf("delay calls = %d, want 4", calls.Load())
-	}
-}
-
 func TestServerIgnoresGarbage(t *testing.T) {
 	srv, c := startPair(t, genericCfg)
 	// Fire raw garbage at the server; it must survive and keep serving.
