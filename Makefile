@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzClientResponse -fuzztime 10s ./internal/client/
+	$(GO) test -run '^$$' -fuzz FuzzLBRelay -fuzztime 10s ./internal/lb/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
@@ -98,11 +99,12 @@ bench-smoke:
 # The alloc pins: exact allocs/op on the zero-alloc hot paths (singleton
 # decode→Decide→encode, batch(32) decode→DecideBatchAppend→encode, lease-table
 # hit, sojourn observe, audited Decide, CoDel dequeue — budgets in
-# internal/qosserver/allocpin_test.go), plus the client's: client.Check on a
-# warmed connection allocates nothing. The pins assert the budget exactly,
-# so this is a test run, not a benchmark run.
+# internal/qosserver/allocpin_test.go), plus the two HTTP legs': client.Check
+# on a warmed connection allocates nothing, and the LB's proxy of a
+# router-shaped reply allocates only the relayed header strings (2). The
+# pins assert the budget exactly, so this is a test run, not a benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/client -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/client ./internal/lb -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_batching.json: 64-way fan-in
 # with the coalescer off vs on. Acceptance: ≥ 2× decisions/sec with p99

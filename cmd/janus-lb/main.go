@@ -1,6 +1,10 @@
 // Command janus-lb runs the gateway load balancer (paper §II-A, Fig 1a):
 // an HTTP reverse proxy distributing QoS requests across request router
-// nodes with round-robin or least-connections routing.
+// nodes with round-robin or least-connections routing. It forwards GET
+// requests only (others get 405) over one pool of persistent HTTP/1.1
+// connections per router, and relays each router's reply once it has been
+// read whole; a router that fails before its reply head is read is skipped
+// for the next one, and 502 is the answer when none is left.
 //
 // Example:
 //

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/h1"
 )
 
 // The tests in this file drive the client against a raw TCP fake rather
@@ -98,20 +100,9 @@ func readRequest(br *bufio.Reader) (key string, err error) {
 
 // closeIdle empties the pool; a Client has no Close of its own because its
 // connections expire (and are finalized) without one.
-func (c *Client) closeIdle() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, cn := range c.idle {
-		cn.nc.Close()
-	}
-	c.idle = nil
-}
+func (c *Client) closeIdle() { c.pool.Close() }
 
-func (c *Client) idleCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.idle)
-}
+func (c *Client) idleCount() int { return c.pool.Idle() }
 
 func newTestClient(t testing.TB, addr string) *Client {
 	c := New(addr)
@@ -151,7 +142,7 @@ var framings = []framing{
 	{name: "oddly spaced values", reply: ok + "CONTENT-LENGTH: \t 004 \t\r\nX-Empty:\r\n\r\ntrue", allow: true, pooled: true},
 	{name: "bare LF line ends", reply: "HTTP/1.1 200 OK\nContent-Length: 4\n\ntrue", allow: true, pooled: true},
 	{name: "16 KiB span header skipped", reply: ok + "X-Janus-Spans: " + strings.Repeat("s", 16<<10) + "\r\nContent-Length: 4\r\n\r\ntrue", allow: true, pooled: true},
-	{name: "long header ending on the buffer edge", reply: ok + "X-Pad: " + strings.Repeat("p", readBuffer-len("X-Pad: ")-1) + "\r\nContent-Length: 4\r\n\r\ntrue", allow: true, pooled: true},
+	{name: "long header ending on the buffer edge", reply: ok + "X-Pad: " + strings.Repeat("p", h1.ReadBuffer-len("X-Pad: ")-1) + "\r\nContent-Length: 4\r\n\r\ntrue", allow: true, pooled: true},
 	{name: "body with newline", reply: ok + "Content-Length: 5\r\n\r\ntrue\n", allow: true, pooled: true},
 	{name: "body padded to the limit", reply: ok + "Content-Length: 64\r\n\r\n" + strings.Repeat(" ", 59) + "false", pooled: true},
 	{name: "body over the limit", reply: ok + "Content-Length: 65\r\n\r\n" + strings.Repeat(" ", 61) + "true", fails: true},
@@ -173,7 +164,7 @@ var framings = []framing{
 	{name: "header without colon", reply: ok + "Content-Length 4\r\n\r\ntrue", fails: true},
 	{name: "control byte in a skipped header", reply: ok + "X-A: a\x00b\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
 	{name: "bare CR in a skipped header", reply: ok + "X-A: a\r\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
-	{name: "bare CR in a long skipped header", reply: ok + "X-A: " + strings.Repeat("a", 2*readBuffer) + "\rb\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
+	{name: "bare CR in a long skipped header", reply: ok + "X-A: " + strings.Repeat("a", 2*h1.ReadBuffer) + "\rb\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
 	{name: "HTTP/2.0 status line", reply: "HTTP/2.0 200 OK\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
 	{name: "short status code", reply: "HTTP/1.1 20 OK\r\nContent-Length: 4\r\n\r\ntrue", fails: true},
 	{name: "not HTTP at all", reply: "true\r\n\r\n", closes: true, fails: true},
@@ -400,9 +391,14 @@ func TestIdleConnectionsExpire(t *testing.T) {
 	if _, err := c.Check("k"); err != nil {
 		t.Fatal(err)
 	}
-	c.mu.Lock()
-	c.idle[0].parked = c.idle[0].parked.Add(-idleTimeout - time.Second)
-	c.mu.Unlock()
+	// Park the connection again as if its exchange had started longer ago
+	// than the idle timeout.
+	now := time.Now()
+	cn, err := c.pool.Get(now, now.Add(time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.pool.Put(cn, now.Add(-h1.IdleTimeout-time.Second))
 	if allow, err := c.Check("k"); err != nil || !allow {
 		t.Fatalf("allow=%v err=%v", allow, err)
 	}
@@ -445,7 +441,7 @@ func TestConcurrentChecks(t *testing.T) {
 					t.Errorf("allow=%v err=%v", allow, err)
 					return
 				}
-				if n := c.idleCount(); n > maxIdle {
+				if n := c.idleCount(); n > h1.MaxIdle {
 					t.Errorf("%d idle connections", n)
 					return
 				}
@@ -458,10 +454,11 @@ func TestConcurrentChecks(t *testing.T) {
 	}
 }
 
-// TestPoolIsCapped holds maxIdle+20 checks in flight at once; when they are
-// released together the pool keeps maxIdle connections and closes the rest.
+// TestPoolIsCapped holds h1.MaxIdle+20 checks in flight at once; when they
+// are released together the pool keeps h1.MaxIdle connections and closes
+// the rest.
 func TestPoolIsCapped(t *testing.T) {
-	const inFlight = maxIdle + 20
+	const inFlight = h1.MaxIdle + 20
 	var arrived sync.WaitGroup
 	arrived.Add(inFlight)
 	srv := keepAliveServer(t, func() {
@@ -480,29 +477,8 @@ func TestPoolIsCapped(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := c.idleCount(); n != maxIdle {
-		t.Fatalf("%d idle connections, want %d", n, maxIdle)
-	}
-}
-
-// TestBytesAfterBodyNotPooled: a reply followed by bytes nobody asked for
-// leaves the connection out of step; the answer counts, the connection goes.
-func TestBytesAfterBodyNotPooled(t *testing.T) {
-	for reply, want := range map[string]fate{
-		ok + "Content-Length: 4\r\n\r\ntrue":                    reusable,
-		ok + "Content-Length: 4\r\n\r\ntrueHTTP/1.1 200 OK\r\n": broken,
-	} {
-		cn := &conn{br: bufio.NewReader(strings.NewReader(reply))}
-		h, err := readHead(cn.br)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if body, err := readBody(cn.br, h, maxBody); err != nil || string(body) != "true" {
-			t.Fatalf("body=%q err=%v", body, err)
-		}
-		if got := cn.settled(h); got != want {
-			t.Fatalf("fate after %q = %v, want %v", reply, got, want)
-		}
+	if n := c.idleCount(); n != h1.MaxIdle {
+		t.Fatalf("%d idle connections, want %d", n, h1.MaxIdle)
 	}
 }
 
@@ -557,7 +533,7 @@ func TestCheckAllocPin(t *testing.T) {
 // makes of the same bytes, skipping interim replies as its Transport does.
 func netHTTPSaysTrue(reply []byte) bool {
 	br := bufio.NewReader(bytes.NewReader(reply))
-	for i := 0; i <= maxInterim; i++ {
+	for i := 0; i <= h1.MaxInterim; i++ {
 		resp, err := http.ReadResponse(br, nil)
 		if err != nil {
 			return false

@@ -9,6 +9,30 @@
 // Two routing policies are provided (§II-A): round robin, which hands
 // requests to back ends one by one, and least connections, which picks the
 // back end with the fewest outstanding requests.
+//
+// The accept side is a net/http server. The router leg is not: each back
+// end holds an internal/h1 pool of persistent connections, the same
+// exchange internal/client uses, so forwarding is one plain HTTP/1.1
+// exchange in the handler's goroutine.
+//
+//   - Request. Only GET without a body is forwarded (anything else gets 405
+//     without a back end being dialled): the request line with the client's
+//     origin-form request-URI, Host, and X-Janus-Trace when the request is
+//     traced. The router serves nothing else.
+//   - Reply. The back end's reply is read whole — head, then a body of at
+//     most h1.ReadBuffer bytes — before any of it is relayed: the status,
+//     every end-to-end header (all but Connection, Keep-Alive,
+//     Transfer-Encoding and Trailer), and the body. FuzzLBRelay holds the
+//     relay to what http.ReadResponse reads from the same bytes.
+//   - Failover. A dial error, or a reply that fails before its head is
+//     read, sends the request to the next back end, until each has had a
+//     turn; then the answer is 502. A reply that fails after its head has
+//     been read fails the request with 502 at once: the back end has
+//     answered, and a second router would spend the key's credit again. A
+//     stale keep-alive connection is re-sent once, to the same back end, by
+//     h1's retry rule.
+//   - Scale-in. RemoveBackend and Close close the back end's idle
+//     connections; one in flight is closed when its exchange ends.
 package lb
 
 import (
@@ -19,10 +43,13 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/h1"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -31,6 +58,10 @@ import (
 // end address). Failing it exercises the skip-and-retry path: the LB must
 // fail over to the next back end, and only 502 when every back end is cut.
 var fpProxyDial = failpoint.New("lb/proxy/dial")
+
+// forwardBudget bounds one exchange with a back end, dial and retry
+// included.
+const forwardBudget = 10 * time.Second
 
 // Policy selects the back-end choice algorithm.
 type Policy string
@@ -75,7 +106,11 @@ type Stats struct {
 }
 
 type backendState struct {
-	addr        string
+	addr string
+	// tail is a request's text from after its request-URI to the Host line's
+	// end.
+	tail        string
+	pool        *h1.Pool
 	outstanding *metrics.Gauge
 	served      *metrics.Counter
 }
@@ -85,7 +120,6 @@ type LB struct {
 	cfg    Config
 	ln     net.Listener
 	server *http.Server
-	client *http.Client
 	logger *log.Logger
 
 	mu       sync.Mutex
@@ -111,6 +145,8 @@ func (l *LB) newBackendState(addr string) *backendState {
 	label := metrics.Label{Key: "backend", Value: addr}
 	return &backendState{
 		addr:        addr,
+		tail:        " HTTP/1.1\r\nHost: " + addr + "\r\n",
+		pool:        h1.NewPool(addr),
 		outstanding: l.registry.Gauge("janus_lb_backend_outstanding", "requests in flight to one back end", label),
 		served:      l.registry.Counter("janus_lb_backend_served_total", "requests completed by one back end", label),
 	}
@@ -152,13 +188,6 @@ func New(cfg Config) (*LB, error) {
 		backendErrors: reg.Counter("janus_lb_backend_errors_total",
 			"proxied exchanges that failed against a back end"),
 		noBackends: reg.Counter("janus_lb_no_backends_total", "requests failed because no back end was usable"),
-		client: &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     30 * time.Second,
-			},
-			Timeout: 10 * time.Second,
-		},
 	}
 	reg.RegisterHistogram("janus_lb_latency_ns", "end-to-end proxy latency in nanoseconds", l.latency)
 	for _, b := range cfg.Backends {
@@ -191,7 +220,8 @@ func (l *LB) AddBackend(addr string) {
 	l.backends = append(l.backends, l.newBackendState(addr))
 }
 
-// RemoveBackend deregisters a back-end node (auto-scaling detach).
+// RemoveBackend deregisters a back-end node (auto-scaling detach) and
+// closes its idle connections.
 func (l *LB) RemoveBackend(addr string) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -199,6 +229,8 @@ func (l *LB) RemoveBackend(addr string) {
 	for _, b := range l.backends {
 		if b.addr != addr {
 			out = append(out, b)
+		} else {
+			b.pool.Close()
 		}
 	}
 	l.backends = out
@@ -220,8 +252,8 @@ func (l *LB) Backends() []string {
 	return out
 }
 
-// pick chooses a back end per the policy, skipping the given set.
-func (l *LB) pick(skip map[*backendState]bool) *backendState {
+// pick chooses a back end per the policy, skipping those already tried.
+func (l *LB) pick(tried []*backendState) *backendState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.backends)
@@ -233,7 +265,7 @@ func (l *LB) pick(skip map[*backendState]bool) *backendState {
 		var best *backendState
 		bestOut := int64(math.MaxInt64)
 		for _, b := range l.backends {
-			if skip[b] {
+			if slices.Contains(tried, b) {
 				continue
 			}
 			if out := b.outstanding.Value(); out < bestOut {
@@ -245,7 +277,7 @@ func (l *LB) pick(skip map[*backendState]bool) *backendState {
 		for i := 0; i < n; i++ {
 			b := l.backends[l.rrNext]
 			l.rrNext = (l.rrNext + 1) % n
-			if !skip[b] {
+			if !slices.Contains(tried, b) {
 				return b
 			}
 		}
@@ -256,6 +288,11 @@ func (l *LB) pick(skip map[*backendState]bool) *backendState {
 func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	l.requests.Inc()
+	if req.Method != http.MethodGet || req.ContentLength != 0 {
+		w.Header().Set("Allow", http.MethodGet)
+		http.Error(w, "lb: only GET without a body is forwarded", http.StatusMethodNotAllowed)
+		return
+	}
 	if l.cfg.HopDelay != nil {
 		l.cfg.HopDelay()
 	}
@@ -265,32 +302,33 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 	if tid == 0 {
 		if id, ok := l.tracer.Sample(); ok {
 			tid = id
-			req.Header.Set(trace.Header, trace.FormatID(tid))
 		}
 	}
-	// A failed back end is skipped and the next one tried, until every
-	// back end has had a turn.
-	maxTries := max(len(l.Backends()), 1)
-	skip := make(map[*backendState]bool, maxTries)
+	// A back end that fails before answering is skipped and the next one
+	// tried, until every back end has had a turn.
+	var buf [4]*backendState
+	tried := buf[:0]
 	var lastErr error
-	for try := 0; try < maxTries; try++ {
-		b := l.pick(skip)
+	for {
+		b := l.pick(tried)
 		if b == nil {
 			break
 		}
-		spanHdr, err := l.forward(w, req, b)
-		if err != nil {
-			lastErr = err
-			l.backendErrors.Inc()
-			skip[b] = true
-			continue
+		spanHdr, answered, err := l.forward(w, req, b, tid)
+		if err == nil {
+			d := time.Since(start)
+			l.latency.RecordDuration(d)
+			if tid != 0 {
+				l.completeTrace(tid, spanHdr, b.addr, len(tried), start, d)
+			}
+			return
 		}
-		d := time.Since(start)
-		l.latency.RecordDuration(d)
-		if tid != 0 {
-			l.completeTrace(tid, spanHdr, b.addr, try, start, d)
+		lastErr = err
+		l.backendErrors.Inc()
+		if answered {
+			break // the back end spent the request's credit; no second router
 		}
-		return
+		tried = append(tried, b)
 	}
 	l.noBackends.Inc()
 	if lastErr == nil {
@@ -317,42 +355,131 @@ func (l *LB) completeTrace(tid uint64, spanHdr, backend string, retries int, sta
 	l.tracer.Record(&trace.Trace{ID: trace.HexID(tid), Spans: spans})
 }
 
-// forward performs one proxied exchange against back end b, returning the
-// X-Janus-Spans header the back end reported (empty when untraced).
-func (l *LB) forward(w http.ResponseWriter, req *http.Request, b *backendState) (string, error) {
+// forward performs one proxied exchange against back end b and, once the
+// back end's reply has been read whole, relays it into w. It returns the
+// X-Janus-Spans value the back end reported (empty when untraced). On
+// error, answered reports that the back end's reply head had been read, so
+// the request must not be sent to another back end; nothing has been
+// written to w.
+func (l *LB) forward(w http.ResponseWriter, req *http.Request, b *backendState, tid uint64) (spans string, answered bool, err error) {
 	b.outstanding.Add(1)
 	defer b.outstanding.Add(-1)
 	l.proxied.Inc()
 	if fpProxyDial.Armed() {
 		switch o := fpProxyDial.EvalPeer(b.addr); o.Kind {
 		case failpoint.Error, failpoint.Partition:
-			return "", o.Err
+			return "", false, o.Err
 		case failpoint.Drop:
-			return "", fmt.Errorf("lb: dial %s dropped by failpoint", b.addr)
+			return "", false, fmt.Errorf("lb: dial %s dropped by failpoint", b.addr)
 		case failpoint.Delay:
 			o.Sleep()
 		}
 	}
-	url := "http://" + b.addr + req.URL.RequestURI()
-	outReq, err := http.NewRequestWithContext(req.Context(), req.Method, url, req.Body)
+	now := time.Now()
+	deadline := now.Add(forwardBudget)
+	cn, err := b.pool.Get(now, deadline)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
-	outReq.Header = req.Header.Clone()
-	resp, err := l.client.Do(outReq)
+	cn.Req = appendRequest(cn.Req[:0], req, b.tail, tid)
+	rl := relays.Get().(*relay)
+	defer relays.Put(rl)
+	rl.buf, rl.ends = rl.buf[:0], rl.ends[:0]
+	cn, h, err := b.pool.Send(cn, deadline, rl)
 	if err != nil {
-		return "", err
+		return "", false, err
 	}
-	defer resp.Body.Close()
+	var body []byte
+	if h.Status < http.StatusOK {
+		// 101: the connection no longer speaks HTTP; there is nothing to relay.
+		err = fmt.Errorf("lb: %s answered HTTP %d", b.addr, h.Status)
+	} else {
+		body, err = cn.Body(h1.ReadBuffer)
+	}
+	if err != nil {
+		b.pool.Put(cn, now)
+		return "", true, err
+	}
+	spans = rl.copyTo(w.Header())
+	w.WriteHeader(h.Status)
+	_, _ = w.Write(body) // a client that went away is not the back end's failure
+	b.pool.Put(cn, now)
 	b.served.Inc()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
+	return spans, true, nil
+}
+
+// appendRequest appends the request forwarded for req to dst: the request
+// line with req's request-URI in origin form, the Host line that tail ends
+// with, and the trace ID when tid is not zero.
+func appendRequest(dst []byte, req *http.Request, tail string, tid uint64) []byte {
+	uri := req.RequestURI
+	if !strings.HasPrefix(uri, "/") {
+		uri = req.URL.RequestURI() // absolute form
+	}
+	dst = append(dst, "GET "...)
+	dst = append(dst, uri...)
+	dst = append(dst, tail...)
+	if tid != 0 {
+		dst = append(dst, trace.Header+": "...)
+		dst = append(dst, trace.FormatID(tid)...)
+		dst = append(dst, "\r\n"...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// relays recycles the header collectors of finished exchanges.
+var relays = sync.Pool{New: func() any { return new(relay) }}
+
+// relay is the h1.Sink of one exchange: it collects the reply's end-to-end
+// header lines, names in canonical form, back to back in one buffer.
+type relay struct {
+	buf  []byte
+	ends []int // per line: the end of its name, then the end of its value
+}
+
+// Header canonicalizes name as net/textproto does for a token.
+func (r *relay) Header(name, value []byte) {
+	at := len(r.buf)
+	r.buf = append(r.buf, name...)
+	upper := true
+	for i, c := range r.buf[at:] {
+		if upper && 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		} else if !upper && 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		r.buf[at+i] = c
+		upper = c == '-'
+	}
+	r.buf = append(r.buf, value...)
+	r.ends = append(r.ends, at+len(name), len(r.buf))
+}
+
+// copyTo adds the collected lines to dst, with two allocations whatever
+// their number: one string holding every name and value and one slice
+// holding every value. It returns the first X-Janus-Spans value.
+func (r *relay) copyTo(dst http.Header) (spans string) {
+	if len(r.ends) == 0 {
+		return ""
+	}
+	text := string(r.buf)
+	values := make([]string, len(r.ends)/2)
+	found := false
+	from := 0
+	for i := range values {
+		name, value := text[from:r.ends[2*i]], text[r.ends[2*i]:r.ends[2*i+1]]
+		from = r.ends[2*i+1]
+		values[i] = value
+		if old, ok := dst[name]; ok {
+			dst[name] = append(old, value)
+		} else {
+			dst[name] = values[i : i+1 : i+1]
+		}
+		if !found && name == trace.SpanHeader {
+			spans, found = value, true
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	return resp.Header.Get(trace.SpanHeader), nil
+	return spans
 }
 
 // Stats returns a snapshot of the LB counters.
@@ -386,10 +513,14 @@ func (l *LB) Registry() *metrics.Registry { return l.registry }
 // Tracer returns the LB's trace recorder (the edge sampler).
 func (l *LB) Tracer() *trace.Recorder { return l.tracer }
 
-// Close shuts the load balancer down.
+// Close shuts the load balancer down and closes its back-end connections.
 func (l *LB) Close() error {
 	err := l.server.Close()
 	l.wg.Wait()
-	l.client.CloseIdleConnections()
+	l.mu.Lock()
+	for _, b := range l.backends {
+		b.pool.Close()
+	}
+	l.mu.Unlock()
 	return err
 }

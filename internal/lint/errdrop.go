@@ -7,7 +7,7 @@ import (
 
 // NewErrDrop flags silently discarded errors from Close, SetDeadline, and
 // Write-family calls in the networking hot paths (errDropScope: transport,
-// router, qosserver, lb, debugz, trace, client). The UDP discipline is
+// router, qosserver, lb, debugz, trace, client, h1). The UDP discipline is
 // deliberately fire-and-forget at the protocol level — the router retries — but a
 // *discarded Go error* is different: a failing WriteToUDP or Close that
 // vanishes leaves no trace in the stats counters, and §V of the paper
@@ -61,6 +61,7 @@ var errDropScope = []string{
 	"internal/debugz",
 	"internal/trace",
 	"internal/client",
+	"internal/h1",
 }
 
 var errDropMethods = map[string]bool{

@@ -76,6 +76,7 @@ var daemonScope = []string{
 	"internal/lb",
 	"internal/debugz",
 	"internal/client",
+	"internal/h1",
 }
 
 // stopPathProof inspects a goroutine body and returns a short label for
