@@ -80,6 +80,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBatchFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzParseHTTPRawQuery -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/h1/
 	$(GO) test -run '^$$' -fuzz FuzzClientResponse -fuzztime 10s ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzLBRelay -fuzztime 10s ./internal/lb/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
@@ -99,12 +101,14 @@ bench-smoke:
 # The alloc pins: exact allocs/op on the zero-alloc hot paths (singleton
 # decode→Decide→encode, batch(32) decode→DecideBatchAppend→encode, lease-table
 # hit, sojourn observe, audited Decide, CoDel dequeue — budgets in
-# internal/qosserver/allocpin_test.go), plus the two HTTP legs': client.Check
-# on a warmed connection allocates nothing, and the LB's proxy of a
-# router-shaped reply allocates only the relayed header strings (2). The
-# pins assert the budget exactly, so this is a test run, not a benchmark run.
+# internal/qosserver/allocpin_test.go), plus the HTTP legs': client.Check
+# and the LB's proxy of a router-shaped reply on a warmed connection
+# allocate nothing, the h1 server loop nothing beyond its handler, and a
+# /qos request on the router one object more than Router.Route (the key's
+# string). The pins assert their budgets, so this is a test run, not a
+# benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/client ./internal/lb -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/client ./internal/lb ./internal/h1 ./internal/router -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_batching.json: 64-way fan-in
 # with the coalescer off vs on. Acceptance: ≥ 2× decisions/sec with p99

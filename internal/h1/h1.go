@@ -1,8 +1,10 @@
-// Package h1 is the client side of plain HTTP/1.1 that the QoS client
-// (internal/client) and the gateway load balancer (internal/lb) share: a
-// pool of persistent connections to one server and one exchange per
-// request, done in the caller's goroutine — no net/http client, no helper
-// goroutines, no allocation on the success path of a Content-Length reply.
+// Package h1 is the plain HTTP/1.1 both sides of every check-path hop share.
+// Its client side is what the QoS client (internal/client) and the gateway
+// load balancer's router leg (internal/lb) use; its server side is what the
+// request router (internal/router) and the load balancer's accept side
+// serve with. Neither side uses net/http's client or server: no helper
+// goroutines, no header maps, no allocation on the success path of a
+// Content-Length exchange.
 //
 //   - Pool. A Pool keeps at most MaxIdle idle connections to one address on
 //     a mutex-guarded LIFO stack, each with its own bufio.Reader and request
@@ -27,10 +29,22 @@
 //     would reject; FuzzClientResponse (internal/client) and FuzzLBRelay
 //     (internal/lb) hold it to http.ReadResponse.
 //   - Sink. A caller that relays the reply passes a Sink, which receives
-//     the final reply's end-to-end header lines: every line but
-//     Connection, Keep-Alive, Transfer-Encoding and Trailer. A line longer
-//     than the read buffer is assembled whole for it, up to 64 KiB;
+//     the final reply's status and its end-to-end header lines: every line
+//     but the framing ones (Content-Length, Transfer-Encoding), which the
+//     relay writes anew, and Connection, Keep-Alive and Trailer. A line
+//     longer than the read buffer is assembled whole for it, up to 64 KiB;
 //     without a sink such a line is checked and skipped piece by piece.
+//   - Server. Serve runs one goroutine per accepted connection, joined by
+//     Close, with a bufio.Reader of ReadBuffer bytes. readRequest, the strict
+//     counterpart of readHead, reads a request head; FuzzServeRequest holds it
+//     to http.ReadRequest. A line over ReadBuffer or more than 100 header
+//     lines is answered 431, anything else malformed 400, and the connection
+//     closed. The Handler appends the whole reply to a buffer the connection
+//     keeps, and the server writes it in one Write under a write deadline.
+//     A request announcing a body, HTTP/1.0 or Connection: close ends the
+//     connection after its reply; the server reads no bodies. An idle
+//     connection is closed after serverIdle, which is longer than
+//     IdleTimeout.
 package h1
 
 import (
@@ -55,10 +69,11 @@ const (
 	maxLine = 64 << 10
 )
 
-// Sink receives the end-to-end header lines of a reply, name and value as
-// read (the value without surrounding white space). Both slices are valid
-// only for the duration of the call.
+// Sink receives a final reply's status code, then its end-to-end header
+// lines, name and value as read (the value without surrounding white space).
+// Both slices are valid only for the duration of the call.
 type Sink interface {
+	Status(code int)
 	Header(name, value []byte)
 }
 

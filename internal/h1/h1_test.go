@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -49,18 +50,19 @@ func TestBytesAfterBodyNotPooled(t *testing.T) {
 // lines is a Sink that records what it is given.
 type lines []string
 
+func (l *lines) Status(code int)           { *l = append(*l, "status="+strconv.Itoa(code)) }
 func (l *lines) Header(name, value []byte) { *l = append(*l, string(name)+"="+string(value)) }
 
-// TestSinkGetsEndToEndLines: the sink sees the final reply's lines in order,
-// values trimmed, a long line whole, and neither the hop-by-hop lines nor an
-// interim reply's.
+// TestSinkGetsEndToEndLines: the sink sees the final reply's status, then its
+// lines in order, values trimmed, a long line whole, and neither the framing
+// and hop-by-hop lines nor an interim reply's.
 func TestSinkGetsEndToEndLines(t *testing.T) {
 	spans := strings.Repeat("s", 3*ReadBuffer)
 	reply := "HTTP/1.1 103 Early Hints\r\nLink: </x>\r\n\r\n" +
 		"HTTP/1.1 200 OK\r\nX-Janus-Status:  ok \r\nConnection: keep-alive\r\nKeep-Alive: timeout=5\r\n" +
 		"Trailer: X-T\r\nX-Janus-Spans: " + spans + "\r\nTransfer-Encoding: chunked\r\nx-a:\r\n\r\n" +
 		"4\r\ntrue\r\n0\r\n\r\n"
-	want := []string{"X-Janus-Status=ok", "X-Janus-Spans=" + spans, "x-a="}
+	want := []string{"status=200", "X-Janus-Status=ok", "X-Janus-Spans=" + spans, "x-a="}
 	for _, r := range []io.Reader{strings.NewReader(reply), iotest.OneByteReader(strings.NewReader(reply))} {
 		cn := readerConn(r)
 		var got lines
@@ -82,7 +84,8 @@ func TestSinkGetsEndToEndLines(t *testing.T) {
 }
 
 // TestLongLineBound: with a sink, a line is assembled up to maxLine bytes
-// and refused beyond; without one, any length is skipped.
+// and refused beyond; without one, any length is skipped. The sink gets the
+// status and the long line, not Content-Length.
 func TestLongLineBound(t *testing.T) {
 	for _, n := range []int{maxLine - len("X-Pad:"), maxLine - len("X-Pad:") + 1} {
 		reply := "HTTP/1.1 200 OK\r\nX-Pad:" + strings.Repeat("p", n) + "\r\nContent-Length: 0\r\n\r\n"

@@ -34,7 +34,8 @@ func (h Head) interim() bool {
 func (h Head) Delimited() bool { return h.chunked || h.length >= 0 }
 
 // readHead reads one status line and its header lines up to the blank line,
-// handing the end-to-end ones of a final reply to sink when it is not nil.
+// handing a final reply's status and end-to-end lines to sink when it is not
+// nil.
 // It is deliberately narrower than net/http's parser — one space after the
 // version, a status of at least 100, no folded lines, no space in a field
 // name, each length header at most once and never both — so that every head
@@ -63,7 +64,9 @@ func (cn *Conn) readHead(sink Sink) (Head, error) {
 		return h, errMalformed
 	}
 	if h.interim() {
-		sink = nil // only the final reply's lines are relayed
+		sink = nil // only the final reply is relayed
+	} else if sink != nil {
+		sink.Status(h.Status)
 	}
 	for {
 		line, err := br.ReadSlice('\n')
@@ -110,6 +113,7 @@ func (cn *Conn) readHead(sink Sink) (Head, error) {
 			if h.length, ok = parseDigits(value); !ok {
 				return h, errMalformed
 			}
+			continue
 		case foldEq(name, "transfer-encoding"):
 			if h.chunked || !foldEq(value, "chunked") {
 				return h, errMalformed

@@ -10,20 +10,23 @@
 // requests to back ends one by one, and least connections, which picks the
 // back end with the fewest outstanding requests.
 //
-// The accept side is a net/http server. The router leg is not: each back
-// end holds an internal/h1 pool of persistent connections, the same
-// exchange internal/client uses, so forwarding is one plain HTTP/1.1
-// exchange in the handler's goroutine.
+// Both sides are internal/h1, with no net/http in between. The accept side
+// is h1's server; each back end holds an h1 pool of persistent connections,
+// the same exchange internal/client uses, so forwarding is one plain
+// HTTP/1.1 exchange in the accepting connection's goroutine.
 //
 //   - Request. Only GET without a body is forwarded (anything else gets 405
 //     without a back end being dialled): the request line with the client's
-//     origin-form request-URI, Host, and X-Janus-Trace when the request is
+//     request-URI in origin form, Host, and X-Janus-Trace when the request is
 //     traced. The router serves nothing else.
 //   - Reply. The back end's reply is read whole — head, then a body of at
-//     most h1.ReadBuffer bytes — before any of it is relayed: the status,
-//     every end-to-end header (all but Connection, Keep-Alive,
-//     Transfer-Encoding and Trailer), and the body. FuzzLBRelay holds the
-//     relay to what http.ReadResponse reads from the same bytes.
+//     most h1.ReadBuffer bytes — before any of it is relayed. Its status and
+//     end-to-end header lines (all but Connection, Keep-Alive,
+//     Transfer-Encoding, Trailer and Content-Length) are appended to the
+//     client's reply as the h1.Sink receives them, then Date when the back
+//     end sent none, a Content-Length of the LB's own, and the body.
+//     FuzzLBRelay holds the relay to what http.ReadResponse reads from the
+//     same bytes.
 //   - Failover. A dial error, or a reply that fails before its head is
 //     read, sends the request to the next back end, until each has had a
 //     turn; then the answer is 502. A reply that fails after its head has
@@ -36,6 +39,7 @@
 package lb
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -44,7 +48,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -119,7 +122,7 @@ type backendState struct {
 type LB struct {
 	cfg    Config
 	ln     net.Listener
-	server *http.Server
+	server *h1.Server
 	logger *log.Logger
 
 	mu       sync.Mutex
@@ -135,8 +138,6 @@ type LB struct {
 	proxied       *metrics.Counter
 	backendErrors *metrics.Counter
 	noBackends    *metrics.Counter
-
-	wg sync.WaitGroup
 }
 
 // newBackendState builds the per-backend series, labelled by address so the
@@ -193,14 +194,7 @@ func New(cfg Config) (*LB, error) {
 	for _, b := range cfg.Backends {
 		l.backends = append(l.backends, l.newBackendState(b))
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", l.proxy)
-	l.server = &http.Server{Handler: mux}
-	l.wg.Add(1)
-	go func() {
-		defer l.wg.Done()
-		l.server.Serve(ln)
-	}()
+	l.server = h1.Serve(ln, l.proxy)
 	return l, nil
 }
 
@@ -285,20 +279,20 @@ func (l *LB) pick(tried []*backendState) *backendState {
 	}
 }
 
-func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
+// proxy answers one client request: the reply of the first back end that
+// answers it, or an error of the LB's own.
+func (l *LB) proxy(out []byte, req *h1.Request) []byte {
 	start := time.Now()
 	l.requests.Inc()
-	if req.Method != http.MethodGet || req.ContentLength != 0 {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "lb: only GET without a body is forwarded", http.StatusMethodNotAllowed)
-		return
+	if string(req.Method) != http.MethodGet || req.Body {
+		return h1.AppendText(out, req, http.StatusMethodNotAllowed, "Allow: GET\r\n", "lb: only GET without a body is forwarded\n")
 	}
 	if l.cfg.HopDelay != nil {
 		l.cfg.HopDelay()
 	}
 	// The LB is the trace edge: honour a client-supplied trace ID, or draw
 	// a sampling decision (one atomic load when sampling is disabled).
-	tid, _ := trace.ParseID(req.Header.Get(trace.Header))
+	tid, _ := trace.ParseID(string(req.Trace))
 	if tid == 0 {
 		if id, ok := l.tracer.Sample(); ok {
 			tid = id
@@ -314,14 +308,14 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 		if b == nil {
 			break
 		}
-		spanHdr, answered, err := l.forward(w, req, b, tid)
+		reply, spans, answered, err := l.forward(out, req, b, tid)
 		if err == nil {
 			d := time.Since(start)
 			l.latency.RecordDuration(d)
 			if tid != 0 {
-				l.completeTrace(tid, spanHdr, b.addr, len(tried), start, d)
+				l.completeTrace(tid, spans, b.addr, len(tried), start, d)
 			}
-			return
+			return reply
 		}
 		lastErr = err
 		l.backendErrors.Inc()
@@ -334,7 +328,7 @@ func (l *LB) proxy(w http.ResponseWriter, req *http.Request) {
 	if lastErr == nil {
 		lastErr = errors.New("lb: no back ends available")
 	}
-	http.Error(w, lastErr.Error(), http.StatusBadGateway)
+	return h1.AppendText(out, req, http.StatusBadGateway, "", lastErr.Error()+"\n")
 }
 
 // completeTrace assembles the request's trace: the LB's own span first,
@@ -356,21 +350,20 @@ func (l *LB) completeTrace(tid uint64, spanHdr, backend string, retries int, sta
 }
 
 // forward performs one proxied exchange against back end b and, once the
-// back end's reply has been read whole, relays it into w. It returns the
-// X-Janus-Spans value the back end reported (empty when untraced). On
-// error, answered reports that the back end's reply head had been read, so
-// the request must not be sent to another back end; nothing has been
-// written to w.
-func (l *LB) forward(w http.ResponseWriter, req *http.Request, b *backendState, tid uint64) (spans string, answered bool, err error) {
+// back end's reply has been read whole, returns out with the client's reply
+// appended, and the X-Janus-Spans value the back end reported when tid is
+// not zero. On error, answered reports that the back end's reply head had
+// been read, so the request must not be sent to another back end.
+func (l *LB) forward(out []byte, req *h1.Request, b *backendState, tid uint64) (reply []byte, spans string, answered bool, err error) {
 	b.outstanding.Add(1)
 	defer b.outstanding.Add(-1)
 	l.proxied.Inc()
 	if fpProxyDial.Armed() {
 		switch o := fpProxyDial.EvalPeer(b.addr); o.Kind {
 		case failpoint.Error, failpoint.Partition:
-			return "", false, o.Err
+			return nil, "", false, o.Err
 		case failpoint.Drop:
-			return "", false, fmt.Errorf("lb: dial %s dropped by failpoint", b.addr)
+			return nil, "", false, fmt.Errorf("lb: dial %s dropped by failpoint", b.addr)
 		case failpoint.Delay:
 			o.Sleep()
 		}
@@ -379,15 +372,17 @@ func (l *LB) forward(w http.ResponseWriter, req *http.Request, b *backendState, 
 	deadline := now.Add(forwardBudget)
 	cn, err := b.pool.Get(now, deadline)
 	if err != nil {
-		return "", false, err
+		return nil, "", false, err
 	}
-	cn.Req = appendRequest(cn.Req[:0], req, b.tail, tid)
+	cn.Req = appendRequest(cn.Req[:0], req.URI, b.tail, tid)
 	rl := relays.Get().(*relay)
-	defer relays.Put(rl)
-	rl.buf, rl.ends = rl.buf[:0], rl.ends[:0]
+	*rl = relay{out: out}
 	cn, h, err := b.pool.Send(cn, deadline, rl)
+	reply, date, at := rl.out, rl.date, rl.spans
+	*rl = relay{} // the pool keeps no client's buffer
+	relays.Put(rl)
 	if err != nil {
-		return "", false, err
+		return nil, "", false, err
 	}
 	var body []byte
 	if h.Status < http.StatusOK {
@@ -398,24 +393,24 @@ func (l *LB) forward(w http.ResponseWriter, req *http.Request, b *backendState, 
 	}
 	if err != nil {
 		b.pool.Put(cn, now)
-		return "", true, err
+		return nil, "", true, err
 	}
-	spans = rl.copyTo(w.Header())
-	w.WriteHeader(h.Status)
-	_, _ = w.Write(body) // a client that went away is not the back end's failure
+	if !date {
+		reply = h1.AppendDate(reply, req)
+	}
+	reply = h1.AppendBody(reply, req, h.Status, body)
 	b.pool.Put(cn, now)
 	b.served.Inc()
-	return spans, true, nil
+	if tid != 0 && at[1] != 0 {
+		spans = string(reply[at[0]:at[1]])
+	}
+	return reply, spans, true, nil
 }
 
-// appendRequest appends the request forwarded for req to dst: the request
-// line with req's request-URI in origin form, the Host line that tail ends
+// appendRequest appends the request forwarded for the origin-form
+// request-URI uri to dst: the request line, the Host line that tail ends
 // with, and the trace ID when tid is not zero.
-func appendRequest(dst []byte, req *http.Request, tail string, tid uint64) []byte {
-	uri := req.RequestURI
-	if !strings.HasPrefix(uri, "/") {
-		uri = req.URL.RequestURI() // absolute form
-	}
+func appendRequest(dst, uri []byte, tail string, tid uint64) []byte {
 	dst = append(dst, "GET "...)
 	dst = append(dst, uri...)
 	dst = append(dst, tail...)
@@ -427,59 +422,36 @@ func appendRequest(dst []byte, req *http.Request, tail string, tid uint64) []byt
 	return append(dst, "\r\n"...)
 }
 
-// relays recycles the header collectors of finished exchanges.
+// relays recycles the sinks of finished exchanges.
 var relays = sync.Pool{New: func() any { return new(relay) }}
 
-// relay is the h1.Sink of one exchange: it collects the reply's end-to-end
-// header lines, names in canonical form, back to back in one buffer.
+// relay is the h1.Sink of one exchange: it appends the back end's status
+// line and end-to-end header lines, as read, to the client's reply, noting
+// whether a Date line came and where the first X-Janus-Spans value is.
 type relay struct {
-	buf  []byte
-	ends []int // per line: the end of its name, then the end of its value
+	out   []byte
+	date  bool
+	spans [2]int // the first X-Janus-Spans value is out[spans[0]:spans[1]]; zero when there is none
 }
 
-// Header canonicalizes name as net/textproto does for a token.
+var (
+	dateName  = []byte("Date")
+	spansName = []byte(trace.SpanHeader)
+)
+
+func (r *relay) Status(code int) { r.out = h1.AppendStatusLine(r.out, code) }
+
 func (r *relay) Header(name, value []byte) {
-	at := len(r.buf)
-	r.buf = append(r.buf, name...)
-	upper := true
-	for i, c := range r.buf[at:] {
-		if upper && 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		} else if !upper && 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		r.buf[at+i] = c
-		upper = c == '-'
+	r.out = append(r.out, name...)
+	r.out = append(r.out, ": "...)
+	switch {
+	case bytes.EqualFold(name, dateName):
+		r.date = true
+	case r.spans[1] == 0 && bytes.EqualFold(name, spansName):
+		r.spans = [2]int{len(r.out), len(r.out) + len(value)}
 	}
-	r.buf = append(r.buf, value...)
-	r.ends = append(r.ends, at+len(name), len(r.buf))
-}
-
-// copyTo adds the collected lines to dst, with two allocations whatever
-// their number: one string holding every name and value and one slice
-// holding every value. It returns the first X-Janus-Spans value.
-func (r *relay) copyTo(dst http.Header) (spans string) {
-	if len(r.ends) == 0 {
-		return ""
-	}
-	text := string(r.buf)
-	values := make([]string, len(r.ends)/2)
-	found := false
-	from := 0
-	for i := range values {
-		name, value := text[from:r.ends[2*i]], text[r.ends[2*i]:r.ends[2*i+1]]
-		from = r.ends[2*i+1]
-		values[i] = value
-		if old, ok := dst[name]; ok {
-			dst[name] = append(old, value)
-		} else {
-			dst[name] = values[i : i+1 : i+1]
-		}
-		if !found && name == trace.SpanHeader {
-			spans, found = value, true
-		}
-	}
-	return spans
+	r.out = append(r.out, value...)
+	r.out = append(r.out, "\r\n"...)
 }
 
 // Stats returns a snapshot of the LB counters.
@@ -516,7 +488,6 @@ func (l *LB) Tracer() *trace.Recorder { return l.tracer }
 // Close shuts the load balancer down and closes its back-end connections.
 func (l *LB) Close() error {
 	err := l.server.Close()
-	l.wg.Wait()
 	l.mu.Lock()
 	for _, b := range l.backends {
 		b.pool.Close()

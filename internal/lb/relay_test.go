@@ -3,10 +3,12 @@ package lb
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -209,6 +211,7 @@ func TestOnlyGETForwarded(t *testing.T) {
 		{http.MethodDelete, nil},
 		{http.MethodHead, nil},
 		{http.MethodGet, strings.NewReader("x")},
+		{http.MethodGet, io.MultiReader(strings.NewReader("x"))}, // no length: sent chunked
 	} {
 		req, err := http.NewRequest(r.method, url, r.body)
 		if err != nil {
@@ -281,18 +284,48 @@ func mustGet(t *testing.T, url string) *http.Request {
 	return req
 }
 
+// getRequest is a body-less GET of uri as the accept side hands it to proxy.
+func getRequest(uri string) *h1.Request {
+	return &h1.Request{Method: []byte(http.MethodGet), URI: []byte(uri)}
+}
+
+// readReply reads what proxy appended as a client reads it, and insists
+// that the reply is framed to its last byte.
+func readReply(out []byte) (*http.Response, []byte, error) {
+	br := bufio.NewReader(bytes.NewReader(out))
+	resp, err := http.ReadResponse(br, &http.Request{Method: http.MethodGet})
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, nil, err
+	}
+	if br.Buffered() != 0 {
+		return nil, nil, fmt.Errorf("%d bytes after the reply", br.Buffered())
+	}
+	return resp, body, nil
+}
+
 // TestHopByHopNotRelayed: the reply's framing and connection headers stay
-// on the router leg; a chunked body reaches the client decoded.
+// on the router leg; a chunked body reaches the client decoded, with a
+// Content-Length of the LB's own and a Date, which this back end did not
+// send.
 func TestHopByHopNotRelayed(t *testing.T) {
 	b := answering(t, "HTTP/1.1 200 OK\r\nConnection: keep-alive\r\nKeep-Alive: timeout=5\r\n"+
 		"Transfer-Encoding: chunked\r\nX-Janus-Status: ok\r\nx-janus-spans: []\r\n\r\n4\r\ntrue\r\n0\r\n\r\n", false)
 	l := newLB(t, Config{Backends: []string{b.addr()}})
-	rec := httptest.NewRecorder()
-	l.proxy(rec, httptest.NewRequest(http.MethodGet, "/qos?key=k", nil))
-	res := rec.Result()
-	want := http.Header{"X-Janus-Status": {"ok"}, "X-Janus-Spans": {"[]"}}
-	if res.StatusCode != http.StatusOK || rec.Body.String() != "true" || !equalHeaders(res.Header, want) {
-		t.Fatalf("relayed %d %v %q, want 200 %v \"true\"", res.StatusCode, res.Header, rec.Body.String(), want)
+	res, body, err := readReply(l.proxy(nil, getRequest("/qos?key=k")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Header["Date"]) != 1 || res.TransferEncoding != nil {
+		t.Fatalf("Date %q, Transfer-Encoding %q", res.Header["Date"], res.TransferEncoding)
+	}
+	res.Header.Del("Date")
+	want := http.Header{"X-Janus-Status": {"ok"}, "X-Janus-Spans": {"[]"}, "Content-Length": {"4"}}
+	if res.StatusCode != http.StatusOK || string(body) != "true" || !equalHeaders(res.Header, want) {
+		t.Fatalf("relayed %d %v %q, want 200 %v \"true\"", res.StatusCode, res.Header, body, want)
 	}
 }
 
@@ -308,31 +341,15 @@ func equalHeaders(a, b http.Header) bool {
 	return true
 }
 
-// reusedWriter is a ResponseWriter whose header map and body buffer are
-// reused across requests, so that only what the relay itself allocates is
-// counted.
-type reusedWriter struct {
-	h      http.Header
-	status int
-	body   []byte
-}
-
-func (w *reusedWriter) Header() http.Header    { return w.h }
-func (w *reusedWriter) WriteHeader(status int) { w.status = status }
-func (w *reusedWriter) Write(p []byte) (int, error) {
-	w.body = append(w.body, p...)
-	return len(p), nil
-}
-
 // TestForwardAllocPin: on a warmed connection, proxying a router-shaped
-// reply allocates two objects and no more: one string holding every relayed
-// header name and value, and one slice holding the values. The fake
+// reply allocates nothing: the relayed lines are appended straight into the
+// client's reply, which the accept side keeps per connection. The fake
 // allocates nothing either (AllocsPerRun counts the whole process).
 func TestForwardAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop entries; alloc pins run uninstrumented")
 	}
-	const budget = 2
+	const budget = 0
 	reply := []byte("HTTP/1.1 200 OK\r\nX-Janus-Status: ok\r\nDate: Sat, 03 Oct 2026 00:00:00 GMT\r\n" +
 		"Content-Length: 4\r\nContent-Type: text/plain; charset=utf-8\r\n\r\ntrue")
 	b := serveRaw(t, func(_ *rawBackend, nc net.Conn, _ *bufio.Reader) {
@@ -352,14 +369,13 @@ func TestForwardAllocPin(t *testing.T) {
 		}
 	})
 	l := newLB(t, Config{Backends: []string{b.addr()}})
-	req := httptest.NewRequest(http.MethodGet, "/qos?key=user-42&cost=1", nil)
-	w := &reusedWriter{h: http.Header{}}
+	req := getRequest("/qos?key=user-42&cost=1")
+	const want = "HTTP/1.1 200 OK\r\nX-Janus-Status: ok\r\nDate: Sat, 03 Oct 2026 00:00:00 GMT\r\n" +
+		"Content-Type: text/plain; charset=utf-8\r\nContent-Length: 4\r\n\r\ntrue"
+	var out []byte
 	proxy := func() {
-		clear(w.h)
-		w.body = w.body[:0]
-		l.proxy(w, req)
-		if w.status != http.StatusOK || string(w.body) != "true" || len(w.h) != 4 {
-			t.Fatalf("relayed %d %v %q", w.status, w.h, w.body)
+		if out = l.proxy(out[:0], req); string(out) != want {
+			t.Fatalf("relayed %q, want %q", out, want)
 		}
 	}
 	proxy() // dial, grow the buffers and the pool
@@ -371,8 +387,9 @@ func TestForwardAllocPin(t *testing.T) {
 	}
 }
 
-// hopByHop are the reply headers the LB does not relay.
-var hopByHop = []string{"Connection", "Keep-Alive", "Transfer-Encoding", "Trailer"}
+// hopByHop are the reply headers the LB does not relay: the framing, which
+// it writes anew, and the connection's.
+var hopByHop = []string{"Connection", "Keep-Alive", "Transfer-Encoding", "Trailer", "Content-Length"}
 
 // netHTTPReads is the reference for FuzzLBRelay: the final reply net/http
 // reads from the same bytes, skipping interim replies as its Transport does.
@@ -393,9 +410,12 @@ func netHTTPReads(reply []byte) (resp *http.Response, body []byte, ok bool) {
 }
 
 // FuzzLBRelay: whatever bytes a back end sends before closing, the LB does
-// not panic, and either relays the status, the end-to-end header set and
-// the body that http.ReadResponse reads from the same bytes, or treats the
-// back end as failed and, with no other back end to try, answers 502.
+// not panic, and either treats the back end as failed and, with no other
+// back end to try, answers 502, or answers with a reply http.ReadResponse
+// reads, framed to its last byte, with the status, the end-to-end header set
+// and the body that http.ReadResponse reads from the back end's bytes. Of
+// its own, the reply adds one Content-Length, which matches the body (none
+// for 204 and 304), and a Date when the back end sent none.
 func FuzzLBRelay(f *testing.F) {
 	for _, seed := range []string{
 		"HTTP/1.1 200 OK\r\nX-Janus-Status: ok\r\nContent-Length: 4\r\nContent-Type: text/plain; charset=utf-8\r\n\r\ntrue",
@@ -410,6 +430,7 @@ func FuzzLBRelay(f *testing.F) {
 		"HTTP/1.1 099 Low\r\nContent-Length: 4\r\n\r\ntrue",
 		"HTTP/1.1 200 OK\r\n X-Folded: 1\r\n\r\n",
 		"",
+		"HTTP/1.1 304 Not Modified\r\nDate: Sat, 03 Oct 2026 00:00:00 GMT\r\ndate: x\r\nContent-Length: 9\r\n\r\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -425,29 +446,45 @@ func FuzzLBRelay(f *testing.F) {
 	}
 	defer l.Close()
 	l.backends[0].pool.Close() // every exchange dials: each reply is a connection's first
-	req := httptest.NewRequest(http.MethodGet, "/qos?key=k", nil)
+	req := getRequest("/qos?key=k")
 	f.Fuzz(func(t *testing.T, data []byte) {
 		reply.Store(&data)
 		errs := l.Stats().BackendErrors
-		rec := httptest.NewRecorder()
-		l.proxy(rec, req)
-		got := rec.Result()
+		out := l.proxy(nil, req)
+		got, body, err := readReply(out)
+		if err != nil {
+			t.Fatalf("net/http cannot read the LB's reply %q: %v", out, err)
+		}
 		if l.Stats().BackendErrors != errs {
 			if got.StatusCode != http.StatusBadGateway {
 				t.Fatalf("back end failed, but the LB answered %d to %q", got.StatusCode, data)
 			}
 			return
 		}
-		want, body, ok := netHTTPReads(data)
+		want, wantBody, ok := netHTTPReads(data)
 		if !ok {
-			t.Fatalf("LB relayed %d %v %q from a reply net/http does not read: %q", got.StatusCode, got.Header, rec.Body.Bytes(), data)
+			t.Fatalf("LB relayed %q from a reply net/http does not read: %q", out, data)
 		}
+		length := []string{strconv.Itoa(len(body))}
+		if got.StatusCode == http.StatusNoContent || got.StatusCode == http.StatusNotModified {
+			length = nil
+		}
+		if cl := got.Header["Content-Length"]; strings.Join(cl, ",") != strings.Join(length, ",") || got.TransferEncoding != nil {
+			t.Fatalf("LB framed a %d-byte body with Content-Length %q, Transfer-Encoding %q: %q", len(body), cl, got.TransferEncoding, out)
+		}
+		got.Header.Del("Content-Length")
 		for _, name := range hopByHop {
 			want.Header.Del(name)
 		}
-		if got.StatusCode != want.StatusCode || !equalHeaders(got.Header, want.Header) || !bytes.Equal(rec.Body.Bytes(), body) {
+		if want.Header["Date"] == nil {
+			if len(got.Header["Date"]) != 1 {
+				t.Fatalf("LB added Date %q to a reply without one: %q", got.Header["Date"], out)
+			}
+			got.Header.Del("Date")
+		}
+		if got.StatusCode != want.StatusCode || !equalHeaders(got.Header, want.Header) || !bytes.Equal(body, wantBody) {
 			t.Fatalf("LB relayed %d %v %q; net/http reads %d %v %q from %q",
-				got.StatusCode, got.Header, rec.Body.Bytes(), want.StatusCode, want.Header, body, data)
+				got.StatusCode, got.Header, body, want.StatusCode, want.Header, wantBody, data)
 		}
 	})
 }

@@ -23,9 +23,18 @@
 // The UDP exchange uses the 100 µs/5-retry discipline of
 // internal/transport; when all retries are exhausted the router answers
 // with a configurable default reply (§III-B).
+//
+// The HTTP side is internal/h1's server, not net/http's. The router serves
+// GET /qos?key=K[&cost=N], whose key and cost are parsed straight from the
+// request-URI bytes (wire.ParseHTTPRawQuery), and GET /healthz. Any other
+// method gets 405 and a request with a body 400. A verdict's reply is the
+// status line, precomputed header text (Content-Type and X-Janus-Status;
+// X-Janus-Spans only when traced), Date, Content-Length and the body "true"
+// or "false".
 package router
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -39,6 +48,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/events"
 	"repro/internal/failpoint"
+	"repro/internal/h1"
 	"repro/internal/lease"
 	"repro/internal/membership"
 	"repro/internal/metrics"
@@ -156,7 +166,7 @@ type routeState struct {
 type Router struct {
 	cfg    Config
 	ln     net.Listener
-	server *http.Server
+	server *h1.Server
 	picker membership.Picker
 	logger *log.Logger
 
@@ -343,18 +353,7 @@ func New(cfg Config) (*Router, error) {
 	})
 	initial := membership.View{Epoch: 0, Backends: append([]string(nil), cfg.Backends...)}
 	r.state.Store(r.buildState(initial, nil))
-	mux := http.NewServeMux()
-	mux.HandleFunc(wire.HTTPPath, r.handleQoS)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		io.WriteString(w, "ok")
-	})
-	r.server = &http.Server{Handler: mux}
-	r.wg.Add(1)
-	go func() {
-		defer r.wg.Done()
-		r.server.Serve(ln)
-	}()
+	r.server = h1.Serve(ln, r.serve)
 	if r.audit != nil {
 		r.wg.Add(1)
 		go r.auditLoop()
@@ -468,18 +467,37 @@ func (r *Router) Addr() string { return r.ln.Addr().String() }
 // current view.
 func (r *Router) NumBackends() int { return len(r.state.Load().backends) }
 
-func (r *Router) handleQoS(w http.ResponseWriter, req *http.Request) {
+// serve answers GET /qos and GET /healthz; any other method gets 405.
+func (r *Router) serve(out []byte, req *h1.Request) []byte {
+	path, query := req.URI, []byte(nil)
+	if q := bytes.IndexByte(path, '?'); q >= 0 {
+		path, query = path[:q], path[q+1:]
+	}
+	switch {
+	case string(path) != wire.HTTPPath && string(path) != "/healthz":
+		return h1.AppendText(out, req, http.StatusNotFound, "", "404 page not found\n")
+	case string(req.Method) != http.MethodGet:
+		return h1.AppendText(out, req, http.StatusMethodNotAllowed, "Allow: GET\r\n", "router: only GET is served\n")
+	case req.Body:
+		r.badRequests.Inc()
+		return h1.AppendText(out, req, http.StatusBadRequest, "", "router: a GET has no body\n")
+	case string(path) == "/healthz":
+		return h1.AppendText(out, req, http.StatusOK, "", "ok")
+	}
+	return r.handleQoS(out, req, query)
+}
+
+func (r *Router) handleQoS(out []byte, req *h1.Request, query []byte) []byte {
 	start := time.Now()
-	qreq, err := wire.ParseHTTPQuery(req.URL.Query())
+	qreq, err := wire.ParseHTTPRawQuery(query)
 	if err != nil {
 		r.badRequests.Inc()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return h1.AppendText(out, req, http.StatusBadRequest, "", err.Error()+"\n")
 	}
 	// A trace started upstream (the LB) arrives in the header; without one
 	// the router's own sampler may start a trace — one atomic load when
 	// sampling is disabled.
-	if id, perr := trace.ParseID(req.Header.Get(trace.Header)); perr == nil && id != 0 {
+	if id, perr := trace.ParseID(string(req.Trace)); perr == nil && id != 0 {
 		qreq.TraceID = id
 	} else if id, ok := r.tracer.Sample(); ok {
 		qreq.TraceID = id
@@ -488,14 +506,29 @@ func (r *Router) handleQoS(w http.ResponseWriter, req *http.Request) {
 	r.requests.Inc()
 	d := time.Since(start)
 	r.latency.RecordDuration(d)
+	head := statusHead(resp.Status)
 	if qreq.TraceID != 0 {
 		spans := r.buildSpans(qreq, resp, info, start, d)
-		w.Header().Set(trace.SpanHeader, trace.EncodeSpans(spans))
+		head += trace.SpanHeader + ": " + trace.EncodeSpans(spans) + "\r\n"
 		r.tracer.Record(&trace.Trace{ID: trace.HexID(qreq.TraceID), Spans: spans})
 	}
-	w.Header().Set(wire.HTTPStatusHeader, resp.Status.String())
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, wire.FormatHTTPBody(resp.Allow))
+	return h1.AppendText(out, req, http.StatusOK, head, wire.FormatHTTPBody(resp.Allow))
+}
+
+// statusHeads holds the X-Janus-Status line of each status a QoS server
+// sends.
+var statusHeads = func() (h [wire.StatusDegraded + 1]string) {
+	for s := range h {
+		h[s] = wire.HTTPStatusHeader + ": " + wire.Status(s).String() + "\r\n"
+	}
+	return h
+}()
+
+func statusHead(s wire.Status) string {
+	if int(s) < len(statusHeads) {
+		return statusHeads[s]
+	}
+	return wire.HTTPStatusHeader + ": " + s.String() + "\r\n"
 }
 
 // buildSpans assembles the router's span (with the retry count that

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"math"
+	"net/url"
 	"strings"
 	"testing"
 )
@@ -121,6 +122,24 @@ func FuzzAppendHTTPQuery(f *testing.F) {
 	f.Add("", math.Inf(1))
 	f.Fuzz(func(t *testing.T, key string, cost float64) {
 		checkHTTPQuery(t, key, cost)
+	})
+}
+
+// FuzzParseHTTPRawQuery: on any raw query, ParseHTTPRawQuery returns what
+// ParseHTTPQuery returns after url.ParseQuery, the pair the router's net/http
+// handler used.
+func FuzzParseHTTPRawQuery(f *testing.F) {
+	for _, c := range httpQueries {
+		f.Add(c.query)
+	}
+	f.Add("key=%41%2b+&cost=1e-3&key=x")
+	f.Fuzz(func(t *testing.T, query string) {
+		values, _ := url.ParseQuery(query)
+		want, wantErr := ParseHTTPQuery(values)
+		got, err := ParseHTTPRawQuery([]byte(query))
+		if (err == nil) != (wantErr == nil) || got != want {
+			t.Fatalf("ParseHTTPRawQuery(%q) = %+v, %v; ParseHTTPQuery gives %+v, %v", query, got, err, want, wantErr)
+		}
 	})
 }
 

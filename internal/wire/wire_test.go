@@ -265,18 +265,64 @@ func TestHTTPQueryDefaultsCostToOne(t *testing.T) {
 	}
 }
 
+// httpQueries are raw queries with what both parsers must make of them; ok
+// false means an error. The non-finite costs were admitted as requests until
+// the validation became one helper.
+var httpQueries = []struct {
+	query string
+	want  Request
+	ok    bool
+}{
+	{query: "key=k", want: Request{Key: "k", Cost: 1}, ok: true},
+	{query: "cost=2.5&key=user+42%2Fdb", want: Request{Key: "user 42/db", Cost: 2.5}, ok: true},
+	{query: "key=k&cost=0", want: Request{Key: "k", Cost: 0}, ok: true},
+	{query: "key=k&cost=", want: Request{Key: "k", Cost: 1}, ok: true},
+	{query: "k%65y=a&key=b&cost=3&cost=x", want: Request{Key: "a", Cost: 3}, ok: true},
+	{query: "key=%zz&key=good", want: Request{Key: "good", Cost: 1}, ok: true},
+	{query: "key=a;b&key=c", want: Request{Key: "c", Cost: 1}, ok: true},
+	{query: "&&key=a#b&", want: Request{Key: "a#b", Cost: 1}, ok: true},
+	{query: ""},
+	{query: "cost=1"},
+	{query: "key=&key=k"},
+	{query: "key"},
+	{query: "key=k&cost=abc"},
+	{query: "key=k&cost=-1"},
+	{query: "key=k&cost=NaN"},
+	{query: "key=k&cost=Inf"},
+	{query: "key=k&cost=%2BInf"},
+	{query: "key=k&cost=infinity"},
+	{query: "key=k&cost=1e400"},
+	{query: "key=" + strings.Repeat("x", MaxKeyLen+1)},
+}
+
+// TestHTTPQueryErrors runs every query of httpQueries through ParseHTTPQuery,
+// after url.ParseQuery as the router's net/http handler did, and through
+// ParseHTTPRawQuery.
 func TestHTTPQueryErrors(t *testing.T) {
-	if _, err := ParseHTTPQuery(url.Values{}); err == nil {
-		t.Error("missing key accepted")
+	for _, c := range httpQueries {
+		values, _ := url.ParseQuery(c.query)
+		got, err := ParseHTTPQuery(values)
+		raw, rawErr := ParseHTTPRawQuery([]byte(c.query))
+		for _, r := range []struct {
+			name string
+			req  Request
+			err  error
+		}{{"ParseHTTPQuery", got, err}, {"ParseHTTPRawQuery", raw, rawErr}} {
+			if (r.err == nil) != c.ok || c.ok && r.req != c.want {
+				t.Errorf("%s(%.40q) = %+v, %v; want %+v, ok %v", r.name, c.query, r.req, r.err, c.want, c.ok)
+			}
+		}
 	}
-	if _, err := ParseHTTPQuery(url.Values{HTTPKeyParam: {"k"}, HTTPCostParam: {"abc"}}); err == nil {
-		t.Error("bad cost accepted")
-	}
-	if _, err := ParseHTTPQuery(url.Values{HTTPKeyParam: {"k"}, HTTPCostParam: {"-1"}}); err == nil {
-		t.Error("negative cost accepted")
-	}
-	if _, err := ParseHTTPQuery(url.Values{HTTPKeyParam: {strings.Repeat("x", MaxKeyLen+1)}}); err == nil {
-		t.Error("oversized key accepted")
+}
+
+// TestParseHTTPRawQueryAllocs: the key's string is the one allocation,
+// escaped or not, with a cost or without.
+func TestParseHTTPRawQueryAllocs(t *testing.T) {
+	for _, query := range []string{"key=user-42", "cost=2.5&key=user+42%2F"} {
+		q := []byte(query)
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParseHTTPRawQuery(q) }); n != 1 {
+			t.Errorf("ParseHTTPRawQuery(%q) allocates %v times, want 1", query, n)
+		}
 	}
 }
 
