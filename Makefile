@@ -85,6 +85,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzClientResponse -fuzztime 10s ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzLBRelay -fuzztime 10s ./internal/lb/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
+	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql/
+	$(GO) test -run '^$$' -fuzz FuzzExecute -fuzztime 10s ./internal/minisql/
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
 # workloads through the client-visible path, the run a PR is judged on.

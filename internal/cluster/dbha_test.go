@@ -57,6 +57,55 @@ func TestDBHAFailover(t *testing.T) {
 	}
 }
 
+// TestSyncAfterDBFailover: the promoted standby numbers its change feed under
+// its own origin. Here it also lacks the master's last edits (replication
+// stopped first), so its sequence is behind the QoS server's cursor: only
+// the origin change, which forces a full reconcile, makes the next sync pass
+// apply a rule edited on it.
+func TestSyncAfterDBFailover(t *testing.T) {
+	c := newCluster(t, Config{
+		QoSServers: 1,
+		DBHA:       true,
+		HAInterval: 10 * time.Millisecond,
+		Rules:      rules(4, 0, 2),
+	})
+	q := c.QoS[0].Master
+	if ok, err := c.Check("user-0"); err != nil || !ok {
+		t.Fatalf("pre-failover: ok=%v err=%v", ok, err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := c.DBStandbyEngine.Execute(`SELECT COUNT(*) FROM qos_rules`)
+		if err == nil && res.Rows[0][0].AsInt() == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	c.dbReplica.Stop()
+	for i := 0; i < 10; i++ {
+		if err := c.Store.Put(bucket.Rule{Key: "user-3", RefillRate: 0, Capacity: float64(3 + i), Credit: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.SyncOnce()
+	if err := c.FailDB(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store.Put(bucket.Rule{Key: "user-0", RefillRate: 0, Capacity: 50, Credit: 50}); err != nil {
+		t.Fatalf("rule edit after failover: %v", err)
+	}
+	q.SyncOnce()
+	if b := q.Table().Get("user-0"); b == nil || b.Capacity() != 50 {
+		t.Fatalf("edit on the promoted standby not applied: %v", b)
+	}
+	if n := q.Registry().Counter("janus_qos_sync_reconciles_total", "").Value(); n != 2 {
+		t.Fatalf("%d reconciles, want 2 (first pass, new origin)", n)
+	}
+}
+
 func TestFailDBWithoutHA(t *testing.T) {
 	c := newCluster(t, Config{})
 	if err := c.FailDB(); err == nil {

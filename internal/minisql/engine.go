@@ -2,6 +2,7 @@ package minisql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,8 @@ type Result struct {
 	Rows [][]Value
 	// Affected counts rows written by INSERT/UPDATE/DELETE.
 	Affected int64
+	// Feed is set by SELECT CHANGES (changes.go) and nil otherwise.
+	Feed *Feed
 }
 
 // Engine is an in-memory SQL database. All methods are safe for concurrent
@@ -31,8 +34,11 @@ type Engine struct {
 
 	// writeMu serializes write statements so the journal order matches the
 	// order writes were applied — required for statement-shipping
-	// replication to converge. Reads are unaffected.
+	// replication to converge. Reads are unaffected. It also guards seq and
+	// origin, the change-feed numbering (changes.go).
 	writeMu sync.Mutex
+	seq     int64
+	origin  uint64
 }
 
 type tableData struct {
@@ -43,6 +49,7 @@ type tableData struct {
 	pkCol   int // -1 when the table has no primary key
 	rows    [][]Value
 	pkIndex map[Value]int // primary-key value -> index into rows
+	feed
 }
 
 // NewEngine returns an empty database.
@@ -50,6 +57,7 @@ func NewEngine() *Engine {
 	return &Engine{
 		tables:    make(map[string]*tableData),
 		stmtCache: make(map[string]Statement),
+		origin:    newOrigin(),
 	}
 }
 
@@ -100,7 +108,7 @@ func (e *Engine) Execute(sql string, args ...Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if _, isSelect := st.(SelectStmt); !isSelect {
+	if !readOnly(st) {
 		e.writeMu.Lock()
 		defer e.writeMu.Unlock()
 	}
@@ -112,6 +120,16 @@ func (e *Engine) Execute(sql string, args ...Value) (Result, error) {
 		e.emitJournal(sql, args)
 	}
 	return res, nil
+}
+
+// readOnly reports whether st only reads: it then runs beside writes, and a
+// standby serves it.
+func readOnly(st Statement) bool {
+	switch st.(type) {
+	case SelectStmt, ChangesStmt:
+		return true
+	}
+	return false
 }
 
 // bind resolves an expression against the placeholder argument list.
@@ -179,6 +197,9 @@ func (e *Engine) exec(st Statement, args []Value) (Result, bool, error) {
 	case SelectStmt:
 		res, err := e.selectRows(s, args)
 		return res, false, err
+	case ChangesStmt:
+		res, err := e.changes(s, args)
+		return res, false, err
 	case UpdateStmt:
 		n, err := e.update(s, args)
 		return Result{Affected: n}, err == nil && n > 0, err
@@ -201,28 +222,9 @@ func (e *Engine) getTable(name string) (*tableData, error) {
 }
 
 func (e *Engine) createTable(s CreateTableStmt) error {
-	if len(s.Columns) == 0 {
-		return fmt.Errorf("minisql: table %q has no columns", s.Name)
-	}
-	t := &tableData{
-		name:    strings.ToLower(s.Name),
-		schema:  s.Columns,
-		colIdx:  make(map[string]int, len(s.Columns)),
-		pkCol:   -1,
-		pkIndex: make(map[Value]int),
-	}
-	for i, c := range s.Columns {
-		lc := strings.ToLower(c.Name)
-		if _, dup := t.colIdx[lc]; dup {
-			return fmt.Errorf("minisql: duplicate column %q", c.Name)
-		}
-		t.colIdx[lc] = i
-		if c.PrimaryKey {
-			if t.pkCol >= 0 {
-				return fmt.Errorf("minisql: multiple primary keys in %q", s.Name)
-			}
-			t.pkCol = i
-		}
+	t, err := newTable(s.Name, s.Columns)
+	if err != nil {
+		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -232,8 +234,46 @@ func (e *Engine) createTable(s CreateTableStmt) error {
 		}
 		return fmt.Errorf("minisql: table %q already exists", s.Name)
 	}
+	e.start(t)
 	e.tables[t.name] = t
 	return nil
+}
+
+// newTable builds an empty table from its column definitions.
+func newTable(name string, cols []ColumnDef) (*tableData, error) {
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("minisql: table %q has no columns", name)
+	}
+	t := &tableData{
+		name:    strings.ToLower(name),
+		schema:  append([]ColumnDef(nil), cols...),
+		colIdx:  make(map[string]int, len(cols)),
+		pkCol:   -1,
+		pkIndex: make(map[Value]int),
+		feed:    feed{tombs: make(map[Value]int64)},
+	}
+	for i, c := range cols {
+		lc := strings.ToLower(c.Name)
+		if _, dup := t.colIdx[lc]; dup {
+			return nil, fmt.Errorf("minisql: duplicate column %q", c.Name)
+		}
+		t.colIdx[lc] = i
+		if c.PrimaryKey {
+			if t.pkCol >= 0 {
+				return nil, fmt.Errorf("minisql: multiple primary keys in %q", name)
+			}
+			t.pkCol = i
+		}
+	}
+	return t, nil
+}
+
+// start numbers a new table's creation, which is also its first horizon: a
+// cursor from before it (from a dropped table of the same name) is below
+// the horizon, so its reader re-reads the whole table. Caller holds writeMu.
+func (e *Engine) start(t *tableData) {
+	e.seq++
+	t.origin, t.head, t.horizon = e.origin, e.seq, e.seq
 }
 
 func (e *Engine) dropTable(s DropTableStmt) error {
@@ -283,10 +323,18 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var affected int64
-	for _, exprRow := range s.Rows {
+	// Bind, coerce and key-check every row before changing any: a statement
+	// that failed partway would leave rows behind that the journal never
+	// ships (it records only statements that succeed), splitting master and
+	// standby.
+	rows := make([][]Value, len(s.Rows))
+	var fresh map[Value]bool // keys an earlier row of this INSERT adds
+	if len(s.Rows) > 1 && !s.Replace {
+		fresh = make(map[Value]bool, len(s.Rows))
+	}
+	for r, exprRow := range s.Rows {
 		if len(exprRow) != len(pos) {
-			return affected, fmt.Errorf("minisql: row has %d values, want %d", len(exprRow), len(pos))
+			return 0, fmt.Errorf("minisql: row has %d values, want %d", len(exprRow), len(pos))
 		}
 		row := make([]Value, len(t.schema))
 		for i := range row {
@@ -295,33 +343,50 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 		for i, ex := range exprRow {
 			v, err := bind(ex, args, &next)
 			if err != nil {
-				return affected, err
+				return 0, err
 			}
 			cv, err := coerce(v, t.schema[pos[i]].Kind)
 			if err != nil {
-				return affected, err
+				return 0, err
 			}
 			row[pos[i]] = cv
 		}
 		if t.pkCol >= 0 {
 			pk := row[t.pkCol]
 			if pk.IsNull() {
-				return affected, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
+				return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
 			}
-			if existing, dup := t.pkIndex[pk]; dup {
-				if !s.Replace {
-					return affected, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
-				}
-				t.rows[existing] = row
-				affected++
-				continue
+			if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.Replace {
+				return 0, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
 			}
-			t.pkIndex[pk] = len(t.rows)
+			if fresh != nil {
+				fresh[pk] = true
+			}
 		}
-		t.rows = append(t.rows, row)
-		affected++
+		rows[r] = row
 	}
-	return affected, nil
+	for _, row := range rows {
+		ri, dup := -1, false
+		if t.pkCol >= 0 {
+			ri, dup = t.pkIndex[row[t.pkCol]]
+		}
+		if dup {
+			if slices.Equal(t.rows[ri], row) {
+				continue // the same values again: nothing changed
+			}
+			t.rows[ri] = row
+		} else {
+			ri = len(t.rows)
+			if t.pkCol >= 0 {
+				t.pkIndex[row[t.pkCol]] = ri
+			}
+			t.rows = append(t.rows, row)
+			t.seqs = append(t.seqs, 0)
+		}
+		e.seq++
+		t.stamp(ri, e.seq)
+	}
+	return int64(len(rows)), nil
 }
 
 // candidateRows returns the indexes of rows matching the bound conditions,
@@ -485,24 +550,45 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var affected int64
-	for _, ri := range idxs {
-		for _, sv := range sets {
-			if sv.col == t.pkCol {
-				old := t.rows[ri][t.pkCol]
-				if !Equal(old, sv.val) {
-					if _, dup := t.pkIndex[sv.val]; dup {
-						return affected, fmt.Errorf("minisql: duplicate primary key %s", sv.val)
-					}
-					delete(t.pkIndex, old)
-					t.pkIndex[sv.val] = ri
-				}
+	// A new primary key is checked before any row changes, for the reason
+	// insert gives: it must be free, and only one row can take it.
+	for _, sv := range sets {
+		if sv.col != t.pkCol {
+			continue
+		}
+		for _, ri := range idxs {
+			if Equal(t.rows[ri][t.pkCol], sv.val) {
+				continue
 			}
+			if _, dup := t.pkIndex[sv.val]; dup || len(idxs) > 1 {
+				return 0, fmt.Errorf("minisql: duplicate primary key %s", sv.val)
+			}
+		}
+	}
+	for _, ri := range idxs {
+		var old Value
+		if t.pkCol >= 0 {
+			old = t.rows[ri][t.pkCol]
+		}
+		changed := false
+		for _, sv := range sets {
+			changed = changed || t.rows[ri][sv.col] != sv.val
 			t.rows[ri][sv.col] = sv.val
 		}
-		affected++
+		if !changed {
+			continue // the same values again: nothing to number
+		}
+		if t.pkCol >= 0 && !Equal(old, t.rows[ri][t.pkCol]) {
+			// The row moved to another key: the old one reads as deleted.
+			delete(t.pkIndex, old)
+			t.pkIndex[t.rows[ri][t.pkCol]] = ri
+			e.seq++
+			t.bury(old, e.seq)
+		}
+		e.seq++
+		t.stamp(ri, e.seq)
 	}
-	return affected, nil
+	return int64(len(idxs)), nil
 }
 
 func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
@@ -529,16 +615,20 @@ func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
 	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
 	for _, ri := range idxs {
 		last := len(t.rows) - 1
+		var pk Value
 		if t.pkCol >= 0 {
-			delete(t.pkIndex, t.rows[ri][t.pkCol])
+			pk = t.rows[ri][t.pkCol]
+			delete(t.pkIndex, pk)
 		}
 		if ri != last {
-			t.rows[ri] = t.rows[last]
+			t.rows[ri], t.seqs[ri] = t.rows[last], t.seqs[last]
 			if t.pkCol >= 0 {
 				t.pkIndex[t.rows[ri][t.pkCol]] = ri
 			}
 		}
-		t.rows = t.rows[:last]
+		t.rows, t.seqs = t.rows[:last], t.seqs[:last]
+		e.seq++
+		t.bury(pk, e.seq)
 	}
 	return int64(len(idxs)), nil
 }

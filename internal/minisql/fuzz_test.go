@@ -16,6 +16,9 @@ func FuzzParse(f *testing.F) {
 		"select key from qos_rules",
 		"'unterminated",
 		"SELECT * FROM t WHERE a = $1",
+		"SELECT CHANGES FROM qos_rules SINCE ?",
+		"select changes from t since 0;",
+		"SELECT CHANGES FROM t SINCE",
 	} {
 		f.Add(seed)
 	}
@@ -28,12 +31,17 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzExecute: executing arbitrary SQL against a live engine must never
-// panic or corrupt the PK index (checked via a follow-up point query).
+// panic or corrupt the PK index (checked via a follow-up point query), and
+// the change feed from cursor 0 must still list every row once, in sequence
+// order.
 func FuzzExecute(f *testing.F) {
 	f.Add("INSERT INTO qos_rules VALUES ('a', 1, 2, 3)")
 	f.Add("SELECT * FROM qos_rules")
 	f.Add("DELETE FROM qos_rules WHERE key = 'a'")
 	f.Add("DROP TABLE qos_rules")
+	f.Add("SELECT CHANGES FROM qos_rules SINCE 1")
+	f.Add("REPLACE INTO qos_rules VALUES ('a', 1, 2, 3), ('seed', 'x', 1, 1)")
+	f.Add("UPDATE qos_rules SET key = 'b' WHERE key = 'seed'")
 	f.Fuzz(func(t *testing.T, sql string) {
 		e := NewEngine()
 		if _, err := e.Execute(`CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`); err != nil {
@@ -51,6 +59,27 @@ func FuzzExecute(f *testing.F) {
 		}
 		if len(res.Rows) > 1 {
 			t.Fatalf("PK index corrupted: %d rows for one key", len(res.Rows))
+		}
+		feed, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE 0`)
+		if err != nil {
+			t.Fatalf("change feed: %v", err)
+		}
+		count, _ := e.Execute(`SELECT COUNT(*) FROM qos_rules`)
+		live, last := int64(0), int64(0)
+		for _, row := range feed.Rows {
+			if seq := row[0].AsInt(); seq <= last || seq > feed.Feed.Head {
+				t.Fatalf("feed entry %v out of order (previous %d, head %d)", row, last, feed.Feed.Head)
+			}
+			last = row[0].AsInt()
+			if row[1].AsInt() == 0 {
+				live++
+			}
+		}
+		if feed.Feed.Next != feed.Feed.Head {
+			t.Fatalf("one page of %d entries says more follow from %d (head %d)", len(feed.Rows), feed.Feed.Next, feed.Feed.Head)
+		}
+		if live != count.Rows[0][0].AsInt() {
+			t.Fatalf("feed lists %d rows, table holds %d", live, count.Rows[0][0].AsInt())
 		}
 	})
 }

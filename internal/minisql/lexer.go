@@ -32,7 +32,7 @@ var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
 	"UPDATE": true, "SET": true, "DELETE": true, "DROP": true,
-	"COUNT": true, "NULL": true, "OR": true,
+	"COUNT": true, "NULL": true, "OR": true, "CHANGES": true, "SINCE": true,
 }
 
 // lex tokenizes a SQL string. It returns an error with position context on

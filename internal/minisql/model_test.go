@@ -22,10 +22,19 @@ func waitFor(t *testing.T, cond func() bool) {
 // Model-based test: a long random stream of INSERT/REPLACE/UPDATE/DELETE/
 // SELECT against the engine must agree with a plain Go map model at every
 // step. This is the strongest single check on the storage engine + PK
-// index interplay (swap-deletes, upserts, coerced keys).
+// index interplay (swap-deletes, upserts, coerced keys). The model also
+// numbers every write and delete, and the change feed from a random earlier
+// cursor must hold exactly each key's latest write or delete after it.
 
 type modelRow struct {
 	rate, capacity, credit float64
+}
+
+// modelChange is a key's latest write (or delete) and its sequence number.
+type modelChange struct {
+	seq  int64
+	row  modelRow
+	gone bool
 }
 
 func TestEngineAgreesWithMapModel(t *testing.T) {
@@ -34,12 +43,28 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := map[string]modelRow{}
+	changes := map[string]modelChange{}
+	seq := int64(1) // CREATE TABLE took number 1
+	// write applies one write (live) or delete to the model. Like the engine,
+	// it numbers only a write that changes something.
+	write := func(k string, r modelRow, live bool) {
+		if old, had := model[k]; live == had && (!live || old == r) {
+			return
+		}
+		seq++
+		if live {
+			model[k] = r
+		} else {
+			delete(model, k)
+		}
+		changes[k] = modelChange{seq, r, !live}
+	}
 	rng := rand.New(rand.NewSource(2024))
 	keyOf := func() string { return fmt.Sprintf("k%d", rng.Intn(200)) }
 
 	for step := 0; step < 20000; step++ {
 		k := keyOf()
-		switch rng.Intn(6) {
+		switch rng.Intn(7) {
 		case 0: // INSERT (may conflict)
 			r := modelRow{float64(rng.Intn(100)), float64(rng.Intn(1000)), float64(rng.Intn(1000))}
 			_, err := e.Execute(`INSERT INTO qos_rules VALUES (?, ?, ?, ?)`,
@@ -52,17 +77,23 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: insert %s failed: %v", step, k, err)
 				}
-				model[k] = r
+				write(k, r, true)
 			}
-		case 1: // REPLACE (upsert)
+		case 1: // REPLACE (upsert), a quarter of them with the values already there
 			r := modelRow{float64(rng.Intn(100)), float64(rng.Intn(1000)), float64(rng.Intn(1000))}
+			if old, ok := model[k]; ok && rng.Intn(4) == 0 {
+				r = old
+			}
 			if _, err := e.Execute(`REPLACE INTO qos_rules VALUES (?, ?, ?, ?)`,
 				Text(k), Float(r.rate), Float(r.capacity), Float(r.credit)); err != nil {
 				t.Fatalf("step %d: replace: %v", step, err)
 			}
-			model[k] = r
-		case 2: // UPDATE credit
+			write(k, r, true)
+		case 2: // UPDATE credit, a quarter of them to the credit already there
 			c := float64(rng.Intn(1000))
+			if old, ok := model[k]; ok && rng.Intn(4) == 0 {
+				c = old.credit
+			}
 			res, err := e.Execute(`UPDATE qos_rules SET credit = ? WHERE key = ?`, Float(c), Text(k))
 			if err != nil {
 				t.Fatalf("step %d: update: %v", step, err)
@@ -72,7 +103,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 					t.Fatalf("step %d: update affected %d, want 1", step, res.Affected)
 				}
 				r.credit = c
-				model[k] = r
+				write(k, r, true)
 			} else if res.Affected != 0 {
 				t.Fatalf("step %d: update of ghost affected %d", step, res.Affected)
 			}
@@ -85,7 +116,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			if (res.Affected == 1) != exists {
 				t.Fatalf("step %d: delete affected %d, exists %v", step, res.Affected, exists)
 			}
-			delete(model, k)
+			write(k, modelRow{}, false)
 		case 4: // SELECT point
 			res, err := e.Execute(`SELECT refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, Text(k))
 			if err != nil {
@@ -108,6 +139,41 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			}
 			if got := res.Rows[0][0].AsInt(); got != int64(len(model)) {
 				t.Fatalf("step %d: count %d != model %d", step, got, len(model))
+			}
+		case 6: // change feed
+			since := rng.Int63n(seq + 1)
+			res, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE ?`, Int(since))
+			if err != nil {
+				t.Fatalf("step %d: changes: %v", step, err)
+			}
+			if res.Feed.Head != seq || res.Feed.Next != seq { // 200 keys fit one page
+				t.Fatalf("step %d: feed head %d, next %d; model %d", step, res.Feed.Head, res.Feed.Next, seq)
+			}
+			if res.Feed.Horizon > since {
+				continue // truncated: the reader re-reads the table instead
+			}
+			want := 0
+			for _, c := range changes {
+				if c.seq > since {
+					want++
+				}
+			}
+			if len(res.Rows) != want {
+				t.Fatalf("step %d: feed since %d has %d entries, model %d", step, since, len(res.Rows), want)
+			}
+			last := since
+			for _, row := range res.Rows {
+				c, ok := changes[row[2].AsText()]
+				if got := row[0].AsInt(); !ok || got != c.seq || got <= last {
+					t.Fatalf("step %d: feed entry %v out of order or not the latest (model %+v, previous %d)", step, row, c, last)
+				}
+				last = c.seq
+				if gone := row[1].AsInt() == 1; gone != c.gone {
+					t.Fatalf("step %d: feed entry %v deleted=%v, model %v", step, row, gone, c.gone)
+				}
+				if !c.gone && (row[3].AsFloat() != c.row.rate || row[4].AsFloat() != c.row.capacity || row[5].AsFloat() != c.row.credit) {
+					t.Fatalf("step %d: feed row %v != model %v", step, row, c.row)
+				}
 			}
 		}
 	}

@@ -431,6 +431,9 @@ func (p *parser) whereClause() ([]Cond, error) {
 }
 
 func (p *parser) selectStmt() (Statement, error) {
+	if p.acceptKeyword("CHANGES") {
+		return p.changes()
+	}
 	st := SelectStmt{Limit: -1}
 	switch {
 	case p.acceptSymbol("*"):
@@ -498,6 +501,25 @@ func (p *parser) selectStmt() (Statement, error) {
 		st.Limit = n
 	}
 	return st, nil
+}
+
+// changes parses the rest of SELECT CHANGES FROM t SINCE expr.
+func (p *parser) changes() (Statement, error) {
+	if err := p.expectKeyword("FROM"); err != nil {
+		return nil, err
+	}
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectKeyword("SINCE"); err != nil {
+		return nil, err
+	}
+	since, err := p.expr()
+	if err != nil {
+		return nil, err
+	}
+	return ChangesStmt{Table: name, Since: since}, nil
 }
 
 func (p *parser) update() (Statement, error) {

@@ -264,9 +264,5 @@ func (s *Server) streamReplication(enc *gob.Encoder, encMu *sync.Mutex) {
 // treated as a write so the standby rejects it conservatively.
 func isWriteSQL(e *Engine, sql string) bool {
 	st, err := e.parseCached(sql)
-	if err != nil {
-		return true
-	}
-	_, isSelect := st.(SelectStmt)
-	return !isSelect
+	return err != nil || !readOnly(st)
 }

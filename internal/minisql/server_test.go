@@ -197,6 +197,50 @@ func TestReplicationSnapshotAndStream(t *testing.T) {
 	}
 }
 
+// TestFailedWriteChangesNothing: a statement that fails on a later row must
+// leave every earlier row unwritten. The journal ships only statements that
+// succeed, so a partial write would stay on the master and never reach the
+// standby.
+func TestFailedWriteChangesNothing(t *testing.T) {
+	srv, master := startServer(t)
+	mustExec(t, master, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
+	mustExec(t, master, `INSERT INTO qos_rules VALUES ('x', 1, 1, 1), ('y', 1, 1, 1)`)
+	standby := NewEngine()
+	rep := NewReplica(standby)
+	if err := rep.Follow(srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	head := mustExec(t, master, `SELECT CHANGES FROM qos_rules SINCE 0`).Feed.Head
+
+	for _, sql := range []string{
+		`REPLACE INTO qos_rules VALUES ('a', 1, 1, 1), ('b', 'not-a-number', 1, 1)`,
+		`INSERT INTO qos_rules VALUES ('c', 1, 1, 1), ('c', 2, 2, 2)`,
+		`INSERT INTO qos_rules VALUES ('d', 1, 1, 1), ('x', 2, 2, 2)`,
+		`INSERT INTO qos_rules VALUES ('e', 1, 1, 1), (NULL, 1, 1, 1)`,
+		`INSERT INTO qos_rules VALUES ('f', 1, 1, 1), (?, 1, 1, 1)`,
+		`UPDATE qos_rules SET key = 'z', credit = 9`,
+		`UPDATE qos_rules SET credit = 9, key = 'y' WHERE key = 'x'`,
+	} {
+		if _, err := master.Execute(sql); err == nil {
+			t.Fatalf("%s succeeded", sql)
+		}
+	}
+	if feed := mustExec(t, master, `SELECT CHANGES FROM qos_rules SINCE 0`).Feed; feed.Head != head {
+		t.Fatalf("failed statements moved the feed head %d -> %d", head, feed.Head)
+	}
+	mustExec(t, master, `REPLACE INTO qos_rules VALUES ('ok', 1, 1, 1)`)
+	waitFor(t, func() bool { n, _ := standby.RowCount("qos_rules"); return n == 3 })
+	if n := rep.Applied(); n != 1 {
+		t.Fatalf("standby applied %d journaled statements, want 1 (failed statements were journaled)", n)
+	}
+	const all = `SELECT key, refill_rate, capacity, credit FROM qos_rules ORDER BY key`
+	m, s := mustExec(t, master, all), mustExec(t, standby, all)
+	if fmt.Sprint(m.Rows) != fmt.Sprint(s.Rows) || len(m.Rows) != 3 {
+		t.Fatalf("master %v, standby %v; want x, y and ok on both", m.Rows, s.Rows)
+	}
+}
+
 func TestReplicaPromote(t *testing.T) {
 	srv, master := startServer(t)
 	if _, err := master.Execute(`CREATE TABLE t (id INT PRIMARY KEY)`); err != nil {

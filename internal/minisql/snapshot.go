@@ -49,53 +49,52 @@ func (e *Engine) tableNamesLocked() []string {
 	return out
 }
 
-// Restore replaces the engine's entire contents with the snapshot.
+// Restore replaces the engine's entire contents with the snapshot. The
+// engine takes a fresh origin and renumbers every restored row, so a
+// change-feed cursor from before the restore reads as foreign.
 func (e *Engine) Restore(snap SnapshotData) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	origin := e.origin
+	e.origin = newOrigin()
 	tables := make(map[string]*tableData, len(snap.Tables))
 	for _, ts := range snap.Tables {
-		t := &tableData{
-			name:    ts.Name,
-			schema:  append([]ColumnDef(nil), ts.Schema...),
-			colIdx:  make(map[string]int, len(ts.Schema)),
-			pkCol:   -1,
-			pkIndex: make(map[Value]int, len(ts.Rows)),
-			rows:    make([][]Value, len(ts.Rows)),
+		t, err := newTable(ts.Name, ts.Schema)
+		if err == nil {
+			err = e.restoreRows(t, ts.Rows)
 		}
-		for i, c := range ts.Schema {
-			t.colIdx[lower(c.Name)] = i
-			if c.PrimaryKey {
-				t.pkCol = i
-			}
-		}
-		for i, r := range ts.Rows {
-			if len(r) != len(ts.Schema) {
-				return fmt.Errorf("minisql: snapshot row arity mismatch in %q", ts.Name)
-			}
-			t.rows[i] = append([]Value(nil), r...)
-			if t.pkCol >= 0 {
-				pk := t.rows[i][t.pkCol]
-				if _, dup := t.pkIndex[pk]; dup {
-					return fmt.Errorf("minisql: snapshot has duplicate primary key %s in %q", pk, ts.Name)
-				}
-				t.pkIndex[pk] = i
-			}
+		if err != nil {
+			e.origin = origin
+			return err
 		}
 		tables[t.name] = t
 	}
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
 	e.mu.Lock()
 	e.tables = tables
 	e.mu.Unlock()
 	return nil
 }
 
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
+func (e *Engine) restoreRows(t *tableData, rows [][]Value) error {
+	e.start(t)
+	t.rows = make([][]Value, 0, len(rows))
+	t.seqs = make([]int64, 0, len(rows))
+	for _, r := range rows {
+		if len(r) != len(t.schema) {
+			return fmt.Errorf("minisql: snapshot row arity mismatch in %q", t.name)
 		}
+		ri := len(t.rows)
+		t.rows = append(t.rows, append([]Value(nil), r...))
+		t.seqs = append(t.seqs, 0)
+		if t.pkCol >= 0 {
+			pk := r[t.pkCol]
+			if _, dup := t.pkIndex[pk]; dup {
+				return fmt.Errorf("minisql: snapshot has duplicate primary key %s in %q", pk, t.name)
+			}
+			t.pkIndex[pk] = ri
+		}
+		e.seq++
+		t.stamp(ri, e.seq)
 	}
-	return string(b)
+	return nil
 }

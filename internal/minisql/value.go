@@ -6,6 +6,10 @@
 //   - a typed storage engine (tables, rows, primary-key hash index),
 //   - a SQL subset — CREATE TABLE, INSERT [OR REPLACE], SELECT (with WHERE
 //     conjunctions, ORDER BY, LIMIT), UPDATE, DELETE — with ?-placeholders,
+//     each statement atomic,
+//   - a per-table change feed, SELECT CHANGES FROM t SINCE ?, over
+//     sequence-numbered writes and a bounded set of delete tombstones
+//     (changes.go),
 //   - a length-prefixed TCP wire protocol with a pooled client,
 //   - master/standby replication with statement shipping and promotion,
 //     mirroring the Multi-AZ RDS failover behaviour the paper relies on.
@@ -13,7 +17,8 @@
 // The paper's access pattern is: a full-table scan at warm-up ("SELECT *
 // FROM qos_rules"), point reads on the primary key when a QoS server sees a
 // new key, and periodic point writes for checkpointing. All of these hit the
-// PK fast path.
+// PK fast path. Rule sync reads the change feed, which costs the rows changed
+// since its cursor (checkpointed credits included) rather than the table.
 package minisql
 
 import (

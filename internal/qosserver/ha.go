@@ -186,6 +186,7 @@ func (s *Server) applySnapshot(entries []haEntry) {
 			s.defaults.Delete(e.Rule.Key)
 		}
 	}
+	s.fromPeer.Store(true) // as applyHandoffEntries
 }
 
 // Replicator runs on a slave node, pulling the master's table at a fixed

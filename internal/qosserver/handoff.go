@@ -164,4 +164,7 @@ func (s *Server) applyHandoffEntries(entries []haEntry) {
 			s.defaults.Delete(e.Rule.Key)
 		}
 	}
+	// The sender's rules may predate edits this server's sync cursor has
+	// already passed.
+	s.fromPeer.Store(true)
 }

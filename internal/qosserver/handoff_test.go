@@ -8,26 +8,19 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/minisql"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
 
 func newHandoffServer(t *testing.T, rules ...bucket.Rule) *Server {
 	t.Helper()
-	db := store.New(minisql.NewEngine())
-	if err := db.Init(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.PutAll(rules); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Addr: "127.0.0.1:0", Store: db, ReplicationAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return s
+	return newPeer(t, newDB(t, rules...))
+}
+
+// newPeer starts a server with a replication listener on db.
+func newPeer(t *testing.T, db *store.Store) *Server {
+	t.Helper()
+	return newServer(t, Config{Store: db, ReplicationAddr: "127.0.0.1:0"})
 }
 
 // TestRebalanceMovesCreditsToNewOwner hands half the keys of one server to
@@ -157,6 +150,61 @@ func TestRebalanceDefaultFlagTravels(t *testing.T) {
 	}
 	if _, stillThere := src.defaults.Load("ghost"); stillThere {
 		t.Fatal("default flag not cleared on source")
+	}
+}
+
+// TestSyncAfterPeerInstall: rules that a handoff or an HA snapshot installs
+// are as current as the sender's sync cursor. Here the receiver's cursor has
+// already passed an edit and a purchase the sender never synced, so only the
+// reconcile its next pass runs brings them in.
+func TestSyncAfterPeerInstall(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		install func(from, to *Server) error
+	}{
+		{"handoff", func(from, to *Server) error {
+			moved, err := from.Rebalance(func(string) string { return to.ReplicationAddr() })
+			if err == nil && moved != 2 {
+				err = fmt.Errorf("moved %d entries, want 2", moved)
+			}
+			return err
+		}},
+		{"ha snapshot", func(from, to *Server) error {
+			return NewReplicator(to, from.ReplicationAddr(), time.Hour).PullOnce()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newDB(t, bucket.Rule{Key: "edited", RefillRate: 0, Capacity: 10, Credit: 10})
+			from, to := newPeer(t, db), newPeer(t, db)
+			from.Decide(wire.Request{Key: "edited", Cost: 1})
+			from.Decide(wire.Request{Key: "bought", Cost: 1}) // a default-rule key
+			from.SyncOnce()
+			to.SyncOnce()
+
+			if err := db.PutAll([]bucket.Rule{
+				{Key: "edited", RefillRate: 0, Capacity: 50, Credit: 50},
+				{Key: "bought", RefillRate: 0, Capacity: 7, Credit: 7},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			to.SyncOnce() // holds neither key: its cursor passes both edits
+			if err := tc.install(from, to); err != nil {
+				t.Fatal(err)
+			}
+			if b := to.Table().Get("edited"); b == nil || b.Capacity() != 10 {
+				t.Fatalf("precondition: the sender's stale rule was not installed: %v", b)
+			}
+			to.SyncOnce()
+			if b := to.Table().Get("edited"); b.Capacity() != 50 {
+				t.Fatalf("edited rule still has capacity %v after the pass", b.Capacity())
+			}
+			if _, isDefault := to.defaults.Load("bought"); isDefault || to.Table().Get("bought").Capacity() != 7 {
+				t.Fatal("purchased key still on the default rule after the pass")
+			}
+			if _, r := syncCounters(to); r != 2 {
+				t.Fatalf("%d reconciles, want 2 (first pass, peer install)", r)
+			}
+		})
 	}
 }
 

@@ -13,8 +13,8 @@
 //     whether the router receives it (the router retries). A CoDel
 //     controller on the FIFO's sojourn (codel.go) has them answer with the
 //     degraded-mode default instead while a standing queue persists;
-//   - the system-maintenance goroutine re-querying the database for rule
-//     updates at a configurable interval;
+//   - the system-maintenance goroutine pulling rule edits from the
+//     database's change feed at a configurable interval;
 //   - the checkpoint goroutine writing current credits back to the
 //     database at a configurable interval;
 //   - the high-availability listener serving the local table to a slave
@@ -212,6 +212,18 @@ type Server struct {
 	// stop taking new traffic before it enforces very old ones).
 	lastSyncNs atomic.Int64
 
+	// syncMu runs SyncOnce passes one at a time and guards the change-feed
+	// cursor: every edit up to syncSeq of the database sequence named
+	// syncOrigin has been applied. syncOrigin 0 means no cursor yet.
+	syncMu     sync.Mutex
+	syncOrigin uint64
+	syncSeq    int64
+	// fromPeer is set when a handoff or an HA snapshot installed rules from
+	// a peer's table. They are as current as the peer's cursor, not this
+	// server's, and edits the cursor has passed would never be read again,
+	// so the next pass reconciles.
+	fromPeer atomic.Bool
+
 	registry *metrics.Registry
 	tracer   *trace.Recorder
 
@@ -226,6 +238,9 @@ type Server struct {
 	defaultHit *metrics.Counter
 	dbErrors   *metrics.Counter
 	sendErrors *metrics.Counter
+
+	syncQueries    *metrics.Counter
+	syncReconciles *metrics.Counter
 
 	leases       *lease.Manager // nil when leasing is disabled
 	leaseGrants  *metrics.Counter
@@ -345,6 +360,8 @@ func New(cfg Config) (*Server, error) {
 		defaultHit:      reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
 		dbErrors:        reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
 		sendErrors:      reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
+		syncQueries:     reg.Counter("janus_qos_sync_queries_total", "change-feed pages rule sync read from the database"),
+		syncReconciles:  reg.Counter("janus_qos_sync_reconciles_total", "rule-sync passes that re-read the whole rules table (first pass, database origin changed, or deletes after the cursor forgotten)"),
 		quit:            make(chan struct{}),
 		logger:          logger,
 	}
@@ -397,8 +414,8 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	if cfg.SyncInterval > 0 && cfg.Store != nil {
-		// The system-maintenance thread: re-query the database for the
-		// resident keys' rules.
+		// The system-maintenance thread: pull the rules edited since the
+		// last pass.
 		s.every(cfg.SyncInterval, func(time.Time) { s.SyncOnce() })
 	}
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
@@ -839,66 +856,154 @@ func (s *Server) Preload() error {
 	return nil
 }
 
-// SyncOnce performs one rule synchronization pass: it re-queries the
-// database for the keys in the local table and updates bucket geometry in
-// place; keys deleted from the database are evicted so the next request
-// re-resolves them (picking up the default rule). Exported so tests and
-// orchestration can force a pass without waiting for the ticker.
+// SyncOnce performs one rule synchronization pass (§III-C): it reads the
+// rules table's change feed after its cursor and applies each change to the
+// resident keys. An edited rule whose geometry changed is reinstalled; a
+// deleted rule is evicted, so the next request re-resolves it (picking up the
+// default rule); a default-rule key that gained a row gets the real rule. A
+// pass costs one statement per FeedPage changed rules, however many keys are
+// resident; a checkpoint's changed credits count as changed rules. The first
+// pass, a pass after a handoff or HA snapshot installed a peer's rules, a
+// pass that finds another database origin (a failover or restart), and a
+// pass whose cursor predates deletes the database has forgotten reconcile
+// instead: the same feed from cursor 0, then eviction of every resident key
+// it no longer holds. Concurrent calls run one after the other. Exported so
+// tests and orchestration can force a pass without waiting for the ticker.
 func (s *Server) SyncOnce() {
 	if s.cfg.Store == nil {
 		return
 	}
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	now := s.clock()
-	type kv struct {
-		key string
-		b   *bucket.Bucket
+	if peer := s.fromPeer.Swap(false); peer || s.syncOrigin == 0 || !s.syncChanges(now) {
+		s.reconcile(now)
 	}
-	var entries []kv
-	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		entries = append(entries, kv{key, b})
+	s.lastSyncNs.Store(s.clock().UnixNano())
+}
+
+// syncChanges applies the change feed after the cursor, page by page. It
+// reports false when the feed cannot stand for every edit since the cursor —
+// another database origin answered, or this one has forgotten deletes after
+// the cursor — and the caller must reconcile. A failed read keeps the cursor
+// where the last applied page left it, for the next pass.
+func (s *Server) syncChanges(now time.Time) bool {
+	from := s.syncSeq
+	for {
+		ch, err := s.readChanges(s.syncSeq)
+		if err != nil {
+			return true
+		}
+		if ch.Origin != s.syncOrigin || ch.Horizon > from {
+			return false
+		}
+		s.applyChanges(ch, now)
+		s.syncSeq = ch.Next
+		if ch.Next >= ch.Head {
+			return true
+		}
+	}
+}
+
+// reconcile applies the whole rules table as one feed from cursor 0 and
+// evicts resident keys with a rule that it no longer holds. The cursor then
+// lands on the head the first page reported, so the next pass re-reads what
+// was written during this one and judges forgotten deletes from there. A
+// failed read or a change of origin between pages leaves no cursor: the next
+// pass reconciles again.
+func (s *Server) reconcile(now time.Time) {
+	s.syncReconciles.Inc()
+	s.syncOrigin = 0
+	held := make(map[string]struct{})
+	var first store.Changes
+	for cursor := int64(0); ; {
+		ch, err := s.readChanges(cursor)
+		if err != nil {
+			return
+		}
+		if first.Origin == 0 {
+			first = ch
+		} else if ch.Origin != first.Origin {
+			return
+		}
+		for _, r := range ch.Rules {
+			held[r.Key] = struct{}{}
+		}
+		s.applyChanges(ch, now)
+		if cursor = ch.Next; cursor >= ch.Head {
+			break
+		}
+	}
+	var gone []string
+	s.table.Range(func(key string, _ *bucket.Bucket) bool {
+		if _, ok := held[key]; !ok {
+			if _, isDefault := s.defaults.Load(key); !isDefault {
+				gone = append(gone, key)
+			}
+		}
 		return true
 	})
-	for _, e := range entries {
-		if _, isDefault := s.defaults.Load(e.key); isDefault {
-			// A default key may have been added to the database since
-			// (a new purchase): install the database rule wholesale,
-			// including its initial credit.
-			r, found, err := s.cfg.Store.Get(e.key)
-			if err != nil {
-				s.dbErrors.Inc()
-				continue
-			}
-			if found {
-				s.defaults.Delete(e.key)
-				s.revokeLeases(e.key)
-				s.table.Put(e.key, s.newBucket(r, now))
-			}
+	for _, key := range gone {
+		s.evict(key)
+	}
+	s.syncOrigin, s.syncSeq = first.Origin, first.Head
+}
+
+func (s *Server) readChanges(cursor int64) (store.Changes, error) {
+	s.syncQueries.Inc()
+	ch, err := s.cfg.Store.ChangedSince(cursor)
+	if err != nil {
+		s.dbErrors.Inc()
+	}
+	return ch, err
+}
+
+// applyChanges applies one page of the change feed. Keys not resident are
+// skipped: their first request fetches the current rule anyway, and rules
+// installed from a peer instead make the next pass reconcile. A first-sight
+// fetch still in flight is not missed, because it runs under its table
+// shard's write lock: the Get here waits for the install and then finds it.
+func (s *Server) applyChanges(ch store.Changes, now time.Time) {
+	for _, key := range ch.Deleted {
+		if s.table.Get(key) == nil {
 			continue
 		}
-		r, found, err := s.cfg.Store.Get(e.key)
-		if err != nil {
-			s.dbErrors.Inc()
-			continue
-		}
-		if !found {
+		if _, isDefault := s.defaults.Load(key); !isDefault {
 			// Rule deleted: evict; next request applies the default rule.
-			s.revokeLeases(e.key)
-			s.table.Delete(e.key)
+			s.evict(key)
+		}
+	}
+	for _, r := range ch.Rules {
+		b := s.table.Get(r.Key)
+		if b == nil {
+			continue
+		}
+		if _, isDefault := s.defaults.Load(r.Key); isDefault {
+			// A default key gained a row (a new purchase): install the
+			// database rule wholesale, including its initial credit.
+			s.defaults.Delete(r.Key)
+			s.revokeLeases(r.Key)
+			s.table.Put(r.Key, s.newBucket(r, now))
 			continue
 		}
 		// An edited rule (geometry changed) is installed wholesale with
 		// the database's latest values (§III-C), credit included — the
 		// user's new purchase takes effect immediately. An unchanged rule
-		// is left alone so the database's stale credit (last checkpoint)
-		// does not overwrite live consumption.
-		if r.RefillRate != e.b.RefillRate() || r.Capacity != e.b.Capacity() {
+		// (a checkpoint rewrote its credit) is left alone so the database's
+		// stale credit does not overwrite live consumption.
+		if r.RefillRate != b.RefillRate() || r.Capacity != b.Capacity() {
 			// Leases reserve rate on the old bucket object; revoke before
 			// the swap so old and new refill streams cannot coexist.
-			s.revokeLeases(e.key)
-			s.table.Put(e.key, s.newBucket(r, now))
+			s.revokeLeases(r.Key)
+			s.table.Put(r.Key, s.newBucket(r, now))
 		}
 	}
-	s.lastSyncNs.Store(s.clock().UnixNano())
+}
+
+// evict drops key's bucket and its leases.
+func (s *Server) evict(key string) {
+	s.revokeLeases(key)
+	s.table.Delete(key)
 }
 
 // SyncAge reports how long ago the last rule-sync pass completed (measured

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -242,6 +243,194 @@ func TestSyncUpgradesDefaultKeyToRealRule(t *testing.T) {
 	resp := s.Decide(wire.Request{Key: "new-user"})
 	if !resp.Allow || resp.Status != wire.StatusOK {
 		t.Fatalf("resp = %+v", resp)
+	}
+}
+
+// countingExecutor counts the statements a store sends.
+type countingExecutor struct {
+	store.Executor
+	n atomic.Int64
+}
+
+func (c *countingExecutor) Execute(sql string, args ...minisql.Value) (minisql.Result, error) {
+	c.n.Add(1)
+	return c.Executor.Execute(sql, args...)
+}
+
+func syncCounters(s *Server) (queries, reconciles int64) {
+	return s.Registry().Counter("janus_qos_sync_queries_total", "").Value(),
+		s.Registry().Counter("janus_qos_sync_reconciles_total", "").Value()
+}
+
+// TestSyncQueriesPerPass: after the first pass, a sync pass costs one
+// statement per page of changed rules, not one per resident key, and still
+// applies every kind of edit.
+func TestSyncQueriesPerPass(t *testing.T) {
+	const resident = 10000
+	rules := make([]bucket.Rule, resident)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("k%05d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	}
+	engine := minisql.NewEngine()
+	direct := store.New(engine) // seeding and edits bypass the count
+	if err := direct.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.PutAll(rules); err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingExecutor{Executor: engine}
+	s := newServer(t, Config{Store: store.New(counted)})
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	s.Decide(wire.Request{Key: "new-user"}) // a default-rule key
+	s.SyncOnce()
+	if q, r := syncCounters(s); r != 1 || q != int64(resident/minisql.FeedPage+1) {
+		t.Fatalf("first pass: %d queries, %d reconciles; want %d pages, 1 reconcile", q, r, resident/minisql.FeedPage+1)
+	}
+
+	checkpointed := s.Table().Get("k09999")
+	for _, pass := range []struct {
+		name    string
+		edit    func() error
+		maxStmt int64
+	}{
+		{"100 edits", func() error {
+			for i := 0; i < 100; i++ {
+				if err := direct.Put(bucket.Rule{Key: rules[i].Key, RefillRate: 1, Capacity: 99, Credit: 99}); err != nil {
+					return err
+				}
+			}
+			if err := direct.Checkpoint("k09999", 3); err != nil {
+				return err
+			}
+			return direct.Put(bucket.Rule{Key: "new-user", RefillRate: 10, Capacity: 10, Credit: 10})
+		}, 2},
+		// A checkpoint is a write like any other, but rewriting a credit
+		// the database already holds is not a change: only k09999's
+		// differs. A checkpoint after every key consumed changes every
+		// credit, and the next pass reads them all, a page per FeedPage.
+		{"checkpoint of unchanged credits", func() error { s.CheckpointOnce(); return nil }, 1},
+		{"checkpoint after every key consumed", func() error {
+			for _, r := range rules {
+				s.Decide(wire.Request{Key: r.Key, Cost: 1})
+			}
+			s.CheckpointOnce()
+			return nil
+		}, resident/minisql.FeedPage + 1},
+		{"no edits", func() error { return nil }, 1},
+		{"100 deletes", func() error {
+			for i := 100; i < 200; i++ {
+				if _, err := direct.Delete(rules[i].Key); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 2},
+	} {
+		if err := pass.edit(); err != nil {
+			t.Fatal(err)
+		}
+		sent0 := counted.n.Load()
+		q0, _ := syncCounters(s)
+		s.SyncOnce()
+		q, r := syncCounters(s)
+		if sent := counted.n.Load() - sent0; sent > pass.maxStmt || sent != q-q0 {
+			t.Fatalf("%s: pass sent %d statements (janus_qos_sync_queries_total +%d), want <= %d", pass.name, sent, q-q0, pass.maxStmt)
+		}
+		if r != 1 {
+			t.Fatalf("%s: %d reconciles, want 1", pass.name, r)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if b := s.Table().Get(rules[i].Key); b == nil || b.Capacity() != 99 {
+			t.Fatalf("edited %s not reinstalled: %v", rules[i].Key, b)
+		}
+	}
+	for i := 100; i < 200; i++ {
+		if s.Table().Get(rules[i].Key) != nil {
+			t.Fatalf("deleted %s still resident", rules[i].Key)
+		}
+	}
+	if s.Table().Get("k09999") != checkpointed {
+		t.Fatal("a checkpointed credit replaced an unchanged bucket")
+	}
+	if resp := s.Decide(wire.Request{Key: "new-user"}); !resp.Allow || resp.Status != wire.StatusOK {
+		t.Fatalf("default key did not get its new rule: %+v", resp)
+	}
+}
+
+// TestSyncConcurrentPasses: passes from several goroutines, beside edits,
+// share one cursor; once the edits stop, one more pass leaves every rule at
+// its last value.
+func TestSyncConcurrentPasses(t *testing.T) {
+	rules := make([]bucket.Rule, 50)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("k%d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	}
+	db := newDB(t, rules...)
+	s := newServer(t, Config{Store: db})
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				s.SyncOnce()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		r := rules[i%len(rules)]
+		r.Capacity = float64(11 + i)
+		if err := db.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	s.SyncOnce()
+	for i, r := range rules {
+		if b := s.Table().Get(r.Key); b == nil || b.Capacity() != float64(11+150+i) {
+			t.Fatalf("%s: %v, want capacity %d", r.Key, b, 11+150+i)
+		}
+	}
+}
+
+// TestSyncTombstoneOverflow: when more rules are deleted between two passes
+// than the database keeps tombstones for, the pass reconciles and still
+// evicts every deleted key.
+func TestSyncTombstoneOverflow(t *testing.T) {
+	n := minisql.Tombstones + 100
+	rules := make([]bucket.Rule, n)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("k%05d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	}
+	db := newDB(t, rules...)
+	s := newServer(t, Config{Store: db})
+	if err := s.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	s.SyncOnce()
+	for _, r := range rules[10:] {
+		if _, err := db.Delete(r.Key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.SyncOnce()
+	if s.TableLen() != 10 {
+		t.Fatalf("%d keys resident after deleting all but 10", s.TableLen())
+	}
+	for _, r := range rules[:10] {
+		if s.Table().Get(r.Key) == nil {
+			t.Fatalf("surviving rule %s evicted", r.Key)
+		}
+	}
+	if _, r := syncCounters(s); r != 2 {
+		t.Fatalf("%d reconciles, want 2 (first pass, forgotten deletes)", r)
 	}
 }
 

@@ -182,6 +182,9 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := s.Count(); err == nil {
 		t.Error("Count")
 	}
+	if _, err := s.ChangedSince(0); err == nil {
+		t.Error("ChangedSince")
+	}
 }
 
 func TestStoreOverTCP(t *testing.T) {
@@ -208,20 +211,53 @@ func TestStoreOverTCP(t *testing.T) {
 	}
 }
 
+// countingExecutor counts the statements it forwards.
+type countingExecutor struct {
+	Executor
+	n int
+}
+
+func (c *countingExecutor) Execute(sql string, args ...minisql.Value) (minisql.Result, error) {
+	c.n++
+	return c.Executor.Execute(sql, args...)
+}
+
+// TestPutAll: rules go out in multi-row statements, and an invalid rule
+// anywhere in the list means nothing is written.
 func TestPutAll(t *testing.T) {
-	s := newStore(t)
-	rules := make([]bucket.Rule, 10)
-	for i := range rules {
-		rules[i] = bucket.Rule{Key: fmt.Sprintf("r%d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	db := &countingExecutor{Executor: minisql.NewEngine()}
+	s := New(db)
+	if err := s.Init(); err != nil {
+		t.Fatal(err)
 	}
+	rules := make([]bucket.Rule, 1000)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("r%d", i), RefillRate: 1, Capacity: 10, Credit: float64(i % 10)}
+	}
+	db.n = 0
 	if err := s.PutAll(rules); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := s.Count(); n != 10 {
+	if db.n > 4 {
+		t.Fatalf("1000 rules took %d statements, want <= 4", db.n)
+	}
+	if n, _ := s.Count(); n != 1000 {
 		t.Fatalf("count = %d", n)
 	}
-	// PutAll with an invalid rule fails fast.
-	if err := s.PutAll([]bucket.Rule{{Key: ""}}); err == nil {
+	if got, _, _ := s.Get("r999"); got != rules[999] {
+		t.Fatalf("r999 = %+v, want %+v", got, rules[999])
+	}
+
+	bad := append([]bucket.Rule{{Key: "fresh", RefillRate: 1, Capacity: 1}}, rules...)
+	bad = append(bad, bucket.Rule{Key: ""})
+	db.n = 0
+	if err := s.PutAll(bad); err == nil {
 		t.Fatal("invalid rule accepted")
+	}
+	if db.n != 0 {
+		t.Fatalf("PutAll with an invalid rule sent %d statements", db.n)
+	}
+	if _, found, _ := s.Get("fresh"); found {
+		t.Fatal("a rule before the invalid one was written")
 	}
 }
