@@ -2,6 +2,7 @@ package cloudsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -22,6 +23,22 @@ func TestRunValidatesDeployment(t *testing.T) {
 	}
 	if _, err := Run(bad, shortCfg(10)); err == nil {
 		t.Fatal("mislabeled router node accepted")
+	}
+	good := Deployment{Routers: RouterNodes(sim.C3XLarge, 1), QoS: QoSNodes(sim.C3XLarge, 2)}
+	outage := good
+	outage.Outage = Outage{Node: 2, From: time.Second}
+	if _, err := Run(outage, shortCfg(10)); err == nil {
+		t.Fatal("outage of a node outside the QoS layer accepted")
+	}
+	rules := shortCfg(10)
+	rules.Rules = func(string) (float64, float64) { return 1, 1 }
+	if _, err := Run(good, rules); err == nil {
+		t.Fatal("per-key rules without a key stream accepted")
+	}
+	loris := shortCfg(10)
+	loris.Loris = 1
+	if _, err := Run(good, loris); err == nil {
+		t.Fatal("slow-loris fraction 1 accepted")
 	}
 }
 
@@ -110,20 +127,13 @@ func TestGatewayAddsLatencyOverDNS(t *testing.T) {
 func TestDNSPinnedSkewWithFewClients(t *testing.T) {
 	// §V-A: M router nodes, N client machines, M > N → only N routers
 	// receive traffic during a TTL cycle.
-	active, _, err := DNSTTLSkew(8, 3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active != 3 {
-		t.Fatalf("active routers = %d, want 3", active)
+	pts := dnsSkew(t)
+	if pts[0].Routers != 8 || pts[0].Machines != 3 || pts[0].Active != 3 {
+		t.Fatalf("%+v, want 3 active routers", pts[0])
 	}
 	// With machines >> routers the skew disappears.
-	active, _, err = DNSTTLSkew(4, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if active != 4 {
-		t.Fatalf("active routers = %d, want 4", active)
+	if pts[1].Routers != 4 || pts[1].Machines != 64 || pts[1].Active != 4 {
+		t.Fatalf("%+v, want 4 active routers", pts[1])
 	}
 }
 
@@ -140,8 +150,8 @@ func TestDeterministicResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Throughput != r2.Throughput || r1.Events != r2.Events {
-		t.Fatalf("non-deterministic: %v/%v vs %v/%v", r1.Throughput, r1.Events, r2.Throughput, r2.Events)
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatalf("non-deterministic:\n%+v %+v\n%+v %+v", r1, r1.Latency.Snapshot(), r2, r2.Latency.Snapshot())
 	}
 }
 

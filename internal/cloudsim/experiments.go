@@ -1,6 +1,8 @@
 package cloudsim
 
 import (
+	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/sim"
@@ -36,24 +38,38 @@ func runPoint(dep Deployment, clients int, seed int64) (Result, error) {
 	})
 }
 
-// Fig7RouterVertical: one router node of each C-series type; QoS layer
-// fixed at one c3.8xlarge (§V-B: "provisioning a single c3.8xlarge node in
-// the QoS server layer").
-func Fig7RouterVertical(seed int64) ([]ScalePoint, error) {
-	var out []ScalePoint
-	for _, t := range sim.CSeries {
-		dep := Deployment{
-			Routers: RouterNodes(t, 1),
-			QoS:     QoSNodes(sim.C38XLarge, 1),
+// routerLayer scales the router layer in front of one c3.8xlarge QoS node
+// (§V-B: "provisioning a single c3.8xlarge node in the QoS server layer").
+func routerLayer(t sim.InstanceType, n int) Deployment {
+	return Deployment{Routers: RouterNodes(t, n), QoS: QoSNodes(sim.C38XLarge, 1)}
+}
+
+// qosLayer scales the QoS layer behind 5 × c3.8xlarge routers (§V-C).
+func qosLayer(t sim.InstanceType, n int) Deployment {
+	return Deployment{Routers: RouterNodes(sim.C38XLarge, 5), QoS: QoSNodes(t, n)}
+}
+
+// sweep saturates one deployment per step of a scaling figure: one node of
+// each C-series type (vertical), or 1..10 c3.xlarge nodes (horizontal).
+func sweep(horizontal bool, layer func(sim.InstanceType, int) Deployment, clients int, seed int64) ([]ScalePoint, error) {
+	steps := len(sim.CSeries)
+	if horizontal {
+		steps = 10
+	}
+	out := make([]ScalePoint, 0, steps)
+	for i := 0; i < steps; i++ {
+		t, n, label := sim.C3XLarge, i+1, strconv.Itoa(i+1)
+		if !horizontal {
+			t, n, label = sim.CSeries[i], 1, sim.CSeries[i].Name
 		}
-		res, err := runPoint(dep, 1024, seed)
+		res, err := runPoint(layer(t, n), clients, seed)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, ScalePoint{
-			Label:      t.Name,
-			VCPUs:      t.VCPUs,
-			Nodes:      1,
+			Label:      label,
+			VCPUs:      n * t.VCPUs,
+			Nodes:      n,
 			Throughput: res.Throughput,
 			RouterCPU:  res.RouterCPUMean(),
 			QoSCPU:     res.QoSCPUMean(),
@@ -62,105 +78,44 @@ func Fig7RouterVertical(seed int64) ([]ScalePoint, error) {
 	return out, nil
 }
 
-// Fig8RouterHorizontal: 1..10 c3.xlarge router nodes; QoS layer fixed at
-// one c3.8xlarge. The curve flattens past ~8 nodes when the QoS server
-// becomes the bottleneck.
+// Fig7RouterVertical: one router node of each C-series type.
+func Fig7RouterVertical(seed int64) ([]ScalePoint, error) {
+	return sweep(false, routerLayer, 1024, seed)
+}
+
+// Fig8RouterHorizontal: 1..10 c3.xlarge router nodes. The curve flattens
+// past ~8 nodes when the QoS server becomes the bottleneck.
 func Fig8RouterHorizontal(seed int64) ([]ScalePoint, error) {
-	var out []ScalePoint
-	for n := 1; n <= 10; n++ {
-		dep := Deployment{
-			Routers: RouterNodes(sim.C3XLarge, n),
-			QoS:     QoSNodes(sim.C38XLarge, 1),
-		}
-		res, err := runPoint(dep, 1024, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalePoint{
-			Label:      itoa(n),
-			VCPUs:      n * sim.C3XLarge.VCPUs,
-			Nodes:      n,
-			Throughput: res.Throughput,
-			RouterCPU:  res.RouterCPUMean(),
-			QoSCPU:     res.QoSCPUMean(),
-		})
-	}
-	return out, nil
+	return sweep(true, routerLayer, 1024, seed)
 }
 
 // Fig9RouterCompare overlays vertical and horizontal router scaling as
 // throughput vs total router vCPUs.
 func Fig9RouterCompare(seed int64) (vertical, horizontal []ScalePoint, err error) {
-	vertical, err = Fig7RouterVertical(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	horizontal, err = Fig8RouterHorizontal(seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return vertical, horizontal, nil
+	return overlay(Fig7RouterVertical, Fig8RouterHorizontal, seed)
 }
 
-// Fig10ServerVertical: one QoS node of each C-series type; router layer
-// fixed at 5 c3.8xlarge nodes (§V-C).
+// Fig10ServerVertical: one QoS node of each C-series type.
 func Fig10ServerVertical(seed int64) ([]ScalePoint, error) {
-	var out []ScalePoint
-	for _, t := range sim.CSeries {
-		dep := Deployment{
-			Routers: RouterNodes(sim.C38XLarge, 5),
-			QoS:     QoSNodes(t, 1),
-		}
-		res, err := runPoint(dep, 1024, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalePoint{
-			Label:      t.Name,
-			VCPUs:      t.VCPUs,
-			Nodes:      1,
-			Throughput: res.Throughput,
-			RouterCPU:  res.RouterCPUMean(),
-			QoSCPU:     res.QoSCPUMean(),
-		})
-	}
-	return out, nil
+	return sweep(false, qosLayer, 1024, seed)
 }
 
-// Fig11ServerHorizontal: 1..10 c3.xlarge QoS nodes; router layer fixed at
-// 5 c3.8xlarge nodes. Throughput is linear in node count and exceeds
-// 100,000 req/s at 10 nodes — the headline result.
+// Fig11ServerHorizontal: 1..10 c3.xlarge QoS nodes. Throughput is linear in
+// node count and exceeds 100,000 req/s at 10 nodes — the headline result.
 func Fig11ServerHorizontal(seed int64) ([]ScalePoint, error) {
-	var out []ScalePoint
-	for n := 1; n <= 10; n++ {
-		dep := Deployment{
-			Routers: RouterNodes(sim.C38XLarge, 5),
-			QoS:     QoSNodes(sim.C3XLarge, n),
-		}
-		res, err := runPoint(dep, 1536, seed)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ScalePoint{
-			Label:      itoa(n),
-			VCPUs:      n * sim.C3XLarge.VCPUs,
-			Nodes:      n,
-			Throughput: res.Throughput,
-			RouterCPU:  res.RouterCPUMean(),
-			QoSCPU:     res.QoSCPUMean(),
-		})
-	}
-	return out, nil
+	return sweep(true, qosLayer, 1536, seed)
 }
 
 // Fig12ServerCompare overlays vertical and horizontal QoS-server scaling.
 func Fig12ServerCompare(seed int64) (vertical, horizontal []ScalePoint, err error) {
-	vertical, err = Fig10ServerVertical(seed)
-	if err != nil {
+	return overlay(Fig10ServerVertical, Fig11ServerHorizontal, seed)
+}
+
+func overlay(v, h func(seed int64) ([]ScalePoint, error), seed int64) (vertical, horizontal []ScalePoint, err error) {
+	if vertical, err = v(seed); err != nil {
 		return nil, nil, err
 	}
-	horizontal, err = Fig11ServerHorizontal(seed)
-	if err != nil {
+	if horizontal, err = h(seed); err != nil {
 		return nil, nil, err
 	}
 	return vertical, horizontal, nil
@@ -181,10 +136,7 @@ type HeadlineResult struct {
 // decision latency (from the application-integration test, not from the
 // saturation sweep).
 func Headline(seed int64) (HeadlineResult, error) {
-	dep := Deployment{
-		Routers: RouterNodes(sim.C38XLarge, 5),
-		QoS:     QoSNodes(sim.C3XLarge, 10),
-	}
+	dep := qosLayer(sim.C3XLarge, 10)
 	sat, err := runPoint(dep, 2048, seed)
 	if err != nil {
 		return HeadlineResult{}, err
@@ -214,30 +166,31 @@ type LoadPoint struct {
 // LatencyUnderLoad sweeps the headline deployment (5 × c3.8xlarge routers,
 // 10 × c3.xlarge QoS nodes) across offered-load levels and reports the
 // latency percentiles at each — the operating envelope behind the paper's
-// "90% of decisions in 3 ms" claim.
+// "90% of decisions in 3 ms" claim. Every utilization must be positive.
 func LatencyUnderLoad(seed int64, utilizations []float64) ([]LoadPoint, error) {
-	dep := Deployment{
-		Routers: RouterNodes(sim.C38XLarge, 5),
-		QoS:     QoSNodes(sim.C3XLarge, 10),
-	}
+	dep := qosLayer(sim.C3XLarge, 10)
 	capacity := 0.0
 	for _, n := range dep.QoS {
 		capacity += n.Capacity()
 	}
 	var out []LoadPoint
 	for _, u := range utilizations {
+		if !(u > 0) {
+			return nil, fmt.Errorf("cloudsim: offered load at utilization %v; want > 0", u)
+		}
+		rate := u * capacity
 		res, err := Run(dep, RunConfig{
-			OfferedRate: u * capacity,
-			Duration:    expDuration,
-			Warmup:      expWarmup,
-			Seed:        seed,
+			Rate:     func(time.Duration) float64 { return rate },
+			Duration: expDuration,
+			Warmup:   expWarmup,
+			Seed:     seed,
 		})
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, LoadPoint{
 			Utilization: u,
-			OfferedRate: u * capacity,
+			OfferedRate: rate,
 			Throughput:  res.Throughput,
 			MeanMS:      res.Latency.Mean() / 1e6,
 			P90MS:       float64(res.Latency.Percentile(90)) / 1e6,
@@ -254,8 +207,7 @@ func DNSTTLSkew(routerNodes, clientMachines int, seed int64) (active int, throug
 	dep := Deployment{
 		Routers: RouterNodes(sim.C3XLarge, routerNodes),
 		QoS:     QoSNodes(sim.C38XLarge, 2),
-		Mode:    DNSPinned,
-		DNSTTL:  time.Hour, // one TTL cycle spans the whole run
+		Mode:    DNSPinned, // one DNSTTL cycle spans the whole run
 	}
 	res, err := Run(dep, RunConfig{
 		Clients:     512,
@@ -268,18 +220,4 @@ func DNSTTLSkew(routerNodes, clientMachines int, seed int64) (active int, throug
 		return 0, 0, err
 	}
 	return res.ActiveRouters(), res.Throughput, nil
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

@@ -1,6 +1,10 @@
 package cloudsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -8,34 +12,87 @@ import (
 // The experiment tests assert the paper's qualitative findings — the
 // "shape" reproduction targets of EXPERIMENTS.md.
 
-// sweeps is one layer's two scaling series. A run is deterministic per seed
-// (TestDeterministicResults), so each compare experiment — which is its
-// vertical and its horizontal figure back to back — runs once per test
-// binary and the three tests of that layer assert on the same points.
-type sweeps struct{ vertical, horizontal []ScalePoint }
+// A run is deterministic per seed (TestDeterministicResults), so each
+// experiment runs once per test binary at seed 1: the shape tests and
+// TestPaperFiguresMatchGolden assert on the same points.
 
-func shared(compare func(seed int64) (v, h []ScalePoint, err error)) func(*testing.T) sweeps {
-	run := sync.OnceValues(func() (sweeps, error) {
-		v, h, err := compare(1)
-		return sweeps{v, h}, err
-	})
-	return func(t *testing.T) sweeps {
+// sweeps is one layer's two scaling series.
+type sweeps struct{ Vertical, Horizontal []ScalePoint }
+
+// skewPoint is one DNSTTLSkew result.
+type skewPoint struct {
+	Routers, Machines, Active int
+	Throughput                float64
+}
+
+// shared runs experiment once and hands every caller its result.
+func shared[T any](experiment func() (T, error)) func(*testing.T) T {
+	run := sync.OnceValues(experiment)
+	return func(t *testing.T) T {
 		t.Helper()
-		s, err := run()
+		v, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return v
+	}
+}
+
+func compare(fig func(seed int64) (v, h []ScalePoint, err error)) func() (sweeps, error) {
+	return func() (sweeps, error) {
+		v, h, err := fig(1)
+		return sweeps{v, h}, err
 	}
 }
 
 var (
-	routerSweeps = shared(Fig9RouterCompare)  // Fig 7 vertical, Fig 8 horizontal
-	serverSweeps = shared(Fig12ServerCompare) // Fig 10 vertical, Fig 11 horizontal
+	routerSweeps = shared(compare(Fig9RouterCompare))  // Fig 7 vertical, Fig 8 horizontal
+	serverSweeps = shared(compare(Fig12ServerCompare)) // Fig 10 vertical, Fig 11 horizontal
+	headline     = shared(func() (HeadlineResult, error) { return Headline(1) })
+	latencyCurve = shared(func() ([]LoadPoint, error) { return LatencyUnderLoad(1, []float64{0.2, 0.6, 0.95}) })
+	dnsSkew      = shared(func() ([]skewPoint, error) {
+		var out []skewPoint
+		for _, c := range [][2]int{{8, 3}, {4, 64}} {
+			active, tput, err := DNSTTLSkew(c[0], c[1], 1)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, skewPoint{c[0], c[1], active, tput})
+		}
+		return out, nil
+	})
 )
 
+// TestPaperFiguresMatchGolden holds every figure Run produces for the paper
+// to its bytes at seed 1, as json.MarshalIndent prints it: a change to the
+// engine or to Run's inputs must not move a figure.
+func TestPaperFiguresMatchGolden(t *testing.T) {
+	for _, fig := range []struct {
+		name string
+		get  func(*testing.T) any
+	}{
+		{"fig9", func(t *testing.T) any { return routerSweeps(t) }},
+		{"fig12", func(t *testing.T) any { return serverSweeps(t) }},
+		{"headline", func(t *testing.T) any { return headline(t) }},
+		{"latency", func(t *testing.T) any { return latencyCurve(t) }},
+		{"dnsskew", func(t *testing.T) any { return dnsSkew(t) }},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", fig.name+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.MarshalIndent(fig.get(t), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got = append(got, '\n'); !bytes.Equal(got, want) {
+			t.Errorf("%s differs from testdata/%s.json; got:\n%s", fig.name, fig.name, got)
+		}
+	}
+}
+
 func TestFig7ThroughputGrowsWithInstanceSize(t *testing.T) {
-	pts := routerSweeps(t).vertical
+	pts := routerSweeps(t).Vertical
 	if len(pts) != 5 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -56,7 +113,7 @@ func TestFig7ThroughputGrowsWithInstanceSize(t *testing.T) {
 }
 
 func TestFig8LinearThenSaturates(t *testing.T) {
-	pts := routerSweeps(t).horizontal
+	pts := routerSweeps(t).Horizontal
 	if len(pts) != 10 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -81,7 +138,7 @@ func TestFig8LinearThenSaturates(t *testing.T) {
 
 func TestFig9VerticalMatchesHorizontalForRouter(t *testing.T) {
 	s := routerSweeps(t)
-	v, h := s.vertical, s.horizontal
+	v, h := s.Vertical, s.Horizontal
 	// Compare at equal vCPUs where both exist and neither is saturated:
 	// vertical c3.2xlarge (8 vCPU) vs horizontal 2 × c3.xlarge (8 vCPU).
 	var vt, ht float64
@@ -104,7 +161,7 @@ func TestFig9VerticalMatchesHorizontalForRouter(t *testing.T) {
 }
 
 func TestFig10ServerVerticalGrows(t *testing.T) {
-	pts := serverSweeps(t).vertical
+	pts := serverSweeps(t).Vertical
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Throughput <= pts[i-1].Throughput {
 			t.Errorf("no growth from %s to %s", pts[i-1].Label, pts[i].Label)
@@ -123,7 +180,7 @@ func TestFig10ServerVerticalGrows(t *testing.T) {
 }
 
 func TestFig11LinearAndHeadline(t *testing.T) {
-	pts := serverSweeps(t).horizontal
+	pts := serverSweeps(t).Horizontal
 	// Linear: 1 -> 8 nodes roughly 8x.
 	ratio := pts[7].Throughput / pts[0].Throughput
 	if ratio < 7 || ratio > 9 {
@@ -142,7 +199,7 @@ func TestFig11LinearAndHeadline(t *testing.T) {
 
 func TestFig12VerticalSlightlyBeatsHorizontal(t *testing.T) {
 	s := serverSweeps(t)
-	v, h := s.vertical, s.horizontal
+	v, h := s.Vertical, s.Horizontal
 	// Compare 32 vCPUs: vertical c3.8xlarge vs horizontal 8 × c3.xlarge.
 	var vt, ht float64
 	for _, p := range v {
@@ -172,10 +229,7 @@ func TestFig12VerticalSlightlyBeatsHorizontal(t *testing.T) {
 }
 
 func TestLatencyUnderLoad(t *testing.T) {
-	pts, err := LatencyUnderLoad(1, []float64{0.2, 0.6, 0.95})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := latencyCurve(t)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -199,11 +253,18 @@ func TestLatencyUnderLoad(t *testing.T) {
 	}
 }
 
-func TestHeadline(t *testing.T) {
-	res, err := Headline(1)
-	if err != nil {
-		t.Fatal(err)
+// TestLatencyUnderLoadRejectsNonPositiveUtilization: no offered load is not
+// a point on the curve, and must not fall back to the closed-loop fleet.
+func TestLatencyUnderLoadRejectsNonPositiveUtilization(t *testing.T) {
+	for _, u := range []float64{0, -0.2} {
+		if pts, err := LatencyUnderLoad(1, []float64{u, 0.2}); err == nil {
+			t.Errorf("utilization %v accepted: %+v", u, pts)
+		}
 	}
+}
+
+func TestHeadline(t *testing.T) {
+	res := headline(t)
 	if res.Throughput <= 100000 {
 		t.Fatalf("headline throughput = %.0f, want > 100k", res.Throughput)
 	}

@@ -4,16 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/des"
 	"repro/internal/sim"
 )
-
-// Failure locality (paper §II-D): "a failed QoS server is a localized
-// failure in that it does not impact the normal operation of other QoS
-// servers in the system." This experiment fails one QoS node mid-run and
-// measures, per partition, how many decisions were lost (router default
-// replies after exhausted retries) and how throughput on the healthy
-// partitions behaves.
 
 // FailureResult summarizes a failure-injection run.
 type FailureResult struct {
@@ -22,7 +14,7 @@ type FailureResult struct {
 	// DefaultReplies counts decisions answered by the router's default
 	// reply per partition.
 	DefaultReplies []int64
-	// ThroughputBefore / ThroughputAfter are completed req/s on healthy
+	// HealthyBefore / HealthyAfter are req/s served by the healthy
 	// partitions before and after the failure instant.
 	HealthyBefore float64
 	HealthyAfter  float64
@@ -45,9 +37,13 @@ type FailureLocalityConfig struct {
 	Seed     int64
 }
 
-// FailureLocality runs the experiment. The failed partition's requests are
-// answered by the router's default reply after the 5-retry UDP discipline
-// (a fixed small penalty), while other partitions proceed normally.
+// FailureLocality quantifies paper §II-D: "a failed QoS server is a
+// localized failure in that it does not impact the normal operation of
+// other QoS servers in the system." It runs the headline deployment with an
+// outage of its middle QoS node from FailAt to ReplaceAt and reports, per
+// partition, the decisions lost to router default replies, and the healthy
+// partitions' throughput before and after the failure (the run's warmup
+// ends at FailAt).
 func FailureLocality(cfg FailureLocalityConfig) (FailureResult, error) {
 	if cfg.QoSNodes < 2 {
 		return FailureResult{}, fmt.Errorf("cloudsim: failure locality needs >= 2 QoS nodes")
@@ -61,95 +57,27 @@ func FailureLocality(cfg FailureLocalityConfig) (FailureResult, error) {
 	if cfg.FailAt <= 0 || cfg.FailAt >= cfg.Duration {
 		cfg.FailAt = cfg.Duration / 3
 	}
-	dep := Deployment{
-		Routers: RouterNodes(sim.C38XLarge, 5),
-		QoS:     QoSNodes(sim.C3XLarge, cfg.QoSNodes),
+	dep := qosLayer(sim.C3XLarge, cfg.QoSNodes)
+	dep.Outage = Outage{Node: cfg.QoSNodes / 2, From: cfg.FailAt, To: cfg.ReplaceAt}
+	res, err := Run(dep, RunConfig{
+		Clients:  cfg.Clients,
+		Warmup:   cfg.FailAt,
+		Duration: cfg.Duration - cfg.FailAt,
+		Seed:     cfg.Seed,
+	})
+	if err != nil {
+		return FailureResult{}, err
 	}
-	dep.defaults()
-
-	eng := des.NewEngine(cfg.Seed)
-	routerSt := make([]*des.Station, len(dep.Routers))
-	routerSvc := make([]des.Time, len(dep.Routers))
-	for i, n := range dep.Routers {
-		routerSt[i] = des.NewStation(eng, n.Workers(), 0)
-		routerSvc[i] = des.Ceil(n.ServiceTime())
+	out := FailureResult{FailedPartition: dep.Outage.Node}
+	for i, n := range res.QoS {
+		out.DefaultReplies = append(out.DefaultReplies, n.DefaultReplies)
+		if i != out.FailedPartition {
+			out.HealthyBefore += n.WarmupThroughput
+			out.HealthyAfter += n.Throughput
+		}
 	}
-	qosSt := make([]*des.Station, cfg.QoSNodes)
-	qosSvc := make([]des.Time, cfg.QoSNodes)
-	for i, n := range dep.QoS {
-		qosSt[i] = des.NewStation(eng, n.Workers(), 0)
-		qosSvc[i] = des.Ceil(n.ServiceTime())
+	if cfg.ReplaceAt > cfg.FailAt && cfg.ReplaceAt <= cfg.Duration {
+		out.RecoveredAt = cfg.ReplaceAt
 	}
-
-	failIdx := cfg.QoSNodes / 2
-	down := false
-	failAt := des.FromDuration(cfg.FailAt)
-	replaceAt := des.FromDuration(cfg.ReplaceAt)
-	end := des.FromDuration(cfg.Duration)
-	eng.At(failAt, func() { down = true })
-	var recoveredAt des.Time
-	if cfg.ReplaceAt > cfg.FailAt {
-		eng.At(replaceAt, func() {
-			down = false
-			recoveredAt = eng.Now()
-		})
-	}
-
-	defaultReplies := make([]int64, cfg.QoSNodes)
-	healthyCompleted := map[bool]int64{} // key: before/after failure
-	// retryPenalty is the router-side cost of 5 failed attempts before the
-	// default reply (§III-B worst case: retries × timeout).
-	retryPenalty := des.FromDuration(5 * 100 * time.Microsecond)
-
-	rr := 0
-	var issue func()
-	issue = func() {
-		q := eng.Rand().Intn(cfg.QoSNodes)
-		rr = (rr + 1) % len(routerSt)
-		r := rr
-		reach := des.FromDuration(dep.ClientToLB + dep.LBToRouter)
-		eng.After(reach, func() {
-			routerSt[r].Submit(eng.Exp(routerSvc[r]), func() {
-				if q == failIdx && down {
-					// UDP retries expire; the router fabricates the reply.
-					eng.After(retryPenalty+reach, func() {
-						defaultReplies[q]++
-						if eng.Now() < end {
-							issue()
-						}
-					})
-					return
-				}
-				eng.After(des.FromDuration(dep.RouterToQoS), func() {
-					qosSt[q].Submit(eng.Exp(qosSvc[q]), func() {
-						eng.After(des.FromDuration(dep.RouterToQoS)+reach, func() {
-							if q != failIdx {
-								healthyCompleted[eng.Now() > failAt]++
-							}
-							if eng.Now() < end {
-								issue()
-							}
-						})
-					})
-				})
-			})
-		})
-	}
-	for c := 0; c < cfg.Clients; c++ {
-		eng.At(eng.Uniform(0, des.FromDuration(2*time.Millisecond)), func() { issue() })
-	}
-	eng.Run(end)
-
-	before := float64(healthyCompleted[false]) / failAt.Seconds()
-	after := float64(healthyCompleted[true]) / (end - failAt).Seconds()
-	res := FailureResult{
-		FailedPartition: failIdx,
-		DefaultReplies:  defaultReplies,
-		HealthyBefore:   before,
-		HealthyAfter:    after,
-	}
-	if recoveredAt > 0 {
-		res.RecoveredAt = time.Duration(recoveredAt)
-	}
-	return res, nil
+	return out, nil
 }

@@ -1,13 +1,18 @@
 // Package des is a deterministic discrete-event simulation engine used to
 // model the full Janus deployment at AWS scale in virtual time (see
-// internal/cloudsim). It provides an event calendar with a binary-heap
-// scheduler, multi-server FIFO service stations with busy-time accounting,
-// and seeded random variates — everything needed to simulate hundreds of
-// thousands of requests per (virtual) second in a few real milliseconds.
+// internal/cloudsim). It provides an event calendar ordered by (time,
+// scheduling sequence), multi-server FIFO service stations with busy-time
+// accounting, and seeded random variates — everything needed to simulate
+// hundreds of thousands of requests per (virtual) second in a few real
+// milliseconds.
+//
+// The calendar is a binary heap of pointer-free entries. An event names a
+// Handler registered once and carries one int argument, so a model that
+// keeps its per-request state in a slice schedules and completes requests
+// without allocating.
 package des
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"time"
@@ -25,43 +30,41 @@ func FromSeconds(s float64) Time { return Time(s * float64(time.Second)) }
 // FromDuration converts a wall-clock duration to virtual time.
 func FromDuration(d time.Duration) Time { return Time(d) }
 
+// Handler names an event callback registered with Engine.Handle.
+type Handler int32
+
+// callSlot is the handler that runs At's callbacks.
+const callSlot Handler = 0
+
+// event holds no pointers, so the heap's moves are plain copies.
 type event struct {
 	at  Time
-	seq int64 // tie-breaker for determinism
-	fn  func()
+	seq uint64 // tie-breaker: events at one instant run in scheduling order
+	h   Handler
+	arg int32
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() (Time, bool) {
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].at, true
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Engine is the event calendar. It is strictly single-threaded: all event
 // functions run sequentially in virtual-time order.
 type Engine struct {
-	now    Time
-	seq    int64
-	events eventHeap
-	rng    *rand.Rand
+	now      Time
+	seq      uint64
+	events   []event // binary min-heap on (at, seq)
+	handlers []func(arg int)
+	calls    []func() // At's pending callbacks, by slot
+	free     []int    // empty slots of calls
+	rng      *rand.Rand
 }
 
 // NewEngine returns an engine with a seeded random source.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	e := &Engine{rng: rand.New(rand.NewSource(seed))}
+	e.handlers = []func(int){e.call}
+	return e
 }
 
 // Now returns the current virtual time.
@@ -70,29 +73,83 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (e *Engine) At(t Time, fn func()) {
+// Handle registers fn and returns the Handler that names it in Post.
+func (e *Engine) Handle(fn func(arg int)) Handler {
+	e.handlers = append(e.handlers, fn)
+	return Handler(len(e.handlers) - 1)
+}
+
+// Post schedules handler h with argument arg (which must fit in an int32)
+// at absolute virtual time t, clamped to now.
+func (e *Engine) Post(t Time, h Handler, arg int) {
 	if t < e.now {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: t, seq: e.seq, h: h, arg: int32(arg)})
+	hp, i := e.events, len(e.events)-1
+	ev := hp[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&hp[p]) {
+			break
+		}
+		hp[i], i = hp[p], p
+	}
+	hp[i] = ev
+}
+
+// PostAfter schedules handler h with argument arg d after the current time.
+func (e *Engine) PostAfter(d Time, h Handler, arg int) { e.Post(e.now+d, h, arg) }
+
+// At schedules fn at absolute virtual time t (clamped to now).
+func (e *Engine) At(t Time, fn func()) {
+	slot := len(e.calls)
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+		e.calls[slot] = fn
+	} else {
+		e.calls = append(e.calls, fn)
+	}
+	e.Post(t, callSlot, slot)
 }
 
 // After schedules fn d after the current time.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
+func (e *Engine) call(slot int) {
+	fn := e.calls[slot]
+	e.calls[slot] = nil
+	e.free = append(e.free, slot)
+	fn()
+}
+
+func (e *Engine) pop() event {
+	hp, top := e.events, e.events[0]
+	n := len(hp) - 1
+	last, i := hp[n], 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && hp[c+1].before(&hp[c]) {
+			c++
+		}
+		if !hp[c].before(&last) {
+			break
+		}
+		hp[i], i = hp[c], c
+	}
+	hp[i] = last
+	e.events = hp[:n]
+	return top
+}
+
 // Run executes events in order until the calendar is empty or virtual time
 // reaches until. It returns the number of events executed.
 func (e *Engine) Run(until Time) int {
 	n := 0
-	for len(e.events) > 0 {
-		if e.events[0].at > until {
-			break
-		}
-		ev := heap.Pop(&e.events).(event)
+	for len(e.events) > 0 && e.events[0].at <= until {
+		ev := e.pop()
 		e.now = ev.at
-		ev.fn()
+		e.handlers[ev.h](int(ev.arg))
 		n++
 	}
 	if e.now < until {
@@ -125,10 +182,13 @@ func (e *Engine) Uniform(lo, hi Time) Time {
 // time is supplied per job. Busy time is accounted for utilization
 // reporting.
 type Station struct {
-	eng     *Engine
-	servers int
-	busy    int
-	queue   []job
+	eng      *Engine
+	servers  int
+	busy     int
+	done     func(job int)
+	finished Handler
+	queue    []job // ring of n waiting jobs from head; length a power of two
+	head, n  int
 
 	// accounting
 	busyTime    Time // integral of busy servers over time
@@ -143,18 +203,20 @@ type Station struct {
 type job struct {
 	arrived Time
 	service Time
-	done    func()
+	id      int
 }
 
 // NewStation creates a station with the given parallel service slots.
 // queueLimit bounds the waiting room (0 = unbounded); jobs arriving at a
-// full waiting room are dropped (their done callback is not invoked) —
-// matching the QoS server's bounded FIFO.
-func NewStation(eng *Engine, servers, queueLimit int) *Station {
+// full waiting room are dropped — matching the QoS server's bounded FIFO.
+// done, when not nil, runs with the job's id as each job completes.
+func NewStation(eng *Engine, servers, queueLimit int, done func(job int)) *Station {
 	if servers < 1 {
 		servers = 1
 	}
-	return &Station{eng: eng, servers: servers, queueLimit: queueLimit}
+	s := &Station{eng: eng, servers: servers, queueLimit: queueLimit, done: done}
+	s.finished = eng.Handle(s.finish)
+	return s
 }
 
 func (s *Station) account() {
@@ -163,42 +225,58 @@ func (s *Station) account() {
 	s.lastChange = now
 }
 
-// Submit offers a job with the given service demand; done runs when service
-// completes. It returns false if the job was dropped at a full queue.
-func (s *Station) Submit(service Time, done func()) bool {
+// Submit offers job id (which must fit in an int32) with the given service
+// demand. It returns false if the job was dropped at a full queue; done is
+// then never called for it.
+func (s *Station) Submit(service Time, id int) bool {
 	s.account()
 	if s.busy < s.servers {
 		s.busy++
-		s.start(job{arrived: s.eng.Now(), service: service, done: done})
+		s.start(job{arrived: s.eng.Now(), service: service, id: id})
 		return true
 	}
-	if s.queueLimit > 0 && len(s.queue) >= s.queueLimit {
+	if s.queueLimit > 0 && s.n >= s.queueLimit {
 		s.dropped++
 		return false
 	}
-	s.queue = append(s.queue, job{arrived: s.eng.Now(), service: service, done: done})
-	if len(s.queue) > s.maxQueue {
-		s.maxQueue = len(s.queue)
+	if s.n == len(s.queue) {
+		s.grow()
+	}
+	s.queue[(s.head+s.n)&(len(s.queue)-1)] = job{arrived: s.eng.Now(), service: service, id: id}
+	s.n++
+	if s.n > s.maxQueue {
+		s.maxQueue = s.n
 	}
 	return true
 }
 
+func (s *Station) grow() {
+	q := make([]job, max(8, 2*len(s.queue)))
+	for i := 0; i < s.n; i++ {
+		q[i] = s.queue[(s.head+i)&(len(s.queue)-1)]
+	}
+	s.queue, s.head = q, 0
+}
+
 func (s *Station) start(j job) {
 	s.waitTimeSum += s.eng.Now() - j.arrived
-	s.eng.After(j.service, func() {
-		s.account()
-		s.served++
-		if len(s.queue) > 0 {
-			next := s.queue[0]
-			s.queue = s.queue[1:]
-			s.start(next)
-		} else {
-			s.busy--
-		}
-		if j.done != nil {
-			j.done()
-		}
-	})
+	s.eng.PostAfter(j.service, s.finished, j.id)
+}
+
+func (s *Station) finish(id int) {
+	s.account()
+	s.served++
+	if s.n > 0 {
+		next := s.queue[s.head]
+		s.head = (s.head + 1) & (len(s.queue) - 1)
+		s.n--
+		s.start(next)
+	} else {
+		s.busy--
+	}
+	if s.done != nil {
+		s.done(id)
+	}
 }
 
 // Served returns the number of completed jobs.
@@ -233,12 +311,6 @@ func (s *Station) BusyFraction() float64 {
 func (s *Station) Utilization() float64 {
 	return s.BusyFraction() * float64(s.servers)
 }
-
-// InService returns the number of jobs currently being served.
-func (s *Station) InService() int { return s.busy }
-
-// QueueLen returns the current waiting-room occupancy.
-func (s *Station) QueueLen() int { return len(s.queue) }
 
 // Ceil converts a float seconds value to Time, rounding up to 1ns minimum
 // for positive values so zero-length services still order deterministically.

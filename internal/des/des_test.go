@@ -2,6 +2,9 @@ package des
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -122,12 +125,10 @@ func TestDeterminism(t *testing.T) {
 	run := func() []Time {
 		e := NewEngine(7)
 		var times []Time
-		st := NewStation(e, 2, 0)
+		st := NewStation(e, 2, 0, func(int) { times = append(times, e.Now()) })
 		for i := 0; i < 50; i++ {
 			e.At(e.Uniform(0, FromSeconds(1)), func() {
-				st.Submit(e.Exp(FromDuration(10*time.Millisecond)), func() {
-					times = append(times, e.Now())
-				})
+				st.Submit(e.Exp(FromDuration(10*time.Millisecond)), i)
 			})
 		}
 		e.Run(FromSeconds(100))
@@ -146,11 +147,11 @@ func TestDeterminism(t *testing.T) {
 
 func TestStationSerialService(t *testing.T) {
 	e := NewEngine(1)
-	st := NewStation(e, 1, 0)
 	var done []Time
+	st := NewStation(e, 1, 0, func(int) { done = append(done, e.Now()) })
 	svc := FromDuration(10 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		st.Submit(svc, func() { done = append(done, e.Now()) })
+		st.Submit(svc, i)
 	}
 	e.Run(FromSeconds(1))
 	want := []Time{svc, 2 * svc, 3 * svc}
@@ -166,11 +167,11 @@ func TestStationSerialService(t *testing.T) {
 
 func TestStationParallelService(t *testing.T) {
 	e := NewEngine(1)
-	st := NewStation(e, 3, 0)
 	var done []Time
+	st := NewStation(e, 3, 0, func(int) { done = append(done, e.Now()) })
 	svc := FromDuration(10 * time.Millisecond)
 	for i := 0; i < 3; i++ {
-		st.Submit(svc, func() { done = append(done, e.Now()) })
+		st.Submit(svc, i)
 	}
 	e.Run(FromSeconds(1))
 	for i := range done {
@@ -182,11 +183,11 @@ func TestStationParallelService(t *testing.T) {
 
 func TestStationQueueLimitDrops(t *testing.T) {
 	e := NewEngine(1)
-	st := NewStation(e, 1, 2)
+	st := NewStation(e, 1, 2, nil)
 	svc := FromDuration(time.Millisecond)
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if st.Submit(svc, nil) {
+		if st.Submit(svc, i) {
 			accepted++
 		}
 	}
@@ -204,17 +205,14 @@ func TestStationThroughputMatchesCapacity(t *testing.T) {
 	e := NewEngine(3)
 	const servers = 4
 	svc := FromDuration(time.Millisecond)
-	st := NewStation(e, servers, 0)
-	var issue func()
-	issue = func() {
-		st.Submit(svc, func() {
-			if e.Now() < FromSeconds(10) {
-				issue()
-			}
-		})
-	}
+	var st *Station
+	st = NewStation(e, servers, 0, func(int) {
+		if e.Now() < FromSeconds(10) {
+			st.Submit(svc, 0)
+		}
+	})
 	for i := 0; i < 64; i++ {
-		e.At(0, issue)
+		e.At(0, func() { st.Submit(svc, 0) })
 	}
 	e.Run(FromSeconds(10))
 	rate := float64(st.Served()) / 10
@@ -229,9 +227,9 @@ func TestStationThroughputMatchesCapacity(t *testing.T) {
 
 func TestStationBusyFractionPartialLoad(t *testing.T) {
 	e := NewEngine(1)
-	st := NewStation(e, 1, 0)
+	st := NewStation(e, 1, 0, nil)
 	// One job of 1s within a 4s horizon: busy fraction = 0.25.
-	st.Submit(FromSeconds(1), nil)
+	st.Submit(FromSeconds(1), 0)
 	e.Run(FromSeconds(4))
 	if bf := st.BusyFraction(); math.Abs(bf-0.25) > 0.01 {
 		t.Fatalf("busy fraction = %v", bf)
@@ -243,10 +241,10 @@ func TestStationBusyFractionPartialLoad(t *testing.T) {
 
 func TestStationMeanWait(t *testing.T) {
 	e := NewEngine(1)
-	st := NewStation(e, 1, 0)
+	st := NewStation(e, 1, 0, nil)
 	svc := FromSeconds(1)
-	st.Submit(svc, nil) // waits 0
-	st.Submit(svc, nil) // waits 1s
+	st.Submit(svc, 0) // waits 0
+	st.Submit(svc, 1) // waits 1s
 	e.Run(FromSeconds(10))
 	if mw := st.MeanWait(); mw != FromSeconds(0.5) {
 		t.Fatalf("mean wait = %v", mw)
@@ -271,5 +269,90 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if FromDuration(time.Second) != FromSeconds(1) {
 		t.Fatal("duration conversion broken")
+	}
+}
+
+// TestPopOrderMatchesStableSort checks the calendar against a reference:
+// random schedules with many tied times, some events posted and some
+// scheduled with At, some scheduled from inside running events, must run in
+// (time, scheduling order) — a stable sort of everything scheduled by time.
+func TestPopOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	type entry struct {
+		at Time
+		id int
+	}
+	for trial := 0; trial < 300; trial++ {
+		e := NewEngine(int64(trial))
+		var scheduled, ran []entry
+		var h Handler
+		var schedule func(at Time)
+		fire := func(id int) {
+			ran = append(ran, scheduled[id])
+			if rng.Intn(3) == 0 {
+				schedule(e.Now() + Time(rng.Intn(3)))
+			}
+		}
+		h = e.Handle(fire)
+		schedule = func(at Time) {
+			id := len(scheduled)
+			scheduled = append(scheduled, entry{at, id})
+			if rng.Intn(2) == 0 {
+				e.Post(at, h, id)
+			} else {
+				e.At(at, func() { fire(id) })
+			}
+		}
+		for i, n := 0, 1+rng.Intn(64); i < n; i++ {
+			schedule(Time(rng.Intn(8)))
+		}
+		e.Run(1 << 40)
+		want := append([]entry(nil), scheduled...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if !reflect.DeepEqual(ran, want) {
+			t.Fatalf("trial %d: ran %v, want %v", trial, ran, want)
+		}
+	}
+}
+
+// TestStationCycleAllocatesNothing pins a warmed station's submit →
+// complete cycle at 0 allocations, queueing included.
+func TestStationCycleAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	completed := 0
+	st := NewStation(e, 2, 0, func(int) { completed++ })
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			st.Submit(Time(1+i%3), i)
+		}
+		e.Run(e.Now() + 1000)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocations per 64 jobs, want 0", allocs)
+	}
+	if completed != 102*64 { // one warm cycle here, one in AllocsPerRun, 100 measured
+		t.Fatalf("completed %d jobs, want %d", completed, 102*64)
+	}
+}
+
+// TestAtRunAllocatesNothing pins At → Run at 0 allocations once the
+// calendar and At's callback slots have grown.
+func TestAtRunAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	ran := 0
+	fn := func() { ran++ }
+	cycle := func() {
+		for i := 0; i < 64; i++ {
+			e.After(Time(i%5), fn)
+		}
+		e.Run(e.Now() + 10)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%.1f allocations per 64 events, want 0", allocs)
+	}
+	if ran != 102*64 {
+		t.Fatalf("ran %d events, want %d", ran, 102*64)
 	}
 }

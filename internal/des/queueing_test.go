@@ -16,13 +16,13 @@ import (
 func runMMc(t *testing.T, lambda, mu float64, c int, horizon time.Duration) (meanWaitSec float64, served int64) {
 	t.Helper()
 	eng := NewEngine(99)
-	st := NewStation(eng, c, 0)
+	st := NewStation(eng, c, 0, nil)
 	svcMean := FromSeconds(1 / mu)
 	iaMean := FromSeconds(1 / lambda)
 	end := FromDuration(horizon)
 	var arrive func()
 	arrive = func() {
-		st.Submit(eng.Exp(svcMean), nil)
+		st.Submit(eng.Exp(svcMean), 0)
 		if eng.Now() < end {
 			eng.After(eng.Exp(iaMean), arrive)
 		}
@@ -49,11 +49,11 @@ func TestMM1MeanWaitMatchesTheory(t *testing.T) {
 func TestMM1UtilizationMatchesRho(t *testing.T) {
 	lambda, mu := 60.0, 100.0
 	eng := NewEngine(7)
-	st := NewStation(eng, 1, 0)
+	st := NewStation(eng, 1, 0, nil)
 	end := FromSeconds(600)
 	var arrive func()
 	arrive = func() {
-		st.Submit(eng.Exp(FromSeconds(1/mu)), nil)
+		st.Submit(eng.Exp(FromSeconds(1/mu)), 0)
 		if eng.Now() < end {
 			eng.After(eng.Exp(FromSeconds(1/lambda)), arrive)
 		}
@@ -93,11 +93,11 @@ func TestLittlesLaw(t *testing.T) {
 	// unsaturated M/M/1: time-averaged busy servers equals lambda * E[S].
 	lambda, mu := 50.0, 100.0
 	eng := NewEngine(3)
-	st := NewStation(eng, 1, 0)
+	st := NewStation(eng, 1, 0, nil)
 	end := FromSeconds(400)
 	var arrive func()
 	arrive = func() {
-		st.Submit(eng.Exp(FromSeconds(1/mu)), nil)
+		st.Submit(eng.Exp(FromSeconds(1/mu)), 0)
 		if eng.Now() < end {
 			eng.After(eng.Exp(FromSeconds(1/lambda)), arrive)
 		}

@@ -1,196 +1,98 @@
 package scenario
 
 import (
-	"math"
 	"sort"
 	"time"
 
 	"repro/internal/autoscale"
-	"repro/internal/des"
-	"repro/internal/metrics"
+	"repro/internal/cloudsim"
+	"repro/internal/sim"
 )
 
-// desAcct is the exact per-key token-bucket ledger of the DES tier — the
-// conservation oracle. Credits refill lazily at decision time on the
-// virtual clock, so admitted can never exceed C + r·t without a bug.
-type desAcct struct {
-	credit    float64
-	lastNs    int64
-	rate, cap float64
-	admitted  int64
-	requested int64
-}
-
-// RunDES executes the scenario's DES tier: a non-homogeneous Poisson
-// arrival pump shaped by the scenario profile feeds an autoscaled layer of
-// multi-server router stations on the virtual clock, with every admission
-// decided against the per-key ledger. The run is strictly single-threaded
-// and seeded — the same seed reproduces the identical Report.
+// RunDES executes the scenario's DES tier: cloudsim.Run of a gateway
+// deployment (desRouter routers, one c3.8xlarge QoS node) under the
+// scenario's open-loop rate profile and key stream. desBand's autoscale
+// group adds and drains routers on the windowed p90 of end-to-end latency,
+// and the QoS node decides every request on internal/bucket buckets driven
+// by the virtual clock. The run is strictly single-threaded and seeded —
+// the same seed reproduces the identical Report.
 func RunDES(sc Scenario, seed int64) Report {
-	p := sc.DES
-	eng := des.NewEngine(seed)
-	rng := eng.Rand()
-	keys := sc.keyGen(seed, false)
-	profile := sc.Profile(p.CapacityPerRouter, p.Duration)
-	until := des.FromDuration(p.Duration)
-
-	// Normal-job latency feeds both the SLO tail and (windowed) the
-	// autoscale metric; loris jobs are excluded so stragglers distort the
-	// tail only through the queueing they inflict on everyone else.
-	lat := metrics.NewHistogram()
-	win := NewHistWindow(lat)
-
-	newStation := func() *des.Station {
-		return des.NewStation(eng, p.WorkersPerRouter, p.QueueLimit)
-	}
-	live := make([]*des.Station, 0, p.MaxRouters)
-	for i := 0; i < p.MinRouters; i++ {
-		live = append(live, newStation())
-	}
-
-	grp, err := autoscale.New(autoscale.Config{
-		Min: p.MinRouters, Max: p.MaxRouters,
-		HighWater: p.HighWaterMs, LowWater: p.LowWaterMs,
-		Metric: func() float64 {
-			d, n := win.Advance(0.90)
-			if n == 0 {
-				// An empty window is no evidence either way: report the
-				// middle of the band so the group holds.
-				return (p.HighWaterMs + p.LowWaterMs) / 2
+	band := desBand
+	band.MaxRouters = sc.DESMaxRouters
+	var (
+		ctl *cloudsim.Control
+		grp *autoscale.Group
+	)
+	dep := cloudsim.Deployment{
+		Routers:     cloudsim.RouterNodes(desRouter, band.MinRouters),
+		QoS:         cloudsim.QoSNodes(sim.C38XLarge, 1),
+		RouterQueue: desRouterQueue,
+		Autoscale: func(c *cloudsim.Control) {
+			ctl = c
+			var err error
+			grp, err = band.group(c.Latency(),
+				func() (int, error) { return c.AddRouter(), nil },
+				func() (int, error) { return c.DrainRouter(), nil },
+				c.Routers,
+				func() time.Time { return time.Unix(0, int64(c.Now())) })
+			if err != nil {
+				panic("scenario: bad DES autoscale config: " + err.Error())
 			}
-			return float64(d) / float64(time.Millisecond)
+			c.Every(band.EvalInterval, func() { grp.EvaluateOnce() })
 		},
-		ScaleOut: func() (int, error) {
-			live = append(live, newStation())
-			return len(live), nil
-		},
-		ScaleIn: func() (int, error) {
-			// The removed station drains: queued jobs still complete, it
-			// just receives no new arrivals.
-			live = live[:len(live)-1]
-			return len(live), nil
-		},
-		Capacity: func() int { return len(live) },
-		Interval: p.EvalInterval, Cooldown: p.Cooldown,
-		Clock: func() time.Time { return time.Unix(0, int64(eng.Now())) },
+	}
+	capacity := sim.Node{Type: desRouter, Layer: sim.LayerRouter}.Capacity()
+	res, err := cloudsim.Run(dep, cloudsim.RunConfig{
+		Rate:     sc.Profile(capacity, desDuration),
+		Keys:     sc.keyGen(seed, false),
+		Rules:    sc.ruleFor,
+		Loris:    sc.LorisFrac,
+		Duration: desDuration,
+		Seed:     seed,
 	})
 	if err != nil {
-		panic("scenario: bad DES autoscale config: " + err.Error())
+		// Scenarios are static declarations; a bad one is a programming
+		// error, not a runtime condition.
+		panic("scenario: bad DES deployment: " + err.Error())
 	}
-
-	accounts := make(map[string]*desAcct)
-	account := func(key string) *desAcct {
-		a := accounts[key]
-		if a == nil {
-			r, c := sc.ruleFor(key)
-			a = &desAcct{credit: c, rate: r, cap: c}
-			accounts[key] = a
-		}
-		return a
-	}
-	var requests, admitted, rejected, degraded int64
-	decide := func(a *desAcct) bool {
-		now := int64(eng.Now())
-		a.credit = math.Min(a.cap, a.credit+a.rate*float64(now-a.lastNs)/float64(time.Second))
-		a.lastNs = now
-		if a.credit >= 1 {
-			a.credit--
-			a.admitted++
-			return true
-		}
-		return false
-	}
-
-	arrive := func() {
-		requests++
-		key := keys.Next()
-		a := account(key)
-		a.requested++
-		loris := sc.LorisFrac > 0 && rng.Float64() < sc.LorisFrac
-		svc := eng.Exp(des.FromDuration(p.ServiceMean))
-		if loris {
-			svc = des.FromDuration(p.LorisService)
-		}
-		st := live[rng.Intn(len(live))]
-		t0 := eng.Now()
-		ok := st.Submit(svc, func() {
-			if !loris {
-				lat.RecordDuration(time.Duration(eng.Now() - t0))
-			}
-			if decide(a) {
-				admitted++
-			} else {
-				rejected++
-			}
-		})
-		if !ok {
-			// Full waiting room: the node answers with the shed default —
-			// the DES analogue of a CoDel degraded reply. No credit moves.
-			degraded++
-		}
-	}
-
-	// Arrival pump: exponential gaps at the profile's instantaneous rate.
-	var pump func()
-	pump = func() {
-		r := profile(time.Duration(eng.Now()))
-		if r <= 0 {
-			eng.After(des.FromDuration(50*time.Millisecond), pump)
-			return
-		}
-		eng.After(eng.Exp(des.FromSeconds(1/r)), func() {
-			arrive()
-			pump()
-		})
-	}
-	pump()
-
-	// Control loop: EvaluateOnce as a recurring virtual event (Start would
-	// spin a wall-clock ticker, which has no business inside a DES).
-	var tick func()
-	tick = func() {
-		grp.EvaluateOnce()
-		eng.After(des.FromDuration(p.EvalInterval), tick)
-	}
-	eng.After(des.FromDuration(p.EvalInterval), tick)
-
-	eng.Run(until)
 
 	rep := Report{
 		Scenario:        sc.Name,
 		Tier:            "des",
 		Seed:            seed,
-		DurationSeconds: eng.Now().Seconds(),
-		Requests:        requests,
-		Admitted:        admitted,
-		Rejected:        rejected,
-		Degraded:        degraded,
-		P50SojournMs:    float64(lat.Percentile(50)) / float64(time.Millisecond),
-		P99SojournMs:    float64(lat.Percentile(99)) / float64(time.Millisecond),
-		FinalRouters:    len(live),
+		DurationSeconds: desDuration.Seconds(),
+		Degraded:        res.Degraded,
+		P50SojournMs:    float64(res.Latency.Percentile(50)) / float64(time.Millisecond),
+		P99SojournMs:    float64(res.Latency.Percentile(99)) / float64(time.Millisecond),
+		FinalRouters:    ctl.Routers(),
 	}
 
-	// Conservation oracle: iterate keys in sorted order so the float
+	// Conservation oracle: the buckets decided; each key's admissions are
+	// held to C + r·T here. Keys go in sorted order so the float
 	// accumulation — and therefore the Report — is identical per seed.
-	T := eng.Now().Seconds()
-	names := make([]string, 0, len(accounts))
-	for k := range accounts {
+	T := desDuration.Seconds()
+	names := make([]string, 0, len(res.Keys))
+	for k := range res.Keys {
 		names = append(names, k)
 	}
 	sort.Strings(names)
 	var hotSum float64
 	var hotN int
 	for _, k := range names {
-		a := accounts[k]
-		bound := a.cap + a.rate*T
+		tally := res.Keys[k]
+		rep.Requests += tally.Requested
+		rep.Admitted += tally.Admitted
+		rep.Rejected += tally.Rejected
+		rate, capacity := sc.ruleFor(k)
+		bound := capacity + rate*T
 		if bound <= 0 {
 			continue
 		}
-		over := float64(a.admitted) / bound
+		over := float64(tally.Admitted) / bound
 		if over > rep.AdmitOverBound {
 			rep.AdmitOverBound = over
 		}
-		if float64(a.requested) >= bound {
+		if float64(tally.Requested) >= bound {
 			hotSum += over
 			hotN++
 		}
@@ -199,22 +101,7 @@ func RunDES(sc Scenario, seed int64) Report {
 		rep.HotKeyUtilization = hotSum / float64(hotN)
 	}
 
-	for _, ev := range grp.History() {
-		switch ev.Decision {
-		case autoscale.ScaledOut:
-			rep.ScaledOut++
-		case autoscale.ScaledIn:
-			rep.ScaledIn++
-		default:
-			continue
-		}
-		rep.ScaleEvents = append(rep.ScaleEvents, ScaleEvent{
-			AtSeconds: float64(ev.At.UnixNano()) / float64(time.Second),
-			Decision:  ev.Decision.String(),
-			Capacity:  ev.Capacity,
-		})
-	}
-
+	scaleTrace(&rep, grp, time.Unix(0, 0))
 	sc.DESSLO.Check(&rep)
 	return rep
 }

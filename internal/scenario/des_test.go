@@ -19,15 +19,27 @@ func desSeed(t testing.TB) int64 {
 	return 1
 }
 
+// suiteReports holds each scenario's DES report at the suite seed: every
+// test below asserts on the same run. Tests run one at a time, and t.Run
+// orders each subtest after the last.
+var suiteReports = map[string]Report{}
+
+func suiteRun(t *testing.T, sc Scenario) Report {
+	rep, ok := suiteReports[sc.Name]
+	if !ok {
+		rep = RunDES(sc, desSeed(t))
+		suiteReports[sc.Name] = rep
+		collect(rep)
+	}
+	return rep
+}
+
 // TestDESScenariosMeetSLO is the fast CI gate: every named scenario runs
 // its DES tier at millions-of-users scale and must pass its SLO budget.
 func TestDESScenariosMeetSLO(t *testing.T) {
-	seed := desSeed(t)
 	for _, sc := range All() {
-		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			rep := RunDES(sc, seed)
-			collect(rep)
+			rep := suiteRun(t, sc)
 			t.Logf("%s/des: req=%d admit=%d reject=%d degraded=%d over=%.3f hot=%.3f p99=%.1fms out=%d in=%d routers=%d",
 				sc.Name, rep.Requests, rep.Admitted, rep.Rejected, rep.Degraded,
 				rep.AdmitOverBound, rep.HotKeyUtilization, rep.P99SojournMs,
@@ -43,22 +55,19 @@ func TestDESScenariosMeetSLO(t *testing.T) {
 }
 
 // TestDESDeterministicPerSeed asserts the DES tier's reproducibility
-// contract: the same seed yields byte-identical reports, and a different
-// seed yields a different trace.
+// contract for every scenario: the same seed yields byte-identical reports,
+// and a different seed yields a different trace.
 func TestDESDeterministicPerSeed(t *testing.T) {
-	for _, name := range []string{"zipf-churn", "flash-crowd"} {
-		sc, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, _ := json.Marshal(RunDES(sc, 7))
-		b, _ := json.Marshal(RunDES(sc, 7))
+	seed := desSeed(t)
+	for _, sc := range All() {
+		a, _ := json.Marshal(suiteRun(t, sc))
+		b, _ := json.Marshal(RunDES(sc, seed))
 		if string(a) != string(b) {
-			t.Errorf("%s: same seed produced different reports:\n%s\n%s", name, a, b)
+			t.Errorf("%s: same seed produced different reports:\n%s\n%s", sc.Name, a, b)
 		}
-		c, _ := json.Marshal(RunDES(sc, 8))
+		c, _ := json.Marshal(RunDES(sc, seed+1))
 		if string(a) == string(c) {
-			t.Errorf("%s: different seeds produced identical reports", name)
+			t.Errorf("%s: different seeds produced identical reports", sc.Name)
 		}
 	}
 }
@@ -71,7 +80,7 @@ func TestDESFlashCrowdScaleSequence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := RunDES(sc, desSeed(t))
+	rep := suiteRun(t, sc)
 	if rep.ScaledOut < 1 || rep.ScaledIn < 1 {
 		t.Fatalf("scale events out=%d in=%d, want >=1 each (trace %+v)",
 			rep.ScaledOut, rep.ScaledIn, rep.ScaleEvents)

@@ -6,8 +6,9 @@ import (
 )
 
 // RateProfile maps elapsed run time to an instantaneous arrival rate in
-// requests per second — the loadgen.OpenLoopConfig.RateFunc shape, shared
-// verbatim between the DES arrival pump and the real-tier pacer.
+// requests per second — the loadgen.OpenLoopConfig.RateFunc and
+// cloudsim.RunConfig.Rate shape, shared verbatim between the DES tier's
+// open-loop pump and the real-tier pacer.
 type RateProfile func(elapsed time.Duration) float64
 
 // Steady holds a constant rate.

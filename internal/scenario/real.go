@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/bucket"
 	"repro/internal/cluster"
 	"repro/internal/failpoint"
@@ -46,7 +45,7 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 	clk := loadgen.Clock{}
 
 	c, err := cluster.New(cluster.Config{
-		Routers:       p.MinRouters,
+		Routers:       realBand.MinRouters,
 		QoSServers:    1,
 		QoSWorkers:    1,
 		CodelTarget:   20 * time.Millisecond,
@@ -71,33 +70,20 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 	}
 	defer failpoint.Disarm(decideSite)
 
-	win := NewHistWindow(c.LB.Latency())
-	grp, err := autoscale.New(autoscale.Config{
-		Min: p.MinRouters, Max: p.MaxRouters,
-		HighWater: p.HighWaterMs, LowWater: p.LowWaterMs,
-		Metric: func() float64 {
-			d, n := win.Advance(0.90)
-			if n == 0 {
-				return (p.HighWaterMs + p.LowWaterMs) / 2
-			}
-			return float64(d) / float64(time.Millisecond)
-		},
-		ScaleOut: func() (int, error) {
+	grp, err := realBand.group(c.LB.Latency(),
+		func() (int, error) {
 			if _, err := c.AddRouter(); err != nil {
 				return c.RouterCount(), err
 			}
 			return c.RouterCount(), nil
 		},
-		ScaleIn: func() (int, error) {
+		func() (int, error) {
 			if err := c.RemoveRouter(); err != nil {
 				return c.RouterCount(), err
 			}
 			return c.RouterCount(), nil
 		},
-		Capacity: c.RouterCount,
-		Interval: p.EvalInterval, Cooldown: p.Cooldown,
-		Clock: clk.Now,
-	})
+		c.RouterCount, clk.Now)
 	if err != nil {
 		return Report{}, fmt.Errorf("scenario: real autoscale config: %w", err)
 	}
@@ -113,7 +99,7 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 			select {
 			case <-evalStop:
 				return
-			case <-clk.After(p.EvalInterval):
+			case <-clk.After(realBand.EvalInterval):
 				grp.EvaluateOnce()
 			}
 		}
@@ -191,22 +177,7 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 		rep.AdmitOverBound = float64(stats.Allowed) / bound
 	}
 
-	for _, ev := range grp.History() {
-		switch ev.Decision {
-		case autoscale.ScaledOut:
-			rep.ScaledOut++
-		case autoscale.ScaledIn:
-			rep.ScaledIn++
-		default:
-			continue
-		}
-		rep.ScaleEvents = append(rep.ScaleEvents, ScaleEvent{
-			AtSeconds: ev.At.Sub(start).Seconds(),
-			Decision:  ev.Decision.String(),
-			Capacity:  ev.Capacity,
-		})
-	}
-
+	scaleTrace(&rep, grp, start)
 	sc.RealSLO.Check(&rep)
 	return rep, nil
 }

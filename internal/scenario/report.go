@@ -27,7 +27,7 @@ type Report struct {
 	Admitted int64 `json:"admitted"`
 	Rejected int64 `json:"rejected"`
 	// Degraded counts requests answered by shedding (CoDel degraded
-	// replies in the real tier; queue-full default answers in the DES).
+	// replies in the real tier; a full router waiting room in the DES).
 	Degraded int64 `json:"degraded"`
 	// Dropped counts requests LOST (real tier FIFO-full datagram loss);
 	// with CoDel active the budget for this is zero.
@@ -35,8 +35,8 @@ type Report struct {
 	Errors  int64 `json:"errors"`
 
 	// AdmitOverBound is admission accuracy against the paper's C + r·t
-	// conservation bound: the worst per-key ratio in the DES (exact
-	// per-key accounting), the aggregate ratio in the real tier (the
+	// conservation bound: the worst per-key ratio in the DES (each key's
+	// bucket decisions), the aggregate ratio in the real tier (the
 	// per-key oracle there is the server's own audit ledger). Accurate
 	// admission keeps it at or below 1.
 	AdmitOverBound float64 `json:"admit_over_bound"`
@@ -45,6 +45,8 @@ type Report struct {
 	// keys actually received (DES tier only).
 	HotKeyUtilization float64 `json:"hot_key_utilization,omitempty"`
 
+	// P50SojournMs and P99SojournMs are the QoS server's intake sojourn
+	// in the real tier and client end-to-end latency in the DES.
 	P50SojournMs float64 `json:"p50_sojourn_ms"`
 	P99SojournMs float64 `json:"p99_sojourn_ms"`
 

@@ -1,16 +1,18 @@
-// Package scenario composes loadgen, the DES engine, autoscale, and the
-// in-process cluster into named, seeded, SLO-checked end-to-end workload
-// runs — the million-user regression harness of ROADMAP's scenario suite.
+// Package scenario composes loadgen, the simulated deployment (cloudsim),
+// autoscale, and the in-process cluster into named, seeded, SLO-checked
+// end-to-end workload runs — the million-user regression harness of
+// ROADMAP's scenario suite.
 //
 // Each scenario describes one adversarial traffic shape (Zipfian skew under
 // hot-set churn, diurnal sine, 10× flash crowd, multi-tenant rule classes,
 // slow-loris clients) and runs in two tiers:
 //
 //   - DES tier (RunDES): the workload at simulated millions-of-users scale
-//     on the virtual clock — deterministic per seed (the simclock analyzer
-//     enforces that no wall-clock or global-rand call sneaks in), with an
-//     exact per-key C + r·t conservation oracle and an autoscaled router
-//     layer driven by a windowed latency quantile.
+//     as a cloudsim.Run — client → LB → autoscaled routers → a QoS node
+//     deciding on internal/bucket buckets, on the virtual clock,
+//     deterministic per seed (the simclock analyzer enforces that no
+//     wall-clock or global-rand call sneaks in) — with every key's
+//     admissions held to C + r·T by the oracle here.
 //   - Real tier (RunReal): the same shape at max real throughput against a
 //     live loopback cluster — gateway LB, routers with lease tables and
 //     batched UDP transport, QoS servers with CoDel shedding on their
@@ -29,7 +31,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/autoscale"
 	"repro/internal/loadgen"
+	"repro/internal/metrics"
+	"repro/internal/sim"
 )
 
 // Tenant is one rule class: a population of keys sharing a token-bucket
@@ -48,26 +53,6 @@ type Tenant struct {
 	Capacity float64
 }
 
-// DESParams sizes the DES tier of a scenario.
-type DESParams struct {
-	// Duration is the virtual run length.
-	Duration time.Duration
-	// ServiceMean is the mean (exponential) router service demand.
-	ServiceMean time.Duration
-	// LorisService is the service demand of a slow-loris job.
-	LorisService time.Duration
-	// WorkersPerRouter and QueueLimit shape each simulated router node.
-	WorkersPerRouter int
-	QueueLimit       int
-	// CapacityPerRouter is the nominal throughput of one router node in
-	// requests/second; Scenario.Profile rates are expressed against it.
-	CapacityPerRouter float64
-	// Autoscale band: windowed p90 job latency in milliseconds.
-	MinRouters, MaxRouters  int
-	HighWaterMs, LowWaterMs float64
-	EvalInterval, Cooldown  time.Duration
-}
-
 // RealParams sizes the real-cluster tier of a scenario.
 type RealParams struct {
 	// DecideDelay pins the QoS decide path via the worker/decide
@@ -83,10 +68,79 @@ type RealParams struct {
 	Lease bool
 	// LorisConns is the number of adversarial held connections.
 	LorisConns int
-	// Autoscale band: windowed LB p90 in milliseconds.
+}
+
+// Band is an autoscale band: bounds on the router count, and thresholds on
+// a windowed p90 latency in milliseconds, evaluated every EvalInterval.
+type Band struct {
 	MinRouters, MaxRouters  int
 	HighWaterMs, LowWaterMs float64
 	EvalInterval, Cooldown  time.Duration
+}
+
+// group builds the band's autoscale group over latency histogram lat.
+func (b Band) group(lat *metrics.Histogram, out, in autoscale.Action, capacity func() int, clock func() time.Time) (*autoscale.Group, error) {
+	win := NewHistWindow(lat)
+	return autoscale.New(autoscale.Config{
+		Min: b.MinRouters, Max: b.MaxRouters,
+		HighWater: b.HighWaterMs, LowWater: b.LowWaterMs,
+		Metric: func() float64 {
+			d, n := win.Advance(0.90)
+			if n == 0 {
+				// An empty window is no evidence either way: report the
+				// middle of the band so the group holds.
+				return (b.HighWaterMs + b.LowWaterMs) / 2
+			}
+			return float64(d) / float64(time.Millisecond)
+		},
+		ScaleOut: out, ScaleIn: in, Capacity: capacity,
+		Interval: b.EvalInterval, Cooldown: b.Cooldown,
+		Clock: clock,
+	})
+}
+
+// scaleTrace records grp's scale actions on rep, timed from start.
+func scaleTrace(rep *Report, grp *autoscale.Group, start time.Time) {
+	for _, ev := range grp.History() {
+		switch ev.Decision {
+		case autoscale.ScaledOut:
+			rep.ScaledOut++
+		case autoscale.ScaledIn:
+			rep.ScaledIn++
+		default:
+			continue
+		}
+		rep.ScaleEvents = append(rep.ScaleEvents, ScaleEvent{
+			AtSeconds: ev.At.Sub(start).Seconds(),
+			Decision:  ev.Decision.String(),
+			Capacity:  ev.Capacity,
+		})
+	}
+}
+
+// Every scenario's DES tier runs desDuration virtual seconds on desRouter
+// routers, whose capacity Scenario.Profile rates are expressed against. Each
+// router has a desRouterQueue-deep waiting room: overflow answers degraded,
+// as CoDel sheds in the real tier.
+const (
+	desDuration    = 30 * time.Second
+	desRouterQueue = 400
+)
+
+var desRouter = sim.C3Large
+
+// desBand scales every scenario's DES-tier router layer on a 3–8 ms band of
+// the p90 of end-to-end latency; MaxRouters is the scenario's DESMaxRouters.
+var desBand = Band{
+	MinRouters: 1, HighWaterMs: 8, LowWaterMs: 3,
+	EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
+}
+
+// realBand scales every scenario's real-tier router layer: 1–3 routers on
+// a 6–18 ms band of the LB's p90.
+var realBand = Band{
+	MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
+	EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 }
 
 // Scenario is one named workload.
@@ -106,8 +160,9 @@ type Scenario struct {
 	// one router/server node and the tier's run duration, so both tiers
 	// stress the same multiples on their own time base.
 	Profile func(capacity float64, dur time.Duration) RateProfile
+	// DESMaxRouters caps the DES tier's autoscaled router layer.
+	DESMaxRouters int
 
-	DES     DESParams
 	Real    RealParams
 	DESSLO  SLO
 	RealSLO SLO
@@ -156,23 +211,16 @@ func (sc Scenario) ruleFor(key string) (rate, capacity float64) {
 // capacity; budget calibration notes live in DESIGN.md §15.
 var registry = []Scenario{
 	{
-		Name:        "zipf-churn",
-		Desc:        "Zipfian popularity (s=1.3) over 2M users with the hot set rotating every 20k draws; steady 0.7× load; leases on in the real tier",
-		Tenants:     []Tenant{{Name: "user", Weight: 1, Users: 2_000_000, RealKeys: 64, Rate: 2, Capacity: 5}},
-		ZipfS:       1.3,
-		RotateEvery: 20_000,
-		Profile:     func(cap float64, _ time.Duration) RateProfile { return Steady(0.7 * cap) },
-		DES: DESParams{
-			Duration: 30 * time.Second, ServiceMean: time.Millisecond,
-			WorkersPerRouter: 4, QueueLimit: 400, CapacityPerRouter: 4000,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 8, LowWaterMs: 3,
-			EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
-		},
+		Name:          "zipf-churn",
+		Desc:          "Zipfian popularity (s=1.3) over 2M users with the hot set rotating every 20k draws; steady 0.7× load; leases on in the real tier",
+		Tenants:       []Tenant{{Name: "user", Weight: 1, Users: 2_000_000, RealKeys: 64, Rate: 2, Capacity: 5}},
+		ZipfS:         1.3,
+		RotateEvery:   20_000,
+		Profile:       func(cap float64, _ time.Duration) RateProfile { return Steady(0.7 * cap) },
+		DESMaxRouters: 3,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 6 * time.Second, LongDuration: 20 * time.Second,
 			Workers: 32, Lease: true,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
-			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 		},
 		// No MinHotUtilization here: under churn a key is hot only for its
 		// rotation window, so full-run utilization of the C + r·T bound is
@@ -187,22 +235,15 @@ var registry = []Scenario{
 		},
 	},
 	{
-		Name:    "diurnal",
-		Desc:    "sinusoidal day/night pacing swinging 0.2×–1.4× one node's capacity across three cycles; autoscale follows the wave",
-		Tenants: []Tenant{{Name: "user", Weight: 1, Users: 500_000, RealKeys: 64, Rate: 50, Capacity: 100}},
-		ZipfS:   1.2,
-		Profile: func(cap float64, dur time.Duration) RateProfile { return Diurnal(0.8*cap, 0.6*cap, dur/3) },
-		DES: DESParams{
-			Duration: 30 * time.Second, ServiceMean: time.Millisecond,
-			WorkersPerRouter: 4, QueueLimit: 400, CapacityPerRouter: 4000,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 8, LowWaterMs: 3,
-			EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
-		},
+		Name:          "diurnal",
+		Desc:          "sinusoidal day/night pacing swinging 0.2×–1.4× one node's capacity across three cycles; autoscale follows the wave",
+		Tenants:       []Tenant{{Name: "user", Weight: 1, Users: 500_000, RealKeys: 64, Rate: 50, Capacity: 100}},
+		ZipfS:         1.2,
+		Profile:       func(cap float64, dur time.Duration) RateProfile { return Diurnal(0.8*cap, 0.6*cap, dur/3) },
+		DESMaxRouters: 3,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 7 * time.Second, LongDuration: 21 * time.Second,
-			Workers:    64,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
-			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
+			Workers: 64,
 		},
 		DESSLO: SLO{
 			MaxAdmitOverBound: 1.02, MaxDegradedFrac: 0.10, MaxP99SojournMs: 150,
@@ -223,17 +264,10 @@ var registry = []Scenario{
 			// point — while onset and hold scale with the run budget.
 			return FlashCrowd(0.5*cap, 0.25*cap, 10, dur/4, 500*time.Millisecond, dur*3/20)
 		},
-		DES: DESParams{
-			Duration: 30 * time.Second, ServiceMean: time.Millisecond,
-			WorkersPerRouter: 4, QueueLimit: 400, CapacityPerRouter: 4000,
-			MinRouters: 1, MaxRouters: 4, HighWaterMs: 8, LowWaterMs: 3,
-			EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
-		},
+		DESMaxRouters: 4,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 8 * time.Second, LongDuration: 24 * time.Second,
-			Workers:    96,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
-			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
+			Workers: 96,
 		},
 		DESSLO: SLO{
 			MaxAdmitOverBound: 1.02, MaxDegradedFrac: 0.35, MaxP99SojournMs: 250,
@@ -257,19 +291,12 @@ var registry = []Scenario{
 			{Name: "paid", Weight: 3, Users: 100_000, RealKeys: 16, Rate: 2, Capacity: 10},
 			{Name: "free", Weight: 5, Users: 1_000_000, RealKeys: 32, Rate: 0.2, Capacity: 2},
 		},
-		ZipfS:   1.3,
-		Profile: func(cap float64, _ time.Duration) RateProfile { return Steady(0.75 * cap) },
-		DES: DESParams{
-			Duration: 30 * time.Second, ServiceMean: time.Millisecond,
-			WorkersPerRouter: 4, QueueLimit: 400, CapacityPerRouter: 4000,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 8, LowWaterMs: 3,
-			EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
-		},
+		ZipfS:         1.3,
+		Profile:       func(cap float64, _ time.Duration) RateProfile { return Steady(0.75 * cap) },
+		DESMaxRouters: 3,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 6 * time.Second, LongDuration: 18 * time.Second,
-			Workers:    48,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
-			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
+			Workers: 48,
 		},
 		DESSLO: SLO{
 			MaxAdmitOverBound: 1.02, MinHotUtilization: 0.80,
@@ -281,23 +308,16 @@ var registry = []Scenario{
 		},
 	},
 	{
-		Name:      "slow-loris",
-		Desc:      "adversarial stragglers: 3% of DES jobs demand 60× service / 24 held trickling connections in the real tier; normal-traffic tail must stay bounded, autoscale absorbs the stragglers",
-		Tenants:   []Tenant{{Name: "user", Weight: 1, Users: 200_000, RealKeys: 64, Rate: 50, Capacity: 100}},
-		ZipfS:     1.2,
-		LorisFrac: 0.03,
-		Profile:   func(cap float64, _ time.Duration) RateProfile { return Steady(0.55 * cap) },
-		DES: DESParams{
-			Duration: 30 * time.Second, ServiceMean: time.Millisecond, LorisService: 60 * time.Millisecond,
-			WorkersPerRouter: 4, QueueLimit: 400, CapacityPerRouter: 4000,
-			MinRouters: 1, MaxRouters: 4, HighWaterMs: 8, LowWaterMs: 3,
-			EvalInterval: 500 * time.Millisecond, Cooldown: time.Second,
-		},
+		Name:          "slow-loris",
+		Desc:          "adversarial stragglers: 3% of DES jobs demand 60× service / 24 held trickling connections in the real tier; normal-traffic tail must stay bounded, autoscale absorbs the stragglers",
+		Tenants:       []Tenant{{Name: "user", Weight: 1, Users: 200_000, RealKeys: 64, Rate: 50, Capacity: 100}},
+		ZipfS:         1.2,
+		LorisFrac:     0.03,
+		Profile:       func(cap float64, _ time.Duration) RateProfile { return Steady(0.55 * cap) },
+		DESMaxRouters: 4,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 6 * time.Second, LongDuration: 18 * time.Second,
 			Workers: 32, LorisConns: 24,
-			MinRouters: 1, MaxRouters: 3, HighWaterMs: 18, LowWaterMs: 6,
-			EvalInterval: 250 * time.Millisecond, Cooldown: 500 * time.Millisecond,
 		},
 		DESSLO: SLO{
 			MaxAdmitOverBound: 1.02, MaxDegradedFrac: 0.05, MaxP99SojournMs: 250,

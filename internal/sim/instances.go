@@ -103,9 +103,6 @@ var profiles = map[Layer]LayerProfile{
 	LayerQoS:    {RatePerCore: 2900, OverheadCores: 0.30, UtilCeiling: 0.80},
 }
 
-// Profile returns the calibrated profile for a layer.
-func Profile(l Layer) LayerProfile { return profiles[l] }
-
 // Node is one provisioned instance serving one Janus layer.
 type Node struct {
 	Type  InstanceType
