@@ -14,36 +14,32 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-json lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
 check: vet lint build test
 
 # The same gate with the race detector on — slower, run by its own CI job.
-check-race: vet lint build race
+# It skips lint, which check already runs.
+check-race: vet build race
 
 vet:
 	$(GO) vet ./...
 
 # janus-vet enforces the repo's own invariants: no wall clock in
-# simulation packages, lock/unlock discipline, frozen gob wire formats,
-# no silently dropped transport errors, one code site per failpoint
-# name, allocation-free //janus:hotpath functions, provable goroutine
-# stop paths, and deadline-dominated network reads/writes. See
-# internal/lint. It also fails on a pointer to a BENCH_*.json that is not in
-# the tree, so a reference to a retired ledger cannot come back.
+# simulation packages (simclock), no silently dropped socket errors and
+# deadline-dominated network reads/writes (netio), allocation-free
+# //janus:hotpath functions (hotalloc), and frozen gob wire formats
+# (wirecompat). See internal/lint. It also fails on a pointer to a
+# BENCH_*.json that is not in the tree, so a reference to a retired ledger
+# cannot come back.
 lint:
 	$(GO) run ./cmd/janus-vet ./...
 	@for f in $$( { grep -rhoE 'BENCH_[a-z]+\.json' --include='*.go' --exclude-dir=.bench_build . ; \
 			grep -rhoE 'BENCH_[a-z]+\.json' Makefile .github README.md DESIGN.md EXPERIMENTS.md; } | sort -u ); do \
 		[ -e $$f ] || { echo "lint: $$f is referenced but not in the tree (a retired ledger?)"; exit 1; }; \
 	done
-
-# The same run with machine-readable output, for CI artifacts and editor
-# integrations. Exit codes are identical to the plain run.
-lint-json:
-	$(GO) run ./cmd/janus-vet -json ./... > janus-vet.json
 
 # Regenerates internal/lint/wirecompat.golden after an intentional wire
 # format change. Review the diff: every changed line is a compatibility
@@ -144,7 +140,7 @@ race-overload:
 # multi-tenant rule classes, slow-loris) each run twice, as a deterministic
 # million-user DES and against a live loopback cluster with autoscale in
 # the loop, and every report is checked against the scenario's SLO budget.
-# Regenerates SCENARIOS_SLO.json. See internal/scenario and DESIGN.md §15.
+# Regenerates SCENARIOS_SLO.json. See internal/scenario and DESIGN.md §14.
 scenarios:
 	JANUS_SCENARIOS_REAL=1 JANUS_SCENARIO_SEED=$(JANUS_SCENARIO_SEED) \
 		JANUS_SCENARIOS_JSON=$(CURDIR)/SCENARIOS_SLO.json \

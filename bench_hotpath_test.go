@@ -1,6 +1,6 @@
 package repro
 
-// Hot-path intake benchmark (ISSUE 9, DESIGN.md §14): decisions/sec through
+// Hot-path intake benchmark (DESIGN.md §13): decisions/sec through
 // the full UDP intake — socket, FIFO, CoDel, worker, bucket table — and the
 // latency profile at 1x/2x/4x offered load. Run with
 //

@@ -1,191 +1,58 @@
 // Command janus-vet runs the project-specific static analyzers over the
-// module: simclock (no wall clock / global RNG in simulation packages),
-// lockdiscipline (locks released, no defer-unlock in loops, no mixed
-// atomic/plain field access), wirecompat (wire/gob struct layouts match
-// the golden manifest), errdrop (no silently discarded
-// Close/SetDeadline/Write errors in transport hot paths), failpointsite
-// (failpoint names are literal, well-formed, single-site), hotalloc
-// (//janus:hotpath functions are allocation-free), goleak (daemon
-// goroutines have provable stop paths), and deadline (daemon socket I/O
-// runs under deadlines or audited helpers). See internal/lint for the
+// module: simclock (no wall clock / global RNG in simulation packages), netio
+// (no silently discarded Close/SetDeadline/Write errors, and socket I/O under
+// a deadline or an audited helper, in the networking packages), hotalloc
+// (//janus:hotpath functions are allocation-free), and wirecompat (wire/gob
+// struct layouts match the golden manifest). See internal/lint for the
 // invariants and the //lint:ignore suppression syntax.
 //
 // Usage:
 //
-//	janus-vet ./...                      # analyze the whole module
-//	janus-vet internal/qosserver         # analyze one directory
-//	janus-vet -pkgpath repro/internal/sim dir   # treat dir as that import path
-//	janus-vet -json ./...                # machine-readable findings on stdout
-//	janus-vet -write-manifest            # regenerate the wirecompat manifest
-//	janus-vet -list                      # list analyzers
+//	janus-vet [./...]              # analyze the whole module
+//	janus-vet -write-manifest      # regenerate the wirecompat manifest
 //
-// With -json, stdout carries a single JSON object:
-//
-//	{"findings":[{"file":...,"line":...,"col":...,"analyzer":...,"message":...}],"count":N}
-//
-// and the human summary line goes to stderr, so CI can pipe stdout
-// straight into an artifact. Exit status is 0 when no findings are
-// reported, 1 otherwise, 2 on usage or load errors.
+// Exit status is 0 when no findings are reported, 1 otherwise, 2 on usage
+// or load errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 )
 
-// jsonFinding is the machine-readable rendering of one lint.Finding.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Count    int           `json:"count"`
-}
-
 func main() {
-	var (
-		manifest      = flag.String("manifest", "", "override the wirecompat golden manifest path")
-		writeManifest = flag.Bool("write-manifest", false, "regenerate the wirecompat golden manifest and exit")
-		pkgPath       = flag.String("pkgpath", "", "import path to assign to explicit directory arguments (for fixture/testing runs)")
-		list          = flag.Bool("list", false, "list analyzers and exit")
-		only          = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default all)")
-		asJSON        = flag.Bool("json", false, "emit findings as JSON on stdout (summary line on stderr)")
-	)
+	writeManifest := flag.Bool("write-manifest", false, "regenerate the wirecompat golden manifest and exit")
 	flag.Parse()
-
-	analyzers := lint.Analyzers(*manifest)
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-	if *only != "" {
-		want := make(map[string]bool)
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		var sel []*lint.Analyzer
-		for _, a := range analyzers {
-			if want[a.Name] {
-				sel = append(sel, a)
-				delete(want, a.Name)
-			}
-		}
-		for n := range want {
-			fatalf("unknown analyzer %q", n)
-		}
-		analyzers = sel
+	if args := flag.Args(); len(args) > 1 || (len(args) == 1 && args[0] != "./...") {
+		fatalf("usage: janus-vet [-write-manifest] [./...]")
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
+	root, err := lint.FindModuleRoot(".")
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	var progs []*lint.Program
-	for _, arg := range args {
-		switch {
-		case arg == "./..." || arg == "...":
-			root, err := lint.FindModuleRoot(".")
-			if err != nil {
-				fatalf("%v", err)
-			}
-			prog, err := lint.LoadModule(root)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			progs = append(progs, prog)
-		default:
-			path := *pkgPath
-			if path == "" {
-				// Best effort: derive the import path from the module root.
-				if root, err := lint.FindModuleRoot(arg); err == nil {
-					if p, ok := relImportPath(root, arg); ok {
-						path = p
-					}
-				}
-			}
-			if path == "" {
-				path = "janusvet.invalid/" + strings.Trim(arg, "./")
-			}
-			prog, err := lint.LoadDir(arg, path)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			progs = append(progs, prog)
-		}
+	prog, err := lint.LoadModule(root)
+	if err != nil {
+		fatalf("%v", err)
 	}
-
 	if *writeManifest {
-		for _, prog := range progs {
-			if err := lint.WriteManifest(prog, *manifest); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		return
-	}
-
-	var findings []lint.Finding
-	for _, prog := range progs {
-		findings = append(findings, lint.Run(prog, analyzers)...)
-	}
-
-	if *asJSON {
-		report := jsonReport{Findings: make([]jsonFinding, 0, len(findings)), Count: len(findings)}
-		for _, f := range findings {
-			report.Findings = append(report.Findings, jsonFinding{
-				File:     f.Pos.Filename,
-				Line:     f.Pos.Line,
-				Col:      f.Pos.Column,
-				Analyzer: f.Analyzer,
-				Message:  f.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
+		if err := lint.WriteManifest(prog, ""); err != nil {
 			fatalf("%v", err)
 		}
-	} else {
-		for _, f := range findings {
-			fmt.Println(f)
-		}
+		return
+	}
+
+	findings := lint.Run(prog, lint.Analyzers(""))
+	for _, f := range findings {
+		fmt.Println(f)
 	}
 	fmt.Fprintf(os.Stderr, "janus-vet: %d finding(s)\n", len(findings))
 	if len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-func relImportPath(root, dir string) (string, bool) {
-	mp, err := lint.ModulePathAt(root)
-	if err != nil {
-		return "", false
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", false
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return "", false
-	}
-	if rel == "." {
-		return mp, true
-	}
-	return mp + "/" + filepath.ToSlash(rel), true
 }
 
 func fatalf(format string, args ...any) {

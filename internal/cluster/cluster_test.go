@@ -3,12 +3,15 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/lb"
 	"repro/internal/loadgen"
+	"repro/internal/membership"
 	"repro/internal/minisql"
 	"repro/internal/store"
 	"repro/internal/wire"
@@ -363,5 +366,100 @@ func TestFirstSightSurvivesSlowDB(t *testing.T) {
 	}
 	if st := c.Routers[0].Stats(); st.DefaultReplies != 0 || st.Timeouts != 0 {
 		t.Fatalf("router gave up on a slow but healthy server: %+v", st)
+	}
+}
+
+// moduleGoroutines returns the stack of every goroutine with a frame in this
+// module's packages, keyed by its "goroutine N" header.
+func moduleGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "repro/internal/") {
+			header, _, _ := strings.Cut(g, " [")
+			out[header] = g
+		}
+	}
+	return out
+}
+
+// TestCloseStopsEveryGoroutine boots each front end with every optional
+// daemon on, drives it through a scale-out, and checks that Close leaves no
+// goroutine running this module's code: every loop the deployment started has
+// a stop path Close reaches. The cluster runs no membership Beater or Poller
+// of its own (its coordinator is in-process), so the test runs one of each
+// against the coordinator's HTTP service and stops them before Close.
+func TestCloseStopsEveryGoroutine(t *testing.T) {
+	before := moduleGoroutines()
+	for _, mode := range []Mode{Gateway, DNS} {
+		c := newCluster(t, Config{
+			Routers:            2,
+			QoSServers:         2,
+			Mode:               mode,
+			HA:                 true,
+			DBHA:               true,
+			Membership:         true,
+			Lease:              true,
+			Audit:              true,
+			SyncInterval:       10 * time.Millisecond,
+			CheckpointInterval: 10 * time.Millisecond,
+			AuditInterval:      10 * time.Millisecond,
+			Rules:              rules(8, 100, 10),
+		})
+		svc, err := membership.NewService(c.Coord, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord := &membership.Client{Endpoint: svc.Addr()}
+		beater := membership.NewBeater(coord, c.QoS[0].Name, c.QoS[0].Master.ReplicationAddr(), 5*time.Millisecond)
+		poller := membership.NewPoller(coord, 5*time.Millisecond, func(membership.View) {})
+		if err := beater.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if err := poller.Start(); err != nil {
+			t.Fatal(err)
+		}
+		checker := c.Checker()
+		check := func() {
+			for i := 0; i < 40; i++ {
+				if _, err := checker.Check(fmt.Sprintf("user-%d", i%8)); err != nil {
+					t.Fatalf("mode %d: %v", mode, err)
+				}
+			}
+		}
+		check()
+		if _, err := c.AddQoSServer(); err != nil {
+			t.Fatal(err)
+		}
+		check()
+		if running := len(moduleGoroutines()); running <= len(before) {
+			t.Fatalf("mode %d: %d module goroutines while running, %d before boot: the stack filter matches nothing", mode, running, len(before))
+		}
+		poller.Stop()
+		beater.Stop()
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var left []string
+		for header, stack := range moduleGoroutines() {
+			if _, old := before[header]; !old {
+				left = append(left, stack)
+			}
+		}
+		if len(left) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still run module code 5s after Close:\n\n%s", len(left), strings.Join(left, "\n\n"))
+		}
 	}
 }

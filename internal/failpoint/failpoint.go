@@ -31,9 +31,8 @@
 //
 // Armed() compiles to a single atomic pointer load and a nil comparison
 // (BenchmarkDisarmedGate measures it), so sites may sit on the hottest paths
-// in the system. The janus-vet failpointsite analyzer enforces
-// that every name has exactly one code site and follows the
-// tier/component/event naming convention.
+// in the system. New panics unless the name has exactly one code site and
+// follows the component/…/event naming convention.
 //
 // # Arming
 //
@@ -58,6 +57,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -321,11 +321,15 @@ func init() {
 	}
 }
 
-// New registers a failpoint site. Each name has exactly one site (enforced
-// statically by the janus-vet failpointsite analyzer, and at runtime by this
-// panic); call it from a package-level var so the site exists at init time.
-// A pending env spec for the name arms the new site immediately.
+// New registers a failpoint site. Call it from a package-level var so the
+// site exists at init time. Each name has exactly one site and follows the
+// site convention (see validName); New panics otherwise, so a bad site fails
+// every binary and test that links it, at init. A pending env spec for the
+// name arms the new site immediately.
 func New(name string) *FP {
+	if !validName(name) {
+		panic(fmt.Sprintf("failpoint: name %q violates the site convention: want 2+ slash-separated segments of [a-z0-9-], e.g. \"qosserver/ha/pull\"", name))
+	}
 	registry.mu.Lock()
 	defer registry.mu.Unlock()
 	if _, dup := registry.fps[name]; dup {
@@ -338,6 +342,27 @@ func New(name string) *FP {
 		f.arm(a)
 	}
 	return f
+}
+
+// validName checks the site convention: two or more slash-separated
+// segments of [a-z0-9-], the first naming the component
+// ("qosserver/ha/pull"), so chaos specs stay readable and sortable.
+func validName(name string) bool {
+	segs := strings.Split(name, "/")
+	if len(segs) < 2 {
+		return false
+	}
+	for _, seg := range segs {
+		if seg == "" {
+			return false
+		}
+		for _, r := range seg {
+			if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Lookup returns the registered failpoint with the given name, or nil.

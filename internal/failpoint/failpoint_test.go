@@ -46,6 +46,45 @@ func TestArmDisarmCycle(t *testing.T) {
 	}
 }
 
+func TestFailpointNameConvention(t *testing.T) {
+	for name, want := range map[string]bool{
+		"qosserver/ha/pull":           true,
+		"qosserver/handoff/apply":     true,
+		"qosserver/ha/apply-snapshot": true,
+		"transport/client/send":       true,
+		"a/b":                         true,
+		"single":                      false,
+		"Upper/case":                  false,
+		"trailing/":                   false,
+		"/leading":                    false,
+		"with space/x":                false,
+		"under_score/x":               false,
+		"":                            false,
+	} {
+		if got := validName(name); got != want {
+			t.Errorf("validName(%q) = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestNewPanicsOnBadSite: a malformed or already-registered name panics at
+// registration, so a bad site fails every binary and test that links it.
+func TestNewPanicsOnBadSite(t *testing.T) {
+	for _, name := range []string{"Bad/x", fpTestBasic.Name()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%q) did not panic", name)
+				}
+			}()
+			New(name)
+		}()
+	}
+	if Lookup("Bad/x") != nil {
+		t.Error("a rejected name was registered")
+	}
+}
+
 func TestArmUnknownNameErrors(t *testing.T) {
 	if err := Arm("failpointtest/no/such-site", Action{Kind: Drop}); err == nil {
 		t.Fatal("arming an unknown name must error")

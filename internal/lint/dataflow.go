@@ -9,9 +9,10 @@ import (
 	"strings"
 )
 
-// This file is the dataflow layer under the hotalloc/goleak/deadline
-// analyzers: function annotations, a module-wide call-graph index, an
-// intra-procedural escape heuristic, and the allocation-site taxonomy.
+// This file is the dataflow layer under the hotalloc analyzer: function
+// annotations (netio reads //janus:deadlined too), a module-wide call-graph
+// index, an intra-procedural escape heuristic, and the allocation-site
+// taxonomy.
 //
 // The escape analysis is deliberately conservative and intra-procedural:
 // a value escapes when it reaches a return statement, a call argument, a

@@ -1,35 +1,32 @@
 // Package lint implements janus-vet, a from-scratch static-analysis suite
 // built only on the standard library's go/parser, go/ast, and go/types.
 //
-// Janus's correctness rests on invariants the Go compiler cannot see:
+// Janus's correctness rests on invariants the Go compiler cannot see, and
+// that no runtime check holds. Each gets one analyzer:
 //
-//   - the leaky-bucket credit model (paper §II-C eq. 1–2) is only exact when
-//     simulation and experiment code derives every timestamp from an
-//     injected clock and every random draw from a seeded source — one raw
-//     time.Now() inside internal/des or internal/cloudsim silently turns a
-//     reproducible experiment into a flaky one;
-//   - buckets and tables must never mint credit under concurrent
-//     refill/consume, which in practice means strict mutex discipline and no
-//     mixed atomic/non-atomic access to the same field;
-//   - the gob frames spoken by the HA replication and bucket-handoff
-//     protocols (internal/qosserver/ha.go) and the binary structs in
-//     internal/wire must stay wire-compatible across versions: a reordered
-//     or retyped field is an invisible protocol break;
-//   - the UDP hot paths deliberately fire-and-forget, but a *discarded*
-//     error from Close/SetDeadline/Write hides real socket failures;
-//   - the fault-injection registry (internal/failpoint) is only trustworthy
-//     when each failpoint name maps to exactly one literal, package-level
-//     code site — a duplicated or dynamic name makes chaos specs lie about
-//     which seam they perturb;
-//   - the decision path (//janus:hotpath functions) must stay free of heap
-//     allocations, every goroutine a daemon package spawns must have a
-//     provable stop path, and every socket read/write must either run under
-//     a deadline or through an audited helper — see hotalloc.go, goleak.go,
-//     deadline.go and the dataflow layer in dataflow.go.
+//   - simclock: the leaky-bucket credit model (paper §II-C eq. 1–2) is only
+//     reproducible when simulation and experiment code derives every
+//     timestamp from an injected clock and every random draw from a seeded
+//     source — one raw time.Now() inside internal/des or internal/cloudsim
+//     silently turns a reproducible experiment into a flaky one;
+//   - netio: the UDP hot paths deliberately fire-and-forget, but a
+//     *discarded* error from Close/SetDeadline/Write hides real socket
+//     failures, and every socket read/write must run under a deadline or
+//     through an audited helper (paper §III-B's bounded 100 µs × 5
+//     exchange);
+//   - hotalloc: the decision path (//janus:hotpath functions) must stay free
+//     of heap allocations, proven by the dataflow layer in dataflow.go;
+//   - wirecompat: the gob frames spoken by the HA replication and
+//     bucket-handoff protocols (internal/qosserver/ha.go) and the binary
+//     structs in internal/wire must stay wire-compatible across versions: a
+//     reordered or retyped field is an invisible protocol break.
 //
-// Each invariant gets a dedicated analyzer: simclock, lockdiscipline,
-// wirecompat, errdrop, failpointsite, hotalloc, goleak, and deadline. See
-// their files for the precise rules and the documented approximations.
+// See their files for the precise rules and the documented approximations.
+// Properties a test can observe directly are held by tests instead: a
+// duplicate or malformed failpoint name panics in failpoint.New, a daemon
+// goroutine that outlives Close fails internal/cluster's
+// TestCloseStopsEveryGoroutine, and mixed atomic/plain access fails the race
+// detector.
 //
 // # Architecture
 //
@@ -55,8 +52,10 @@
 package lint
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/printer"
 	"go/token"
 	"go/types"
 	"reflect"
@@ -83,10 +82,6 @@ func (f Finding) String() string {
 // is typically set: Run is invoked once per in-scope package and registers
 // node callbacks on the shared walker; RunModule is invoked once per
 // Program for whole-module analyses.
-//
-// Analyzer values carry per-run state in their hook closures (the
-// failpointsite duplicate map, for example), so construct a fresh suite via
-// Analyzers or the New* constructors for every Run call.
 type Analyzer struct {
 	// Name is the identifier used in output and //lint:ignore directives.
 	Name string
@@ -102,7 +97,7 @@ type Analyzer struct {
 }
 
 // Pass carries one analyzer's view of one package. Run hooks call Preorder
-// and AfterFiles to register work; the driver owns the walk.
+// to register work; Run owns the walk.
 type Pass struct {
 	Prog *Program
 	Pkg  *Package
@@ -113,7 +108,6 @@ type Pass struct {
 	analyzer *Analyzer
 	runner   *runner
 	handlers []handler
-	after    []func()
 }
 
 type handler struct {
@@ -139,23 +133,9 @@ func (p *Pass) Preorder(exemplars []ast.Node, fn func(ast.Node)) {
 	p.handlers = append(p.handlers, handler{types: tm, fn: fn})
 }
 
-// AfterFiles registers fn to run after every file of the package has been
-// walked — the hook for two-phase checks that correlate facts collected by
-// Preorder callbacks.
-func (p *Pass) AfterFiles(fn func()) { p.after = append(p.after, fn) }
-
 // Reportf records a finding at pos attributed to the pass's analyzer.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.runner.report(p.analyzer.Name, p.Prog.Fset.Position(pos), format, args...)
-}
-
-// Suppressed reports whether a finding by the named analyzer at pos would
-// be silenced by a //lint:ignore directive. Analyzers that summarize other
-// functions (hotalloc's one-level call summaries) use this to honor
-// suppressions inside the summarized body.
-func (p *Pass) Suppressed(analyzer string, pos token.Pos) bool {
-	posn := p.Prog.Fset.Position(pos)
-	return p.runner.sup.suppresses(Finding{Analyzer: analyzer, Pos: posn})
 }
 
 // ModulePass carries one analyzer's view of the whole Program.
@@ -177,7 +157,9 @@ func (mp *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
 	mp.runner.report(mp.analyzer.Name, pos, format, args...)
 }
 
-// Suppressed mirrors Pass.Suppressed.
+// Suppressed reports whether a finding by the named analyzer at pos would
+// be silenced by a //lint:ignore directive. hotalloc's one-level call
+// summaries use it to honor suppressions inside the summarized body.
 func (mp *ModulePass) Suppressed(analyzer string, pos token.Pos) bool {
 	posn := mp.Prog.Fset.Position(pos)
 	return mp.runner.sup.suppresses(Finding{Analyzer: analyzer, Pos: posn})
@@ -200,13 +182,9 @@ func (r *runner) report(analyzer string, pos token.Position, format string, args
 func Analyzers(manifestPath string) []*Analyzer {
 	return []*Analyzer{
 		NewSimClock(),
-		NewLockDiscipline(),
-		NewWireCompat(manifestPath),
-		NewErrDrop(),
-		NewFailpointSite(),
+		NewNetIO(),
 		NewHotAlloc(),
-		NewGoLeak(),
-		NewDeadline(),
+		NewWireCompat(manifestPath),
 	}
 }
 
@@ -232,7 +210,7 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 			}
 			p := &Pass{Prog: prog, Pkg: pkg, analyzer: a, runner: r}
 			a.Run(p)
-			if len(p.handlers) > 0 || len(p.after) > 0 {
+			if len(p.handlers) > 0 {
 				passes = append(passes, p)
 			}
 		}
@@ -257,12 +235,6 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 				}
 				return true
 			})
-		}
-		for _, p := range passes {
-			p.File = nil
-			for _, fn := range p.after {
-				fn()
-			}
 		}
 	}
 
@@ -410,4 +382,13 @@ func importedPath(pkg *Package, file *ast.File, id *ast.Ident) string {
 		}
 	}
 	return ""
+}
+
+// exprString renders an expression compactly ("s.mu", "t.shards[i].mu").
+func exprString(e ast.Expr) string {
+	var buf bytes.Buffer
+	if err := printer.Fprint(&buf, token.NewFileSet(), e); err != nil {
+		return fmt.Sprintf("%T", e)
+	}
+	return buf.String()
 }

@@ -75,75 +75,48 @@ func TestSimClockOutOfScopePackageIsIgnored(t *testing.T) {
 	}
 }
 
-func TestLockDisciplineFixture(t *testing.T) {
-	prog := loadFixture(t, "lockbad", "repro/internal/lockbad")
-	got := Run(prog, []*Analyzer{NewLockDiscipline()})
-	if len(got) != 4 {
-		t.Errorf("want 4 lockdiscipline findings, got %d:\n%s", len(got), renderFindings(got))
-	}
-	wantFindingAt(t, got, 20, "c.mu.Lock() has no matching Unlock")
-	wantFindingAt(t, got, 26, "c.rw.RLock() has no matching RUnlock")
-	wantFindingAt(t, got, 63, "mixed access races")
-	wantFindingAt(t, got, 80, "defer c.mu.Unlock() inside a loop body")
-}
-
+// TestErrDropFixture covers netio's dropped-error rule.
 func TestErrDropFixture(t *testing.T) {
 	prog := loadFixture(t, "errdropbad", "repro/internal/transport")
-	got := Run(prog, []*Analyzer{NewErrDrop()})
+	got := Run(prog, []*Analyzer{NewNetIO()})
 	if len(got) != 4 {
-		t.Errorf("want 4 errdrop findings, got %d:\n%s", len(got), renderFindings(got))
+		t.Errorf("want 4 netio findings, got %d:\n%s", len(got), renderFindings(got))
 	}
-	wantFindingAt(t, got, 12, "c.Close is silently discarded")
-	wantFindingAt(t, got, 17, "c.SetDeadline is silently discarded")
-	wantFindingAt(t, got, 22, "c.Write is silently discarded")
-	wantFindingAt(t, got, 27, "deferred c.Write discards its error")
+	wantFindingAt(t, got, 15, "c.Close is silently discarded")
+	wantFindingAt(t, got, 20, "c.SetDeadline is silently discarded")
+	wantFindingAt(t, got, 25, "w.Write is silently discarded")
+	wantFindingAt(t, got, 30, "deferred w.Write discards its error")
 }
 
 func TestErrDropOutOfScopePackageIsIgnored(t *testing.T) {
 	prog := loadFixture(t, "errdropbad", "repro/internal/metrics")
-	if got := Run(prog, []*Analyzer{NewErrDrop()}); len(got) != 0 {
+	if got := Run(prog, []*Analyzer{NewNetIO()}); len(got) != 0 {
 		t.Errorf("out-of-scope package should produce no findings, got:\n%s", renderFindings(got))
 	}
 }
 
-// TestFailpointSiteFixture loads the fixture with LoadDir directly rather
-// than loadFixture: the fixture's failpoint import cannot resolve from a
-// single-directory load, and tolerating the type errors is deliberate — it
-// exercises the analyzer's import-table fallback.
-func TestFailpointSiteFixture(t *testing.T) {
-	prog, err := LoadDir(filepath.Join("testdata", "src", "failpointbad"), "repro/internal/failpointbad")
-	if err != nil {
-		t.Fatal(err)
+// TestDeadlineFixture covers netio's deadline rule.
+func TestDeadlineFixture(t *testing.T) {
+	prog := loadFixture(t, "deadlinebad", "repro/internal/transport")
+	got := Run(prog, []*Analyzer{NewNetIO()})
+	if len(got) != 2 {
+		t.Errorf("want 2 netio findings, got %d:\n%s", len(got), renderFindings(got))
 	}
-	got := Run(prog, []*Analyzer{NewFailpointSite()})
-	if len(got) != 5 {
-		t.Errorf("want 5 failpointsite findings, got %d:\n%s", len(got), renderFindings(got))
+	wantFindingAt(t, got, 14, "runs without a deadline")
+	wantFindingAt(t, got, 40, "runs without a deadline")
+	for _, f := range got {
+		switch f.Pos.Line {
+		case 22, 30, 35, 49:
+			t.Errorf("unexpected finding on negative-case line %d: %s", f.Pos.Line, f.Message)
+		}
 	}
-	wantFindingAt(t, got, 13, "already registered at")
-	wantFindingAt(t, got, 14, "violates the site convention")
-	wantFindingAt(t, got, 15, "violates the site convention")
-	wantFindingAt(t, got, 21, "must be a quoted string literal")
-	wantFindingAt(t, got, 21, "must initialize a package-level var")
 }
 
-func TestFailpointNameConvention(t *testing.T) {
-	for name, want := range map[string]bool{
-		"qosserver/ha/pull":           true,
-		"qosserver/handoff/apply":     true,
-		"qosserver/ha/apply-snapshot": true,
-		"transport/client/send":       true,
-		"a/b":                         true,
-		"single":                      false,
-		"Upper/case":                  false,
-		"trailing/":                   false,
-		"/leading":                    false,
-		"with space/x":                false,
-		"under_score/x":               false,
-		"":                            false,
-	} {
-		if got := validFailpointName(name); got != want {
-			t.Errorf("validFailpointName(%q) = %v, want %v", name, got, want)
-		}
+func TestDeadlineScope(t *testing.T) {
+	prog := loadFixture(t, "deadlinebad", "repro/internal/sim")
+	got := Run(prog, []*Analyzer{NewNetIO()})
+	if len(got) != 0 {
+		t.Errorf("netio fired outside its scope:\n%s", renderFindings(got))
 	}
 }
 
@@ -200,7 +173,7 @@ func suppressedAbove() time.Time {
 }
 
 func wrongAnalyzer() time.Time {
-	//lint:ignore errdrop wrong analyzer name must not silence simclock
+	//lint:ignore netio wrong analyzer name must not silence simclock
 	return time.Now()
 }
 
@@ -249,7 +222,7 @@ func TestModulePathAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, err := ModulePathAt(root)
+	mp, err := readModulePath(root)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, parsed, and (best-effort) type-checked package.
@@ -47,13 +48,9 @@ type Program struct {
 
 	byPath map[string]*Package
 	// funcs indexes every top-level FuncDecl by its types.Func object; built
-	// lazily by funcIndex (dataflow.go) and shared by the dataflow analyzers.
+	// lazily by funcIndex (dataflow.go).
 	funcs map[types.Object]funcDeclInfo
 }
-
-// PackageByPath returns the loaded package with the given import path, or
-// nil.
-func (p *Program) PackageByPath(path string) *Package { return p.byPath[path] }
 
 // FindModuleRoot walks up from dir to the nearest directory containing
 // go.mod.
@@ -74,9 +71,7 @@ func FindModuleRoot(dir string) (string, error) {
 	}
 }
 
-// ModulePathAt reads the module path declared in root's go.mod.
-func ModulePathAt(root string) (string, error) { return readModulePath(root) }
-
+// readModulePath reads the module path declared in root's go.mod.
 func readModulePath(root string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -107,7 +102,7 @@ func LoadModule(root string) (*Program, error) {
 	prog := &Program{
 		ModuleRoot: root,
 		ModulePath: modPath,
-		Fset:       token.NewFileSet(),
+		Fset:       stdFset,
 		byPath:     make(map[string]*Package),
 	}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -151,10 +146,9 @@ func LoadModule(root string) (*Program, error) {
 }
 
 // LoadDir loads the single directory dir as a one-package program under the
-// given import path. Used by tests to present fixture packages to analyzers
+// given import path. Tests use it to present fixture packages to analyzers
 // as if they lived at a real path (e.g. testdata loaded as
-// "repro/internal/sim"), and by janus-vet when invoked on explicit
-// directories.
+// "repro/internal/sim").
 func LoadDir(dir, importPath string) (*Program, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
@@ -166,14 +160,8 @@ func LoadDir(dir, importPath string) (*Program, error) {
 	}
 	prog := &Program{
 		ModulePath: modPath,
-		Fset:       token.NewFileSet(),
+		Fset:       stdFset,
 		byPath:     make(map[string]*Package),
-	}
-	// Best effort: a fixture directory inside a module still resolves the
-	// module root, so analyzers with module-root-relative defaults (the
-	// wirecompat golden manifest) work on explicit-directory runs.
-	if root, err := FindModuleRoot(dir); err == nil {
-		prog.ModuleRoot = root
 	}
 	files, pkgName, err := parseDir(prog.Fset, dir)
 	if err != nil {
@@ -224,15 +212,28 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
 	return files, pkgName, nil
 }
 
+// The standard library is type-checked from source once per process and
+// shared by every load, so each fixture that imports net does not pay for
+// net again. Every Program positions its files in stdFset, the importer's
+// FileSet, so positions in both stay resolvable. stdMu serializes loads:
+// the source importer is not safe for concurrent use.
+var (
+	stdMu       sync.Mutex
+	stdFset     = token.NewFileSet()
+	stdImporter = importer.ForCompiler(stdFset, "source", nil)
+)
+
 // typecheck runs go/types over every loaded package. Imports within the
 // module resolve against the loaded ASTs; standard-library imports resolve
 // through the stdlib source importer. Errors are collected per package, not
 // fatal: analyzers fall back to syntactic matching where type information
 // is missing.
 func (p *Program) typecheck() {
+	stdMu.Lock()
+	defer stdMu.Unlock()
 	m := &moduleImporter{
 		prog: p,
-		std:  importer.ForCompiler(p.Fset, "source", nil),
+		std:  stdImporter,
 		done: make(map[string]*types.Package),
 	}
 	for _, pkg := range p.Packages {

@@ -19,8 +19,8 @@ var loadSelf = sync.OnceValues(func() (*Program, error) {
 // same check `janus-vet ./...` and `make lint` perform — so a violation
 // anywhere in the tree fails plain `go test ./...`. This is what keeps the
 // gate green after it lands: wall-clock leaks into simulation packages,
-// forgotten unlocks, wire-struct edits without a manifest update, and
-// silently dropped transport errors all surface here.
+// silently dropped or undeadlined socket I/O, allocating hot paths, and
+// wire-struct edits without a manifest update all surface here.
 func TestTreeIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short mode")

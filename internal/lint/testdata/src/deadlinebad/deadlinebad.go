@@ -1,6 +1,6 @@
-// Package deadlinebad is a known-bad fixture for the deadline analyzer. It
-// is loaded under a daemon-package import path by the tests; the same file
-// under a non-daemon path must produce no findings.
+// Package deadlinebad is a known-bad fixture for the netio analyzer's
+// deadline rule. It is loaded under a daemon-package import path by the
+// tests; the same file under a non-daemon path must produce no findings.
 package deadlinebad
 
 import (
@@ -32,7 +32,7 @@ func readAudited(c *net.UDPConn, buf []byte) (int, error) {
 
 // Good: bytes.Buffer is not a net conn; Write is not watched here.
 func bufferWrite(b *bytes.Buffer, p []byte) {
-	b.Write(p)
+	_, _ = b.Write(p)
 }
 
 // Bad: the arm comes after the write — textual dominance is violated.
@@ -45,6 +45,6 @@ func writeThenArm(c net.Conn, p []byte) error {
 
 // Suppressed: the documented fire-and-forget case.
 func writeSuppressed(c net.Conn, p []byte) {
-	//lint:ignore deadline fixture: fire-and-forget UDP send, never blocks
+	//lint:ignore netio fixture: fire-and-forget UDP send, never blocks
 	_, _ = c.Write(p)
 }

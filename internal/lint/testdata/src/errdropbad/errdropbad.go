@@ -1,8 +1,11 @@
-// Package errdropbad is a known-bad fixture for the errdrop analyzer. It is
-// loaded by tests under the pseudo import path "repro/internal/transport".
+// Package errdropbad is a known-bad fixture for the netio analyzer's
+// dropped-error rule. It is loaded by tests under the pseudo import path
+// "repro/internal/transport". Its writes go through io interfaces, which the
+// deadline rule does not watch.
 package errdropbad
 
 import (
+	"io"
 	"net"
 	"time"
 )
@@ -18,13 +21,13 @@ func dropDeadline(c net.Conn, t time.Time) {
 }
 
 // Bad: short or failed writes vanish.
-func dropWrite(c net.Conn, p []byte) {
-	c.Write(p) // want finding: discarded Write error
+func dropWrite(w io.Writer, p []byte) {
+	w.Write(p) // want finding: discarded Write error
 }
 
 // Bad: deferring anything but Close still hides the error.
-func deferWrite(c net.Conn, p []byte) {
-	defer c.Write(p) // want finding: deferred Write
+func deferWrite(w io.Writer, p []byte) {
+	defer w.Write(p) // want finding: deferred Write
 }
 
 // Good: deferred cleanup close is the idiom.
@@ -33,11 +36,11 @@ func deferClose(c net.Conn) {
 }
 
 // Good: handled.
-func handled(c net.Conn, p []byte) error {
-	if _, err := c.Write(p); err != nil {
+func handled(w io.WriteCloser, p []byte) error {
+	if _, err := w.Write(p); err != nil {
 		return err
 	}
-	return c.Close()
+	return w.Close()
 }
 
 // Good: explicit, auditable discard.

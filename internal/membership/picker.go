@@ -72,7 +72,7 @@ func (JumpHash) Pick(key string, n int) (int, error) {
 		return 0, ErrNoBackends
 	}
 	h := fnv.New64a()
-	h.Write([]byte(key))
+	_, _ = h.Write([]byte(key)) // a hash.Hash Write never returns an error
 	return jump(h.Sum64(), n), nil
 }
 

@@ -29,7 +29,7 @@ import (
 // steady state is what gets measured, exactly as in a long-lived daemon.
 
 // allocBudgets is allocs/op per pinned path. The comments give what each
-// path cost before the zero-alloc work of the janus-vet v2 change (sync.Map
+// path cost before the zero-alloc work that hotalloc forced (sync.Map
 // key boxing, hash.Hash32 construction + []byte key copies, per-decode key
 // strings, per-response encode buffers) — the reason the pin exists — or
 // that the path was born allocation-free and is pinned to stay so.

@@ -115,7 +115,7 @@ func TestIdenticalRetriesDoubleCharge(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Overload scenario suite (ISSUE 9, DESIGN.md §14).
+// Overload scenario suite (DESIGN.md §13).
 //
 // Each scenario drives a real server over real UDP with the service rate
 // pinned by the qosserver/worker/decide failpoint: a Delay action stalls

@@ -84,7 +84,8 @@ type Config struct {
 	// database (every key uses DefaultRule).
 	Store *store.Store
 	// FailOpen selects the verdict when the database errors during rule
-	// fetch: true admits, false denies.
+	// fetch: true admits, false denies. The key keeps that verdict until a
+	// rule-sync pass reads the database again; then it re-fetches its rule.
 	FailOpen bool
 	// ReplicationAddr, when non-empty, starts the HA listener on this TCP
 	// address so a slave can replicate the local table.
@@ -115,7 +116,7 @@ type Config struct {
 	// conservation bound admitted ≤ C + r·t + lease slack per bucket,
 	// exporting violations as janus_qos_audit_overspend_total. Off by
 	// default: auditing costs one sharded map read plus one lock-free
-	// float add per admission (see BenchmarkObservabilityDecideAudited).
+	// float add per admission, and no allocation (TestAllocPinAuditedDecide).
 	Audit bool
 	// AuditInterval is the period of the background audit pass when Audit
 	// is enabled; 0 means 1s.
@@ -178,7 +179,7 @@ type Server struct {
 	table table.Table
 	clock func() time.Time
 
-	// The intake (DESIGN.md §14): one UDP socket, one FIFO, and the CoDel
+	// The intake (DESIGN.md §13): one UDP socket, one FIFO, and the CoDel
 	// controller that watches the FIFO's sojourn, in front of cfg.Workers
 	// worker goroutines.
 	conn *net.UDPConn
@@ -186,13 +187,16 @@ type Server struct {
 	cdl  *codel
 
 	// defaults tracks keys served by the default rule, so responses carry
-	// StatusDefaultRule and checkpointing can skip them.
-	defaults keySet
+	// StatusDefaultRule and checkpointing can skip them. fallbacks is the
+	// subset whose rule fetch failed: the next sync pass that reads the
+	// database evicts them, since no change feed would list their rules.
+	defaults  keySet
+	fallbacks keySet
 
 	decisionLatency *metrics.Histogram
 	batchSize       *metrics.Histogram
 
-	// Per-stage sojourn decomposition (DESIGN.md §13): where a request's
+	// Per-stage sojourn decomposition (DESIGN.md §12): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
 	// decide = dequeue → all decisions made, send = decisions → response
 	// datagram handed to the kernel, total = recv → sent. curSojournNs
@@ -294,6 +298,18 @@ func (ks *keySet) Delete(key string) {
 	ks.mu.Lock()
 	delete(ks.m, key)
 	ks.mu.Unlock()
+}
+
+// drain empties the set and returns what it held.
+func (ks *keySet) drain() []string {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	var keys []string
+	for key := range ks.m {
+		keys = append(keys, key)
+	}
+	clear(ks.m)
+	return keys
 }
 
 // New starts a QoS server.
@@ -582,7 +598,7 @@ func (s *Server) worker() {
 		// whether the request router receives the response or not") — but a
 		// send the kernel refused is counted, or silent drops would read as
 		// router-side packet loss.
-		//lint:ignore deadline fire-and-forget UDP send; WriteToUDP does not block on the peer
+		//lint:ignore netio fire-and-forget UDP send; WriteToUDP does not block on the peer
 		if _, err := s.conn.WriteToUDP(out, pkt.raddr); err != nil {
 			s.sendErrors.Inc()
 		}
@@ -785,9 +801,16 @@ var fpAuditDoubleCredit = failpoint.New("qosserver/audit/double-credit")
 // default) and installs its bucket in the local table.
 func (s *Server) installRule(key string, now time.Time) *bucket.Bucket {
 	b, _ := s.table.GetOrCreate(key, func() *bucket.Bucket {
-		rule, isDefault := s.fetchRule(key)
+		rule, isDefault, failed := s.fetchRule(key)
 		if isDefault {
 			s.defaults.Store(key, struct{}{})
+		} else {
+			// An evicted error fallback leaves its marker behind.
+			s.defaults.Delete(key)
+		}
+		if failed {
+			// After the defaults marker, which the sync pass checks.
+			s.fallbacks.Store(key, struct{}{})
 		}
 		return s.newBucket(rule, now)
 	})
@@ -808,10 +831,11 @@ func (s *Server) newBucket(rule bucket.Rule, now time.Time) *bucket.Bucket {
 }
 
 // fetchRule queries the database; isDefault reports that the default rule
-// was applied (unknown key or database failure per FailOpen policy).
-func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault bool) {
+// was applied (unknown key or database failure per FailOpen policy), and
+// failed that the database errored.
+func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool) {
 	if s.cfg.Store == nil {
-		return s.defaultRuleFor(key), true
+		return s.defaultRuleFor(key), true, false
 	}
 	s.dbQueries.Inc()
 	r, found, err := s.cfg.Store.Get(key)
@@ -820,14 +844,14 @@ func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault bool) {
 		s.logger.Printf("qosserver: rule fetch for %q failed: %v", key, err)
 		if s.cfg.FailOpen {
 			// Admit generously until the database recovers.
-			return bucket.Rule{Key: key, RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, true
+			return bucket.Rule{Key: key, RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, true, true
 		}
-		return bucket.DenyAll(key), true
+		return bucket.DenyAll(key), true, true
 	}
 	if !found {
-		return s.defaultRuleFor(key), true
+		return s.defaultRuleFor(key), true, false
 	}
-	return r, false
+	return r, false, false
 }
 
 func (s *Server) defaultRuleFor(key string) bucket.Rule {
@@ -954,8 +978,17 @@ func (s *Server) readChanges(cursor int64) (store.Changes, error) {
 	ch, err := s.cfg.Store.ChangedSince(cursor)
 	if err != nil {
 		s.dbErrors.Inc()
+		return ch, err
 	}
-	return ch, err
+	// The database answers again, so the keys that got the error fallback
+	// re-fetch their rule on their next request. One that left the defaults
+	// meanwhile holds a rule from a sync pass or a peer, and stays.
+	for _, key := range s.fallbacks.drain() {
+		if _, isDefault := s.defaults.Load(key); isDefault {
+			s.evict(key)
+		}
+	}
+	return ch, nil
 }
 
 // applyChanges applies one page of the change feed. Keys not resident are

@@ -1,6 +1,7 @@
 package qosserver
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -514,6 +515,57 @@ func TestFailOpenAndFailClosed(t *testing.T) {
 	}
 	if closed.Stats().DBErrors == 0 || open.Stats().DBErrors == 0 {
 		t.Fatal("DB errors not counted")
+	}
+}
+
+// flakyExecutor fails every statement while down is set.
+type flakyExecutor struct {
+	store.Executor
+	down atomic.Bool
+}
+
+func (f *flakyExecutor) Execute(sql string, args ...minisql.Value) (minisql.Result, error) {
+	if f.down.Load() {
+		return minisql.Result{}, errors.New("database unreachable")
+	}
+	return f.Executor.Execute(sql, args...)
+}
+
+// TestErrorFallbackEndsWithOutage: a key whose first fetch fails keeps the
+// FailOpen policy's fallback bucket only until a sync pass reads the database
+// again; then it re-reads its rule, which no edit has put in the change feed.
+// A checkpoint before that pass must not write the fallback's credit back.
+func TestErrorFallbackEndsWithOutage(t *testing.T) {
+	for _, failOpen := range []bool{false, true} {
+		flaky := &flakyExecutor{Executor: minisql.NewEngine()}
+		db := store.New(flaky)
+		if err := db.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(bucket.Rule{Key: "k", RefillRate: 0, Capacity: 2, Credit: 2}); err != nil {
+			t.Fatal(err)
+		}
+		s := newServer(t, Config{Store: db, FailOpen: failOpen})
+		s.SyncOnce() // the cursor passes the rule before the outage
+		flaky.down.Store(true)
+		s.Decide(wire.Request{Key: "k"})
+		flaky.down.Store(false)
+		s.CheckpointOnce()
+		if r, _, err := db.Get("k"); err != nil || r.Credit != 2 {
+			t.Fatalf("failOpen=%v: checkpoint wrote the fallback back: credit %v, err %v", failOpen, r.Credit, err)
+		}
+		for i := 0; i < 3; i++ {
+			s.SyncOnce()
+		}
+		allowed := 0
+		for i := 0; i < 10; i++ {
+			if s.Decide(wire.Request{Key: "k"}).Allow {
+				allowed++
+			}
+		}
+		if allowed != 2 {
+			t.Errorf("failOpen=%v: admitted %d of 10 after the outage, want the rule's 2", failOpen, allowed)
+		}
 	}
 }
 

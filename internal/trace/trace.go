@@ -22,7 +22,9 @@
 // The design constraint throughout is that the *untraced* hot path stays
 // hot: deciding "not sampled" costs one atomic load (Sampler.Sample), and a
 // request whose trace ID is zero takes no tracing branches beyond that
-// comparison. See BenchmarkRouterRoundTripSampling / BenchmarkDecideTraced.
+// comparison. BenchmarkSamplerDisabled measures the first; the benchmark's
+// trace.overhead_frac row measures the whole traced path against the
+// untraced one.
 package trace
 
 import (

@@ -242,7 +242,7 @@ func (co *coalescer) flush(batch []wire.Request, batchAt []int64) {
 		h.Record(int64(len(batch)))
 	}
 	for i := 0; i < sends; i++ {
-		//lint:ignore deadline fire-and-forget UDP send; Write on an unconnected-buffer datagram socket does not block on the peer
+		//lint:ignore netio fire-and-forget UDP send; Write on an unconnected-buffer datagram socket does not block on the peer
 		if _, err := co.c.conn.Write(pkt); err != nil {
 			co.c.flushErrs.Add(1)
 			return

@@ -183,16 +183,15 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if c.cfg.MaxBatch > 1 {
 		c.co = newCoalescer(c)
 	}
-	//lint:ignore goleak Close() closes the socket, which unblocks the loop's conn.Read with an error and ends it
 	go c.readLoop()
 	return c, nil
 }
 
-// readLoop drains responses off the socket until the client closes.
+// readLoop drains responses off the socket until the client closes. The read
+// blocks by design: this loop is the client's demultiplexer. Close() closes
+// the socket, which unblocks Read with an error and ends the loop.
 //
-// Close() closes the socket, which unblocks Read with an error and ends the loop.
-//
-//janus:deadlined the read blocks by design — it is the client's demultiplexer;
+//janus:deadlined Close() unblocks the read
 func (c *Client) readLoop() {
 	buf := make([]byte, wire.MaxDatagram)
 	for {
@@ -319,7 +318,7 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 					return wire.Response{}, attempts, err
 				}
 			}
-			//lint:ignore deadline fire-and-forget UDP send; the bounded wait below is the exchange's real timeout
+			//lint:ignore netio fire-and-forget UDP send; the bounded wait below is the exchange's real timeout
 			if _, err := c.conn.Write(packet); err != nil {
 				return wire.Response{}, attempts, fmt.Errorf("transport: send: %w", err)
 			}
@@ -433,12 +432,11 @@ func (s *Server) SetDropEvery(n int64) { s.dropEvery.Store(n) }
 func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
 
 // serve is the accept loop: one datagram in, one handler call, one datagram
-// out.
+// out. The accept-style read blocks by design; Close() closes the socket,
+// which unblocks ReadFromUDP with an error and ends the loop. The response
+// send is fire-and-forget UDP — WriteToUDP does not block on the peer.
 //
-// socket, which unblocks ReadFromUDP with an error and ends the loop. The
-// response send is fire-and-forget UDP — WriteToUDP does not block on the peer.
-//
-//janus:deadlined the accept-style read blocks by design; Close() closes the
+//janus:deadlined Close() unblocks the read; the send does not block
 func (s *Server) serve() {
 	defer s.wg.Done()
 	buf := make([]byte, wire.MaxDatagram)

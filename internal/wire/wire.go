@@ -99,7 +99,7 @@ const (
 	// StatusDegraded means the QoS server's CoDel queue controller answered
 	// the request with the degraded-mode default instead of running the
 	// admission decision: the request sat in the intake FIFO beyond the
-	// sojourn target and was shed to keep the queue short (DESIGN.md §14).
+	// sojourn target and was shed to keep the queue short (DESIGN.md §13).
 	// The verdict carries the server's fail-open/fail-closed default and
 	// consumed no credit.
 	StatusDegraded Status = 5
