@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-batching bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -107,12 +107,6 @@ bench-smoke:
 # benchmark run.
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/client ./internal/lb ./internal/h1 ./internal/router -run AllocPin -count=1 -v
-
-# Regenerates the numbers recorded in BENCH_batching.json: 64-way fan-in
-# with the coalescer off vs on. Acceptance: ≥ 2× decisions/sec with p99
-# raised by no more than MaxLinger.
-bench-batching:
-	$(GO) test -run '^$$' -bench BatchingFanIn -benchtime 2s .
 
 # Regenerates the numbers recorded in BENCH_lease.json.
 bench-lease:

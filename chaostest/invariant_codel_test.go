@@ -1,6 +1,6 @@
 package chaostest
 
-// Invariant 8 — CoDel degraded replies never inflate admission: under
+// Invariant 6 — CoDel degraded replies never inflate admission: under
 // sustained overload the QoS server's queue controller (DESIGN.md §13)
 // answers shed requests with StatusDegraded instead of deciding them. A
 // degraded reply consumes no credit and carries the fail-closed default

@@ -1,6 +1,6 @@
 package chaostest
 
-// Invariant 6 — credit leases never inflate admission: a lease delegates a
+// Invariant 5 — credit leases never inflate admission: a lease delegates a
 // bounded slice of a bucket's refill rate to a router (PR 6, DESIGN.md §11),
 // which then admits the key locally without touching the wire. The slice is
 // RESERVED on the server bucket (its own refill drops by the leased rate),

@@ -1,6 +1,6 @@
 package chaostest
 
-// Invariant 9 — a flash crowd under receive loss cannot mint credit: the
+// Invariant 7 — a flash crowd under receive loss cannot mint credit: the
 // scenario suite's flash-crowd workload (10× step within 500ms on top of a
 // 0.5× base) runs against the live loopback cluster while the QoS intake
 // drops 20% of received datagrams. Loss triggers client retransmission and

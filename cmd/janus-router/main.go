@@ -42,8 +42,6 @@ func main() {
 		pollIv       = flag.Duration("poll", time.Second, "coordinator view poll interval")
 		timeout      = flag.Duration("timeout", transport.DefaultTimeout, "per-attempt UDP timeout")
 		retries      = flag.Int("retries", transport.DefaultRetries, "maximum UDP attempts")
-		maxBatch     = flag.Int("max-batch", 0, "coalesce up to N concurrent requests per backend datagram (0/1 disables batching)")
-		maxLinger    = flag.Duration("max-linger", transport.DefaultMaxLinger, "longest a contended partial batch is held open (clamped to -timeout)")
 		defaultReply = flag.Bool("default-reply", false, "verdict returned when a QoS server is unreachable")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug endpoints (empty disables)")
 		traceSample  = flag.Float64("trace-sample", 0, "fraction of direct (non-LB) requests to trace [0,1]")
@@ -85,7 +83,7 @@ func main() {
 		Addr:          *addr,
 		Backends:      initial,
 		Picker:        picker,
-		Transport:     transport.Config{Timeout: *timeout, Retries: *retries, MaxBatch: *maxBatch, MaxLinger: *maxLinger},
+		Transport:     transport.Config{Timeout: *timeout, Retries: *retries},
 		DefaultReply:  *defaultReply,
 		Audit:         *auditOn,
 		AuditInterval: *auditIv,

@@ -1,8 +1,8 @@
 // Package lease implements credit leasing: edge admission via bounded rate
 // leases (DESIGN.md §11).
 //
-// PR 5's batching amortized the router→janusd syscalls but every admission
-// still pays the UDP hop, which dominates on hot keys. A credit lease
+// Every unleased admission pays the router→janusd UDP hop, which dominates
+// on hot keys. A credit lease
 // delegates a slice of a bucket's refill rate to the edge: the janusd-side
 // Manager carves (rate, burst, TTL, epoch) out of a bucket and the
 // router-side Table then admits that key from a local token bucket at memory

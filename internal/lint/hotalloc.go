@@ -8,8 +8,8 @@ import (
 
 // NewHotAlloc enforces the zero-allocation contract on the decision path.
 // A function annotated //janus:hotpath sits on the latency-critical
-// admission route (wire encode/decode, bucket consume, lease routing, the
-// coalescer flush, failpoint gates, trace sampling, metrics increments) —
+// admission route (wire encode/decode, bucket consume, lease routing,
+// failpoint gates, trace sampling, metrics increments) —
 // one stray heap allocation there costs more than the algorithm it feeds,
 // and under load the resulting GC pressure is exactly the queue-and-pause
 // tail-latency failure mode the ROADMAP's intake rewrite exists to avoid.

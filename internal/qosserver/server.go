@@ -194,7 +194,6 @@ type Server struct {
 	fallbacks keySet
 
 	decisionLatency *metrics.Histogram
-	batchSize       *metrics.Histogram
 
 	// Per-stage sojourn decomposition (DESIGN.md §12): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
@@ -242,6 +241,11 @@ type Server struct {
 	defaultHit *metrics.Counter
 	dbErrors   *metrics.Counter
 	sendErrors *metrics.Counter
+
+	// fetchErrLogNs is the earliest time the next rule-fetch error may be
+	// logged; fetchErrQuiet counts those not logged since the last line.
+	fetchErrLogNs atomic.Int64
+	fetchErrQuiet atomic.Int64
 
 	syncQueries    *metrics.Counter
 	syncReconciles *metrics.Counter
@@ -362,7 +366,6 @@ func New(cfg Config) (*Server, error) {
 		fifo:            make(chan packet, cfg.QueueSize),
 		cdl:             newCodel(cfg.CodelTarget, cfg.CodelInterval),
 		decisionLatency: metrics.NewHistogram(),
-		batchSize:       metrics.NewHistogram(),
 		registry:        reg,
 		tracer:          tracer,
 		received:        reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP socket"),
@@ -382,7 +385,6 @@ func New(cfg Config) (*Server, error) {
 		logger:          logger,
 	}
 	reg.RegisterHistogram("janus_qos_decision_latency_ns", "worker-side admission decision latency in nanoseconds", s.decisionLatency)
-	reg.RegisterHistogram("janus_qos_batch_size", "request entries per received datagram (1 = unbatched router)", s.batchSize)
 	reg.GaugeFunc("janus_qos_table_keys", "keys resident in the local QoS table", func() float64 { return float64(s.table.Len()) })
 	reg.GaugeFunc("janus_qos_fifo_depth", "datagrams queued between the listener and the workers", func() float64 { return float64(len(s.fifo)) })
 	reg.GaugeFunc("janus_qos_codel_state", "1 while the intake FIFO's CoDel controller is in the dropping state (0 = queue healthy)", func() float64 {
@@ -533,11 +535,11 @@ func (s *Server) listen() {
 // shedding is cheap, which is what gives the controller leverage.
 var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 
-// worker polls the FIFO, decides, and responds. One FIFO slot may
-// carry a whole coalesced batch (wire.FlagBatched): the worker evaluates
-// every entry against the bucket table in one pass and answers with one
-// batched response, so the fan-in amortization the router bought on the
-// send side is preserved through the server's queue and reply syscall.
+// worker polls the FIFO, decides, and responds. The router sends one
+// request per datagram, but the decoder reads any batched frame
+// (wire.FlagBatched) a sender puts on the wire: the worker evaluates every
+// entry against the bucket table in one pass and answers with one batched
+// response.
 //
 // Before deciding, the dequeued packet's queue sojourn feeds the CoDel
 // controller: a packet the controller sheds is answered immediately
@@ -566,7 +568,6 @@ func (s *Server) worker() {
 			s.malformed.Inc()
 			continue
 		}
-		s.batchSize.Record(int64(len(breq.Entries)))
 		if s.cdl.onDequeue(deqNs-pkt.recvNs, deqNs) {
 			s.codelDrops.Add(int64(len(breq.Entries)))
 			resps = appendDegraded(resps[:0], breq.Entries, s.cfg.FailOpen)
@@ -841,7 +842,7 @@ func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool
 	r, found, err := s.cfg.Store.Get(key)
 	if err != nil {
 		s.dbErrors.Inc()
-		s.logger.Printf("qosserver: rule fetch for %q failed: %v", key, err)
+		s.logFetchError(key, err)
 		if s.cfg.FailOpen {
 			// Admit generously until the database recovers.
 			return bucket.Rule{Key: key, RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, true, true
@@ -852,6 +853,27 @@ func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool
 		return s.defaultRuleFor(key), true, false
 	}
 	return r, false, false
+}
+
+// fetchErrLogEvery bounds the rule-fetch error log: every first-sight key
+// fetches its rule, so a key spray against a down database would otherwise
+// write one line per key. janus_qos_db_errors_total still counts them all.
+const fetchErrLogEvery = time.Second
+
+// logFetchError logs at most one failed rule fetch per fetchErrLogEvery,
+// carrying the count of those it did not log since the previous line.
+func (s *Server) logFetchError(key string, err error) {
+	now := s.clock().UnixNano()
+	next := s.fetchErrLogNs.Load()
+	if now < next || !s.fetchErrLogNs.CompareAndSwap(next, now+int64(fetchErrLogEvery)) {
+		s.fetchErrQuiet.Add(1)
+		return
+	}
+	if n := s.fetchErrQuiet.Swap(0); n > 0 {
+		s.logger.Printf("qosserver: rule fetch for %q failed: %v (%d more failed fetches not logged)", key, err, n)
+		return
+	}
+	s.logger.Printf("qosserver: rule fetch for %q failed: %v", key, err)
 }
 
 func (s *Server) defaultRuleFor(key string) bucket.Rule {

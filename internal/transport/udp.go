@@ -11,8 +11,8 @@
 // in the worst case double-charge one credit, which the paper accepts).
 //
 // Client is safe for concurrent use: each in-flight request gets a unique
-// ID, responses are matched by ID, and a single reader goroutine fans
-// responses out to waiters.
+// ID and leaves as one datagram, and a single reader goroutine hands each
+// response to the waiter whose ID it carries.
 package transport
 
 import (
@@ -44,12 +44,6 @@ const (
 	DefaultTimeout = 100 * time.Microsecond
 	// DefaultRetries is the maximum number of attempts.
 	DefaultRetries = 5
-	// DefaultMaxLinger bounds how long the fan-in coalescer may hold a
-	// partial batch open once contention has been observed. 200 µs keeps
-	// the paper's Retries × Timeout latency envelope intact (the linger is
-	// additionally clamped to the per-attempt Timeout and consumes the
-	// exchange's fixed budget — see coalesce.go).
-	DefaultMaxLinger = 200 * time.Microsecond
 )
 
 // ErrTimeout is returned when all attempts expire without a response.
@@ -66,24 +60,6 @@ type Config struct {
 	// registry-backed set so one /metrics page aggregates all its backend
 	// sockets. Nil gives the client private counters.
 	Stats *Stats
-	// MaxBatch > 1 enables per-backend fan-in coalescing: concurrent
-	// requests on this client are merged into one wire.FlagBatched datagram
-	// of up to MaxBatch entries (see coalesce.go). 0 or 1 sends one
-	// datagram per attempt — the legacy discipline, and the only safe
-	// setting while any receiving QoS server predates the batch decoder.
-	MaxBatch int
-	// MaxLinger bounds how long a partial batch may wait to fill once
-	// contention is observed (DefaultMaxLinger if zero; clamped to
-	// Timeout). Meaningful only when MaxBatch > 1.
-	MaxLinger time.Duration
-	// BatchSizes, when non-nil, records the entry count of every coalesced
-	// datagram flushed (the router registers janus_router_batch_size here).
-	BatchSizes *metrics.Histogram
-	// CoalesceSojourn, when non-nil, records the nanoseconds each request
-	// spent inside the coalescer — enqueue to the flush that put it on the
-	// wire (the router registers janus_router_coalesce_sojourn_seconds
-	// here). Nil skips the timestamping entirely.
-	CoalesceSojourn *metrics.Histogram
 }
 
 // Stats holds the transport counters. Build a registry-backed set with
@@ -120,20 +96,6 @@ func (c Config) withDefaults() Config {
 	if c.Retries <= 0 {
 		c.Retries = DefaultRetries
 	}
-	if c.MaxBatch > 1 {
-		if c.MaxBatch > wire.MaxBatchEntries {
-			c.MaxBatch = wire.MaxBatchEntries
-		}
-		if c.MaxLinger <= 0 {
-			c.MaxLinger = DefaultMaxLinger
-		}
-		// A linger longer than the per-attempt timeout would let the batch
-		// outwait its own callers; cap it so every attempt can still see
-		// its response inside one Timeout.
-		if c.MaxLinger > c.Timeout {
-			c.MaxLinger = c.Timeout
-		}
-	}
 	return c
 }
 
@@ -151,12 +113,6 @@ type Client struct {
 
 	// stats are private to the client unless Config.Stats shared a set.
 	stats *Stats
-
-	// co merges concurrent sends into batched datagrams; nil when
-	// MaxBatch <= 1 (the per-attempt legacy send path).
-	co        *coalescer
-	quit      chan struct{}
-	flushErrs atomic.Int64
 }
 
 // Dial creates a client bound to the QoS server at addr ("host:port").
@@ -175,13 +131,9 @@ func Dial(addr string, cfg Config) (*Client, error) {
 		raddr:   raddr.String(),
 		waiters: make(map[uint64]chan wire.Response),
 		stats:   cfg.Stats,
-		quit:    make(chan struct{}),
 	}
 	if c.stats == nil {
 		c.stats = newPrivateStats()
-	}
-	if c.cfg.MaxBatch > 1 {
-		c.co = newCoalescer(c)
 	}
 	go c.readLoop()
 	return c, nil
@@ -199,10 +151,8 @@ func (c *Client) readLoop() {
 		if err != nil {
 			return // socket closed
 		}
-		// The batch decoder subsumes the legacy singleton format, so one
-		// path handles both a batching and a pre-batching server (the
-		// latter answers only entry 0 of any batch; the rest retry).
-		bresp, err := wire.DecodeBatchResponse(buf[:n])
+		// Every request leaves as a singleton frame, so every reply is one.
+		resp, err := wire.DecodeResponse(buf[:n])
 		if err != nil {
 			continue // corrupt datagram; the sender will retry
 		}
@@ -215,15 +165,13 @@ func (c *Client) readLoop() {
 			}
 		}
 		c.stats.Responses.Inc()
-		for _, resp := range bresp.Entries {
-			c.mu.Lock()
-			ch := c.waiters[resp.ID]
-			c.mu.Unlock()
-			if ch != nil {
-				select {
-				case ch <- resp:
-				default: // duplicate response for an already-answered request
-				}
+		c.mu.Lock()
+		ch := c.waiters[resp.ID]
+		c.mu.Unlock()
+		if ch != nil {
+			select {
+			case ch <- resp:
+			default: // duplicate response for an already-answered request
 			}
 		}
 	}
@@ -243,17 +191,9 @@ func (c *Client) Do(req wire.Request) (wire.Response, error) {
 // request with this number.
 func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	req.ID = c.nextID.Add(1)
-	var packet []byte
-	if c.co == nil {
-		var err error
-		packet, err = wire.EncodeRequest(req)
-		if err != nil {
-			return wire.Response{}, 0, err
-		}
-	} else if len(req.Key) > wire.MaxKeyLen {
-		// Batched sends encode at flush time; validate here so the caller
-		// gets the same error the eager encoder would have returned.
-		return wire.Response{}, 0, wire.ErrKeyTooLong
+	packet, err := wire.EncodeRequest(req)
+	if err != nil {
+		return wire.Response{}, 0, err
 	}
 	ch := make(chan wire.Response, 1)
 	c.mu.Lock()
@@ -296,28 +236,6 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 		}
 		for i := 0; i < sends; i++ {
 			c.stats.Attempts.Inc()
-			if c.co != nil && attempt == 0 && req.Lease.Op == 0 {
-				// Fan-in path: the first attempt rides the per-backend
-				// coalescer, leaving the socket inside a batched datagram on
-				// the flusher goroutine. Retries bypass it: needing one means
-				// the batched send failed this exchange once (loss, a partial-
-				// batch drop, or a pre-batching receiver that answers only
-				// entry 0), so the retry goes out alone as a legacy frame —
-				// the highest-probability path, and what keeps a mixed-version
-				// cluster live under contention. Lease-carrying requests also
-				// bypass it on the first attempt: the lease section and the
-				// batch extension are mutually exclusive on the wire
-				// (wire/lease.go), so an ask must travel as a singleton.
-				c.co.enqueue(req)
-				continue
-			}
-			if packet == nil {
-				var err error
-				packet, err = wire.EncodeRequest(req)
-				if err != nil {
-					return wire.Response{}, attempts, err
-				}
-			}
 			//lint:ignore netio fire-and-forget UDP send; the bounded wait below is the exchange's real timeout
 			if _, err := c.conn.Write(packet); err != nil {
 				return wire.Response{}, attempts, fmt.Errorf("transport: send: %w", err)
@@ -350,17 +268,6 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	return wire.Response{}, attempts, ErrTimeout
 }
 
-// inflight reports how many exchanges are currently awaiting a response —
-// the coalescer's contention signal: more waiters than pending entries means
-// this client is in a fan-in regime and a partial batch is worth holding
-// open (see flushLoop).
-func (c *Client) inflight() int {
-	c.mu.Lock()
-	n := len(c.waiters)
-	c.mu.Unlock()
-	return n
-}
-
 // Stats reports cumulative attempt/timeout/response counts. When
 // Config.Stats shared a counter set, the numbers aggregate every client on
 // that set.
@@ -368,24 +275,12 @@ func (c *Client) Stats() (attempts, timeouts, responses int64) {
 	return c.stats.Attempts.Value(), c.stats.Timeouts.Value(), c.stats.Responses.Value()
 }
 
-// FlushErrors reports how many coalesced flushes failed to reach the wire
-// (socket write errors or injected batch faults); the affected requests
-// recover through their retry path.
-func (c *Client) FlushErrors() int64 { return c.flushErrs.Load() }
-
-// Close releases the socket and stops the coalescer's flusher.
+// Close releases the socket, which ends readLoop.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	if !c.closed {
-		c.closed = true
-		close(c.quit)
-	}
+	c.closed = true
 	c.mu.Unlock()
-	err := c.conn.Close()
-	if c.co != nil {
-		<-c.co.done
-	}
-	return err
+	return c.conn.Close()
 }
 
 // Handler processes one decoded request and returns the response to send.

@@ -240,6 +240,70 @@ func TestClientIgnoresGarbageResponses(t *testing.T) {
 	}
 }
 
+// oldServer is a janusd that knows only the legacy singleton codec
+// (wire.DecodeRequest / wire.AppendResponse), as before the batch decoder.
+func oldServer(t *testing.T) string {
+	t.Helper()
+	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
+	raw, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { raw.Close() })
+	go func() {
+		buf := make([]byte, 65536)
+		out := make([]byte, 0, 64)
+		for {
+			n, addr, err := raw.ReadFromUDP(buf)
+			if err != nil {
+				return
+			}
+			req, err := wire.DecodeRequest(buf[:n])
+			if err != nil {
+				continue
+			}
+			resp := echoHandler(req)
+			resp.ID = req.ID
+			out, _ = wire.AppendResponse(out[:0], resp)
+			raw.WriteToUDP(out, addr)
+		}
+	}()
+	return raw.LocalAddr().String()
+}
+
+// Mixed-version cluster: every frame the client sends is one a legacy
+// decoder reads, so concurrent callers against an old janusd all get their
+// own verdicts.
+func TestOldServerForwardCompat(t *testing.T) {
+	c, err := Dial(oldServer(t), genericCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	var failures atomic.Int64
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				key, want := "alice", true
+				if w%2 == 1 {
+					key, want = "bob", false
+				}
+				resp, err := c.Do(wire.Request{Key: key, Cost: 1})
+				if err != nil || resp.Allow != want {
+					failures.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if failures.Load() != 0 {
+		t.Fatalf("%d requests failed against a pre-batching server", failures.Load())
+	}
+}
+
 func TestHighConcurrencyThroughput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

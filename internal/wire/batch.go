@@ -469,9 +469,9 @@ func clampNanos(nanos int64) uint32 {
 }
 
 // uniqueScanMax is the batch size at or below which duplicate detection uses
-// the quadratic scan: for the coalescer-sized batches that dominate the hot
-// path, n² comparisons over a cache-resident slice beat building a map — and
-// allocate nothing.
+// the quadratic scan: for batches of up to a few dozen entries, n²
+// comparisons over a cache-resident slice beat building a map — and allocate
+// nothing.
 const uniqueScanMax = 64
 
 // checkUniqueIDs rejects duplicate request IDs within one batch: the ID is

@@ -225,7 +225,7 @@ func TestBatchResponseDecodeRejections(t *testing.T) {
 }
 
 // The batch append must compose with a non-empty dst, like the singleton
-// encoders (the coalescer reuses one buffer across flushes).
+// encoders (janusd's worker reuses one buffer across replies).
 func TestAppendBatchReusesBuffer(t *testing.T) {
 	buf := make([]byte, 0, 512)
 	b := sampleBatchReq()

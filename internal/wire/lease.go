@@ -38,8 +38,9 @@ import (
 //
 // The lease section rides ONLY singleton frames: the batch extension must
 // remain the final extension of batched frames (its decoder rejects trailing
-// bytes), so FlagLease and FlagBatched are mutually exclusive and the
-// transport's coalescer routes lease-carrying requests around the batcher.
+// bytes), so FlagLease and FlagBatched are mutually exclusive. The router's
+// transport sends every request as a singleton frame, so its lease asks
+// always qualify.
 const FlagLease = 1 << 2
 
 // MaxLeaseTTL bounds the lifetime of one lease grant; the decoder rejects
