@@ -103,10 +103,10 @@ bench-smoke:
 # and the LB's proxy of a router-shaped reply on a warmed connection
 # allocate nothing, the h1 server loop nothing beyond its handler, and a
 # /qos request on the router one object more than Router.Route (the key's
-# string). The pins assert their budgets, so this is a test run, not a
-# benchmark run.
+# string), and the router's key→owner pick (membership.Pick) nothing. The
+# pins assert their budgets, so this is a test run, not a benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/client ./internal/lb ./internal/h1 ./internal/router -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_lease.json.
 bench-lease:

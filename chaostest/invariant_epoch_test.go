@@ -61,12 +61,12 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 	}
 	waitMembers(2)
 
-	// Two routers following the coordinator with the jump picker.
+	// Two routers following the coordinator.
 	startRouter := func() string {
 		debug := freePort(t)
 		startDaemon(t, "janus-router",
 			"-addr", freePort(t), "-coordinator", coordAddr,
-			"-picker", "jump", "-poll", "50ms",
+			"-poll", "50ms",
 			"-metrics-addr", debug)
 		waitTCP(t, debug)
 		return debug
@@ -144,11 +144,7 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 	}
 
 	// And therefore a unique owner per key per epoch, under the routers'
-	// own picker.
-	picker, err := membership.NewPicker(membership.KindJump)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// mapping.
 	sampleKeys := make([]string, 50)
 	for i := range sampleKeys {
 		sampleKeys[i] = "tenant-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
@@ -156,8 +152,8 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 	for epoch, joined := range byEpoch {
 		v := membership.View{Epoch: epoch, Backends: strings.Split(joined, ",")}
 		for _, key := range sampleKeys {
-			o1, err1 := v.Owner(picker, key)
-			o2, err2 := v.Owner(picker, key)
+			o1, err1 := v.Owner(key)
+			o2, err2 := v.Owner(key)
 			if err1 != nil || err2 != nil || o1 != o2 {
 				t.Fatalf("epoch %d key %q: owner not unique (%q/%v vs %q/%v)", epoch, key, o1, err1, o2, err2)
 			}

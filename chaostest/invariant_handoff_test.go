@@ -22,7 +22,6 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/cluster"
 	"repro/internal/failpoint"
-	"repro/internal/membership"
 	"repro/internal/transport"
 )
 
@@ -44,7 +43,6 @@ func TestInvariantHandoffNeverInflatesAdmission(t *testing.T) {
 		QoSServers: 2,
 		Mode:       cluster.Gateway,
 		Membership: true,
-		Picker:     membership.KindJump,
 		Transport:  transport.Config{Timeout: 10 * time.Millisecond, Retries: 3},
 		Rules:      rules,
 	})

@@ -3,16 +3,18 @@
 // server layer and forwards them over UDP with the paper's timeout/retry
 // discipline.
 //
-// The backend list comes either from -backends (the paper's fixed list,
-// CRC32(key) mod N) or from a membership coordinator (-coordinator), in
-// which case the router polls the epoch-versioned view and hot-swaps its
-// routing table as QoS servers join, leave, or fail. With -picker jump a
-// scale event remaps only ~K/N keys.
+// A key's QoS server is membership.Pick: jump consistent hash over the
+// backend list, where the paper uses CRC32(key) mod N. It is not
+// configurable, because every router serving one QoS tier must map keys
+// alike. The backend list comes either from -backends (a fixed list) or
+// from a membership coordinator (-coordinator), in which case the router
+// polls the epoch-versioned view and hot-swaps its routing table as QoS
+// servers join, leave, or fail; a join remaps only ~K/(N+1) keys.
 //
 // Example:
 //
 //	janus-router -addr 127.0.0.1:8080 -backends 127.0.0.1:7101,127.0.0.1:7102
-//	janus-router -addr 127.0.0.1:8080 -coordinator 127.0.0.1:7300 -picker jump
+//	janus-router -addr 127.0.0.1:8080 -coordinator 127.0.0.1:7300
 package main
 
 import (
@@ -38,7 +40,6 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		backends     = flag.String("backends", "", "comma-separated QoS server UDP addresses, partition order")
 		coordAddr    = flag.String("coordinator", "", "membership coordinator HTTP address (replaces -backends)")
-		pickerKind   = flag.String("picker", "crc32", "key→backend mapping: crc32|jump")
 		pollIv       = flag.Duration("poll", time.Second, "coordinator view poll interval")
 		timeout      = flag.Duration("timeout", transport.DefaultTimeout, "per-attempt UDP timeout")
 		retries      = flag.Int("retries", transport.DefaultRetries, "maximum UDP attempts")
@@ -52,11 +53,6 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "janus-router ", log.LstdFlags|log.Lmicroseconds)
-
-	picker, err := membership.NewPicker(membership.Kind(*pickerKind))
-	if err != nil {
-		logger.Fatal(err)
-	}
 
 	var (
 		initial []string
@@ -82,7 +78,6 @@ func main() {
 	rcfg := router.Config{
 		Addr:          *addr,
 		Backends:      initial,
-		Picker:        picker,
 		Transport:     transport.Config{Timeout: *timeout, Retries: *retries},
 		DefaultReply:  *defaultReply,
 		Audit:         *auditOn,
@@ -153,8 +148,8 @@ func main() {
 		logger.Printf("metrics/debug on http://%s", dbg.Addr())
 	}
 
-	logger.Printf("request router on http://%s with %d QoS partitions (picker=%s timeout=%v retries=%d)",
-		r.Addr(), r.NumBackends(), picker.Kind(), *timeout, *retries)
+	logger.Printf("request router on http://%s with %d QoS partitions (timeout=%v retries=%d)",
+		r.Addr(), r.NumBackends(), *timeout, *retries)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)

@@ -7,10 +7,10 @@
 //
 // A Group periodically evaluates a scalar metric against a high/low
 // threshold band and invokes scale-out/scale-in actions, bounded by
-// min/max capacity and a cooldown. Note that only the *router* layer may be
-// scaled dynamically: changing the QoS server count changes N in
-// CRC32(key) mod N and would re-partition every key, so the QoS layer is
-// resized only via planned reconfiguration.
+// min/max capacity and a cooldown. The router layer is stateless, so its
+// actions are plain. Resizing the QoS layer changes key ownership and needs
+// the membership layer's bucket handoff (cluster.AddQoSServer and
+// RemoveQoSServer, with Config.Membership).
 package autoscale
 
 import (

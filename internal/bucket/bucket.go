@@ -164,19 +164,6 @@ func (b *Bucket) SetCredit(credit float64, now time.Time) {
 	b.mu.Unlock()
 }
 
-// Update changes the bucket geometry in place when the rule is edited in the
-// database (paper §III-C: "the corresponding leaky bucket ... is updated
-// with the latest values"). Credit is clamped to the new capacity; the
-// refill clock is first brought current so no accrued credit is lost.
-func (b *Bucket) Update(rate, capacity float64, now time.Time) {
-	b.mu.Lock()
-	b.advanceLocked(now)
-	b.refillRate = rate
-	b.capacity = capacity
-	b.credit = clamp(b.credit, capacity)
-	b.mu.Unlock()
-}
-
 // Reserve delegates delta credits/second of the refill rate to an external
 // holder (a credit lease, internal/lease): the bucket's own refill drops by
 // delta while the holder refills a local bucket at delta, conserving the

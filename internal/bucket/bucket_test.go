@@ -143,22 +143,6 @@ func TestSetCreditClamps(t *testing.T) {
 	}
 }
 
-func TestUpdatePreservesAccruedCredit(t *testing.T) {
-	b := NewFull("k", 10, 100, t0)
-	for i := 0; i < 100; i++ {
-		b.Allow(t0)
-	}
-	// 5 seconds accrue 50 credits, then the rule is updated.
-	b.Update(1, 40, t0.Add(5*time.Second))
-	// Accrued 50 clamped to new capacity 40.
-	if got := b.Credit(t0.Add(5 * time.Second)); got != 40 {
-		t.Fatalf("credit after update = %v, want 40", got)
-	}
-	if b.RefillRate() != 1 || b.Capacity() != 40 {
-		t.Fatalf("geometry = %v/%v", b.RefillRate(), b.Capacity())
-	}
-}
-
 func TestTryConsumeNonPositive(t *testing.T) {
 	b := NewFull("k", 1, 10, t0)
 	if b.TryConsume(0, t0) {

@@ -77,10 +77,6 @@ type Config struct {
 	// routers consume hot-swappable views, and AddQoSServer/RemoveQoSServer
 	// rebalance bucket state live instead of stranding it.
 	Membership bool
-	// Picker selects the router-layer key→backend mapping; empty selects
-	// membership.KindCRC32 (the paper's formula). membership.KindJump
-	// bounds the keys moved per scale event to ~K/N.
-	Picker membership.Kind
 	// HA adds a slave to every QoS server and a DNS failover record.
 	HA bool
 	// DBHA deploys the database as a master/standby pair behind a DNS
@@ -155,8 +151,7 @@ type QoSPair struct {
 type Cluster struct {
 	cfg Config
 
-	DNS      *dns.Server
-	Resolver *dns.Resolver
+	DNS *dns.Server
 
 	DBEngine *minisql.Engine
 	DBServer *minisql.Server
@@ -174,8 +169,7 @@ type Cluster struct {
 	LB      *lb.LB
 
 	// Coord is the membership coordinator (Membership mode only).
-	Coord  *membership.Coordinator
-	picker membership.Picker
+	Coord *membership.Coordinator
 
 	mu     sync.Mutex
 	view   membership.View // last published view (Membership mode)
@@ -192,9 +186,6 @@ func New(cfg Config) (c *Cluster, err error) {
 			c.Close()
 		}
 	}()
-	if c.picker, err = membership.NewPicker(cfg.Picker); err != nil {
-		return nil, err
-	}
 	if cfg.Membership {
 		c.Coord = membership.NewCoordinator(membership.CoordinatorConfig{})
 		// Every published view hot-swaps every router. The callback runs
@@ -266,13 +257,12 @@ func New(cfg Config) (c *Cluster, err error) {
 		}
 		c.QoS = append(c.QoS, pair)
 		if c.Coord != nil {
-			c.Coord.Join(pair.Name, pair.Master.ReplicationAddr(), 1)
+			c.Coord.Join(pair.Name, pair.Master.ReplicationAddr())
 		}
 	}
 
 	// Request router layer: backends addressed by DNS name so failovers
 	// are picked up by re-resolution.
-	c.Resolver = dns.NewResolver(c.DNS)
 	for i := 0; i < cfg.Routers; i++ {
 		r, err2 := c.startRouter()
 		if err2 != nil {
@@ -336,16 +326,6 @@ func (e *dnsExecutor) close() {
 		p.Close()
 	}
 	e.pools = make(map[string]*minisql.Pool)
-}
-
-// routerResolver adapts the caching DNS resolver but bypasses the cache:
-// the router re-resolves only after invalidating a backend, and must then
-// see the post-failover answer immediately.
-type routerResolver struct{ r *dns.Resolver }
-
-func (rr routerResolver) ResolveOne(name string) (string, error) {
-	rr.r.Flush()
-	return rr.r.ResolveOne(name)
 }
 
 func qosName(i int) string { return fmt.Sprintf("%s%d.%s", qosPrefix, i, Domain) }
@@ -484,11 +464,12 @@ func (c *Cluster) startRouter() (*router.Router, error) {
 		names[i] = p.Name
 	}
 	c.mu.Unlock()
+	// The resolver is uncached: a router re-resolves a backend only after a
+	// timeout invalidated it, and must then see the post-failover answer.
 	rcfg := router.Config{
 		Addr:         "127.0.0.1:0",
 		Backends:     names,
-		Picker:       c.picker,
-		Resolver:     routerResolver{c.Resolver},
+		Resolver:     dns.NewUncachedResolver(c.DNS),
 		Transport:    c.cfg.Transport,
 		DefaultReply: c.cfg.DefaultReply,
 	}
@@ -548,8 +529,8 @@ func (c *Cluster) RemoveRouter() error {
 // it boots the server, publishes the next membership epoch — hot-swapping
 // every router onto the wider view — and then rebalances, pushing every
 // bucket whose key changed owner to its new home so credits survive the
-// scale event. With the jump picker only ~K/(N+1) keys move, all of them
-// onto the new server.
+// scale event. Jump hash moves only ~K/(N+1) keys, all of them onto the
+// new server.
 func (c *Cluster) AddQoSServer() (*QoSPair, error) {
 	if c.Coord == nil {
 		return nil, fmt.Errorf("cluster: membership not enabled")
@@ -566,7 +547,7 @@ func (c *Cluster) AddQoSServer() (*QoSPair, error) {
 	c.mu.Unlock()
 	// Publishing the wider view swaps the routers before Join returns;
 	// only then is it safe to strip moved keys from the old owners.
-	v := c.Coord.Join(pair.Name, pair.Master.ReplicationAddr(), 1)
+	v := c.Coord.Join(pair.Name, pair.Master.ReplicationAddr())
 	if err := c.rebalance(v); err != nil {
 		return pair, err
 	}
@@ -629,7 +610,7 @@ func (c *Cluster) rebalancePair(pair *QoSPair, v membership.View) error {
 		}
 	}
 	_, err := pair.Master.Rebalance(func(key string) string {
-		ownerName, oerr := v.Owner(c.picker, key)
+		ownerName, oerr := v.Owner(key)
 		if oerr != nil || ownerName == pair.Name {
 			return ""
 		}

@@ -351,7 +351,7 @@ func TestFirstSightSurvivesSlowDB(t *testing.T) {
 	}
 	var key string
 	for _, r := range rules(16, 0, 10) {
-		if owner, _ := c.View().Owner(c.picker, r.Key); owner == pair.Name {
+		if owner, _ := c.View().Owner(r.Key); owner == pair.Name {
 			key = r.Key
 			break
 		}

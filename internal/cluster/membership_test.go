@@ -9,30 +9,38 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/membership"
 	"repro/internal/router"
+	"repro/internal/wire"
 )
 
-// sumCredits sums the remaining credit of every rule key across the QoS
-// masters' tables, counting absent keys at full capacity (they were never
-// consumed) and failing on keys resident on two servers at once (a handoff
-// that forgot to delete).
-func sumCredits(t *testing.T, c *Cluster, nKeys int, capacity float64) float64 {
+// tables snapshots the QoS masters' tables: the master holding each
+// resident key, and its credit. A key resident on two masters (a handoff
+// that forgot to delete) fails the test.
+func tables(t *testing.T, c *Cluster) (owner map[string]string, credit map[string]float64) {
 	t.Helper()
 	now := time.Now()
-	found := make(map[string]float64)
+	owner, credit = make(map[string]string), make(map[string]float64)
 	c.mu.Lock()
 	pairs := append([]*QoSPair(nil), c.QoS...)
 	c.mu.Unlock()
 	for _, p := range pairs {
 		p.Master.Table().Range(func(key string, b *bucket.Bucket) bool {
-			if _, dup := found[key]; dup {
-				t.Errorf("key %q resident on two servers", key)
+			if prev, dup := owner[key]; dup {
+				t.Errorf("key %q resident on %s and %s", key, prev, p.Name)
 			}
-			found[key] = b.Credit(now)
+			owner[key], credit[key] = p.Name, b.Credit(now)
 			return true
 		})
 	}
+	return owner, credit
+}
+
+// sumCredits sums the remaining credit of every rule key across the QoS
+// masters' tables, counting absent keys at full capacity (they were never
+// consumed).
+func sumCredits(t *testing.T, c *Cluster, nKeys int, capacity float64) float64 {
+	t.Helper()
+	_, found := tables(t, c)
 	total := 0.0
 	for i := 0; i < nKeys; i++ {
 		if credit, ok := found[fmt.Sprintf("user-%d", i)]; ok {
@@ -45,8 +53,8 @@ func sumCredits(t *testing.T, c *Cluster, nKeys int, capacity float64) float64 {
 }
 
 // TestScaleOutMidLoadConservesCredit is the membership acceptance
-// scenario: grow the QoS tier 4→5 servers while load is flowing, with the
-// jump picker and live bucket handoff. Asserts (a) at most 25% of keys
+// scenario: grow the QoS tier 4→5 servers while load is flowing, with live
+// bucket handoff. Asserts (a) at most 25% of keys
 // change owner, (b) total outstanding credit is conserved, and (c) no
 // request is ever answered by the router's default-reply path.
 func TestScaleOutMidLoadConservesCredit(t *testing.T) {
@@ -58,7 +66,6 @@ func TestScaleOutMidLoadConservesCredit(t *testing.T) {
 		Routers:    2,
 		QoSServers: 4,
 		Membership: true,
-		Picker:     membership.KindJump,
 		Rules:      rules(nKeys, 0, capacity), // rate 0: exact accounting
 	})
 	if got := c.View(); got.Epoch != 4 || len(got.Backends) != 4 {
@@ -112,12 +119,11 @@ func TestScaleOutMidLoadConservesCredit(t *testing.T) {
 
 	// (a) Owner stability: over the real rule keys, at most 25% moved —
 	// the jump-hash K/N bound (expected 1/5 = 20%).
-	picker, _ := membership.NewPicker(membership.KindJump)
 	moved := 0
 	for i := 0; i < nKeys; i++ {
 		key := fmt.Sprintf("user-%d", i)
-		a, _ := oldView.Owner(picker, key)
-		b, _ := newView.Owner(picker, key)
+		a, _ := oldView.Owner(key)
+		b, _ := newView.Owner(key)
 		if a != b {
 			moved++
 			if b != pair.Name {
@@ -178,7 +184,6 @@ func TestScaleInHandsBucketsBack(t *testing.T) {
 		Routers:    1,
 		QoSServers: 3,
 		Membership: true,
-		Picker:     membership.KindJump,
 		Rules:      rules(nKeys, 0, capacity),
 	})
 	// Warm and consume: 3 credits per key.
@@ -213,42 +218,71 @@ func TestScaleInHandsBucketsBack(t *testing.T) {
 	}
 }
 
-func TestScaleOutCRC32ReshufflesButConserves(t *testing.T) {
+// TestScaleEventsMoveOnlyTheNewOwnersKeys measures, from where the buckets
+// actually live, what a join and a leave move. Join 2→3: at most 1/3 + 0.02
+// of the keys move, every one onto the new server, none between the old
+// two. Leave 3→2: exactly the departing server's keys move, each back to its
+// owner before the join. Credit is conserved exactly through both, no reply
+// is fabricated, and every master's audit stays ok.
+func TestScaleEventsMoveOnlyTheNewOwnersKeys(t *testing.T) {
 	const (
-		nKeys    = 100
+		nKeys    = 10000
 		capacity = 10.0
 	)
-	c := newCluster(t, Config{
-		Routers:    1,
-		QoSServers: 2,
-		Membership: true,
-		Picker:     membership.KindCRC32,
-		Rules:      rules(nKeys, 0, capacity),
-	})
-	for i := 0; i < nKeys; i++ {
-		for j := 0; j < 2; j++ {
-			if ok, err := c.Check(fmt.Sprintf("user-%d", i)); err != nil || !ok {
-				t.Fatalf("warm: ok=%v err=%v", ok, err)
+	c := newCluster(t, Config{QoSServers: 2, Membership: true, Audit: true, Rules: rules(nKeys, 0, capacity)})
+	spent := 0
+	spendOneEach := func() { // then check that credit is conserved exactly
+		t.Helper()
+		for i := 0; i < nKeys; i++ {
+			if resp := c.Routers[0].Route(wire.Request{Key: fmt.Sprintf("user-%d", i), Cost: 1}); !resp.Allow || resp.Status != wire.StatusOK {
+				t.Fatalf("user-%d: %+v", i, resp)
+			}
+		}
+		spent++
+		if got, want := sumCredits(t, c, nKeys, capacity), nKeys*(capacity-float64(spent)); got != want {
+			t.Fatalf("credits = %v, want %v", got, want)
+		}
+	}
+
+	spendOneEach()
+	before, _ := tables(t, c)
+	pair, err := c.AddQoSServer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	joined, _ := tables(t, c)
+	moved := 0
+	for key, was := range before {
+		if now := joined[key]; now != was {
+			moved++
+			if now != pair.Name {
+				t.Fatalf("join: %s moved %s→%s, not onto the new server %s", key, was, now, pair.Name)
 			}
 		}
 	}
-	if _, err := c.AddQoSServer(); err != nil {
+	bound := 1.0/3 + 0.02
+	if limit := int(bound * nKeys); len(joined) != nKeys || moved == 0 || moved > limit {
+		t.Fatalf("join moved %d of %d resident keys, want (0, %d]", moved, len(joined), limit)
+	}
+
+	spendOneEach()
+	if err := c.RemoveQoSServer(); err != nil {
 		t.Fatal(err)
 	}
-	// The legacy mapping reshuffles most of the key space…
-	c.mu.Lock()
-	r := c.Routers[0]
-	c.mu.Unlock()
-	if st := r.Stats(); st.LastRemapFraction < 0.5 {
-		t.Fatalf("crc32 remap fraction = %v, want > 0.5", st.LastRemapFraction)
-	}
-	// …but the handoff still conserves every credit.
-	want := float64(nKeys)*capacity - float64(2*nKeys)
-	if got := sumCredits(t, c, nKeys, capacity); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("credits = %v, want %v", got, want)
+	spendOneEach()
+	left, _ := tables(t, c)
+	for key, was := range before {
+		if left[key] != was {
+			t.Fatalf("leave: %s on %q, want its pre-join owner %s", key, left[key], was)
+		}
 	}
 	if n := c.TotalDefaultReplies(); n != 0 {
-		t.Fatalf("default replies: %d", n)
+		t.Fatalf("default replies through the scale events: %d", n)
+	}
+	for _, p := range c.QoS {
+		if rep := p.Master.AuditReport(); rep.Verdict != "ok" {
+			t.Fatalf("%s audit: %+v", p.Name, rep)
+		}
 	}
 }
 

@@ -5,7 +5,8 @@
 //
 //   - Embedded (this package): the QoS server layer runs in-process as a
 //     set of partitioned leaky-bucket engines, fronted by the same
-//     CRC32-mod-N partitioning the request router uses. Check() makes an
+//     key→partition mapping the request router uses (membership.Pick,
+//     jump consistent hash). Check() makes an
 //     admission decision with zero network hops. The database layer is an
 //     embedded minisql engine, with the same rule-sync and checkpointing
 //     machinery as the distributed deployment.
@@ -20,9 +21,9 @@ import (
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/membership"
 	"repro/internal/minisql"
 	"repro/internal/qosserver"
-	"repro/internal/router"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -92,7 +93,7 @@ func (j *Janus) Check(key string) bool {
 
 // CheckCost admits a request consuming cost credits.
 func (j *Janus) CheckCost(key string, cost float64) bool {
-	i, _ := router.SelectBackend(key, len(j.servers)) // len > 0 by construction
+	i, _ := membership.Pick(key, len(j.servers)) // len > 0 by construction
 	s := j.servers[i]
 	return s.Decide(wire.Request{Key: key, Cost: cost}).Allow
 }

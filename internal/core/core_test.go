@@ -187,7 +187,7 @@ func TestManyKeysSpreadAcrossPartitions(t *testing.T) {
 			t.Fatalf("%s second admitted", k)
 		}
 	}
-	// Each partition received some keys (CRC32 spreads 100 keys over 8).
+	// Each partition received some keys (jump hash spreads 100 keys over 8).
 	if j.Stats().Decisions != 200 {
 		t.Fatalf("decisions = %d", j.Stats().Decisions)
 	}

@@ -77,8 +77,9 @@ func (r *Resolver) Flush() {
 }
 
 // UncachedResolver bypasses caching entirely; every Resolve is a fresh
-// query. The gateway load balancer path uses this to model Route53's own
-// per-request answers to the ELB alias.
+// query. The cluster's routers resolve QoS server names with it: a router
+// re-resolves only after a timeout has invalidated a backend, and must then
+// see the post-failover answer at once, not a cached pre-failover one.
 type UncachedResolver struct{ server *Server }
 
 // NewUncachedResolver returns a resolver with no cache.

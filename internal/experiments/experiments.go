@@ -13,13 +13,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/cluster"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
-	"repro/internal/router"
 )
 
 // GatewayHopDelay models the extra connection the ELB opens to the back end
@@ -109,7 +109,9 @@ type Fig6Result struct {
 }
 
 // Fig6 hashes each of the paper's four key populations across Fig6Servers
-// with the router's own backend selection.
+// with the paper's routing formula, paperPartition. The router itself runs
+// jump consistent hash (membership.Pick), whose spread
+// membership.TestPickerDistribution holds to the same band.
 func Fig6(size Fig6Size) (Fig6Result, error) {
 	pops := []struct {
 		name string
@@ -124,8 +126,7 @@ func Fig6(size Fig6Size) (Fig6Result, error) {
 	for _, p := range pops {
 		counts := make([]int, Fig6Servers)
 		for _, k := range loadgen.Unique(p.gen, size.Keys) {
-			i, _ := router.SelectBackend(k, Fig6Servers)
-			counts[i]++
+			counts[paperPartition(k, Fig6Servers)]++
 		}
 		var w metrics.Welford
 		for _, c := range counts {
@@ -135,6 +136,12 @@ func Fig6(size Fig6Size) (Fig6Result, error) {
 			Pressure{Population: p.name, MinPct: w.Min(), MaxPct: w.Max(), StdDevPct: w.StdDev()})
 	}
 	return res, res.check()
+}
+
+// paperPartition is the paper's key→server formula (§III-B): seed =
+// CRC32(key), server = seed mod n.
+func paperPartition(key string, n int) int {
+	return int(crc32.ChecksumIEEE([]byte(key)) % uint32(n))
 }
 
 func (r Fig6Result) check() error {

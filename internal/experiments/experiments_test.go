@@ -8,6 +8,14 @@ import (
 	"repro/internal/metrics"
 )
 
+// TestFig6MatchesPaperFormula pins Fig 6's partitioning to the paper's
+// formula: seed = CRC32(key); n = mod(seed, N).
+func TestFig6MatchesPaperFormula(t *testing.T) {
+	if got := paperPartition("hello", 7); got != int(uint32(0x3610a686)%7) {
+		t.Fatalf("paperPartition(hello, 7) = %d", got)
+	}
+}
+
 // TestRealPathFigures gates the real-path half of the reproduction: each
 // figure runs through its one definition, which builds the loopback stack
 // (Fig 13 through the photo app) and returns an error unless the paper's

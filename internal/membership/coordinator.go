@@ -14,8 +14,6 @@ type Member struct {
 	// bucket state when ownership moves. May be empty when the backend
 	// does not accept handoffs.
 	Addr string
-	// Weight is the relative capacity (default 1).
-	Weight float64
 	// Alive reports whether the member is in the current view.
 	Alive bool
 	// LastBeat is the time of the most recent heartbeat (or admission).
@@ -58,7 +56,6 @@ type Coordinator struct {
 
 type memberState struct {
 	addr     string
-	weight   float64
 	alive    bool
 	lastBeat time.Time
 }
@@ -91,10 +88,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 
 // Join admits (or updates) a member and publishes the new view. It returns
 // the published view.
-func (c *Coordinator) Join(name, addr string, weight float64) View {
-	if weight <= 0 {
-		weight = 1
-	}
+func (c *Coordinator) Join(name, addr string) View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.members[name]
@@ -103,9 +97,8 @@ func (c *Coordinator) Join(name, addr string, weight float64) View {
 		c.members[name] = m
 		c.order = append(c.order, name)
 	}
-	changed := !ok || !m.alive || m.addr != addr || m.weight != weight
+	changed := !ok || !m.alive || m.addr != addr
 	m.addr = addr
-	m.weight = weight
 	m.alive = true
 	m.lastBeat = c.clock()
 	if changed {
@@ -139,7 +132,7 @@ func (c *Coordinator) Heartbeat(name, addr string) View {
 	defer c.mu.Unlock()
 	m, ok := c.members[name]
 	if !ok {
-		m = &memberState{addr: addr, weight: 1, alive: true, lastBeat: c.clock()}
+		m = &memberState{addr: addr, alive: true, lastBeat: c.clock()}
 		c.members[name] = m
 		c.order = append(c.order, name)
 		return c.publishLocked()
@@ -177,7 +170,7 @@ func (c *Coordinator) Members() []Member {
 	out := make([]Member, 0, len(c.order))
 	for _, name := range c.order {
 		m := c.members[name]
-		out = append(out, Member{Name: name, Addr: m.addr, Weight: m.weight, Alive: m.alive, LastBeat: m.lastBeat})
+		out = append(out, Member{Name: name, Addr: m.addr, Alive: m.alive, LastBeat: m.lastBeat})
 	}
 	return out
 }
@@ -230,7 +223,6 @@ func (c *Coordinator) publishLocked() View {
 		m := c.members[name]
 		if m.alive {
 			v.Backends = append(v.Backends, name)
-			v.Weights = append(v.Weights, m.weight)
 		}
 	}
 	c.view = v

@@ -32,16 +32,16 @@ func TestCoordinatorJoinLeaveEpochs(t *testing.T) {
 	if v := c.View(); v.Epoch != 0 || len(v.Backends) != 0 {
 		t.Fatalf("initial view = %+v", v)
 	}
-	v := c.Join("qos-0", "127.0.0.1:9000", 0)
-	if v.Epoch != 1 || len(v.Backends) != 1 || v.Backends[0] != "qos-0" || v.Weights[0] != 1 {
+	v := c.Join("qos-0", "127.0.0.1:9000")
+	if v.Epoch != 1 || len(v.Backends) != 1 || v.Backends[0] != "qos-0" {
 		t.Fatalf("after join: %+v", v)
 	}
-	v = c.Join("qos-1", "127.0.0.1:9001", 2)
-	if v.Epoch != 2 || len(v.Backends) != 2 || v.Weights[1] != 2 {
+	v = c.Join("qos-1", "127.0.0.1:9001")
+	if v.Epoch != 2 || len(v.Backends) != 2 {
 		t.Fatalf("after second join: %+v", v)
 	}
 	// Re-joining with identical state does not burn an epoch.
-	if v = c.Join("qos-1", "127.0.0.1:9001", 2); v.Epoch != 2 {
+	if v = c.Join("qos-1", "127.0.0.1:9001"); v.Epoch != 2 {
 		t.Fatalf("idempotent join bumped epoch: %+v", v)
 	}
 	if got := c.Addr("qos-1"); got != "127.0.0.1:9001" {
@@ -60,9 +60,9 @@ func TestCoordinatorHeartbeatEjectionAndReadmission(t *testing.T) {
 	clk := newFakeClock()
 	c := NewCoordinator(CoordinatorConfig{TTL: time.Second, Clock: clk.now})
 	defer c.Close()
-	c.Join("qos-0", "a0", 1)
-	c.Join("qos-1", "a1", 1)
-	c.Join("qos-2", "a2", 1)
+	c.Join("qos-0", "a0")
+	c.Join("qos-1", "a1")
+	c.Join("qos-2", "a2")
 
 	// qos-1 stops beating; the others keep beating.
 	clk.advance(700 * time.Millisecond)
@@ -99,7 +99,7 @@ func TestCoordinatorHeartbeatRegistersUnknownMember(t *testing.T) {
 		t.Fatalf("heartbeat-join: %+v", v)
 	}
 	ms := c.Members()
-	if len(ms) != 1 || !ms[0].Alive || ms[0].Addr != "addr7" || ms[0].Weight != 1 {
+	if len(ms) != 1 || !ms[0].Alive || ms[0].Addr != "addr7" {
 		t.Fatalf("members = %+v", ms)
 	}
 }
@@ -107,7 +107,7 @@ func TestCoordinatorHeartbeatRegistersUnknownMember(t *testing.T) {
 func TestCoordinatorMonitorEjectsWithRealClock(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{TTL: 30 * time.Millisecond})
 	defer c.Close()
-	c.Join("qos-0", "", 1)
+	c.Join("qos-0", "")
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if len(c.View().Backends) == 0 {
@@ -128,8 +128,8 @@ func TestCoordinatorSubscribe(t *testing.T) {
 		epochs = append(epochs, v.Epoch)
 		mu.Unlock()
 	})
-	c.Join("a", "", 1)
-	c.Join("b", "", 1)
+	c.Join("a", "")
+	c.Join("b", "")
 	cancel()
 	c.Leave("a") // not delivered
 	mu.Lock()
@@ -146,11 +146,10 @@ func TestCoordinatorSubscribe(t *testing.T) {
 }
 
 func TestViewClone(t *testing.T) {
-	v := View{Epoch: 3, Backends: []string{"a", "b"}, Weights: []float64{1, 2}}
+	v := View{Epoch: 3, Backends: []string{"a", "b"}}
 	cl := v.Clone()
 	cl.Backends[0] = "z"
-	cl.Weights[0] = 9
-	if v.Backends[0] != "a" || v.Weights[0] != 1 {
+	if v.Backends[0] != "a" {
 		t.Fatal("Clone shares backing arrays")
 	}
 	if (View{}).IndexOf("a") != -1 {

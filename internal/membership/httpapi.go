@@ -7,7 +7,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,12 +31,13 @@ const (
 
 // Handler exposes a coordinator over HTTP:
 //
-//	GET  /membership/v1/view                          → current View (JSON)
-//	POST /membership/v1/heartbeat?name=N&addr=A&weight=W → heartbeat/join,
+//	GET  /membership/v1/view                 → current View (JSON)
+//	POST /membership/v1/heartbeat?name=N&addr=A → heartbeat/join,
 //	     responds with the resulting View (JSON)
 //
 // Heartbeats double as registration, so a QoS server joins a cluster by
-// simply beating against the coordinator.
+// simply beating against the coordinator. Other query parameters (a
+// "weight" sent by an older member) are ignored.
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(ViewPath, func(w http.ResponseWriter, req *http.Request) {
@@ -54,18 +54,7 @@ func Handler(c *Coordinator) http.Handler {
 			http.Error(w, "name required", http.StatusBadRequest)
 			return
 		}
-		var v View
-		if ws := q.Get("weight"); ws != "" {
-			weight, err := strconv.ParseFloat(ws, 64)
-			if err != nil || weight <= 0 {
-				http.Error(w, "bad weight", http.StatusBadRequest)
-				return
-			}
-			v = c.Join(name, q.Get("addr"), weight)
-		} else {
-			v = c.Heartbeat(name, q.Get("addr"))
-		}
-		writeView(w, v)
+		writeView(w, c.Heartbeat(name, q.Get("addr")))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)

@@ -42,7 +42,7 @@ func TestHTTPHeartbeatAndView(t *testing.T) {
 }
 
 func TestHTTPHeartbeatValidation(t *testing.T) {
-	_, s := newService(t, CoordinatorConfig{})
+	c, s := newService(t, CoordinatorConfig{})
 	// Missing name.
 	resp, err := http.Post("http://"+s.Addr()+HeartbeatPath, "text/plain", nil)
 	if err != nil {
@@ -61,14 +61,14 @@ func TestHTTPHeartbeatValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET heartbeat: status %d", resp.StatusCode)
 	}
-	// Bad weight.
+	// A weight, sent by an older member, is ignored: a plain heartbeat.
 	resp, err = http.Post("http://"+s.Addr()+HeartbeatPath+"?name=x&weight=-3", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad weight: status %d", resp.StatusCode)
+	if v := c.View(); resp.StatusCode != http.StatusOK || len(v.Backends) != 1 {
+		t.Fatalf("weighted heartbeat: status %d, view %+v", resp.StatusCode, v)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestBeaterKeepsMemberAlive(t *testing.T) {
 
 func TestPollerDeliversEpochChanges(t *testing.T) {
 	c, s := newService(t, CoordinatorConfig{})
-	c.Join("qos-0", "", 1)
+	c.Join("qos-0", "")
 	cl := &Client{Endpoint: s.Addr()}
 	var mu sync.Mutex
 	var got []uint64
@@ -109,7 +109,7 @@ func TestPollerDeliversEpochChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	c.Join("qos-1", "", 1)
+	c.Join("qos-1", "")
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		mu.Lock()

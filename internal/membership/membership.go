@@ -3,17 +3,20 @@
 // leaky-bucket state.
 //
 // The paper's router partitions keys with CRC32(key) mod N over a fixed
-// backend list (§III-B), so any change to N remaps ~(N-1)/N of all keys.
+// backend list (§III-B), so any change to N remaps ~N/(N+1) of all keys.
 // This package replaces the fixed list with a View — an immutable,
 // epoch-numbered snapshot of the alive backends — published by a
-// lightweight Coordinator and consumed by routers through a hot swap:
+// lightweight Coordinator and consumed by routers through a hot swap, and
+// replaces the formula with jump consistent hash:
 //
-//   - View{Epoch, Backends, Weights}: the unit of membership truth. Epochs
-//     are strictly increasing; two views with the same epoch are identical.
-//   - Picker: the key→backend mapping strategy. CRC32Mod reproduces the
-//     paper's formula bit-for-bit; JumpHash (Lamping & Veach,
-//     arXiv:1406.2294) moves only ~K/N keys when a backend is appended,
-//     which is what makes elastic scaling of the QoS tier affordable.
+//   - View{Epoch, Backends}: the unit of membership truth. Epochs are
+//     strictly increasing; two views with the same epoch are identical.
+//   - Pick: the one key→backend mapping, jump consistent hash (Lamping &
+//     Veach, arXiv:1406.2294) over FNV-1a-64. Appending a backend moves
+//     only ~K/(N+1) keys, all onto the new backend, which is what makes
+//     elastic scaling of the QoS tier affordable. The mapping is a
+//     cluster-wide property: every router serving one QoS tier must run
+//     the same one, or a key has two owners.
 //   - Coordinator: tracks members, their heartbeats, and their handoff
 //     addresses; it ejects members whose heartbeats stop, re-admits them
 //     when heartbeats resume, and publishes a new View (epoch+1) to
@@ -35,18 +38,14 @@ import (
 var ErrNoBackends = errors.New("membership: no backends in view")
 
 // View is an immutable epoch-versioned snapshot of the alive backends, in
-// stable admission order. Index i in Backends is partition i for a Picker.
+// stable admission order. Index i in Backends is partition i for Pick.
 type View struct {
 	// Epoch is the version of this view. Strictly increasing: every
 	// membership change (join, leave, ejection, re-admission) advances it.
 	Epoch uint64
 	// Backends are the routable backend names (DNS names or literal
-	// addresses), in stable order. The slice length fixes N for pickers.
+	// addresses), in stable order. The slice length fixes N for Pick.
 	Backends []string
-	// Weights are the relative capacities of the backends; nil means all
-	// backends weigh 1. Reserved for weighted pickers; current pickers
-	// treat all backends equally.
-	Weights []float64
 }
 
 // Clone returns a deep copy of the view, so holders may retain it across
@@ -55,9 +54,6 @@ func (v View) Clone() View {
 	c := View{Epoch: v.Epoch}
 	if v.Backends != nil {
 		c.Backends = append([]string(nil), v.Backends...)
-	}
-	if v.Weights != nil {
-		c.Weights = append([]float64(nil), v.Weights...)
 	}
 	return c
 }
@@ -73,9 +69,9 @@ func (v View) IndexOf(name string) int {
 	return -1
 }
 
-// Owner returns the backend name owning key under picker p.
-func (v View) Owner(p Picker, key string) (string, error) {
-	i, err := p.Pick(key, len(v.Backends))
+// Owner returns the backend name owning key.
+func (v View) Owner(key string) (string, error) {
+	i, err := Pick(key, len(v.Backends))
 	if err != nil {
 		return "", fmt.Errorf("membership: epoch %d: %w", v.Epoch, err)
 	}
@@ -83,10 +79,10 @@ func (v View) Owner(p Picker, key string) (string, error) {
 }
 
 // RemapFraction estimates the fraction of the key space whose owner differs
-// between views old and new under picker p, by probing samples synthetic
+// between views old and new, by probing samples synthetic
 // keys. It is what routers report as the per-epoch remap metric. samples
 // <= 0 selects 2048.
-func RemapFraction(old, new View, p Picker, samples int) float64 {
+func RemapFraction(old, new View, samples int) float64 {
 	if samples <= 0 {
 		samples = 2048
 	}
@@ -96,8 +92,8 @@ func RemapFraction(old, new View, p Picker, samples int) float64 {
 	moved := 0
 	for i := 0; i < samples; i++ {
 		key := fmt.Sprintf("remap-probe-%d", i)
-		a, err1 := old.Owner(p, key)
-		b, err2 := new.Owner(p, key)
+		a, err1 := old.Owner(key)
+		b, err2 := new.Owner(key)
 		if err1 != nil || err2 != nil || a != b {
 			moved++
 		}

@@ -1,83 +1,35 @@
 package membership
 
-import (
-	"fmt"
-	"hash/crc32"
-	"hash/fnv"
-)
+import "fmt"
 
-// Picker maps a QoS key to a partition index in [0, n). Implementations
-// must be deterministic and safe for concurrent use.
-type Picker interface {
-	// Kind names the strategy for configuration and metrics.
-	Kind() Kind
-	// Pick returns the partition index of key among n backends. It returns
-	// ErrNoBackends when n <= 0.
-	Pick(key string, n int) (int, error)
-}
-
-// Kind names a Picker implementation for configuration.
-type Kind string
-
-// Supported picker kinds.
-const (
-	// KindCRC32 is the paper's CRC32(key) mod N formula (§III-B). Changing
-	// N remaps ~(N-1)/N of all keys.
-	KindCRC32 Kind = "crc32"
-	// KindJump is jump consistent hash (arXiv:1406.2294). Appending a
-	// backend moves only ~K/N keys, all of them onto the new backend.
-	KindJump Kind = "jump"
-)
-
-// NewPicker constructs a picker of the given kind; the empty kind selects
-// KindCRC32 (the legacy mapping).
-func NewPicker(kind Kind) (Picker, error) {
-	switch kind {
-	case KindCRC32, "":
-		return CRC32Mod{}, nil
-	case KindJump:
-		return JumpHash{}, nil
-	default:
-		return nil, fmt.Errorf("membership: unknown picker kind %q", kind)
-	}
-}
-
-// CRC32Mod is the paper's routing function: seed = CRC32(key), index =
-// seed mod N. It reproduces the legacy router's indices exactly.
-type CRC32Mod struct{}
-
-// Kind implements Picker.
-func (CRC32Mod) Kind() Kind { return KindCRC32 }
-
-// Pick implements Picker.
-func (CRC32Mod) Pick(key string, n int) (int, error) {
+// Pick returns the partition index of key among n backends: Lamping &
+// Veach's jump consistent hash (arXiv:1406.2294) over a 64-bit FNV-1a hash
+// of the key. Going from n to n+1 backends moves exactly the keys that map
+// to the new backend (~K/(n+1) of them); no key moves between pre-existing
+// backends. It returns ErrNoBackends when n <= 0.
+//
+// Pick is the only key→owner mapping: every router and the cluster's
+// bucket handoff must agree on it, so it is not configurable. FNV-1a is
+// computed over the string in place (as table.hashFor does), which keeps
+// the pick allocation-free regardless of key length.
+//
+//janus:hotpath
+func Pick(key string, n int) (int, error) {
 	if n <= 0 {
 		return 0, ErrNoBackends
 	}
-	return int(crc32.ChecksumIEEE([]byte(key)) % uint32(n)), nil
-}
-
-// JumpHash is Lamping & Veach's jump consistent hash over a 64-bit FNV-1a
-// hash of the key. Its defining property: going from n to n+1 backends
-// moves exactly the keys that map to the new backend (~K/(n+1) of them),
-// and no key moves between pre-existing backends.
-type JumpHash struct{}
-
-// Kind implements Picker.
-func (JumpHash) Kind() Kind { return KindJump }
-
-// Pick implements Picker.
-func (JumpHash) Pick(key string, n int) (int, error) {
-	if n <= 0 {
-		return 0, ErrNoBackends
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h ^= uint64(key[i])
+		h *= 1099511628211
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key)) // a hash.Hash Write never returns an error
-	return jump(h.Sum64(), n), nil
+	return jump(h, n), nil
 }
 
 // jump is the core loop of the paper's ch(key, num_buckets), verbatim from
 // arXiv:1406.2294 with the LCG constant 2862933555777941757.
+//
+//janus:hotpath
 func jump(key uint64, n int) int {
 	var b, j int64 = -1, 0
 	for j < int64(n) {
@@ -86,4 +38,19 @@ func jump(key uint64, n int) int {
 		j = int64(float64(b+1) * (float64(int64(1)<<31) / float64((key>>33)+1)))
 	}
 	return int(b)
+}
+
+// picker wraps Pick in a value with a Pick method, for NewPicker.
+type picker struct{}
+
+func (picker) Pick(key string, n int) (int, error) { return Pick(key, n) }
+
+// NewPicker returns a value whose Pick method is Pick. Its one caller is
+// benchmark/layers.go (the membership.pick layer), which asks for kind "";
+// any other kind is an error.
+func NewPicker(kind string) (picker, error) {
+	if kind != "" {
+		return picker{}, fmt.Errorf("membership: unknown picker kind %q: jump hash is the only mapping", kind)
+	}
+	return picker{}, nil
 }

@@ -3,7 +3,8 @@ package membership
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"hash/fnv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,74 +18,76 @@ func keys(n int) []string {
 }
 
 func TestNewPicker(t *testing.T) {
-	for _, kind := range []Kind{KindCRC32, KindJump, ""} {
-		if _, err := NewPicker(kind); err != nil {
-			t.Fatalf("NewPicker(%q): %v", kind, err)
+	p, err := NewPicker("")
+	if err != nil {
+		t.Fatalf(`NewPicker(""): %v`, err)
+	}
+	for _, k := range keys(100) {
+		got, err1 := p.Pick(k, 7)
+		want, err2 := Pick(k, 7)
+		if err1 != nil || err2 != nil || got != want {
+			t.Fatalf("NewPicker(\"\").Pick(%q, 7) = %d, %v; Pick = %d, %v", k, got, err1, want, err2)
 		}
 	}
-	if _, err := NewPicker("rendezvous"); err == nil {
-		t.Fatal("unknown kind accepted")
+	for _, kind := range []string{"jump", "crc32", "rendezvous"} {
+		if _, err := NewPicker(kind); err == nil {
+			t.Fatalf("NewPicker(%q) accepted", kind)
+		}
 	}
 }
 
 func TestPickersRejectEmptyView(t *testing.T) {
-	for _, p := range []Picker{CRC32Mod{}, JumpHash{}} {
-		for _, n := range []int{0, -1} {
-			if _, err := p.Pick("k", n); !errors.Is(err, ErrNoBackends) {
-				t.Fatalf("%s.Pick(k, %d) err = %v, want ErrNoBackends", p.Kind(), n, err)
+	for _, n := range []int{0, -1} {
+		if _, err := Pick("k", n); !errors.Is(err, ErrNoBackends) {
+			t.Fatalf("Pick(k, %d) err = %v, want ErrNoBackends", n, err)
+		}
+	}
+}
+
+// TestPickMatchesFNVReference pins Pick bit for bit to the mapping as first
+// written, FNV-1a-64 through hash/fnv and then jump: a key whose owner
+// differed would move on upgrade.
+func TestPickMatchesFNVReference(t *testing.T) {
+	for _, k := range append(keys(10000), "", "ключ", strings.Repeat("k", 200)) {
+		h := fnv.New64a()
+		h.Write([]byte(k))
+		for n := 1; n <= 64; n++ {
+			if got, err := Pick(k, n); err != nil || got != jump(h.Sum64(), n) {
+				t.Fatalf("Pick(%q, %d) = %d, %v; reference %d", k, n, got, err, jump(h.Sum64(), n))
 			}
 		}
 	}
 }
 
-// TestCRC32ModMatchesLegacyFormula pins CRC32Mod to the paper's routing
-// function, seed = CRC32(key); index = seed mod N — the exact indices the
-// fixed-list router has always produced.
-func TestCRC32ModMatchesLegacyFormula(t *testing.T) {
-	p := CRC32Mod{}
+func TestPickersDeterministicInRange(t *testing.T) {
 	f := func(key string, n uint8) bool {
-		nn := int(n%20) + 1
-		got, err := p.Pick(key, nn)
-		return err == nil && got == int(crc32.ChecksumIEEE([]byte(key))%uint32(nn))
+		nn := int(n%32) + 1
+		i, err1 := Pick(key, nn)
+		j, err2 := Pick(key, nn)
+		return err1 == nil && err2 == nil && i == j && i >= 0 && i < nn
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPickersDeterministicInRange(t *testing.T) {
-	for _, p := range []Picker{CRC32Mod{}, JumpHash{}} {
-		f := func(key string, n uint8) bool {
-			nn := int(n%32) + 1
-			i, err1 := p.Pick(key, nn)
-			j, err2 := p.Pick(key, nn)
-			return err1 == nil && err2 == nil && i == j && i >= 0 && i < nn
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-			t.Fatalf("%s: %v", p.Kind(), err)
-		}
-	}
-}
-
-// TestPickerDistribution checks both pickers spread sequential keys within
-// a tight band around the uniform share (the Fig 6 property).
+// TestPickerDistribution checks Pick spreads sequential keys within a
+// tight band around the uniform share (the Fig 6 property).
 func TestPickerDistribution(t *testing.T) {
 	const n = 20
 	ks := keys(100000)
-	for _, p := range []Picker{CRC32Mod{}, JumpHash{}} {
-		counts := make([]int, n)
-		for _, k := range ks {
-			i, err := p.Pick(k, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[i]++
+	counts := make([]int, n)
+	for _, k := range ks {
+		i, err := Pick(k, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, c := range counts {
-			pct := float64(c) / float64(len(ks)) * 100
-			if pct < 4.0 || pct > 6.0 {
-				t.Errorf("%s: partition %d pressure = %.3f%%, outside [4,6]", p.Kind(), i, pct)
-			}
+		counts[i]++
+	}
+	for i, c := range counts {
+		pct := float64(c) / float64(len(ks)) * 100
+		if pct < 4.0 || pct > 6.0 {
+			t.Errorf("partition %d pressure = %.3f%%, outside [4,6]", i, pct)
 		}
 	}
 }
@@ -94,13 +97,12 @@ func TestPickerDistribution(t *testing.T) {
 // K/(n+1)), and every moved key lands on the NEW backend — none shuffle
 // between pre-existing backends.
 func TestJumpHashMonotonicity(t *testing.T) {
-	p := JumpHash{}
 	ks := keys(50000)
 	for n := 1; n <= 12; n++ {
 		moved := 0
 		for _, k := range ks {
-			a, _ := p.Pick(k, n)
-			b, _ := p.Pick(k, n+1)
+			a, _ := Pick(k, n)
+			b, _ := Pick(k, n+1)
 			if a != b {
 				moved++
 				if b != n {
@@ -115,43 +117,21 @@ func TestJumpHashMonotonicity(t *testing.T) {
 	}
 }
 
-// TestCRC32ModReshufflesNearEverything documents why the legacy mapping
-// cannot scale elastically: adding one backend remaps ~(N-1)/N of keys.
-func TestCRC32ModReshufflesNearEverything(t *testing.T) {
-	p := CRC32Mod{}
-	ks := keys(50000)
-	moved := 0
-	for _, k := range ks {
-		a, _ := p.Pick(k, 4)
-		b, _ := p.Pick(k, 5)
-		if a != b {
-			moved++
-		}
-	}
-	if frac := float64(moved) / float64(len(ks)); frac < 0.7 {
-		t.Fatalf("crc32 mod moved only %.2f of keys on 4→5; expected ~0.8", frac)
-	}
-}
-
 func TestViewOwnerAndRemapFraction(t *testing.T) {
-	p := JumpHash{}
 	old := View{Epoch: 1, Backends: []string{"a", "b", "c", "d"}}
 	next := View{Epoch: 2, Backends: []string{"a", "b", "c", "d", "e"}}
-	owner, err := old.Owner(p, "some-key")
+	owner, err := old.Owner("some-key")
 	if err != nil || old.IndexOf(owner) < 0 {
 		t.Fatalf("owner = %q err = %v", owner, err)
 	}
-	if _, err := (View{}).Owner(p, "k"); !errors.Is(err, ErrNoBackends) {
+	if _, err := (View{}).Owner("k"); !errors.Is(err, ErrNoBackends) {
 		t.Fatalf("empty view owner err = %v", err)
 	}
-	frac := RemapFraction(old, next, p, 4096)
+	frac := RemapFraction(old, next, 4096)
 	if frac <= 0 || frac > 0.25+0.05 {
 		t.Fatalf("jump 4→5 remap fraction = %.3f, want ~0.20", frac)
 	}
-	if frac := RemapFraction(old, next, CRC32Mod{}, 4096); frac < 0.7 {
-		t.Fatalf("crc32 4→5 remap fraction = %.3f, want ~0.8", frac)
-	}
-	if frac := RemapFraction(View{}, next, p, 64); frac != 1 {
+	if frac := RemapFraction(View{}, next, 64); frac != 1 {
 		t.Fatalf("empty old view remap = %v, want 1", frac)
 	}
 }

@@ -37,65 +37,6 @@ func (g *Gauge) Add(delta int64) int64 { return g.v.Add(delta) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// Meter measures event throughput over wall-clock time. Mark events as they
-// occur; Rate reports events/second since creation or the last Reset.
-type Meter struct {
-	mu    sync.Mutex
-	count int64
-	start time.Time
-	now   func() time.Time
-}
-
-// NewMeter returns a meter whose clock starts now.
-func NewMeter() *Meter { return NewMeterWithClock(time.Now) }
-
-// NewMeterWithClock returns a meter reading time through now, so daemons
-// under test (or under simulation) never touch the wall clock through their
-// meters. A nil clock selects time.Now.
-func NewMeterWithClock(now func() time.Time) *Meter {
-	if now == nil {
-		now = time.Now
-	}
-	return &Meter{start: now(), now: now}
-}
-
-// newMeterAt is kept for in-package callers; new code should use
-// NewMeterWithClock.
-func newMeterAt(now func() time.Time) *Meter { return NewMeterWithClock(now) }
-
-// Mark records n events.
-func (m *Meter) Mark(n int64) {
-	m.mu.Lock()
-	m.count += n
-	m.mu.Unlock()
-}
-
-// Count returns the number of events marked since the last Reset.
-func (m *Meter) Count() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.count
-}
-
-// Rate returns events per second since the last Reset.
-func (m *Meter) Rate() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	el := m.now().Sub(m.start).Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(m.count) / el
-}
-
-// Reset zeroes the meter and restarts its clock.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	m.count = 0
-	m.start = m.now()
-	m.mu.Unlock()
-}
-
 // TimeSeries accumulates per-interval event counts, e.g. requests per second
 // for the Fig 13a accepted/rejected traces. Observations are assigned to a
 // fixed-width interval based on the observation time.

@@ -51,27 +51,6 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestMeterRate(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := newMeterAt(func() time.Time { return now })
-	m.Mark(100)
-	now = now.Add(2 * time.Second)
-	if r := m.Rate(); r != 50 {
-		t.Fatalf("rate = %v, want 50", r)
-	}
-	if m.Count() != 100 {
-		t.Fatalf("count = %d", m.Count())
-	}
-	m.Reset()
-	if m.Count() != 0 {
-		t.Fatal("reset did not zero count")
-	}
-	// Zero elapsed time must not divide by zero.
-	if r := m.Rate(); r != 0 {
-		t.Fatalf("rate after reset = %v", r)
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	origin := time.Unix(100, 0)
 	ts := NewTimeSeries(origin, time.Second)

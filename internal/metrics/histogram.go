@@ -11,7 +11,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -310,30 +309,6 @@ func (s Snapshot) String() string {
 		time.Duration(s.P99).Round(time.Microsecond),
 		time.Duration(s.P999).Round(time.Microsecond),
 		time.Duration(s.Max).Round(time.Microsecond))
-}
-
-// ExactPercentiles computes exact percentiles from a raw sample slice. It is
-// a convenience for tests and small experiments where every observation is
-// retained; values is not modified.
-func ExactPercentiles(values []int64, ps ...float64) []int64 {
-	out := make([]int64, len(ps))
-	if len(values) == 0 {
-		return out
-	}
-	sorted := make([]int64, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, p := range ps {
-		rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > len(sorted) {
-			rank = len(sorted)
-		}
-		out[i] = sorted[rank-1]
-	}
-	return out
 }
 
 // Welford implements numerically stable streaming mean/variance. It is

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -97,12 +98,13 @@ func TestHistogramQuantileRelativeError(t *testing.T) {
 		values[i] = v
 		h.Record(v)
 	}
-	exact := ExactPercentiles(values, 50, 90, 99, 99.9)
-	approx := []int64{h.Percentile(50), h.Percentile(90), h.Percentile(99), h.Percentile(99.9)}
-	for i := range exact {
-		relErr := math.Abs(float64(approx[i]-exact[i])) / float64(exact[i])
+	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	for _, p := range []float64{50, 90, 99, 99.9} {
+		exact := values[int(math.Ceil(p/100*float64(len(values))))-1] // nearest rank
+		approx := h.Percentile(p)
+		relErr := math.Abs(float64(approx-exact)) / float64(exact)
 		if relErr > 0.04 {
-			t.Errorf("percentile %d: exact=%d approx=%d relErr=%.4f", i, exact[i], approx[i], relErr)
+			t.Errorf("p%v: exact=%d approx=%d relErr=%.4f", p, exact, approx, relErr)
 		}
 	}
 }
@@ -184,24 +186,6 @@ func TestSnapshotString(t *testing.T) {
 	s := h.Snapshot().String()
 	if s == "" {
 		t.Fatal("empty string")
-	}
-}
-
-func TestExactPercentiles(t *testing.T) {
-	vals := []int64{5, 1, 4, 2, 3}
-	got := ExactPercentiles(vals, 0, 20, 40, 60, 80, 100)
-	want := []int64{1, 1, 2, 3, 4, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("p[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Original slice unmodified.
-	if vals[0] != 5 {
-		t.Error("input slice was sorted in place")
-	}
-	if got := ExactPercentiles(nil, 50); got[0] != 0 {
-		t.Error("nil input should yield zeros")
 	}
 }
 

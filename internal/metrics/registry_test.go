@@ -4,7 +4,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestRegistryCounterGauge(t *testing.T) {
@@ -150,18 +149,5 @@ func TestRegistryHandler(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "hits_total 1") {
 		t.Fatalf("body:\n%s", rec.Body.String())
-	}
-}
-
-func TestNewMeterWithClock(t *testing.T) {
-	now := time.Unix(0, 0)
-	m := NewMeterWithClock(func() time.Time { return now })
-	m.Mark(10)
-	now = now.Add(time.Second)
-	if got := m.Rate(); got < 9 || got > 11 {
-		t.Fatalf("Rate() = %v, want ~10", got)
-	}
-	if m2 := NewMeterWithClock(nil); m2 == nil {
-		t.Fatal("nil clock rejected")
 	}
 }

@@ -90,9 +90,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // master.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
-// ReadOnly reports whether the server currently rejects writes.
-func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
-
 // Engine returns the underlying engine.
 func (s *Server) Engine() *Engine { return s.engine }
 

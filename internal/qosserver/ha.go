@@ -206,11 +206,13 @@ type Replicator struct {
 }
 
 // NewReplicator creates a replicator that copies the table of the master at
-// masterAddr into slave every interval.
+// masterAddr into slave every interval. From here until Stop the slave does
+// not checkpoint.
 func NewReplicator(slave *Server, masterAddr string, interval time.Duration) *Replicator {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
+	slave.following.Store(true)
 	return &Replicator{
 		slave:    slave,
 		master:   masterAddr,
@@ -293,12 +295,14 @@ func (r *Replicator) Err() error {
 }
 
 // Stop halts replication. Used both for teardown and at promotion (the
-// slave stops pulling and starts serving as the new master).
+// slave stops pulling and starts serving as the new master, checkpoints
+// included).
 func (r *Replicator) Stop() {
 	r.once.Do(func() {
 		close(r.quit)
 		if r.started.Load() {
 			<-r.done
 		}
+		r.slave.following.Store(false)
 	})
 }

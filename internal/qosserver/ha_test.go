@@ -100,6 +100,41 @@ func TestHAFailoverSlaveTakesOver(t *testing.T) {
 	}
 }
 
+// TestFollowingSlaveDoesNotCheckpoint: master and slave share one store. A
+// slave checkpoint landing after the master's would overwrite the master's
+// fresher, lower credit with the slave's replicated one. After promotion the
+// slave checkpoints its own credit.
+func TestFollowingSlaveDoesNotCheckpoint(t *testing.T) {
+	db := newDB(t, bucket.Rule{Key: "a", RefillRate: 0, Capacity: 10, Credit: 10})
+	master := newServer(t, Config{Store: db, ReplicationAddr: "127.0.0.1:0"})
+	slave := newServer(t, Config{Store: db})
+	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
+	defer rep.Stop()
+	consume := func(s *Server, n int) {
+		for i := 0; i < n; i++ {
+			s.Decide(wire.Request{Key: "a"})
+		}
+	}
+	checkpointed := func(s *Server, want float64) {
+		t.Helper()
+		s.CheckpointOnce()
+		if r, _, err := db.Get("a"); err != nil || r.Credit != want {
+			t.Fatalf("row credit = %v (err %v), want %v", r.Credit, err, want)
+		}
+	}
+
+	consume(master, 3)
+	if err := rep.PullOnce(); err != nil { // the slave holds 7
+		t.Fatal(err)
+	}
+	consume(master, 2)
+	checkpointed(master, 5)
+	checkpointed(slave, 5) // not the slave's 7
+	rep.Stop()             // promotion
+	consume(slave, 1)
+	checkpointed(slave, 6)
+}
+
 func TestReplicatorStartFailsWhenMasterDown(t *testing.T) {
 	slave := newServer(t, Config{})
 	rep := NewReplicator(slave, "127.0.0.1:1", time.Millisecond)

@@ -226,6 +226,11 @@ type Server struct {
 	// server's, and edits the cursor has passed would never be read again,
 	// so the next pass reconciles.
 	fromPeer atomic.Bool
+	// following is set while a Replicator copies a master's table into this
+	// server (NewReplicator until Stop). Its credits are the master's at the
+	// last pull plus refill since, so writing them back would overwrite the
+	// master's fresher checkpoint of the same rows.
+	following atomic.Bool
 
 	registry *metrics.Registry
 	tracer   *trace.Recorder
@@ -1078,9 +1083,11 @@ func (s *Server) AuditReport() audit.Report {
 	return s.audit.Audit()
 }
 
-// CheckpointOnce performs one credit write-back pass.
+// CheckpointOnce performs one credit write-back pass. It does nothing while
+// the server is an HA slave following its master: the master checkpoints
+// the credits the slave only replicates.
 func (s *Server) CheckpointOnce() {
-	if s.cfg.Store == nil {
+	if s.cfg.Store == nil || s.following.Load() {
 		return
 	}
 	now := s.clock()

@@ -2,23 +2,19 @@
 // Fig 2).
 //
 // The router is a stateless HTTP front end. For each QoS request it maps
-// the QoS key to a backend partition with a membership.Picker — by default
-// the paper's formula
-//
-//	seed = CRC32(QoS key)
-//	n    = seed mod N
-//
-// — and forwards the request over UDP to QoS server n. Requests for the
-// same key always land on the same server, regardless of which router
-// instance handles them, which is what partitions the key space without
-// any coordination. Statelessness is what lets the router layer scale in
-// and out freely (§II-B).
+// the QoS key to a backend partition n with membership.Pick — jump
+// consistent hash over FNV-1a-64, where the paper uses CRC32(key) mod N —
+// and forwards the request over UDP to QoS server n. Requests for the same
+// key always land on the same server, regardless of which router instance
+// handles them, which is what partitions the key space without any
+// coordination. Statelessness is what lets the router layer scale in and
+// out freely (§II-B).
 //
 // The backend list is not fixed: it is an epoch-versioned
 // membership.View that can be hot-swapped with UpdateView while traffic
-// flows (the membership-coordinator integration). Swapping to a view with
-// a jump-consistent-hash picker moves only ~K/N keys per added backend;
-// the router records the estimated remap fraction of every swap.
+// flows (the membership-coordinator integration). Jump hash moves only
+// ~K/(N+1) keys per added backend; the router records the estimated remap
+// fraction of every swap.
 //
 // The UDP exchange uses the 100 µs/5-retry discipline of
 // internal/transport; when all retries are exhausted the router answers
@@ -58,8 +54,7 @@ import (
 )
 
 // ErrNoBackends is returned when a routing decision or router construction
-// is attempted with zero backends (n == 0), instead of the divide-by-zero
-// panic the raw modulo would hit.
+// is attempted with zero backends (n == 0), instead of an index panic.
 var ErrNoBackends = membership.ErrNoBackends
 
 // fpBackendSend sits in front of the UDP exchange with a QoS server. A
@@ -67,13 +62,6 @@ var ErrNoBackends = membership.ErrNoBackends
 // drop/error force the retry-exhaustion → default-reply path without
 // waiting out real timeouts.
 var fpBackendSend = failpoint.New("router/backend/send")
-
-// SelectBackend returns the index of the QoS server responsible for key
-// among n servers — the paper's CRC32-mod routing function. It returns
-// ErrNoBackends when n <= 0.
-func SelectBackend(key string, n int) (int, error) {
-	return membership.CRC32Mod{}.Pick(key, n)
-}
 
 // Resolver turns a backend name into a dialable address. internal/dns
 // resolvers satisfy it; nil means names are already addresses.
@@ -89,9 +77,6 @@ type Config struct {
 	// addresses, in partition order. They form the initial view (epoch 0);
 	// UpdateView replaces them wholesale.
 	Backends []string
-	// Picker maps keys to backend indices; nil selects the legacy
-	// membership.CRC32Mod.
-	Picker membership.Picker
 	// Resolver resolves backend names; nil treats names as addresses.
 	Resolver Resolver
 	// Transport tunes the UDP client (timeout/retries).
@@ -167,7 +152,6 @@ type Router struct {
 	cfg    Config
 	ln     net.Listener
 	server *h1.Server
-	picker membership.Picker
 	logger *log.Logger
 
 	state  atomic.Pointer[routeState]
@@ -262,10 +246,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("router: %w", ErrNoBackends)
 	}
-	picker := cfg.Picker
-	if picker == nil {
-		picker = membership.CRC32Mod{}
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -298,7 +278,6 @@ func New(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:            cfg,
 		ln:             ln,
-		picker:         picker,
 		logger:         logger,
 		latency:        metrics.NewHistogram(),
 		registry:       reg,
@@ -417,7 +396,7 @@ func (r *Router) UpdateView(v membership.View) error {
 	}
 	v = v.Clone()
 	st := r.buildState(v, old)
-	remap := membership.RemapFraction(old.view, v, r.picker, 0)
+	remap := membership.RemapFraction(old.view, v, 0)
 	r.state.Store(st)
 	if r.leases != nil {
 		// Leases are epoch-scoped: after the swap, keys may have new owners,
@@ -582,7 +561,7 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 		qreq.Lease = d.Ask
 	}
 	st := r.state.Load()
-	i, err := r.picker.Pick(qreq.Key, len(st.backends))
+	i, err := membership.Pick(qreq.Key, len(st.backends))
 	if err != nil {
 		// Unreachable in practice: New and UpdateView refuse empty views.
 		r.logger.Printf("router: pick for %q failed: %v", qreq.Key, err)

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/bucket"
@@ -80,25 +79,6 @@ func httpCheck(t *testing.T, r *Router, key string) (bool, wire.Status) {
 	return allow, status
 }
 
-func TestSelectBackendDeterministic(t *testing.T) {
-	f := func(key string, n uint8) bool {
-		nn := int(n%20) + 1
-		i, err1 := SelectBackend(key, nn)
-		j, err2 := SelectBackend(key, nn)
-		return err1 == nil && err2 == nil && i == j && i >= 0 && i < nn
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSelectBackendMatchesPaperFormula(t *testing.T) {
-	// seed = CRC32(key); n = mod(seed, N)
-	if got, err := SelectBackend("hello", 7); err != nil || got != int(uint32(0x3610a686)%7) {
-		t.Fatalf("got %d err %v", got, err)
-	}
-}
-
 func TestEndToEndAdmission(t *testing.T) {
 	qs := newBackend(t, bucket.Rule{Key: "alice", RefillRate: 0, Capacity: 3, Credit: 3})
 	r := newRouter(t, Config{Backends: []string{qs.Addr()}})
@@ -121,7 +101,7 @@ func TestEndToEndAdmission(t *testing.T) {
 }
 
 func TestPartitioningAcrossBackends(t *testing.T) {
-	// Two backends; verify each key consistently lands on its CRC32 home.
+	// Two backends; verify each key consistently lands on its jump-hash home.
 	qs0 := newBackend(t)
 	qs1 := newBackend(t)
 	r := newRouter(t, Config{Backends: []string{qs0.Addr(), qs1.Addr()}})
@@ -134,7 +114,7 @@ func TestPartitioningAcrossBackends(t *testing.T) {
 		t.Fatalf("decisions: %d + %d", s0.Decisions, s1.Decisions)
 	}
 	for _, k := range keys {
-		want, _ := SelectBackend(k, 2)
+		want, _ := membership.Pick(k, 2)
 		d0 := qs0.Stats().Decisions
 		httpCheck(t, r, k)
 		gotZero := qs0.Stats().Decisions > d0
@@ -213,14 +193,6 @@ func TestNoBackendsRejected(t *testing.T) {
 	}
 }
 
-func TestSelectBackendZeroServersTypedError(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		if _, err := SelectBackend("k", n); !errors.Is(err, ErrNoBackends) {
-			t.Fatalf("SelectBackend(k, %d): err = %v, want ErrNoBackends", n, err)
-		}
-	}
-}
-
 func TestUpdateViewRejectsEmptyAndStale(t *testing.T) {
 	qs := newBackend(t)
 	r := newRouter(t, Config{Backends: []string{qs.Addr()}})
@@ -242,9 +214,9 @@ func TestUpdateViewRejectsEmptyAndStale(t *testing.T) {
 	}
 }
 
-// TestUpdateViewHotSwap grows the backend set mid-traffic with the jump
-// picker: traffic keeps flowing, no request sees a default reply, and the
-// recorded remap fraction matches jump hash's ~K/N bound.
+// TestUpdateViewHotSwap grows the backend set mid-traffic: traffic keeps
+// flowing, no request sees a default reply, and the recorded remap
+// fraction matches jump hash's ~K/(N+1) bound.
 func TestUpdateViewHotSwap(t *testing.T) {
 	generous := func() *qosserver.Server {
 		s, err := qosserver.New(qosserver.Config{
@@ -259,10 +231,7 @@ func TestUpdateViewHotSwap(t *testing.T) {
 	}
 	qs0 := generous()
 	qs1 := generous()
-	r := newRouter(t, Config{
-		Backends: []string{qs0.Addr()},
-		Picker:   membership.JumpHash{},
-	})
+	r := newRouter(t, Config{Backends: []string{qs0.Addr()}})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
@@ -395,13 +364,13 @@ func TestConcurrentHTTPClients(t *testing.T) {
 }
 
 func TestKeyPressureUniformity(t *testing.T) {
-	// Small-scale version of Fig 6: sequential keys across 20 partitions
-	// should distribute within a tight band around 5%.
+	// Fig 6's property for the router's mapping: sequential keys across 20
+	// partitions should distribute within a tight band around 5%.
 	const n = 20
 	const keys = 100000
 	counts := make([]int, n)
 	for i := 0; i < keys; i++ {
-		idx, err := SelectBackend(fmt.Sprintf("%d", 1500000001+i), n)
+		idx, err := membership.Pick(fmt.Sprintf("%d", 1500000001+i), n)
 		if err != nil {
 			t.Fatal(err)
 		}
