@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-lease bench-hotpath race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-lease race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -73,7 +73,6 @@ chaos-long:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 10s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz FuzzBatchFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseHTTPRawQuery -fuzztime 10s ./internal/wire/
@@ -96,9 +95,9 @@ bench:
 bench-smoke:
 	bash benchmark/run.sh -seconds 2 -windows 4 -setups 1
 
-# The alloc pins: exact allocs/op on the zero-alloc hot paths (singleton
-# decode→Decide→encode, batch(32) decode→DecideBatchAppend→encode, lease-table
-# hit, sojourn observe, audited Decide, CoDel dequeue — budgets in
+# The alloc pins: exact allocs/op on the zero-alloc hot paths (the worker's
+# decode→decideTimed→encode, lease-table hit, sojourn observe, audited
+# Decide, CoDel dequeue — budgets in
 # internal/qosserver/allocpin_test.go), plus the HTTP legs': client.Check
 # and the LB's proxy of a router-shaped reply on a warmed connection
 # allocate nothing, the h1 server loop nothing beyond its handler, and a
@@ -111,15 +110,6 @@ bench-allocs:
 # Regenerates the numbers recorded in BENCH_lease.json.
 bench-lease:
 	$(GO) test -run '^$$' -bench LeaseZipfHot -benchtime 2s .
-
-# Regenerates the numbers recorded in BENCH_hotpath.json: raw decisions/sec
-# through the intake (one socket, one FIFO, one worker), then the governed
-# offered-load profile at 1×/2×/4× measured capacity. Acceptance: ≥ 1M decisions/sec; under sustained 2× overload the
-# client-observed p99 is bounded (per-third p99 not monotonically growing)
-# and every request is answered — shed ones with a degraded default reply.
-bench-hotpath:
-	$(GO) test -run '^$$' -bench HotpathThroughput -benchtime 2s .
-	JANUS_BENCH_HOTPATH=1 $(GO) test -run TestHotpathOverloadProfile -count=1 -v .
 
 # The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
 # lease + rule-churn suites, 20 consecutive green runs under the race

@@ -97,16 +97,14 @@ func TestInvariantCodelNeverInflatesAdmission(t *testing.T) {
 					if err != nil {
 						return
 					}
-					br, err := wire.DecodeBatchResponse(buf[:n])
+					r, err := wire.DecodeResponse(buf[:n])
 					if err != nil {
 						continue
 					}
-					for _, r := range br.Entries {
-						if r.Status == wire.StatusDegraded {
-							atomic.AddInt64(&degraded, 1)
-							if r.Allow {
-								atomic.AddInt64(&degradedAllowed, 1)
-							}
+					if r.Status == wire.StatusDegraded {
+						atomic.AddInt64(&degraded, 1)
+						if r.Allow {
+							atomic.AddInt64(&degradedAllowed, 1)
 						}
 					}
 				}

@@ -187,20 +187,6 @@ func TestResolverCachesUntilTTL(t *testing.T) {
 	}
 }
 
-func TestResolverFlush(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	s := NewServerWithClock(clock)
-	s.SetA("n", time.Hour, "a", "b")
-	r := NewResolverWithClock(s, clock)
-	first, _ := r.ResolveOne("n")
-	r.Flush()
-	second, _ := r.ResolveOne("n")
-	if first == second {
-		t.Fatal("flush did not force a re-query")
-	}
-}
-
 func TestResolverErrorPassthrough(t *testing.T) {
 	s := NewServer()
 	r := NewResolver(s)

@@ -68,14 +68,6 @@ func (r *Resolver) ResolveOne(name string) (string, error) {
 	return addrs[0], nil
 }
 
-// Flush drops the cache (e.g. after a known failover, or to model a client
-// restart).
-func (r *Resolver) Flush() {
-	r.mu.Lock()
-	r.cache = make(map[string]cacheEntry)
-	r.mu.Unlock()
-}
-
 // UncachedResolver bypasses caching entirely; every Resolve is a fresh
 // query. The cluster's routers resolve QoS server names with it: a router
 // re-resolves only after a timeout has invalidated a backend, and must then

@@ -153,6 +153,25 @@ func TestManagerTTLClamped(t *testing.T) {
 	if m.TTL() != wire.MaxLeaseTTL {
 		t.Fatalf("TTL %v, want clamp to %v", m.TTL(), wire.MaxLeaseTTL)
 	}
+	// The wire carries whole milliseconds, so a shorter TTL is raised to 1ms
+	// and its grants still encode.
+	clk := newFakeClock()
+	m = NewManager(ManagerConfig{TTL: 500 * time.Microsecond, Clock: clk.Now})
+	if m.TTL() != time.Millisecond {
+		t.Fatalf("TTL %v, want clamp to 1ms", m.TTL())
+	}
+	g := m.Handle("k", "r1", wire.LeaseAsk{Op: wire.LeaseOpAsk, Demand: 80, Epoch: 1}, bucket.NewFull("k", 100, 100, clk.Now()))
+	if g.Op != wire.LeaseOpGrant {
+		t.Fatalf("ask: got op %d, want grant", g.Op)
+	}
+	resp := wire.Response{ID: 1, Allow: true, Lease: g}
+	buf, err := wire.EncodeResponse(resp)
+	if err != nil {
+		t.Fatalf("encode grant: %v", err)
+	}
+	if got, err := wire.DecodeResponse(buf); err != nil || got.Lease.TTL != time.Millisecond {
+		t.Fatalf("decode grant: %+v, %v; want TTL 1ms", got.Lease, err)
+	}
 }
 
 // pumpHot drives Route for key until the demand estimate crosses the

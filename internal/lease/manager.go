@@ -25,7 +25,7 @@ type ManagerConfig struct {
 	// aggregate, (0,1]; 0 means DefaultFraction.
 	Fraction float64
 	// TTL is the lease lifetime; 0 means DefaultTTL. Clamped to
-	// wire.MaxLeaseTTL.
+	// [1ms, wire.MaxLeaseTTL].
 	TTL time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
@@ -77,6 +77,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.TTL > wire.MaxLeaseTTL {
 		cfg.TTL = wire.MaxLeaseTTL
+	}
+	if cfg.TTL < time.Millisecond {
+		cfg.TTL = time.Millisecond // the wire's TTL resolution
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now

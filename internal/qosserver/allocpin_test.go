@@ -1,7 +1,6 @@
 package qosserver
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -35,7 +34,6 @@ import (
 // that the path was born allocation-free and is pinned to stay so.
 var allocBudgets = map[string]float64{
 	"singleton_decode_decide_encode": 0, // was 4
-	"batch32_decode_decide_encode":   0, // was 72
 	"lease_table_hit":                0, // born at 0: runs per request on the router
 	"sojourn_observe":                0, // born at 0: runs per datagram after every response
 	"singleton_decide_audited":       0, // born at 0: auditing is meant to run in production
@@ -73,9 +71,10 @@ func newPinServer(t *testing.T) *Server {
 	return s
 }
 
-// TestAllocPinSingleton pins the full singleton admission path — decode the
-// request frame (reuse decoder), decide, encode the response frame into a
-// reused buffer — at its recorded budget.
+// TestAllocPinSingleton pins the worker's admission path — decode the
+// request frame (reuse decoder), the worker's decision step (clock reads,
+// Decide, latency record), encode the response frame into a reused buffer —
+// at its recorded budget.
 func TestAllocPinSingleton(t *testing.T) {
 	skipIfInstrumented(t)
 	budget := pinBudget(t, "singleton_decode_decide_encode")
@@ -94,8 +93,7 @@ func TestAllocPinSingleton(t *testing.T) {
 			failure = err
 			return
 		}
-		resp := s.Decide(req)
-		out, err = wire.AppendResponse(out[:0], resp)
+		out, err = wire.AppendResponse(out[:0], s.decideTimed(&req))
 		if err != nil {
 			failure = err
 		}
@@ -104,48 +102,7 @@ func TestAllocPinSingleton(t *testing.T) {
 		t.Fatalf("pinned loop failed: %v", failure)
 	}
 	if got != budget {
-		t.Errorf("singleton decode→Decide→encode: %v allocs/op, budget %v", got, budget)
-	}
-}
-
-// TestAllocPinBatch32 pins the batched admission path — decode a 32-entry
-// batch frame in place, decide all entries appending into a reused slice,
-// encode the batched response into a reused buffer.
-func TestAllocPinBatch32(t *testing.T) {
-	skipIfInstrumented(t)
-	budget := pinBudget(t, "batch32_decode_decide_encode")
-	s := newPinServer(t)
-
-	const n = 32
-	entries := make([]wire.Request, n)
-	for i := range entries {
-		entries[i] = wire.Request{ID: uint64(i + 1), Key: fmt.Sprintf("alloc-pin-batch-%02d", i), Cost: 1}
-	}
-	pkt, err := wire.AppendBatchRequest(nil, wire.BatchRequest{Entries: entries})
-	if err != nil {
-		t.Fatalf("AppendBatchRequest: %v", err)
-	}
-	var breq wire.BatchRequest
-	var resps []wire.Response
-	out := make([]byte, 0, wire.MaxDatagram)
-	var failure error
-
-	got := testing.AllocsPerRun(200, func() {
-		if err := wire.DecodeBatchRequestReuse(pkt, &breq); err != nil {
-			failure = err
-			return
-		}
-		resps = s.DecideBatchAppend(resps[:0], breq.Entries)
-		out, err = wire.AppendBatchResponse(out[:0], wire.BatchResponse{Entries: resps})
-		if err != nil {
-			failure = err
-		}
-	})
-	if failure != nil {
-		t.Fatalf("pinned loop failed: %v", failure)
-	}
-	if got != budget {
-		t.Errorf("batch(32) decode→DecideBatchAppend→encode: %v allocs/op, budget %v", got, budget)
+		t.Errorf("singleton decode→decideTimed→encode: %v allocs/op, budget %v", got, budget)
 	}
 }
 
@@ -246,24 +203,22 @@ func TestAllocPinCodelDecide(t *testing.T) {
 	budget := pinBudget(t, "codel_decide")
 
 	c := newCodel(DefaultCodelTarget, DefaultCodelInterval)
-	reqs := []wire.Request{{ID: 1, Key: "alloc-pin-codel", Cost: 1}}
-	resps := make([]wire.Response, 0, 1)
+	req := wire.Request{ID: 1, Key: "alloc-pin-codel", Cost: 1}
 	var ns int64
 	var sheds int64
 	got := testing.AllocsPerRun(200, func() {
 		// Sustained above-target sojourn walks the entry arm once and the
 		// inverse-sqrt cadence arm on most iterations; the shed branch
-		// builds the degraded reply into the reused slice. All alloc-free.
+		// builds the degraded reply. All alloc-free.
 		ns += int64(DefaultCodelInterval)
-		if c.onDequeue(int64(5*DefaultCodelTarget), ns) {
+		if c.onDequeue(int64(5*DefaultCodelTarget), ns) && degradedReply(&req, false).Status == wire.StatusDegraded {
 			sheds++
-			resps = appendDegraded(resps[:0], reqs, false)
 		}
 	})
 	if sheds == 0 {
 		t.Fatal("controller never shed; the pin measured the wrong path")
 	}
 	if got != budget {
-		t.Errorf("codel onDequeue+appendDegraded: %v allocs/op, budget %v", got, budget)
+		t.Errorf("codel onDequeue+degradedReply: %v allocs/op, budget %v", got, budget)
 	}
 }

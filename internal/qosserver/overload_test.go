@@ -143,8 +143,8 @@ func (tl *respTally) total() int64 {
 	return tl.ok.Load() + tl.defaultRule.Load() + tl.degraded.Load() + tl.other.Load()
 }
 
-// startTally drains conn on a goroutine, tallying every response entry by
-// status, until the socket is closed.
+// startTally drains conn on a goroutine, tallying every response by status,
+// until the socket is closed.
 func startTally(conn net.Conn) *respTally {
 	tl := &respTally{}
 	go func() {
@@ -154,21 +154,19 @@ func startTally(conn net.Conn) *respTally {
 			if err != nil {
 				return
 			}
-			br, err := wire.DecodeBatchResponse(buf[:n])
+			r, err := wire.DecodeResponse(buf[:n])
 			if err != nil {
 				continue
 			}
-			for _, r := range br.Entries {
-				switch r.Status {
-				case wire.StatusOK:
-					tl.ok.Add(1)
-				case wire.StatusDefaultRule:
-					tl.defaultRule.Add(1)
-				case wire.StatusDegraded:
-					tl.degraded.Add(1)
-				default:
-					tl.other.Add(1)
-				}
+			switch r.Status {
+			case wire.StatusOK:
+				tl.ok.Add(1)
+			case wire.StatusDefaultRule:
+				tl.defaultRule.Add(1)
+			case wire.StatusDegraded:
+				tl.degraded.Add(1)
+			default:
+				tl.other.Add(1)
 			}
 		}
 	}()

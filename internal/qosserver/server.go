@@ -375,7 +375,7 @@ func New(cfg Config) (*Server, error) {
 		tracer:          tracer,
 		received:        reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP socket"),
 		dropped:         reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
-		codelDrops:      reg.Counter("janus_qos_codel_drops_total", "request entries answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
+		codelDrops:      reg.Counter("janus_qos_codel_drops_total", "requests answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
 		malformed:       reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
 		decisions:       reg.Counter("janus_qos_decisions_total", "admission decisions made"),
 		allowed:         reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
@@ -540,11 +540,8 @@ func (s *Server) listen() {
 // shedding is cheap, which is what gives the controller leverage.
 var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 
-// worker polls the FIFO, decides, and responds. The router sends one
-// request per datagram, but the decoder reads any batched frame
-// (wire.FlagBatched) a sender puts on the wire: the worker evaluates every
-// entry against the bucket table in one pass and answers with one batched
-// response.
+// worker polls the FIFO, decides, and responds: one request per datagram,
+// one response per request (paper §III-C).
 //
 // Before deciding, the dequeued packet's queue sojourn feeds the CoDel
 // controller: a packet the controller sheds is answered immediately
@@ -555,11 +552,10 @@ var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 // serving and lets the control law actually shorten the queue.
 func (s *Server) worker() {
 	defer s.wg.Done()
-	// The decode batch, response slice, and encode buffer are owned by this
-	// worker and reused across packets: with a recurring key set the whole
+	// The decoded request and the encode buffer are owned by this worker and
+	// reused across packets: with a recurring key set the whole
 	// decode→decide→encode pass allocates nothing (see the AllocPin tests).
-	var breq wire.BatchRequest
-	var resps []wire.Response
+	var req wire.Request
 	out := make([]byte, 0, 64)
 	for {
 		var pkt packet
@@ -569,33 +565,30 @@ func (s *Server) worker() {
 		case pkt = <-s.fifo:
 		}
 		deqNs := s.clock().UnixNano()
-		if err := wire.DecodeBatchRequestReuse(pkt.data, &breq); err != nil {
+		if err := wire.DecodeRequestReuse(pkt.data, &req); err != nil {
 			s.malformed.Inc()
 			continue
 		}
+		var resp wire.Response
 		if s.cdl.onDequeue(deqNs-pkt.recvNs, deqNs) {
-			s.codelDrops.Add(int64(len(breq.Entries)))
-			resps = appendDegraded(resps[:0], breq.Entries, s.cfg.FailOpen)
+			s.codelDrops.Inc()
+			resp = degradedReply(&req, s.cfg.FailOpen)
 		} else {
 			if fpWorkerDecide.Armed() {
 				if o := fpWorkerDecide.Eval(); o.Kind == failpoint.Delay {
 					o.Sleep()
 				}
 			}
-			resps = s.DecideBatchAppend(resps[:0], breq.Entries)
-			// Lease traffic rides singleton exchanges only (FlagLease and
-			// FlagBatched are mutually exclusive on the wire), so lease asks
-			// are served — and pending revocations delivered — on unbatched
-			// frames.
-			if s.leases != nil && len(breq.Entries) == 1 {
-				s.attachLease(&breq.Entries[0], &resps[0], pkt.raddr.String())
+			resp = s.decideTimed(&req)
+			if s.leases != nil {
+				s.attachLease(&req, &resp, pkt.raddr.String())
 			}
 		}
 		decNs := s.clock().UnixNano()
 		var err error
-		out, err = wire.AppendBatchResponse(out[:0], wire.BatchResponse{Entries: resps})
+		out, err = wire.AppendResponse(out[:0], resp)
 		if err != nil {
-			// Unreachable for a decoded batch (same entry IDs, same bound);
+			// Unreachable while the lease manager grants encodable TTLs;
 			// counted rather than silently dropped.
 			s.sendErrors.Inc()
 			continue
@@ -612,23 +605,15 @@ func (s *Server) worker() {
 	}
 }
 
-// appendDegraded builds the degraded-mode answers for a shed datagram: one
-// response per entry carrying StatusDegraded and the server's fail-open/
-// fail-closed default verdict. No bucket is touched and no credit moves —
-// the chaos invariant TestInvariantCodelNeverInflatesAdmission pins that a
-// degraded reply can never mint credit.
+// degradedReply is the degraded-mode answer to a shed request: StatusDegraded
+// and the server's fail-open/fail-closed default verdict. No bucket is
+// touched and no credit moves — the chaos invariant
+// TestInvariantCodelNeverInflatesAdmission pins that a degraded reply can
+// never mint credit.
 //
 //janus:hotpath
-func appendDegraded(dst []wire.Response, reqs []wire.Request, failOpen bool) []wire.Response {
-	for i := range reqs {
-		dst = append(dst, wire.Response{
-			ID:      reqs[i].ID,
-			Allow:   failOpen,
-			Status:  wire.StatusDegraded,
-			TraceID: reqs[i].TraceID,
-		})
-	}
-	return dst
+func degradedReply(req *wire.Request, failOpen bool) wire.Response {
+	return wire.Response{ID: req.ID, Allow: failOpen, Status: wire.StatusDegraded, TraceID: req.TraceID}
 }
 
 // observeSojourn files one packet's per-stage sojourn decomposition and
@@ -661,7 +646,7 @@ func (s *Server) SojournTotal() *metrics.Histogram { return s.sojournTotal }
 // runs out — exactly the overhang the C + r·t + leased·TTL bound covers.
 var fpLeaseRevokeDrop = failpoint.New("qosserver/lease/revoke-drop")
 
-// attachLease serves a piggybacked lease ask on a singleton exchange. A
+// attachLease serves a piggybacked lease ask on an admission exchange. A
 // revocation queued for the holder takes priority over answering the ask —
 // a response carries at most one lease section, and when a holder's wire
 // traffic is all renewals, revocations would otherwise never find a
@@ -711,38 +696,26 @@ func (s *Server) revokeLeases(key string) {
 	}
 }
 
-// DecideBatch evaluates a batch of requests against the bucket table in one
-// worker pass, preserving entry order. Each entry gets exactly the decision
-// a singleton submission would have received at the same instant — batching
-// is a transport optimization, never a semantic one (see the decision-
-// equivalence property test). Exported for in-process deployments and the
-// property harness.
-func (s *Server) DecideBatch(reqs []wire.Request) []wire.Response {
-	return s.DecideBatchAppend(make([]wire.Response, 0, len(reqs)), reqs)
-}
-
-// DecideBatchAppend is DecideBatch appending into a caller-owned slice, so a
-// worker can amortize the response storage across packets. It returns the
-// extended slice.
+// decideTimed is the worker's decision step for one request: Decide
+// between two clock reads, the decision latency recorded, and — for a
+// sampled request — the worker-side processing time echoed and its span
+// filed.
 //
 //janus:hotpath
-func (s *Server) DecideBatchAppend(dst []wire.Response, reqs []wire.Request) []wire.Response {
-	for i := range reqs {
-		start := s.clock()
-		resp := s.Decide(reqs[i])
-		d := s.clock().Sub(start)
-		s.decisionLatency.RecordDuration(d)
-		// The untraced hot path pays only the TraceID == 0 comparison; a
-		// sampled request echoes its ID plus the worker-side processing
-		// time, and files its span in the local /debug/traces buffer.
-		if reqs[i].TraceID != 0 {
-			resp.ServerNanos = int64(d)
-			//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
-			s.recordSpan(reqs[i].TraceID, resp.Status, start, d)
-		}
-		dst = append(dst, resp)
+func (s *Server) decideTimed(req *wire.Request) wire.Response {
+	start := s.clock()
+	resp := s.Decide(*req)
+	d := s.clock().Sub(start)
+	s.decisionLatency.RecordDuration(d)
+	// The untraced hot path pays only the TraceID == 0 comparison; a
+	// sampled request echoes its ID plus the worker-side processing time,
+	// and files its span in the local /debug/traces buffer.
+	if req.TraceID != 0 {
+		resp.ServerNanos = int64(d)
+		//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
+		s.recordSpan(req.TraceID, resp.Status, start, d)
 	}
-	return dst
+	return resp
 }
 
 // recordSpan files the qosserver worker span of one traced decision.
@@ -1153,7 +1126,7 @@ type IntakeSnapshot struct {
 	CodelState string `json:"codel_state"`
 	// CodelCount is the dropping-episode degrade count (cadence position).
 	CodelCount int64 `json:"codel_count,omitempty"`
-	// CodelDrops is the total degraded entries shed
+	// CodelDrops is the total degraded requests shed
 	// (janus_qos_codel_drops_total).
 	CodelDrops int64 `json:"codel_drops"`
 }

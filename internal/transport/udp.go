@@ -334,6 +334,9 @@ func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
 //janus:deadlined Close() unblocks the read; the send does not block
 func (s *Server) serve() {
 	defer s.wg.Done()
+	// The decoded request and both buffers are reused across datagrams, so a
+	// recurring key set costs the loop no allocation.
+	var req wire.Request
 	buf := make([]byte, wire.MaxDatagram)
 	out := make([]byte, 0, 64)
 	for {
@@ -352,20 +355,14 @@ func (s *Server) serve() {
 				o.Sleep()
 			}
 		}
-		breq, err := wire.DecodeBatchRequest(buf[:n])
-		if err != nil {
+		if err := wire.DecodeRequestReuse(buf[:n], &req); err != nil {
 			continue
 		}
-		resps := make([]wire.Response, len(breq.Entries))
-		for i, req := range breq.Entries {
-			resp := s.handler(req)
-			resp.ID = req.ID
-			resps[i] = resp
-		}
-		// One batched response per batched request (a singleton encodes as
-		// the legacy frame). Fire-and-forget (the client retries), but a
-		// send the kernel refused is still counted so it cannot hide.
-		out, err = wire.AppendBatchResponse(out[:0], wire.BatchResponse{Entries: resps})
+		resp := s.handler(req)
+		resp.ID = req.ID
+		// Fire-and-forget (the client retries), but a send the kernel
+		// refused is still counted so it cannot hide.
+		out, err = wire.AppendResponse(out[:0], resp)
 		if err != nil {
 			s.writeErrs.Add(1)
 			continue

@@ -240,8 +240,8 @@ func TestClientIgnoresGarbageResponses(t *testing.T) {
 	}
 }
 
-// oldServer is a janusd that knows only the legacy singleton codec
-// (wire.DecodeRequest / wire.AppendResponse), as before the batch decoder.
+// oldServer is a janusd reduced to the singleton codec
+// (wire.DecodeRequest / wire.AppendResponse) on a raw socket.
 func oldServer(t *testing.T) string {
 	t.Helper()
 	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
@@ -300,7 +300,7 @@ func TestOldServerForwardCompat(t *testing.T) {
 	}
 	wg.Wait()
 	if failures.Load() != 0 {
-		t.Fatalf("%d requests failed against a pre-batching server", failures.Load())
+		t.Fatalf("%d requests failed against a legacy server", failures.Load())
 	}
 }
 

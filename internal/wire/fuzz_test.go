@@ -18,6 +18,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Magic})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	f.Add(retiredBitFrame(f, Request{ID: 9, Key: "dave", Cost: 1, TraceID: 77}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {
@@ -33,83 +34,6 @@ func FuzzDecodeRequest(f *testing.F) {
 			t.Fatalf("round trip changed value: %+v -> %+v (%v)", req, back, err)
 		}
 	})
-}
-
-// FuzzBatchFrameDecode exercises the batched decoders (which subsume the
-// legacy singleton format): no panics; an accepted frame declares a sane
-// entry count (1..MaxBatchEntries, honored exactly) with unique entry IDs;
-// and accepted batches round-trip through the encoder unchanged.
-func FuzzBatchFrameDecode(f *testing.F) {
-	reqSeed, _ := AppendBatchRequest(nil, BatchRequest{Entries: []Request{
-		{ID: 1, Key: "alice", Cost: 1},
-		{ID: 2, Key: "bob", Cost: 2, TraceID: 77},
-		{ID: 3, Key: "carol", Cost: 0.5},
-	}})
-	respSeed, _ := AppendBatchResponse(nil, BatchResponse{Entries: []Response{
-		{ID: 1, Allow: true, Status: StatusOK},
-		{ID: 2, Allow: false, Status: StatusDefaultRule, TraceID: 77, ServerNanos: 55},
-	}})
-	legacySeed, _ := EncodeRequest(Request{ID: 9, Key: "dave", Cost: 1})
-	f.Add(reqSeed)
-	f.Add(respSeed)
-	f.Add(legacySeed)
-	f.Add([]byte{})
-	f.Add(bytes.Repeat([]byte{0xFF}, 96))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if br, err := DecodeBatchRequest(data); err == nil {
-			checkAcceptedBatchRequest(t, br)
-		}
-		if bresp, err := DecodeBatchResponse(data); err == nil {
-			checkAcceptedBatchResponse(t, bresp)
-		}
-	})
-}
-
-func checkAcceptedBatchRequest(t *testing.T, br BatchRequest) {
-	t.Helper()
-	if len(br.Entries) == 0 || len(br.Entries) > MaxBatchEntries {
-		t.Fatalf("accepted batch with %d entries", len(br.Entries))
-	}
-	seen := make(map[uint64]bool, len(br.Entries))
-	for _, e := range br.Entries {
-		if seen[e.ID] {
-			t.Fatalf("accepted batch with duplicate entry id %d", e.ID)
-		}
-		seen[e.ID] = true
-	}
-	re, err := AppendBatchRequest(nil, br)
-	if err != nil {
-		t.Fatalf("re-encode of accepted batch failed: %v", err)
-	}
-	back, err := DecodeBatchRequest(re)
-	if err != nil || len(back.Entries) != len(br.Entries) {
-		t.Fatalf("round trip changed entry count: %d -> %d (%v)", len(br.Entries), len(back.Entries), err)
-	}
-	for i := range back.Entries {
-		if back.Entries[i] != br.Entries[i] {
-			t.Fatalf("round trip changed entry %d: %+v -> %+v", i, br.Entries[i], back.Entries[i])
-		}
-	}
-}
-
-func checkAcceptedBatchResponse(t *testing.T, br BatchResponse) {
-	t.Helper()
-	if len(br.Entries) == 0 || len(br.Entries) > MaxBatchEntries {
-		t.Fatalf("accepted batch with %d entries", len(br.Entries))
-	}
-	re, err := AppendBatchResponse(nil, br)
-	if err != nil {
-		t.Fatalf("re-encode of accepted batch failed: %v", err)
-	}
-	back, err := DecodeBatchResponse(re)
-	if err != nil || len(back.Entries) != len(br.Entries) {
-		t.Fatalf("round trip changed entry count: %d -> %d (%v)", len(br.Entries), len(back.Entries), err)
-	}
-	for i := range back.Entries {
-		if back.Entries[i] != br.Entries[i] {
-			t.Fatalf("round trip changed entry %d: %+v -> %+v", i, br.Entries[i], back.Entries[i])
-		}
-	}
 }
 
 // FuzzAppendHTTPQuery: the appended request-URI is byte-identical to the

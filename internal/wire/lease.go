@@ -35,12 +35,6 @@ import (
 // covers the full datagram), so a leasing router against an old janusd gets
 // plain responses and simply never installs a lease, and an old router never
 // sets the flag — mixed-version clusters behave exactly as before.
-//
-// The lease section rides ONLY singleton frames: the batch extension must
-// remain the final extension of batched frames (its decoder rejects trailing
-// bytes), so FlagLease and FlagBatched are mutually exclusive. The router's
-// transport sends every request as a singleton frame, so its lease asks
-// always qualify.
 const FlagLease = 1 << 2
 
 // MaxLeaseTTL bounds the lifetime of one lease grant; the decoder rejects
@@ -100,7 +94,7 @@ type LeaseGrant struct {
 	// Burst is the credit the holder's local bucket starts with (prepaid
 	// out of the server bucket's current credit).
 	Burst float64
-	// TTL bounds the lease lifetime; (0, MaxLeaseTTL] for grants,
+	// TTL bounds the lease lifetime; [1ms, MaxLeaseTTL] for grants,
 	// millisecond resolution on the wire.
 	TTL time.Duration
 	// Epoch echoes the ask's epoch.
@@ -117,9 +111,8 @@ const (
 
 // Lease framing errors.
 var (
-	ErrLeaseInBatch = errors.New("wire: lease section on a batched frame")
-	ErrLeaseBadOp   = errors.New("wire: bad lease op")
-	ErrLeaseBounds  = errors.New("wire: lease TTL outside (0, MaxLeaseTTL]")
+	ErrLeaseBadOp  = errors.New("wire: bad lease op")
+	ErrLeaseBounds = errors.New("wire: lease TTL out of bounds (grant: 1ms..MaxLeaseTTL)")
 )
 
 func (a LeaseAsk) validate() error {
@@ -133,7 +126,9 @@ func (g LeaseGrant) validate() error {
 	switch {
 	case g.Op < LeaseOpGrant || g.Op > LeaseOpRevoke:
 		return ErrLeaseBadOp
-	case g.Op == LeaseOpGrant && (g.TTL <= 0 || g.TTL > MaxLeaseTTL):
+	// A grant's TTL travels in whole milliseconds: under 1ms it would
+	// encode as 0, which every decoder rejects.
+	case g.Op == LeaseOpGrant && (g.TTL < time.Millisecond || g.TTL > MaxLeaseTTL):
 		return ErrLeaseBounds
 	case g.TTL < 0 || g.TTL > MaxLeaseTTL:
 		return ErrLeaseBounds

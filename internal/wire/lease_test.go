@@ -159,47 +159,21 @@ func TestOldDecoderIgnoresLeaseSections(t *testing.T) {
 	}
 }
 
-// TestLeaseBatchExclusion: the batch extension must stay the final bytes of
-// a batched frame, so lease sections are singleton-only in both directions.
-func TestLeaseBatchExclusion(t *testing.T) {
-	leased := Request{ID: 1, Key: "a", Lease: LeaseAsk{Op: LeaseOpAsk}}
-	_, err := AppendBatchRequest(nil, BatchRequest{Entries: []Request{leased, {ID: 2, Key: "b"}}})
-	if err != ErrLeaseInBatch {
-		t.Errorf("batched encode with lease entry: got %v want ErrLeaseInBatch", err)
-	}
-	_, err = AppendBatchResponse(nil, BatchResponse{Entries: []Response{
-		{ID: 1, Lease: LeaseGrant{Op: LeaseOpDeny}}, {ID: 2}}})
-	if err != ErrLeaseInBatch {
-		t.Errorf("batched response encode with lease entry: got %v want ErrLeaseInBatch", err)
-	}
-
-	// A frame claiming both flags is rejected outright.
-	buf, err := AppendBatchRequest(nil, BatchRequest{Entries: []Request{{ID: 1, Key: "a"}, {ID: 2, Key: "b"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[3] |= FlagLease
-	seal(buf)
-	if _, err := DecodeBatchRequest(buf); err != ErrLeaseInBatch {
-		t.Errorf("decode batched+leased request: got %v want ErrLeaseInBatch", err)
-	}
-	rbuf, err := AppendBatchResponse(nil, BatchResponse{Entries: []Response{{ID: 1}, {ID: 2}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rbuf[3] |= FlagLease
-	seal(rbuf)
-	if _, err := DecodeBatchResponse(rbuf); err != ErrLeaseInBatch {
-		t.Errorf("decode batched+leased response: got %v want ErrLeaseInBatch", err)
-	}
-}
-
 func TestLeaseBounds(t *testing.T) {
 	if _, err := EncodeResponse(Response{Lease: LeaseGrant{Op: LeaseOpGrant, Rate: 1, TTL: MaxLeaseTTL + time.Second}}); err != ErrLeaseBounds {
 		t.Errorf("encode TTL over MaxLeaseTTL: got %v want ErrLeaseBounds", err)
 	}
 	if _, err := EncodeResponse(Response{Lease: LeaseGrant{Op: LeaseOpGrant, Rate: 1}}); err != ErrLeaseBounds {
 		t.Errorf("encode grant with zero TTL: got %v want ErrLeaseBounds", err)
+	}
+	// A sub-millisecond TTL would travel as 0 ms, which the decoder rejects:
+	// the encoder refuses it, and the 1 ms floor round-trips.
+	if _, err := EncodeResponse(Response{Lease: LeaseGrant{Op: LeaseOpGrant, Rate: 1, TTL: 500 * time.Microsecond}}); err != ErrLeaseBounds {
+		t.Errorf("encode grant with 500us TTL: got %v want ErrLeaseBounds", err)
+	}
+	floor := Response{ID: 2, Lease: LeaseGrant{Op: LeaseOpGrant, Rate: 1, TTL: time.Millisecond}}
+	if got, err := DecodeResponse(mustEncodeResponse(floor)); err != nil || got != floor {
+		t.Errorf("1ms grant round trip: got %+v, %v; want %+v", got, err, floor)
 	}
 	if _, err := EncodeResponse(Response{Lease: LeaseGrant{Op: 9, TTL: time.Second}}); err != ErrLeaseBadOp {
 		t.Errorf("encode bad grant op: got %v want ErrLeaseBadOp", err)

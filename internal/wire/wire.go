@@ -39,10 +39,10 @@
 // evolution pattern: new fields are appended after the existing payload and
 // gated by a flag bit, so decoders that predate the field skip it (the key
 // length / fixed response length bound what they read, and the CRC covers
-// the full datagram on both sides). See DESIGN.md §7. The second extension
-// is the batch section (FlagBatched, batch.go): extra request/response
-// entries appended after the legacy payload, letting one datagram carry a
-// whole fan-in batch while old decoders still answer entry 0.
+// the full datagram on both sides). See DESIGN.md §7. Every datagram
+// carries exactly one request or one response (DESIGN.md §10); decoders
+// ignore flag bits they do not know and any bytes after the sections their
+// known bits gate.
 package wire
 
 import (
@@ -75,6 +75,8 @@ const (
 // (request: 8-byte trace ID after the key; response: 8-byte trace ID plus
 // 4-byte server-processing nanoseconds after the status byte).
 const FlagTraced = 1 << 0
+
+// Flag bit 1<<1 is retired (it marked the batch frame); do not reuse it.
 
 // Status codes carried in responses.
 type Status uint8
@@ -138,7 +140,6 @@ type Request struct {
 	TraceID uint64
 	// Lease, when Lease.Op != 0, piggybacks a lease ask/renew/renounce on
 	// this request as the flag-gated trailing lease section (lease.go).
-	// Lease-carrying requests must travel as singletons, never batched.
 	Lease LeaseAsk
 }
 
@@ -178,6 +179,57 @@ func putHeader(buf []byte, typ, flags byte, id uint64) {
 	buf[2] = typ
 	buf[3] = flags
 	binary.BigEndian.PutUint64(buf[4:], id)
+}
+
+// growTo extends dst so its length is start+need, reusing capacity.
+//
+//janus:hotpath
+func growTo(dst []byte, start, need int) []byte {
+	for cap(dst)-start < need {
+		dst = append(dst[:cap(dst)], 0)
+	}
+	return dst[:start+need]
+}
+
+// scaleCost converts a credit cost to the 1/1000 fixed-point wire value,
+// clamping to non-negative and the 4-byte field.
+//
+//janus:hotpath
+func scaleCost(cost float64) uint32 {
+	if cost < 0 {
+		cost = 0
+	}
+	scaled := uint64(math.Round(cost * costScale))
+	if scaled > math.MaxUint32 {
+		scaled = math.MaxUint32
+	}
+	return uint32(scaled)
+}
+
+// putVerdict writes the 2-byte verdict/status pair of a response.
+//
+//janus:hotpath
+func putVerdict(buf []byte, resp Response) {
+	if resp.Allow {
+		buf[0] = 1
+	} else {
+		buf[0] = 0
+	}
+	buf[1] = byte(resp.Status)
+}
+
+// clampNanos converts server-processing nanoseconds to the 4-byte wire
+// field, clamped to [0, ~4.29s].
+//
+//janus:hotpath
+func clampNanos(nanos int64) uint32 {
+	if nanos < 0 {
+		nanos = 0
+	}
+	if nanos > math.MaxUint32 {
+		nanos = math.MaxUint32
+	}
+	return uint32(nanos)
 }
 
 //janus:hotpath
@@ -295,9 +347,6 @@ func DecodeRequestReuse(buf []byte, req *Request) error {
 		off += traceIDLen
 	}
 	if buf[3]&FlagLease != 0 {
-		if buf[3]&FlagBatched != 0 {
-			return ErrLeaseInBatch
-		}
 		var err error
 		if req.Lease, _, err = parseLeaseAsk(buf, off); err != nil {
 			return err
@@ -369,9 +418,6 @@ func DecodeResponse(buf []byte) (Response, error) {
 		off = responseTracedLen
 	}
 	if buf[3]&FlagLease != 0 {
-		if buf[3]&FlagBatched != 0 {
-			return Response{}, ErrLeaseInBatch
-		}
 		var err error
 		if resp.Lease, _, err = parseLeaseGrant(buf, off); err != nil {
 			return Response{}, err

@@ -148,6 +148,36 @@ func TestDecodeErrors(t *testing.T) {
 	})
 }
 
+// retiredBitFrame builds by hand what a sender that still batched puts on the
+// wire: head as a singleton frame, the retired flag bit 1<<1 set, and a
+// second entry appended after head's payload, resealed.
+func retiredBitFrame(tb testing.TB, head Request) []byte {
+	tb.Helper()
+	buf, err := EncodeRequest(head)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf[3] |= 1 << 1
+	// Extra-entry count 1; entry id 2, entry flags, cost 1.000, key "b".
+	buf = append(buf, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0x03, 0xe8, 0, 1, 'b')
+	seal(buf)
+	return buf
+}
+
+// A decoder ignores the retired bit and the bytes after the payload, so such
+// a frame reads as its entry 0.
+func TestRetiredBitFrameReadsEntryZero(t *testing.T) {
+	for _, head := range []Request{
+		{ID: 7, Key: "alice", Cost: 1},
+		{ID: 8, Key: "bob", Cost: 2.5, TraceID: 0xfeed},
+	} {
+		got, err := DecodeRequest(retiredBitFrame(t, head))
+		if err != nil || got != head {
+			t.Fatalf("DecodeRequest = %+v, %v; want entry 0 %+v", got, err, head)
+		}
+	}
+}
+
 func TestFuzzDecodeNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		DecodeRequest(data)
