@@ -29,9 +29,10 @@ vet:
 
 # janus-vet enforces the repo's own invariants: no wall clock in
 # simulation packages (simclock), no silently dropped socket errors and
-# deadline-dominated network reads/writes (netio), allocation-free
-# //janus:hotpath functions (hotalloc), and frozen gob wire formats
-# (wirecompat). See internal/lint. It also fails on a pointer to a
+# deadline-dominated network reads/writes (netio), //janus:hotpath
+# functions the compiler's escape analysis finds allocation-free
+# (hotalloc, which runs one go build of the hot packages), and frozen gob
+# wire formats (wirecompat). See internal/lint. It also fails on a pointer to a
 # BENCH_*.json that is not in the tree, so a reference to a retired ledger
 # cannot come back.
 lint:

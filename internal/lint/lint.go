@@ -15,7 +15,7 @@
 //     through an audited helper (paper §III-B's bounded 100 µs × 5
 //     exchange);
 //   - hotalloc: the decision path (//janus:hotpath functions) must stay free
-//     of heap allocations, proven by the dataflow layer in dataflow.go;
+//     of heap allocations, as the compiler's escape analysis reports them;
 //   - wirecompat: the gob frames spoken by the HA replication and
 //     bucket-handoff protocols (internal/qosserver/ha.go) and the binary
 //     structs in internal/wire must stay wire-compatible across versions: a
@@ -32,11 +32,9 @@
 //
 // Analyzers follow the golang.org/x/tools/go/analysis shape without the
 // dependency: an Analyzer is a value with a Name, a Doc line, an optional
-// package Scope, and a Run hook that registers node callbacks on a Pass.
-// The driver walks every file of every in-scope package exactly once and
-// dispatches each node to the callbacks registered for its concrete type,
-// so adding an analyzer adds no walks. Whole-module analyses (wirecompat)
-// use the RunModule hook instead.
+// package Scope, and a Run hook called once per in-scope package with a
+// Pass that walks it. Whole-module analyses (hotalloc, wirecompat) use the
+// RunModule hook instead.
 //
 // # Suppressions
 //
@@ -48,7 +46,9 @@
 //
 // The directive names one analyzer (or a comma-separated list) and must
 // carry a non-empty reason; a malformed directive is itself reported as a
-// finding, and a directive naming the wrong analyzer suppresses nothing.
+// finding, and a directive naming the wrong analyzer suppresses nothing. A
+// directive that suppresses no finding of its analyzer, in a package the
+// analyzer checks, is reported too.
 package lint
 
 import (
@@ -58,7 +58,6 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
-	"reflect"
 	"sort"
 	"strings"
 )
@@ -79,9 +78,8 @@ func (f Finding) String() string {
 }
 
 // Analyzer is one project-specific check. Exactly one of Run and RunModule
-// is typically set: Run is invoked once per in-scope package and registers
-// node callbacks on the shared walker; RunModule is invoked once per
-// Program for whole-module analyses.
+// is typically set: Run is invoked once per in-scope package; RunModule is
+// invoked once per Program for whole-module analyses.
 type Analyzer struct {
 	// Name is the identifier used in output and //lint:ignore directives.
 	Name string
@@ -90,47 +88,35 @@ type Analyzer struct {
 	// Scope restricts Run to packages whose import path ends with one of
 	// these module-relative paths ("internal/des"); nil means every package.
 	Scope []string
-	// Run registers callbacks for one package.
+	// Run analyzes one package.
 	Run func(*Pass)
 	// RunModule analyzes the whole Program at once.
 	RunModule func(*ModulePass)
 }
 
-// Pass carries one analyzer's view of one package. Run hooks call Preorder
-// to register work; Run owns the walk.
+// Pass carries one analyzer's view of one package.
 type Pass struct {
 	Prog *Program
 	Pkg  *Package
 	// File is the file owning the node currently being visited; it is only
-	// valid inside Preorder callbacks.
+	// valid inside Inspect callbacks.
 	File *ast.File
 
 	analyzer *Analyzer
 	runner   *runner
-	handlers []handler
 }
 
-type handler struct {
-	// types is the set of concrete node types the callback wants; nil means
-	// every node.
-	types map[reflect.Type]bool
-	fn    func(ast.Node)
-}
-
-// Preorder registers fn to be called for every node in the package whose
-// concrete type matches one of the exemplars (e.g. (*ast.CallExpr)(nil)).
-// An empty exemplar list matches every node. Nodes arrive in preorder,
-// interleaved with every other analyzer's callbacks, during the single
-// shared walk.
-func (p *Pass) Preorder(exemplars []ast.Node, fn func(ast.Node)) {
-	var tm map[reflect.Type]bool
-	if len(exemplars) > 0 {
-		tm = make(map[reflect.Type]bool, len(exemplars))
-		for _, ex := range exemplars {
-			tm[reflect.TypeOf(ex)] = true
-		}
+// Inspect calls fn for every node of the package's files, in preorder.
+func (p *Pass) Inspect(fn func(ast.Node)) {
+	for _, file := range p.Pkg.Files {
+		p.File = file
+		ast.Inspect(file, func(n ast.Node) bool {
+			if n != nil {
+				fn(n)
+			}
+			return true
+		})
 	}
-	p.handlers = append(p.handlers, handler{types: tm, fn: fn})
 }
 
 // Reportf records a finding at pos attributed to the pass's analyzer.
@@ -158,11 +144,11 @@ func (mp *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
 }
 
 // Suppressed reports whether a finding by the named analyzer at pos would
-// be silenced by a //lint:ignore directive. hotalloc's one-level call
-// summaries use it to honor suppressions inside the summarized body.
-func (mp *ModulePass) Suppressed(analyzer string, pos token.Pos) bool {
-	posn := mp.Prog.Fset.Position(pos)
-	return mp.runner.sup.suppresses(Finding{Analyzer: analyzer, Pos: posn})
+// be silenced by a //lint:ignore directive, and if so counts the directive
+// as used. hotalloc uses it for sites it does not report itself: inside a
+// callee it charges at the call, and along an inlined site's chain.
+func (mp *ModulePass) Suppressed(analyzer string, pos token.Position) bool {
+	return mp.runner.sup.suppresses(Finding{Analyzer: analyzer, Pos: pos})
 }
 
 // runner is the shared per-Run state: the suppression table and the finding
@@ -189,56 +175,22 @@ func Analyzers(manifestPath string) []*Analyzer {
 }
 
 // Run executes the analyzers over prog, drops suppressed findings, reports
-// malformed suppression directives, and returns the remainder sorted by
-// position.
+// malformed and unused suppression directives, and returns the remainder
+// sorted by position.
 func Run(prog *Program, analyzers []*Analyzer) []Finding {
-	known := make(map[string]bool, len(analyzers))
+	known := make(map[string]*Analyzer, len(analyzers))
 	for _, a := range analyzers {
-		known[a.Name] = true
+		known[a.Name] = a
 	}
-	sup, bad := collectDirectives(prog, known)
+	sup, directives, bad := collectDirectives(prog, known)
 	r := &runner{sup: sup, findings: bad}
 
-	for _, pkg := range prog.Packages {
-		var passes []*Pass
-		for _, a := range analyzers {
-			if a.Run == nil {
-				continue
-			}
-			if a.Scope != nil && !inScope(pkg, a.Scope) {
-				continue
-			}
-			p := &Pass{Prog: prog, Pkg: pkg, analyzer: a, runner: r}
-			a.Run(p)
-			if len(p.handlers) > 0 {
-				passes = append(passes, p)
-			}
-		}
-		if len(passes) == 0 {
-			continue
-		}
-		for _, file := range pkg.Files {
-			for _, p := range passes {
-				p.File = file
-			}
-			ast.Inspect(file, func(n ast.Node) bool {
-				if n == nil {
-					return true
-				}
-				t := reflect.TypeOf(n)
-				for _, p := range passes {
-					for _, h := range p.handlers {
-						if h.types == nil || h.types[t] {
-							h.fn(n)
-						}
-					}
-				}
-				return true
-			})
-		}
-	}
-
 	for _, a := range analyzers {
+		for _, pkg := range prog.Packages {
+			if a.Run != nil && (a.Scope == nil || inScope(pkg, a.Scope)) {
+				a.Run(&Pass{Prog: prog, Pkg: pkg, analyzer: a, runner: r})
+			}
+		}
 		if a.RunModule != nil {
 			a.RunModule(&ModulePass{Prog: prog, analyzer: a, runner: r})
 		}
@@ -250,6 +202,15 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 			continue
 		}
 		out = append(out, f)
+	}
+	for _, d := range directives {
+		if !d.used {
+			out = append(out, Finding{
+				Analyzer: "lint",
+				Pos:      d.pos,
+				Message:  fmt.Sprintf("//lint:ignore %s suppresses no %s finding; delete it", d.analyzer, d.analyzer),
+			})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
@@ -267,30 +228,30 @@ func Run(prog *Program, analyzers []*Analyzer) []Finding {
 	return out
 }
 
-// suppressions maps filename -> line -> set of analyzer names silenced on
-// that line.
-type suppressions map[string]map[int]map[string]bool
-
-func (s suppressions) suppresses(f Finding) bool {
-	lines := s[f.Pos.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[f.Pos.Line][f.Analyzer]
+// directive is one analyzer named by one //lint:ignore comment.
+type directive struct {
+	pos      token.Position
+	analyzer string
+	used     bool
 }
 
-func (s suppressions) add(file string, line int, analyzer string) {
-	lines := s[file]
-	if lines == nil {
-		lines = make(map[int]map[string]bool)
-		s[file] = lines
+// suppressions maps a source line to the directives covering it.
+type suppressions map[lineKey][]*directive
+
+type lineKey struct {
+	file string
+	line int
+}
+
+// suppresses reports whether a directive covers f, and marks it used.
+func (s suppressions) suppresses(f Finding) bool {
+	for _, d := range s[lineKey{f.Pos.Filename, f.Pos.Line}] {
+		if d.analyzer == f.Analyzer {
+			d.used = true
+			return true
+		}
 	}
-	set := lines[line]
-	if set == nil {
-		set = make(map[string]bool)
-		lines[line] = set
-	}
-	set[analyzer] = true
+	return false
 }
 
 const ignorePrefix = "lint:ignore"
@@ -298,10 +259,11 @@ const ignorePrefix = "lint:ignore"
 // collectDirectives scans every comment for //lint:ignore directives. A
 // well-formed directive suppresses the named analyzers on its own line and
 // on the line below (so it can trail the flagged statement or sit above
-// it). Malformed directives are returned as findings so they cannot rot
-// silently.
-func collectDirectives(prog *Program, known map[string]bool) (suppressions, []Finding) {
+// it). Malformed directives are returned as findings, and Run reports the
+// in-scope ones that suppress nothing, so neither can rot silently.
+func collectDirectives(prog *Program, known map[string]*Analyzer) (suppressions, []*directive, []Finding) {
 	sup := make(suppressions)
+	var all []*directive
 	var bad []Finding
 	for _, pkg := range prog.Packages {
 		for _, file := range pkg.Files {
@@ -327,7 +289,8 @@ func collectDirectives(prog *Program, known map[string]bool) (suppressions, []Fi
 					}
 					for _, name := range strings.Split(names, ",") {
 						name = strings.TrimSpace(name)
-						if !known[name] {
+						a := known[name]
+						if a == nil {
 							bad = append(bad, Finding{
 								Analyzer: "lint",
 								Pos:      pos,
@@ -335,14 +298,22 @@ func collectDirectives(prog *Program, known map[string]bool) (suppressions, []Fi
 							})
 							continue
 						}
-						sup.add(pos.Filename, pos.Line, name)
-						sup.add(pos.Filename, pos.Line+1, name)
+						d := &directive{pos: pos, analyzer: name}
+						// Outside its analyzer's scope a directive is
+						// never consulted, so it is not checked for use.
+						if a.Scope == nil || inScope(pkg, a.Scope) {
+							all = append(all, d)
+						}
+						for _, line := range []int{pos.Line, pos.Line + 1} {
+							k := lineKey{pos.Filename, line}
+							sup[k] = append(sup[k], d)
+						}
 					}
 				}
 			}
 		}
 	}
-	return sup, bad
+	return sup, all, bad
 }
 
 // inScope reports whether pkg's import path ends with one of the given

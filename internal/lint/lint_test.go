@@ -156,7 +156,8 @@ func TestWireCompatMissingManifestIsAFinding(t *testing.T) {
 
 // TestSuppression proves the //lint:ignore mechanics: a correct directive
 // silences exactly its analyzer, a directive for the wrong analyzer
-// suppresses nothing, and a malformed directive is itself reported.
+// suppresses nothing, and a malformed directive and a directive that
+// suppresses no finding are themselves reported.
 func TestSuppression(t *testing.T) {
 	dir := t.TempDir()
 	src := `package fixture
@@ -184,6 +185,11 @@ func missingReason() time.Time {
 
 func unsuppressed() time.Time {
 	return time.Now()
+}
+
+func unusedDirective() time.Time {
+	//lint:ignore simclock nothing on the next line reads the clock
+	return time.Time{}
 }
 `
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
@@ -215,6 +221,20 @@ func unsuppressed() time.Time {
 	if want != 1 {
 		t.Errorf("want 1 malformed-directive finding, got:\n%s", renderFindings(malformed))
 	}
+
+	// The simclock directive on line 29 matches nothing; those on lines 6
+	// and 10 each silence a finding, and netio does not run in this
+	// package, so line 15's is never consulted.
+	var unused []Finding
+	for _, f := range malformed {
+		if strings.Contains(f.Message, "suppresses no") {
+			unused = append(unused, f)
+		}
+	}
+	if len(unused) != 1 {
+		t.Errorf("want 1 unused-directive finding, got:\n%s", renderFindings(malformed))
+	}
+	wantFindingAt(t, unused, 29, "//lint:ignore simclock suppresses no simclock finding")
 }
 
 func TestModulePathAt(t *testing.T) {

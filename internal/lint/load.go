@@ -47,9 +47,6 @@ type Program struct {
 	Packages   []*Package
 
 	byPath map[string]*Package
-	// funcs indexes every top-level FuncDecl by its types.Func object; built
-	// lazily by funcIndex (dataflow.go).
-	funcs map[types.Object]funcDeclInfo
 }
 
 // FindModuleRoot walks up from dir to the nearest directory containing

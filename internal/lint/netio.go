@@ -46,7 +46,7 @@ func NewNetIO() *Analyzer {
 		Scope: netIOScope,
 	}
 	a.Run = func(p *Pass) {
-		p.Preorder([]ast.Node{(*ast.ExprStmt)(nil), (*ast.DeferStmt)(nil), (*ast.FuncDecl)(nil)}, func(n ast.Node) {
+		p.Inspect(func(n ast.Node) {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
@@ -66,6 +66,29 @@ func NewNetIO() *Analyzer {
 		})
 	}
 	return a
+}
+
+// Function annotations, written as directive comments in a FuncDecl's doc
+// block: //janus:deadlined (read here) and //janus:hotpath (read by
+// hotalloc).
+const (
+	annotationHotPath   = "janus:hotpath"
+	annotationDeadlined = "janus:deadlined"
+)
+
+// hasAnnotation reports whether decl's doc block carries the directive.
+// Trailing prose after the directive word is allowed.
+func hasAnnotation(decl *ast.FuncDecl, annotation string) bool {
+	if decl == nil || decl.Doc == nil {
+		return false
+	}
+	for _, c := range decl.Doc.List {
+		text := strings.TrimPrefix(c.Text, "//")
+		if text == annotation || strings.HasPrefix(text, annotation+" ") {
+			return true
+		}
+	}
+	return false
 }
 
 // netIOScope lists the module-relative packages checked: the daemons and

@@ -23,8 +23,11 @@ func NewSimClock() *Analyzer {
 		Scope: simClockScope,
 	}
 	a.Run = func(p *Pass) {
-		p.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
-			call := n.(*ast.CallExpr)
+		p.Inspect(func(n ast.Node) {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return
+			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
 				return

@@ -117,3 +117,16 @@ func notHot(k string) *item {
 	go noop()
 	return x
 }
+
+// noinlineHelper allocates in a body the compiler never inlines, so the
+// allocation stays in its own frame; hot callers are charged at the call.
+//
+//go:noinline
+func noinlineHelper(k string) *item {
+	return &item{key: k}
+}
+
+//janus:hotpath
+func callsNoinline(k string) *item {
+	return noinlineHelper(k) // want: call to noinlineHelper allocates
+}

@@ -293,12 +293,9 @@ type Handler func(req wire.Request) wire.Response
 // PacketConn directly; this Server is the simple synchronous variant used
 // by tests and small tools.
 type Server struct {
-	conn    *net.UDPConn
-	handler Handler
-	wg      sync.WaitGroup
-	// DropEvery, when > 0, drops every Nth request (fault injection).
-	dropEvery atomic.Int64
-	seen      atomic.Int64
+	conn      *net.UDPConn
+	handler   Handler
+	wg        sync.WaitGroup
 	writeErrs atomic.Int64
 }
 
@@ -318,10 +315,6 @@ func NewServer(addr string, handler Handler) (*Server, error) {
 	go s.serve()
 	return s, nil
 }
-
-// SetDropEvery makes the server silently drop every nth datagram (n <= 0
-// disables). Used to exercise the retry path.
-func (s *Server) SetDropEvery(n int64) { s.dropEvery.Store(n) }
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
@@ -343,9 +336,6 @@ func (s *Server) serve() {
 		n, raddr, err := s.conn.ReadFromUDP(buf)
 		if err != nil {
 			return
-		}
-		if d := s.dropEvery.Load(); d > 0 && s.seen.Add(1)%d == 0 {
-			continue
 		}
 		if fpServerRecv.Armed() {
 			switch o := fpServerRecv.EvalPeer(raddr.String()); o.Kind {

@@ -77,9 +77,19 @@ func TestUniqueRequestIDs(t *testing.T) {
 	}
 }
 
+// armServerDrop makes every transport.Server lose incoming datagrams before
+// the handler sees them: the first count of them, or all when count is 0.
+func armServerDrop(t *testing.T, count int64) {
+	t.Helper()
+	if err := failpoint.Arm("transport/server/recv", failpoint.Action{Kind: failpoint.Drop, Count: count}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
+}
+
 func TestRetryRecoversFromDrops(t *testing.T) {
-	srv, c := startPair(t, Config{Timeout: 20 * time.Millisecond, Retries: 5})
-	srv.SetDropEvery(2) // drop every second datagram
+	_, c := startPair(t, Config{Timeout: 20 * time.Millisecond, Retries: 5})
+	armServerDrop(t, 3) // the first request's first three attempts are lost
 	for i := 0; i < 20; i++ {
 		resp, err := c.Do(wire.Request{Key: "alice", Cost: 1})
 		if err != nil || !resp.Allow {
@@ -87,11 +97,11 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 		}
 	}
 	attempts, timeouts, _ := c.Stats()
-	if timeouts == 0 {
-		t.Error("expected some timeouts with 50% drop rate")
+	if timeouts < 3 {
+		t.Errorf("timeouts = %d, want >= 3 (one per dropped datagram)", timeouts)
 	}
-	if attempts < 20 {
-		t.Errorf("attempts = %d, want > 20", attempts)
+	if attempts < 23 {
+		t.Errorf("attempts = %d, want >= 23 (20 requests + 3 retries)", attempts)
 	}
 }
 
@@ -102,7 +112,7 @@ func TestTimeoutAfterAllRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetDropEvery(1)
+	armServerDrop(t, 0)
 	c, err := Dial(srv.Addr(), Config{Timeout: 2 * time.Millisecond, Retries: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -137,13 +147,12 @@ func TestRetryBudgetBoundsTotalLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	srv.SetDropEvery(1) // server never answers: every attempt must time out
+	armServerDrop(t, 0) // server never answers: every attempt must time out
 	c, err := Dial(srv.Addr(), Config{Timeout: 2 * time.Millisecond, Retries: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	defer failpoint.DisarmAll()
 	if err := failpoint.Arm("transport/client/send", failpoint.Action{
 		Kind: failpoint.Delay, Delay: 5 * time.Millisecond,
 	}); err != nil {
