@@ -98,15 +98,16 @@ bench-smoke:
 
 # The alloc pins: exact allocs/op on the zero-alloc hot paths (the worker's
 # decode→decideTimed→encode, lease-table hit, sojourn observe, audited
-# Decide, CoDel dequeue — budgets in
-# internal/qosserver/allocpin_test.go), plus the HTTP legs': client.Check
-# and the LB's proxy of a router-shaped reply on a warmed connection
-# allocate nothing, the h1 server loop nothing beyond its handler, and a
-# /qos request on the router one object more than Router.Route (the key's
+# Decide, CoDel dequeue, a live server's UDP intake — budgets in
+# internal/qosserver/allocpin_test.go), plus the legs around it: the
+# router→janusd UDP exchange (transport Do) and Router.Route allocate
+# nothing, client.Check and the LB's proxy of a router-shaped reply on a
+# warmed connection nothing, the h1 server loop nothing beyond its handler,
+# a /qos request on the router one object more than Router.Route (the key's
 # string), and the router's key→owner pick (membership.Pick) nothing. The
 # pins assert their budgets, so this is a test run, not a benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_lease.json.
 bench-lease:

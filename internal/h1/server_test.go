@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -209,18 +210,46 @@ func TestServerIdleOutlastsPool(t *testing.T) {
 	}
 }
 
+// countingListener counts the bytes the server reads from the connections it
+// accepts.
+type countingListener struct {
+	net.Listener
+	read atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &countingConn{Conn: nc, read: &l.read}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	read *atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Add(int64(n))
+	return n, err
+}
+
 // TestCloseEndsConnections: Close closes a connection idle after a reply, one
 // in the middle of a request head and one that has sent nothing, and returns
 // with no goroutine of the server's left.
 func TestCloseEndsConnections(t *testing.T) {
 	before := runtime.NumGoroutine()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	ln := &countingListener{Listener: tl}
 	s := Serve(ln, echo)
+	const partial = "GET /a HTTP/1.1\r\nHo"
 	var readers []*bufio.Reader
-	for _, request := range []string{get, "GET /a HTTP/1.1\r\nHo", ""} {
+	for _, request := range []string{get, partial, ""} {
 		nc, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
@@ -236,16 +265,19 @@ func TestCloseEndsConnections(t *testing.T) {
 		}
 		readers = append(readers, br)
 	}
-	// Wait until the server holds all three connections.
+	// Wait until the server holds all three connections and has read every
+	// byte sent: closing a socket with unread bytes resets it, and the test
+	// wants each connection to see a plain close.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		s.mu.Lock()
 		n := len(s.conns)
 		s.mu.Unlock()
-		if n == len(readers) {
+		read := ln.read.Load()
+		if n == len(readers) && read == int64(len(get)+len(partial)) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server holds %d connections, want %d", n, len(readers))
+			t.Fatalf("server holds %d connections and has read %d bytes, want %d and %d", n, read, len(readers), len(get)+len(partial))
 		}
 	}
 	if err := s.Close(); err != nil {

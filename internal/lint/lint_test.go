@@ -79,13 +79,14 @@ func TestSimClockOutOfScopePackageIsIgnored(t *testing.T) {
 func TestErrDropFixture(t *testing.T) {
 	prog := loadFixture(t, "errdropbad", "repro/internal/transport")
 	got := Run(prog, []*Analyzer{NewNetIO()})
-	if len(got) != 4 {
-		t.Errorf("want 4 netio findings, got %d:\n%s", len(got), renderFindings(got))
+	if len(got) != 5 {
+		t.Errorf("want 5 netio findings, got %d:\n%s", len(got), renderFindings(got))
 	}
-	wantFindingAt(t, got, 15, "c.Close is silently discarded")
-	wantFindingAt(t, got, 20, "c.SetDeadline is silently discarded")
-	wantFindingAt(t, got, 25, "w.Write is silently discarded")
-	wantFindingAt(t, got, 30, "deferred w.Write discards its error")
+	wantFindingAt(t, got, 16, "c.Close is silently discarded")
+	wantFindingAt(t, got, 21, "c.SetDeadline is silently discarded")
+	wantFindingAt(t, got, 26, "w.Write is silently discarded")
+	wantFindingAt(t, got, 31, "deferred w.Write discards its error")
+	wantFindingAt(t, got, 66, "c.WriteToUDPAddrPort is silently discarded")
 }
 
 func TestErrDropOutOfScopePackageIsIgnored(t *testing.T) {

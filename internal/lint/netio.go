@@ -107,13 +107,14 @@ var netIOScope = []string{
 }
 
 var errDropMethods = map[string]bool{
-	"Close":            true,
-	"SetDeadline":      true,
-	"SetReadDeadline":  true,
-	"SetWriteDeadline": true,
-	"Write":            true,
-	"WriteTo":          true,
-	"WriteToUDP":       true,
+	"Close":              true,
+	"SetDeadline":        true,
+	"SetReadDeadline":    true,
+	"SetWriteDeadline":   true,
+	"Write":              true,
+	"WriteTo":            true,
+	"WriteToUDP":         true,
+	"WriteToUDPAddrPort": true,
 }
 
 // dropsError reports whether call is a watched method whose discarded

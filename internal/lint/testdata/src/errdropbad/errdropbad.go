@@ -7,6 +7,7 @@ package errdropbad
 import (
 	"io"
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -55,4 +56,12 @@ func (nopWriter) Write(p []byte) int { return len(p) }
 
 func notError(w nopWriter, p []byte) {
 	w.Write(p)
+}
+
+// Bad: a refused UDP send vanishes. The function is annotated so that only
+// the dropped-error rule applies to the send.
+//
+//janus:deadlined fire-and-forget UDP send
+func dropUDPSend(c *net.UDPConn, p []byte, to netip.AddrPort) {
+	c.WriteToUDPAddrPort(p, to) // want finding: discarded WriteToUDPAddrPort error
 }

@@ -1,11 +1,13 @@
 package qosserver
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/lease"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -38,6 +40,7 @@ var allocBudgets = map[string]float64{
 	"sojourn_observe":                0, // born at 0: runs per datagram after every response
 	"singleton_decide_audited":       0, // born at 0: auditing is meant to run in production
 	"codel_decide":                   0, // born at 0: runs per datagram on every worker loop
+	"udp_intake":                     0, // was 9: the peer address and a packet copy per read, 6 in the client's exchange
 }
 
 func pinBudget(t *testing.T, name string) float64 {
@@ -220,5 +223,40 @@ func TestAllocPinCodelDecide(t *testing.T) {
 	}
 	if got != budget {
 		t.Errorf("codel onDequeue+degradedReply: %v allocs/op, budget %v", got, budget)
+	}
+}
+
+// TestAllocPinUDPIntake pins the whole datagram path of a live server —
+// listen (read, pooled copy, FIFO), a worker (decode, return the buffer,
+// decide, encode, send) — with a transport.Client on a recurring key as the
+// peer, so the client's exchange is inside the measurement too.
+func TestAllocPinUDPIntake(t *testing.T) {
+	skipIfInstrumented(t)
+	budget := pinBudget(t, "udp_intake")
+	s := newPinServer(t)
+	c, err := transport.Dial(s.Addr(), transport.Config{Timeout: time.Second, Retries: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	req := wire.Request{Key: "alloc-pin-intake", Cost: 1}
+	var failure error
+	exchange := func() {
+		resp, err := c.Do(req)
+		if err == nil && !resp.Allow {
+			err = fmt.Errorf("denied: %+v", resp)
+		}
+		if err != nil {
+			failure = err
+		}
+	}
+	exchange()
+	got := testing.AllocsPerRun(200, exchange)
+	if failure != nil {
+		t.Fatalf("pinned exchange failed: %v", failure)
+	}
+	if got != budget {
+		t.Errorf("UDP intake listen→FIFO→worker→send: %v allocs/op, budget %v", got, budget)
 	}
 }

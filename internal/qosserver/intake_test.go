@@ -3,12 +3,14 @@ package qosserver
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/failpoint"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -108,5 +110,65 @@ func TestLongKeysAnswered(t *testing.T) {
 	}
 	if m := s.Stats().Malformed; m != 0 {
 		t.Fatalf("Malformed = %d, want 0", m)
+	}
+}
+
+// TestPartitionKeysOnIPv4PeerOnDualStackSocket: on a socket bound to ":0"
+// (dual-stack where the host has IPv6) an IPv4 peer is read IPv4-mapped.
+// Its string must still be "127.0.0.1:port", or a partition keyed by that
+// address — the form the chaos suite and lease holders use — would let the
+// peer through.
+func TestPartitionKeysOnIPv4PeerOnDualStackSocket(t *testing.T) {
+	s := newServer(t, Config{Addr: ":0", DefaultRule: bucket.Rule{RefillRate: 1e6, Capacity: 1e6, Credit: 1e6}})
+	_, port, err := net.SplitHostPort(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dial := func() *net.UDPConn {
+		raddr, err := net.ResolveUDPAddr("udp", net.JoinHostPort("127.0.0.1", port))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.DialUDP("udp", nil, raddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	cut, open := dial(), dial()
+	if err := failpoint.Arm("qosserver/udp/recv", failpoint.Action{Kind: failpoint.Partition, Peers: []string{cut.LocalAddr().String()}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
+	fp := failpoint.Lookup("qosserver/udp/recv")
+	before := fp.Hits()
+	answered := func(c *net.UDPConn, wait time.Duration) bool {
+		pkt, err := wire.AppendRequest(nil, wire.Request{ID: 1, Key: "k", Cost: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.SetReadDeadline(time.Now().Add(wait)); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, wire.MaxDatagram)
+		n, err := c.Read(buf)
+		if err != nil {
+			return false
+		}
+		resp, err := wire.DecodeResponse(buf[:n])
+		return err == nil && resp.ID == 1
+	}
+	if !answered(open, 5*time.Second) {
+		t.Fatal("a peer outside the partition got no reply")
+	}
+	if answered(cut, 200*time.Millisecond) {
+		t.Fatalf("%s is partitioned off but was answered (server on %s)", cut.LocalAddr(), s.Addr())
+	}
+	if hits := fp.Hits() - before; hits != 1 {
+		t.Fatalf("partition fired %d times, want 1", hits)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"net/netip"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -270,8 +271,10 @@ type Server struct {
 }
 
 type packet struct {
-	data  []byte
-	raddr *net.UDPAddr
+	// data is the datagram, in a buffer from packetBufs; the worker returns
+	// it once decoded.
+	data  *[]byte
+	raddr netip.AddrPort
 	// recvNs timestamps the socket read, opening the sojourn clock.
 	recvNs int64
 }
@@ -502,18 +505,24 @@ var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 // (worker-side) long before the queue fills.
 //
 // One read buffer holds any datagram up to the UDP payload limit (a key may
-// be up to wire.MaxKeyLen bytes); each packet is queued as an exact-size
-// copy, since decoding copies keys out and nothing aliases the buffer.
+// be up to wire.MaxKeyLen bytes); each packet is queued as a copy in a
+// pooled buffer, which the worker returns as soon as it has decoded it
+// (decoding copies keys out, so nothing aliases the buffer). The peer is a
+// netip.AddrPort value, so in steady state the intake allocates nothing.
 //
-//janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDP with an error and ends the loop
+//janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDPAddrPort with an error and ends the loop
 func (s *Server) listen() {
 	defer s.wg.Done()
 	buf := make([]byte, wire.MaxDatagram)
 	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
+		n, raddr, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
+		// A dual-stack socket reports an IPv4 peer IPv4-mapped; unmapped, its
+		// string is "a.b.c.d:port", the failpoint partition key and the lease
+		// holder ID.
+		raddr = netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port())
 		if fpUDPRecv.Armed() {
 			switch o := fpUDPRecv.EvalPeer(raddr.String()); o.Kind {
 			case failpoint.Drop, failpoint.Partition:
@@ -523,13 +532,23 @@ func (s *Server) listen() {
 			}
 		}
 		s.received.Inc()
+		data := packetBufs.Get().(*[]byte)
+		*data = append((*data)[:0], buf[:n]...)
 		select {
-		case s.fifo <- packet{data: append([]byte(nil), buf[:n]...), raddr: raddr, recvNs: s.clock().UnixNano()}:
+		case s.fifo <- packet{data: data, raddr: raddr, recvNs: s.clock().UnixNano()}:
 		default:
+			packetBufs.Put(data)
 			s.dropped.Inc()
 		}
 	}
 }
+
+// packetBufs holds the buffers queued datagrams travel in from listen to a
+// worker.
+var packetBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 64)
+	return &b
+}}
 
 // fpWorkerDecide pins the cost of the full decision path: a Delay action
 // models a slow decision service (cold cache, CPU contention, an expensive
@@ -565,7 +584,9 @@ func (s *Server) worker() {
 		case pkt = <-s.fifo:
 		}
 		deqNs := s.clock().UnixNano()
-		if err := wire.DecodeRequestReuse(pkt.data, &req); err != nil {
+		err := wire.DecodeRequestReuse(*pkt.data, &req)
+		packetBufs.Put(pkt.data)
+		if err != nil {
 			s.malformed.Inc()
 			continue
 		}
@@ -585,7 +606,6 @@ func (s *Server) worker() {
 			}
 		}
 		decNs := s.clock().UnixNano()
-		var err error
 		out, err = wire.AppendResponse(out[:0], resp)
 		if err != nil {
 			// Unreachable while the lease manager grants encodable TTLs;
@@ -597,8 +617,8 @@ func (s *Server) worker() {
 		// whether the request router receives the response or not") — but a
 		// send the kernel refused is counted, or silent drops would read as
 		// router-side packet loss.
-		//lint:ignore netio fire-and-forget UDP send; WriteToUDP does not block on the peer
-		if _, err := s.conn.WriteToUDP(out, pkt.raddr); err != nil {
+		//lint:ignore netio fire-and-forget UDP send; WriteToUDPAddrPort does not block on the peer
+		if _, err := s.conn.WriteToUDPAddrPort(out, pkt.raddr); err != nil {
 			s.sendErrors.Inc()
 		}
 		s.observeSojourn(pkt.recvNs, deqNs, decNs, s.clock().UnixNano())

@@ -99,6 +99,31 @@ func TestQoSReplyHeaders(t *testing.T) {
 	}
 }
 
+// TestRouteAllocPin: routing a request to a UDP back end allocates nothing
+// once warm — the pick, the exchange's pooled waiter, and the echo server's
+// side of the datagram (AllocsPerRun counts the whole process).
+func TestRouteAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pins run uninstrumented")
+	}
+	echo, err := transport.NewServer("127.0.0.1:0", func(wire.Request) wire.Response { return wire.Response{Allow: true} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer echo.Close()
+	r := newRouter(t, Config{Backends: []string{echo.Addr()}})
+	req := wire.Request{Key: "user-42", Cost: 1}
+	route := func() {
+		if !r.Route(req).Allow {
+			t.Fatal("echo denied")
+		}
+	}
+	route()
+	if n := testing.AllocsPerRun(200, route); n != 0 {
+		t.Fatalf("Route allocates %v times per request, want 0", n)
+	}
+}
+
 // TestServeQoSAllocPin: an untraced /qos request on a held connection
 // allocates at most one object more than Router.Route does — the key's
 // string. The client side allocates nothing (AllocsPerRun counts the whole

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,6 +116,23 @@ type Client struct {
 	stats *Stats
 }
 
+// waiter is what one exchange needs besides the socket: the reply channel
+// readLoop delivers to, the per-attempt timer and the encode buffer. Every
+// DoAttempts takes one from waiterPool and returns it empty — channel
+// drained, timer stopped — so a steady stream of exchanges allocates
+// nothing.
+type waiter struct {
+	ch    chan wire.Response
+	timer *time.Timer
+	buf   []byte
+}
+
+var waiterPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &waiter{ch: make(chan wire.Response, 1), timer: t}
+}}
+
 // Dial creates a client bound to the QoS server at addr ("host:port").
 func Dial(addr string, cfg Config) (*Client, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
@@ -143,6 +161,11 @@ func Dial(addr string, cfg Config) (*Client, error) {
 // blocks by design: this loop is the client's demultiplexer. Close() closes
 // the socket, which unblocks Read with an error and ends the loop.
 //
+// The send to a waiter's channel happens under c.mu: once DoAttempts has
+// deleted its entry under the same lock, no reply — late or duplicate — can
+// reach the channel, so draining it after the delete leaves it empty for
+// the pool's next user.
+//
 //janus:deadlined Close() unblocks the read
 func (c *Client) readLoop() {
 	buf := make([]byte, wire.MaxDatagram)
@@ -166,14 +189,13 @@ func (c *Client) readLoop() {
 		}
 		c.stats.Responses.Inc()
 		c.mu.Lock()
-		ch := c.waiters[resp.ID]
-		c.mu.Unlock()
-		if ch != nil {
+		if ch := c.waiters[resp.ID]; ch != nil {
 			select {
 			case ch <- resp:
 			default: // duplicate response for an already-answered request
 			}
 		}
+		c.mu.Unlock()
 	}
 }
 
@@ -191,23 +213,22 @@ func (c *Client) Do(req wire.Request) (wire.Response, error) {
 // request with this number.
 func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	req.ID = c.nextID.Add(1)
-	packet, err := wire.EncodeRequest(req)
+	w := waiterPool.Get().(*waiter)
+	packet, err := wire.AppendRequest(w.buf[:0], req)
 	if err != nil {
+		waiterPool.Put(w)
 		return wire.Response{}, 0, err
 	}
-	ch := make(chan wire.Response, 1)
+	w.buf = packet
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		waiterPool.Put(w)
 		return wire.Response{}, 0, net.ErrClosed
 	}
-	c.waiters[req.ID] = ch
+	c.waiters[req.ID] = w.ch
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, req.ID)
-		c.mu.Unlock()
-	}()
+	defer c.release(req.ID, w)
 
 	// The whole exchange runs against one budget of Retries × Timeout,
 	// fixed before the first attempt. Each attempt waits at most Timeout,
@@ -216,8 +237,6 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	// retries can never take much more than ~5× the per-try timeout, which
 	// is the latency bound the router's default reply promises (§III-B).
 	deadline := time.Now().Add(time.Duration(c.cfg.Retries) * c.cfg.Timeout)
-	timer := time.NewTimer(c.cfg.Timeout)
-	defer timer.Stop()
 	attempts := 0
 	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
 		attempts = attempt + 1
@@ -251,21 +270,42 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 		if wait > c.cfg.Timeout {
 			wait = c.cfg.Timeout
 		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
+		stopTimer(w.timer)
+		w.timer.Reset(wait)
 		select {
-		case resp := <-ch:
+		case resp := <-w.ch:
 			return resp, attempts, nil
-		case <-timer.C:
+		case <-w.timer.C:
 			c.stats.Timeouts.Inc()
 		}
 	}
 	return wire.Response{}, attempts, ErrTimeout
+}
+
+// release ends an exchange and returns its waiter to the pool. The order
+// matters: the entry leaves c.waiters under c.mu first, so readLoop, which
+// sends under the same lock, can deliver nothing more; only then is a
+// duplicate or late reply that got in before the delete drained.
+func (c *Client) release(id uint64, w *waiter) {
+	c.mu.Lock()
+	delete(c.waiters, id)
+	c.mu.Unlock()
+	select {
+	case <-w.ch:
+	default:
+	}
+	stopTimer(w.timer)
+	waiterPool.Put(w)
+}
+
+// stopTimer stops t and empties its channel, so the next Reset starts clean.
+func stopTimer(t *time.Timer) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
 }
 
 // Stats reports cumulative attempt/timeout/response counts. When
@@ -321,22 +361,27 @@ func (s *Server) Addr() string { return s.conn.LocalAddr().String() }
 
 // serve is the accept loop: one datagram in, one handler call, one datagram
 // out. The accept-style read blocks by design; Close() closes the socket,
-// which unblocks ReadFromUDP with an error and ends the loop. The response
-// send is fire-and-forget UDP — WriteToUDP does not block on the peer.
+// which unblocks ReadFromUDPAddrPort with an error and ends the loop. The
+// response send is fire-and-forget UDP — WriteToUDPAddrPort does not block
+// on the peer.
 //
 //janus:deadlined Close() unblocks the read; the send does not block
 func (s *Server) serve() {
 	defer s.wg.Done()
-	// The decoded request and both buffers are reused across datagrams, so a
-	// recurring key set costs the loop no allocation.
+	// The decoded request and both buffers are reused across datagrams, and
+	// the peer is a netip.AddrPort value, so a recurring key set costs the
+	// loop no allocation.
 	var req wire.Request
 	buf := make([]byte, wire.MaxDatagram)
 	out := make([]byte, 0, 64)
 	for {
-		n, raddr, err := s.conn.ReadFromUDP(buf)
+		n, raddr, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return
 		}
+		// A dual-stack socket reports an IPv4 peer IPv4-mapped; unmapped,
+		// its string is "a.b.c.d:port", the failpoint partition key.
+		raddr = netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port())
 		if fpServerRecv.Armed() {
 			switch o := fpServerRecv.EvalPeer(raddr.String()); o.Kind {
 			case failpoint.Drop, failpoint.Partition:
@@ -357,7 +402,7 @@ func (s *Server) serve() {
 			s.writeErrs.Add(1)
 			continue
 		}
-		if _, err := s.conn.WriteToUDP(out, raddr); err != nil {
+		if _, err := s.conn.WriteToUDPAddrPort(out, raddr); err != nil {
 			s.writeErrs.Add(1)
 		}
 	}

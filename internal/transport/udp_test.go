@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -77,14 +78,20 @@ func TestUniqueRequestIDs(t *testing.T) {
 	}
 }
 
+// arm arms a failpoint for the rest of the test.
+func arm(t *testing.T, name string, a failpoint.Action) {
+	t.Helper()
+	if err := failpoint.Arm(name, a); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(failpoint.DisarmAll)
+}
+
 // armServerDrop makes every transport.Server lose incoming datagrams before
 // the handler sees them: the first count of them, or all when count is 0.
 func armServerDrop(t *testing.T, count int64) {
 	t.Helper()
-	if err := failpoint.Arm("transport/server/recv", failpoint.Action{Kind: failpoint.Drop, Count: count}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(failpoint.DisarmAll)
+	arm(t, "transport/server/recv", failpoint.Action{Kind: failpoint.Drop, Count: count})
 }
 
 func TestRetryRecoversFromDrops(t *testing.T) {
@@ -336,5 +343,98 @@ func TestHighConcurrencyThroughput(t *testing.T) {
 	wg.Wait()
 	if e := errs.Load(); e > workers*per/100 {
 		t.Fatalf("%d/%d requests failed", e, workers*per)
+	}
+}
+
+// TestDoAllocPin: an exchange with the echo server allocates nothing on
+// either end once warm — the client's waiter comes from its pool, and the
+// server reads and writes the peer as a netip.AddrPort value.
+// AllocsPerRun counts the whole process, the server included.
+func TestDoAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pins run uninstrumented")
+	}
+	_, c := startPair(t, genericCfg)
+	do := func() {
+		if resp, err := c.Do(wire.Request{Key: "alice", Cost: 1}); err != nil || !resp.Allow {
+			t.Fatalf("resp=%+v err=%v", resp, err)
+		}
+	}
+	do()
+	if n := testing.AllocsPerRun(200, do); n != 0 {
+		t.Fatalf("Do allocates %v times per call, want 0", n)
+	}
+}
+
+// ownReplies sends n sequential requests whose verdicts alternate (echoHandler
+// admits "alice", denies "bob") and fails the test on any reply that is not
+// the request's own: a different ID or a different verdict. A timed-out
+// request is allowed; it reports how many got a reply.
+func ownReplies(t *testing.T, c *Client, n int) (answered int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		key, want := "alice", true
+		if i%2 == 1 {
+			key, want = "bob", false
+		}
+		resp, err := c.Do(wire.Request{Key: key, Cost: 1})
+		if errors.Is(err, ErrTimeout) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		// Requests are sequential, so the last ID handed out is this one's.
+		if id := c.nextID.Load(); resp.ID != id || resp.Allow != want {
+			t.Fatalf("request %d (ID %d, allow %v) got ID %d, allow %v: a reply that belongs to another exchange", i, id, want, resp.ID, resp.Allow)
+		}
+		answered++
+	}
+	return answered
+}
+
+// TestDuplicateRepliesStayWithTheirExchange: every request leaves twice, so
+// every ID is answered twice. The second reply must die with its exchange,
+// not wait in the pooled waiter for the next one. The second reply races the
+// exchange's release, which takes parallel threads to show: the test runs
+// more of them than a small machine has CPUs, so the kernel also preempts
+// the reader mid-delivery, and each round dials a fresh client, so the
+// reader and the caller are placed anew.
+func TestDuplicateRepliesStayWithTheirExchange(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	srv, err := NewServer("127.0.0.1:0", echoHandler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	arm(t, "transport/client/send", failpoint.Action{Kind: failpoint.Dup})
+	const rounds, per = 16, 1250
+	for r := 0; r < rounds; r++ {
+		c, err := Dial(srv.Addr(), genericCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := ownReplies(t, c, per)
+		_, _, responses := c.Stats()
+		c.Close()
+		if n != per {
+			t.Fatalf("round %d: %d of %d requests answered", r, n, per)
+		}
+		if responses < per*3/2 {
+			t.Fatalf("round %d: %d responses read for %d requests, want the duplicates too", r, responses, per)
+		}
+	}
+}
+
+// TestLateRepliesStayWithTheirExchange: some replies reach the client only
+// after their exchange has timed out and its waiter gone back to the pool.
+// The next exchange, on the same waiter, must still get its own reply.
+func TestLateRepliesStayWithTheirExchange(t *testing.T) {
+	const timeout = 2 * time.Millisecond
+	_, c := startPair(t, Config{Timeout: timeout, Retries: 2})
+	arm(t, "transport/client/recv", failpoint.Action{Kind: failpoint.Delay, Delay: 2*timeout + timeout/2, P: 0.2, Seed: 1})
+	answered := ownReplies(t, c, 300)
+	if answered == 0 || answered == 300 {
+		t.Fatalf("%d of 300 requests answered; the test needs some late replies and some on time", answered)
 	}
 }
