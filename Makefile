@@ -83,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql/
 	$(GO) test -run '^$$' -fuzz FuzzExecute -fuzztime 10s ./internal/minisql/
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/minisql/
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
 # workloads through the client-visible path, the run a PR is judged on.
@@ -104,10 +105,13 @@ bench-smoke:
 # nothing, client.Check and the LB's proxy of a router-shaped reply on a
 # warmed connection nothing, the h1 server loop nothing beyond its handler,
 # a /qos request on the router one object more than Router.Route (the key's
-# string), and the router's key→owner pick (membership.Pick) nothing. The
-# pins assert their budgets, so this is a test run, not a benchmark run.
+# string), the router's key→owner pick (membership.Pick) nothing, and a
+# first-sight rule fetch (store.Get's point select through a warmed minisql
+# Client over loopback) 8 objects on a miss and 14 on a hit, the engine's
+# included. The pins assert their budgets, so this is a test run, not a
+# benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql -run AllocPin -count=1 -v
 
 # Regenerates the numbers recorded in BENCH_lease.json.
 bench-lease:

@@ -125,6 +125,15 @@ type Ledger struct {
 	onOverspend func(Overspend)
 	overspends  atomic.Int64
 	shards      [shardCount]shard
+	// pass is the list an audit pass copies a shard's accounts into, kept
+	// between passes so that a periodic pass allocates nothing; a pass
+	// running beside another takes a fresh one.
+	pass atomic.Pointer[[]passEntry]
+}
+
+type passEntry struct {
+	key string
+	a   *account
 }
 
 // NewLedger builds a ledger.
@@ -263,17 +272,25 @@ func (l *Ledger) Buckets() int {
 func (l *Ledger) Audit() Report {
 	nowNs := l.clock().UnixNano()
 	rep := Report{Verdict: "ok", Nanos: nowNs}
+	pass := l.pass.Swap(nil)
+	if pass == nil {
+		pass = new([]passEntry)
+	}
+	defer func() {
+		clear((*pass)[:cap(*pass)]) // hold no account past the pass
+		l.pass.Store(pass)
+	}()
 	for i := range l.shards {
 		sh := &l.shards[i]
 		sh.mu.RLock()
-		accounts := make([]*account, 0, len(sh.m))
-		keys := make([]string, 0, len(sh.m))
+		entries := (*pass)[:0]
 		for k, a := range sh.m {
-			accounts = append(accounts, a)
-			keys = append(keys, k)
+			entries = append(entries, passEntry{k, a})
 		}
 		sh.mu.RUnlock()
-		for j, a := range accounts {
+		*pass = entries
+		for _, e := range entries {
+			a := e.a
 			admitted := a.admitted()
 			rep.Buckets++
 			rep.Admitted += admitted
@@ -293,7 +310,7 @@ func (l *Ledger) Audit() Report {
 			if !isOver {
 				continue
 			}
-			o := Overspend{Key: keys[j], Generation: gen, Admitted: admitted, Budget: budget, Over: over}
+			o := Overspend{Key: e.key, Generation: gen, Admitted: admitted, Budget: budget, Over: over}
 			if len(rep.Overspent) < 100 {
 				rep.Overspent = append(rep.Overspent, o)
 			}

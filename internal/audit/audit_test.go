@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 )
@@ -48,6 +49,34 @@ func TestAuditEmptyLedgerIsOK(t *testing.T) {
 	if rep.Verdict != "ok" || rep.Buckets != 0 {
 		t.Fatalf("empty ledger audit = %+v, want ok/0 buckets", rep)
 	}
+}
+
+// TestAuditPassAllocatesNothing: a periodic pass over a ledger with no
+// overspend reuses the list it copies each shard into.
+func TestAuditPassAllocatesNothing(t *testing.T) {
+	l := NewLedger(Config{})
+	for i := 0; i < 1000; i++ {
+		l.Install(fmt.Sprintf("k%d", i), 10, 1)
+	}
+	l.Audit()
+	if n := testing.AllocsPerRun(20, func() { l.Audit() }); n != 0 {
+		t.Fatalf("an audit pass allocates %v times, want 0", n)
+	}
+	// Passes side by side share no list: each still sees every bucket.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if rep := l.Audit(); rep.Buckets != 1000 || rep.Verdict != "ok" {
+					t.Errorf("audit = %+v, want 1000 buckets, ok", rep)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestNilLedgerIsNoOp(t *testing.T) {

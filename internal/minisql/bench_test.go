@@ -5,14 +5,24 @@ import (
 	"testing"
 )
 
+// benchKeys names the keys k0..k(n-1) as values, so that a benchmark's
+// timed loop formats nothing.
+func benchKeys(n int) []Value {
+	keys := make([]Value, n)
+	for i := range keys {
+		keys[i] = Text(fmt.Sprintf("k%d", i))
+	}
+	return keys
+}
+
 func benchEngine(b *testing.B, rows int) *Engine {
 	b.Helper()
 	e := NewEngine()
 	if _, err := e.Execute(`CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`); err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < rows; i++ {
-		if _, err := e.Execute(`INSERT INTO qos_rules VALUES (?, 1, 2, 3)`, Text(fmt.Sprintf("k%d", i))); err != nil {
+	for _, k := range benchKeys(rows) {
+		if _, err := e.Execute(`INSERT INTO qos_rules VALUES (?, 1, 2, 3)`, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -22,10 +32,11 @@ func benchEngine(b *testing.B, rows int) *Engine {
 // BenchmarkPointSelect is the QoS server's rule-fetch statement.
 func BenchmarkPointSelect(b *testing.B) {
 	e := benchEngine(b, 10000)
+	keys := benchKeys(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules WHERE key = ?`,
-			Text(fmt.Sprintf("k%d", i%10000))); err != nil {
+			keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,10 +45,11 @@ func BenchmarkPointSelect(b *testing.B) {
 // BenchmarkPointUpdate is the checkpoint statement.
 func BenchmarkPointUpdate(b *testing.B) {
 	e := benchEngine(b, 10000)
+	keys := benchKeys(10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.Execute(`UPDATE qos_rules SET credit = ? WHERE key = ?`,
-			Float(float64(i)), Text(fmt.Sprintf("k%d", i%10000))); err != nil {
+			Float(float64(i)), keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,10 +58,10 @@ func BenchmarkPointUpdate(b *testing.B) {
 // BenchmarkReplaceUpsert is the rule-management statement.
 func BenchmarkReplaceUpsert(b *testing.B) {
 	e := benchEngine(b, 0)
+	keys := benchKeys(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Execute(`REPLACE INTO qos_rules VALUES (?, 1, 2, 3)`,
-			Text(fmt.Sprintf("k%d", i%1000))); err != nil {
+		if _, err := e.Execute(`REPLACE INTO qos_rules VALUES (?, 1, 2, 3)`, keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,10 +93,11 @@ func BenchmarkPointSelectOverTCP(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer c.Close()
+	keys := benchKeys(1000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Execute(`SELECT credit FROM qos_rules WHERE key = ?`,
-			Text(fmt.Sprintf("k%d", i%1000))); err != nil {
+			keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}

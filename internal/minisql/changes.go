@@ -28,9 +28,9 @@ import (
 
 const (
 	// FeedPage caps the entries in one SELECT CHANGES reply; Feed.Next says
-	// where the next page starts. Each connection
-	// keeps codec buffers as large as the largest reply it carried, so pages
-	// stay small; only a whole-table read takes many.
+	// where the next page starts. A connection reuses its frame buffers
+	// only up to 64 KiB (codec.go), so pages stay well under that; only a
+	// whole-table read takes many.
 	FeedPage = 256
 	// Tombstones is how many deletes a table remembers.
 	Tombstones = 4096

@@ -1,22 +1,27 @@
 package minisql
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
+
+// errConn marks a failure of the connection rather than of the statement:
+// a send, a receive or an unexpected frame, or a closed client. The pool
+// redials after one; an SQL error leaves the connection in service.
+var errConn = errors.New("minisql: connection failed")
+
+var errClosed = fmt.Errorf("%w: client is closed", errConn)
 
 // Client is a connection to a minisql server. It serializes requests over a
 // single TCP connection; use Pool for concurrency.
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	r    *frameReader
+	w    frameWriter
 }
 
 // Dial connects to a minisql server.
@@ -30,28 +35,14 @@ func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("minisql: dial %s: %w", addr, err)
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &Client{conn: conn, r: newFrameReader(conn), w: frameWriter{w: conn}}, nil
 }
 
 // Execute runs one statement on the server.
 func (c *Client) Execute(sql string, args ...Value) (Result, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return Result{}, errors.New("minisql: client is closed")
-	}
-	if err := c.enc.Encode(&frame{Type: frameQuery, SQL: sql, Args: args}); err != nil {
-		c.closeLocked()
-		return Result{}, fmt.Errorf("minisql: send: %w", err)
-	}
 	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		c.closeLocked()
-		return Result{}, fmt.Errorf("minisql: recv: %w", err)
-	}
-	if f.Type != frameResult {
-		c.closeLocked()
-		return Result{}, fmt.Errorf("minisql: unexpected frame type %d", f.Type)
+	if err := c.roundTrip(&frame{Type: frameQuery, SQL: sql, Args: args}, &f, frameResult); err != nil {
+		return Result{}, err
 	}
 	if f.Err != "" {
 		return Result{}, errors.New(f.Err)
@@ -62,25 +53,33 @@ func (c *Client) Execute(sql string, args ...Value) (Result, error) {
 // Ping checks liveness; it returns whether the remote node currently accepts
 // writes (i.e. believes itself master).
 func (c *Client) Ping() (serving bool, err error) {
+	var f frame
+	if err := c.roundTrip(&frame{Type: framePing}, &f, framePong); err != nil {
+		return false, err
+	}
+	return f.Serving, nil
+}
+
+// roundTrip sends req and reads the reply into f, which must be of type
+// want. Any failure closes the connection and matches errConn.
+func (c *Client) roundTrip(req, f *frame, want byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
-		return false, errors.New("minisql: client is closed")
+		return errClosed
 	}
-	if err := c.enc.Encode(&frame{Type: framePing}); err != nil {
+	err := c.w.send(req)
+	if err != nil {
+		err = fmt.Errorf("%w: send: %w", errConn, err)
+	} else if err = c.r.next(f); err != nil {
+		err = fmt.Errorf("%w: recv: %w", errConn, err)
+	} else if f.Type != want {
+		err = fmt.Errorf("%w: unexpected frame type %d", errConn, f.Type)
+	}
+	if err != nil {
 		c.closeLocked()
-		return false, err
 	}
-	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		c.closeLocked()
-		return false, err
-	}
-	if f.Type != framePong {
-		c.closeLocked()
-		return false, fmt.Errorf("minisql: unexpected frame type %d", f.Type)
-	}
-	return f.Serving, nil
+	return err
 }
 
 func (c *Client) closeLocked() {
@@ -139,20 +138,13 @@ func (p *Pool) Execute(sql string, args ...Value) (Result, error) {
 		}
 	}
 	res, err := c.Execute(sql, args...)
-	if err != nil && isConnError(err) {
+	if errors.Is(err, errConn) {
 		c.Close()
 		p.clients <- nil
 		return res, err
 	}
 	p.clients <- c
 	return res, err
-}
-
-func isConnError(err error) bool {
-	s := err.Error()
-	return errors.Is(err, net.ErrClosed) ||
-		strings.Contains(s, "minisql: send") || strings.Contains(s, "minisql: recv") ||
-		strings.Contains(s, "client is closed")
 }
 
 // Close closes all pooled connections.

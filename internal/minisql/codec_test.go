@@ -1,0 +1,115 @@
+package minisql
+
+import (
+	"bytes"
+	"encoding/hex"
+	"errors"
+	"math"
+	"reflect"
+	"testing"
+)
+
+// sampleFrames holds one frame of each type, every field of it set.
+func sampleFrames() []frame {
+	rows := [][]Value{{Text("a"), Float(1.5)}, {Text("b"), Null()}}
+	return []frame{
+		{Type: frameQuery, SQL: "SELECT key FROM qos_rules WHERE key = ?", Args: []Value{Text("a")}},
+		{Type: frameResult, Result: Result{Columns: []string{"key", "credit"}, Rows: rows, Affected: 2,
+			Feed: &Feed{Origin: math.MaxUint64, Head: 9, Next: 7, Horizon: -1}}},
+		{Type: frameResult, Err: "minisql: no such table \"t\""},
+		{Type: frameSubscribe},
+		{Type: frameSnapshot, Snap: SnapshotData{Tables: []TableSnapshot{{Name: "t",
+			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
+			Rows:   rows}}}},
+		{Type: frameReplEntry, SQL: "UPDATE t SET credit = ? WHERE key = ?", Args: []Value{Float(2), Text("b")}},
+		{Type: framePing},
+		{Type: framePong, Serving: true},
+	}
+}
+
+// decodeEncoded encodes f and decodes it back, the way a connection does.
+func decodeEncoded(t *testing.T, f *frame) frame {
+	t.Helper()
+	var got frame
+	if err := newFrameReader(bytes.NewReader(appendFrame(nil, f))).next(&got); err != nil {
+		t.Fatalf("decode %+v: %v", f, err)
+	}
+	return got
+}
+
+func TestFrameRoundTrip(t *testing.T) {
+	for _, f := range sampleFrames() {
+		if got := decodeEncoded(t, &f); !reflect.DeepEqual(got, f) {
+			t.Errorf("frame type %d: got %+v, want %+v", f.Type, got, f)
+		}
+	}
+}
+
+// TestFrameKeepsEdgeValuesAndNils: values that float and integer encodings
+// commonly bend come back bit for bit, and empty lists and an absent feed
+// come back nil.
+func TestFrameKeepsEdgeValuesAndNils(t *testing.T) {
+	args := []Value{Float(math.NaN()), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Int(math.MinInt64), Int(math.MaxInt64), Text(""), Null()}
+	got := decodeEncoded(t, &frame{Type: frameQuery, Args: args})
+	for i, v := range got.Args {
+		if v.Kind != args[i].Kind || v.I != args[i].I || math.Float64bits(v.F) != math.Float64bits(args[i].F) || v.S != args[i].S {
+			t.Errorf("arg %d: got %#v, want %#v", i, v, args[i])
+		}
+	}
+	empty := decodeEncoded(t, &frame{Type: frameResult, Result: Result{Columns: []string{}, Rows: [][]Value{}}})
+	if empty.Result.Columns != nil || empty.Result.Rows != nil || empty.Result.Feed != nil {
+		t.Errorf("empty result decodes as %#v, want nil lists and no feed", empty.Result)
+	}
+	if q := decodeEncoded(t, &frame{Type: frameQuery, Args: []Value{}}); q.Args != nil {
+		t.Errorf("empty args decode as %#v, want nil", q.Args)
+	}
+}
+
+// TestFrameGolden pins the frame layout: changing these bytes changes the
+// protocol every client, server and standby speaks.
+func TestFrameGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		f    frame
+		hex  string
+	}{
+		{"query with every value kind",
+			frame{Type: frameQuery, SQL: "INSERT INTO t VALUES (?, ?, ?, ?)", Args: []Value{Null(), Int(-2), Float(1.5), Text("k")}},
+			"00000033" + "00" + "21" + hex.EncodeToString([]byte("INSERT INTO t VALUES (?, ?, ?, ?)")) +
+				"04" + "00" + "0103" + "023ff8000000000000" + "03016b"},
+		{"result with a feed",
+			frame{Type: frameResult, Result: Result{Columns: []string{"_seq", "key"}, Rows: [][]Value{{Int(7), Text("a")}},
+				Feed: &Feed{Origin: 0xfeedface, Head: 9, Next: 9, Horizon: 3}}},
+			"0000001d" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
+				"01" + "cef5b7f70f" + "12" + "12" + "06"},
+	} {
+		if got := hex.EncodeToString(appendFrame(nil, &tc.f)); got != tc.hex {
+			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.hex)
+		}
+	}
+}
+
+func TestFrameRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hex  string
+	}{
+		{"empty body", "00000000"},
+		{"length above the cap", "7fffffff00"},
+		{"unknown type", "0000000107"},
+		{"trailing byte", "000000020500"},
+		{"truncated uvarint", "00000003000080"},
+		{"non-minimal uvarint", "0000000400800000"},
+		{"count beyond the frame", "00000003000005"},
+		{"bad kind", "0000000400000104"},
+		{"short float", "00000006000001020000"},
+		{"flag not 0 or 1", "000000020602"},
+	} {
+		b, _ := hex.DecodeString(tc.hex)
+		var f frame
+		if err := newFrameReader(bytes.NewReader(b)).next(&f); !errors.Is(err, errFrame) {
+			t.Errorf("%s: err = %v, want a malformed-frame error", tc.name, err)
+		}
+	}
+}

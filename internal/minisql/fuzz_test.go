@@ -1,6 +1,11 @@
 package minisql
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+)
 
 // FuzzParse: the SQL parser must never panic and must either return a
 // statement or an error, never both nil.
@@ -80,6 +85,35 @@ func FuzzExecute(f *testing.F) {
 		}
 		if live != count.Rows[0][0].AsInt() {
 			t.Fatalf("feed lists %d rows, table holds %d", live, count.Rows[0][0].AsInt())
+		}
+	})
+}
+
+// FuzzFrameDecode: arbitrary bytes off a connection never panic the frame
+// reader, never make it allocate more than a small multiple of the bytes
+// that arrived — whatever the length prefix claims — and a frame that
+// decodes re-encodes to exactly the bytes it was read from.
+func FuzzFrameDecode(f *testing.F) {
+	for _, fr := range sampleFrames() {
+		f.Add(appendFrame(nil, &fr))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var fr frame
+		err := newFrameReader(bytes.NewReader(data)).next(&fr)
+		runtime.ReadMemStats(&after)
+		// A decoded Value is 40 bytes per kind byte, a row header 24 per
+		// count byte; the constant covers the reader's own buffers.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(data))+16<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		n := 4 + int(binary.BigEndian.Uint32(data))
+		if got := appendFrame(nil, &fr); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("re-encoded %x, read %x", got, data[:n])
 		}
 	})
 }

@@ -1,0 +1,7 @@
+//go:build !race
+
+package minisql
+
+// raceEnabled reports whether the race detector instrumented this build.
+// The alloc pin skips under -race: instrumentation allocates.
+const raceEnabled = false

@@ -1,7 +1,6 @@
 package minisql
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -49,14 +48,14 @@ func (r *Replica) Follow(addr string) error {
 	if err != nil {
 		return fmt.Errorf("minisql: replica dial %s: %w", addr, err)
 	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&frame{Type: frameSubscribe}); err != nil {
+	w := frameWriter{w: conn}
+	if err := w.send(&frame{Type: frameSubscribe}); err != nil {
 		conn.Close()
 		return fmt.Errorf("minisql: subscribe: %w", err)
 	}
+	fr := newFrameReader(conn)
 	var f frame
-	if err := dec.Decode(&f); err != nil {
+	if err := fr.next(&f); err != nil {
 		conn.Close()
 		return fmt.Errorf("minisql: snapshot recv: %w", err)
 	}
@@ -77,15 +76,15 @@ func (r *Replica) Follow(addr string) error {
 	r.conn = conn
 	r.mu.Unlock()
 	r.wg.Add(1)
-	go r.applyLoop(dec)
+	go r.applyLoop(fr)
 	return nil
 }
 
-func (r *Replica) applyLoop(dec *gob.Decoder) {
+func (r *Replica) applyLoop(fr *frameReader) {
 	defer r.wg.Done()
 	for {
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err := fr.next(&f); err != nil {
 			if !r.promoted.Load() {
 				r.lastErr.Store(err.Error())
 			}

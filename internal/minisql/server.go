@@ -1,7 +1,6 @@
 package minisql
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -10,28 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Frame types exchanged on the wire. Every message in either direction is a
-// frame; gob provides framing and encoding.
-const (
-	frameQuery     = 0 // client -> server: SQL + args
-	frameResult    = 1 // server -> client: result or error
-	frameSubscribe = 2 // standby -> master: begin replication
-	frameSnapshot  = 3 // master -> standby: full state
-	frameReplEntry = 4 // master -> standby: one journaled write
-	framePing      = 5 // health check
-	framePong      = 6
-)
-
-type frame struct {
-	Type    byte
-	SQL     string
-	Args    []Value
-	Result  Result
-	Err     string
-	Snap    SnapshotData
-	Serving bool // pong: whether this node accepts writes (is master)
-}
 
 // ErrReadOnly is returned for write statements sent to a standby.
 var ErrReadOnly = errors.New("minisql: server is read-only (standby)")
@@ -158,13 +135,13 @@ func (s *Server) dropConn(conn net.Conn) {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var encMu sync.Mutex // replication goroutine shares the encoder
+	r := newFrameReader(conn)
+	w := &frameWriter{w: conn}
+	var wMu sync.Mutex // replication goroutine shares the writer
 	for {
 		var f frame
-		if err := dec.Decode(&f); err != nil {
-			return
+		if err := r.next(&f); err != nil {
+			return // gone, or a malformed frame: this connection only
 		}
 		switch f.Type {
 		case frameQuery:
@@ -179,26 +156,26 @@ func (s *Server) serveConn(conn net.Conn) {
 					reply.Result = res
 				}
 			}
-			encMu.Lock()
-			err := enc.Encode(&reply)
-			encMu.Unlock()
+			wMu.Lock()
+			err := w.send(&reply)
+			wMu.Unlock()
 			if err != nil {
 				return
 			}
 		case framePing:
-			encMu.Lock()
-			err := enc.Encode(&frame{Type: framePong, Serving: !s.readOnly.Load()})
-			encMu.Unlock()
+			wMu.Lock()
+			err := w.send(&frame{Type: framePong, Serving: !s.readOnly.Load()})
+			wMu.Unlock()
 			if err != nil {
 				return
 			}
 		case frameSubscribe:
 			// Replication streaming runs in its own goroutine so this loop
-			// keeps decoding; a remote disconnect then surfaces as a Decode
+			// keeps reading; a remote disconnect then surfaces as a read
 			// error here, the connection is torn down, and the streamer's
-			// next Encode fails and exits.
+			// next send fails and exits.
 			s.wg.Add(1)
-			go s.streamReplication(enc, &encMu)
+			go s.streamReplication(w, &wMu)
 		default:
 			return // protocol violation
 		}
@@ -206,9 +183,9 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // streamReplication sends a snapshot followed by the live journal stream.
-// It exits when the subscriber channel is closed (slow replica), an encode
+// It exits when the subscriber channel is closed (slow replica), a send
 // fails (connection gone), or the server shuts down.
-func (s *Server) streamReplication(enc *gob.Encoder, encMu *sync.Mutex) {
+func (s *Server) streamReplication(w *frameWriter, wMu *sync.Mutex) {
 	defer s.wg.Done()
 	ch := make(chan replEntry, 4096)
 	s.mu.Lock()
@@ -233,9 +210,9 @@ func (s *Server) streamReplication(enc *gob.Encoder, encMu *sync.Mutex) {
 	// idempotent REPLACE/UPDATE statements in the Janus workload; duplicate
 	// plain INSERTs would error on the standby and are skipped there).
 	snap := s.engine.Snapshot()
-	encMu.Lock()
-	err := enc.Encode(&frame{Type: frameSnapshot, Snap: snap})
-	encMu.Unlock()
+	wMu.Lock()
+	err := w.send(&frame{Type: frameSnapshot, Snap: snap})
+	wMu.Unlock()
 	if err != nil {
 		return
 	}
@@ -247,9 +224,9 @@ func (s *Server) streamReplication(enc *gob.Encoder, encMu *sync.Mutex) {
 			if !ok {
 				return // dropped for falling behind
 			}
-			encMu.Lock()
-			err := enc.Encode(&frame{Type: frameReplEntry, SQL: entry.sql, Args: entry.args})
-			encMu.Unlock()
+			wMu.Lock()
+			err := w.send(&frame{Type: frameReplEntry, SQL: entry.sql, Args: entry.args})
+			wMu.Unlock()
 			if err != nil {
 				return
 			}

@@ -1,7 +1,10 @@
 package minisql
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -116,6 +119,69 @@ func TestPoolConcurrentClients(t *testing.T) {
 	res, err := pool.Execute(`SELECT COUNT(*) FROM t`)
 	if err != nil || res.Rows[0][0] != Int(400) {
 		t.Fatalf("count = %+v, %v", res, err)
+	}
+}
+
+// TestPoolKeepsConnectionAfterSQLError: an SQL error that quotes the words
+// of a connection failure is still an SQL error, and the pool keeps the
+// connection that carried it.
+func TestPoolKeepsConnectionAfterSQLError(t *testing.T) {
+	srv, e := startServer(t)
+	mustExec(t, e, `CREATE TABLE t (k TEXT PRIMARY KEY)`)
+	pool := NewPool(srv.Addr(), 1)
+	defer pool.Close()
+	insert := func() error {
+		_, err := pool.Execute(`INSERT INTO t VALUES (?)`, Text("minisql: recv"))
+		return err
+	}
+	if err := insert(); err != nil {
+		t.Fatal(err)
+	}
+	c := <-pool.clients
+	pool.clients <- c
+	if err := insert(); err == nil {
+		t.Fatal("duplicate key inserted")
+	}
+	kept := <-pool.clients
+	pool.clients <- kept
+	if kept != c {
+		t.Fatalf("pool slot is %p after an SQL error, want the connection %p kept", kept, c)
+	}
+}
+
+// TestOversizedFrameClosesOnlyItsConnection: a length prefix above the cap
+// is answered by closing that connection, before anything is allocated for
+// it; a client already connected and one that connects later are served.
+func TestOversizedFrameClosesOnlyItsConnection(t *testing.T) {
+	srv, e := startServer(t)
+	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY)`)
+	before, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer before.Close()
+	raw, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if _, err := raw.Write(binary.BigEndian.AppendUint32(nil, maxFrame+1)); err != nil {
+		t.Fatal(err)
+	}
+	raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := raw.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("server answered an oversized frame: read %d bytes, %v", n, err)
+	}
+	after, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer after.Close()
+	if _, err := before.Execute(`INSERT INTO t VALUES (1)`); err != nil {
+		t.Fatalf("client connected before the bad frame: %v", err)
+	}
+	if res, err := after.Execute(`SELECT COUNT(*) FROM t`); err != nil || res.Rows[0][0] != Int(1) {
+		t.Fatalf("client connected after the bad frame: count = %+v, %v", res, err)
 	}
 }
 

@@ -10,7 +10,12 @@
 //   - a per-table change feed, SELECT CHANGES FROM t SINCE ?, over
 //     sequence-numbered writes and a bounded set of delete tombstones
 //     (changes.go),
-//   - a length-prefixed TCP wire protocol with a pooled client,
+//   - a length-prefixed binary TCP wire protocol with a pooled client
+//     (codec.go): every frame in either direction is a 4-byte length, a
+//     type byte and the frame's fields — lists as a uvarint count, texts as
+//     a uvarint length and bytes, a value as its kind byte then a zig-zag
+//     varint (INT), 8 big-endian IEEE 754 bytes (FLOAT), a text (TEXT) or
+//     nothing (NULL),
 //   - master/standby replication with statement shipping and promotion,
 //     mirroring the Multi-AZ RDS failover behaviour the paper relies on.
 //
