@@ -79,7 +79,7 @@ func main() {
 		if s == syscall.SIGUSR1 && rep != nil {
 			rep.Promote()
 			srv.SetReadOnly(false)
-			logger.Printf("promoted to master (applied %d replication entries)", rep.Applied())
+			logger.Printf("promoted to master (at master sequence %d)", rep.Applied())
 			rep = nil
 			continue
 		}

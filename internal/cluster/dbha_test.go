@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/minisql"
 )
 
 // TestDBHAFailover exercises the §III-D Multi-AZ shape end to end: the
@@ -57,11 +59,13 @@ func TestDBHAFailover(t *testing.T) {
 	}
 }
 
-// TestSyncAfterDBFailover: the promoted standby numbers its change feed under
-// its own origin. Here it also lacks the master's last edits (replication
-// stopped first), so its sequence is behind the QoS server's cursor: only
-// the origin change, which forces a full reconcile, makes the next sync pass
-// apply a rule edited on it.
+// TestSyncAfterDBFailover: the promoted standby numbers its later writes
+// under an origin of its own. Here it lacks the master's last edits
+// (replication stopped first), so the sequence it carries on is behind the
+// QoS server's cursor, and its first write takes a number the cursor has
+// already passed. A full reconcile is the right answer: were the promoted
+// standby to keep the master's origin, the next sync pass would read on from
+// the cursor and skip the rule edited on it.
 func TestSyncAfterDBFailover(t *testing.T) {
 	c := newCluster(t, Config{
 		QoSServers: 1,
@@ -103,6 +107,51 @@ func TestSyncAfterDBFailover(t *testing.T) {
 	}
 	if n := q.Registry().Counter("janus_qos_sync_reconciles_total", "").Value(); n != 2 {
 		t.Fatalf("%d reconciles, want 2 (first pass, new origin)", n)
+	}
+}
+
+// TestSyncAfterCaughtUpDBFailover: a standby that had applied the master's
+// sequence past the QoS server's cursor carries that sequence on when
+// promoted, so the first sync pass after the failover reads one page of
+// changes from the cursor instead of re-reading the rules table.
+func TestSyncAfterCaughtUpDBFailover(t *testing.T) {
+	c := newCluster(t, Config{
+		QoSServers: 1,
+		DBHA:       true,
+		HAInterval: 10 * time.Millisecond,
+		Rules:      rules(4, 0, 2),
+	})
+	q := c.QoS[0].Master
+	if ok, err := c.Check("user-0"); err != nil || !ok {
+		t.Fatalf("pre-failover: ok=%v err=%v", ok, err)
+	}
+	q.SyncOnce()
+	res, err := c.DBEngine.Execute(`SELECT CHANGES FROM qos_rules SINCE ?`, minisql.Int(math.MaxInt64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.dbReplica.Applied() < res.Feed.Head {
+		if time.Now().After(deadline) {
+			t.Fatalf("standby at %d never reached the master's head %d: %v", c.dbReplica.Applied(), res.Feed.Head, c.dbReplica.Err())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := c.FailDB(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Store.Put(bucket.Rule{Key: "user-0", RefillRate: 0, Capacity: 50, Credit: 50}); err != nil {
+		t.Fatalf("rule edit after failover: %v", err)
+	}
+	reconciles := q.Registry().Counter("janus_qos_sync_reconciles_total", "")
+	queries := q.Registry().Counter("janus_qos_sync_queries_total", "")
+	r0, q0 := reconciles.Value(), queries.Value()
+	q.SyncOnce()
+	if b := q.Table().Get("user-0"); b == nil || b.Capacity() != 50 {
+		t.Fatalf("edit on the promoted standby not applied: %v", b)
+	}
+	if r, n := reconciles.Value()-r0, queries.Value()-q0; r != 0 || n != 1 {
+		t.Fatalf("sync after a caught-up failover: %d reconciles, %d pages; want 0 and 1", r, n)
 	}
 }
 

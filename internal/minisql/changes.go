@@ -18,8 +18,9 @@ import (
 //	_seq  _deleted  <the table's columns>
 //
 // A live row carries its values; a deleted key carries _deleted = 1 and only
-// its primary key. Alongside, Result.Feed reports the engine's origin, the
-// table's head and horizon, and where the next page starts.
+// its primary key. Alongside, Result.Feed reports the engine's origin (and
+// fork, on a promoted standby), the table's head and horizon, and where the
+// next page starts. A standby reads the same entries (replica.go).
 //
 // Deletes are remembered as tombstones, at most Tombstones per table; when one
 // more is recorded the oldest is forgotten and the horizon moves up to it. A
@@ -36,13 +37,23 @@ const (
 	Tombstones = 4096
 )
 
+// Cursor is a place in a change sequence: number Seq of sequence Origin.
+type Cursor struct {
+	Origin uint64
+	Seq    int64
+}
+
 // Feed is where a SELECT CHANGES reply stands in its table's sequence.
 type Feed struct {
-	// Origin names the engine that numbered the sequence. It is fresh on
-	// NewEngine and on Restore, so a cursor taken from another engine — the
-	// master before a failover, this engine before a restore — shows up as
-	// foreign instead of being silently misread.
+	// Origin names the sequence the engine numbers writes in. It is fresh
+	// on NewEngine and on Promote, and a standby keeps its master's, so a
+	// cursor taken from another sequence shows up as foreign instead of
+	// being silently misread.
 	Origin uint64
+	// Fork is where a promoted standby's sequence leaves its master's: the
+	// master's origin and the last number the standby applied. A cursor on
+	// Fork.Origin at or below Fork.Seq reads on here. Zero elsewhere.
+	Fork Cursor
 	// Head is the latest sequence number written in the table.
 	Head int64
 	// Next is the cursor to read on from: the last _seq of this reply when
@@ -73,11 +84,10 @@ type change struct {
 // feed is a table's change-feed state, guarded by the table lock. Sequence
 // numbers come from the engine and are assigned under its write lock.
 type feed struct {
-	origin  uint64
 	seqs    []int64 // seqs[i] numbers the last write of rows[i]
 	head    int64
 	horizon int64
-	log     []change        // primary-key tables only, in sequence order
+	log     []change        // in sequence order
 	tombs   map[Value]int64 // deleted primary key -> the delete's number
 	tombq   []change        // tombstones in delete order, for forgetting the oldest
 }
@@ -93,9 +103,6 @@ func newOrigin() uint64 {
 // stamp records that rows[ri] was just written as number seq.
 func (t *tableData) stamp(ri int, seq int64) {
 	t.seqs[ri], t.head = seq, seq
-	if t.pkCol < 0 {
-		return
-	}
 	pk := t.rows[ri][t.pkCol]
 	delete(t.tombs, pk)
 	t.log = append(t.log, change{seq, pk})
@@ -105,9 +112,6 @@ func (t *tableData) stamp(ri int, seq int64) {
 // bury records that the row keyed pk was just deleted as number seq.
 func (t *tableData) bury(pk Value, seq int64) {
 	t.head = seq
-	if t.pkCol < 0 {
-		return
-	}
 	t.tombs[pk] = seq
 	t.log = append(t.log, change{seq, pk})
 	t.tombq = append(t.tombq, change{seq, pk})
@@ -148,8 +152,6 @@ func (t *tableData) compact() {
 }
 
 // changes answers SELECT CHANGES: up to FeedPage entries after the cursor.
-// The scan starts at the cursor's place in the log, so it costs the writes
-// since the cursor, not the size of the table.
 func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 	t, err := e.getTable(s.Table)
 	if err != nil {
@@ -164,21 +166,31 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 	if err != nil || cursor.IsNull() {
 		return Result{}, fmt.Errorf("minisql: SINCE needs an integer cursor, got %s", v)
 	}
+	feed := *e.lineage.Load()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.pkCol < 0 {
-		return Result{}, fmt.Errorf("minisql: table %q has no primary key to report changes by", t.name)
-	}
 	cols := make([]string, 0, 2+len(t.schema))
 	cols = append(cols, "_seq", "_deleted")
 	for _, c := range t.schema {
 		cols = append(cols, c.Name)
 	}
+	rows := t.entries(cursor.I, FeedPage)
+	feed.Head, feed.Next, feed.Horizon = t.head, t.head, t.horizon
+	if len(rows) == FeedPage {
+		feed.Next = rows[len(rows)-1][0].I
+	}
+	return Result{Columns: cols, Rows: rows, Feed: &feed}, nil
+}
+
+// entries returns the table's entries after cursor, each key at its latest
+// state, in sequence order, at most limit of them (limit < 0: all). The scan
+// starts at the cursor's place in the log, so it costs the writes since the
+// cursor, not the size of the table. Caller holds the table lock or writeMu.
+func (t *tableData) entries(cursor int64, limit int) [][]Value {
 	var rows [][]Value
-	i := sort.Search(len(t.log), func(i int) bool { return t.log[i].seq > cursor.I })
-	for ; i < len(t.log) && len(rows) < FeedPage; i++ {
+	for i := sort.Search(len(t.log), func(i int) bool { return t.log[i].seq > cursor }); i < len(t.log) && len(rows) != limit; i++ {
 		c := t.log[i]
-		row := make([]Value, len(cols)) // zero Values are NULL
+		row := make([]Value, 2+len(t.schema)) // zero Values are NULL
 		row[0] = Int(c.seq)
 		if ri, ok := t.isRow(c); ok {
 			row[1] = Bool(false)
@@ -191,9 +203,5 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 		}
 		rows = append(rows, row)
 	}
-	next := t.head
-	if i < len(t.log) { // the page filled up before the log ran out
-		next = rows[len(rows)-1][0].I
-	}
-	return Result{Columns: cols, Rows: rows, Feed: &Feed{Origin: t.origin, Head: t.head, Next: next, Horizon: t.horizon}}, nil
+	return rows
 }

@@ -65,6 +65,13 @@ func TestChangeFeedPagesTombstonesAndOrigins(t *testing.T) {
 	if _, feed = readFeed(t, e, before); feed.Horizon != before+1 {
 		t.Fatalf("horizon %d after %d deletes from %d, want %d", feed.Horizon, Tombstones+1, before, before+1)
 	}
+	// A standby at that cursor, or on another origin, gets a snapshot.
+	whole := len(e.Snapshot().Tables[0].Rows)
+	for _, cur := range []Cursor{{feed.Origin, before}, {feed.Origin + 1, feed.Head}} {
+		if snap, reset, _ := e.since(cur); !reset || len(snap.Tables[0].Rows) != whole {
+			t.Fatalf("cut for %+v: reset %v, %d entries; want all %d", cur, reset, len(snap.Tables[0].Rows), whole)
+		}
+	}
 	got, _ = readFeed(t, e, feed.Horizon)
 	if len(got) != Tombstones {
 		t.Fatalf("feed from the horizon holds %d deletes, want %d", len(got), Tombstones)
@@ -81,36 +88,22 @@ func TestChangeFeedPagesTombstonesAndOrigins(t *testing.T) {
 		t.Fatalf("re-inserted key reads %v", got["k00001"])
 	}
 
-	// A restored copy, and the engine itself after a restore, number their
-	// sequences under origins of their own.
+	// A restored copy keeps the snapshot's origin and sequence numbers, so a
+	// cursor taken on the original reads on from the copy.
 	other := NewEngine()
 	if err := other.Restore(e.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	_, copied := readFeed(t, other, 0)
-	if copied.Origin == feed.Origin || copied.Origin == 0 {
-		t.Fatalf("restored copy kept origin %x (master %x)", copied.Origin, feed.Origin)
-	}
-	if err := e.Restore(e.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if _, again := readFeed(t, e, 0); again.Origin == feed.Origin {
-		t.Fatal("restore kept the engine's origin")
+	got, want := readFeed(t, e, feed.Horizon)
+	copied, copiedFeed := readFeed(t, other, feed.Horizon)
+	if copiedFeed != want || fmt.Sprint(copied) != fmt.Sprint(got) {
+		t.Fatalf("restored copy reads %+v %v, original %+v %v", copiedFeed, copied, want, got)
 	}
 
-	// A table dropped and created again starts above every cursor from
-	// before: the reader must re-read it.
-	head := mustExec(t, e, `SELECT CHANGES FROM qos_rules SINCE 0`).Feed.Head
-	mustExec(t, e, `DROP TABLE qos_rules`)
-	mustExec(t, e, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
-	if feed := mustExec(t, e, `SELECT CHANGES FROM qos_rules SINCE ?`, Int(head)).Feed; feed.Horizon <= head {
-		t.Fatalf("recreated table's horizon %d does not pass the old head %d", feed.Horizon, head)
-	}
-
-	// Only a table with a primary key has a feed, and the cursor is a number.
-	mustExec(t, e, `CREATE TABLE heap (v INT)`)
-	if _, err := e.Execute(`SELECT CHANGES FROM heap SINCE 0`); err == nil {
-		t.Fatal("change feed on a table without a primary key")
+	// A table without a primary key has no feed, so it is rejected when
+	// created; and the cursor is a number.
+	if _, err := e.Execute(`CREATE TABLE heap (v INT)`); err == nil {
+		t.Fatal("table without a primary key created")
 	}
 	if _, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE 'x'`); err == nil {
 		t.Fatal("non-numeric cursor accepted")

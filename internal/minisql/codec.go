@@ -16,11 +16,12 @@ import (
 const (
 	frameQuery     = 0 // client -> server: SQL + args
 	frameResult    = 1 // server -> client: result or error
-	frameSubscribe = 2 // standby -> master: begin replication
-	frameSnapshot  = 3 // master -> standby: full state
-	frameReplEntry = 4 // master -> standby: one journaled write
-	framePing      = 5 // health check
-	framePong      = 6
+	frameSubscribe = 2 // standby -> master: its cursor; begin replication
+	frameSnapshot  = 3 // master -> standby: every table, replacing the standby's
+	// 4 carried a statement to re-execute on a standby; it stays unused.
+	framePing = 5 // health check
+	framePong = 6
+	frameFeed = 7 // master -> standby: the changes after its cursor
 )
 
 // frame is a decoded frame; only the fields of its type are set.
@@ -30,8 +31,9 @@ type frame struct {
 	Args    []Value
 	Result  Result
 	Err     string
-	Snap    SnapshotData
-	Serving bool // pong: whether this node accepts writes (is master)
+	Cursor  Cursor       // subscribe
+	Snap    SnapshotData // snapshot, feed
+	Serving bool         // pong: whether this node accepts writes (is master)
 }
 
 const (
@@ -52,14 +54,16 @@ var errFrame = errors.New("minisql: malformed frame")
 
 // appendFrame appends f's encoding to dst. Fields, in order, per type:
 //
-//	query, repl entry  SQL text, args (values)
-//	result             error text, columns (texts), rows, affected (varint),
-//	                   feed (0, or 1 then origin uvarint, head, next,
-//	                   horizon varints)
-//	snapshot           table count, then per table its name, column count,
-//	                   per column (name, kind byte, primary-key byte), rows
-//	pong               serving byte
-//	subscribe, ping    nothing
+//	query           SQL text, args (values)
+//	result          error text, columns (texts), rows, affected (varint),
+//	                feed (0, or 1 then origin uvarint, fork origin uvarint,
+//	                fork seq, head, next, horizon varints)
+//	subscribe       cursor: origin uvarint, seq varint
+//	snapshot, feed  the cut's cursor, table count, then per table its name,
+//	                column count, per column (name, kind byte, primary-key
+//	                byte), head and horizon varints, rows
+//	pong            serving byte
+//	ping            nothing
 //
 // A text is a uvarint length and its bytes; a list is a uvarint count and
 // its items; rows are a list of value lists. A value is its kind byte, then
@@ -69,7 +73,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, f.Type)
 	switch f.Type {
-	case frameQuery, frameReplEntry:
+	case frameQuery:
 		dst = appendText(dst, f.SQL)
 		dst = appendValues(dst, f.Args)
 	case frameResult:
@@ -85,11 +89,15 @@ func appendFrame(dst []byte, f *frame) []byte {
 		} else {
 			dst = append(dst, 1)
 			dst = binary.AppendUvarint(dst, fd.Origin)
+			dst = appendCursor(dst, fd.Fork)
 			dst = binary.AppendVarint(dst, fd.Head)
 			dst = binary.AppendVarint(dst, fd.Next)
 			dst = binary.AppendVarint(dst, fd.Horizon)
 		}
-	case frameSnapshot:
+	case frameSubscribe:
+		dst = appendCursor(dst, f.Cursor)
+	case frameSnapshot, frameFeed:
+		dst = appendCursor(dst, f.Snap.At)
 		dst = binary.AppendUvarint(dst, uint64(len(f.Snap.Tables)))
 		for _, t := range f.Snap.Tables {
 			dst = appendText(dst, t.Name)
@@ -98,6 +106,8 @@ func appendFrame(dst []byte, f *frame) []byte {
 				dst = appendText(dst, c.Name)
 				dst = append(dst, byte(c.Kind), boolByte(c.PrimaryKey))
 			}
+			dst = binary.AppendVarint(dst, t.Head)
+			dst = binary.AppendVarint(dst, t.Horizon)
 			dst = appendRows(dst, t.Rows)
 		}
 	case framePong:
@@ -105,6 +115,11 @@ func appendFrame(dst []byte, f *frame) []byte {
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
+}
+
+func appendCursor(dst []byte, c Cursor) []byte {
+	dst = binary.AppendUvarint(dst, c.Origin)
+	return binary.AppendVarint(dst, c.Seq)
 }
 
 func boolByte(b bool) byte {
@@ -151,7 +166,7 @@ func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 	d := decoder{b: body, intern: intern}
 	*f = frame{Type: d.u8()}
 	switch f.Type {
-	case frameQuery, frameReplEntry:
+	case frameQuery:
 		f.SQL = d.internText()
 		f.Args = d.values()
 	case frameResult:
@@ -165,9 +180,12 @@ func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 		f.Result.Rows = d.rows()
 		f.Result.Affected = d.varint()
 		if d.flag() {
-			f.Result.Feed = &Feed{Origin: d.uvarint(), Head: d.varint(), Next: d.varint(), Horizon: d.varint()}
+			f.Result.Feed = &Feed{Origin: d.uvarint(), Fork: d.cursor(), Head: d.varint(), Next: d.varint(), Horizon: d.varint()}
 		}
-	case frameSnapshot:
+	case frameSubscribe:
+		f.Cursor = d.cursor()
+	case frameSnapshot, frameFeed:
+		f.Snap.At = d.cursor()
 		if n := d.count(); n > 0 {
 			f.Snap.Tables = make([]TableSnapshot, n)
 			for i := range f.Snap.Tables {
@@ -179,12 +197,13 @@ func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 						t.Schema[j] = ColumnDef{Name: d.text(), Kind: d.kind(), PrimaryKey: d.flag()}
 					}
 				}
+				t.Head, t.Horizon = d.varint(), d.varint()
 				t.Rows = d.rows()
 			}
 		}
 	case framePong:
 		f.Serving = d.flag()
-	case frameSubscribe, framePing:
+	case framePing:
 	default:
 		d.fail()
 	}
@@ -255,6 +274,8 @@ func (d *decoder) varint() int64 {
 	u := d.uvarint()
 	return int64(u>>1) ^ -int64(u&1)
 }
+
+func (d *decoder) cursor() Cursor { return Cursor{Origin: d.uvarint(), Seq: d.varint()} }
 
 // count reads a list length and checks it against the bytes left: every
 // item takes at least one byte, so a list never allocates more items than

@@ -15,13 +15,15 @@ func sampleFrames() []frame {
 	return []frame{
 		{Type: frameQuery, SQL: "SELECT key FROM qos_rules WHERE key = ?", Args: []Value{Text("a")}},
 		{Type: frameResult, Result: Result{Columns: []string{"key", "credit"}, Rows: rows, Affected: 2,
-			Feed: &Feed{Origin: math.MaxUint64, Head: 9, Next: 7, Horizon: -1}}},
+			Feed: &Feed{Origin: math.MaxUint64, Fork: Cursor{Origin: 3, Seq: 6}, Head: 9, Next: 7, Horizon: -1}}},
 		{Type: frameResult, Err: "minisql: no such table \"t\""},
-		{Type: frameSubscribe},
-		{Type: frameSnapshot, Snap: SnapshotData{Tables: []TableSnapshot{{Name: "t",
+		{Type: frameSubscribe, Cursor: Cursor{Origin: math.MaxUint64, Seq: 12}},
+		{Type: frameSnapshot, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 9}, Tables: []TableSnapshot{{Name: "t",
 			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
-			Rows:   rows}}}},
-		{Type: frameReplEntry, SQL: "UPDATE t SET credit = ? WHERE key = ?", Args: []Value{Float(2), Text("b")}},
+			Head:   9, Horizon: 2, Rows: rows}}}},
+		{Type: frameFeed, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 11}, Tables: []TableSnapshot{{Name: "t",
+			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
+			Head:   11, Rows: [][]Value{{Int(10), Bool(false), Text("a"), Float(2)}, {Int(11), Bool(true), Text("b"), Null()}}}}}},
 		{Type: framePing},
 		{Type: framePong, Serving: true},
 	}
@@ -80,9 +82,24 @@ func TestFrameGolden(t *testing.T) {
 				"04" + "00" + "0103" + "023ff8000000000000" + "03016b"},
 		{"result with a feed",
 			frame{Type: frameResult, Result: Result{Columns: []string{"_seq", "key"}, Rows: [][]Value{{Int(7), Text("a")}},
-				Feed: &Feed{Origin: 0xfeedface, Head: 9, Next: 9, Horizon: 3}}},
-			"0000001d" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
-				"01" + "cef5b7f70f" + "12" + "12" + "06"},
+				Feed: &Feed{Origin: 0xfeedface, Fork: Cursor{Origin: 2, Seq: 8}, Head: 9, Next: 9, Horizon: 3}}},
+			"0000001f" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
+				"01" + "cef5b7f70f" + "02" + "10" + "12" + "12" + "06"},
+		{"subscribe",
+			frame{Type: frameSubscribe, Cursor: Cursor{Origin: 0xfeedface, Seq: 7}},
+			"00000007" + "02" + "cef5b7f70f" + "0e"},
+		{"snapshot",
+			frame{Type: frameSnapshot, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 3}, Tables: []TableSnapshot{{Name: "t",
+				Schema: []ColumnDef{{Name: "k", Kind: KindText, PrimaryKey: true}}, Head: 3, Horizon: 1,
+				Rows: [][]Value{{Int(3), Bool(false), Text("a")}}}}}},
+			"00000016" + "03" + "0106" + "01" + "0174" + "01" + "016b" + "03" + "01" + "06" + "02" +
+				"01" + "03" + "0106" + "0100" + "030161"},
+		{"feed",
+			frame{Type: frameFeed, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 4}, Tables: []TableSnapshot{{Name: "t",
+				Schema: []ColumnDef{{Name: "k", Kind: KindText, PrimaryKey: true}}, Head: 4, Horizon: 1,
+				Rows: [][]Value{{Int(4), Bool(true), Text("a")}}}}}},
+			"00000016" + "07" + "0108" + "01" + "0174" + "01" + "016b" + "03" + "01" + "08" + "02" +
+				"01" + "03" + "0108" + "0102" + "030161"},
 	} {
 		if got := hex.EncodeToString(appendFrame(nil, &tc.f)); got != tc.hex {
 			t.Errorf("%s:\n got %s\nwant %s", tc.name, got, tc.hex)
@@ -97,7 +114,8 @@ func TestFrameRejectsMalformed(t *testing.T) {
 	}{
 		{"empty body", "00000000"},
 		{"length above the cap", "7fffffff00"},
-		{"unknown type", "0000000107"},
+		{"unknown type", "0000000108"},
+		{"retired statement type", "0000000104"},
 		{"trailing byte", "000000020500"},
 		{"truncated uvarint", "00000003000080"},
 		{"non-minimal uvarint", "0000000400800000"},

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Result is the outcome of executing a statement.
@@ -29,16 +30,18 @@ type Engine struct {
 	cacheMu   sync.RWMutex
 	stmtCache map[string]Statement
 
-	journalMu sync.Mutex
-	journal   func(sql string, args []Value)
-
-	// writeMu serializes write statements so the journal order matches the
-	// order writes were applied — required for statement-shipping
-	// replication to converge. Reads are unaffected. It also guards seq and
-	// origin, the change-feed numbering (changes.go).
+	// writeMu serializes writes, so a standby streaming from this engine
+	// (server.go) takes a cut between two of them. Reads are unaffected. It
+	// guards seq, the change-feed numbering (changes.go), and wake.
 	writeMu sync.Mutex
 	seq     int64
-	origin  uint64
+	// wake, when not nil, is closed by the next write: a standby with
+	// nothing left to read waits on it.
+	wake chan struct{}
+	// lineage holds the Origin and Fork of every Feed the engine reports:
+	// which sequence seq counts in. SELECT CHANGES reads it without writeMu;
+	// only Restore and promote change it.
+	lineage atomic.Pointer[Feed]
 }
 
 type tableData struct {
@@ -46,7 +49,7 @@ type tableData struct {
 	name    string
 	schema  []ColumnDef
 	colIdx  map[string]int
-	pkCol   int // -1 when the table has no primary key
+	pkCol   int
 	rows    [][]Value
 	pkIndex map[Value]int // primary-key value -> index into rows
 	feed
@@ -54,29 +57,12 @@ type tableData struct {
 
 // NewEngine returns an empty database.
 func NewEngine() *Engine {
-	return &Engine{
+	e := &Engine{
 		tables:    make(map[string]*tableData),
 		stmtCache: make(map[string]Statement),
-		origin:    newOrigin(),
 	}
-}
-
-// SetJournal installs a hook invoked after every successful write statement
-// with the original SQL and bound arguments. Used for statement-shipping
-// replication. Pass nil to disable.
-func (e *Engine) SetJournal(fn func(sql string, args []Value)) {
-	e.journalMu.Lock()
-	e.journal = fn
-	e.journalMu.Unlock()
-}
-
-func (e *Engine) emitJournal(sql string, args []Value) {
-	e.journalMu.Lock()
-	fn := e.journal
-	e.journalMu.Unlock()
-	if fn != nil {
-		fn(sql, args)
-	}
+	e.lineage.Store(&Feed{Origin: newOrigin()})
+	return e
 }
 
 // parseCached parses sql, memoizing the AST. Statements are immutable after
@@ -111,15 +97,17 @@ func (e *Engine) Execute(sql string, args ...Value) (Result, error) {
 	if !readOnly(st) {
 		e.writeMu.Lock()
 		defer e.writeMu.Unlock()
+		defer e.notify()
 	}
-	res, wrote, err := e.exec(st, args)
-	if err != nil {
-		return Result{}, err
+	return e.exec(st, args)
+}
+
+// notify wakes the standbys waiting for a write. Caller holds writeMu.
+func (e *Engine) notify() {
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
 	}
-	if wrote {
-		e.emitJournal(sql, args)
-	}
-	return res, nil
 }
 
 // readOnly reports whether st only reads: it then runs beside writes, and a
@@ -183,31 +171,25 @@ func (c boundCond) matches(v Value) bool {
 	}
 }
 
-func (e *Engine) exec(st Statement, args []Value) (Result, bool, error) {
+func (e *Engine) exec(st Statement, args []Value) (Result, error) {
 	switch s := st.(type) {
 	case CreateTableStmt:
-		err := e.createTable(s)
-		return Result{}, err == nil, err
-	case DropTableStmt:
-		err := e.dropTable(s)
-		return Result{}, err == nil, err
+		return Result{}, e.createTable(s)
 	case InsertStmt:
 		n, err := e.insert(s, args)
-		return Result{Affected: n}, err == nil && n > 0, err
+		return Result{Affected: n}, err
 	case SelectStmt:
-		res, err := e.selectRows(s, args)
-		return res, false, err
+		return e.selectRows(s, args)
 	case ChangesStmt:
-		res, err := e.changes(s, args)
-		return res, false, err
+		return e.changes(s, args)
 	case UpdateStmt:
 		n, err := e.update(s, args)
-		return Result{Affected: n}, err == nil && n > 0, err
+		return Result{Affected: n}, err
 	case DeleteStmt:
 		n, err := e.deleteRows(s, args)
-		return Result{Affected: n}, err == nil && n > 0, err
+		return Result{Affected: n}, err
 	default:
-		return Result{}, false, fmt.Errorf("minisql: unsupported statement %T", st)
+		return Result{}, fmt.Errorf("minisql: unsupported statement %T", st)
 	}
 }
 
@@ -234,7 +216,8 @@ func (e *Engine) createTable(s CreateTableStmt) error {
 		}
 		return fmt.Errorf("minisql: table %q already exists", s.Name)
 	}
-	e.start(t)
+	e.seq++ // creation takes a number, so the head passes every older cursor
+	t.head = e.seq
 	e.tables[t.name] = t
 	return nil
 }
@@ -265,29 +248,31 @@ func newTable(name string, cols []ColumnDef) (*tableData, error) {
 			t.pkCol = i
 		}
 	}
+	if t.pkCol < 0 {
+		// The change feed, and so a standby, names each row by its key.
+		return nil, fmt.Errorf("minisql: table %q has no primary key", name)
+	}
 	return t, nil
 }
 
-// start numbers a new table's creation, which is also its first horizon: a
-// cursor from before it (from a dropped table of the same name) is below
-// the horizon, so its reader re-reads the whole table. Caller holds writeMu.
-func (e *Engine) start(t *tableData) {
-	e.seq++
-	t.origin, t.head, t.horizon = e.origin, e.seq, e.seq
+// add appends row to the table and returns its index.
+func (t *tableData) add(row []Value) int {
+	ri := len(t.rows)
+	t.pkIndex[row[t.pkCol]] = ri
+	t.rows = append(t.rows, row)
+	t.seqs = append(t.seqs, 0)
+	return ri
 }
 
-func (e *Engine) dropTable(s DropTableStmt) error {
-	name := strings.ToLower(s.Name)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.tables[name]; !ok {
-		if s.IfExists {
-			return nil
-		}
-		return fmt.Errorf("minisql: no such table %q", s.Name)
+// remove deletes rows[ri], moving the last row into its place.
+func (t *tableData) remove(ri int) {
+	last := len(t.rows) - 1
+	delete(t.pkIndex, t.rows[ri][t.pkCol])
+	if ri != last {
+		t.rows[ri], t.seqs[ri] = t.rows[last], t.seqs[last]
+		t.pkIndex[t.rows[ri][t.pkCol]] = ri
 	}
-	delete(e.tables, name)
-	return nil
+	t.rows, t.seqs = t.rows[:last], t.seqs[:last]
 }
 
 // columnPositions maps stated insert columns to schema positions; an empty
@@ -324,9 +309,8 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 		return 0, err
 	}
 	// Bind, coerce and key-check every row before changing any: a statement
-	// that failed partway would leave rows behind that the journal never
-	// ships (it records only statements that succeed), splitting master and
-	// standby.
+	// is atomic, so one that fails leaves no row and no sequence number
+	// behind.
 	rows := make([][]Value, len(s.Rows))
 	var fresh map[Value]bool // keys an earlier row of this INSERT adds
 	if len(s.Rows) > 1 && !s.Replace {
@@ -351,37 +335,27 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 			}
 			row[pos[i]] = cv
 		}
-		if t.pkCol >= 0 {
-			pk := row[t.pkCol]
-			if pk.IsNull() {
-				return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
-			}
-			if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.Replace {
-				return 0, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
-			}
-			if fresh != nil {
-				fresh[pk] = true
-			}
+		pk := row[t.pkCol]
+		if pk.IsNull() {
+			return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
+		}
+		if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.Replace {
+			return 0, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
+		}
+		if fresh != nil {
+			fresh[pk] = true
 		}
 		rows[r] = row
 	}
 	for _, row := range rows {
-		ri, dup := -1, false
-		if t.pkCol >= 0 {
-			ri, dup = t.pkIndex[row[t.pkCol]]
-		}
+		ri, dup := t.pkIndex[row[t.pkCol]]
 		if dup {
 			if slices.Equal(t.rows[ri], row) {
 				continue // the same values again: nothing changed
 			}
 			t.rows[ri] = row
 		} else {
-			ri = len(t.rows)
-			if t.pkCol >= 0 {
-				t.pkIndex[row[t.pkCol]] = ri
-			}
-			t.rows = append(t.rows, row)
-			t.seqs = append(t.seqs, 0)
+			ri = t.add(row)
 		}
 		e.seq++
 		t.stamp(ri, e.seq)
@@ -566,10 +540,7 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 		}
 	}
 	for _, ri := range idxs {
-		var old Value
-		if t.pkCol >= 0 {
-			old = t.rows[ri][t.pkCol]
-		}
+		old := t.rows[ri][t.pkCol]
 		changed := false
 		for _, sv := range sets {
 			changed = changed || t.rows[ri][sv.col] != sv.val
@@ -578,7 +549,7 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 		if !changed {
 			continue // the same values again: nothing to number
 		}
-		if t.pkCol >= 0 && !Equal(old, t.rows[ri][t.pkCol]) {
+		if !Equal(old, t.rows[ri][t.pkCol]) {
 			// The row moved to another key: the old one reads as deleted.
 			delete(t.pkIndex, old)
 			t.pkIndex[t.rows[ri][t.pkCol]] = ri
@@ -614,19 +585,8 @@ func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
 	// earlier candidates.
 	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
 	for _, ri := range idxs {
-		last := len(t.rows) - 1
-		var pk Value
-		if t.pkCol >= 0 {
-			pk = t.rows[ri][t.pkCol]
-			delete(t.pkIndex, pk)
-		}
-		if ri != last {
-			t.rows[ri], t.seqs[ri] = t.rows[last], t.seqs[last]
-			if t.pkCol >= 0 {
-				t.pkIndex[t.rows[ri][t.pkCol]] = ri
-			}
-		}
-		t.rows, t.seqs = t.rows[:last], t.seqs[:last]
+		pk := t.rows[ri][t.pkCol]
+		t.remove(ri)
 		e.seq++
 		t.bury(pk, e.seq)
 	}

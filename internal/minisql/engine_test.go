@@ -261,21 +261,12 @@ func TestExecuteErrors(t *testing.T) {
 		{`CREATE TABLE qos_rules (key TEXT PRIMARY KEY)`, nil},          // exists
 		{`CREATE TABLE t2 (a INT PRIMARY KEY, a INT)`, nil},             // dup col
 		{`CREATE TABLE t3 (a INT PRIMARY KEY, b INT PRIMARY KEY)`, nil}, // two PKs
-		{`DROP TABLE nope`, nil},
+		{`CREATE TABLE heap (v INT)`, nil},                              // no PK
 	} {
 		if _, err := e.Execute(c.sql, c.args...); err == nil {
 			t.Errorf("Execute(%q) succeeded, want error", c.sql)
 		}
 	}
-}
-
-func TestDropTable(t *testing.T) {
-	e := newTestEngine(t)
-	mustExec(t, e, `DROP TABLE qos_rules`)
-	if _, err := e.Execute(`SELECT * FROM qos_rules`); err == nil {
-		t.Fatal("table still exists")
-	}
-	mustExec(t, e, `DROP TABLE IF EXISTS qos_rules`) // idempotent
 }
 
 func TestCreateTableIfNotExistsIdempotent(t *testing.T) {
@@ -290,35 +281,37 @@ func TestCreateTableIfNotExistsIdempotent(t *testing.T) {
 
 func TestTableNames(t *testing.T) {
 	e := NewEngine()
-	mustExec(t, e, `CREATE TABLE b (x INT)`)
-	mustExec(t, e, `CREATE TABLE a (x INT)`)
+	mustExec(t, e, `CREATE TABLE b (x INT PRIMARY KEY)`)
+	mustExec(t, e, `CREATE TABLE a (x INT PRIMARY KEY)`)
 	names := e.TableNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
 	}
 }
 
-func TestJournalEmitsWritesOnly(t *testing.T) {
+// TestCutHoldsChangedRowsOnly: what a standby reads after its cursor is each
+// key a write changed, once, at its latest state. Reads and writes that
+// change nothing leave it nothing to read.
+func TestCutHoldsChangedRowsOnly(t *testing.T) {
 	e := newTestEngine(t)
-	var entries []string
-	e.SetJournal(func(sql string, args []Value) { entries = append(entries, sql) })
-	mustExec(t, e, `INSERT INTO qos_rules VALUES ('a', 1, 1, 1)`)
+	mustExec(t, e, `INSERT INTO qos_rules VALUES ('a', 1, 1, 1), ('b', 1, 1, 1)`)
+	cur := e.Snapshot().At
 	mustExec(t, e, `SELECT * FROM qos_rules`)
+	mustExec(t, e, `UPDATE qos_rules SET credit = 1 WHERE key = 'a'`)       // the same value
+	mustExec(t, e, `UPDATE qos_rules SET credit = 0 WHERE key = 'missing'`) // 0 rows
+	if snap, _, wait := e.since(cur); wait == nil {
+		t.Fatalf("nothing changed, yet the cut holds %+v", snap)
+	}
 	mustExec(t, e, `UPDATE qos_rules SET credit = 0 WHERE key = 'a'`)
-	mustExec(t, e, `UPDATE qos_rules SET credit = 0 WHERE key = 'missing'`) // 0 rows: not journaled
-	mustExec(t, e, `DELETE FROM qos_rules WHERE key = 'a'`)
-	want := []string{
-		`INSERT INTO qos_rules VALUES ('a', 1, 1, 1)`,
-		`UPDATE qos_rules SET credit = 0 WHERE key = 'a'`,
-		`DELETE FROM qos_rules WHERE key = 'a'`,
-	}
-	if len(entries) != len(want) {
-		t.Fatalf("journal = %v", entries)
-	}
-	for i := range want {
-		if entries[i] != want[i] {
-			t.Errorf("journal[%d] = %q, want %q", i, entries[i], want[i])
-		}
+	mustExec(t, e, `UPDATE qos_rules SET credit = 5 WHERE key = 'a'`)
+	mustExec(t, e, `DELETE FROM qos_rules WHERE key = 'b'`)
+	snap, reset, _ := e.since(cur)
+	want := fmt.Sprint([][]Value{
+		{Int(cur.Seq + 2), Bool(false), Text("a"), Float(1), Float(1), Float(5)},
+		{Int(cur.Seq + 3), Bool(true), Text("b"), Null(), Null(), Null()},
+	})
+	if reset || len(snap.Tables) != 1 || fmt.Sprint(snap.Tables[0].Rows) != want || snap.At.Seq != cur.Seq+3 {
+		t.Fatalf("cut after %+v: reset %v, %+v; want %s up to %d", cur, reset, snap, want, cur.Seq+3)
 	}
 }
 

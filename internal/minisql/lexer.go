@@ -31,7 +31,7 @@ var keywords = map[string]bool{
 	"INSERT": true, "REPLACE": true, "INTO": true, "VALUES": true,
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"UPDATE": true, "SET": true, "DELETE": true, "DROP": true,
+	"UPDATE": true, "SET": true, "DELETE": true,
 	"COUNT": true, "NULL": true, "OR": true, "CHANGES": true, "SINCE": true,
 }
 

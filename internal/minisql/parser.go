@@ -23,12 +23,6 @@ type CreateTableStmt struct {
 	Columns     []ColumnDef
 }
 
-// DropTableStmt is DROP TABLE [IF EXISTS] name.
-type DropTableStmt struct {
-	Name     string
-	IfExists bool
-}
-
 // Expr is a literal value or a ?-placeholder inside a statement.
 type Expr struct {
 	Placeholder bool
@@ -96,7 +90,6 @@ type DeleteStmt struct {
 }
 
 func (CreateTableStmt) stmt() {}
-func (DropTableStmt) stmt()   {}
 func (InsertStmt) stmt()      {}
 func (SelectStmt) stmt()      {}
 func (UpdateStmt) stmt()      {}
@@ -182,8 +175,6 @@ func (p *parser) statement() (Statement, error) {
 	switch {
 	case p.acceptKeyword("CREATE"):
 		return p.createTable()
-	case p.acceptKeyword("DROP"):
-		return p.dropTable()
 	case p.acceptKeyword("INSERT"):
 		return p.insert(false)
 	case p.acceptKeyword("REPLACE"):
@@ -277,25 +268,6 @@ func (p *parser) columnType() (Kind, error) {
 	default:
 		return KindNull, p.errorf("unknown column type %q", t.text)
 	}
-}
-
-func (p *parser) dropTable() (Statement, error) {
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	st := DropTableStmt{}
-	if p.acceptKeyword("IF") {
-		if err := p.expectKeyword("EXISTS"); err != nil {
-			return nil, err
-		}
-		st.IfExists = true
-	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	st.Name = name
-	return st, nil
 }
 
 func (p *parser) expr() (Expr, error) {

@@ -145,13 +145,6 @@ func TestParseDeleteAll(t *testing.T) {
 	}
 }
 
-func TestParseDropTable(t *testing.T) {
-	st := mustParse(t, `DROP TABLE IF EXISTS t`)
-	if !st.(DropTableStmt).IfExists || st.(DropTableStmt).Name != "t" {
-		t.Fatalf("stmt = %+v", st)
-	}
-}
-
 func TestParseOperators(t *testing.T) {
 	for text, op := range map[string]CondOp{
 		"=": OpEq, "!=": OpNe, "<>": OpNe, "<": OpLt, "<=": OpLe, ">": OpGt, ">=": OpGe,

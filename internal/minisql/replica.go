@@ -1,24 +1,30 @@
 package minisql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
+// refollow is how long a replica waits between attempts to reach its master
+// again after losing the connection.
+const refollow = 100 * time.Millisecond
+
 // Replica follows a master server, mirroring the RDS Multi-AZ standby
-// (paper §III-D): it seeds itself from a snapshot, applies the journaled
-// write stream, and can be promoted to master on failover.
+// (paper §III-D): it reads the master's change feed from its cursor — a
+// snapshot first, then every change as the master streams it — applies each
+// entry at the master's sequence number, and can be promoted to master on
+// failover.
 type Replica struct {
 	engine *Engine
+	ctx    context.Context
+	stop   context.CancelFunc
+	cursor Cursor // the cut applied last; only the receiving goroutine uses it
 
-	mu       sync.Mutex
-	conn     net.Conn
-	stopped  bool
 	promoted atomic.Bool
 	applied  atomic.Int64
 	lastErr  atomic.Value // string
@@ -26,12 +32,17 @@ type Replica struct {
 }
 
 // NewReplica creates a replica applying into engine. Call Follow to start.
-func NewReplica(engine *Engine) *Replica { return &Replica{engine: engine} }
+func NewReplica(engine *Engine) *Replica {
+	ctx, stop := context.WithCancel(context.Background())
+	return &Replica{engine: engine, ctx: ctx, stop: stop}
+}
 
-// Applied returns the number of replication entries applied so far.
+// Applied returns the master sequence number the replica has reached: every
+// change the master numbered up to it is applied here.
 func (r *Replica) Applied() int64 { return r.applied.Load() }
 
-// Err returns the last replication error, if any.
+// Err returns the last replication error while the replica is cut off from
+// its master, and nil once it follows again.
 func (r *Replica) Err() error {
 	if s, ok := r.lastErr.Load().(string); ok && s != "" {
 		return errors.New(s)
@@ -39,80 +50,95 @@ func (r *Replica) Err() error {
 	return nil
 }
 
-// Follow connects to the master at addr, restores the snapshot, then applies
-// the live stream in a background goroutine until Stop or Promote is called
-// or the connection fails. Follow returns after the snapshot is applied, so
-// the replica is queryable (read-only) when Follow returns.
+// Follow connects to the master at addr, applies its snapshot, then follows
+// the stream in a background goroutine until Stop or Promote is called. A
+// lost connection is re-established from the replica's cursor. Follow
+// returns after the snapshot is applied, so the replica is queryable
+// (read-only) when Follow returns.
 func (r *Replica) Follow(addr string) error {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
+	fr, hangUp, err := r.connect(addr)
 	if err != nil {
-		return fmt.Errorf("minisql: replica dial %s: %w", addr, err)
-	}
-	w := frameWriter{w: conn}
-	if err := w.send(&frame{Type: frameSubscribe}); err != nil {
-		conn.Close()
-		return fmt.Errorf("minisql: subscribe: %w", err)
-	}
-	fr := newFrameReader(conn)
-	var f frame
-	if err := fr.next(&f); err != nil {
-		conn.Close()
-		return fmt.Errorf("minisql: snapshot recv: %w", err)
-	}
-	if f.Type != frameSnapshot {
-		conn.Close()
-		return fmt.Errorf("minisql: expected snapshot, got frame type %d", f.Type)
-	}
-	if err := r.engine.Restore(f.Snap); err != nil {
-		conn.Close()
 		return err
 	}
-	r.mu.Lock()
-	if r.stopped {
-		r.mu.Unlock()
-		conn.Close()
-		return errors.New("minisql: replica stopped")
+	if err := r.receive(fr); err != nil {
+		hangUp()
+		return err
 	}
-	r.conn = conn
-	r.mu.Unlock()
 	r.wg.Add(1)
-	go r.applyLoop(fr)
+	go r.run(addr, fr, hangUp)
 	return nil
 }
 
-func (r *Replica) applyLoop(fr *frameReader) {
+// connect dials the master and subscribes from the cursor. hangUp closes
+// the connection, and so does Stop.
+func (r *Replica) connect(addr string) (fr *frameReader, hangUp func(), err error) {
+	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(r.ctx, "tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("minisql: replica dial %s: %w", addr, err)
+	}
+	stop := context.AfterFunc(r.ctx, func() { conn.Close() })
+	hangUp = func() { stop(); conn.Close() }
+	w := frameWriter{w: conn}
+	if err := w.send(&frame{Type: frameSubscribe, Cursor: r.cursor}); err != nil {
+		hangUp()
+		return nil, nil, fmt.Errorf("minisql: subscribe: %w", err)
+	}
+	return newFrameReader(conn), hangUp, nil
+}
+
+// receive reads one cut and applies it.
+func (r *Replica) receive(fr *frameReader) error {
+	var f frame
+	if err := fr.next(&f); err != nil {
+		return err
+	}
+	if f.Type != frameSnapshot && f.Type != frameFeed {
+		return fmt.Errorf("minisql: unexpected replication frame %d", f.Type)
+	}
+	if err := r.engine.apply(f.Snap, f.Type == frameSnapshot); err != nil {
+		// The engine may hold part of the cut: start again from a snapshot.
+		r.cursor = Cursor{}
+		return err
+	}
+	r.cursor = f.Snap.At
+	r.applied.Store(f.Snap.At.Seq)
+	return nil
+}
+
+// run applies the stream, re-following after every failure until stopped.
+func (r *Replica) run(addr string, fr *frameReader, hangUp func()) {
 	defer r.wg.Done()
 	for {
-		var f frame
-		if err := fr.next(&f); err != nil {
-			if !r.promoted.Load() {
-				r.lastErr.Store(err.Error())
-			}
-			return
+		err := r.receive(fr)
+		if err == nil {
+			continue
 		}
-		if f.Type != frameReplEntry {
-			r.lastErr.Store(fmt.Sprintf("minisql: unexpected replication frame %d", f.Type))
-			return
-		}
-		if _, err := r.engine.Execute(f.SQL, f.Args...); err != nil {
-			// A plain INSERT already present via the snapshot overlap window
-			// fails with a duplicate-key error; it is safe to skip because
-			// the row content is identical.
-			if !strings.Contains(err.Error(), "duplicate primary key") {
-				r.lastErr.Store(err.Error())
+		hangUp()
+		for err != nil {
+			if r.ctx.Err() != nil {
 				return
 			}
+			r.lastErr.Store(err.Error())
+			select {
+			case <-r.ctx.Done():
+				return
+			case <-time.After(refollow):
+			}
+			fr, hangUp, err = r.connect(addr)
 		}
-		r.applied.Add(1)
+		r.lastErr.Store("")
 	}
 }
 
-// Promote detaches from the master and marks the replica as promoted. The
-// caller flips the co-located Server out of read-only mode to begin serving
-// writes (the DNS failover in the cluster layer then points clients here).
+// Promote detaches from the master and marks the replica as promoted: the
+// engine numbers later writes under an origin of its own, forked from the
+// master's at Applied. The caller flips the co-located Server out of
+// read-only mode to begin serving writes (the DNS failover in the cluster
+// layer then points clients here).
 func (r *Replica) Promote() {
 	r.promoted.Store(true)
 	r.Stop()
+	r.engine.promote()
 	// A connection error observed while the master was dying is expected
 	// and moot once this node takes over.
 	r.lastErr.Store("")
@@ -123,12 +149,6 @@ func (r *Replica) Promoted() bool { return r.promoted.Load() }
 
 // Stop terminates replication without promoting.
 func (r *Replica) Stop() {
-	r.mu.Lock()
-	r.stopped = true
-	if r.conn != nil {
-		r.conn.Close()
-		r.conn = nil
-	}
-	r.mu.Unlock()
+	r.stop()
 	r.wg.Wait()
 }

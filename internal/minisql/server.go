@@ -14,7 +14,8 @@ import (
 var ErrReadOnly = errors.New("minisql: server is read-only (standby)")
 
 // Server exposes an Engine over TCP and acts as the replication master for
-// any subscribed standbys.
+// any subscribed standbys: each reads the engine's change feed from its own
+// cursor (stream).
 type Server struct {
 	engine   *Engine
 	ln       net.Listener
@@ -22,22 +23,14 @@ type Server struct {
 	logger   *log.Logger
 
 	mu     sync.Mutex
-	subs   map[int]chan replEntry
-	nextID int
 	conns  map[net.Conn]struct{}
 	closed bool
 	quit   chan struct{}
 	wg     sync.WaitGroup
 }
 
-type replEntry struct {
-	sql  string
-	args []Value
-}
-
 // NewServer wraps engine in a TCP server listening on addr (use "127.0.0.1:0"
-// for an ephemeral port). The server installs itself as the engine's journal
-// hook to feed replication.
+// for an ephemeral port).
 func NewServer(engine *Engine, addr string, logger *log.Logger) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -50,11 +43,9 @@ func NewServer(engine *Engine, addr string, logger *log.Logger) (*Server, error)
 		engine: engine,
 		ln:     ln,
 		logger: logger,
-		subs:   make(map[int]chan replEntry),
 		conns:  make(map[net.Conn]struct{}),
 		quit:   make(chan struct{}),
 	}
-	engine.SetJournal(s.fanout)
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -86,23 +77,6 @@ func (s *Server) Close() error {
 	err := s.ln.Close()
 	s.wg.Wait()
 	return err
-}
-
-func (s *Server) fanout(sql string, args []Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id, ch := range s.subs {
-		select {
-		case ch <- replEntry{sql, args}:
-		default:
-			// Slow standby: drop it rather than stall the master. The
-			// standby will detect the closed channel and resubscribe with a
-			// fresh snapshot.
-			s.logger.Printf("minisql: dropping slow replica %d", id)
-			close(ch)
-			delete(s.subs, id)
-		}
-	}
 }
 
 func (s *Server) acceptLoop() {
@@ -138,6 +112,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	r := newFrameReader(conn)
 	w := &frameWriter{w: conn}
 	var wMu sync.Mutex // replication goroutine shares the writer
+	done := make(chan struct{})
+	defer close(done)
 	for {
 		var f frame
 		if err := r.next(&f); err != nil {
@@ -172,65 +148,46 @@ func (s *Server) serveConn(conn net.Conn) {
 		case frameSubscribe:
 			// Replication streaming runs in its own goroutine so this loop
 			// keeps reading; a remote disconnect then surfaces as a read
-			// error here, the connection is torn down, and the streamer's
-			// next send fails and exits.
+			// error here, which closes done and the connection.
 			s.wg.Add(1)
-			go s.streamReplication(w, &wMu)
+			go s.stream(conn, w, &wMu, f.Cursor, done)
 		default:
 			return // protocol violation
 		}
 	}
 }
 
-// streamReplication sends a snapshot followed by the live journal stream.
-// It exits when the subscriber channel is closed (slow replica), a send
-// fails (connection gone), or the server shuts down.
-func (s *Server) streamReplication(w *frameWriter, wMu *sync.Mutex) {
+// stream serves one standby from its cursor: a snapshot first when the
+// cursor cannot be continued (Engine.since), then each cut of the changes
+// after it, one frame per cut, waiting for a write whenever it has caught
+// up. A standby that reads slowly gets larger cuts, never a gap. When a send
+// fails the connection closes, so the standby sees it and re-follows.
+func (s *Server) stream(conn net.Conn, w *frameWriter, wMu *sync.Mutex, cur Cursor, done <-chan struct{}) {
 	defer s.wg.Done()
-	ch := make(chan replEntry, 4096)
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	id := s.nextID
-	s.nextID++
-	s.subs[id] = ch
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		if _, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-		}
-		s.mu.Unlock()
-	}()
-
-	// The snapshot is taken after subscription so that any write is either
-	// in the snapshot or in the stream (entries already in the snapshot are
-	// idempotent REPLACE/UPDATE statements in the Janus workload; duplicate
-	// plain INSERTs would error on the standby and are skipped there).
-	snap := s.engine.Snapshot()
-	wMu.Lock()
-	err := w.send(&frame{Type: frameSnapshot, Snap: snap})
-	wMu.Unlock()
-	if err != nil {
-		return
-	}
+	defer conn.Close()
 	for {
-		select {
-		case <-s.quit:
+		snap, reset, wait := s.engine.since(cur)
+		if wait != nil {
+			select {
+			case <-wait:
+				continue
+			case <-done:
+			case <-s.quit:
+			}
 			return
-		case entry, ok := <-ch:
-			if !ok {
-				return // dropped for falling behind
-			}
-			wMu.Lock()
-			err := w.send(&frame{Type: frameReplEntry, SQL: entry.sql, Args: entry.args})
-			wMu.Unlock()
-			if err != nil {
-				return
-			}
 		}
+		f := frame{Type: frameFeed, Snap: snap}
+		if reset {
+			f.Type = frameSnapshot
+		}
+		wMu.Lock()
+		err := w.send(&f)
+		wMu.Unlock()
+		if err != nil {
+			s.logger.Printf("minisql: replication stream: %v", err)
+			return
+		}
+		cur = snap.At
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -261,12 +262,16 @@ func TestReplicationSnapshotAndStream(t *testing.T) {
 	if err := rep.Err(); err != nil {
 		t.Fatalf("replication error: %v", err)
 	}
+	// A table created after Follow travels in the stream.
+	mustExec(t, master, `CREATE TABLE t2 (k TEXT PRIMARY KEY)`)
+	mustExec(t, master, `INSERT INTO t2 VALUES ('a'), ('b')`)
+	waitApplied(t, rep, master, "t2")
+	sameRows(t, master, standby, "t2")
 }
 
 // TestFailedWriteChangesNothing: a statement that fails on a later row must
-// leave every earlier row unwritten. The journal ships only statements that
-// succeed, so a partial write would stay on the master and never reach the
-// standby.
+// leave every earlier row unwritten, and take no sequence number: master and
+// standby both end with only the statements that succeeded.
 func TestFailedWriteChangesNothing(t *testing.T) {
 	srv, master := startServer(t)
 	mustExec(t, master, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
@@ -296,14 +301,93 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 		t.Fatalf("failed statements moved the feed head %d -> %d", head, feed.Head)
 	}
 	mustExec(t, master, `REPLACE INTO qos_rules VALUES ('ok', 1, 1, 1)`)
-	waitFor(t, func() bool { n, _ := standby.RowCount("qos_rules"); return n == 3 })
-	if n := rep.Applied(); n != 1 {
-		t.Fatalf("standby applied %d journaled statements, want 1 (failed statements were journaled)", n)
+	waitApplied(t, rep, master, "qos_rules")
+	if n := rep.Applied(); n != head+1 {
+		t.Fatalf("standby reached %d, want %d (failed statements took numbers)", n, head+1)
 	}
-	const all = `SELECT key, refill_rate, capacity, credit FROM qos_rules ORDER BY key`
+	if m := sameRows(t, master, standby, "qos_rules"); len(m) != 3 {
+		t.Fatalf("master and standby hold %v; want x, y and ok", m)
+	}
+}
+
+// waitApplied waits until rep has applied every write the master numbered
+// in table.
+func waitApplied(t *testing.T, rep *Replica, master *Engine, table string) {
+	t.Helper()
+	head := mustExec(t, master, `SELECT CHANGES FROM `+table+` SINCE ?`, Int(math.MaxInt64)).Feed.Head
+	waitFor(t, func() bool { return rep.Applied() >= head })
+}
+
+// sameRows fails unless master and standby hold the same rows in table, and
+// returns them.
+func sameRows(t *testing.T, master, standby *Engine, table string) [][]Value {
+	t.Helper()
+	schema, err := master.Schema(table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := `SELECT * FROM ` + table + ` ORDER BY ` + schema[0].Name
 	m, s := mustExec(t, master, all), mustExec(t, standby, all)
-	if fmt.Sprint(m.Rows) != fmt.Sprint(s.Rows) || len(m.Rows) != 3 {
-		t.Fatalf("master %v, standby %v; want x, y and ok on both", m.Rows, s.Rows)
+	if fmt.Sprint(m.Rows) != fmt.Sprint(s.Rows) {
+		t.Fatalf("%s diverged: master holds %d rows, standby %d", table, len(m.Rows), len(s.Rows))
+	}
+	return m.Rows
+}
+
+// TestStalledStandbyCatchesUp: a standby that stops applying while the
+// master takes a long burst is not dropped. Once it applies again it reaches
+// the master's head, a write made after the burst included, and it never
+// reports an error.
+func TestStalledStandbyCatchesUp(t *testing.T) {
+	srv, master := startServer(t)
+	mustExec(t, master, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
+	standby := NewEngine()
+	rep := NewReplica(standby)
+	if err := rep.Follow(srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	standby.writeMu.Lock()
+	for i := 0; i < 200_000; i++ {
+		mustExec(t, master, `REPLACE INTO qos_rules VALUES (?, 1, 1, ?)`, Text(fmt.Sprintf("k%03d", i%1000)), Float(float64(i)))
+	}
+	standby.writeMu.Unlock()
+	mustExec(t, master, `REPLACE INTO qos_rules VALUES ('last', 1, 1, 1)`)
+	waitApplied(t, rep, master, "qos_rules")
+	if n := len(sameRows(t, master, standby, "qos_rules")); n != 1001 {
+		t.Fatalf("%d rows, want 1001", n)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatalf("replication error: %v", err)
+	}
+}
+
+// TestStandbyRefollowsAfterLostConnection: the master drops the replication
+// connection in the middle of a burst; the standby connects again by itself,
+// reads on from its cursor and ends equal to the master.
+func TestStandbyRefollowsAfterLostConnection(t *testing.T) {
+	srv, master := startServer(t)
+	mustExec(t, master, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
+	standby := NewEngine()
+	rep := NewReplica(standby)
+	if err := rep.Follow(srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Stop()
+	for i := 0; i < 20_000; i++ {
+		if i == 10_000 {
+			srv.mu.Lock()
+			for c := range srv.conns {
+				c.Close()
+			}
+			srv.mu.Unlock()
+		}
+		mustExec(t, master, `REPLACE INTO qos_rules VALUES (?, 1, 1, ?)`, Text(fmt.Sprintf("k%04d", i%5000)), Float(float64(i)))
+	}
+	waitApplied(t, rep, master, "qos_rules")
+	sameRows(t, master, standby, "qos_rules")
+	if err := rep.Err(); err != nil {
+		t.Fatalf("replication error after re-following: %v", err)
 	}
 }
 
@@ -374,27 +458,10 @@ func TestReplicationConcurrentWritesConverge(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Wait for the stream to drain, then compare full contents.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if rep.Applied() >= 400 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("applied = %d, err = %v", rep.Applied(), rep.Err())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mres, _ := master.Execute(`SELECT id, v FROM t ORDER BY id ASC`)
-	sres, _ := standby.Execute(`SELECT id, v FROM t ORDER BY id ASC`)
-	if len(mres.Rows) != len(sres.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(mres.Rows), len(sres.Rows))
-	}
-	for i := range mres.Rows {
-		if mres.Rows[i][1] != sres.Rows[i][1] {
-			t.Fatalf("row %d diverged: master=%v standby=%v", i, mres.Rows[i], sres.Rows[i])
-		}
-	}
+	// Wait for the stream to reach the master's head, then compare full
+	// contents.
+	waitApplied(t, rep, master, "t")
+	sameRows(t, master, standby, "t")
 }
 
 func TestServerCloseIdempotent(t *testing.T) {

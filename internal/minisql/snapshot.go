@@ -1,100 +1,150 @@
 package minisql
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// SnapshotData is a deep, self-contained copy of the full database state,
-// used to seed a standby before statement-shipping replication begins.
+// SnapshotData is a consistent cut of the database: every table's change-feed
+// entries after a cursor, taken between two writes. From cursor 0 it is the
+// whole database, which Restore turns back into the same tables at the same
+// sequence numbers; after a standby's cursor it is what the standby has not
+// applied yet (server.go).
 type SnapshotData struct {
+	// At is the cut: the engine's origin and its sequence number when the
+	// cut was taken. A reader that applies the cut is at At.
+	At     Cursor
 	Tables []TableSnapshot
 }
 
-// TableSnapshot captures one table.
+// TableSnapshot is one table in a cut: its schema, where its feed stands, and
+// its entries after the cursor in SELECT CHANGES form (_seq, _deleted, then
+// the columns; a delete carries only the key).
 type TableSnapshot struct {
-	Name   string
-	Schema []ColumnDef
-	Rows   [][]Value
+	Name          string
+	Schema        []ColumnDef
+	Head, Horizon int64
+	Rows          [][]Value
 }
 
-// Snapshot captures the current state of every table. Writes that land
-// during the snapshot are serialized out by the write mutex, so the copy is
-// a consistent point-in-time image with respect to journaled statements.
+// Snapshot captures every table whole.
 func (e *Engine) Snapshot() SnapshotData {
-	e.writeMu.Lock()
-	defer e.writeMu.Unlock()
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	var snap SnapshotData
-	for _, name := range e.tableNamesLocked() {
-		t := e.tables[name]
-		t.mu.RLock()
-		ts := TableSnapshot{
-			Name:   t.name,
-			Schema: append([]ColumnDef(nil), t.schema...),
-			Rows:   make([][]Value, len(t.rows)),
-		}
-		for i, r := range t.rows {
-			ts.Rows[i] = append([]Value(nil), r...)
-		}
-		t.mu.RUnlock()
-		snap.Tables = append(snap.Tables, ts)
-	}
+	snap, _, _ := e.since(Cursor{})
 	return snap
 }
 
-func (e *Engine) tableNamesLocked() []string {
-	out := make([]string, 0, len(e.tables))
-	for n := range e.tables {
-		out = append(out, n)
-	}
-	return out
-}
-
-// Restore replaces the engine's entire contents with the snapshot. The
-// engine takes a fresh origin and renumbers every restored row, so a
-// change-feed cursor from before the restore reads as foreign.
-func (e *Engine) Restore(snap SnapshotData) error {
+// since returns what a reader at cur lacks, as one cut: every table written
+// after cur.Seq with its entries after it, or, when cur is on another origin
+// or below a table's horizon, every table whole (reset true). When nothing
+// was written after cur it returns instead a channel that the next write
+// closes. writeMu keeps every writer out, so the tables need no other lock.
+func (e *Engine) since(cur Cursor) (snap SnapshotData, reset bool, wait <-chan struct{}) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	origin := e.origin
-	e.origin = newOrigin()
-	tables := make(map[string]*tableData, len(snap.Tables))
-	for _, ts := range snap.Tables {
-		t, err := newTable(ts.Name, ts.Schema)
-		if err == nil {
-			err = e.restoreRows(t, ts.Rows)
+	snap.At = Cursor{e.lineage.Load().Origin, e.seq}
+	if cur == snap.At {
+		if e.wake == nil {
+			e.wake = make(chan struct{})
 		}
+		return SnapshotData{}, false, e.wake
+	}
+	reset = cur.Origin != snap.At.Origin || cur.Seq > snap.At.Seq
+	for _, t := range e.tables {
+		reset = reset || t.horizon > cur.Seq
+	}
+	if reset {
+		cur.Seq = 0
+	}
+	for _, t := range e.tables {
+		if t.head > cur.Seq {
+			snap.Tables = append(snap.Tables, TableSnapshot{Name: t.name, Schema: slices.Clone(t.schema),
+				Head: t.head, Horizon: t.horizon, Rows: t.entries(cur.Seq, -1)})
+		}
+	}
+	return snap, reset, nil
+}
+
+// Restore replaces the engine's entire contents with the snapshot: the same
+// rows and tombstones at the same sequence numbers, under the snapshot's
+// origin.
+func (e *Engine) Restore(snap SnapshotData) error { return e.apply(snap, true) }
+
+// apply writes a cut into the engine, as a standby does with each one its
+// master streams: tables it does not have yet are created, and every entry
+// lands at the master's sequence number. A reset cut replaces every table
+// and the origin; any other must start where the engine stands. A cut that
+// fails part-way leaves the engine between the two, and the standby then
+// asks for a snapshot.
+func (e *Engine) apply(snap SnapshotData, reset bool) error {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	tables := e.tables
+	if reset {
+		tables = make(map[string]*tableData, len(snap.Tables))
+	} else if origin := e.lineage.Load().Origin; snap.At.Origin != origin || snap.At.Seq < e.seq {
+		return fmt.Errorf("minisql: cut at %+v does not follow %x:%d", snap.At, origin, e.seq)
+	}
+	for _, ts := range snap.Tables {
+		t := tables[ts.Name]
+		if t == nil {
+			var err error
+			if t, err = newTable(ts.Name, ts.Schema); err != nil {
+				return err
+			}
+			e.mu.Lock()
+			tables[t.name] = t
+			e.mu.Unlock()
+		}
+		t.mu.Lock()
+		err := t.apply(ts, snap.At.Seq)
+		t.mu.Unlock()
 		if err != nil {
-			e.origin = origin
 			return err
 		}
-		tables[t.name] = t
 	}
 	e.mu.Lock()
 	e.tables = tables
 	e.mu.Unlock()
+	if reset {
+		e.lineage.Store(&Feed{Origin: snap.At.Origin})
+	}
+	e.seq = snap.At.Seq
+	e.notify()
 	return nil
 }
 
-func (e *Engine) restoreRows(t *tableData, rows [][]Value) error {
-	e.start(t)
-	t.rows = make([][]Value, 0, len(rows))
-	t.seqs = make([]int64, 0, len(rows))
-	for _, r := range rows {
-		if len(r) != len(t.schema) {
-			return fmt.Errorf("minisql: snapshot row arity mismatch in %q", t.name)
+// apply writes a cut's entries for this table, each as the row state it
+// names — the row's values, or its deletion — at its sequence number.
+func (t *tableData) apply(ts TableSnapshot, at int64) error {
+	for _, row := range ts.Rows {
+		if len(row) != 2+len(t.schema) || row[0].Kind != KindInt || row[0].I <= t.head || row[0].I > at || row[2+t.pkCol].IsNull() {
+			return fmt.Errorf("minisql: malformed entry %v for %q at head %d", row, t.name, t.head)
 		}
-		ri := len(t.rows)
-		t.rows = append(t.rows, append([]Value(nil), r...))
-		t.seqs = append(t.seqs, 0)
-		if t.pkCol >= 0 {
-			pk := r[t.pkCol]
-			if _, dup := t.pkIndex[pk]; dup {
-				return fmt.Errorf("minisql: snapshot has duplicate primary key %s in %q", pk, t.name)
+		seq, pk := row[0].I, row[2+t.pkCol]
+		ri, live := t.pkIndex[pk]
+		switch {
+		case row[1].AsInt() != 0:
+			if live {
+				t.remove(ri)
 			}
-			t.pkIndex[pk] = ri
+			t.bury(pk, seq)
+			continue
+		case live:
+			t.rows[ri] = slices.Clone(row[2:])
+		default:
+			ri = t.add(slices.Clone(row[2:]))
 		}
-		e.seq++
-		t.stamp(ri, e.seq)
+		t.stamp(ri, seq)
 	}
+	t.head, t.horizon = max(t.head, ts.Head), max(t.horizon, ts.Horizon)
 	return nil
+}
+
+// promote makes a standby's sequence its own: later writes are numbered
+// under a fresh origin, and the feed reports where that sequence forks from
+// the master's (Feed.Fork).
+func (e *Engine) promote() {
+	e.writeMu.Lock()
+	defer e.writeMu.Unlock()
+	e.lineage.Store(&Feed{Origin: newOrigin(), Fork: Cursor{e.lineage.Load().Origin, e.seq}})
 }

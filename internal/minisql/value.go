@@ -4,9 +4,9 @@
 // It implements exactly the surface Janus needs, and implements it for real:
 //
 //   - a typed storage engine (tables, rows, primary-key hash index),
-//   - a SQL subset — CREATE TABLE, INSERT [OR REPLACE], SELECT (with WHERE
-//     conjunctions, ORDER BY, LIMIT), UPDATE, DELETE — with ?-placeholders,
-//     each statement atomic,
+//   - a SQL subset — CREATE TABLE (every table has a primary key), INSERT
+//     [OR REPLACE], SELECT (with WHERE conjunctions, ORDER BY, LIMIT),
+//     UPDATE, DELETE — with ?-placeholders, each statement atomic,
 //   - a per-table change feed, SELECT CHANGES FROM t SINCE ?, over
 //     sequence-numbered writes and a bounded set of delete tombstones
 //     (changes.go),
@@ -16,8 +16,10 @@
 //     a uvarint length and bytes, a value as its kind byte then a zig-zag
 //     varint (INT), 8 big-endian IEEE 754 bytes (FLOAT), a text (TEXT) or
 //     nothing (NULL),
-//   - master/standby replication with statement shipping and promotion,
-//     mirroring the Multi-AZ RDS failover behaviour the paper relies on.
+//   - master/standby replication over the same change feed — the standby
+//     applies each entry at the master's sequence number, re-follows by
+//     itself after a lost connection — and promotion, mirroring the
+//     Multi-AZ RDS failover behaviour the paper relies on.
 //
 // The paper's access pattern is: a full-table scan at warm-up ("SELECT *
 // FROM qos_rules"), point reads on the primary key when a QoS server sees a

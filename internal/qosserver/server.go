@@ -908,11 +908,12 @@ func (s *Server) Preload() error {
 // pass costs one statement per FeedPage changed rules, however many keys are
 // resident; a checkpoint's changed credits count as changed rules. The first
 // pass, a pass after a handoff or HA snapshot installed a peer's rules, a
-// pass that finds another database origin (a failover or restart), and a
-// pass whose cursor predates deletes the database has forgotten reconcile
-// instead: the same feed from cursor 0, then eviction of every resident key
-// it no longer holds. Concurrent calls run one after the other. Exported so
-// tests and orchestration can force a pass without waiting for the ticker.
+// pass that finds another database origin (a restart, or a failover to a
+// standby behind the cursor), and a pass whose cursor predates deletes the
+// database has forgotten reconcile instead: the same feed from cursor 0, then
+// eviction of every resident key it no longer holds. Concurrent calls run one
+// after the other. Exported so tests and orchestration can force a pass
+// without waiting for the ticker.
 func (s *Server) SyncOnce() {
 	if s.cfg.Store == nil {
 		return
@@ -928,9 +929,10 @@ func (s *Server) SyncOnce() {
 
 // syncChanges applies the change feed after the cursor, page by page. It
 // reports false when the feed cannot stand for every edit since the cursor —
-// another database origin answered, or this one has forgotten deletes after
-// the cursor — and the caller must reconcile. A failed read keeps the cursor
-// where the last applied page left it, for the next pass.
+// another database origin answered (other than a promoted standby forked
+// from the cursor's origin at or after it), or this one has forgotten deletes
+// after the cursor — and the caller must reconcile. A failed read keeps the
+// cursor where the last applied page left it, for the next pass.
 func (s *Server) syncChanges(now time.Time) bool {
 	from := s.syncSeq
 	for {
@@ -938,9 +940,11 @@ func (s *Server) syncChanges(now time.Time) bool {
 		if err != nil {
 			return true
 		}
-		if ch.Origin != s.syncOrigin || ch.Horizon > from {
+		forked := ch.Fork.Origin == s.syncOrigin && s.syncSeq <= ch.Fork.Seq
+		if (ch.Origin != s.syncOrigin && !forked) || ch.Horizon > from {
 			return false
 		}
+		s.syncOrigin = ch.Origin
 		s.applyChanges(ch, now)
 		s.syncSeq = ch.Next
 		if ch.Next >= ch.Head {

@@ -152,10 +152,12 @@ func (s *Store) CheckpointBatch(credits map[string]float64) error {
 type Changes struct {
 	Rules   []bucket.Rule // rules written after the cursor
 	Deleted []string      // keys deleted after the cursor
-	// Origin names the database instance whose sequence the cursor counts. A
-	// page from another origin (a failover, a restart) says nothing about
-	// what changed since a cursor from the old one.
+	// Origin names the database sequence the cursor counts. A page from
+	// another origin (a failover, a restart) says nothing about what changed
+	// since a cursor from the old one, unless it is a promoted standby's
+	// and the cursor is at or below its Fork from the old one.
 	Origin uint64
+	Fork   minisql.Cursor
 	// Head is the latest sequence number in the table. Next is the cursor to
 	// read on from: Next < Head means more pages follow.
 	Head, Next int64
@@ -174,7 +176,7 @@ func (s *Store) ChangedSince(cursor int64) (Changes, error) {
 	if res.Feed == nil {
 		return Changes{}, fmt.Errorf("store: change feed reply without its position")
 	}
-	ch := Changes{Origin: res.Feed.Origin, Head: res.Feed.Head, Next: res.Feed.Next, Horizon: res.Feed.Horizon}
+	ch := Changes{Origin: res.Feed.Origin, Fork: res.Feed.Fork, Head: res.Feed.Head, Next: res.Feed.Next, Horizon: res.Feed.Horizon}
 	for _, row := range res.Rows {
 		if len(row) != 6 {
 			return Changes{}, fmt.Errorf("store: change row arity %d, want 6", len(row))

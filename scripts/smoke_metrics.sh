@@ -2,7 +2,9 @@
 # Boots the full four-tier Janus stack with the observability endpoints
 # enabled and asserts every daemon answers /metrics with its janus_* series.
 # Used by CI as a cheap end-to-end check that the debugz wiring in the
-# binaries (not just the libraries) works.
+# binaries (not just the libraries) works. It ends with a seeded janus-dbd
+# master and a -follow standby, promoted by SIGUSR1, which must hold every
+# seeded rule when it shuts down.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -120,5 +122,35 @@ if ! grep -q '"key": *"smoke"' <<<"$buckets"; then
     exit 1
 fi
 echo "ok: janusd /debug/qos shows the bucket table"
+
+echo "checking a database standby..."
+DB_MASTER=127.0.0.1:7620
+DB_STANDBY=127.0.0.1:7621
+
+wait_log() { # file text
+    for _ in $(seq 1 100); do
+        grep -q "$2" "$1" 2>/dev/null && return 0
+        sleep 0.1
+    done
+    echo "FAIL: $1 never logged \"$2\"" >&2
+    cat "$1" >&2
+    return 1
+}
+
+"$BIN/janus-dbd" -addr "$DB_MASTER" -seed 1000 2>"$BIN/db-master.log" &
+wait_log "$BIN/db-master.log" "master on"
+"$BIN/janus-dbd" -addr "$DB_STANDBY" -follow "$DB_MASTER" 2>"$BIN/db-standby.log" &
+STANDBY=$!
+wait_log "$BIN/db-standby.log" "standby on"
+kill -USR1 "$STANDBY"
+wait_log "$BIN/db-standby.log" "promoted to master"
+kill -TERM "$STANDBY"
+wait "$STANDBY"
+if ! grep -q "1000 rules at shutdown" "$BIN/db-standby.log"; then
+    echo "FAIL: promoted standby did not hold the master's 1000 rules" >&2
+    cat "$BIN/db-standby.log" >&2
+    exit 1
+fi
+echo "ok: promoted standby shut down with 1000 rules"
 
 echo "smoke-metrics: PASS"
