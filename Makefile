@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs bench-lease race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -74,7 +74,6 @@ chaos-long:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResponse -fuzztime 10s ./internal/wire/
-	$(GO) test -run '^$$' -fuzz FuzzLeaseFrameDecode -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseHTTPRawQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/h1/
@@ -98,8 +97,8 @@ bench-smoke:
 	bash benchmark/run.sh -seconds 2 -windows 4 -setups 1
 
 # The alloc pins: exact allocs/op on the zero-alloc hot paths (the worker's
-# decode→decideTimed→encode, lease-table hit, sojourn observe, audited
-# Decide, CoDel dequeue, a live server's UDP intake — budgets in
+# decode→decideTimed→encode, sojourn observe, audited Decide, CoDel
+# dequeue, a live server's UDP intake — budgets in
 # internal/qosserver/allocpin_test.go), plus the legs around it: the
 # router→janusd UDP exchange (transport Do) and Router.Route allocate
 # nothing, client.Check and the LB's proxy of a router-shaped reply on a
@@ -113,12 +112,8 @@ bench-smoke:
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql -run AllocPin -count=1 -v
 
-# Regenerates the numbers recorded in BENCH_lease.json.
-bench-lease:
-	$(GO) test -run '^$$' -bench LeaseZipfHot -benchtime 2s .
-
 # The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
-# lease + rule-churn suites, 20 consecutive green runs under the race
+# rule-churn suites, 20 consecutive green runs under the race
 # detector (ISSUE 9 satellite 3). Kept out of the pre-merge gate for time;
 # run it when touching intake, table sharding, or the CoDel controller.
 race-overload:

@@ -25,7 +25,7 @@ import (
 
 // attachFlightRecorder arranges for each daemon's /debug/events page — the
 // flight recorder's ordered control-plane transitions (epoch swaps,
-// handoffs, lease grants, failpoint fires, audit overspends) — to be dumped
+// handoffs, failpoint fires, audit overspends) — to be dumped
 // into the test log when the test fails. addrs are debugz addresses; a
 // daemon that died with the failure just logs the fetch error.
 func attachFlightRecorder(t *testing.T, addrs ...string) {

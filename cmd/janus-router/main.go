@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/debugz"
 	"repro/internal/events"
-	"repro/internal/lease"
 	"repro/internal/membership"
 	"repro/internal/router"
 	"repro/internal/transport"
@@ -46,10 +45,6 @@ func main() {
 		defaultReply = flag.Bool("default-reply", false, "verdict returned when a QoS server is unreachable")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug endpoints (empty disables)")
 		traceSample  = flag.Float64("trace-sample", 0, "fraction of direct (non-LB) requests to trace [0,1]")
-		leaseOn      = flag.Bool("lease", false, "admit hot keys from local credit leases granted by the QoS servers")
-		leaseHot     = flag.Float64("lease-hot", lease.DefaultHotRate, "demand threshold (decisions/second) above which a key asks for a lease")
-		auditOn      = flag.Bool("audit", true, "run the lease-path admission-audit ledger (/debug/audit)")
-		auditIv      = flag.Duration("audit-interval", time.Second, "background admission-audit pass interval")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "janus-router ", log.LstdFlags|log.Lmicroseconds)
@@ -75,19 +70,13 @@ func main() {
 		logger.Fatal("either -backends or -coordinator is required")
 	}
 
-	rcfg := router.Config{
-		Addr:          *addr,
-		Backends:      initial,
-		Transport:     transport.Config{Timeout: *timeout, Retries: *retries},
-		DefaultReply:  *defaultReply,
-		Audit:         *auditOn,
-		AuditInterval: *auditIv,
-		Logger:        logger,
-	}
-	if *leaseOn {
-		rcfg.Lease = &lease.TableConfig{HotRate: *leaseHot}
-	}
-	r, err := router.New(rcfg)
+	r, err := router.New(router.Config{
+		Addr:         *addr,
+		Backends:     initial,
+		Transport:    transport.Config{Timeout: *timeout, Retries: *retries},
+		DefaultReply: *defaultReply,
+		Logger:       logger,
+	})
 	if err != nil {
 		logger.Fatalf("start: %v", err)
 	}
@@ -116,10 +105,6 @@ func main() {
 			Name: "membership",
 			Help: "current routing view (epoch, backends)",
 			Fn:   func() any { return r.View() },
-		}, {
-			Name: "audit",
-			Help: "lease-path admission-audit ledger verdict",
-			Fn:   func() any { return r.AuditReport() },
 		}},
 		// Not ready when coordinator contact has gone stale beyond 3 poll
 		// intervals: the router is alive but may be routing on an obsolete
@@ -156,7 +141,7 @@ func main() {
 	for s := range sig {
 		if s == syscall.SIGQUIT {
 			// Flight-recorder dump on demand: kill -QUIT and read recent
-			// epoch swaps, lease grants, and audit events off stderr.
+			// epoch swaps and default-reply episodes off stderr.
 			events.Default.WriteTo(os.Stderr, "janus-router")
 			continue
 		}

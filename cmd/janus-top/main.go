@@ -1,7 +1,7 @@
 // Command janus-top is a live terminal console for a Janus cluster: it
 // polls every node's /metrics and /debug/audit pages and renders per-tier
-// throughput, the QoS servers' per-stage sojourn decomposition, the lease
-// economy, admission-audit verdicts, and membership epoch skew — the
+// throughput, the QoS servers' per-stage sojourn decomposition,
+// admission-audit verdicts, and membership epoch skew — the
 // operator's one-screen answer to "where is the overload?".
 //
 // Targets are the daemons' -metrics-addr endpoints, any mix of tiers; the

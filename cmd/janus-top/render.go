@@ -66,7 +66,7 @@ func rate(cur, prev nodeView, name string, elapsed time.Duration, labels ...prom
 }
 
 // render draws one console frame: per-tier throughput, QoS sojourn
-// decomposition, lease economy, audit verdicts, and epoch skew. prev maps
+// decomposition, audit verdicts, and epoch skew. prev maps
 // target → last poll's view ("" rates on the first frame). Pure function of
 // its inputs so the frame is unit-testable.
 func render(cur []nodeView, prev map[string]nodeView, elapsed time.Duration, width int) string {
@@ -126,37 +126,6 @@ func render(cur []nodeView, prev map[string]nodeView, elapsed time.Duration, wid
 		sb.WriteString(strings.Join(parts, "/") + "\n")
 	}
 	if wroteSojourn {
-		sb.WriteString("\n")
-	}
-
-	// Lease economy: how much admission is decided at the edge.
-	wroteLease := false
-	for _, n := range cur {
-		if n.Err != "" || n.Tier != "router" {
-			continue
-		}
-		allow, okA := rate(n, prev[n.Target], "janus_router_lease_hits_total", elapsed,
-			promtext.Label{Key: "verdict", Value: "allow"})
-		deny, okD := rate(n, prev[n.Target], "janus_router_lease_hits_total", elapsed,
-			promtext.Label{Key: "verdict", Value: "deny"})
-		miss, okM := rate(n, prev[n.Target], "janus_router_lease_misses_total", elapsed)
-		if !okA && !okD && !okM {
-			continue
-		}
-		if !wroteLease {
-			sb.WriteString("lease (router hit rate = admissions decided locally)\n")
-			wroteLease = true
-		}
-		hits := allow + deny
-		hitRate := 0.0
-		if hits+miss > 0 {
-			hitRate = hits / (hits + miss)
-		}
-		held, _ := n.M.Value("janus_router_leases")
-		fmt.Fprintf(&sb, "  %-20s hit %5.1f%%  (%.0f local, %.0f wire)/s  %0.f lease(s) held\n",
-			n.Target, 100*hitRate, hits, miss, held)
-	}
-	if wroteLease {
 		sb.WriteString("\n")
 	}
 

@@ -20,8 +20,8 @@ func mustParse(t *testing.T, expo string) promtext.Metrics {
 
 // TestRenderFrame drives the pure frame renderer with two synthetic polls
 // of a three-tier cluster and asserts every console section shows up with
-// the right arithmetic: counter deltas → rates, lease hit percentages,
-// audit verdicts, and the epoch-skew "behind" marker.
+// the right arithmetic: counter deltas → rates, audit verdicts, and the
+// epoch-skew "behind" marker.
 func TestRenderFrame(t *testing.T) {
 	qos0 := mustParse(t, `
 janus_qos_received_total 1000
@@ -38,18 +38,11 @@ janus_qos_sojourn_seconds{stage="send",quantile="0.99"} 0.0001
 `)
 	rt0 := mustParse(t, `
 janus_router_requests_total 500
-janus_router_lease_hits_total{verdict="allow"} 100
-janus_router_lease_hits_total{verdict="deny"} 0
-janus_router_lease_misses_total 100
 janus_router_view_epoch 4
 `)
 	rt1 := mustParse(t, `
 janus_router_requests_total 1000
-janus_router_lease_hits_total{verdict="allow"} 250
-janus_router_lease_hits_total{verdict="deny"} 50
-janus_router_lease_misses_total 200
 janus_router_view_epoch 4
-janus_router_leases 2
 `)
 	coord := mustParse(t, `
 janus_coordinator_epoch 5
@@ -61,8 +54,7 @@ janus_coordinator_members 2
 		"r:1": {Target: "r:1", Tier: "router", M: rt0},
 	}
 	cur := []nodeView{
-		{Target: "r:1", Tier: "router", M: rt1,
-			Audit: &audit.Report{Verdict: "ok", Buckets: 2, Admitted: 300}},
+		{Target: "r:1", Tier: "router", M: rt1},
 		{Target: "q:1", Tier: "qos", M: qos1,
 			Audit: &audit.Report{Verdict: "overspend", Buckets: 7, Admitted: 2000,
 				Overspent: []audit.Overspend{{Key: "tenant-9", Over: 12.5}}}},
@@ -80,7 +72,6 @@ janus_coordinator_members 2
 		"50µs",              // sojourn p50
 		"2.0ms",             // sojourn p99
 		"1.5ms/400µs/100µs", // stage p99 breakdown
-		"hit  66.7%",        // Δallow+Δdeny=200 over Δhits+Δmisses=300
 		"overspend",         // audit verdict
 		"tenant-9(+12.5)",
 		"skew 1", // coordinator at 5, router at 4

@@ -21,7 +21,6 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/debugz"
 	"repro/internal/events"
-	"repro/internal/lease"
 	"repro/internal/membership"
 	"repro/internal/minisql"
 	"repro/internal/qosserver"
@@ -49,8 +48,6 @@ func main() {
 		memberName  = flag.String("member-name", "", "name to register with the coordinator (default: the UDP listen address)")
 		beatIv      = flag.Duration("beat", time.Second, "coordinator heartbeat interval")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug endpoints (empty disables)")
-		leaseFrac   = flag.Float64("lease-fraction", 0, "share of a bucket's refill rate leasable to routers, (0,1] (0 disables leasing)")
-		leaseTTL    = flag.Duration("lease-ttl", lease.DefaultTTL, "credit lease lifetime")
 		auditOn     = flag.Bool("audit", true, "run the online admission-audit ledger (/debug/audit)")
 		auditIv     = flag.Duration("audit-interval", time.Second, "background admission-audit pass interval")
 	)
@@ -80,8 +77,6 @@ func main() {
 		FailOpen:           *failOpen,
 		ReplicationAddr:    *replAddr,
 		Logger:             logger,
-		LeaseFraction:      *leaseFrac,
-		LeaseTTL:           *leaseTTL,
 		Audit:              *auditOn,
 		AuditInterval:      *auditIv,
 	}

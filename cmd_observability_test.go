@@ -311,12 +311,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if v := promValue(t, qosExp, "janus_qos_audit_overspend_total"); v != 0 {
 		t.Fatalf("janus_qos_audit_overspend_total = %v on an honest run", v)
 	}
-	if err := json.Unmarshal([]byte(httpGet(t, "http://"+routerMetrics+"/debug/audit")), &auditReport); err != nil {
-		t.Fatalf("bad router /debug/audit JSON: %v", err)
-	}
-	if auditReport.Verdict != "ok" {
-		t.Fatalf("router audit verdict = %q, want ok", auditReport.Verdict)
-	}
 
 	// --- The flight recorder holds the epoch swap the gauges only imply. ---
 	routerExp = httpGet(t, "http://"+routerMetrics+"/metrics")

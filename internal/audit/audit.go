@@ -3,35 +3,34 @@
 // invariant the chaos suite checks offline — a bucket with capacity C and
 // refill rate r admits at most
 //
-//	C_installed + r·elapsed + lease_slack
+//	C_installed + accrued + r·elapsed
 //
-// units of cost. Every path that grants credit (first-sight install, a
-// rules-sync geometry change, a handoff install, a replication-snapshot
-// install, a lease grant) reports the grant to the ledger; every admission
-// reports its cost. An audit pass then compares admitted cost against the
-// budget per bucket: a correct daemon can NEVER overspend, because the
-// ledger's budget is a deliberate over-approximation of what the bucket
-// could have released —
+// units of cost, where accrued is the refill earned at superseded rates —
+// the paper's C + r·t per key. Every path that grants credit (first-sight
+// install, a rules-sync geometry change, a handoff install, a
+// replication-snapshot install) reports the grant to the ledger; every
+// admission reports its cost. An audit pass then compares admitted cost
+// against the budget per bucket: a correct daemon can NEVER overspend,
+// because the ledger's budget is a deliberate over-approximation of what
+// the bucket could have released —
 //
 //   - min-merge (handoff/replication applying onto a live bucket) only
 //     LOWERS credit, so it needs no budget entry;
 //   - refill past capacity is counted into the budget even though the
-//     bucket clamps it away;
-//   - lease slack charges the full rate×TTL plus the prepaid burst the
-//     moment the lease is granted, regardless of what the holder spends.
+//     bucket clamps it away.
 //
 // An overspend is therefore always a real conservation bug (double-applied
-// credit, a lost revocation, a merge that minted tokens) — the exact class
-// of bug the min-merge rule exists to prevent — and the report names the
-// bucket and its credit-grant generation. Overspends surface three ways:
+// credit, a merge that minted tokens) — the exact class of bug the
+// min-merge rule exists to prevent — and the report names the bucket and
+// its credit-grant generation. Overspends surface three ways:
 // the janus_*_audit_overspend_total counter, the /debug/audit endpoint, and
 // a flight-recorder event.
 //
 // Cost model: the ledger is opt-in per daemon (a nil ledger disables all
 // accounting). When enabled, the admission hot path pays one sharded
 // read-locked map lookup plus one lock-free float add (Admit, zero-alloc,
-// //janus:hotpath-clean); everything else — installs, lease grants, audit
-// passes — happens on cold control paths under per-account mutexes.
+// //janus:hotpath-clean); everything else — installs and audit passes —
+// happens on cold control paths under per-account mutexes.
 package audit
 
 import (
@@ -84,7 +83,6 @@ type account struct {
 	accrued   float64 // refill accrued at superseded rates
 	rate      float64 // current refill rate (units/sec)
 	anchorNs  int64   // when rate last changed (Unix nanos)
-	slack     float64 // Σ lease grants: rate×TTL + prepaid burst
 	gen       uint64  // credit-grant generation
 	flagged   bool    // overspend already reported for this generation
 }
@@ -95,7 +93,7 @@ func (a *account) admitted() float64 {
 
 // budget computes the conservation budget at nowNs (mu held).
 func (a *account) budget(nowNs int64) float64 {
-	b := a.installed + a.accrued + a.slack
+	b := a.installed + a.accrued
 	if dt := nowNs - a.anchorNs; dt > 0 && a.rate > 0 {
 		b += a.rate * float64(dt) / 1e9
 	}
@@ -199,22 +197,6 @@ func (l *Ledger) Install(key string, credit, rate float64) {
 	a.anchorNs = nowNs
 	a.gen++
 	a.flagged = false
-	a.mu.Unlock()
-}
-
-// AddSlack reports lease headroom granted against the bucket: the full
-// rate×TTL the holder may spend remotely plus any prepaid burst. Unknown
-// keys are ignored (a lease cannot exist without an installed bucket).
-func (l *Ledger) AddSlack(key string, amount float64) {
-	if l == nil || amount <= 0 {
-		return
-	}
-	a := l.lookup(key)
-	if a == nil {
-		return
-	}
-	a.mu.Lock()
-	a.slack += amount
 	a.mu.Unlock()
 }
 

@@ -83,7 +83,6 @@ func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
 	l.Install("k", 1, 1)
 	l.Admit("k", 1)
-	l.AddSlack("k", 1)
 	if l.Overspends() != 0 || l.Buckets() != 0 {
 		t.Fatal("nil ledger must be inert")
 	}
@@ -154,33 +153,10 @@ func TestRateChangeFoldsAccrual(t *testing.T) {
 	}
 }
 
-func TestLeaseSlackExtendsBudget(t *testing.T) {
-	clk := newSimClock()
-	l := NewLedger(Config{Clock: clk.Now})
-	l.Install("dave", 10, 0)
-	l.AddSlack("dave", 30) // lease grant: rate×TTL + prepaid burst
-	l.Admit("dave", 40)
-	if rep := l.Audit(); rep.Verdict != "ok" {
-		t.Fatalf("lease slack not budgeted: %+v", rep)
-	}
-	l.Admit("dave", 1)
-	if rep := l.Audit(); rep.Verdict != "overspend" {
-		t.Fatalf("spend past slack not caught: %+v", rep)
-	}
-}
-
-func TestAddSlackUnknownKeyIgnored(t *testing.T) {
-	l := NewLedger(Config{})
-	l.AddSlack("ghost", 100)
-	if l.Buckets() != 0 {
-		t.Fatal("AddSlack must not create accounts")
-	}
-}
-
 // TestAuditPropertyNoFalsePositive is the conservation property test: any
-// schedule of installs, rate changes, min-merges, lease withdrawals, and
-// admissions GATED BY A CORRECT BUCKET never audits as overspend — across
-// many seeds, keys, and interleavings.
+// schedule of installs, rate changes, min-merges and admissions GATED BY A
+// CORRECT BUCKET never audits as overspend — across many seeds, keys, and
+// interleavings.
 func TestAuditPropertyNoFalsePositive(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		seed := seed
@@ -208,7 +184,7 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 				}
 				key := keys[rng.Intn(len(keys))]
 				sb := shadows[key]
-				switch op := rng.Intn(20); {
+				switch op := rng.Intn(19); {
 				case op < 15: // admission attempt, bucket-gated
 					cost := 1 + rng.Float64()*20
 					if sb.tryConsume(clk.Now(), cost) {
@@ -219,15 +195,6 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 				case op < 18: // min-merge: credit can only drop, no grant
 					sb.refill(clk.Now())
 					sb.credit = math.Min(sb.credit, rng.Float64()*sb.capacity)
-				case op < 19: // lease grant: burst withdrawn from the bucket,
-					// full rate×TTL + burst added as slack
-					ttl := time.Duration(1+rng.Intn(5)) * time.Second
-					lrate := rng.Float64() * sb.rate
-					burst := rng.Float64() * 50
-					if !sb.tryConsume(clk.Now(), burst) {
-						burst = 0
-					}
-					l.AddSlack(key, lrate*ttl.Seconds()+burst)
 				default: // audit mid-schedule: must already hold
 					if rep := l.Audit(); rep.Verdict != "ok" {
 						t.Fatalf("step %d: mid-schedule overspend: %+v", step, rep.Overspent)

@@ -78,7 +78,6 @@ type Bucket struct {
 	mu         sync.Mutex
 	capacity   float64
 	refillRate float64 // credits per second
-	reserved   float64 // refill delegated to credit leases (internal/lease)
 	credit     float64
 	last       time.Time // instant credit was last brought current
 }
@@ -120,11 +119,7 @@ func (b *Bucket) advanceLocked(now time.Time) {
 		return
 	}
 	elapsed := now.Sub(b.last).Seconds()
-	rate := b.refillRate - b.reserved
-	if rate < 0 {
-		rate = 0
-	}
-	b.credit = clamp(b.credit+elapsed*rate, b.capacity)
+	b.credit = clamp(b.credit+elapsed*b.refillRate, b.capacity)
 	b.last = now
 }
 
@@ -162,51 +157,6 @@ func (b *Bucket) SetCredit(credit float64, now time.Time) {
 	b.credit = clamp(credit, b.capacity)
 	b.last = now
 	b.mu.Unlock()
-}
-
-// Reserve delegates delta credits/second of the refill rate to an external
-// holder (a credit lease, internal/lease): the bucket's own refill drops by
-// delta while the holder refills a local bucket at delta, conserving the
-// combined rate. It fails — without reserving anything — when the total
-// reservation would exceed the nominal refill rate, so leases can never mint
-// refill that the rule does not grant. Credit is brought current first, so
-// refill accrued before the reservation is kept.
-//
-//janus:hotpath
-func (b *Bucket) Reserve(delta float64, now time.Time) bool {
-	if delta <= 0 || math.IsNaN(delta) {
-		return false
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.advanceLocked(now)
-	if b.reserved+delta > b.refillRate {
-		return false
-	}
-	b.reserved += delta
-	return true
-}
-
-// Release returns delta credits/second of previously reserved refill rate.
-// Over-release is clamped to zero (safe: it can only under-refill).
-func (b *Bucket) Release(delta float64, now time.Time) {
-	if delta <= 0 || math.IsNaN(delta) {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.advanceLocked(now)
-	b.reserved -= delta
-	if b.reserved < 0 {
-		b.reserved = 0
-	}
-}
-
-// ReservedRate returns the refill rate currently delegated to leases.
-func (b *Bucket) ReservedRate() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.reserved
 }
 
 // Capacity returns the bucket capacity C.

@@ -17,7 +17,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/dns"
 	"repro/internal/lb"
-	"repro/internal/lease"
 	"repro/internal/loadgen"
 	"repro/internal/membership"
 	"repro/internal/minisql"
@@ -88,18 +87,6 @@ type Config struct {
 	DNSTTL time.Duration
 	// Rules seeds the database.
 	Rules []bucket.Rule
-	// Lease enables credit leasing end to end: routers admit hot keys from
-	// local leased buckets, QoS servers grant bounded rate shares
-	// (internal/lease).
-	Lease bool
-	// LeaseHotRate is the router-side demand threshold (decisions/second)
-	// above which a key asks for a lease; 0 means lease.DefaultHotRate.
-	LeaseHotRate float64
-	// LeaseFraction is the share of a bucket's refill rate the QoS server
-	// may delegate, (0,1]; 0 means lease.DefaultFraction.
-	LeaseFraction float64
-	// LeaseTTL is the lease lifetime; 0 means lease.DefaultTTL.
-	LeaseTTL time.Duration
 	// CodelTarget / CodelInterval tune the CoDel intake controller on every
 	// QoS server (0 selects the qosserver defaults).
 	CodelTarget   time.Duration
@@ -331,7 +318,7 @@ func (e *dnsExecutor) close() {
 func qosName(i int) string { return fmt.Sprintf("%s%d.%s", qosPrefix, i, Domain) }
 
 func (c *Cluster) qosConfig() qosserver.Config {
-	cfg := qosserver.Config{
+	return qosserver.Config{
 		Addr:               "127.0.0.1:0",
 		Workers:            c.cfg.QoSWorkers,
 		DefaultRule:        c.cfg.DefaultRule,
@@ -343,14 +330,6 @@ func (c *Cluster) qosConfig() qosserver.Config {
 		AuditInterval:      c.cfg.AuditInterval,
 		Store:              c.Store,
 	}
-	if c.cfg.Lease {
-		cfg.LeaseFraction = c.cfg.LeaseFraction
-		if cfg.LeaseFraction <= 0 {
-			cfg.LeaseFraction = lease.DefaultFraction
-		}
-		cfg.LeaseTTL = c.cfg.LeaseTTL
-	}
-	return cfg
 }
 
 func (c *Cluster) startQoSPair(i int) (*QoSPair, error) {
@@ -466,17 +445,13 @@ func (c *Cluster) startRouter() (*router.Router, error) {
 	c.mu.Unlock()
 	// The resolver is uncached: a router re-resolves a backend only after a
 	// timeout invalidated it, and must then see the post-failover answer.
-	rcfg := router.Config{
+	r, err := router.New(router.Config{
 		Addr:         "127.0.0.1:0",
 		Backends:     names,
 		Resolver:     dns.NewUncachedResolver(c.DNS),
 		Transport:    c.cfg.Transport,
 		DefaultReply: c.cfg.DefaultReply,
-	}
-	if c.cfg.Lease {
-		rcfg.Lease = &lease.TableConfig{HotRate: c.cfg.LeaseHotRate}
-	}
-	r, err := router.New(rcfg)
+	})
 	if err != nil {
 		return nil, err
 	}

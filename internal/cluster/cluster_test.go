@@ -404,7 +404,6 @@ func TestCloseStopsEveryGoroutine(t *testing.T) {
 			HA:                 true,
 			DBHA:               true,
 			Membership:         true,
-			Lease:              true,
 			Audit:              true,
 			SyncInterval:       10 * time.Millisecond,
 			CheckpointInterval: 10 * time.Millisecond,

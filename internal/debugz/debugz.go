@@ -92,8 +92,8 @@ func Mux(opts Options) *http.ServeMux {
 	}
 	// The flight recorder is process-global (events.Default), so the dump
 	// needs no per-daemon wiring: any daemon that mounts debugz exposes the
-	// last few thousand operational events — epoch swaps, handoffs, lease
-	// grants, failpoint fires, audit overspends.
+	// last few thousand operational events — epoch swaps, handoffs,
+	// failpoint fires, audit overspends.
 	svc := opts.Service
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, events.Default.Dump(svc))

@@ -1,7 +1,6 @@
 // Package events is the per-daemon flight recorder: a fixed-size lock-free
 // ring of control-plane state transitions (epoch swaps, bucket handoffs,
-// lease grants and revocations, failpoint fires, default-reply mode flips,
-// audit overspends).
+// failpoint fires, default-reply mode flips, audit overspends).
 //
 // The data plane already has metrics (rates and distributions) and traces
 // (per-request latency decomposition); what neither captures is the ORDER of
@@ -15,7 +14,7 @@
 //
 // Recording follows the trace.Ring idiom: writers claim a slot with one
 // atomic add and publish with one atomic pointer store, so a transition on a
-// semi-hot path (a lease revocation storm, a firing failpoint) never
+// semi-hot path (a handoff storm, a firing failpoint) never
 // serializes the goroutines reporting it. Each Record allocates one Event —
 // transitions are rare by construction, so this stays off the zero-alloc
 // admission paths.
@@ -38,16 +37,16 @@ type Event struct {
 	// Nanos is the wall-clock time of the transition in Unix nanoseconds.
 	Nanos int64 `json:"ns"`
 	// Component names the subsystem that recorded the transition
-	// ("router", "qosserver", "lease", "failpoint", "audit", ...).
+	// ("router", "qosserver", "failpoint", "audit", ...).
 	Component string `json:"component"`
 	// Kind names the transition ("epoch-swap", "handoff-apply",
-	// "lease-grant", "failpoint-fire", "default-reply-enter", ...).
+	// "failpoint-fire", "default-reply-enter", ...).
 	Kind string `json:"kind"`
 	// Key is the affected entity: a bucket key, a backend address, a
 	// failpoint name. Empty when the transition is daemon-wide.
 	Key string `json:"key,omitempty"`
 	// Value is a kind-specific number: the new epoch, a handoff entry
-	// count, a granted rate, an overspend amount.
+	// count, an overspend amount.
 	Value float64 `json:"value,omitempty"`
 	// Detail is optional preformatted context, filled on cold paths only.
 	Detail string `json:"detail,omitempty"`

@@ -20,7 +20,7 @@ import (
 
 // NewHotAlloc enforces the zero-allocation contract on the decision path. A
 // function annotated //janus:hotpath sits on the admission route (wire
-// encode/decode, bucket consume, lease routing, failpoint gates, trace
+// encode/decode, bucket consume, failpoint gates, trace
 // sampling, metrics increments), where one stray heap allocation costs more
 // than the algorithm it feeds and, under load, becomes GC pauses in the
 // tail latency.

@@ -97,7 +97,6 @@ var netIOScope = []string{
 	"internal/transport",
 	"internal/router",
 	"internal/qosserver",
-	"internal/lease",
 	"internal/membership",
 	"internal/lb",
 	"internal/debugz",

@@ -52,7 +52,7 @@ var trackedStructs = []struct {
 }{
 	{"internal/bucket", []string{"Rule"}}, // embedded in haEntry, gob-encoded
 	{"internal/qosserver", []string{"haFrame", "haEntry"}},
-	{"internal/wire", []string{"Request", "Response", "LeaseAsk", "LeaseGrant"}},
+	{"internal/wire", []string{"Request", "Response"}},
 }
 
 func checkWireCompat(mp *ModulePass, manifestPath string) {

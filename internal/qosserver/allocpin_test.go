@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/lease"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -25,9 +24,9 @@ import (
 // code).
 //
 // testing.AllocsPerRun runs the function once before measuring, so one-time
-// costs — rule install on first sight of a key, demand-tracker entry
-// creation, wire-key interning, slice warm-up — land in the warm-up run and
-// steady state is what gets measured, exactly as in a long-lived daemon.
+// costs — rule install on first sight of a key, wire-key interning, slice
+// warm-up — land in the warm-up run and steady state is what gets measured,
+// exactly as in a long-lived daemon.
 
 // allocBudgets is allocs/op per pinned path. The comments give what each
 // path cost before the zero-alloc work that hotalloc forced (sync.Map
@@ -36,7 +35,6 @@ import (
 // that the path was born allocation-free and is pinned to stay so.
 var allocBudgets = map[string]float64{
 	"singleton_decode_decide_encode": 0, // was 4
-	"lease_table_hit":                0, // born at 0: runs per request on the router
 	"sojourn_observe":                0, // born at 0: runs per datagram after every response
 	"singleton_decide_audited":       0, // born at 0: auditing is meant to run in production
 	"codel_decide":                   0, // born at 0: runs per datagram on every worker loop
@@ -159,42 +157,6 @@ func TestAllocPinAuditedDecide(t *testing.T) {
 	}
 	if got != budget {
 		t.Errorf("audited Decide: %v allocs/op, budget %v", got, budget)
-	}
-}
-
-// TestAllocPinLeaseTableHit pins the router-side lease-table hit: a live
-// lease admits locally — demand observation, epoch check, delegated bucket
-// spend — without touching the wire or the heap.
-func TestAllocPinLeaseTableHit(t *testing.T) {
-	skipIfInstrumented(t)
-	budget := pinBudget(t, "lease_table_hit")
-
-	tbl := lease.NewTable(lease.TableConfig{Clock: time.Now})
-	tbl.SetEpoch(1)
-	// Seed the demand entry, then install a grant big enough that the pinned
-	// loop never drains it and long-lived enough that it never enters the
-	// renewal window mid-measurement.
-	tbl.Route("alloc-pin-lease", 1)
-	tbl.Apply("alloc-pin-lease", wire.LeaseGrant{
-		Op:    wire.LeaseOpGrant,
-		Rate:  1e9,
-		Burst: 1e9,
-		TTL:   time.Hour,
-		Epoch: 1,
-	})
-
-	var undecided bool
-	got := testing.AllocsPerRun(200, func() {
-		d := tbl.Route("alloc-pin-lease", 1)
-		if !d.Decided || !d.Allow {
-			undecided = true
-		}
-	})
-	if undecided {
-		t.Fatal("lease-table hit was not served locally; the pin measured the wrong path")
-	}
-	if got != budget {
-		t.Errorf("lease-table hit: %v allocs/op, budget %v", got, budget)
 	}
 }
 

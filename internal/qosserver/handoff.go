@@ -74,10 +74,6 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 			continue
 		}
 		for _, e := range entries {
-			// The key has a new owner; any lease carved from this bucket must
-			// die with it (epoch scoping at the router catches the same case,
-			// but the reserved rate has to be returned here regardless).
-			s.revokeLeases(e.Rule.Key)
 			s.table.Delete(e.Rule.Key)
 			s.defaults.Delete(e.Rule.Key)
 		}
@@ -155,7 +151,6 @@ func (s *Server) applyHandoffEntries(entries []haEntry) {
 				b.SetCredit(e.Rule.Credit, now)
 			}
 		} else {
-			s.revokeLeases(e.Rule.Key)
 			s.table.Put(e.Rule.Key, s.newBucket(e.Rule, now))
 		}
 		if e.Default {

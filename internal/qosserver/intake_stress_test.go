@@ -3,7 +3,6 @@ package qosserver
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +14,10 @@ import (
 
 // TestIntakeShardedStress runs every control-plane churn source at once
 // against a four-worker server while decision traffic flows: handoff
-// rebalancing to a second server and back, rule-sync churn (geometry edits
-// and delete/recreate, which revoke leases), and live lease grant traffic.
-// The point is the race surface: four workers sharing the intake FIFO and
-// its CoDel controller on the hot path while the slow path rewrites the
-// table under them. Run under -race (`make race-overload` runs it
+// rebalancing to a second server and back, and rule-sync churn (geometry
+// edits and delete/recreate). The point is the race surface: four workers
+// sharing the intake FIFO and its CoDel controller on the hot path while
+// the slow path rewrites the table under them. Run under -race (`make race-overload` runs it
 // -count=20).
 func TestIntakeShardedStress(t *testing.T) {
 	const keys = 32
@@ -31,9 +29,8 @@ func TestIntakeShardedStress(t *testing.T) {
 	src := newServer(t, Config{
 		Store: db, Workers: 4,
 		ReplicationAddr: "127.0.0.1:0",
-		LeaseFraction:   0.5, LeaseTTL: 100 * time.Millisecond,
-		CodelInterval: 20 * time.Millisecond,
-		Audit:         true,
+		CodelInterval:   20 * time.Millisecond,
+		Audit:           true,
 	})
 	dst := newServer(t, Config{Store: newDB(t, rules...), ReplicationAddr: "127.0.0.1:0"})
 
@@ -79,41 +76,6 @@ func TestIntakeShardedStress(t *testing.T) {
 		}(c)
 	}
 
-	// Lease traffic: singleton asks so grants go out and sync churn has
-	// live leases to revoke.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := net.Dial("udp", src.Addr())
-		if err != nil {
-			errs <- err
-			return
-		}
-		defer conn.Close()
-		go func() { // drain grants/denies
-			buf := make([]byte, wire.MaxDatagram)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}()
-		var id uint64
-		for i := 0; !stopped(); i++ {
-			id++
-			pkt, err := wire.EncodeRequest(wire.Request{
-				ID: id, Key: fmt.Sprintf("s%d", i%keys), Cost: 1,
-				Lease: wire.LeaseAsk{Op: wire.LeaseOpAsk, Demand: 500, Epoch: 1},
-			})
-			if err != nil {
-				errs <- err
-				return
-			}
-			conn.Write(pkt)
-			time.Sleep(500 * time.Microsecond)
-		}
-	}()
-
 	// Handoff churn: shuttle half the key space to dst and back.
 	wg.Add(1)
 	go func() {
@@ -139,7 +101,7 @@ func TestIntakeShardedStress(t *testing.T) {
 	}()
 
 	// Rule-sync churn: geometry edits and delete/recreate force the sync
-	// path's update/evict branches — both revoke outstanding leases.
+	// path's update and evict branches.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

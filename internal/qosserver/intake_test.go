@@ -116,8 +116,7 @@ func TestLongKeysAnswered(t *testing.T) {
 // TestPartitionKeysOnIPv4PeerOnDualStackSocket: on a socket bound to ":0"
 // (dual-stack where the host has IPv6) an IPv4 peer is read IPv4-mapped.
 // Its string must still be "127.0.0.1:port", or a partition keyed by that
-// address — the form the chaos suite and lease holders use — would let the
-// peer through.
+// address — the form the chaos suite uses — would let the peer through.
 func TestPartitionKeysOnIPv4PeerOnDualStackSocket(t *testing.T) {
 	s := newServer(t, Config{Addr: ":0", DefaultRule: bucket.Rule{RefillRate: 1e6, Capacity: 1e6, Credit: 1e6}})
 	_, port, err := net.SplitHostPort(s.Addr())

@@ -44,7 +44,6 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/events"
 	"repro/internal/failpoint"
-	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/table"
@@ -103,18 +102,10 @@ type Config struct {
 	// trace ID; nil creates a private recorder. The server never samples —
 	// the sampling decision is made at the edge and carried in the request.
 	Tracer *trace.Recorder
-	// LeaseFraction > 0 enables credit leasing (internal/lease): up to this
-	// share of a bucket's refill rate, (0,1], may be delegated to routers
-	// for local admission. 0 disables leasing; lease sections on inbound
-	// requests are then ignored, which is exactly what a pre-lease server
-	// does.
-	LeaseFraction float64
-	// LeaseTTL is the lease lifetime; 0 means lease.DefaultTTL.
-	LeaseTTL time.Duration
 	// Audit enables the online admission-audit ledger (internal/audit):
 	// every credit grant and every admission is accounted, and an audit
 	// pass (periodic, plus on-demand at /debug/audit) verifies the
-	// conservation bound admitted ≤ C + r·t + lease slack per bucket,
+	// conservation bound admitted ≤ C + r·t per bucket,
 	// exporting violations as janus_qos_audit_overspend_total. Off by
 	// default: auditing costs one sharded map read plus one lock-free
 	// float add per admission, and no allocation (TestAllocPinAuditedDecide).
@@ -144,13 +135,6 @@ type Stats struct {
 	DefaultHit int64 // decisions served by the default rule
 	DBErrors   int64
 	SendErrors int64 // response datagrams the kernel refused to send
-
-	// Lease counters (zero unless Config.LeaseFraction > 0).
-	LeaseGrants  int64   // grants and renewals issued
-	LeaseDenies  int64   // asks refused
-	LeaseRevokes int64   // leases revoked before TTL
-	Leases       int     // leases currently outstanding
-	LeasedRate   float64 // refill rate currently delegated, credits/second
 }
 
 // Add accumulates o into s field by field — the one sum every cluster-wide
@@ -167,11 +151,6 @@ func (s *Stats) Add(o Stats) {
 	s.DefaultHit += o.DefaultHit
 	s.DBErrors += o.DBErrors
 	s.SendErrors += o.SendErrors
-	s.LeaseGrants += o.LeaseGrants
-	s.LeaseDenies += o.LeaseDenies
-	s.LeaseRevokes += o.LeaseRevokes
-	s.Leases += o.Leases
-	s.LeasedRate += o.LeasedRate
 }
 
 // Server is a running QoS server node.
@@ -255,11 +234,6 @@ type Server struct {
 
 	syncQueries    *metrics.Counter
 	syncReconciles *metrics.Counter
-
-	leases       *lease.Manager // nil when leasing is disabled
-	leaseGrants  *metrics.Counter
-	leaseDenies  *metrics.Counter
-	leaseRevokes *metrics.Counter
 
 	ha *haListener
 
@@ -410,21 +384,13 @@ func New(cfg Config) (*Server, error) {
 	reg.GaugeFunc("janus_qos_sojourn_current_ns", "queue-stage sojourn of the most recently dequeued packet in nanoseconds (the CoDel control signal)",
 		func() float64 { return float64(s.curSojournNs.Load()) })
 	if cfg.Audit {
-		s.auditOverspend = reg.Counter("janus_qos_audit_overspend_total", "buckets found over the C + r·t + lease-slack conservation budget (counted once per bucket generation)")
+		s.auditOverspend = reg.Counter("janus_qos_audit_overspend_total", "buckets found over the C + r·t conservation budget (counted once per bucket generation)")
 		s.audit = audit.NewLedger(audit.Config{Clock: clock, OnOverspend: func(o audit.Overspend) {
 			s.auditOverspend.Inc()
 			events.Recordf("audit", "overspend", o.Key, o.Over, "admitted=%.1f budget=%.1f gen=%d", o.Admitted, o.Budget, o.Generation)
 			s.logger.Printf("qosserver: audit overspend on %q gen %d: admitted %.1f > budget %.1f", o.Key, o.Generation, o.Admitted, o.Budget)
 		}})
 		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger", func() float64 { return float64(s.audit.Buckets()) })
-	}
-	if cfg.LeaseFraction > 0 {
-		s.leases = lease.NewManager(lease.ManagerConfig{Fraction: cfg.LeaseFraction, TTL: cfg.LeaseTTL, Clock: clock})
-		s.leaseGrants = reg.Counter("janus_qos_lease_grants_total", "credit lease grants and renewals issued")
-		s.leaseDenies = reg.Counter("janus_qos_lease_denies_total", "credit lease asks refused")
-		s.leaseRevokes = reg.Counter("janus_qos_lease_revokes_total", "credit leases revoked before their TTL")
-		reg.GaugeFunc("janus_qos_leased_rate", "refill rate currently delegated to credit leases, credits/second", s.leases.LeasedRate)
-		reg.GaugeFunc("janus_qos_leases", "credit leases currently outstanding", func() float64 { return float64(s.leases.Holders()) })
 	}
 	if cfg.ReplicationAddr != "" {
 		ha, err := newHAListener(s, cfg.ReplicationAddr)
@@ -447,11 +413,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
 		s.every(cfg.CheckpointInterval, func(time.Time) { s.CheckpointOnce() })
 	}
-	if s.leases != nil {
-		// Expire leases whose holders vanished, so their reserved rate
-		// returns to the shared bucket no later than one sweep after the TTL.
-		s.every(max(s.leases.TTL()/2, 10*time.Millisecond), func(now time.Time) { s.leases.Sweep(now) })
-	}
 	if s.audit != nil {
 		// Overspends reach the counter and the flight recorder without
 		// anyone scraping /debug/audit.
@@ -464,7 +425,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // every calls fn on a ticker of period d until Close — the one loop behind
-// rule sync, checkpointing, the lease sweep and the audit pass.
+// rule sync, checkpointing and the audit pass.
 func (s *Server) every(d time.Duration, fn func(now time.Time)) {
 	s.wg.Add(1)
 	go func() {
@@ -520,8 +481,7 @@ func (s *Server) listen() {
 			return // socket closed
 		}
 		// A dual-stack socket reports an IPv4 peer IPv4-mapped; unmapped, its
-		// string is "a.b.c.d:port", the failpoint partition key and the lease
-		// holder ID.
+		// string is "a.b.c.d:port", the failpoint partition key.
 		raddr = netip.AddrPortFrom(raddr.Addr().Unmap(), raddr.Port())
 		if fpUDPRecv.Armed() {
 			switch o := fpUDPRecv.EvalPeer(raddr.String()); o.Kind {
@@ -566,9 +526,9 @@ var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 // controller: a packet the controller sheds is answered immediately
 // with the degraded-mode default (StatusDegraded, the server's fail-open/
 // fail-closed verdict, no credit consumed) instead of being decided —
-// never silently dropped. The degraded path skips the admission decision
-// and the lease plumbing, which is what makes shedding cheaper than
-// serving and lets the control law actually shorten the queue.
+// never silently dropped. The degraded path skips the admission decision,
+// which is what makes shedding cheaper than serving and lets the control
+// law actually shorten the queue.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	// The decoded request and the encode buffer are owned by this worker and
@@ -601,18 +561,9 @@ func (s *Server) worker() {
 				}
 			}
 			resp = s.decideTimed(&req)
-			if s.leases != nil {
-				s.attachLease(&req, &resp, pkt.raddr.String())
-			}
 		}
 		decNs := s.clock().UnixNano()
-		out, err = wire.AppendResponse(out[:0], resp)
-		if err != nil {
-			// Unreachable while the lease manager grants encodable TTLs;
-			// counted rather than silently dropped.
-			s.sendErrors.Inc()
-			continue
-		}
+		out, _ = wire.AppendResponse(out[:0], resp) // a response always encodes
 		// Fire and forget (§III-C: "The worker thread does not care about
 		// whether the request router receives the response or not") — but a
 		// send the kernel refused is counted, or silent drops would read as
@@ -659,62 +610,6 @@ func (s *Server) CurrentSojourn() time.Duration {
 // nanoseconds — the per-node tail signal the scenario harness feeds to SLO
 // checks and the autoscaler, without registry-name coupling.
 func (s *Server) SojournTotal() *metrics.Histogram { return s.sojournTotal }
-
-// fpLeaseRevokeDrop models a lost lease revocation: the reserved rate is
-// already released server-side, but the holder never hears it should stop
-// admitting locally, so it keeps spending its leased rate until the TTL
-// runs out — exactly the overhang the C + r·t + leased·TTL bound covers.
-var fpLeaseRevokeDrop = failpoint.New("qosserver/lease/revoke-drop")
-
-// attachLease serves a piggybacked lease ask on an admission exchange. A
-// revocation queued for the holder takes priority over answering the ask —
-// a response carries at most one lease section, and when a holder's wire
-// traffic is all renewals, revocations would otherwise never find a
-// carrier. The starved ask is simply left unanswered; the router re-asks.
-func (s *Server) attachLease(req *wire.Request, resp *wire.Response, holder string) {
-	if g, ok := s.leases.PendingRevoke(holder); ok {
-		if fpLeaseRevokeDrop.Armed() {
-			switch o := fpLeaseRevokeDrop.EvalPeer(holder); o.Kind {
-			case failpoint.Drop, failpoint.Partition:
-				return // revocation lost; the lease TTL bounds the damage
-			case failpoint.Delay:
-				o.Sleep()
-			}
-		}
-		resp.Lease = g
-		return
-	}
-	if req.Lease.Op != 0 {
-		// Decide already installed the bucket for this key, so Get only
-		// misses if the key raced a concurrent delete — deny by omission.
-		if b := s.table.Get(req.Key); b != nil {
-			g := s.leases.Handle(req.Key, holder, req.Lease, b)
-			switch g.Op {
-			case wire.LeaseOpGrant:
-				s.leaseGrants.Inc()
-				// The holder may now admit rate×TTL remotely plus the
-				// prepaid burst; budget it before the first remote spend.
-				s.audit.AddSlack(req.Key, g.Rate*g.TTL.Seconds()+g.Burst)
-				events.Recordf("lease", "grant", req.Key, g.Rate, "holder=%s burst=%.1f ttl=%s", holder, g.Burst, g.TTL)
-			case wire.LeaseOpDeny:
-				s.leaseDenies.Inc()
-			}
-			resp.Lease = g
-		}
-	}
-}
-
-// revokeLeases withdraws all leases on key before its bucket is replaced,
-// deleted, or handed off; no-op when leasing is disabled.
-func (s *Server) revokeLeases(key string) {
-	if s.leases == nil {
-		return
-	}
-	if n := s.leases.Revoke(key); n > 0 {
-		s.leaseRevokes.Add(int64(n))
-		events.Record("lease", "revoke", key, float64(n))
-	}
-}
 
 // decideTimed is the worker's decision step for one request: Decide
 // between two clock reads, the decision latency recorded, and — for a
@@ -992,7 +887,7 @@ func (s *Server) reconcile(now time.Time) {
 		return true
 	})
 	for _, key := range gone {
-		s.evict(key)
+		s.table.Delete(key)
 	}
 	s.syncOrigin, s.syncSeq = first.Origin, first.Head
 }
@@ -1009,7 +904,7 @@ func (s *Server) readChanges(cursor int64) (store.Changes, error) {
 	// meanwhile holds a rule from a sync pass or a peer, and stays.
 	for _, key := range s.fallbacks.drain() {
 		if _, isDefault := s.defaults.Load(key); isDefault {
-			s.evict(key)
+			s.table.Delete(key)
 		}
 	}
 	return ch, nil
@@ -1027,7 +922,7 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time) {
 		}
 		if _, isDefault := s.defaults.Load(key); !isDefault {
 			// Rule deleted: evict; next request applies the default rule.
-			s.evict(key)
+			s.table.Delete(key)
 		}
 	}
 	for _, r := range ch.Rules {
@@ -1039,7 +934,6 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time) {
 			// A default key gained a row (a new purchase): install the
 			// database rule wholesale, including its initial credit.
 			s.defaults.Delete(r.Key)
-			s.revokeLeases(r.Key)
 			s.table.Put(r.Key, s.newBucket(r, now))
 			continue
 		}
@@ -1049,18 +943,9 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time) {
 		// (a checkpoint rewrote its credit) is left alone so the database's
 		// stale credit does not overwrite live consumption.
 		if r.RefillRate != b.RefillRate() || r.Capacity != b.Capacity() {
-			// Leases reserve rate on the old bucket object; revoke before
-			// the swap so old and new refill streams cannot coexist.
-			s.revokeLeases(r.Key)
 			s.table.Put(r.Key, s.newBucket(r, now))
 		}
 	}
-}
-
-// evict drops key's bucket and its leases.
-func (s *Server) evict(key string) {
-	s.revokeLeases(key)
-	s.table.Delete(key)
 }
 
 // SyncAge reports how long ago the last rule-sync pass completed (measured
@@ -1109,7 +994,7 @@ func (s *Server) TableLen() int { return s.table.Len() }
 
 // Stats returns a snapshot of the operation counters.
 func (s *Server) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Received:   s.received.Value(),
 		Dropped:    s.dropped.Value(),
 		Degraded:   s.codelDrops.Value(),
@@ -1122,14 +1007,6 @@ func (s *Server) Stats() Stats {
 		DBErrors:   s.dbErrors.Value(),
 		SendErrors: s.sendErrors.Value(),
 	}
-	if s.leases != nil {
-		st.LeaseGrants = s.leaseGrants.Value()
-		st.LeaseDenies = s.leaseDenies.Value()
-		st.LeaseRevokes = s.leaseRevokes.Value()
-		st.Leases = s.leases.Holders()
-		st.LeasedRate = s.leases.LeasedRate()
-	}
-	return st
 }
 
 // DecisionLatency returns the decision-latency histogram.
@@ -1180,11 +1057,6 @@ type BucketSnapshot struct {
 	// Default marks keys served by the default rule (absent from the
 	// database).
 	Default bool `json:"default,omitempty"`
-	// LeasedRate and LeaseHolders report the refill rate delegated to
-	// credit leases on this key and how many routers hold one (zero unless
-	// leasing is enabled).
-	LeasedRate   float64 `json:"leased_rate,omitempty"`
-	LeaseHolders int     `json:"lease_holders,omitempty"`
 }
 
 // SnapshotBuckets captures up to limit rows of the live bucket table
@@ -1195,17 +1067,13 @@ func (s *Server) SnapshotBuckets(limit int) []BucketSnapshot {
 	var out []BucketSnapshot
 	s.table.Range(func(key string, b *bucket.Bucket) bool {
 		_, isDefault := s.defaults.Load(key)
-		row := BucketSnapshot{
+		out = append(out, BucketSnapshot{
 			Key:        key,
 			Credit:     b.Credit(now),
 			Capacity:   b.Capacity(),
 			RefillRate: b.RefillRate(),
 			Default:    isDefault,
-		}
-		if s.leases != nil {
-			row.LeasedRate, row.LeaseHolders = s.leases.KeyLease(key)
-		}
-		out = append(out, row)
+		})
 		return limit <= 0 || len(out) < limit
 	})
 	return out

@@ -41,11 +41,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/audit"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/h1"
-	"repro/internal/lease"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -96,22 +94,6 @@ type Config struct {
 	// sampled); otherwise the tracer's own sampler may start a trace. Nil
 	// creates a private recorder with sampling disabled.
 	Tracer *trace.Recorder
-	// Lease enables credit leasing (internal/lease): hot keys are admitted
-	// from local rate leases granted by the QoS servers, without the UDP
-	// hop. Nil disables leasing — the default, and the only mode old
-	// servers ever observe.
-	Lease *lease.TableConfig
-	// Audit enables the router-side admission-audit ledger: every lease
-	// grant budgets burst + rate·t for its key and every lease-hit
-	// admission is accounted against it, so credit minted by a lease-path
-	// bug (a double-applied grant, a bucket that forgot to spend) surfaces
-	// as janus_router_audit_overspend_total. Only meaningful with leasing
-	// enabled — the wire path spends on the QoS server, which audits
-	// itself.
-	Audit bool
-	// AuditInterval is the period of the background audit pass when Audit
-	// is enabled; 0 means 1s.
-	AuditInterval time.Duration
 }
 
 // Stats are cumulative counters for one router node.
@@ -128,15 +110,6 @@ type Stats struct {
 	// LastRemapFraction estimates the fraction of the key space whose
 	// owner changed at the most recent view swap (0 before any swap).
 	LastRemapFraction float64
-
-	// LeaseHits counts admissions decided locally from a credit lease
-	// (LeaseAllowed of them admitted); LeaseMisses counts admissions that
-	// fell through to the wire while leasing was enabled. Leases is the
-	// number of leases currently held.
-	LeaseHits    int64
-	LeaseAllowed int64
-	LeaseMisses  int64
-	Leases       int
 }
 
 // routeState is one immutable routing table: a view plus its dial slots.
@@ -170,22 +143,10 @@ type Router struct {
 	viewSwaps      *metrics.Counter
 	lastRemapBits  atomic.Uint64 // math.Float64bits of LastRemapFraction
 
-	leases      *lease.Table // nil when leasing is disabled
-	leaseAllows *metrics.Counter
-	leaseDenies *metrics.Counter
-	leaseMisses *metrics.Counter
-
-	audit          *audit.Ledger // nil when auditing is disabled
-	auditOverspend *metrics.Counter
-
 	// inDefaultReply tracks whether the router is currently fabricating
 	// replies (an exchange just exhausted its retries) — the flight
 	// recorder logs the enter/exit edges, not every fabricated reply.
 	inDefaultReply atomic.Bool
-
-	quit      chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
 }
 
 // backend is one QoS server slot, addressed by name and re-resolved on
@@ -288,25 +249,6 @@ func New(cfg Config) (*Router, error) {
 		defaultReplies: reg.Counter("janus_router_default_replies_total", "responses fabricated by the router", metrics.Label{Key: "mode", Value: mode}),
 		redials:        reg.Counter("janus_router_redials_total", "backend reconnects after failure"),
 		viewSwaps:      reg.Counter("janus_router_view_swaps_total", "membership views adopted after the initial one"),
-		quit:           make(chan struct{}),
-	}
-	if cfg.Lease != nil {
-		r.leases = lease.NewTable(*cfg.Lease)
-		r.leaseAllows = reg.Counter("janus_router_lease_hits_total", "admissions decided locally from a credit lease", metrics.Label{Key: "verdict", Value: "allow"})
-		r.leaseDenies = reg.Counter("janus_router_lease_hits_total", "admissions decided locally from a credit lease", metrics.Label{Key: "verdict", Value: "deny"})
-		r.leaseMisses = reg.Counter("janus_router_lease_misses_total", "admissions that fell through to the wire with leasing enabled")
-		reg.GaugeFunc("janus_router_leases", "credit leases currently held", func() float64 {
-			return float64(r.leases.Len())
-		})
-	}
-	if cfg.Audit {
-		r.auditOverspend = reg.Counter("janus_router_audit_overspend_total", "leased keys found over the burst + rate·t conservation budget (counted once per lease generation)")
-		r.audit = audit.NewLedger(audit.Config{OnOverspend: func(o audit.Overspend) {
-			r.auditOverspend.Inc()
-			events.Recordf("audit", "overspend", o.Key, o.Over, "admitted=%.1f budget=%.1f gen=%d", o.Admitted, o.Budget, o.Generation)
-			r.logger.Printf("router: audit overspend on %q gen %d: admitted %.1f > budget %.1f", o.Key, o.Generation, o.Admitted, o.Budget)
-		}})
-		reg.GaugeFunc("janus_router_audit_buckets", "leased keys tracked by the admission-audit ledger", func() float64 { return float64(r.audit.Buckets()) })
 	}
 	reg.RegisterHistogram("janus_router_latency_ns", "HTTP request latency in nanoseconds", r.latency)
 	reg.GaugeFunc("janus_router_view_epoch", "epoch of the view currently routing traffic", func() float64 {
@@ -321,41 +263,7 @@ func New(cfg Config) (*Router, error) {
 	initial := membership.View{Epoch: 0, Backends: append([]string(nil), cfg.Backends...)}
 	r.state.Store(r.buildState(initial, nil))
 	r.server = h1.Serve(ln, r.serve)
-	if r.audit != nil {
-		r.wg.Add(1)
-		go r.auditLoop()
-	}
 	return r, nil
-}
-
-// auditLoop runs the periodic conservation pass so lease-path overspends
-// reach the counter and the flight recorder without anyone scraping
-// /debug/audit.
-func (r *Router) auditLoop() {
-	defer r.wg.Done()
-	every := r.cfg.AuditInterval
-	if every <= 0 {
-		every = time.Second
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.quit:
-			return
-		case <-t.C:
-			r.audit.Audit()
-		}
-	}
-}
-
-// AuditReport runs one on-demand audit pass — the /debug/audit document.
-// With auditing disabled the verdict is "disabled".
-func (r *Router) AuditReport() audit.Report {
-	if r.audit == nil {
-		return audit.Report{Verdict: "disabled"}
-	}
-	return r.audit.Audit()
 }
 
 // buildState assembles dial slots for a view, reusing slots (and their
@@ -398,12 +306,6 @@ func (r *Router) UpdateView(v membership.View) error {
 	st := r.buildState(v, old)
 	remap := membership.RemapFraction(old.view, v, 0)
 	r.state.Store(st)
-	if r.leases != nil {
-		// Leases are epoch-scoped: after the swap, keys may have new owners,
-		// so leases granted under the old view die at their next use and the
-		// router re-asks the new owner.
-		r.leases.SetEpoch(v.Epoch)
-	}
 	r.viewSwaps.Inc()
 	r.lastRemapBits.Store(math.Float64bits(remap))
 	events.Recordf("router", "epoch-swap", "", float64(v.Epoch), "backends=%d remap=%.3f", len(v.Backends), remap)
@@ -536,30 +438,6 @@ func (r *Router) Route(qreq wire.Request) wire.Response {
 }
 
 func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
-	if r.leases != nil {
-		d := r.leases.Route(qreq.Key, qreq.Cost)
-		if d.Decided {
-			// Leased fast path: the key's rate share lives in the local
-			// table and the wire is never touched.
-			if d.Allow {
-				r.leaseAllows.Inc()
-				// Mirror the lease table's cost normalization (0 spends 1)
-				// so the ledger accounts exactly what the bucket spent.
-				cost := qreq.Cost
-				if cost <= 0 {
-					cost = 1
-				}
-				r.audit.Admit(qreq.Key, cost)
-			} else {
-				r.leaseDenies.Inc()
-			}
-			return wire.Response{Allow: d.Allow, Status: wire.StatusLeased}, routeInfo{backend: "lease"}
-		}
-		r.leaseMisses.Inc()
-		// Piggyback whatever lease op the table wants (ask for a hot key,
-		// renew near expiry, renounce a cold one) on this wire exchange.
-		qreq.Lease = d.Ask
-	}
 	st := r.state.Load()
 	i, err := membership.Pick(qreq.Key, len(st.backends))
 	if err != nil {
@@ -576,7 +454,7 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 			// concerned; take the same path a real retry exhaustion takes,
 			// minus the wall-clock wait.
 			r.timeouts.Inc()
-			return r.leaseFailed(qreq), info
+			return r.defaultReply(), info
 		case failpoint.Delay:
 			o.Sleep()
 		}
@@ -584,7 +462,7 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 	client, err := b.getClient()
 	if err != nil {
 		r.logger.Printf("router: backend %s unavailable: %v", b.name, err)
-		return r.leaseFailed(qreq), info
+		return r.defaultReply(), info
 	}
 	resp, attempts, err := client.DoAttempts(qreq)
 	info.attempts = attempts
@@ -594,42 +472,13 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 		// backend name — after a DNS failover this lands on the new master.
 		b.invalidate()
 		r.redials.Inc()
-		return r.leaseFailed(qreq), info
+		return r.defaultReply(), info
 	}
 	// A completed wire exchange ends any default-reply episode.
 	if r.inDefaultReply.Load() && r.inDefaultReply.CompareAndSwap(true, false) {
 		events.Record("router", "default-reply-exit", "", 0)
 	}
-	if r.leases != nil {
-		switch {
-		case resp.Lease.Op != 0:
-			if resp.Lease.Op == wire.LeaseOpGrant {
-				// Budget the grant before the first local spend: the holder
-				// may admit burst upfront plus rate·t for the lease window.
-				// Renewals re-add the burst the table keeps rather than
-				// re-mints — a deliberate over-approximation; the ledger only
-				// ever errs toward "ok".
-				r.audit.Install(qreq.Key, resp.Lease.Burst, resp.Lease.Rate)
-			}
-			r.leases.Apply(qreq.Key, resp.Lease)
-		case qreq.Lease.Op != 0:
-			// The server left our ask unanswered (a pending revocation for
-			// another key took the section); clear the renewal mark so the
-			// next admission re-asks.
-			r.leases.AskFailed(qreq.Key)
-		}
-	}
 	return resp, info
-}
-
-// leaseFailed is defaultReply for exchanges that carried a lease op: the op
-// never reached the server (or its answer never arrived), so any in-flight
-// renewal mark must be cleared for the next admission to retry it.
-func (r *Router) leaseFailed(qreq wire.Request) wire.Response {
-	if r.leases != nil && qreq.Lease.Op != 0 {
-		r.leases.AskFailed(qreq.Key)
-	}
-	return r.defaultReply()
 }
 
 func (r *Router) defaultReply() wire.Response {
@@ -652,7 +501,7 @@ func boolToFloat(b bool) float64 {
 
 // Stats returns a snapshot of the router counters.
 func (r *Router) Stats() Stats {
-	s := Stats{
+	return Stats{
 		Requests:          r.requests.Value(),
 		BadRequests:       r.badRequests.Value(),
 		Timeouts:          r.timeouts.Value(),
@@ -662,14 +511,6 @@ func (r *Router) Stats() Stats {
 		Epoch:             r.state.Load().view.Epoch,
 		LastRemapFraction: math.Float64frombits(r.lastRemapBits.Load()),
 	}
-	if r.leases != nil {
-		allowed := r.leaseAllows.Value()
-		s.LeaseAllowed = allowed
-		s.LeaseHits = allowed + r.leaseDenies.Value()
-		s.LeaseMisses = r.leaseMisses.Value()
-		s.Leases = r.leases.Len()
-	}
-	return s
 }
 
 // Latency returns the HTTP-request latency histogram.
@@ -683,11 +524,9 @@ func (r *Router) Tracer() *trace.Recorder { return r.tracer }
 
 // Close shuts down the router.
 func (r *Router) Close() error {
-	r.closeOnce.Do(func() { close(r.quit) })
 	err := r.server.Close()
 	for _, b := range r.state.Load().backends {
 		b.close()
 	}
-	r.wg.Wait()
 	return err
 }

@@ -33,13 +33,12 @@ func realRules(sc Scenario) []bucket.Rule {
 }
 
 // RunReal executes the scenario's real tier: a live loopback cluster
-// (gateway LB → routers with the UDP transport and optional leases → one
-// QoS server with CoDel shedding on its intake FIFO and the audit ledger),
-// the decide path pinned by the worker/decide failpoint so the governed
-// capacity is known, and an autoscale.Group scaling the router
-// layer on the LB's measured windowed p90. long selects the nightly
-// duration. The failpoint is global process state: do not run two real
-// tiers concurrently.
+// (gateway LB → routers with the UDP transport → one QoS server with CoDel
+// shedding on its intake FIFO and the audit ledger), the decide path pinned
+// by the worker/decide failpoint so the governed capacity is known, and an
+// autoscale.Group scaling the router layer on the LB's measured windowed
+// p90. long selects the nightly duration. The failpoint is global process
+// state: do not run two real tiers concurrently.
 func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, error) {
 	p := sc.Real
 	clk := loadgen.Clock{}
@@ -56,7 +55,6 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 		Transport: transport.Config{
 			Timeout: 150 * time.Millisecond, Retries: 1,
 		},
-		Lease: p.Lease,
 	})
 	if err != nil {
 		return Report{}, err
@@ -165,9 +163,9 @@ func RunReal(ctx context.Context, sc Scenario, seed int64, long bool) (Report, e
 	}
 
 	// Aggregate conservation bound: with every drawn key seeded, admitted
-	// can never exceed Σ_keys (C + r·t). Leases move admission to the
-	// routers but never mint credit (the audit ledger is the per-key
-	// oracle); retransmissions can only double-answer, not double-spend.
+	// can never exceed Σ_keys (C + r·t). Every admission is decided on the
+	// QoS server (the audit ledger is the per-key oracle); retransmissions
+	// can only double-answer, not double-spend.
 	var bound float64
 	for _, t := range sc.Tenants {
 		bound += float64(t.RealKeys) * (t.Capacity + t.Rate*elapsed)

@@ -14,11 +14,10 @@
 //     wall-clock or global-rand call sneaks in) — with every key's
 //     admissions held to C + r·T by the oracle here.
 //   - Real tier (RunReal): the same shape at max real throughput against a
-//     live loopback cluster — gateway LB, routers with lease tables and
-//     the UDP transport, QoS servers with CoDel shedding on their
-//     intake FIFO and the online audit ledger — with autoscale.Group wired
-//     to the LB's measured p90 so scale-out/scale-in events are part of
-//     the asserted trace.
+//     live loopback cluster — gateway LB, routers with the UDP transport,
+//     QoS servers with CoDel shedding on their intake FIFO and the online
+//     audit ledger — with autoscale.Group wired to the LB's measured p90
+//     so scale-out/scale-in events are part of the asserted trace.
 //
 // Every run emits a Report (admit accuracy, degraded/drop/error rates, p99
 // sojourn, the scale-event sequence, audit verdict) that is checked against
@@ -66,8 +65,6 @@ type RealParams struct {
 	LongDuration time.Duration
 	// Workers is the open-loop client concurrency.
 	Workers int
-	// Lease enables credit leasing end to end.
-	Lease bool
 	// LorisConns is the number of adversarial held connections.
 	LorisConns int
 }
@@ -214,7 +211,7 @@ func (sc Scenario) ruleFor(key string) (rate, capacity float64) {
 var registry = []Scenario{
 	{
 		Name:          "zipf-churn",
-		Desc:          "Zipfian popularity (s=1.3) over 2M users with the hot set rotating every 20k draws; steady 0.7× load; leases on in the real tier",
+		Desc:          "Zipfian popularity (s=1.3) over 2M users with the hot set rotating every 20k draws; steady 0.7× load",
 		Tenants:       []Tenant{{Name: "user", Weight: 1, Users: 2_000_000, RealKeys: 64, Rate: 2, Capacity: 5}},
 		ZipfS:         1.3,
 		RotateEvery:   20_000,
@@ -222,7 +219,7 @@ var registry = []Scenario{
 		DESMaxRouters: 3,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 6 * time.Second, LongDuration: 20 * time.Second,
-			Workers: 32, Lease: true,
+			Workers: 32,
 		},
 		// No MinHotUtilization here: under churn a key is hot only for its
 		// rotation window, so full-run utilization of the C + r·T bound is

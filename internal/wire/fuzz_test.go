@@ -19,6 +19,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte{Magic})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 	f.Add(retiredBitFrame(f, Request{ID: 9, Key: "dave", Cost: 1, TraceID: 77}))
+	f.Add(leaseAskFrame)
+	f.Add(leaseRenewTracedFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := DecodeRequest(data)
 		if err != nil {
@@ -71,6 +73,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add(mustEncodeResponse(Response{ID: 9, Allow: true, Status: StatusOK}))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{Magic}, 32))
+	f.Add(leaseGrantFrame)
+	f.Add(leaseRevokeTracedFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp, err := DecodeResponse(data)
 		if err != nil {

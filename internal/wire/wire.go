@@ -76,7 +76,10 @@ const (
 // 4-byte server-processing nanoseconds after the status byte).
 const FlagTraced = 1 << 0
 
-// Flag bit 1<<1 is retired (it marked the batch frame); do not reuse it.
+// Flag bit 1<<1 is retired (it marked the batch frame), and so is bit 1<<2
+// (it marked a trailing credit-lease section); neither may be reused.
+// Decoders ignore both, and never read the bytes an old sender appended
+// under them.
 
 // Status codes carried in responses.
 type Status uint8
@@ -95,9 +98,9 @@ const (
 	// StatusError means the server failed internally; verdict carries the
 	// fail-open/fail-closed default.
 	StatusError Status = 3
-	// StatusLeased means the router admitted the key locally from a credit
-	// lease (internal/lease) without consulting the server.
-	StatusLeased Status = 4
+	// Status 4 is retired (a router admitted the key from a credit lease);
+	// do not reuse it.
+
 	// StatusDegraded means the QoS server's CoDel queue controller answered
 	// the request with the degraded-mode default instead of running the
 	// admission decision: the request sat in the intake FIFO beyond the
@@ -118,8 +121,6 @@ func (s Status) String() string {
 		return "default-reply"
 	case StatusError:
 		return "error"
-	case StatusLeased:
-		return "leased"
 	case StatusDegraded:
 		return "degraded"
 	default:
@@ -138,9 +139,6 @@ type Request struct {
 	// TraceID, when non-zero, marks the request as sampled for tracing and
 	// rides the wire as an optional trailing field (internal/trace).
 	TraceID uint64
-	// Lease, when Lease.Op != 0, piggybacks a lease ask/renew/renounce on
-	// this request as the flag-gated trailing lease section (lease.go).
-	Lease LeaseAsk
 }
 
 // Response is the boolean admission decision.
@@ -157,9 +155,6 @@ type Response struct {
 	// nanoseconds, reported only on traced responses (capped at ~4.29 s by
 	// the 4-byte wire field).
 	ServerNanos int64
-	// Lease, when Lease.Op != 0, piggybacks a lease grant/deny/revoke on
-	// this response as the flag-gated trailing lease section (lease.go).
-	Lease LeaseGrant
 }
 
 // Decode errors.
@@ -272,26 +267,14 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 		flags |= FlagTraced
 		need += traceIDLen
 	}
-	if req.Lease.Op != 0 {
-		if err := req.Lease.validate(); err != nil {
-			return dst, err
-		}
-		flags |= FlagLease
-		need += leaseAskLen
-	}
 	dst = growTo(dst, start, need)
 	buf := dst[start:]
 	putHeader(buf, typeRequest, flags, req.ID)
 	binary.BigEndian.PutUint32(buf[16:], scaleCost(req.Cost))
 	binary.BigEndian.PutUint16(buf[20:], uint16(len(req.Key)))
 	copy(buf[22:], req.Key)
-	off := requestHeaderLen + len(req.Key)
 	if req.TraceID != 0 {
-		binary.BigEndian.PutUint64(buf[off:], req.TraceID)
-		off += traceIDLen
-	}
-	if req.Lease.Op != 0 {
-		putLeaseAsk(buf[off:], req.Lease)
+		binary.BigEndian.PutUint64(buf[requestHeaderLen+len(req.Key):], req.TraceID)
 	}
 	seal(buf)
 	return dst, nil
@@ -337,25 +320,17 @@ func DecodeRequestReuse(buf []byte, req *Request) error {
 		req.Key = string(key)
 	}
 	req.TraceID = 0
-	req.Lease = LeaseAsk{}
-	off := requestHeaderLen + n
-	if buf[3]&FlagTraced != 0 {
+	if off := requestHeaderLen + n; buf[3]&FlagTraced != 0 {
 		if len(buf) < off+traceIDLen {
 			return ErrTruncated
 		}
 		req.TraceID = binary.BigEndian.Uint64(buf[off:])
-		off += traceIDLen
-	}
-	if buf[3]&FlagLease != 0 {
-		var err error
-		if req.Lease, _, err = parseLeaseAsk(buf, off); err != nil {
-			return err
-		}
 	}
 	return nil
 }
 
-// AppendResponse appends the encoded response to dst.
+// AppendResponse appends the encoded response to dst. Every response
+// encodes; the error result is always nil.
 //
 //janus:hotpath
 func AppendResponse(dst []byte, resp Response) ([]byte, error) {
@@ -366,25 +341,13 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 		flags |= FlagTraced
 		need = responseTracedLen
 	}
-	if resp.Lease.Op != 0 {
-		if err := resp.Lease.validate(); err != nil {
-			return dst, err
-		}
-		flags |= FlagLease
-		need += leaseGrantLen + len(resp.Lease.Key)
-	}
 	dst = growTo(dst, start, need)
 	buf := dst[start:]
 	putHeader(buf, typeResponse, flags, resp.ID)
 	putVerdict(buf[16:], resp)
-	off := responseLen
 	if resp.TraceID != 0 {
 		binary.BigEndian.PutUint64(buf[18:], resp.TraceID)
 		binary.BigEndian.PutUint32(buf[26:], clampNanos(resp.ServerNanos))
-		off = responseTracedLen
-	}
-	if resp.Lease.Op != 0 {
-		putLeaseGrant(buf[off:], resp.Lease)
 	}
 	seal(buf)
 	return dst, nil
@@ -408,20 +371,12 @@ func DecodeResponse(buf []byte) (Response, error) {
 		Allow:  buf[16] == 1,
 		Status: Status(buf[17]),
 	}
-	off := responseLen
 	if buf[3]&FlagTraced != 0 {
 		if len(buf) < responseTracedLen {
 			return Response{}, ErrTruncated
 		}
 		resp.TraceID = binary.BigEndian.Uint64(buf[18:])
 		resp.ServerNanos = int64(binary.BigEndian.Uint32(buf[26:]))
-		off = responseTracedLen
-	}
-	if buf[3]&FlagLease != 0 {
-		var err error
-		if resp.Lease, _, err = parseLeaseGrant(buf, off); err != nil {
-			return Response{}, err
-		}
 	}
 	return resp, nil
 }

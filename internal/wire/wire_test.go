@@ -10,6 +10,16 @@ import (
 	"testing/quick"
 )
 
+// mustEncodeResponse is the test-side shim for the error-returning encoder,
+// which encodes every response.
+func mustEncodeResponse(resp Response) []byte {
+	buf, err := EncodeResponse(resp)
+	if err != nil {
+		panic(err)
+	}
+	return buf
+}
+
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []Request{
 		{ID: 0, Key: "a", Cost: 1},
@@ -174,6 +184,77 @@ func TestRetiredBitFrameReadsEntryZero(t *testing.T) {
 		got, err := DecodeRequest(retiredBitFrame(t, head))
 		if err != nil || got != head {
 			t.Fatalf("DecodeRequest = %+v, %v; want entry 0 %+v", got, err, head)
+		}
+	}
+}
+
+// Frames from a sender that still piggybacked credit leases, byte for byte
+// as that encoder wrote them: flag bit 1<<2 set and a lease section after
+// the payload (request: op, demand, epoch; response: op, rate, burst, TTL,
+// epoch, key). Both the bit and the section are retired.
+var (
+	leaseAskFrame = []byte{ // {ID: 11, Key: "hot", Cost: 1} + ask, demand 500, epoch 3
+		0x4a, 0x01, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0xaa, 0xce, 0x2e, 0x5f,
+		0x00, 0x00, 0x03, 0xe8, 0x00, 0x03, 0x68, 0x6f, 0x74, 0x01, 0x00, 0x07, 0xa1, 0x20, 0x00, 0x00,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+	}
+	leaseRenewTracedFrame = []byte{ // {ID: 12, Key: "hot", Cost: 2, TraceID: 0x77} + renew, demand 80, epoch 3
+		0x4a, 0x01, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x35, 0xa6, 0x55, 0xbd,
+		0x00, 0x00, 0x07, 0xd0, 0x00, 0x03, 0x68, 0x6f, 0x74, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x77, 0x02, 0x00, 0x01, 0x38, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+	}
+	leaseGrantFrame = []byte{ // {ID: 11, Allow: true} + grant, rate 10, burst 5, TTL 1 s, epoch 3
+		0x4a, 0x01, 0x01, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0b, 0x99, 0x02, 0x21, 0xdc,
+		0x01, 0x00, 0x01, 0x00, 0x00, 0x27, 0x10, 0x00, 0x00, 0x13, 0x88, 0x00, 0x00, 0x03, 0xe8, 0x00,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+	}
+	leaseRevokeTracedFrame = []byte{ // {ID: 12, TraceID: 0x77, ServerNanos: 42} + revoke of "cold", epoch 3
+		0x4a, 0x01, 0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0c, 0x22, 0x9e, 0xef, 0x56,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x77, 0x00, 0x00, 0x00, 0x2a, 0x03, 0x00,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+		0x00, 0x00, 0x03, 0x00, 0x04, 0x63, 0x6f, 0x6c, 0x64,
+	}
+)
+
+// A frame carrying the retired lease bit and section decodes to the same
+// value as the frame without them, so a router that still asks for leases
+// gets ordinary replies from a janusd that grants none, and a router reading
+// a grant from an old janusd sees an ordinary verdict.
+func TestRetiredLeaseSectionsAreIgnored(t *testing.T) {
+	for _, c := range []struct {
+		frame []byte
+		want  Request
+	}{
+		{leaseAskFrame, Request{ID: 11, Key: "hot", Cost: 1}},
+		{leaseRenewTracedFrame, Request{ID: 12, Key: "hot", Cost: 2, TraceID: 0x77}},
+	} {
+		plain, err := EncodeRequest(c.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromPlain, err := DecodeRequest(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeRequest(c.frame)
+		if err != nil || got != c.want || got != fromPlain {
+			t.Errorf("DecodeRequest = %+v, %v; want %+v, as the frame without the lease section", got, err, c.want)
+		}
+	}
+	for _, c := range []struct {
+		frame []byte
+		want  Response
+	}{
+		{leaseGrantFrame, Response{ID: 11, Allow: true, Status: StatusOK}},
+		{leaseRevokeTracedFrame, Response{ID: 12, Status: StatusOK, TraceID: 0x77, ServerNanos: 42}},
+	} {
+		fromPlain, err := DecodeResponse(mustEncodeResponse(c.want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResponse(c.frame)
+		if err != nil || got != c.want || got != fromPlain {
+			t.Errorf("DecodeResponse = %+v, %v; want %+v, as the frame without the lease section", got, err, c.want)
 		}
 	}
 }

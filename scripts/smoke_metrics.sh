@@ -78,15 +78,14 @@ for m in "$QOS_M" "$ROUTER_M" "$LB_M" "$COORD_M"; do
     check_metrics "$m" "janus_build_info{"
 done
 
+# Every admission is decided on janusd, so its ledger is the only one.
 echo "checking admission audit..."
-for m in "$QOS_M" "$ROUTER_M"; do
-    verdict=$(curl -sf "http://$m/debug/audit")
-    if ! grep -q '"verdict": *"ok"' <<<"$verdict"; then
-        echo "FAIL: http://$m/debug/audit not ok: $verdict" >&2
-        exit 1
-    fi
-    echo "ok: http://$m/debug/audit verdict ok"
-done
+verdict=$(curl -sf "http://$QOS_M/debug/audit")
+if ! grep -q '"verdict": *"ok"' <<<"$verdict"; then
+    echo "FAIL: http://$QOS_M/debug/audit not ok: $verdict" >&2
+    exit 1
+fi
+echo "ok: http://$QOS_M/debug/audit verdict ok"
 
 echo "checking flight recorder..."
 for m in "$QOS_M" "$ROUTER_M" "$LB_M" "$COORD_M"; do
