@@ -107,8 +107,9 @@ bench-smoke:
 # string), the router's key→owner pick (membership.Pick) nothing, and a
 # first-sight rule fetch (store.Get's point select through a warmed minisql
 # Client over loopback) 8 objects on a miss and 14 on a hit, the engine's
-# included. The pins assert their budgets, so this is a test run, not a
-# benchmark run.
+# included; and the live heap a resident key holds in the QoS server's table
+# (TestAllocPinResidentKeyBytes, at most 190 B). The pins assert their
+# budgets, so this is a test run, not a benchmark run.
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql -run AllocPin -count=1 -v
 

@@ -27,20 +27,21 @@
 // a flight-recorder event.
 //
 // Cost model: the ledger is opt-in per daemon (a nil ledger disables all
-// accounting). When enabled, the admission hot path pays one sharded
-// read-locked map lookup plus one lock-free float add (Admit, zero-alloc,
-// //janus:hotpath-clean); everything else — installs and audit passes —
-// happens on cold control paths under per-account mutexes.
+// accounting). It owns no map: each bucket's Account lives beside the bucket
+// in its owner's table entry, arrives and leaves with it, and the owner
+// yields its accounts to an audit pass. When enabled, the admission hot path
+// pays one lock-free float add (Admit, zero-alloc, //janus:hotpath-clean);
+// installs and audit passes run on cold control paths under per-account
+// mutexes.
 package audit
 
 import (
+	"iter"
 	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-const shardCount = 16
 
 // Overspend describes one bucket found over budget by an audit pass.
 type Overspend struct {
@@ -72,10 +73,10 @@ type Report struct {
 	Overspent []Overspend `json:"overspent,omitempty"`
 }
 
-// account is the ledger's view of one bucket. The mutable accounting fields
-// are guarded by mu (cold paths only); admittedBits is the lock-free hot
-// counter.
-type account struct {
+// Account is the ledger's view of one bucket, held by the bucket's owner;
+// the zero value has been granted nothing. The accounting fields are guarded
+// by mu (cold paths only); admittedBits is the lock-free hot counter.
+type Account struct {
 	admittedBits atomic.Uint64 // float64 bits of total admitted cost
 
 	mu        sync.Mutex
@@ -87,22 +88,17 @@ type account struct {
 	flagged   bool    // overspend already reported for this generation
 }
 
-func (a *account) admitted() float64 {
+func (a *Account) admitted() float64 {
 	return math.Float64frombits(a.admittedBits.Load())
 }
 
 // budget computes the conservation budget at nowNs (mu held).
-func (a *account) budget(nowNs int64) float64 {
+func (a *Account) budget(nowNs int64) float64 {
 	b := a.installed + a.accrued
 	if dt := nowNs - a.anchorNs; dt > 0 && a.rate > 0 {
 		b += a.rate * float64(dt) / 1e9
 	}
 	return b
-}
-
-type shard struct {
-	mu sync.RWMutex
-	m  map[string]*account
 }
 
 // Config tunes a Ledger.
@@ -112,26 +108,26 @@ type Config struct {
 	Clock func() time.Time
 	// OnOverspend, when set, is called once per (bucket, generation) the
 	// first time an audit pass finds it over budget — the flight-recorder
-	// and metrics hook. Called without ledger locks held beyond the
-	// account's own.
+	// and metrics hook. Called once the pass has walked every account.
 	OnOverspend func(Overspend)
 }
 
-// Ledger tracks admission against granted credit for a set of buckets.
+// Ledger holds what the accounts of one daemon share: the audit clock, the
+// overspend counter and the hook.
 type Ledger struct {
 	clock       func() time.Time
 	onOverspend func(Overspend)
 	overspends  atomic.Int64
-	shards      [shardCount]shard
-	// pass is the list an audit pass copies a shard's accounts into, kept
-	// between passes so that a periodic pass allocates nothing; a pass
-	// running beside another takes a fresh one.
-	pass atomic.Pointer[[]passEntry]
+	// pass is an audit pass's state with its check bound once, kept between
+	// passes so that a periodic pass allocates nothing; a pass running beside
+	// another takes a fresh one.
+	pass atomic.Pointer[pass]
 }
 
-type passEntry struct {
-	key string
-	a   *account
+type pass struct {
+	rep   Report
+	fresh []Overspend // first found this generation: counted after the walk
+	check func(key string, a *Account) bool
 }
 
 // NewLedger builds a ledger.
@@ -140,54 +136,21 @@ func NewLedger(cfg Config) *Ledger {
 	if l.clock == nil {
 		l.clock = time.Now
 	}
-	for i := range l.shards {
-		l.shards[i].m = make(map[string]*account)
-	}
 	return l
 }
 
-// fnv32 hashes a key to its shard (same scheme the bucket table uses).
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (l *Ledger) shardFor(key string) *shard {
-	return &l.shards[fnv32(key)%shardCount]
-}
-
-func (l *Ledger) lookup(key string) *account {
-	sh := l.shardFor(key)
-	sh.mu.RLock()
-	a := sh.m[key]
-	sh.mu.RUnlock()
-	return a
-}
-
-// Install reports a wholesale credit grant: a bucket created or re-created
-// with the given starting credit and refill rate. Accrual at the previous
-// rate is folded in and the generation advances. Min-merge applications
-// (which only lower credit) must NOT be reported — they grant nothing.
+// Install reports a wholesale credit grant to a: its bucket created or
+// re-created with the given starting credit and refill rate. Accrual at the
+// previous rate is folded in and the generation advances. Min-merge
+// applications (which only lower credit) must NOT be reported — they grant
+// nothing.
 //
 // A nil ledger is a no-op, so call sites need no gate.
-func (l *Ledger) Install(key string, credit, rate float64) {
+func (l *Ledger) Install(a *Account, credit, rate float64) {
 	if l == nil {
 		return
 	}
 	nowNs := l.clock().UnixNano()
-	sh := l.shardFor(key)
-	sh.mu.Lock()
-	a := sh.m[key]
-	if a == nil {
-		a = &account{}
-		sh.m[key] = a
-	}
-	sh.mu.Unlock()
-
 	a.mu.Lock()
 	if dt := nowNs - a.anchorNs; a.gen > 0 && dt > 0 && a.rate > 0 {
 		a.accrued += a.rate * float64(dt) / 1e9
@@ -200,18 +163,12 @@ func (l *Ledger) Install(key string, credit, rate float64) {
 	a.mu.Unlock()
 }
 
-// Admit reports cost admitted against the bucket. This is the hot-path
-// hook: one sharded read-locked map lookup and one lock-free float add,
-// allocation-free. Unknown keys are ignored (the bucket was installed
-// through a path that does not audit — untracked, never wrong).
+// Admit reports cost admitted against a's bucket. This is the hot-path
+// hook: one lock-free float add, allocation-free.
 //
 //janus:hotpath
-func (l *Ledger) Admit(key string, cost float64) {
+func (l *Ledger) Admit(a *Account, cost float64) {
 	if l == nil {
-		return
-	}
-	a := l.lookup(key)
-	if a == nil {
 		return
 	}
 	for {
@@ -233,77 +190,59 @@ func (l *Ledger) Overspends() int64 {
 	return l.overspends.Load()
 }
 
-// Buckets reports how many accounts the ledger tracks.
-func (l *Ledger) Buckets() int {
-	if l == nil {
-		return 0
+// Audit runs one audit pass over every account that accounts yields, with
+// its bucket's key, and returns the report. New overspends (per bucket
+// generation) bump the overspend counter and fire the OnOverspend hook.
+func (l *Ledger) Audit(accounts iter.Seq2[string, *Account]) Report {
+	p := l.pass.Swap(nil)
+	if p == nil {
+		p = new(pass)
+		p.check = p.audit
 	}
-	n := 0
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// Audit runs one audit pass over every account and returns the report. New
-// overspends (per bucket generation) bump the overspend counter and fire
-// the OnOverspend hook.
-func (l *Ledger) Audit() Report {
-	nowNs := l.clock().UnixNano()
-	rep := Report{Verdict: "ok", Nanos: nowNs}
-	pass := l.pass.Swap(nil)
-	if pass == nil {
-		pass = new([]passEntry)
-	}
-	defer func() {
-		clear((*pass)[:cap(*pass)]) // hold no account past the pass
-		l.pass.Store(pass)
-	}()
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.RLock()
-		entries := (*pass)[:0]
-		for k, a := range sh.m {
-			entries = append(entries, passEntry{k, a})
-		}
-		sh.mu.RUnlock()
-		*pass = entries
-		for _, e := range entries {
-			a := e.a
-			admitted := a.admitted()
-			rep.Buckets++
-			rep.Admitted += admitted
-			a.mu.Lock()
-			budget := a.budget(nowNs)
-			// Tolerance: float accumulation error across millions of
-			// admissions, never enough to mask a real double-grant.
-			eps := 1e-6 + 1e-9*math.Abs(budget)
-			over := admitted - budget
-			isOver := over > eps
-			fresh := isOver && !a.flagged
-			if fresh {
-				a.flagged = true
-			}
-			gen := a.gen
-			a.mu.Unlock()
-			if !isOver {
-				continue
-			}
-			o := Overspend{Key: e.key, Generation: gen, Admitted: admitted, Budget: budget, Over: over}
-			if len(rep.Overspent) < 100 {
-				rep.Overspent = append(rep.Overspent, o)
-			}
-			rep.Verdict = "overspend"
-			if fresh {
-				l.overspends.Add(1)
-				if l.onOverspend != nil {
-					l.onOverspend(o)
-				}
-			}
+	p.rep = Report{Verdict: "ok", Nanos: l.clock().UnixNano()}
+	accounts(p.check)
+	rep, fresh := p.rep, p.fresh
+	p.rep, p.fresh = Report{}, nil
+	l.pass.Store(p)
+	// The hook runs after the walk, so none of it runs under the owner's
+	// locks.
+	for _, o := range fresh {
+		l.overspends.Add(1)
+		if l.onOverspend != nil {
+			l.onOverspend(o)
 		}
 	}
 	return rep
+}
+
+// audit checks one account against its budget at the pass's time.
+func (p *pass) audit(key string, a *Account) bool {
+	admitted := a.admitted()
+	p.rep.Buckets++
+	p.rep.Admitted += admitted
+	a.mu.Lock()
+	budget := a.budget(p.rep.Nanos)
+	// Tolerance: float accumulation error across millions of admissions,
+	// never enough to mask a real double-grant.
+	eps := 1e-6 + 1e-9*math.Abs(budget)
+	over := admitted - budget
+	isOver := over > eps
+	fresh := isOver && !a.flagged
+	if fresh {
+		a.flagged = true
+	}
+	gen := a.gen
+	a.mu.Unlock()
+	if !isOver {
+		return true
+	}
+	o := Overspend{Key: key, Generation: gen, Admitted: admitted, Budget: budget, Over: over}
+	if len(p.rep.Overspent) < 100 {
+		p.rep.Overspent = append(p.rep.Overspent, o)
+	}
+	p.rep.Verdict = "overspend"
+	if fresh {
+		p.fresh = append(p.fresh, o)
+	}
+	return true
 }

@@ -27,6 +27,27 @@ type shadowBucket struct {
 	last                   time.Time
 }
 
+// book is a test owner of accounts, one per key, made on first use.
+type book map[string]*Account
+
+func (b book) at(key string) *Account {
+	a := b[key]
+	if a == nil {
+		a = new(Account)
+		b[key] = a
+	}
+	return a
+}
+
+// all yields every account with its key, as an owner's table does.
+func (b book) all(yield func(string, *Account) bool) {
+	for k, a := range b {
+		if !yield(k, a) {
+			return
+		}
+	}
+}
+
 func (b *shadowBucket) refill(now time.Time) {
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.credit = math.Min(b.capacity, b.credit+b.rate*dt)
@@ -45,21 +66,23 @@ func (b *shadowBucket) tryConsume(now time.Time, cost float64) bool {
 
 func TestAuditEmptyLedgerIsOK(t *testing.T) {
 	l := NewLedger(Config{})
-	rep := l.Audit()
+	bk := book{}
+	rep := l.Audit(bk.all)
 	if rep.Verdict != "ok" || rep.Buckets != 0 {
 		t.Fatalf("empty ledger audit = %+v, want ok/0 buckets", rep)
 	}
 }
 
-// TestAuditPassAllocatesNothing: a periodic pass over a ledger with no
-// overspend reuses the list it copies each shard into.
+// TestAuditPassAllocatesNothing: a periodic pass over accounts with no
+// overspend reuses the ledger's pass state.
 func TestAuditPassAllocatesNothing(t *testing.T) {
 	l := NewLedger(Config{})
+	bk := book{}
 	for i := 0; i < 1000; i++ {
-		l.Install(fmt.Sprintf("k%d", i), 10, 1)
+		l.Install(bk.at(fmt.Sprintf("k%d", i)), 10, 1)
 	}
-	l.Audit()
-	if n := testing.AllocsPerRun(20, func() { l.Audit() }); n != 0 {
+	l.Audit(bk.all)
+	if n := testing.AllocsPerRun(20, func() { l.Audit(bk.all) }); n != 0 {
 		t.Fatalf("an audit pass allocates %v times, want 0", n)
 	}
 	// Passes side by side share no list: each still sees every bucket.
@@ -69,7 +92,7 @@ func TestAuditPassAllocatesNothing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if rep := l.Audit(); rep.Buckets != 1000 || rep.Verdict != "ok" {
+				if rep := l.Audit(bk.all); rep.Buckets != 1000 || rep.Verdict != "ok" {
 					t.Errorf("audit = %+v, want 1000 buckets, ok", rep)
 					return
 				}
@@ -81,21 +104,34 @@ func TestAuditPassAllocatesNothing(t *testing.T) {
 
 func TestNilLedgerIsNoOp(t *testing.T) {
 	var l *Ledger
-	l.Install("k", 1, 1)
-	l.Admit("k", 1)
-	if l.Overspends() != 0 || l.Buckets() != 0 {
+	var a Account
+	l.Install(&a, 1, 1)
+	l.Admit(&a, 1)
+	if l.Overspends() != 0 || a.gen != 0 || a.admitted() != 0 {
 		t.Fatal("nil ledger must be inert")
+	}
+}
+
+// TestAdmitAllocatesNothing: Admit is the hot-path hook, one lock-free add
+// on the caller's account.
+func TestAdmitAllocatesNothing(t *testing.T) {
+	l := NewLedger(Config{})
+	var a Account
+	l.Install(&a, 1e9, 0)
+	if n := testing.AllocsPerRun(100, func() { l.Admit(&a, 1) }); n != 0 {
+		t.Fatalf("Admit allocates %v times, want 0", n)
 	}
 }
 
 func TestAdmitWithinBudgetStaysOK(t *testing.T) {
 	clk := newSimClock()
 	l := NewLedger(Config{Clock: clk.Now})
-	l.Install("alice", 100, 10)
-	l.Admit("alice", 100) // the full installed credit, instantly
+	bk := book{}
+	l.Install(bk.at("alice"), 100, 10)
+	l.Admit(bk.at("alice"), 100) // the full installed credit, instantly
 	clk.Advance(5 * time.Second)
-	l.Admit("alice", 49) // just under the 50 accrued
-	rep := l.Audit()
+	l.Admit(bk.at("alice"), 49) // just under the 50 accrued
+	rep := l.Audit(bk.all)
 	if rep.Verdict != "ok" {
 		t.Fatalf("in-budget schedule audited %+v", rep)
 	}
@@ -108,10 +144,11 @@ func TestOverspendDetectedAndNamed(t *testing.T) {
 	clk := newSimClock()
 	var fired []Overspend
 	l := NewLedger(Config{Clock: clk.Now, OnOverspend: func(o Overspend) { fired = append(fired, o) }})
-	l.Install("bob", 10, 0)
-	l.Install("bob", 5, 0) // second grant: generation 2, budget 15
-	l.Admit("bob", 40)     // minted credit: 25 over budget
-	rep := l.Audit()
+	bk := book{}
+	l.Install(bk.at("bob"), 10, 0)
+	l.Install(bk.at("bob"), 5, 0) // second grant: generation 2, budget 15
+	l.Admit(bk.at("bob"), 40)     // minted credit: 25 over budget
+	rep := l.Audit(bk.all)
 	if rep.Verdict != "overspend" || len(rep.Overspent) != 1 {
 		t.Fatalf("audit = %+v, want one overspend", rep)
 	}
@@ -126,14 +163,14 @@ func TestOverspendDetectedAndNamed(t *testing.T) {
 		t.Fatalf("counter=%d hook fires=%d, want 1/1", l.Overspends(), len(fired))
 	}
 	// A second pass re-reports the bucket but does not re-count it.
-	rep = l.Audit()
+	rep = l.Audit(bk.all)
 	if rep.Verdict != "overspend" || l.Overspends() != 1 {
 		t.Fatalf("second pass: verdict=%s counter=%d, want overspend/1", rep.Verdict, l.Overspends())
 	}
 	// A reinstall opens a new generation; a fresh overspend counts again.
-	l.Install("bob", 1, 0)
-	l.Admit("bob", 100)
-	l.Audit()
+	l.Install(bk.at("bob"), 1, 0)
+	l.Admit(bk.at("bob"), 100)
+	l.Audit(bk.all)
 	if l.Overspends() != 2 {
 		t.Fatalf("counter=%d after new-generation overspend, want 2", l.Overspends())
 	}
@@ -142,13 +179,14 @@ func TestOverspendDetectedAndNamed(t *testing.T) {
 func TestRateChangeFoldsAccrual(t *testing.T) {
 	clk := newSimClock()
 	l := NewLedger(Config{Clock: clk.Now})
-	l.Install("carol", 0, 100) // 100/s
+	bk := book{}
+	l.Install(bk.at("carol"), 0, 100) // 100/s
 	clk.Advance(2 * time.Second)
-	l.Admit("carol", 200)    // exactly the accrual at the old rate
-	l.Install("carol", 0, 1) // rate drops to 1/s; the 200 must stay budgeted
+	l.Admit(bk.at("carol"), 200)    // exactly the accrual at the old rate
+	l.Install(bk.at("carol"), 0, 1) // rate drops to 1/s; the 200 must stay budgeted
 	clk.Advance(1 * time.Second)
-	l.Admit("carol", 1)
-	if rep := l.Audit(); rep.Verdict != "ok" {
+	l.Admit(bk.at("carol"), 1)
+	if rep := l.Audit(bk.all); rep.Verdict != "ok" {
 		t.Fatalf("accrual across a rate change was lost: %+v", rep)
 	}
 }
@@ -164,6 +202,7 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			clk := newSimClock()
 			l := NewLedger(Config{Clock: clk.Now})
+			bk := book{}
 			shadows := map[string]*shadowBucket{}
 			keys := []string{"alice", "bob", "carol", "dave", "erin"}
 
@@ -171,7 +210,7 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 				cap := 1 + rng.Float64()*1000
 				credit := rng.Float64() * cap
 				rate := rng.Float64() * 100
-				l.Install(key, credit, rate)
+				l.Install(bk.at(key), credit, rate)
 				shadows[key] = &shadowBucket{credit: credit, capacity: cap, rate: rate, last: clk.Now()}
 			}
 			for _, k := range keys {
@@ -188,7 +227,7 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 				case op < 15: // admission attempt, bucket-gated
 					cost := 1 + rng.Float64()*20
 					if sb.tryConsume(clk.Now(), cost) {
-						l.Admit(key, cost)
+						l.Admit(bk.at(key), cost)
 					}
 				case op < 17: // wholesale reinstall (sync geometry change, handoff)
 					install(key)
@@ -196,12 +235,12 @@ func TestAuditPropertyNoFalsePositive(t *testing.T) {
 					sb.refill(clk.Now())
 					sb.credit = math.Min(sb.credit, rng.Float64()*sb.capacity)
 				default: // audit mid-schedule: must already hold
-					if rep := l.Audit(); rep.Verdict != "ok" {
+					if rep := l.Audit(bk.all); rep.Verdict != "ok" {
 						t.Fatalf("step %d: mid-schedule overspend: %+v", step, rep.Overspent)
 					}
 				}
 			}
-			rep := l.Audit()
+			rep := l.Audit(bk.all)
 			if rep.Verdict != "ok" {
 				t.Fatalf("correct schedule audited as overspend: %+v", rep.Overspent)
 			}
@@ -220,8 +259,9 @@ func TestAuditPropertyDetectsMinting(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		clk := newSimClock()
 		l := NewLedger(Config{Clock: clk.Now})
+		bk := book{}
 		cap := 100.0
-		l.Install("mallory", cap, 0)
+		l.Install(bk.at("mallory"), cap, 0)
 		sb := &shadowBucket{credit: cap, capacity: cap, rate: 0, last: clk.Now()}
 		minted := false
 		for step := 0; step < 500 && !minted; step++ {
@@ -236,16 +276,16 @@ func TestAuditPropertyDetectsMinting(t *testing.T) {
 					t.Fatal("minted bucket refused consume")
 				}
 			}
-			l.Admit("mallory", cost)
+			l.Admit(bk.at("mallory"), cost)
 		}
 		if !minted {
 			t.Fatal("schedule never exhausted the bucket")
 		}
 		// Drain the minted credit so admitted clearly exceeds budget.
 		for sb.tryConsume(clk.Now(), 5) {
-			l.Admit("mallory", 5)
+			l.Admit(bk.at("mallory"), 5)
 		}
-		if rep := l.Audit(); rep.Verdict != "overspend" {
+		if rep := l.Audit(bk.all); rep.Verdict != "overspend" {
 			t.Fatalf("seed %d: minted credit not detected: %+v", seed, rep)
 		}
 	}
@@ -253,21 +293,23 @@ func TestAuditPropertyDetectsMinting(t *testing.T) {
 
 func TestConcurrentAdmitTotals(t *testing.T) {
 	l := NewLedger(Config{})
-	l.Install("hot", 1e9, 0)
+	bk := book{}
+	hot := bk.at("hot")
+	l.Install(hot, 1e9, 0)
 	done := make(chan struct{})
 	const workers, per = 8, 10000
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < per; i++ {
-				l.Admit("hot", 1)
+				l.Admit(hot, 1)
 			}
 		}()
 	}
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-	rep := l.Audit()
+	rep := l.Audit(bk.all)
 	if rep.Admitted != workers*per {
 		t.Fatalf("admitted %v, want %d (lost CAS updates)", rep.Admitted, workers*per)
 	}

@@ -150,6 +150,14 @@ func (b *Bucket) Credit(now time.Time) float64 {
 	return b.credit
 }
 
+// Reset reinstalls the bucket in place as New(rule, now) would build it, so
+// whoever holds the bucket keeps it across a rule change.
+func (b *Bucket) Reset(rule Rule, now time.Time) {
+	b.mu.Lock()
+	b.capacity, b.refillRate, b.credit, b.last = rule.Capacity, rule.RefillRate, clamp(rule.Credit, rule.Capacity), now
+	b.mu.Unlock()
+}
+
 // SetCredit overwrites the remaining credit (clamped to [0, capacity]);
 // used when restoring from a database checkpoint.
 func (b *Bucket) SetCredit(credit float64, now time.Time) {

@@ -143,6 +143,27 @@ func TestSetCreditClamps(t *testing.T) {
 	}
 }
 
+// TestResetMatchesNew: a bucket reset in place reads exactly like a new one
+// built from the same rule at the same instant, whatever it held before.
+func TestResetMatchesNew(t *testing.T) {
+	rules := []Rule{
+		{Key: "k", RefillRate: 2, Capacity: 10, Credit: 4},
+		{Key: "k", RefillRate: 0, Capacity: 3, Credit: 99}, // clamped as New clamps
+		DenyAll("k"),
+	}
+	for _, r := range rules {
+		b := NewFull("k", 7, 70, t0)
+		b.TryConsume(30, t0.Add(time.Second))
+		at := t0.Add(2 * time.Second)
+		b.Reset(r, at)
+		fresh := New(r, at)
+		later := at.Add(1500 * time.Millisecond)
+		if b.Rule("k", later) != fresh.Rule("k", later) {
+			t.Errorf("Reset(%+v) = %+v, New = %+v", r, b.Rule("k", later), fresh.Rule("k", later))
+		}
+	}
+}
+
 func TestTryConsumeNonPositive(t *testing.T) {
 	b := NewFull("k", 1, 10, t0)
 	if b.TryConsume(0, t0) {

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bucket"
 	"repro/internal/router"
 	"repro/internal/wire"
 )
@@ -18,19 +17,17 @@ import (
 // that forgot to delete) fails the test.
 func tables(t *testing.T, c *Cluster) (owner map[string]string, credit map[string]float64) {
 	t.Helper()
-	now := time.Now()
 	owner, credit = make(map[string]string), make(map[string]float64)
 	c.mu.Lock()
 	pairs := append([]*QoSPair(nil), c.QoS...)
 	c.mu.Unlock()
 	for _, p := range pairs {
-		p.Master.Table().Range(func(key string, b *bucket.Bucket) bool {
-			if prev, dup := owner[key]; dup {
-				t.Errorf("key %q resident on %s and %s", key, prev, p.Name)
+		for _, b := range p.Master.SnapshotBuckets(0) {
+			if prev, dup := owner[b.Key]; dup {
+				t.Errorf("key %q resident on %s and %s", b.Key, prev, p.Name)
 			}
-			owner[key], credit[key] = p.Name, b.Credit(now)
-			return true
-		})
+			owner[b.Key], credit[b.Key] = p.Name, b.Credit
+		}
 	}
 	return owner, credit
 }

@@ -2,6 +2,7 @@ package qosserver
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,6 +41,12 @@ var allocBudgets = map[string]float64{
 	"codel_decide":                   0, // born at 0: runs per datagram on every worker loop
 	"udp_intake":                     0, // was 9: the peer address and a packet copy per read, 6 in the client's exchange
 }
+
+// residentKeyBytes is the heap one resident key may hold: its table entry
+// (bucket, audit account and default-rule mark in one object) and its slot
+// in the table's shard map. It was 232.8 B when the default-rule mark and
+// the audit account lived in maps of their own.
+const residentKeyBytes = 190
 
 func pinBudget(t *testing.T, name string) float64 {
 	t.Helper()
@@ -220,5 +227,47 @@ func TestAllocPinUDPIntake(t *testing.T) {
 	}
 	if got != budget {
 		t.Errorf("UDP intake listen→FIFO→worker→send: %v allocs/op, budget %v", got, budget)
+	}
+}
+
+// TestAllocPinResidentKeyBytes pins the footprint of a resident key:
+// 50 000 default-rule keys decided with auditing on and no store, measured
+// as the live-heap growth per key after a GC. The keys are named before the
+// first reading, so only what the server holds for them counts.
+func TestAllocPinResidentKeyBytes(t *testing.T) {
+	skipIfInstrumented(t)
+	const keys = 50_000
+	s, err := New(Config{
+		Addr:          "127.0.0.1:0",
+		DefaultRule:   bucket.Rule{RefillRate: 1e9, Capacity: 1e9, Credit: 1e9},
+		Audit:         true,
+		AuditInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	reqs := make([]wire.Request, keys)
+	for i := range reqs {
+		reqs[i] = wire.Request{Key: fmt.Sprintf("resident-%d", i), Cost: 1}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, req := range reqs {
+		if !s.Decide(req).Allow {
+			t.Fatalf("%s denied", req.Key)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(reqs)
+	if n := s.TableLen(); n != keys {
+		t.Fatalf("TableLen = %d, want %d", n, keys)
+	}
+	perKey := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / keys
+	t.Logf("resident key: %.1f B (budget %d B)", perKey, residentKeyBytes)
+	if perKey > residentKeyBytes {
+		t.Errorf("a resident key holds %.1f B of heap, budget %d B", perKey, residentKeyBytes)
 	}
 }

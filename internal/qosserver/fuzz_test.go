@@ -71,7 +71,7 @@ func FuzzHAFrameDecode(f *testing.F) {
 		srv.applyHandoff(entries)
 		probe := now.Add(time.Hour) // force a refill advance as well
 		for _, e := range entries {
-			b := srv.Table().Get(e.Rule.Key)
+			b := srv.table.Get(e.Rule.Key)
 			if b == nil {
 				continue
 			}
@@ -83,8 +83,7 @@ func FuzzHAFrameDecode(f *testing.F) {
 		}
 		// Reset so state cannot accumulate across iterations.
 		for _, e := range entries {
-			srv.Table().Delete(e.Rule.Key)
-			srv.defaults.Delete(e.Rule.Key)
+			srv.table.Delete(e.Rule.Key)
 		}
 	})
 }

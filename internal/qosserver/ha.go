@@ -154,9 +154,8 @@ func (h *haListener) Close() {
 func (s *Server) snapshotTable() []haEntry {
 	now := s.clock()
 	var out []haEntry
-	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		_, isDefault := s.defaults.Load(key)
-		out = append(out, haEntry{Rule: b.Rule(key, now), Default: isDefault})
+	s.table.Range(func(key string, e *entry) bool {
+		out = append(out, haEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
 		return true
 	})
 	return out
@@ -179,12 +178,7 @@ func (s *Server) applySnapshot(entries []haEntry) {
 		if e.Rule.Validate() != nil {
 			continue
 		}
-		s.table.Put(e.Rule.Key, s.newBucket(e.Rule, now))
-		if e.Default {
-			s.defaults.Store(e.Rule.Key, struct{}{})
-		} else {
-			s.defaults.Delete(e.Rule.Key)
-		}
+		s.put(e.Rule, e.Default, now)
 	}
 	s.fromPeer.Store(true) // as applyHandoffEntries
 }

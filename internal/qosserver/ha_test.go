@@ -35,7 +35,7 @@ func TestHAReplicationWarmSlave(t *testing.T) {
 	if slave.TableLen() != 2 {
 		t.Fatalf("slave table len = %d, want 2", slave.TableLen())
 	}
-	ba := slave.Table().Get("a")
+	ba := slave.table.Get("a")
 	if ba == nil || ba.Credit(time.Now()) != 6 {
 		t.Fatalf("slave credit for a = %v, want 6", ba.Credit(time.Now()))
 	}
@@ -61,7 +61,7 @@ func TestHAContinuousPulls(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		b := slave.Table().Get("a")
+		b := slave.table.Get("a")
 		if b != nil && b.Credit(time.Now()) == 70 {
 			break
 		}

@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/bucket"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 )
@@ -54,13 +53,10 @@ var (
 func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 	now := s.clock()
 	groups := make(map[string][]haEntry)
-	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		addr := owner(key)
-		if addr == "" {
-			return true
+	s.table.Range(func(key string, e *entry) bool {
+		if addr := owner(key); addr != "" {
+			groups[addr] = append(groups[addr], haEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
 		}
-		_, isDefault := s.defaults.Load(key)
-		groups[addr] = append(groups[addr], haEntry{Rule: b.Rule(key, now), Default: isDefault})
 		return true
 	})
 	moved := 0
@@ -75,7 +71,6 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 		}
 		for _, e := range entries {
 			s.table.Delete(e.Rule.Key)
-			s.defaults.Delete(e.Rule.Key)
 		}
 		events.Record("qosserver", "handoff-push", addr, float64(len(entries)))
 		moved += len(entries)
@@ -145,18 +140,14 @@ func (s *Server) applyHandoffEntries(entries []haEntry) {
 		if e.Rule.Validate() != nil {
 			continue
 		}
-		if b := s.table.Get(e.Rule.Key); b != nil &&
-			b.RefillRate() == e.Rule.RefillRate && b.Capacity() == e.Rule.Capacity {
-			if cur := b.Credit(now); e.Rule.Credit < cur {
-				b.SetCredit(e.Rule.Credit, now)
+		if have := s.table.Get(e.Rule.Key); have != nil &&
+			have.RefillRate() == e.Rule.RefillRate && have.Capacity() == e.Rule.Capacity {
+			if cur := have.Credit(now); e.Rule.Credit < cur {
+				have.SetCredit(e.Rule.Credit, now)
 			}
+			have.isDefault.Store(e.Default)
 		} else {
-			s.table.Put(e.Rule.Key, s.newBucket(e.Rule, now))
-		}
-		if e.Default {
-			s.defaults.Store(e.Rule.Key, struct{}{})
-		} else {
-			s.defaults.Delete(e.Rule.Key)
+			s.put(e.Rule, e.Default, now)
 		}
 	}
 	// The sender's rules may predate edits this server's sync cursor has

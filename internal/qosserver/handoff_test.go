@@ -68,7 +68,7 @@ func TestRebalanceMovesCreditsToNewOwner(t *testing.T) {
 	}
 	now := time.Now()
 	for i := 5; i < 10; i++ {
-		b := dst.Table().Get(fmt.Sprintf("u%d", i))
+		b := dst.table.Get(fmt.Sprintf("u%d", i))
 		if b == nil {
 			t.Fatalf("u%d missing on destination", i)
 		}
@@ -78,8 +78,27 @@ func TestRebalanceMovesCreditsToNewOwner(t *testing.T) {
 		}
 	}
 	// u0 consumed nothing; the Cost: 0 decide was denied but made it resident.
-	if b := src.Table().Get("u0"); b == nil || b.Credit(now) != 10 {
+	if b := src.table.Get("u0"); b == nil || b.Credit(now) != 10 {
 		t.Fatal("u0 disturbed by rebalance")
+	}
+}
+
+// TestRebalanceLeavesNoAccountBehind: once every key has moved to a peer,
+// the source audits nothing — a moved key is audited only on its new owner.
+func TestRebalanceLeavesNoAccountBehind(t *testing.T) {
+	src := newServer(t, Config{Store: newDB(t), ReplicationAddr: "127.0.0.1:0", Audit: true, AuditInterval: time.Hour})
+	dst := newHandoffServer(t)
+	for i := 0; i < 100; i++ {
+		src.Decide(wire.Request{Key: fmt.Sprintf("m%d", i), Cost: 1})
+	}
+	if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 100 {
+		t.Fatalf("moved = %d err = %v", moved, err)
+	}
+	if n := gauge(t, src, "janus_qos_audit_buckets"); n != 0 {
+		t.Errorf("source janus_qos_audit_buckets = %v after every key moved, want 0", n)
+	}
+	if rep := src.AuditReport(); rep.Buckets != 0 {
+		t.Errorf("source audit pass covered %d buckets, want 0", rep.Buckets)
 	}
 }
 
@@ -101,7 +120,7 @@ func TestRebalanceMinMerge(t *testing.T) {
 	if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 1 {
 		t.Fatalf("moved = %d err = %v", moved, err)
 	}
-	if got := dst.Table().Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
+	if got := dst.table.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("merged credit = %v, want min(3, 8) = 3", got)
 	}
 
@@ -112,7 +131,7 @@ func TestRebalanceMinMerge(t *testing.T) {
 	if _, err := src2.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.Table().Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
+	if got := dst.table.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("merged credit = %v, want 3 (never refunded)", got)
 	}
 }
@@ -127,7 +146,7 @@ func TestRebalanceGeometryChangeInstallsWholesale(t *testing.T) {
 	if _, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil {
 		t.Fatal(err)
 	}
-	b := dst.Table().Get("k")
+	b := dst.table.Get("k")
 	if b.Capacity() != 20 || b.RefillRate() != 5 {
 		t.Fatalf("geometry = (%v, %v), want (20, 5)", b.RefillRate(), b.Capacity())
 	}
@@ -139,17 +158,17 @@ func TestRebalanceDefaultFlagTravels(t *testing.T) {
 	src := newHandoffServer(t) // no rules: every key is served by the default rule
 	dst := newHandoffServer(t)
 	src.Decide(wire.Request{Key: "ghost", Cost: 1})
-	if _, isDefault := src.defaults.Load("ghost"); !isDefault {
+	if !defaultKey(src, "ghost") {
 		t.Fatal("precondition: ghost not a default key")
 	}
 	if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 1 {
 		t.Fatalf("moved = %d err = %v", moved, err)
 	}
-	if _, isDefault := dst.defaults.Load("ghost"); !isDefault {
+	if !defaultKey(dst, "ghost") {
 		t.Fatal("default flag lost in handoff")
 	}
-	if _, stillThere := src.defaults.Load("ghost"); stillThere {
-		t.Fatal("default flag not cleared on source")
+	if src.table.Get("ghost") != nil {
+		t.Fatal("entry not removed from the source")
 	}
 }
 
@@ -191,14 +210,14 @@ func TestSyncAfterPeerInstall(t *testing.T) {
 			if err := tc.install(from, to); err != nil {
 				t.Fatal(err)
 			}
-			if b := to.Table().Get("edited"); b == nil || b.Capacity() != 10 {
+			if b := to.table.Get("edited"); b == nil || b.Capacity() != 10 {
 				t.Fatalf("precondition: the sender's stale rule was not installed: %v", b)
 			}
 			to.SyncOnce()
-			if b := to.Table().Get("edited"); b.Capacity() != 50 {
+			if b := to.table.Get("edited"); b.Capacity() != 50 {
 				t.Fatalf("edited rule still has capacity %v after the pass", b.Capacity())
 			}
-			if _, isDefault := to.defaults.Load("bought"); isDefault || to.Table().Get("bought").Capacity() != 7 {
+			if defaultKey(to, "bought") || to.table.Get("bought").Capacity() != 7 {
 				t.Fatal("purchased key still on the default rule after the pass")
 			}
 			if _, r := syncCounters(to); r != 2 {

@@ -4,7 +4,9 @@
 // The major components mirror the paper's Java implementation one-for-one:
 //
 //   - the local QoS table: a synchronized map from QoS key to leaky bucket
-//     (internal/table, 64 independently locked shards);
+//     (internal/table, 64 independently locked shards), whose value is one
+//     entry per resident key holding the bucket, the key's audit account and
+//     its default-rule mark;
 //   - the UDP listener goroutine, which receives datagrams from the request
 //     router and pushes them into a FIFO;
 //   - N worker goroutines polling the FIFO (N defaults to the number of
@@ -103,12 +105,13 @@ type Config struct {
 	// the sampling decision is made at the edge and carried in the request.
 	Tracer *trace.Recorder
 	// Audit enables the online admission-audit ledger (internal/audit):
-	// every credit grant and every admission is accounted, and an audit
-	// pass (periodic, plus on-demand at /debug/audit) verifies the
-	// conservation bound admitted ≤ C + r·t per bucket,
-	// exporting violations as janus_qos_audit_overspend_total. Off by
-	// default: auditing costs one sharded map read plus one lock-free
-	// float add per admission, and no allocation (TestAllocPinAuditedDecide).
+	// every credit grant and every admission is accounted on the account in
+	// the key's table entry, and an audit pass (periodic, plus on-demand at
+	// /debug/audit) verifies the conservation bound admitted ≤ C + r·t per
+	// resident bucket, exporting violations as
+	// janus_qos_audit_overspend_total. Off by default: auditing costs one
+	// lock-free float add per admission and no map read or allocation
+	// (TestAllocPinAuditedDecide).
 	Audit bool
 	// AuditInterval is the period of the background audit pass when Audit
 	// is enabled; 0 means 1s.
@@ -156,7 +159,7 @@ func (s *Stats) Add(o Stats) {
 // Server is a running QoS server node.
 type Server struct {
 	cfg   Config
-	table table.Table
+	table *table.Sharded[*entry]
 	clock func() time.Time
 
 	// The intake (DESIGN.md §13): one UDP socket, one FIFO, and the CoDel
@@ -166,11 +169,9 @@ type Server struct {
 	fifo chan packet
 	cdl  *codel
 
-	// defaults tracks keys served by the default rule, so responses carry
-	// StatusDefaultRule and checkpointing can skip them. fallbacks is the
-	// subset whose rule fetch failed: the next sync pass that reads the
-	// database evicts them, since no change feed would list their rules.
-	defaults  keySet
+	// fallbacks holds the default-rule keys whose rule fetch failed: the
+	// next sync pass that reads the database evicts them, since no change
+	// feed would list their rules.
 	fallbacks keySet
 
 	decisionLatency *metrics.Histogram
@@ -253,36 +254,32 @@ type packet struct {
 	recvNs int64
 }
 
-// keySet is a concurrent string set. It replaces sync.Map for the
-// default-rule bookkeeping because the membership check sits on the
-// per-decision hot path, and sync.Map's any-keyed Load would box the string
-// key — one heap allocation per admission. The two-value Load mirrors the
-// sync.Map shape so call sites read the same.
+// entry is everything the server holds for one resident key: the leaky
+// bucket, the key's audit account, and whether the default rule installed
+// it. Every grant reinstalls it in place (install), so the account carries
+// across the key's residency, and deleting the key from the table drops all
+// three.
+type entry struct {
+	bucket.Bucket
+	acct audit.Account
+	// isDefault marks keys served by the default rule, so responses carry
+	// StatusDefaultRule and checkpointing skips them.
+	isDefault atomic.Bool
+}
+
+// keySet is a concurrent string set, for the fallbacks: a cold path, which
+// only first-sight installs and sync passes touch.
 type keySet struct {
 	mu sync.RWMutex
 	m  map[string]struct{}
 }
 
-//janus:hotpath
-func (ks *keySet) Load(key string) (struct{}, bool) {
-	ks.mu.RLock()
-	_, ok := ks.m[key]
-	ks.mu.RUnlock()
-	return struct{}{}, ok
-}
-
-func (ks *keySet) Store(key string, _ struct{}) {
+func (ks *keySet) Store(key string) {
 	ks.mu.Lock()
 	if ks.m == nil {
 		ks.m = make(map[string]struct{})
 	}
 	ks.m[key] = struct{}{}
-	ks.mu.Unlock()
-}
-
-func (ks *keySet) Delete(key string) {
-	ks.mu.Lock()
-	delete(ks.m, key)
 	ks.mu.Unlock()
 }
 
@@ -342,7 +339,7 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:             cfg,
-		table:           table.New(""),
+		table:           table.NewSharded[*entry](0),
 		clock:           clock,
 		conn:            conn,
 		fifo:            make(chan packet, cfg.QueueSize),
@@ -390,7 +387,7 @@ func New(cfg Config) (*Server, error) {
 			events.Recordf("audit", "overspend", o.Key, o.Over, "admitted=%.1f budget=%.1f gen=%d", o.Admitted, o.Budget, o.Generation)
 			s.logger.Printf("qosserver: audit overspend on %q gen %d: admitted %.1f > budget %.1f", o.Key, o.Generation, o.Admitted, o.Budget)
 		}})
-		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger", func() float64 { return float64(s.audit.Buckets()) })
+		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger: one per resident key, so a key moved to another server is audited only on its new owner", func() float64 { return float64(s.table.Len()) })
 	}
 	if cfg.ReplicationAddr != "" {
 		ha, err := newHAListener(s, cfg.ReplicationAddr)
@@ -416,7 +413,7 @@ func New(cfg Config) (*Server, error) {
 	if s.audit != nil {
 		// Overspends reach the counter and the flight recorder without
 		// anyone scraping /debug/audit.
-		s.every(cfg.AuditInterval, func(time.Time) { s.audit.Audit() })
+		s.every(cfg.AuditInterval, func(time.Time) { s.AuditReport() })
 	}
 	// Readiness baseline: the server booted with whatever rules it has;
 	// staleness is measured from here until the first sync pass lands.
@@ -650,13 +647,13 @@ func (s *Server) recordSpan(traceID uint64, status wire.Status, start time.Time,
 //janus:hotpath
 func (s *Server) Decide(req wire.Request) wire.Response {
 	now := s.clock()
-	b := s.table.Get(req.Key)
+	e := s.table.Get(req.Key)
 	status := wire.StatusOK
-	if b == nil {
+	if e == nil {
 		//lint:ignore hotalloc first sight of a key installs its rule; every later decision hits the table
-		b = s.installRule(req.Key, now)
+		e = s.installRule(req.Key, now)
 	}
-	if _, isDefault := s.defaults.Load(req.Key); isDefault {
+	if e.isDefault.Load() {
 		status = wire.StatusDefaultRule
 		s.defaultHit.Inc()
 	}
@@ -664,20 +661,20 @@ func (s *Server) Decide(req wire.Request) wire.Response {
 	if cost == 0 {
 		cost = 1
 	}
-	allow := b.TryConsume(cost, now)
+	allow := e.TryConsume(cost, now)
 	if !allow && fpAuditDoubleCredit.Armed() {
 		if o := fpAuditDoubleCredit.Eval(); o.Kind != failpoint.Off {
 			// The injected conservation bug: an exhausted bucket silently
 			// refills to capacity without a ledger grant. Subsequent
 			// admissions spend minted credit, which the audit pass MUST
 			// report as overspend (see TestAuditCatchesDoubleCredit).
-			b.SetCredit(b.Capacity(), now)
+			e.SetCredit(e.Capacity(), now)
 		}
 	}
 	s.decisions.Inc()
 	if allow {
 		s.allowed.Inc()
-		s.audit.Admit(req.Key, cost)
+		s.audit.Admit(&e.acct, cost)
 	} else {
 		s.denied.Inc()
 	}
@@ -692,36 +689,42 @@ func (s *Server) Decide(req wire.Request) wire.Response {
 var fpAuditDoubleCredit = failpoint.New("qosserver/audit/double-credit")
 
 // installRule fetches the rule for key from the database (or applies the
-// default) and installs its bucket in the local table.
-func (s *Server) installRule(key string, now time.Time) *bucket.Bucket {
-	b, _ := s.table.GetOrCreate(key, func() *bucket.Bucket {
+// default) and installs its entry in the local table.
+func (s *Server) installRule(key string, now time.Time) *entry {
+	e, _ := s.table.GetOrCreate(key, func() *entry {
 		rule, isDefault, failed := s.fetchRule(key)
-		if isDefault {
-			s.defaults.Store(key, struct{}{})
-		} else {
-			// An evicted error fallback leaves its marker behind.
-			s.defaults.Delete(key)
-		}
 		if failed {
-			// After the defaults marker, which the sync pass checks.
-			s.fallbacks.Store(key, struct{}{})
+			s.fallbacks.Store(key)
 		}
-		return s.newBucket(rule, now)
+		return s.newEntry(rule, isDefault, now)
 	})
-	return b
+	return e
 }
 
-// newBucket is the single chokepoint for wholesale credit grants —
-// first-sight install, sync geometry change, handoff install, replication
-// snapshot, preload — so the audit ledger's Install hook lives here.
-// (Min-merge paths adjust existing buckets via SetCredit and grant nothing.)
-func (s *Server) newBucket(rule bucket.Rule, now time.Time) *bucket.Bucket {
-	credit := rule.Credit
-	if credit > rule.Capacity {
-		credit = rule.Capacity
+// put installs rule for its key: in place when the key is resident, else as
+// a new entry, whole before any decision can find it.
+func (s *Server) put(rule bucket.Rule, isDefault bool, now time.Time) {
+	e, created := s.table.GetOrCreate(rule.Key, func() *entry { return s.newEntry(rule, isDefault, now) })
+	if !created {
+		s.install(e, rule, isDefault, now)
 	}
-	s.audit.Install(rule.Key, credit, rule.RefillRate)
-	return bucket.New(rule, now)
+}
+
+func (s *Server) newEntry(rule bucket.Rule, isDefault bool, now time.Time) *entry {
+	e := new(entry)
+	s.install(e, rule, isDefault, now)
+	return e
+}
+
+// install is the single chokepoint for wholesale credit grants —
+// first-sight install, sync geometry change, a default key gaining a row,
+// handoff install, replication snapshot, preload — so the audit ledger's
+// Install hook lives here, ahead of the bucket reset it accounts for.
+// (Min-merge paths lower credit via SetCredit and grant nothing.)
+func (s *Server) install(e *entry, rule bucket.Rule, isDefault bool, now time.Time) {
+	s.audit.Install(&e.acct, min(rule.Credit, rule.Capacity), rule.RefillRate)
+	e.Reset(rule, now)
+	e.isDefault.Store(isDefault)
 }
 
 // fetchRule queries the database; isDefault reports that the default rule
@@ -790,7 +793,7 @@ func (s *Server) Preload() error {
 	}
 	now := s.clock()
 	for _, r := range rules {
-		s.table.Put(r.Key, s.newBucket(r, now))
+		s.put(r, false, now)
 	}
 	return nil
 }
@@ -878,11 +881,9 @@ func (s *Server) reconcile(now time.Time) {
 		}
 	}
 	var gone []string
-	s.table.Range(func(key string, _ *bucket.Bucket) bool {
-		if _, ok := held[key]; !ok {
-			if _, isDefault := s.defaults.Load(key); !isDefault {
-				gone = append(gone, key)
-			}
+	s.table.Range(func(key string, e *entry) bool {
+		if _, ok := held[key]; !ok && !e.isDefault.Load() {
+			gone = append(gone, key)
 		}
 		return true
 	})
@@ -900,10 +901,10 @@ func (s *Server) readChanges(cursor int64) (store.Changes, error) {
 		return ch, err
 	}
 	// The database answers again, so the keys that got the error fallback
-	// re-fetch their rule on their next request. One that left the defaults
-	// meanwhile holds a rule from a sync pass or a peer, and stays.
+	// re-fetch their rule on their next request. One that left the default
+	// rule meanwhile holds a rule from a sync pass or a peer, and stays.
 	for _, key := range s.fallbacks.drain() {
-		if _, isDefault := s.defaults.Load(key); isDefault {
+		if e := s.table.Get(key); e != nil && e.isDefault.Load() {
 			s.table.Delete(key)
 		}
 	}
@@ -917,33 +918,24 @@ func (s *Server) readChanges(cursor int64) (store.Changes, error) {
 // shard's write lock: the Get here waits for the install and then finds it.
 func (s *Server) applyChanges(ch store.Changes, now time.Time) {
 	for _, key := range ch.Deleted {
-		if s.table.Get(key) == nil {
-			continue
-		}
-		if _, isDefault := s.defaults.Load(key); !isDefault {
+		if e := s.table.Get(key); e != nil && !e.isDefault.Load() {
 			// Rule deleted: evict; next request applies the default rule.
 			s.table.Delete(key)
 		}
 	}
 	for _, r := range ch.Rules {
-		b := s.table.Get(r.Key)
-		if b == nil {
+		e := s.table.Get(r.Key)
+		if e == nil {
 			continue
 		}
-		if _, isDefault := s.defaults.Load(r.Key); isDefault {
-			// A default key gained a row (a new purchase): install the
-			// database rule wholesale, including its initial credit.
-			s.defaults.Delete(r.Key)
-			s.table.Put(r.Key, s.newBucket(r, now))
-			continue
-		}
-		// An edited rule (geometry changed) is installed wholesale with
-		// the database's latest values (§III-C), credit included — the
-		// user's new purchase takes effect immediately. An unchanged rule
-		// (a checkpoint rewrote its credit) is left alone so the database's
+		// A default key that gained a row (a new purchase), or an edited
+		// rule (geometry changed), is installed wholesale with the
+		// database's latest values (§III-C), credit included — the user's
+		// new purchase takes effect immediately. An unchanged rule (a
+		// checkpoint rewrote its credit) is left alone so the database's
 		// stale credit does not overwrite live consumption.
-		if r.RefillRate != b.RefillRate() || r.Capacity != b.Capacity() {
-			s.table.Put(r.Key, s.newBucket(r, now))
+		if e.isDefault.Load() || r.RefillRate != e.RefillRate() || r.Capacity != e.Capacity() {
+			s.install(e, r, false, now)
 		}
 	}
 }
@@ -962,7 +954,12 @@ func (s *Server) AuditReport() audit.Report {
 	if s.audit == nil {
 		return audit.Report{Verdict: "disabled"}
 	}
-	return s.audit.Audit()
+	return s.audit.Audit(s.accounts)
+}
+
+// accounts yields the audit account of every resident key.
+func (s *Server) accounts(yield func(string, *audit.Account) bool) {
+	s.table.Range(func(key string, e *entry) bool { return yield(key, &e.acct) })
 }
 
 // CheckpointOnce performs one credit write-back pass. It does nothing while
@@ -974,9 +971,9 @@ func (s *Server) CheckpointOnce() {
 	}
 	now := s.clock()
 	credits := make(map[string]float64)
-	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		if _, isDefault := s.defaults.Load(key); !isDefault {
-			credits[key] = b.Credit(now)
+	s.table.Range(func(key string, e *entry) bool {
+		if !e.isDefault.Load() {
+			credits[key] = e.Credit(now)
 		}
 		return true
 	})
@@ -985,9 +982,6 @@ func (s *Server) CheckpointOnce() {
 		s.logger.Printf("qosserver: checkpoint failed: %v", err)
 	}
 }
-
-// Table exposes the local QoS table (used by HA replication and tests).
-func (s *Server) Table() table.Table { return s.table }
 
 // TableLen returns the number of keys resident in the local table.
 func (s *Server) TableLen() int { return s.table.Len() }
@@ -1065,14 +1059,13 @@ type BucketSnapshot struct {
 func (s *Server) SnapshotBuckets(limit int) []BucketSnapshot {
 	now := s.clock()
 	var out []BucketSnapshot
-	s.table.Range(func(key string, b *bucket.Bucket) bool {
-		_, isDefault := s.defaults.Load(key)
+	s.table.Range(func(key string, e *entry) bool {
 		out = append(out, BucketSnapshot{
 			Key:        key,
-			Credit:     b.Credit(now),
-			Capacity:   b.Capacity(),
-			RefillRate: b.RefillRate(),
-			Default:    isDefault,
+			Credit:     e.Credit(now),
+			Capacity:   e.Capacity(),
+			RefillRate: e.RefillRate(),
+			Default:    e.isDefault.Load(),
 		})
 		return limit <= 0 || len(out) < limit
 	})

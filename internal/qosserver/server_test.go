@@ -212,7 +212,7 @@ func TestSyncPicksUpRuleUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SyncOnce()
-	b := s.Table().Get("k")
+	b := s.table.Get("k")
 	if b == nil || b.Capacity() != 100 {
 		t.Fatalf("bucket not updated: %v", b)
 	}
@@ -226,7 +226,7 @@ func TestSyncEvictsDeletedRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SyncOnce()
-	if s.Table().Get("k") != nil {
+	if s.table.Get("k") != nil {
 		t.Fatal("deleted rule still resident")
 	}
 	// Next request applies the default (deny-all) rule.
@@ -294,7 +294,7 @@ func TestSyncQueriesPerPass(t *testing.T) {
 		t.Fatalf("first pass: %d queries, %d reconciles; want %d pages, 1 reconcile", q, r, resident/minisql.FeedPage+1)
 	}
 
-	checkpointed := s.Table().Get("k09999")
+	checkpointed := s.table.Get("k09999")
 	for _, pass := range []struct {
 		name    string
 		edit    func() error
@@ -348,16 +348,16 @@ func TestSyncQueriesPerPass(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if b := s.Table().Get(rules[i].Key); b == nil || b.Capacity() != 99 {
+		if b := s.table.Get(rules[i].Key); b == nil || b.Capacity() != 99 {
 			t.Fatalf("edited %s not reinstalled: %v", rules[i].Key, b)
 		}
 	}
 	for i := 100; i < 200; i++ {
-		if s.Table().Get(rules[i].Key) != nil {
+		if s.table.Get(rules[i].Key) != nil {
 			t.Fatalf("deleted %s still resident", rules[i].Key)
 		}
 	}
-	if s.Table().Get("k09999") != checkpointed {
+	if s.table.Get("k09999") != checkpointed {
 		t.Fatal("a checkpointed credit replaced an unchanged bucket")
 	}
 	if resp := s.Decide(wire.Request{Key: "new-user"}); !resp.Allow || resp.Status != wire.StatusOK {
@@ -398,7 +398,7 @@ func TestSyncConcurrentPasses(t *testing.T) {
 	wg.Wait()
 	s.SyncOnce()
 	for i, r := range rules {
-		if b := s.Table().Get(r.Key); b == nil || b.Capacity() != float64(11+150+i) {
+		if b := s.table.Get(r.Key); b == nil || b.Capacity() != float64(11+150+i) {
 			t.Fatalf("%s: %v, want capacity %d", r.Key, b, 11+150+i)
 		}
 	}
@@ -429,7 +429,7 @@ func TestSyncTombstoneOverflow(t *testing.T) {
 		t.Fatalf("%d keys resident after deleting all but 10", s.TableLen())
 	}
 	for _, r := range rules[:10] {
-		if s.Table().Get(r.Key) == nil {
+		if s.table.Get(r.Key) == nil {
 			t.Fatalf("surviving rule %s evicted", r.Key)
 		}
 	}
@@ -569,6 +569,88 @@ func TestErrorFallbackEndsWithOutage(t *testing.T) {
 		if allowed != 2 {
 			t.Errorf("failOpen=%v: admitted %d of 10 after the outage, want the rule's 2", failOpen, allowed)
 		}
+	}
+}
+
+// TestRemovedKeysLeaveNoState: a key that leaves the table takes its whole
+// entry with it — bucket, default-rule mark and audit account. Here 1 000
+// first-sight keys get the error fallback during a database outage; the sync
+// pass after recovery evicts them, and neither the table nor the audit ledger
+// keeps anything of them.
+func TestRemovedKeysLeaveNoState(t *testing.T) {
+	flaky := &flakyExecutor{Executor: minisql.NewEngine()}
+	db := store.New(flaky)
+	if err := db.Init(); err != nil {
+		t.Fatal(err)
+	}
+	s := newServer(t, Config{Store: db, Audit: true, AuditInterval: time.Hour})
+	s.SyncOnce()
+	flaky.down.Store(true)
+	for i := 0; i < 1000; i++ {
+		s.Decide(wire.Request{Key: fmt.Sprintf("outage-%d", i)})
+	}
+	if n := gauge(t, s, "janus_qos_audit_buckets"); n != 1000 {
+		t.Fatalf("precondition: janus_qos_audit_buckets = %v during the outage, want 1000", n)
+	}
+	flaky.down.Store(false)
+	s.SyncOnce()
+	if n := s.TableLen(); n != 0 {
+		t.Errorf("TableLen = %d after recovery, want 0", n)
+	}
+	if n := gauge(t, s, "janus_qos_audit_buckets"); n != 0 {
+		t.Errorf("janus_qos_audit_buckets = %v after recovery, want 0", n)
+	}
+}
+
+// TestReinstallInPlaceRaceFree: four goroutines decide one key while sync
+// passes flip its geometry and its default-rule mark by inserting, editing
+// and deleting its row, so its entry is reinstalled in place, evicted and
+// re-created under the deciders. Under -race this reports nothing, and the
+// audit holds throughout. Refill rates are 0, so every admitted unit is
+// granted credit and the budget has no refill slack to hide an overspend in.
+func TestReinstallInPlaceRaceFree(t *testing.T) {
+	db := newDB(t)
+	s := newServer(t, Config{Store: db, Audit: true, AuditInterval: time.Hour,
+		DefaultRule: bucket.Rule{Capacity: 2, Credit: 2}})
+	s.SyncOnce()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					s.Decide(wire.Request{Key: "flip", Cost: 1})
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		var err error
+		switch i % 3 {
+		case 0: // the default key gains a row: reinstalled in place, mark cleared
+			err = db.Put(bucket.Rule{Key: "flip", Capacity: 5, Credit: 5})
+		case 1: // a geometry edit: reinstalled in place
+			err = db.Put(bucket.Rule{Key: "flip", Capacity: 9, Credit: 9})
+		default: // the row leaves: evicted, re-created on the default rule
+			_, err = db.Delete("flip")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SyncOnce()
+		if rep := s.AuditReport(); rep.Verdict != "ok" {
+			t.Fatalf("step %d: audit %s: %+v", i, rep.Verdict, rep.Overspent)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if rep := s.AuditReport(); rep.Verdict != "ok" {
+		t.Fatalf("audit %s: %+v", rep.Verdict, rep.Overspent)
 	}
 }
 

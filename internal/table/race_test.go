@@ -85,7 +85,7 @@ func TestTableRaceStress(t *testing.T) {
 // keeps two routers from minting two buckets (and double credit) for one
 // rule.
 func TestShardedGetOrCreateSingleFactory(t *testing.T) {
-	tbl := NewSharded(0)
+	tbl := NewSharded[*bucket.Bucket](0)
 	now := time.Unix(0, 0)
 	const workers = 16
 	results := make([]*bucket.Bucket, workers)

@@ -8,6 +8,11 @@
 // under-utilization ("the implementation of the locking mechanism being used
 // to manage the QoS rules in the local QoS table").
 //
+// Sharded is generic in the value a key maps to. A QoS server keeps one
+// entry per resident key in it (the bucket, the key's audit account and its
+// default-rule mark together), so a decision makes one locked lookup; the
+// Table interface is Sharded over *bucket.Bucket, the paper's map.
+//
 // Mutex — one lock around one map, the paper's original design — is kept
 // only as the reference implementation TestImplementationsAgreeProperty
 // compares Sharded against and as the §V-C arm of
@@ -106,15 +111,17 @@ func (t *Mutex) Range(fn func(string, *bucket.Bucket) bool) {
 	}
 }
 
-// Sharded splits the key space across independently locked shards.
-type Sharded struct {
-	shards []shard
+// Sharded splits the key space across independently locked shards. Its
+// methods are Table's with V for *bucket.Bucket; Get returns the zero V (nil
+// for a pointer) for an absent key.
+type Sharded[V any] struct {
+	shards []shard[V]
 	mask   uint32
 }
 
-type shard struct {
+type shard[V any] struct {
 	mu sync.RWMutex
-	m  map[string]*bucket.Bucket
+	m  map[string]V
 }
 
 // DefaultShards is the shard count used by NewSharded when 0 is passed.
@@ -122,7 +129,7 @@ const DefaultShards = 64
 
 // NewSharded returns a table with n shards; n is rounded up to a power of
 // two, and n <= 0 selects DefaultShards.
-func NewSharded(n int) *Sharded {
+func NewSharded[V any](n int) *Sharded[V] {
 	size := DefaultShards
 	if n > 0 {
 		size = 1
@@ -130,9 +137,9 @@ func NewSharded(n int) *Sharded {
 			size <<= 1
 		}
 	}
-	t := &Sharded{shards: make([]shard, size), mask: uint32(size - 1)}
+	t := &Sharded[V]{shards: make([]shard[V], size), mask: uint32(size - 1)}
 	for i := range t.shards {
-		t.shards[i].m = make(map[string]*bucket.Bucket)
+		t.shards[i].m = make(map[string]V)
 	}
 	return t
 }
@@ -152,14 +159,14 @@ func hashFor(key string) uint32 {
 }
 
 //janus:hotpath
-func (t *Sharded) shardFor(key string) *shard {
+func (t *Sharded[V]) shardFor(key string) *shard[V] {
 	return &t.shards[hashFor(key)&t.mask]
 }
 
 // Get implements Table.
 //
 //janus:hotpath
-func (t *Sharded) Get(key string) *bucket.Bucket {
+func (t *Sharded[V]) Get(key string) V {
 	s := t.shardFor(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -167,7 +174,7 @@ func (t *Sharded) Get(key string) *bucket.Bucket {
 }
 
 // GetOrCreate implements Table.
-func (t *Sharded) GetOrCreate(key string, factory func() *bucket.Bucket) (*bucket.Bucket, bool) {
+func (t *Sharded[V]) GetOrCreate(key string, factory func() V) (V, bool) {
 	s := t.shardFor(key)
 	s.mu.RLock()
 	b, ok := s.m[key]
@@ -186,15 +193,15 @@ func (t *Sharded) GetOrCreate(key string, factory func() *bucket.Bucket) (*bucke
 }
 
 // Put implements Table.
-func (t *Sharded) Put(key string, b *bucket.Bucket) {
+func (t *Sharded[V]) Put(key string, v V) {
 	s := t.shardFor(key)
 	s.mu.Lock()
-	s.m[key] = b
+	s.m[key] = v
 	s.mu.Unlock()
 }
 
 // Delete implements Table.
-func (t *Sharded) Delete(key string) bool {
+func (t *Sharded[V]) Delete(key string) bool {
 	s := t.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,7 +213,7 @@ func (t *Sharded) Delete(key string) bool {
 }
 
 // Len implements Table.
-func (t *Sharded) Len() int {
+func (t *Sharded[V]) Len() int {
 	n := 0
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -219,7 +226,7 @@ func (t *Sharded) Len() int {
 
 // Range implements Table. Each shard's lock is held only while that shard is
 // iterated, so concurrent access to other shards proceeds unimpeded.
-func (t *Sharded) Range(fn func(string, *bucket.Bucket) bool) {
+func (t *Sharded[V]) Range(fn func(string, V) bool) {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.RLock()
@@ -250,11 +257,11 @@ func New(kind Kind) Table {
 	case KindMutex:
 		return NewMutex()
 	default:
-		return NewSharded(0)
+		return NewSharded[*bucket.Bucket](0)
 	}
 }
 
 var (
 	_ Table = (*Mutex)(nil)
-	_ Table = (*Sharded)(nil)
+	_ Table = (*Sharded[*bucket.Bucket])(nil)
 )

@@ -16,9 +16,9 @@ var t0 = time.Unix(1_000_000, 0)
 func impls() map[string]func() Table {
 	return map[string]func() Table{
 		"mutex":    func() Table { return NewMutex() },
-		"sharded":  func() Table { return NewSharded(0) },
-		"sharded1": func() Table { return NewSharded(1) },
-		"sharded3": func() Table { return NewSharded(3) }, // rounds up to 4
+		"sharded":  func() Table { return NewSharded[*bucket.Bucket](0) },
+		"sharded1": func() Table { return NewSharded[*bucket.Bucket](1) },
+		"sharded3": func() Table { return NewSharded[*bucket.Bucket](3) }, // rounds up to 4
 	}
 }
 
@@ -176,7 +176,7 @@ func TestShardedPowerOfTwoRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{0, DefaultShards}, {-3, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 128},
 	} {
-		tb := NewSharded(c.in)
+		tb := NewSharded[*bucket.Bucket](c.in)
 		if len(tb.shards) != c.want {
 			t.Errorf("NewSharded(%d) shards = %d, want %d", c.in, len(tb.shards), c.want)
 		}
@@ -187,10 +187,10 @@ func TestNewKind(t *testing.T) {
 	if _, ok := New(KindMutex).(*Mutex); !ok {
 		t.Error("KindMutex did not build *Mutex")
 	}
-	if _, ok := New(KindSharded).(*Sharded); !ok {
+	if _, ok := New(KindSharded).(*Sharded[*bucket.Bucket]); !ok {
 		t.Error("KindSharded did not build *Sharded")
 	}
-	if _, ok := New("bogus").(*Sharded); !ok {
+	if _, ok := New("bogus").(*Sharded[*bucket.Bucket]); !ok {
 		t.Error("unknown kind did not fall back to sharded")
 	}
 }
@@ -203,7 +203,7 @@ func TestImplementationsAgreeProperty(t *testing.T) {
 		Key  uint8
 	}
 	f := func(ops []op) bool {
-		mt, st := NewMutex(), NewSharded(8)
+		mt, st := NewMutex(), NewSharded[*bucket.Bucket](8)
 		model := map[string]bool{}
 		for _, o := range ops {
 			k := fmt.Sprintf("k%d", o.Key%30)
