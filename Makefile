@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint lint-manifest race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test vet lint race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: static checks, the janus-vet analyzer suite, build,
 # and the full test suite.
@@ -31,22 +31,16 @@ vet:
 # simulation packages (simclock), no silently dropped socket errors and
 # deadline-dominated network reads/writes (netio), //janus:hotpath
 # functions the compiler's escape analysis finds allocation-free
-# (hotalloc, which runs one go build of the hot packages), and frozen gob
-# wire formats (wirecompat). See internal/lint. It also fails on a pointer to a
-# BENCH_*.json that is not in the tree, so a reference to a retired ledger
-# cannot come back.
+# (hotalloc, which runs one go build of the hot packages). See
+# internal/lint. The wire formats are pinned by golden-bytes tests, not
+# here. It also fails on a pointer to a BENCH_*.json that is not in the
+# tree, so a reference to a retired ledger cannot come back.
 lint:
 	$(GO) run ./cmd/janus-vet ./...
 	@for f in $$( { grep -rhoE 'BENCH_[a-z]+\.json' --include='*.go' --exclude-dir=.bench_build . ; \
 			grep -rhoE 'BENCH_[a-z]+\.json' Makefile .github README.md DESIGN.md EXPERIMENTS.md; } | sort -u ); do \
 		[ -e $$f ] || { echo "lint: $$f is referenced but not in the tree (a retired ledger?)"; exit 1; }; \
 	done
-
-# Regenerates internal/lint/wirecompat.golden after an intentional wire
-# format change. Review the diff: every changed line is a compatibility
-# break for mixed-version clusters.
-lint-manifest:
-	$(GO) run ./cmd/janus-vet -write-manifest ./...
 
 build:
 	$(GO) build -ldflags "$(LDFLAGS)" ./...

@@ -6,19 +6,16 @@ package chaostest
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/proctest"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -46,84 +43,16 @@ func attachFlightRecorder(t *testing.T, addrs ...string) {
 	})
 }
 
-// daemon is one running Janus process with its stderr captured; the log is
-// dumped when the owning test fails, so a chaos failure is debuggable from
-// the daemon's own view of events.
-type daemon struct {
-	cmd *exec.Cmd
-	mu  sync.Mutex
-	log bytes.Buffer
-}
-
-func startDaemon(t *testing.T, name string, args ...string) *daemon {
+// startDaemon runs the named daemon, built by TestMain, under
+// proctest.Start: its stderr is dumped when the owning test fails, so a
+// chaos failure is debuggable from the daemon's own view of events.
+func startDaemon(t *testing.T, name string, args ...string) *proctest.Daemon {
 	t.Helper()
 	bin, ok := bins[name]
 	if !ok {
 		t.Fatalf("no binary for %s (multi-process chaos tests need TestMain's build step)", name)
 	}
-	d := &daemon{cmd: exec.Command(bin, args...)}
-	d.cmd.Stdout = io.Discard
-	stderr, err := d.cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.cmd.Start(); err != nil {
-		t.Fatalf("start %s: %v", name, err)
-	}
-	go func() {
-		sc := bufio.NewScanner(stderr)
-		for sc.Scan() {
-			d.mu.Lock()
-			d.log.WriteString(sc.Text())
-			d.log.WriteByte('\n')
-			d.mu.Unlock()
-		}
-	}()
-	t.Cleanup(func() {
-		d.stop()
-		if t.Failed() {
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			if d.log.Len() > 0 {
-				t.Logf("--- %s (%s) stderr ---\n%s", name, strings.Join(args, " "), d.log.String())
-			}
-		}
-	})
-	return d
-}
-
-// stop kills the process and reaps it; safe to call more than once.
-func (d *daemon) stop() {
-	d.cmd.Process.Kill()
-	d.cmd.Wait()
-}
-
-// freePort reserves an ephemeral port and returns "127.0.0.1:port".
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-func waitTCP(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
-		if err == nil {
-			conn.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never came up", addr)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
+	return proctest.Start(t, bin, args...)
 }
 
 // httpResult is one gateway-style admission check against a router.

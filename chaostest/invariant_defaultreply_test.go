@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/proctest"
 	"repro/internal/wire"
 )
 
@@ -20,19 +21,14 @@ func TestInvariantBoundedDefaultReply(t *testing.T) {
 		t.Skip("multi-process chaos test skipped in -short mode")
 	}
 
-	qosAddr := freePort(t)
-	qosDebug := freePort(t)
-	routerAddr := freePort(t)
-	routerDebug := freePort(t)
-
 	// One QoS server whose default rule admits everything, so any deny we
 	// see later is fabricated by the router, not a bucket decision.
-	startDaemon(t, "janusd",
-		"-addr", qosAddr,
+	qos := startDaemon(t, "janusd",
+		"-addr", proctest.AnyPort,
 		"-default-rate", "100000", "-default-capacity", "100000",
 		"-sync", "0", "-checkpoint", "0",
-		"-metrics-addr", qosDebug)
-	waitTCP(t, qosDebug)
+		"-metrics-addr", proctest.AnyPort)
+	qosAddr, qosDebug := qos.Addr(t, "QoS server"), qos.Addr(t, "metrics/debug")
 
 	// A fail-closed router with a 5 ms × 5 budget: 25 ms worst case per
 	// request once the backend goes dark.
@@ -41,12 +37,12 @@ func TestInvariantBoundedDefaultReply(t *testing.T) {
 		retries    = 5
 		budget     = retries * perAttempt
 	)
-	startDaemon(t, "janus-router",
-		"-addr", routerAddr,
+	router := startDaemon(t, "janus-router",
+		"-addr", proctest.AnyPort,
 		"-backends", qosAddr,
 		"-timeout", perAttempt.String(), "-retries", "5",
-		"-metrics-addr", routerDebug)
-	waitTCP(t, routerAddr)
+		"-metrics-addr", proctest.AnyPort)
+	routerAddr, routerDebug := router.Addr(t, "request router"), router.Addr(t, "metrics/debug")
 	warmHTTP(t, routerAddr, "chaos-warm")
 	// On failure, the flight recorders show the default-reply enter/exit
 	// edges and the failpoint fires that caused them, in order.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/membership"
+	"repro/internal/proctest"
 )
 
 // viewObs is one /debug/membership sample (fields match membership.View's
@@ -29,22 +30,19 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 		t.Skip("multi-process chaos test skipped in -short mode")
 	}
 
-	coordAddr := freePort(t)
-	startDaemon(t, "janus-coordinator", "-addr", coordAddr, "-ttl", "600ms")
-	waitTCP(t, coordAddr)
+	coordAddr := startDaemon(t, "janus-coordinator", "-addr", proctest.AnyPort, "-ttl", "600ms").
+		Addr(t, "membership coordinator")
 	coord := &membership.Client{Endpoint: coordAddr}
 
 	// Two QoS servers join and keep beating.
-	startQoS := func() (*daemon, string) {
-		addr := freePort(t)
-		d := startDaemon(t, "janusd",
-			"-addr", addr, "-repl", freePort(t),
+	startQoS := func() *proctest.Daemon {
+		return startDaemon(t, "janusd",
+			"-addr", proctest.AnyPort, "-repl", proctest.AnyPort,
 			"-sync", "0", "-checkpoint", "0",
 			"-coordinator", coordAddr, "-beat", "100ms")
-		return d, addr
 	}
 	startQoS()
-	qos2, _ := startQoS()
+	qos2 := startQoS()
 	waitMembers := func(n int) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -63,13 +61,10 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 
 	// Two routers following the coordinator.
 	startRouter := func() string {
-		debug := freePort(t)
-		startDaemon(t, "janus-router",
-			"-addr", freePort(t), "-coordinator", coordAddr,
+		return startDaemon(t, "janus-router",
+			"-addr", proctest.AnyPort, "-coordinator", coordAddr,
 			"-poll", "50ms",
-			"-metrics-addr", debug)
-		waitTCP(t, debug)
-		return debug
+			"-metrics-addr", proctest.AnyPort).Addr(t, "metrics/debug")
 	}
 	debugA := startRouter()
 	debugB := startRouter()
@@ -122,7 +117,7 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 	for time.Now().Before(end) {
 		obs = append(obs, routerView(debugA), routerView(debugB))
 		if !killed && time.Now().After(killAt) {
-			qos2.stop() // TTL ejection advances the epoch again
+			qos2.Stop() // TTL ejection advances the epoch again
 			killed = true
 		}
 		time.Sleep(20 * time.Millisecond)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/failpoint"
 	"repro/internal/minisql"
+	"repro/internal/proctest"
 	"repro/internal/store"
 )
 
@@ -24,14 +25,7 @@ func TestInvariantPromotionPreservesCredit(t *testing.T) {
 		t.Skip("multi-process chaos test skipped in -short mode")
 	}
 
-	dbAddr := freePort(t)
-	masterAddr := freePort(t)
-	replAddr := freePort(t)
-	slaveAddr := freePort(t)
-	slaveDebug := freePort(t)
-
-	startDaemon(t, "janus-dbd", "-addr", dbAddr)
-	waitTCP(t, dbAddr)
+	dbAddr := startDaemon(t, "janus-dbd", "-addr", proctest.AnyPort).Addr(t, "master")
 	pool := minisql.NewPool(dbAddr, 2)
 	defer pool.Close()
 	st := store.New(pool)
@@ -49,16 +43,16 @@ func TestInvariantPromotionPreservesCredit(t *testing.T) {
 	// has no database on purpose — after promotion it must serve from the
 	// replicated warm table alone.
 	master := startDaemon(t, "janusd",
-		"-addr", masterAddr, "-db", dbAddr,
+		"-addr", proctest.AnyPort, "-db", dbAddr,
 		"-sync", "0", "-checkpoint", "0",
-		"-repl", replAddr)
-	waitTCP(t, replAddr)
+		"-repl", proctest.AnyPort)
+	masterAddr, replAddr := master.Addr(t, "QoS server"), master.Addr(t, "HA replication")
 	slave := startDaemon(t, "janusd",
-		"-addr", slaveAddr,
+		"-addr", proctest.AnyPort,
 		"-sync", "0", "-checkpoint", "0",
 		"-follow", replAddr, "-follow-interval", "20ms",
-		"-metrics-addr", slaveDebug)
-	waitTCP(t, slaveDebug)
+		"-metrics-addr", proctest.AnyPort)
+	slaveAddr, slaveDebug := slave.Addr(t, "QoS server"), slave.Addr(t, "metrics/debug")
 
 	// Consume 4 of tenant-a's 10 credits on the master (retry the first
 	// check until the UDP stack is warm).
@@ -107,8 +101,8 @@ func TestInvariantPromotionPreservesCredit(t *testing.T) {
 	}
 
 	// Kill the master, promote the slave, lift the fault.
-	master.stop()
-	if err := slave.cmd.Process.Signal(syscall.SIGUSR1); err != nil {
+	master.Stop()
+	if err := slave.Cmd.Process.Signal(syscall.SIGUSR1); err != nil {
 		t.Fatalf("promote: %v", err)
 	}
 	if err := fpc.DisarmAll(); err != nil {

@@ -1,15 +1,13 @@
 // Command janus-vet runs the project-specific static analyzers over the
 // module: simclock (no wall clock / global RNG in simulation packages), netio
 // (no silently discarded Close/SetDeadline/Write errors, and socket I/O under
-// a deadline or an audited helper, in the networking packages), hotalloc
-// (//janus:hotpath functions are allocation-free), and wirecompat (wire/gob
-// struct layouts match the golden manifest). See internal/lint for the
+// a deadline or an audited helper, in the networking packages), and hotalloc
+// (//janus:hotpath functions are allocation-free). See internal/lint for the
 // invariants and the //lint:ignore suppression syntax.
 //
 // Usage:
 //
 //	janus-vet [./...]              # analyze the whole module
-//	janus-vet -write-manifest      # regenerate the wirecompat manifest
 //
 // Exit status is 0 when no findings are reported, 1 otherwise, 2 on usage
 // or load errors.
@@ -24,10 +22,9 @@ import (
 )
 
 func main() {
-	writeManifest := flag.Bool("write-manifest", false, "regenerate the wirecompat golden manifest and exit")
 	flag.Parse()
 	if args := flag.Args(); len(args) > 1 || (len(args) == 1 && args[0] != "./...") {
-		fatalf("usage: janus-vet [-write-manifest] [./...]")
+		fatalf("usage: janus-vet [./...]")
 	}
 
 	root, err := lint.FindModuleRoot(".")
@@ -38,14 +35,8 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if *writeManifest {
-		if err := lint.WriteManifest(prog, ""); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 
-	findings := lint.Run(prog, lint.Analyzers(""))
+	findings := lint.Run(prog, lint.Analyzers())
 	for _, f := range findings {
 		fmt.Println(f)
 	}

@@ -8,7 +8,6 @@ package repro
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -19,6 +18,7 @@ import (
 
 	"repro/internal/bucket"
 	"repro/internal/minisql"
+	"repro/internal/proctest"
 	"repro/internal/store"
 )
 
@@ -39,64 +39,13 @@ func buildBinaries(t *testing.T, names ...string) map[string]string {
 	return out
 }
 
-// freePort reserves an ephemeral TCP port and returns "127.0.0.1:port".
-func freePort(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-func startDaemon(t *testing.T, bin string, args ...string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = io.Discard
-	if err := cmd.Start(); err != nil {
-		t.Fatalf("start %s: %v", bin, err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-	})
-	return cmd
-}
-
-func waitTCP(t *testing.T, addr string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond)
-		if err == nil {
-			conn.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s never came up", addr)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
 func TestBinariesEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping process-level integration in -short mode")
 	}
 	bins := buildBinaries(t, "janus-dbd", "janusd", "janus-router", "janus-lb")
 
-	dbAddr := freePort(t)
-	qos1 := freePort(t)
-	qos2 := freePort(t)
-	routerAddr := freePort(t)
-	lbAddr := freePort(t)
-
-	// Database layer.
-	startDaemon(t, bins["janus-dbd"], "-addr", dbAddr)
-	waitTCP(t, dbAddr)
+	dbAddr := proctest.Start(t, bins["janus-dbd"], "-addr", proctest.AnyPort).Addr(t, "master")
 
 	// Install the test rules through the real TCP client.
 	pool := minisql.NewPool(dbAddr, 2)
@@ -113,17 +62,18 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 
 	// QoS server layer (2 partitions).
-	startDaemon(t, bins["janusd"], "-addr", qos1, "-db", dbAddr, "-sync", "0", "-checkpoint", "0")
-	startDaemon(t, bins["janusd"], "-addr", qos2, "-db", dbAddr, "-sync", "0", "-checkpoint", "0")
+	var qos []string
+	for i := 0; i < 2; i++ {
+		d := proctest.Start(t, bins["janusd"], "-addr", proctest.AnyPort, "-db", dbAddr, "-sync", "0", "-checkpoint", "0")
+		qos = append(qos, d.Addr(t, "QoS server"))
+	}
 
 	// Router layer (generous timeout: cross-process loopback).
-	startDaemon(t, bins["janus-router"], "-addr", routerAddr,
-		"-backends", qos1+","+qos2, "-timeout", "50ms", "-retries", "5")
-	waitTCP(t, routerAddr)
+	routerAddr := proctest.Start(t, bins["janus-router"], "-addr", proctest.AnyPort,
+		"-backends", strings.Join(qos, ","), "-timeout", "50ms", "-retries", "5").Addr(t, "request router")
 
 	// Gateway LB.
-	startDaemon(t, bins["janus-lb"], "-addr", lbAddr, "-backends", routerAddr)
-	waitTCP(t, lbAddr)
+	lbAddr := proctest.Start(t, bins["janus-lb"], "-addr", proctest.AnyPort, "-backends", routerAddr).Addr(t, "gateway load balancer")
 
 	check := func(key string) (bool, error) {
 		resp, err := http.Get(fmt.Sprintf("http://%s/qos?key=%s", lbAddr, key))

@@ -19,6 +19,7 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/events"
 	"repro/internal/minisql"
+	"repro/internal/proctest"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -67,20 +68,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	bins := buildBinaries(t, "janus-dbd", "janusd", "janus-router", "janus-lb", "janus-coordinator")
 
-	dbAddr := freePort(t)
-	qosAddr := freePort(t)
-	routerAddr := freePort(t)
-	lbAddr := freePort(t)
-	coordAddr := freePort(t)
-	qosMetrics := freePort(t)
-	routerMetrics := freePort(t)
-	lbMetrics := freePort(t)
-	coordMetrics := freePort(t)
-
-	startDaemon(t, bins["janus-dbd"], "-addr", dbAddr)
-	startDaemon(t, bins["janus-coordinator"], "-addr", coordAddr, "-metrics-addr", coordMetrics)
-	waitTCP(t, dbAddr)
-	waitTCP(t, coordAddr)
+	dbAddr := proctest.Start(t, bins["janus-dbd"], "-addr", proctest.AnyPort).Addr(t, "master")
+	coord := proctest.Start(t, bins["janus-coordinator"], "-addr", proctest.AnyPort, "-metrics-addr", proctest.AnyPort)
+	coordAddr, coordMetrics := coord.Addr(t, "membership coordinator"), coord.Addr(t, "metrics/debug")
 
 	pool := minisql.NewPool(dbAddr, 2)
 	defer pool.Close()
@@ -97,19 +87,16 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	// The QoS server joins through the coordinator and the router follows
 	// its view, so the run exercises the membership control plane and the
 	// router's flight recorder sees a real epoch swap.
-	startDaemon(t, bins["janusd"], "-addr", qosAddr, "-db", dbAddr,
-		"-sync", "0", "-checkpoint", "0", "-metrics-addr", qosMetrics,
-		"-coordinator", coordAddr)
-	startDaemon(t, bins["janus-router"], "-addr", routerAddr, "-coordinator", coordAddr,
-		"-poll", "100ms", "-timeout", "50ms", "-retries", "5", "-metrics-addr", routerMetrics)
-	waitTCP(t, routerAddr)
+	qosMetrics := proctest.Start(t, bins["janusd"], "-addr", proctest.AnyPort, "-db", dbAddr,
+		"-sync", "0", "-checkpoint", "0", "-metrics-addr", proctest.AnyPort,
+		"-coordinator", coordAddr).Addr(t, "metrics/debug")
+	router := proctest.Start(t, bins["janus-router"], "-addr", proctest.AnyPort, "-coordinator", coordAddr,
+		"-poll", "100ms", "-timeout", "50ms", "-retries", "5", "-metrics-addr", proctest.AnyPort)
+	routerAddr, routerMetrics := router.Addr(t, "request router"), router.Addr(t, "metrics/debug")
 	// Trace every request: the LB is the sampling edge.
-	startDaemon(t, bins["janus-lb"], "-addr", lbAddr, "-backends", routerAddr,
-		"-metrics-addr", lbMetrics, "-trace-sample", "1")
-	waitTCP(t, lbAddr)
-	waitTCP(t, qosMetrics)
-	waitTCP(t, routerMetrics)
-	waitTCP(t, lbMetrics)
+	lb := proctest.Start(t, bins["janus-lb"], "-addr", proctest.AnyPort, "-backends", routerAddr,
+		"-metrics-addr", proctest.AnyPort, "-trace-sample", "1")
+	lbAddr, lbMetrics := lb.Addr(t, "gateway load balancer"), lb.Addr(t, "metrics/debug")
 
 	check := func(key string) (bool, error) {
 		resp, err := http.Get(fmt.Sprintf("http://%s/qos?key=%s", lbAddr, key))

@@ -24,18 +24,7 @@ func TestDBHAFailover(t *testing.T) {
 	if ok, err := c.Check("user-0"); err != nil || !ok {
 		t.Fatalf("pre-failover: ok=%v err=%v", ok, err)
 	}
-	// Standby must have replicated the seeded rules.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		res, err := c.DBStandbyEngine.Execute(`SELECT COUNT(*) FROM qos_rules`)
-		if err == nil && res.Rows[0][0].AsInt() == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("standby never caught up: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitStandbyRules(t, c, 4)
 
 	if err := c.FailDB(); err != nil {
 		t.Fatal(err)
@@ -171,6 +160,10 @@ func TestDBHAHealthLoopFlipsAutomatically(t *testing.T) {
 		HAInterval: 10 * time.Millisecond,
 		Rules:      rules(1, 0, 100),
 	})
+	// The standby replicates asynchronously: a master killed before it
+	// applied the seeded rule would lose it, which is not what this test
+	// is about.
+	waitStandbyRules(t, c, 1)
 	standbyAddr := c.DBStandbyServer.Addr()
 	c.DBServer.Close() // master dies; no explicit CheckNow
 	c.dbReplica.Promote()
@@ -188,6 +181,22 @@ func TestDBHAHealthLoopFlipsAutomatically(t *testing.T) {
 	}
 	if ok, err := c.Check("user-0"); err != nil || !ok {
 		t.Fatalf("check after automatic failover: ok=%v err=%v", ok, err)
+	}
+}
+
+// waitStandbyRules waits until the database standby holds n rules.
+func waitStandbyRules(t *testing.T, c *Cluster, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		res, err := c.DBStandbyEngine.Execute(`SELECT COUNT(*) FROM qos_rules`)
+		if err == nil && res.Rows[0][0].AsInt() == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby never caught up to %d rules: %v", n, err)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

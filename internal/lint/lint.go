@@ -15,26 +15,24 @@
 //     through an audited helper (paper §III-B's bounded 100 µs × 5
 //     exchange);
 //   - hotalloc: the decision path (//janus:hotpath functions) must stay free
-//     of heap allocations, as the compiler's escape analysis reports them;
-//   - wirecompat: the gob frames spoken by the HA replication and
-//     bucket-handoff protocols (internal/qosserver/ha.go) and the binary
-//     structs in internal/wire must stay wire-compatible across versions: a
-//     reordered or retyped field is an invisible protocol break.
+//     of heap allocations, as the compiler's escape analysis reports them.
 //
 // See their files for the precise rules and the documented approximations.
 // Properties a test can observe directly are held by tests instead: a
 // duplicate or malformed failpoint name panics in failpoint.New, a daemon
 // goroutine that outlives Close fails internal/cluster's
-// TestCloseStopsEveryGoroutine, and mixed atomic/plain access fails the race
-// detector.
+// TestCloseStopsEveryGoroutine, mixed atomic/plain access fails the race
+// detector, and a changed wire encoding fails the golden-bytes tests
+// (internal/wire's TestFrameGolden, internal/qosserver's
+// TestPeerFrameGolden).
 //
 // # Architecture
 //
 // Analyzers follow the golang.org/x/tools/go/analysis shape without the
 // dependency: an Analyzer is a value with a Name, a Doc line, an optional
 // package Scope, and a Run hook called once per in-scope package with a
-// Pass that walks it. Whole-module analyses (hotalloc, wirecompat) use the
-// RunModule hook instead.
+// Pass that walks it. A whole-module analysis (hotalloc) uses the RunModule
+// hook instead.
 //
 // # Suppressions
 //
@@ -138,7 +136,7 @@ func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // ReportAt is Reportf for positions that do not come from the FileSet (the
-// wirecompat manifest file).
+// compiler's escape log).
 func (mp *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
 	mp.runner.report(mp.analyzer.Name, pos, format, args...)
 }
@@ -162,16 +160,9 @@ func (r *runner) report(analyzer string, pos token.Position, format string, args
 	r.findings = append(r.findings, Finding{Analyzer: analyzer, Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Analyzers returns a fresh full suite. manifestPath overrides the
-// wirecompat golden manifest location; "" uses DefaultManifestPath under
-// the module root.
-func Analyzers(manifestPath string) []*Analyzer {
-	return []*Analyzer{
-		NewSimClock(),
-		NewNetIO(),
-		NewHotAlloc(),
-		NewWireCompat(manifestPath),
-	}
+// Analyzers returns a fresh full suite.
+func Analyzers() []*Analyzer {
+	return []*Analyzer{NewSimClock(), NewNetIO(), NewHotAlloc()}
 }
 
 // Run executes the analyzers over prog, drops suppressed findings, reports

@@ -121,40 +121,6 @@ func TestDeadlineScope(t *testing.T) {
 	}
 }
 
-// TestWireCompatTripsOnFieldReorder is the acceptance scenario: the golden
-// manifest is generated from the baseline fixture, and the analyzer must
-// trip on a copy with two fields deliberately reordered.
-func TestWireCompatTripsOnFieldReorder(t *testing.T) {
-	good := loadFixture(t, "wiregood", "repro/internal/wire")
-	manifest := filepath.Join(t.TempDir(), "wirecompat.golden")
-	if err := WriteManifest(good, manifest); err != nil {
-		t.Fatalf("WriteManifest: %v", err)
-	}
-
-	// The baseline matches its own manifest.
-	if got := Run(good, []*Analyzer{NewWireCompat(manifest)}); len(got) != 0 {
-		t.Fatalf("baseline should be clean, got:\n%s", renderFindings(got))
-	}
-
-	// The reordered copy trips.
-	bad := loadFixture(t, "wirebad", "repro/internal/wire")
-	got := Run(bad, []*Analyzer{NewWireCompat(manifest)})
-	if len(got) != 1 {
-		t.Fatalf("want exactly 1 wirecompat finding for the reordered struct, got %d:\n%s", len(got), renderFindings(got))
-	}
-	if !strings.Contains(got[0].Message, "internal/wire.Request") {
-		t.Errorf("finding should name the broken struct: %s", got[0].Message)
-	}
-}
-
-func TestWireCompatMissingManifestIsAFinding(t *testing.T) {
-	good := loadFixture(t, "wiregood", "repro/internal/wire")
-	got := Run(good, []*Analyzer{NewWireCompat(filepath.Join(t.TempDir(), "absent.golden"))})
-	if len(got) != 1 || !strings.Contains(got[0].Message, "cannot read golden wire manifest") {
-		t.Errorf("want a missing-manifest finding, got:\n%s", renderFindings(got))
-	}
-}
-
 // TestSuppression proves the //lint:ignore mechanics: a correct directive
 // silences exactly its analyzer, a directive for the wrong analyzer
 // suppresses nothing, and a malformed directive and a directive that
@@ -200,7 +166,7 @@ func unusedDirective() time.Time {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Run(prog, Analyzers(""))
+	got := Run(prog, Analyzers())
 
 	sim := findingsOn(got, "simclock")
 	// wrongAnalyzer line 16, missingReason line 21 (malformed directives do

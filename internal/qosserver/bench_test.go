@@ -3,6 +3,7 @@ package qosserver
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/minisql"
@@ -86,5 +87,31 @@ func BenchmarkSnapshotTable(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkPullOnce measures one HA pull of a 10 000-key table, master and
+// slave in one process: snapshot, encode, loopback TCP, decode, apply.
+func BenchmarkPullOnce(b *testing.B) {
+	const n = 10000
+	master, err := New(Config{Addr: "127.0.0.1:0", ReplicationAddr: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { master.Close() })
+	for i := 0; i < n; i++ {
+		master.Decide(wire.Request{Key: fmt.Sprintf("k%d", i), Cost: 1})
+	}
+	slave := benchServer(b, 0)
+	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
+	b.Cleanup(rep.Stop)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rep.PullOnce(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if got := slave.TableLen(); got != n {
+		b.Fatalf("slave holds %d keys, want %d", got, n)
 	}
 }

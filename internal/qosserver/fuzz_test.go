@@ -2,31 +2,24 @@ package qosserver
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
 )
 
-// encodeFrame gob-encodes a frame the way the HA and handoff peers do, for
-// seeding the fuzz corpus with well-formed inputs.
-func encodeFrame(t *testing.F, f haFrame) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
-		t.Fatalf("encode seed frame: %v", err)
-	}
-	return buf.Bytes()
-}
-
-// FuzzHAFrameDecode feeds arbitrary bytes through the same gob decode path
-// the HA listener and handoff receiver use, then applies any decoded
-// entries to a live server. Two properties must hold for every input:
-// decoding never panics, and no applied entry can leave a bucket whose
-// credit exceeds its capacity — the leaky-bucket invariant a corrupt or
-// malicious replication peer must not be able to break.
+// FuzzHAFrameDecode feeds arbitrary bytes through the frame reader the HA
+// listener and handoff receiver use, then applies any decoded entries to a
+// live server. Four properties must hold for every input: reading never
+// panics; it never allocates more than a small multiple of the bytes that
+// arrived, whatever the length prefix claims; a frame that decodes
+// re-encodes to exactly the bytes it was read from; and no applied entry
+// leaves a bucket whose credit exceeds its capacity — the leaky-bucket
+// invariant a corrupt or malicious replication peer must not be able to
+// break.
 func FuzzHAFrameDecode(f *testing.F) {
 	now := time.Unix(1700000000, 0)
 	srv, err := New(Config{
@@ -39,30 +32,36 @@ func FuzzHAFrameDecode(f *testing.F) {
 	}
 	f.Cleanup(func() { _ = srv.Close() })
 
-	f.Add(encodeFrame(f, haFrame{Type: haPull}))
-	f.Add(encodeFrame(f, haFrame{Type: haAck}))
-	f.Add(encodeFrame(f, haFrame{Type: haSnapshot, Entries: []haEntry{
-		{Rule: bucket.Rule{Key: "tenant-a", RefillRate: 10, Capacity: 100, Credit: 50}},
-		{Rule: bucket.Rule{Key: "guest", RefillRate: 1, Capacity: 5, Credit: 5}, Default: true},
-	}}))
-	f.Add(encodeFrame(f, haFrame{Type: haHandoff, Entries: []haEntry{
-		{Rule: bucket.Rule{Key: "tenant-b", RefillRate: 2, Capacity: 20, Credit: 0}},
-	}}))
-	// Hostile seeds: truncated gob, junk, and a frame whose rule violates
-	// the bucket invariants.
-	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
-	f.Add(encodeFrame(f, haFrame{Type: haHandoff, Entries: []haEntry{
+	for _, tc := range peerGolden {
+		f.Add(mustHex(f, tc.hex))
+	}
+	// Hostile seeds: a length prefix of 2³²−1, a count larger than the
+	// bytes, a key running past the end, a default byte of 2, and a frame
+	// whose rule violates the bucket invariants.
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, peerSnapshot, 0})
+	f.Add(mustHex(f, "00000003"+"01"+"05"+"00"))
+	f.Add(mustHex(f, "0000001d"+"02"+"01"+"40"+"6b"+zeros(24)+"00"))
+	f.Add(mustHex(f, "0000001c"+"01"+"01"+"00"+zeros(24)+"02"))
+	f.Add(appendPeerFrame(nil, &peerFrame{Type: peerHandoff, Entries: []peerEntry{
 		{Rule: bucket.Rule{Key: "evil", RefillRate: -1, Capacity: -100, Credit: 1e18}},
-	}})[:8])
+	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 64<<10 {
-			t.Skip("oversized input")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frame, err := readPeerFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// An entry is 48 bytes per 26 or more frame bytes, its key a copy;
+		// the constant covers the reader's own buffer growth.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 16*uint64(len(data))+16<<10 {
+			t.Fatalf("%d input bytes allocated %d bytes", len(data), grew)
 		}
-		var frame haFrame
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&frame); err != nil {
+		if err != nil {
 			return // rejecting a corrupt frame is the correct outcome
+		}
+		n := 4 + int(binary.BigEndian.Uint32(data))
+		if got := appendPeerFrame(nil, &frame); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("re-encoded %x, read %x", got, data[:n])
 		}
 		entries := frame.Entries
 		if len(entries) > 1024 {

@@ -1,7 +1,6 @@
 package qosserver
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bucket"
 	"repro/internal/failpoint"
 )
 
@@ -33,29 +31,17 @@ var (
 //
 // Replication is pull-based over TCP: the slave sends a pull frame, the
 // master answers with a snapshot of every (rule, credit, default-flag)
-// entry in the local table.
-
-// The same wire format carries the membership-handoff protocol: when a
-// cluster epoch advances and keys change owner, the old owner pushes the
-// affected entries to the new owner as a handoff frame (Server.Rebalance)
-// and deletes them locally once the ack arrives, so leaky-bucket credits
-// survive rebalancing.
-
-type haFrame struct {
-	Type    byte // 0 pull, 1 snapshot, 2 handoff push, 3 handoff ack
-	Entries []haEntry
-}
-
-type haEntry struct {
-	Rule    bucket.Rule
-	Default bool
-}
+// entry in the local table, and the snapshot replaces the slave's table.
+// The membership handoff (handoff.go) speaks the same frames (peercodec.go)
+// to the same listener. Each connection carries one exchange.
 
 const (
-	haPull     = 0
-	haSnapshot = 1
-	haHandoff  = 2
-	haAck      = 3
+	// peerDialTimeout bounds the dial to a peer's replication listener, and
+	// peerTimeout the whole exchange after it, on both ends: a peer that
+	// accepts and never answers fails the pull or handoff instead of
+	// blocking it, and with it Replicator.Stop and Rebalance.
+	peerDialTimeout = 2 * time.Second
+	peerTimeout     = 2 * time.Second
 )
 
 // haListener is the master side: it waits for incoming connections from
@@ -111,27 +97,44 @@ func (h *haListener) serve(conn net.Conn) {
 		h.mu.Unlock()
 		_ = conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	for {
-		var f haFrame
-		if err := dec.Decode(&f); err != nil {
-			return
-		}
-		switch f.Type {
-		case haPull:
-			if err := enc.Encode(&haFrame{Type: haSnapshot, Entries: h.s.snapshotTable()}); err != nil {
-				return
-			}
-		case haHandoff:
-			h.s.applyHandoff(f.Entries)
-			if err := enc.Encode(&haFrame{Type: haAck}); err != nil {
-				return
-			}
-		default:
-			return
-		}
+	if err := conn.SetDeadline(time.Now().Add(peerTimeout)); err != nil {
+		return
 	}
+	f, err := readPeerFrame(conn)
+	if err != nil {
+		return
+	}
+	reply := peerFrame{Type: peerAck}
+	switch f.Type {
+	case peerPull:
+		reply = peerFrame{Type: peerSnapshot, Entries: h.s.snapshotTable()}
+	case peerHandoff:
+		h.s.applyHandoff(f.Entries)
+	default:
+		return
+	}
+	_, _ = conn.Write(appendPeerFrame(nil, &reply)) // the peer sees a failed exchange
+}
+
+// exchange sends req to the replication listener at addr and returns the
+// reply, which must be of type want.
+func exchange(addr string, req *peerFrame, want byte) (peerFrame, error) {
+	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
+	if err != nil {
+		return peerFrame{}, err
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(peerTimeout)); err != nil {
+		return peerFrame{}, err
+	}
+	if _, err := conn.Write(appendPeerFrame(nil, req)); err != nil {
+		return peerFrame{}, err
+	}
+	f, err := readPeerFrame(conn)
+	if err == nil && f.Type != want {
+		err = fmt.Errorf("%w: type %d, want %d", errPeerFrame, f.Type, want)
+	}
+	return f, err
 }
 
 func (h *haListener) Close() {
@@ -151,18 +154,21 @@ func (h *haListener) Close() {
 
 // snapshotTable captures every entry of the local table with its current
 // credit (brought current to now) and default flag.
-func (s *Server) snapshotTable() []haEntry {
+func (s *Server) snapshotTable() []peerEntry {
 	now := s.clock()
-	var out []haEntry
+	out := make([]peerEntry, 0, s.table.Len())
 	s.table.Range(func(key string, e *entry) bool {
-		out = append(out, haEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
+		out = append(out, peerEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
 		return true
 	})
 	return out
 }
 
-// applySnapshot installs a replicated table into this (slave) server.
-func (s *Server) applySnapshot(entries []haEntry) {
+// applySnapshot makes this (slave) server's table the master's: it
+// installs every entry, and every resident key the snapshot lacks leaves
+// with its audit account, so a key the master dropped or handed off does
+// not linger here.
+func (s *Server) applySnapshot(entries []peerEntry) {
 	if fpHAApplySnapshot.Armed() {
 		switch o := fpHAApplySnapshot.Eval(); o.Kind {
 		case failpoint.Drop, failpoint.Error, failpoint.Partition:
@@ -172,6 +178,7 @@ func (s *Server) applySnapshot(entries []haEntry) {
 		}
 	}
 	now := s.clock()
+	held := make(map[string]struct{}, len(entries))
 	for _, e := range entries {
 		// Same defensive check as applyHandoff: snapshots cross the network
 		// too, and an unusable rule must not reach the table.
@@ -179,6 +186,17 @@ func (s *Server) applySnapshot(entries []haEntry) {
 			continue
 		}
 		s.put(e.Rule, e.Default, now)
+		held[e.Rule.Key] = struct{}{}
+	}
+	var gone []string
+	s.table.Range(func(key string, _ *entry) bool {
+		if _, ok := held[key]; !ok {
+			gone = append(gone, key)
+		}
+		return true
+	})
+	for _, key := range gone {
+		s.table.Delete(key)
 	}
 	s.fromPeer.Store(true) // as applyHandoffEntries
 }
@@ -236,6 +254,11 @@ func (r *Replicator) loop() {
 		case <-r.quit:
 			return
 		case <-t.C:
+			select {
+			case <-r.quit: // a Stop that raced the tick waits for no pull
+				return
+			default:
+			}
 			if err := r.PullOnce(); err != nil {
 				r.lastErr.Store(err.Error())
 			}
@@ -255,22 +278,9 @@ func (r *Replicator) PullOnce() error {
 			o.Sleep()
 		}
 	}
-	conn, err := net.DialTimeout("tcp", r.master, 2*time.Second)
+	f, err := exchange(r.master, &peerFrame{Type: peerPull}, peerSnapshot)
 	if err != nil {
 		return err
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&haFrame{Type: haPull}); err != nil {
-		return err
-	}
-	var f haFrame
-	if err := dec.Decode(&f); err != nil {
-		return err
-	}
-	if f.Type != haSnapshot {
-		return errors.New("qosserver: unexpected replication frame")
 	}
 	r.slave.applySnapshot(f.Entries)
 	r.pulls.Add(1)

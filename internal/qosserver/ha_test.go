@@ -1,6 +1,8 @@
 package qosserver
 
 import (
+	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -160,5 +162,114 @@ func TestReplicatorRecordsPullErrors(t *testing.T) {
 			t.Fatal("pull errors not recorded after master death")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// silentPeer accepts connections and never answers, holding each open until
+// the test ends.
+func silentPeer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		<-done
+		for _, c := range conns {
+			_ = c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// within fails the test unless fn returns within d.
+func within(t *testing.T, d time.Duration, what string, fn func()) {
+	t.Helper()
+	returned := make(chan struct{})
+	go func() { fn(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(d):
+		t.Fatalf("%s still blocked after %v", what, d)
+	}
+}
+
+// TestPeerExchangesTimeOutOnASilentPeer: a peer that accepts and never
+// answers fails a pull and a handoff within the exchange deadline, and a
+// replicator stuck on such a pull still stops.
+func TestPeerExchangesTimeOutOnASilentPeer(t *testing.T) {
+	addr := silentPeer(t)
+	t.Run("pull", func(t *testing.T) {
+		t.Parallel()
+		rep := NewReplicator(newServer(t, Config{}), addr, time.Hour)
+		within(t, 3*time.Second, "PullOnce", func() {
+			if err := rep.PullOnce(); err == nil {
+				t.Error("pull from a silent peer succeeded")
+			}
+		})
+	})
+	t.Run("handoff", func(t *testing.T) {
+		t.Parallel()
+		owner := newServer(t, Config{})
+		owner.Decide(wire.Request{Key: "k"})
+		within(t, 3*time.Second, "Rebalance", func() {
+			if moved, err := owner.Rebalance(func(string) string { return addr }); err == nil || moved != 0 {
+				t.Errorf("handoff to a silent peer: moved %d, err %v", moved, err)
+			}
+		})
+		if owner.TableLen() != 1 {
+			t.Errorf("an unacknowledged handoff removed the key: table len %d", owner.TableLen())
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		t.Parallel()
+		rep := NewReplicator(newServer(t, Config{}), addr, time.Millisecond)
+		rep.started.Store(true)
+		go rep.loop()
+		time.Sleep(50 * time.Millisecond) // the loop is inside a pull
+		within(t, 3*time.Second, "Replicator.Stop", rep.Stop)
+	})
+}
+
+// TestSnapshotReplacesTheSlavesTable: a key the master no longer holds
+// leaves the slave at the next pull, with its audit account.
+func TestSnapshotReplacesTheSlavesTable(t *testing.T) {
+	master := newServer(t, Config{ReplicationAddr: "127.0.0.1:0", Audit: true})
+	for i := 0; i < 100; i++ {
+		master.Decide(wire.Request{Key: fmt.Sprintf("k%d", i)})
+	}
+	slave := newServer(t, Config{Audit: true})
+	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
+	defer rep.Stop()
+	if err := rep.PullOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if n := slave.TableLen(); n != 100 {
+		t.Fatalf("slave holds %d keys after the first pull, want 100", n)
+	}
+	for i := 0; i < 100; i++ {
+		master.table.Delete(fmt.Sprintf("k%d", i))
+	}
+	if err := rep.PullOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if n := slave.TableLen(); n != 0 {
+		t.Errorf("slave holds %d keys the master dropped", n)
+	}
+	if n := gauge(t, slave, "janus_qos_audit_buckets"); n != 0 {
+		t.Errorf("janus_qos_audit_buckets = %v on the slave, want 0", n)
 	}
 }

@@ -1,10 +1,7 @@
 package qosserver
 
 import (
-	"encoding/gob"
 	"fmt"
-	"net"
-	"time"
 
 	"repro/internal/events"
 	"repro/internal/failpoint"
@@ -25,8 +22,8 @@ var (
 //
 // When the cluster's membership epoch advances, some keys map to a new
 // owner. Rebalance exports exactly those entries from the local table —
-// rule geometry, current credit, and default flag, the ha.go snapshot wire
-// format — pushes them to each new owner's replication listener, and
+// rule geometry, current credit, and default flag, in the snapshot's
+// peer frame — pushes them to each new owner's replication listener, and
 // deletes them locally once the owner acknowledges receipt. Credits
 // therefore survive rebalancing instead of being re-minted from the
 // database at full capacity.
@@ -52,10 +49,10 @@ var (
 // returned after all destinations have been attempted.
 func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 	now := s.clock()
-	groups := make(map[string][]haEntry)
+	groups := make(map[string][]peerEntry)
 	s.table.Range(func(key string, e *entry) bool {
 		if addr := owner(key); addr != "" {
-			groups[addr] = append(groups[addr], haEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
+			groups[addr] = append(groups[addr], peerEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
 		}
 		return true
 	})
@@ -80,7 +77,7 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 
 // pushHandoff delivers one batch of entries to the replication listener at
 // addr and waits for the ack.
-func pushHandoff(addr string, entries []haEntry) error {
+func pushHandoff(addr string, entries []peerEntry) error {
 	if fpHandoffPush.Armed() {
 		switch o := fpHandoffPush.EvalPeer(addr); o.Kind {
 		case failpoint.Error, failpoint.Partition:
@@ -91,29 +88,13 @@ func pushHandoff(addr string, entries []haEntry) error {
 			o.Sleep()
 		}
 	}
-	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
-	if err != nil {
-		return err
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&haFrame{Type: haHandoff, Entries: entries}); err != nil {
-		return err
-	}
-	var ack haFrame
-	if err := dec.Decode(&ack); err != nil {
-		return err
-	}
-	if ack.Type != haAck {
-		return fmt.Errorf("unexpected frame type %d in handoff ack", ack.Type)
-	}
-	return nil
+	_, err := exchange(addr, &peerFrame{Type: peerHandoff, Entries: entries}, peerAck)
+	return err
 }
 
 // applyHandoff installs handed-off entries with min-merge semantics; see
 // the package comment above for why credit only ever moves down.
-func (s *Server) applyHandoff(entries []haEntry) {
+func (s *Server) applyHandoff(entries []peerEntry) {
 	passes := 1
 	if fpHandoffApply.Armed() {
 		switch o := fpHandoffApply.Eval(); o.Kind {
@@ -131,7 +112,7 @@ func (s *Server) applyHandoff(entries []haEntry) {
 	events.Record("qosserver", "handoff-apply", "", float64(len(entries)))
 }
 
-func (s *Server) applyHandoffEntries(entries []haEntry) {
+func (s *Server) applyHandoffEntries(entries []peerEntry) {
 	now := s.clock()
 	for _, e := range entries {
 		// Frames arrive over the network; a corrupt or malicious peer must
