@@ -9,29 +9,29 @@ import (
 
 // The change feed. Every write that changes a row's values, and every delete,
 // takes the next number of the engine's sequence, so a reader that remembers
-// the last number it saw can ask for what changed after it — SELECT CHANGES
-// FROM t SINCE ? — instead of re-reading the table. A write that leaves every
-// value as it was (an UPDATE or REPLACE of the same values) takes no number
-// and is not reported. The reply holds each changed key once, at its latest
-// state, in sequence order:
+// its Cursor can ask for what changed after it — SELECT CHANGES FROM t SINCE
+// origin, seq (the origin as the INT of the same 64 bits) — instead of
+// re-reading the table. A write that leaves every value as it was takes no
+// number and is not reported. The reply holds each changed key once, at its
+// latest state, in sequence order:
 //
 //	_seq  _deleted  <the table's columns>
 //
 // A live row carries its values; a deleted key carries _deleted = 1 and only
-// its primary key. Alongside, Result.Feed reports the engine's origin (and
-// fork, on a promoted standby), the table's head and horizon, and where the
-// next page starts. A standby reads the same entries (replica.go).
+// its primary key. Alongside, Result.Feed says where the reader stands. A
+// standby reads the same entries (replica.go).
 //
 // Deletes are remembered as tombstones, at most Tombstones per table; when one
 // more is recorded the oldest is forgotten and the horizon moves up to it. A
-// reader whose cursor is below the horizon may have missed deletes and must
-// re-read the whole table (SINCE 0) to find them by absence.
+// cursor that cannot read on (lineage.continues), such as one below the
+// horizon, gets the whole table from sequence 0: a reset scan, in which the
+// reader finds deletes by absence.
 
 const (
-	// FeedPage caps the entries in one SELECT CHANGES reply; Feed.Next says
-	// where the next page starts. A connection reuses its frame buffers
-	// only up to 64 KiB (codec.go), so pages stay well under that; only a
-	// whole-table read takes many.
+	// FeedPage caps the entries in one SELECT CHANGES reply, but the first
+	// page of a reset scan reaches the horizon, so that its cursor reads on.
+	// A connection reuses its frame buffers only up to 64 KiB (codec.go), so
+	// pages stay well under that; only a whole-table read takes many.
 	FeedPage = 256
 	// Tombstones is how many deletes a table remembers.
 	Tombstones = 4096
@@ -43,32 +43,35 @@ type Cursor struct {
 	Seq    int64
 }
 
-// Feed is where a SELECT CHANGES reply stands in its table's sequence.
+// Feed is where a SELECT CHANGES reply leaves its reader.
 type Feed struct {
-	// Origin names the sequence the engine numbers writes in. It is fresh
-	// on NewEngine and on Promote, and a standby keeps its master's, so a
-	// cursor taken from another sequence shows up as foreign instead of
-	// being silently misread.
-	Origin uint64
-	// Fork is where a promoted standby's sequence leaves its master's: the
-	// master's origin and the last number the standby applied. A cursor on
-	// Fork.Origin at or below Fork.Seq reads on here. Zero elsewhere.
-	Fork Cursor
-	// Head is the latest sequence number written in the table.
-	Head int64
-	// Next is the cursor to read on from: the last _seq of this reply when
-	// more entries follow it, Head otherwise.
-	Next int64
-	// Horizon is the newest forgotten delete: every delete after it is in
-	// this reply or a later page. A cursor below Horizon may have missed
-	// deletes.
-	Horizon int64
+	Next  Cursor // where to read on from
+	More  bool   // entries follow Next
+	Reset bool   // the cursor could not read on: a reset scan starts here
 }
 
-// ChangesStmt is SELECT CHANGES FROM t SINCE expr.
+// lineage is the sequence an engine numbers writes in: its origin is fresh on
+// NewEngine and promote, and a standby takes its master's. On a promoted
+// standby, fork is the master's origin and the last number it applied.
+type lineage struct {
+	origin uint64
+	fork   Cursor
+}
+
+// continues is the one rule for whether a reader at cur may read on after it
+// in a table, or a database, of this lineage at head whose newest forgotten
+// delete is horizon: cur is on this origin, or on the one a promoted standby
+// forked from at or after cur, and lies between horizon and head. The zero
+// Cursor never does.
+func (l *lineage) continues(cur Cursor, head, horizon int64) bool {
+	onLine := cur.Origin == l.origin || cur.Origin == l.fork.Origin && cur.Seq <= l.fork.Seq
+	return cur.Origin != 0 && onLine && horizon <= cur.Seq && cur.Seq <= head
+}
+
+// ChangesStmt is SELECT CHANGES FROM t SINCE origin, seq.
 type ChangesStmt struct {
 	Table string
-	Since Expr
+	Since [2]Expr
 }
 
 func (ChangesStmt) stmt() {}
@@ -157,16 +160,17 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	argi := 0
-	v, err := bind(s.Since, args, &argi)
-	if err != nil {
-		return Result{}, err
+	var since [2]Value
+	for i, argi := 0, 0; i < 2; i++ {
+		v, err := bind(s.Since[i], args, &argi)
+		if err != nil {
+			return Result{}, err
+		}
+		if since[i], err = coerce(v, KindInt); err != nil || since[i].IsNull() {
+			return Result{}, fmt.Errorf("minisql: SINCE needs an integer cursor, got %s", v)
+		}
 	}
-	cursor, err := coerce(v, KindInt)
-	if err != nil || cursor.IsNull() {
-		return Result{}, fmt.Errorf("minisql: SINCE needs an integer cursor, got %s", v)
-	}
-	feed := *e.lineage.Load()
+	cur, lin := Cursor{uint64(since[0].I), since[1].I}, e.lineage.Load()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	cols := make([]string, 0, 2+len(t.schema))
@@ -174,21 +178,25 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 	for _, c := range t.schema {
 		cols = append(cols, c.Name)
 	}
-	rows := t.entries(cursor.I, FeedPage)
-	feed.Head, feed.Next, feed.Horizon = t.head, t.head, t.horizon
-	if len(rows) == FeedPage {
-		feed.Next = rows[len(rows)-1][0].I
+	feed := Feed{Next: Cursor{lin.origin, t.head}}
+	if !lin.continues(cur, t.head, t.horizon) {
+		cur.Seq, feed.Reset = 0, true
+	}
+	rows := t.entries(cur.Seq, t.horizon, FeedPage)
+	if n := len(rows); n >= FeedPage && rows[n-1][0].I < t.head {
+		feed.Next.Seq, feed.More = max(rows[n-1][0].I, t.horizon), true
 	}
 	return Result{Columns: cols, Rows: rows, Feed: &feed}, nil
 }
 
 // entries returns the table's entries after cursor, each key at its latest
-// state, in sequence order, at most limit of them (limit < 0: all). The scan
-// starts at the cursor's place in the log, so it costs the writes since the
-// cursor, not the size of the table. Caller holds the table lock or writeMu.
-func (t *tableData) entries(cursor int64, limit int) [][]Value {
+// state, in sequence order: all of them up to through, and past it no more
+// than limit in all. The scan starts at the cursor's place in the log, so it
+// costs the writes since the cursor, not the size of the table. Caller holds
+// the table lock or writeMu.
+func (t *tableData) entries(cursor, through int64, limit int) [][]Value {
 	var rows [][]Value
-	for i := sort.Search(len(t.log), func(i int) bool { return t.log[i].seq > cursor }); i < len(t.log) && len(rows) != limit; i++ {
+	for i := sort.Search(len(t.log), func(i int) bool { return t.log[i].seq > cursor }); i < len(t.log) && (len(rows) < limit || t.log[i].seq <= through); i++ {
 		c := t.log[i]
 		row := make([]Value, 2+len(t.schema)) // zero Values are NULL
 		row[0] = Int(c.seq)

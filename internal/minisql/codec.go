@@ -56,19 +56,19 @@ var errFrame = errors.New("minisql: malformed frame")
 //
 //	query           SQL text, args (values)
 //	result          error text, columns (texts), rows, affected (varint),
-//	                feed (0, or 1 then origin uvarint, fork origin uvarint,
-//	                fork seq, head, next, horizon varints)
-//	subscribe       cursor: origin uvarint, seq varint
+//	                feed (0, or 1 then next cursor, more and reset bytes)
+//	subscribe       cursor
 //	snapshot, feed  the cut's cursor, table count, then per table its name,
 //	                column count, per column (name, kind byte, primary-key
 //	                byte), head and horizon varints, rows
 //	pong            serving byte
 //	ping            nothing
 //
-// A text is a uvarint length and its bytes; a list is a uvarint count and
-// its items; rows are a list of value lists. A value is its kind byte, then
-// for INT a zig-zag varint, for FLOAT the 8 big-endian IEEE 754 bytes, for
-// TEXT a text, and nothing for NULL.
+// A cursor is its origin as a uvarint and its seq as a varint. A text is a
+// uvarint length and its bytes; a list is a uvarint count and its items;
+// rows are a list of value lists. A value is its kind byte, then for INT a
+// zig-zag varint, for FLOAT the 8 big-endian IEEE 754 bytes, for TEXT a
+// text, and nothing for NULL.
 func appendFrame(dst []byte, f *frame) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, f.Type)
@@ -87,12 +87,8 @@ func appendFrame(dst []byte, f *frame) []byte {
 		if fd := f.Result.Feed; fd == nil {
 			dst = append(dst, 0)
 		} else {
-			dst = append(dst, 1)
-			dst = binary.AppendUvarint(dst, fd.Origin)
-			dst = appendCursor(dst, fd.Fork)
-			dst = binary.AppendVarint(dst, fd.Head)
-			dst = binary.AppendVarint(dst, fd.Next)
-			dst = binary.AppendVarint(dst, fd.Horizon)
+			dst = appendCursor(append(dst, 1), fd.Next)
+			dst = append(dst, boolByte(fd.More), boolByte(fd.Reset))
 		}
 	case frameSubscribe:
 		dst = appendCursor(dst, f.Cursor)
@@ -180,7 +176,7 @@ func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 		f.Result.Rows = d.rows()
 		f.Result.Affected = d.varint()
 		if d.flag() {
-			f.Result.Feed = &Feed{Origin: d.uvarint(), Fork: d.cursor(), Head: d.varint(), Next: d.varint(), Horizon: d.varint()}
+			f.Result.Feed = &Feed{Next: d.cursor(), More: d.flag(), Reset: d.flag()}
 		}
 	case frameSubscribe:
 		f.Cursor = d.cursor()

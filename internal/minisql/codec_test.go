@@ -15,7 +15,7 @@ func sampleFrames() []frame {
 	return []frame{
 		{Type: frameQuery, SQL: "SELECT key FROM qos_rules WHERE key = ?", Args: []Value{Text("a")}},
 		{Type: frameResult, Result: Result{Columns: []string{"key", "credit"}, Rows: rows, Affected: 2,
-			Feed: &Feed{Origin: math.MaxUint64, Fork: Cursor{Origin: 3, Seq: 6}, Head: 9, Next: 7, Horizon: -1}}},
+			Feed: &Feed{Next: Cursor{Origin: math.MaxUint64, Seq: -1}, More: true, Reset: true}}},
 		{Type: frameResult, Err: "minisql: no such table \"t\""},
 		{Type: frameSubscribe, Cursor: Cursor{Origin: math.MaxUint64, Seq: 12}},
 		{Type: frameSnapshot, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 9}, Tables: []TableSnapshot{{Name: "t",
@@ -82,9 +82,9 @@ func TestFrameGolden(t *testing.T) {
 				"04" + "00" + "0103" + "023ff8000000000000" + "03016b"},
 		{"result with a feed",
 			frame{Type: frameResult, Result: Result{Columns: []string{"_seq", "key"}, Rows: [][]Value{{Int(7), Text("a")}},
-				Feed: &Feed{Origin: 0xfeedface, Fork: Cursor{Origin: 2, Seq: 8}, Head: 9, Next: 9, Horizon: 3}}},
-			"0000001f" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
-				"01" + "cef5b7f70f" + "02" + "10" + "12" + "12" + "06"},
+				Feed: &Feed{Next: Cursor{Origin: 0xfeedface, Seq: 9}, More: true}}},
+			"0000001d" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
+				"01" + "cef5b7f70f" + "12" + "01" + "00"},
 		{"subscribe",
 			frame{Type: frameSubscribe, Cursor: Cursor{Origin: 0xfeedface, Seq: 7}},
 			"00000007" + "02" + "cef5b7f70f" + "0e"},

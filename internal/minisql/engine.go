@@ -38,10 +38,9 @@ type Engine struct {
 	// wake, when not nil, is closed by the next write: a standby with
 	// nothing left to read waits on it.
 	wake chan struct{}
-	// lineage holds the Origin and Fork of every Feed the engine reports:
-	// which sequence seq counts in. SELECT CHANGES reads it without writeMu;
-	// only Restore and promote change it.
-	lineage atomic.Pointer[Feed]
+	// lineage is the sequence seq counts in (changes.go). SELECT CHANGES
+	// reads it without writeMu; only apply and promote change it.
+	lineage atomic.Pointer[lineage]
 }
 
 type tableData struct {
@@ -61,7 +60,7 @@ func NewEngine() *Engine {
 		tables:    make(map[string]*tableData),
 		stmtCache: make(map[string]Statement),
 	}
-	e.lineage.Store(&Feed{Origin: newOrigin()})
+	e.lineage.Store(&lineage{origin: newOrigin()})
 	return e
 }
 
@@ -365,26 +364,27 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 
 // candidateRows returns the indexes of rows matching the bound conditions,
 // using the PK index when a `pk = v` term is present (the Janus fast path).
+// A condition on a column the table lacks is an error.
 func (t *tableData) candidateRows(conds []boundCond) ([]int, error) {
-	for _, c := range conds {
+	pk := -1
+	for i, c := range conds {
 		idx, ok := t.colIdx[strings.ToLower(c.Column)]
 		if !ok {
 			return nil, fmt.Errorf("minisql: no column %q in table %q", c.Column, t.name)
 		}
-		if c.Op == OpEq && idx == t.pkCol {
-			cv, err := coerce(c.Value, t.schema[idx].Kind)
-			if err != nil {
-				return []int{}, nil // un-coercible value matches nothing
-			}
-			ri, found := t.pkIndex[cv]
-			if !found {
-				return []int{}, nil
-			}
-			if t.rowMatches(ri, conds) {
-				return []int{ri}, nil
-			}
-			return []int{}, nil
+		if c.Op == OpEq && idx == t.pkCol && pk < 0 {
+			pk = i
 		}
+	}
+	if pk >= 0 {
+		cv, err := coerce(conds[pk].Value, t.schema[t.pkCol].Kind)
+		if err != nil {
+			return []int{}, nil // un-coercible value matches nothing
+		}
+		if ri, found := t.pkIndex[cv]; found && t.rowMatches(ri, conds) {
+			return []int{ri}, nil
+		}
+		return []int{}, nil
 	}
 	var out []int
 	for i := range t.rows {
@@ -405,15 +405,6 @@ func (t *tableData) rowMatches(ri int, conds []boundCond) bool {
 	return true
 }
 
-func (t *tableData) validateConds(conds []boundCond) error {
-	for _, c := range conds {
-		if _, ok := t.colIdx[strings.ToLower(c.Column)]; !ok {
-			return fmt.Errorf("minisql: no column %q in table %q", c.Column, t.name)
-		}
-	}
-	return nil
-}
-
 func (e *Engine) selectRows(s SelectStmt, args []Value) (Result, error) {
 	t, err := e.getTable(s.Table)
 	if err != nil {
@@ -426,9 +417,6 @@ func (e *Engine) selectRows(s SelectStmt, args []Value) (Result, error) {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if err := t.validateConds(conds); err != nil {
-		return Result{}, err
-	}
 	idxs, err := t.candidateRows(conds)
 	if err != nil {
 		return Result{}, err
@@ -517,9 +505,6 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := t.validateConds(conds); err != nil {
-		return 0, err
-	}
 	idxs, err := t.candidateRows(conds)
 	if err != nil {
 		return 0, err
@@ -574,9 +559,6 @@ func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.validateConds(conds); err != nil {
-		return 0, err
-	}
 	idxs, err := t.candidateRows(conds)
 	if err != nil {
 		return 0, err

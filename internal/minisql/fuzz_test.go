@@ -21,9 +21,11 @@ func FuzzParse(f *testing.F) {
 		"select key from qos_rules",
 		"'unterminated",
 		"SELECT * FROM t WHERE a = $1",
-		"SELECT CHANGES FROM qos_rules SINCE ?",
-		"select changes from t since 0;",
-		"SELECT CHANGES FROM t SINCE",
+		"SELECT CHANGES FROM qos_rules SINCE ?, ?",
+		"select changes from t since 0, 0;",
+		"SELECT CHANGES FROM t SINCE 1,",
+		"SELECT CHANGES FROM t SINCE 0, -3",
+		"SELECT CHANGES FROM t SINCE -1, 9223372036854775807",
 	} {
 		f.Add(seed)
 	}
@@ -44,7 +46,9 @@ func FuzzExecute(f *testing.F) {
 	f.Add("SELECT * FROM qos_rules")
 	f.Add("DELETE FROM qos_rules WHERE key = 'a'")
 	f.Add("CREATE TABLE heap (v INT)")
-	f.Add("SELECT CHANGES FROM qos_rules SINCE 1")
+	f.Add("SELECT CHANGES FROM qos_rules SINCE 0, 1")
+	f.Add("SELECT CHANGES FROM qos_rules SINCE 7, -2")
+	f.Add("SELECT CHANGES FROM qos_rules SINCE 12345, 2")
 	f.Add("REPLACE INTO qos_rules VALUES ('a', 1, 2, 3), ('seed', 'x', 1, 1)")
 	f.Add("UPDATE qos_rules SET key = 'b' WHERE key = 'seed'")
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -65,23 +69,23 @@ func FuzzExecute(f *testing.F) {
 		if len(res.Rows) > 1 {
 			t.Fatalf("PK index corrupted: %d rows for one key", len(res.Rows))
 		}
-		feed, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE 0`)
+		feed, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE 0, 0`)
 		if err != nil {
 			t.Fatalf("change feed: %v", err)
 		}
 		count, _ := e.Execute(`SELECT COUNT(*) FROM qos_rules`)
 		live, last := int64(0), int64(0)
 		for _, row := range feed.Rows {
-			if seq := row[0].AsInt(); seq <= last || seq > feed.Feed.Head {
-				t.Fatalf("feed entry %v out of order (previous %d, head %d)", row, last, feed.Feed.Head)
+			if seq := row[0].AsInt(); seq <= last || seq > feed.Feed.Next.Seq {
+				t.Fatalf("feed entry %v out of order (previous %d, head %d)", row, last, feed.Feed.Next.Seq)
 			}
 			last = row[0].AsInt()
 			if row[1].AsInt() == 0 {
 				live++
 			}
 		}
-		if feed.Feed.Next != feed.Feed.Head {
-			t.Fatalf("one page of %d entries says more follow from %d (head %d)", len(feed.Rows), feed.Feed.Next, feed.Feed.Head)
+		if feed.Feed.More || !feed.Feed.Reset {
+			t.Fatalf("one page of %d entries from the zero cursor reads as %+v, want the whole reset scan", len(feed.Rows), *feed.Feed)
 		}
 		if live != count.Rows[0][0].AsInt() {
 			t.Fatalf("feed lists %d rows, table holds %d", live, count.Rows[0][0].AsInt())

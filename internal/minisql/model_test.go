@@ -45,6 +45,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 	model := map[string]modelRow{}
 	changes := map[string]modelChange{}
 	seq := int64(1) // CREATE TABLE took number 1
+	origin := e.Snapshot().At.Origin
 	// write applies one write (live) or delete to the model. Like the engine,
 	// it numbers only a write that changes something.
 	write := func(k string, r modelRow, live bool) {
@@ -142,14 +143,14 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			}
 		case 6: // change feed
 			since := rng.Int63n(seq + 1)
-			res, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE ?`, Int(since))
+			res, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE ?, ?`, Int(int64(origin)), Int(since))
 			if err != nil {
 				t.Fatalf("step %d: changes: %v", step, err)
 			}
-			if res.Feed.Head != seq || res.Feed.Next != seq { // 200 keys fit one page
-				t.Fatalf("step %d: feed head %d, next %d; model %d", step, res.Feed.Head, res.Feed.Next, seq)
+			if res.Feed.Next != (Cursor{origin, seq}) || res.Feed.More { // 200 keys fit one page
+				t.Fatalf("step %d: feed ends at %+v (more %v); model %d", step, res.Feed.Next, res.Feed.More, seq)
 			}
-			if res.Feed.Horizon > since {
+			if res.Feed.Reset {
 				continue // truncated: the reader re-reads the table instead
 			}
 			want := 0

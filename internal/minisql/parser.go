@@ -475,7 +475,7 @@ func (p *parser) selectStmt() (Statement, error) {
 	return st, nil
 }
 
-// changes parses the rest of SELECT CHANGES FROM t SINCE expr.
+// changes parses the rest of SELECT CHANGES FROM t SINCE origin, seq.
 func (p *parser) changes() (Statement, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
@@ -487,11 +487,17 @@ func (p *parser) changes() (Statement, error) {
 	if err := p.expectKeyword("SINCE"); err != nil {
 		return nil, err
 	}
-	since, err := p.expr()
-	if err != nil {
+	st := ChangesStmt{Table: name}
+	if st.Since[0], err = p.expr(); err != nil {
 		return nil, err
 	}
-	return ChangesStmt{Table: name, Since: since}, nil
+	if err := p.expectSymbol(","); err != nil {
+		return nil, err
+	}
+	if st.Since[1], err = p.expr(); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 func (p *parser) update() (Statement, error) {

@@ -56,34 +56,42 @@ func (r *Replica) Err() error {
 // returns after the snapshot is applied, so the replica is queryable
 // (read-only) when Follow returns.
 func (r *Replica) Follow(addr string) error {
-	fr, hangUp, err := r.connect(addr)
-	if err != nil {
-		return err
+	fr, hangUp, err := r.connect(addr, true)
+	if err == nil {
+		r.wg.Add(1)
+		go r.run(addr, fr, hangUp)
 	}
-	if err := r.receive(fr); err != nil {
-		hangUp()
-		return err
-	}
-	r.wg.Add(1)
-	go r.run(addr, fr, hangUp)
-	return nil
+	return err
 }
 
-// connect dials the master and subscribes from the cursor. hangUp closes
-// the connection, and so does Stop.
-func (r *Replica) connect(addr string) (fr *frameReader, hangUp func(), err error) {
+// connect dials the master and subscribes from the cursor; with first set it
+// also applies the cut the master answers with. Both run under one
+// roundTripTimeout, and the stream after them under none: a master sends
+// nothing until it is written to, and a re-follow's cursor may be current.
+// hangUp closes the connection, and so does Stop.
+func (r *Replica) connect(addr string, first bool) (fr *frameReader, hangUp func(), err error) {
 	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(r.ctx, "tcp", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("minisql: replica dial %s: %w", addr, err)
 	}
 	stop := context.AfterFunc(r.ctx, func() { conn.Close() })
 	hangUp = func() { stop(); conn.Close() }
-	w := frameWriter{w: conn}
-	if err := w.send(&frame{Type: frameSubscribe, Cursor: r.cursor}); err != nil {
-		hangUp()
-		return nil, nil, fmt.Errorf("minisql: subscribe: %w", err)
+	fr, w := newFrameReader(conn), frameWriter{w: conn}
+	err = conn.SetDeadline(time.Now().Add(roundTripTimeout))
+	if err == nil {
+		err = w.send(&frame{Type: frameSubscribe, Cursor: r.cursor})
 	}
-	return newFrameReader(conn), hangUp, nil
+	if err == nil && first {
+		err = r.receive(fr)
+	}
+	if err == nil {
+		err = conn.SetDeadline(time.Time{})
+	}
+	if err != nil {
+		hangUp()
+		return nil, nil, fmt.Errorf("minisql: follow %s: %w", addr, err)
+	}
+	return fr, hangUp, nil
 }
 
 // receive reads one cut and applies it.
@@ -124,7 +132,7 @@ func (r *Replica) run(addr string, fr *frameReader, hangUp func()) {
 				return
 			case <-time.After(refollow):
 			}
-			fr, hangUp, err = r.connect(addr)
+			fr, hangUp, err = r.connect(addr, false)
 		}
 		r.lastErr.Store("")
 	}

@@ -58,9 +58,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // master.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
-// Engine returns the underlying engine.
-func (s *Server) Engine() *Engine { return s.engine }
-
 // Close stops the listener and all connections.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -119,40 +116,33 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := r.next(&f); err != nil {
 			return // gone, or a malformed frame: this connection only
 		}
+		reply := frame{Type: frameResult}
 		switch f.Type {
 		case frameQuery:
-			reply := frame{Type: frameResult}
 			if s.readOnly.Load() && isWriteSQL(s.engine, f.SQL) {
 				reply.Err = ErrReadOnly.Error()
+			} else if res, err := s.engine.Execute(f.SQL, f.Args...); err != nil {
+				reply.Err = err.Error()
 			} else {
-				res, err := s.engine.Execute(f.SQL, f.Args...)
-				if err != nil {
-					reply.Err = err.Error()
-				} else {
-					reply.Result = res
-				}
-			}
-			wMu.Lock()
-			err := w.send(&reply)
-			wMu.Unlock()
-			if err != nil {
-				return
+				reply.Result = res
 			}
 		case framePing:
-			wMu.Lock()
-			err := w.send(&frame{Type: framePong, Serving: !s.readOnly.Load()})
-			wMu.Unlock()
-			if err != nil {
-				return
-			}
+			reply = frame{Type: framePong, Serving: !s.readOnly.Load()}
 		case frameSubscribe:
 			// Replication streaming runs in its own goroutine so this loop
 			// keeps reading; a remote disconnect then surfaces as a read
 			// error here, which closes done and the connection.
 			s.wg.Add(1)
 			go s.stream(conn, w, &wMu, f.Cursor, done)
+			continue
 		default:
 			return // protocol violation
+		}
+		wMu.Lock()
+		err := w.send(&reply)
+		wMu.Unlock()
+		if err != nil {
+			return
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"testing"
@@ -282,7 +281,7 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rep.Stop()
-	head := mustExec(t, master, `SELECT CHANGES FROM qos_rules SINCE 0`).Feed.Head
+	head := master.Snapshot().At.Seq
 
 	for _, sql := range []string{
 		`REPLACE INTO qos_rules VALUES ('a', 1, 1, 1), ('b', 'not-a-number', 1, 1)`,
@@ -297,8 +296,8 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 			t.Fatalf("%s succeeded", sql)
 		}
 	}
-	if feed := mustExec(t, master, `SELECT CHANGES FROM qos_rules SINCE 0`).Feed; feed.Head != head {
-		t.Fatalf("failed statements moved the feed head %d -> %d", head, feed.Head)
+	if now := master.Snapshot().At.Seq; now != head {
+		t.Fatalf("failed statements moved the sequence %d -> %d", head, now)
 	}
 	mustExec(t, master, `REPLACE INTO qos_rules VALUES ('ok', 1, 1, 1)`)
 	waitApplied(t, rep, master, "qos_rules")
@@ -314,7 +313,7 @@ func TestFailedWriteChangesNothing(t *testing.T) {
 // in table.
 func waitApplied(t *testing.T, rep *Replica, master *Engine, table string) {
 	t.Helper()
-	head := mustExec(t, master, `SELECT CHANGES FROM `+table+` SINCE ?`, Int(math.MaxInt64)).Feed.Head
+	head, _ := feedState(t, master, table)
 	waitFor(t, func() bool { return rep.Applied() >= head })
 }
 
@@ -507,5 +506,69 @@ func TestManySequentialQueriesOneConn(t *testing.T) {
 	res, err := c.Execute(fmt.Sprintf(`SELECT COUNT(*) FROM t`))
 	if err != nil || res.Rows[0][0] != Int(10) {
 		t.Fatalf("count: %+v %v", res, err)
+	}
+}
+
+// silentServer accepts connections and never answers, holding each open
+// until the test ends.
+func silentServer(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var conns []net.Conn
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return ln.Addr().String()
+}
+
+// TestSilentServerFailsCalls: a server that accepts the connection and never
+// answers fails a statement and a replica's first cut within the round-trip
+// deadline, instead of blocking them.
+func TestSilentServerFailsCalls(t *testing.T) {
+	addr := silentServer(t)
+	for name, call := range map[string]func() error{
+		"Pool.Execute": func() error {
+			pool := NewPool(addr, 1)
+			defer pool.Close()
+			_, err := pool.Execute(`SELECT key FROM qos_rules WHERE key = ?`, Text("k"))
+			return err
+		},
+		"Replica.Follow": func() error {
+			rep := NewReplica(NewEngine())
+			defer rep.Stop()
+			return rep.Follow(addr)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			errc := make(chan error, 1)
+			go func() { errc <- call() }()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Fatal("succeeded against a silent server")
+				}
+			case <-time.After(roundTripTimeout + time.Second):
+				t.Fatalf("still blocked after %v", roundTripTimeout+time.Second)
+			}
+		})
 	}
 }

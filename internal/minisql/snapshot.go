@@ -34,31 +34,32 @@ func (e *Engine) Snapshot() SnapshotData {
 }
 
 // since returns what a reader at cur lacks, as one cut: every table written
-// after cur.Seq with its entries after it, or, when cur is on another origin
-// or below a table's horizon, every table whole (reset true). When nothing
-// was written after cur it returns instead a channel that the next write
-// closes. writeMu keeps every writer out, so the tables need no other lock.
+// after cur.Seq with its entries after it, or, when cur cannot read on
+// (lineage.continues), every table whole (reset true). When nothing was
+// written after cur it returns instead a channel that the next write closes.
+// writeMu keeps every writer out, so the tables need no other lock.
 func (e *Engine) since(cur Cursor) (snap SnapshotData, reset bool, wait <-chan struct{}) {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	snap.At = Cursor{e.lineage.Load().Origin, e.seq}
+	lin := e.lineage.Load()
+	snap.At = Cursor{lin.origin, e.seq}
 	if cur == snap.At {
 		if e.wake == nil {
 			e.wake = make(chan struct{})
 		}
 		return SnapshotData{}, false, e.wake
 	}
-	reset = cur.Origin != snap.At.Origin || cur.Seq > snap.At.Seq
+	var horizon int64
 	for _, t := range e.tables {
-		reset = reset || t.horizon > cur.Seq
+		horizon = max(horizon, t.horizon)
 	}
-	if reset {
-		cur.Seq = 0
+	if !lin.continues(cur, e.seq, horizon) {
+		cur.Seq, reset = 0, true
 	}
 	for _, t := range e.tables {
 		if t.head > cur.Seq {
 			snap.Tables = append(snap.Tables, TableSnapshot{Name: t.name, Schema: slices.Clone(t.schema),
-				Head: t.head, Horizon: t.horizon, Rows: t.entries(cur.Seq, -1)})
+				Head: t.head, Horizon: t.horizon, Rows: t.entries(cur.Seq, t.head, 0)})
 		}
 	}
 	return snap, reset, nil
@@ -72,17 +73,18 @@ func (e *Engine) Restore(snap SnapshotData) error { return e.apply(snap, true) }
 // apply writes a cut into the engine, as a standby does with each one its
 // master streams: tables it does not have yet are created, and every entry
 // lands at the master's sequence number. A reset cut replaces every table
-// and the origin; any other must start where the engine stands. A cut that
-// fails part-way leaves the engine between the two, and the standby then
-// asks for a snapshot.
+// and the lineage; any other must start where the engine stands, and brings
+// it onto the cut's origin (a master promoted from it). A cut that fails
+// part-way leaves the engine between the two, and the standby then asks for
+// a snapshot.
 func (e *Engine) apply(snap SnapshotData, reset bool) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	tables := e.tables
 	if reset {
 		tables = make(map[string]*tableData, len(snap.Tables))
-	} else if origin := e.lineage.Load().Origin; snap.At.Origin != origin || snap.At.Seq < e.seq {
-		return fmt.Errorf("minisql: cut at %+v does not follow %x:%d", snap.At, origin, e.seq)
+	} else if snap.At.Seq < e.seq {
+		return fmt.Errorf("minisql: cut at %+v is behind %d", snap.At, e.seq)
 	}
 	for _, ts := range snap.Tables {
 		t := tables[ts.Name]
@@ -105,8 +107,8 @@ func (e *Engine) apply(snap SnapshotData, reset bool) error {
 	e.mu.Lock()
 	e.tables = tables
 	e.mu.Unlock()
-	if reset {
-		e.lineage.Store(&Feed{Origin: snap.At.Origin})
+	if reset || snap.At.Origin != e.lineage.Load().origin {
+		e.lineage.Store(&lineage{origin: snap.At.Origin})
 	}
 	e.seq = snap.At.Seq
 	e.notify()
@@ -142,9 +144,9 @@ func (t *tableData) apply(ts TableSnapshot, at int64) error {
 
 // promote makes a standby's sequence its own: later writes are numbered
 // under a fresh origin, and the feed reports where that sequence forks from
-// the master's (Feed.Fork).
+// the master's (lineage.fork).
 func (e *Engine) promote() {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
-	e.lineage.Store(&Feed{Origin: newOrigin(), Fork: Cursor{e.lineage.Load().Origin, e.seq}})
+	e.lineage.Store(&lineage{origin: newOrigin(), fork: Cursor{e.lineage.Load().origin, e.seq}})
 }

@@ -7,9 +7,9 @@
 //   - a SQL subset — CREATE TABLE (every table has a primary key), INSERT
 //     [OR REPLACE], SELECT (with WHERE conjunctions, ORDER BY, LIMIT),
 //     UPDATE, DELETE — with ?-placeholders, each statement atomic,
-//   - a per-table change feed, SELECT CHANGES FROM t SINCE ?, over
-//     sequence-numbered writes and a bounded set of delete tombstones
-//     (changes.go),
+//   - a per-table change feed, SELECT CHANGES FROM t SINCE origin, seq,
+//     over sequence-numbered writes and a bounded set of delete tombstones,
+//     with one rule for whether a reader's cursor reads on (changes.go),
 //   - a length-prefixed binary TCP wire protocol with a pooled client
 //     (codec.go): every frame in either direction is a 4-byte length, a
 //     type byte and the frame's fields — lists as a uvarint count, texts as
@@ -22,10 +22,10 @@
 //     Multi-AZ RDS failover behaviour the paper relies on.
 //
 // The paper's access pattern is: a full-table scan at warm-up ("SELECT *
-// FROM qos_rules"), point reads on the primary key when a QoS server sees a
-// new key, and periodic point writes for checkpointing. All of these hit the
-// PK fast path. Rule sync reads the change feed, which costs the rows changed
-// since its cursor (checkpointed credits included) rather than the table.
+// FROM qos_rules", here the change feed read from no cursor), point reads on
+// the primary key when a QoS server sees a new key, and periodic point
+// writes for checkpointing. Rule sync reads the change feed, which costs the
+// rows changed since its cursor (checkpointed credits included).
 package minisql
 
 import (

@@ -115,3 +115,56 @@ func BenchmarkPullOnce(b *testing.B) {
 		b.Fatalf("slave holds %d keys, want %d", got, n)
 	}
 }
+
+// BenchmarkSyncOnce measures one rule-sync pass shaped like the benchmark's
+// dns-sync workload: 10 000 resident keys, 100 rule edits before each pass,
+// and the store over a loopback minisql server and pool. The edits are not
+// timed; the server's side of each statement is, as it runs in this process.
+func BenchmarkSyncOnce(b *testing.B) {
+	const resident, edits = 10000, 100
+	engine := minisql.NewEngine()
+	srv, err := minisql.NewServer(engine, "127.0.0.1:0", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { srv.Close() })
+	pool := minisql.NewPool(srv.Addr(), 8)
+	b.Cleanup(pool.Close)
+	direct := store.New(engine)
+	if err := direct.Init(); err != nil {
+		b.Fatal(err)
+	}
+	rules := make([]bucket.Rule, resident)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("k%05d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	}
+	if err := direct.PutAll(rules); err != nil {
+		b.Fatal(err)
+	}
+	s, err := New(Config{Addr: "127.0.0.1:0", Store: store.New(pool)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { s.Close() })
+	if err := s.Preload(); err != nil {
+		b.Fatal(err)
+	}
+	s.SyncOnce()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < edits; j++ {
+			r := rules[(i*edits+j)%resident]
+			r.Capacity = float64(11 + i%2)
+			if err := direct.Put(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		s.SyncOnce()
+	}
+	if s.TableLen() != resident {
+		b.Fatalf("%d keys resident, want %d", s.TableLen(), resident)
+	}
+}

@@ -188,16 +188,10 @@ func (s *Server) applySnapshot(entries []peerEntry) {
 		s.put(e.Rule, e.Default, now)
 		held[e.Rule.Key] = struct{}{}
 	}
-	var gone []string
-	s.table.Range(func(key string, _ *entry) bool {
-		if _, ok := held[key]; !ok {
-			gone = append(gone, key)
-		}
-		return true
+	s.evict(func(key string, _ *entry) bool {
+		_, ok := held[key]
+		return !ok
 	})
-	for _, key := range gone {
-		s.table.Delete(key)
-	}
 	s.fromPeer.Store(true) // as applyHandoffEntries
 }
 

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/minisql"
+	"repro/internal/store"
 	"repro/internal/wire"
 )
 
@@ -135,6 +137,53 @@ func TestFollowingSlaveDoesNotCheckpoint(t *testing.T) {
 	rep.Stop()             // promotion
 	consume(slave, 1)
 	checkpointed(slave, 6)
+}
+
+// TestFollowingSlaveDoesNotSync: a following slave's table is the master's
+// at the last pull, so its sync passes read nothing, and they still count as
+// passes for the readiness probe. The first pass after Stop scans the rules
+// table once; the pass after it reads on from there.
+func TestFollowingSlaveDoesNotSync(t *testing.T) {
+	engine := minisql.NewEngine()
+	db := store.New(engine)
+	if err := db.Init(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.Put(bucket.Rule{Key: fmt.Sprintf("k%d", i), RefillRate: 1, Capacity: 10, Credit: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	master := newServer(t, Config{Store: db, ReplicationAddr: "127.0.0.1:0"})
+	if err := master.Preload(); err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingExecutor{Executor: engine}
+	slave := newServer(t, Config{Store: store.New(counted), SyncInterval: time.Hour})
+	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
+	defer rep.Stop()
+	if err := rep.PullOnce(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(10 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		slave.SyncOnce()
+	}
+	if n := counted.n.Load(); n != 0 {
+		t.Fatalf("a following slave's sync passes sent %d statements, want 0", n)
+	}
+	if age, _ := slave.SyncAge(); age >= 10*time.Millisecond {
+		t.Fatalf("sync age %v after a pass while following", age)
+	}
+	rep.Stop()
+	slave.SyncOnce()
+	if _, r := syncCounters(slave); r != 1 || slave.TableLen() != 10 {
+		t.Fatalf("first pass after Stop: %d reset scans, %d keys; want 1 and 10", r, slave.TableLen())
+	}
+	slave.SyncOnce()
+	if _, r := syncCounters(slave); r != 1 {
+		t.Fatalf("second pass after Stop: %d reset scans in all, want 1", r)
+	}
 }
 
 func TestReplicatorStartFailsWhenMasterDown(t *testing.T) {

@@ -47,6 +47,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/metrics"
+	"repro/internal/minisql"
 	"repro/internal/store"
 	"repro/internal/table"
 	"repro/internal/trace"
@@ -196,21 +197,20 @@ type Server struct {
 	// stop taking new traffic before it enforces very old ones).
 	lastSyncNs atomic.Int64
 
-	// syncMu runs SyncOnce passes one at a time and guards the change-feed
-	// cursor: every edit up to syncSeq of the database sequence named
-	// syncOrigin has been applied. syncOrigin 0 means no cursor yet.
-	syncMu     sync.Mutex
-	syncOrigin uint64
-	syncSeq    int64
+	// syncMu runs sync passes one at a time and guards cursor: every edit
+	// up to it has been applied. The zero cursor is none yet.
+	syncMu sync.Mutex
+	cursor minisql.Cursor
 	// fromPeer is set when a handoff or an HA snapshot installed rules from
 	// a peer's table. They are as current as the peer's cursor, not this
 	// server's, and edits the cursor has passed would never be read again,
-	// so the next pass reconciles.
+	// so the next pass scans the whole table.
 	fromPeer atomic.Bool
 	// following is set while a Replicator copies a master's table into this
 	// server (NewReplicator until Stop). Its credits are the master's at the
 	// last pull plus refill since, so writing them back would overwrite the
-	// master's fresher checkpoint of the same rows.
+	// master's fresher checkpoint of the same rows; its rules are the
+	// master's too, so it does not sync.
 	following atomic.Bool
 
 	registry *metrics.Registry
@@ -359,7 +359,7 @@ func New(cfg Config) (*Server, error) {
 		dbErrors:        reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
 		sendErrors:      reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
 		syncQueries:     reg.Counter("janus_qos_sync_queries_total", "change-feed pages rule sync read from the database"),
-		syncReconciles:  reg.Counter("janus_qos_sync_reconciles_total", "rule-sync passes that re-read the whole rules table (first pass, database origin changed, or deletes after the cursor forgotten)"),
+		syncReconciles:  reg.Counter("janus_qos_sync_reconciles_total", "reset scans of the whole rules table by rule sync and preload (no cursor yet, a peer's rules installed, or a cursor the database does not read on from)"),
 		quit:            make(chan struct{}),
 		logger:          logger,
 	}
@@ -782,20 +782,17 @@ func (s *Server) defaultRuleFor(key string) bucket.Rule {
 }
 
 // Preload pulls every rule from the database into the local table; used to
-// warm a node before admitting traffic.
+// warm a node before admitting traffic. It is the reset scan of a sync pass
+// with every rule installed, resident or not, and it leaves the cursor at
+// the end of the scan, so the next pass reads on from there.
 func (s *Server) Preload() error {
 	if s.cfg.Store == nil {
 		return nil
 	}
-	rules, err := s.cfg.Store.LoadAll()
-	if err != nil {
-		return err
-	}
-	now := s.clock()
-	for _, r := range rules {
-		s.put(r, false, now)
-	}
-	return nil
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
+	s.cursor = minisql.Cursor{}
+	return s.sync(s.clock(), true)
 }
 
 // SyncOnce performs one rule synchronization pass (§III-C): it reads the
@@ -805,118 +802,94 @@ func (s *Server) Preload() error {
 // default rule); a default-rule key that gained a row gets the real rule. A
 // pass costs one statement per FeedPage changed rules, however many keys are
 // resident; a checkpoint's changed credits count as changed rules. The first
-// pass, a pass after a handoff or HA snapshot installed a peer's rules, a
-// pass that finds another database origin (a restart, or a failover to a
-// standby behind the cursor), and a pass whose cursor predates deletes the
-// database has forgotten reconcile instead: the same feed from cursor 0, then
-// eviction of every resident key it no longer holds. Concurrent calls run one
-// after the other. Exported so tests and orchestration can force a pass
+// pass, a pass after a handoff or HA snapshot installed a peer's rules, and a
+// pass whose cursor the database will not read on from (minisql's continuity
+// rule) read the whole table as a reset scan instead. A pass does nothing
+// while the server follows an HA master, whose snapshots keep its table
+// current; the first pass after Replicator.Stop scans. Concurrent calls run
+// one after the other. Exported so tests and orchestration can force a pass
 // without waiting for the ticker.
 func (s *Server) SyncOnce() {
 	if s.cfg.Store == nil {
 		return
 	}
-	s.syncMu.Lock()
-	defer s.syncMu.Unlock()
-	now := s.clock()
-	if peer := s.fromPeer.Swap(false); peer || s.syncOrigin == 0 || !s.syncChanges(now) {
-		s.reconcile(now)
+	if !s.following.Load() {
+		s.syncMu.Lock()
+		if s.fromPeer.Swap(false) {
+			s.cursor = minisql.Cursor{}
+		}
+		s.sync(s.clock(), false)
+		s.syncMu.Unlock()
 	}
 	s.lastSyncNs.Store(s.clock().UnixNano())
 }
 
-// syncChanges applies the change feed after the cursor, page by page. It
-// reports false when the feed cannot stand for every edit since the cursor —
-// another database origin answered (other than a promoted standby forked
-// from the cursor's origin at or after it), or this one has forgotten deletes
-// after the cursor — and the caller must reconcile. A failed read keeps the
-// cursor where the last applied page left it, for the next pass.
-func (s *Server) syncChanges(now time.Time) bool {
-	from := s.syncSeq
-	for {
-		ch, err := s.readChanges(s.syncSeq)
+// sync reads the change feed from the cursor to its end, page by page, and
+// applies each page; with install set it also installs the rules of keys
+// not resident. A reset page starts a reset scan of the whole table, at the
+// end of which every resident key off the default rule that no page listed
+// as a rule is evicted. A reset page in the middle of a scan starts it
+// again. A failed read keeps the cursor where the last page left it, or, in
+// a scan, leaves no cursor, so the next pass scans again. Caller holds
+// syncMu.
+func (s *Server) sync(now time.Time, install bool) error {
+	var held map[string]struct{} // the rules a reset scan has read; nil outside one
+	for more := true; more; {
+		s.syncQueries.Inc()
+		ch, err := s.cfg.Store.ChangedSince(s.cursor)
 		if err != nil {
-			return true
+			s.dbErrors.Inc()
+			if held != nil {
+				s.cursor = minisql.Cursor{}
+			}
+			return err
 		}
-		forked := ch.Fork.Origin == s.syncOrigin && s.syncSeq <= ch.Fork.Seq
-		if (ch.Origin != s.syncOrigin && !forked) || ch.Horizon > from {
-			return false
+		// The database answers again, so the keys that got the error
+		// fallback re-fetch their rule on their next request. One that left
+		// the default rule meanwhile holds a rule from a sync pass or a peer,
+		// and stays.
+		for _, key := range s.fallbacks.drain() {
+			if e := s.table.Get(key); e != nil && e.isDefault.Load() {
+				s.table.Delete(key)
+			}
 		}
-		s.syncOrigin = ch.Origin
-		s.applyChanges(ch, now)
-		s.syncSeq = ch.Next
-		if ch.Next >= ch.Head {
-			return true
+		if ch.Reset {
+			s.syncReconciles.Inc()
+			held = make(map[string]struct{})
 		}
+		s.applyChanges(ch, now, install, held)
+		s.cursor, more = ch.Next, ch.More
 	}
+	if held != nil {
+		s.evict(func(key string, e *entry) bool {
+			_, ok := held[key]
+			return !ok && !e.isDefault.Load()
+		})
+	}
+	return nil
 }
 
-// reconcile applies the whole rules table as one feed from cursor 0 and
-// evicts resident keys with a rule that it no longer holds. The cursor then
-// lands on the head the first page reported, so the next pass re-reads what
-// was written during this one and judges forgotten deletes from there. A
-// failed read or a change of origin between pages leaves no cursor: the next
-// pass reconciles again.
-func (s *Server) reconcile(now time.Time) {
-	s.syncReconciles.Inc()
-	s.syncOrigin = 0
-	held := make(map[string]struct{})
-	var first store.Changes
-	for cursor := int64(0); ; {
-		ch, err := s.readChanges(cursor)
-		if err != nil {
-			return
-		}
-		if first.Origin == 0 {
-			first = ch
-		} else if ch.Origin != first.Origin {
-			return
-		}
-		for _, r := range ch.Rules {
-			held[r.Key] = struct{}{}
-		}
-		s.applyChanges(ch, now)
-		if cursor = ch.Next; cursor >= ch.Head {
-			break
-		}
-	}
-	var gone []string
+// evict removes every resident key that gone reports, with its whole entry.
+func (s *Server) evict(gone func(key string, e *entry) bool) {
+	var keys []string
 	s.table.Range(func(key string, e *entry) bool {
-		if _, ok := held[key]; !ok && !e.isDefault.Load() {
-			gone = append(gone, key)
+		if gone(key, e) {
+			keys = append(keys, key)
 		}
 		return true
 	})
-	for _, key := range gone {
+	for _, key := range keys {
 		s.table.Delete(key)
 	}
-	s.syncOrigin, s.syncSeq = first.Origin, first.Head
 }
 
-func (s *Server) readChanges(cursor int64) (store.Changes, error) {
-	s.syncQueries.Inc()
-	ch, err := s.cfg.Store.ChangedSince(cursor)
-	if err != nil {
-		s.dbErrors.Inc()
-		return ch, err
-	}
-	// The database answers again, so the keys that got the error fallback
-	// re-fetch their rule on their next request. One that left the default
-	// rule meanwhile holds a rule from a sync pass or a peer, and stays.
-	for _, key := range s.fallbacks.drain() {
-		if e := s.table.Get(key); e != nil && e.isDefault.Load() {
-			s.table.Delete(key)
-		}
-	}
-	return ch, nil
-}
-
-// applyChanges applies one page of the change feed. Keys not resident are
-// skipped: their first request fetches the current rule anyway, and rules
-// installed from a peer instead make the next pass reconcile. A first-sight
+// applyChanges applies one page of the change feed, and adds the keys of its
+// rules to held when that is not nil. Keys not resident are skipped unless
+// install is set: their first request fetches the current rule anyway, and
+// rules installed from a peer instead make the next pass scan. A first-sight
 // fetch still in flight is not missed, because it runs under its table
 // shard's write lock: the Get here waits for the install and then finds it.
-func (s *Server) applyChanges(ch store.Changes, now time.Time) {
+func (s *Server) applyChanges(ch store.Changes, now time.Time, install bool, held map[string]struct{}) {
 	for _, key := range ch.Deleted {
 		if e := s.table.Get(key); e != nil && !e.isDefault.Load() {
 			// Rule deleted: evict; next request applies the default rule.
@@ -924,17 +897,21 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time) {
 		}
 	}
 	for _, r := range ch.Rules {
-		e := s.table.Get(r.Key)
-		if e == nil {
-			continue
-		}
 		// A default key that gained a row (a new purchase), or an edited
 		// rule (geometry changed), is installed wholesale with the
 		// database's latest values (§III-C), credit included — the user's
 		// new purchase takes effect immediately. An unchanged rule (a
 		// checkpoint rewrote its credit) is left alone so the database's
 		// stale credit does not overwrite live consumption.
-		if e.isDefault.Load() || r.RefillRate != e.RefillRate() || r.Capacity != e.Capacity() {
+		if held != nil {
+			held[r.Key] = struct{}{}
+		}
+		switch e := s.table.Get(r.Key); {
+		case e == nil:
+			if install {
+				s.put(r, false, now)
+			}
+		case e.isDefault.Load() || r.RefillRate != e.RefillRate() || r.Capacity != e.Capacity():
 			s.install(e, r, false, now)
 		}
 	}

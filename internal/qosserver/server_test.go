@@ -288,10 +288,16 @@ func TestSyncQueriesPerPass(t *testing.T) {
 	if err := s.Preload(); err != nil {
 		t.Fatal(err)
 	}
+	const pages = resident/minisql.FeedPage + 1
+	if q, r := syncCounters(s); r != 1 || q != pages || counted.n.Load() != pages || s.TableLen() != resident {
+		t.Fatalf("preload: %d statements, %d pages, %d reconciles, %d keys; want %d pages, 1 reconcile, %d keys",
+			counted.n.Load(), q, r, s.TableLen(), pages, resident)
+	}
 	s.Decide(wire.Request{Key: "new-user"}) // a default-rule key
 	s.SyncOnce()
-	if q, r := syncCounters(s); r != 1 || q != int64(resident/minisql.FeedPage+1) {
-		t.Fatalf("first pass: %d queries, %d reconciles; want %d pages, 1 reconcile", q, r, resident/minisql.FeedPage+1)
+	if q, r := syncCounters(s); r != 1 || q != pages+1 || counted.n.Load() != pages+2 { // +1 for new-user's fetch
+		t.Fatalf("first pass after preload: %d statements, %d pages, %d reconciles; want 1 page, no reconcile",
+			counted.n.Load()-pages-1, q-pages, r-1)
 	}
 
 	checkpointed := s.table.Get("k09999")
@@ -434,7 +440,64 @@ func TestSyncTombstoneOverflow(t *testing.T) {
 		}
 	}
 	if _, r := syncCounters(s); r != 2 {
-		t.Fatalf("%d reconciles, want 2 (first pass, forgotten deletes)", r)
+		t.Fatalf("%d reconciles, want 2 (preload, forgotten deletes)", r)
+	}
+}
+
+// afterFirstPage runs hook once, after the first change-feed page the store
+// reads.
+type afterFirstPage struct {
+	store.Executor
+	hook func()
+	once sync.Once
+}
+
+func (a *afterFirstPage) Execute(sql string, args ...minisql.Value) (minisql.Result, error) {
+	res, err := a.Executor.Execute(sql, args...)
+	if strings.HasPrefix(sql, "SELECT CHANGES") {
+		a.once.Do(a.hook)
+	}
+	return res, err
+}
+
+// TestResetScanRestartsOnForgottenDeletes: more rows are deleted between two
+// pages of a reset scan than the database keeps tombstones for, so the scan
+// cannot read on; it starts again, and the deleted keys it had already read
+// on its first page leave the table.
+func TestResetScanRestartsOnForgottenDeletes(t *testing.T) {
+	const deleted = minisql.Tombstones + 1
+	rules := make([]bucket.Rule, deleted+600)
+	for i := range rules {
+		rules[i] = bucket.Rule{Key: fmt.Sprintf("k%05d", i), RefillRate: 1, Capacity: 10, Credit: 10}
+	}
+	engine := minisql.NewEngine()
+	direct := store.New(engine)
+	if err := direct.Init(); err != nil {
+		t.Fatal(err)
+	}
+	if err := direct.PutAll(rules); err != nil {
+		t.Fatal(err)
+	}
+	hooked := &afterFirstPage{Executor: engine, hook: func() {
+		for _, r := range rules[:deleted] {
+			if _, err := direct.Delete(r.Key); err != nil {
+				t.Error(err)
+			}
+		}
+	}}
+	s := newServer(t, Config{Store: store.New(hooked)})
+	resident := []int{0, 1, 100, deleted - 1, deleted, len(rules) - 1}
+	for _, i := range resident {
+		s.Decide(wire.Request{Key: rules[i].Key})
+	}
+	s.SyncOnce() // no cursor yet: a reset scan
+	for _, i := range resident {
+		if got, want := s.table.Get(rules[i].Key) != nil, i >= deleted; got != want {
+			t.Errorf("%s resident = %v, want %v", rules[i].Key, got, want)
+		}
+	}
+	if _, r := syncCounters(s); r != 2 {
+		t.Fatalf("%d reset scans, want 2 (the first, and its restart)", r)
 	}
 }
 
@@ -518,6 +581,25 @@ func TestFailOpenAndFailClosed(t *testing.T) {
 	}
 	if closed.Stats().DBErrors == 0 || open.Stats().DBErrors == 0 {
 		t.Fatal("DB errors not counted")
+	}
+}
+
+// TestSilentDatabaseFailsOpen: a database that accepts the connection and
+// never answers fails a first-sight fetch within minisql's round-trip
+// deadline (5 s), so the key gets the FailOpen verdict instead of holding its
+// table shard forever.
+func TestSilentDatabaseFailsOpen(t *testing.T) {
+	t.Parallel()
+	pool := minisql.NewPool(silentPeer(t), 1)
+	defer pool.Close()
+	s := newServer(t, Config{Store: store.New(pool), FailOpen: true})
+	within(t, 6*time.Second, "first-sight Decide", func() {
+		if resp := s.Decide(wire.Request{Key: "k", Cost: 1}); !resp.Allow {
+			t.Errorf("fail-open server denied on a silent database: %+v", resp)
+		}
+	})
+	if s.Stats().DBErrors != 1 {
+		t.Fatalf("%d database errors, want 1", s.Stats().DBErrors)
 	}
 }
 

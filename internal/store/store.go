@@ -106,24 +106,6 @@ func (s *Store) Delete(key string) (bool, error) {
 	return res.Affected > 0, nil
 }
 
-// LoadAll returns every rule — the paper's warm-up "SELECT * FROM
-// qos_rules" that pulls the table into memory.
-func (s *Store) LoadAll() ([]bucket.Rule, error) {
-	res, err := s.db.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules`)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bucket.Rule, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		r, err := ruleFromRow(row)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // Checkpoint writes back the current credit for one key (§II-D
 // check-pointing). A key absent from the database (default-rule key) is a
 // no-op, not an error. A credit that changed is an entry in the change feed
@@ -147,36 +129,26 @@ func (s *Store) CheckpointBatch(credits map[string]float64) error {
 }
 
 // Changes is one page of the rules table's change feed (minisql's SELECT
-// CHANGES): every rule written or deleted after a cursor, each at its latest
-// state.
+// CHANGES): the rules written and deleted after a cursor, each at its latest
+// state, and where the page leaves the reader (minisql.Feed).
 type Changes struct {
-	Rules   []bucket.Rule // rules written after the cursor
-	Deleted []string      // keys deleted after the cursor
-	// Origin names the database sequence the cursor counts. A page from
-	// another origin (a failover, a restart) says nothing about what changed
-	// since a cursor from the old one, unless it is a promoted standby's
-	// and the cursor is at or below its Fork from the old one.
-	Origin uint64
-	Fork   minisql.Cursor
-	// Head is the latest sequence number in the table. Next is the cursor to
-	// read on from: Next < Head means more pages follow.
-	Head, Next int64
-	// Horizon is the newest delete the database has forgotten. Read from a
-	// cursor below it, the feed may be missing deletes.
-	Horizon int64
+	Rules   []bucket.Rule
+	Deleted []string
+	minisql.Feed
 }
 
-// ChangedSince returns one page of the rules written and deleted after
-// cursor; cursor 0 reads the whole table.
-func (s *Store) ChangedSince(cursor int64) (Changes, error) {
-	res, err := s.db.Execute(`SELECT CHANGES FROM qos_rules SINCE ?`, minisql.Int(cursor))
+// ChangedSince returns one page of the rules written and deleted after cur.
+// Whether cur reads on is the database's decision: when it cannot, the page
+// starts a reset scan of the whole table (Feed.Reset).
+func (s *Store) ChangedSince(cur minisql.Cursor) (Changes, error) {
+	res, err := s.db.Execute(`SELECT CHANGES FROM qos_rules SINCE ?, ?`, minisql.Int(int64(cur.Origin)), minisql.Int(cur.Seq))
 	if err != nil {
 		return Changes{}, err
 	}
 	if res.Feed == nil {
 		return Changes{}, fmt.Errorf("store: change feed reply without its position")
 	}
-	ch := Changes{Origin: res.Feed.Origin, Fork: res.Feed.Fork, Head: res.Feed.Head, Next: res.Feed.Next, Horizon: res.Feed.Horizon}
+	ch := Changes{Feed: *res.Feed}
 	for _, row := range res.Rows {
 		if len(row) != 6 {
 			return Changes{}, fmt.Errorf("store: change row arity %d, want 6", len(row))

@@ -84,24 +84,45 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-func TestLoadAll(t *testing.T) {
+// TestChangedSinceReadsWholeTable: from the zero cursor the change feed is a
+// reset scan of the whole table, one page per FeedPage rules, each rule once.
+func TestChangedSinceReadsWholeTable(t *testing.T) {
 	s := newStore(t)
-	for i := 0; i < 25; i++ {
+	const n = minisql.FeedPage + 25
+	for i := 0; i < n; i++ {
 		s.Put(bucket.Rule{Key: fmt.Sprintf("k%d", i), RefillRate: float64(i), Capacity: 100, Credit: 100})
 	}
-	rules, err := s.LoadAll()
-	if err != nil || len(rules) != 25 {
-		t.Fatalf("len=%d err=%v", len(rules), err)
-	}
 	seen := map[string]bool{}
-	for _, r := range rules {
-		seen[r.Key] = true
-		if err := r.Validate(); err != nil {
-			t.Errorf("invalid rule loaded: %v", err)
+	var cur minisql.Cursor
+	for page := 0; ; page++ {
+		ch, err := s.ChangedSince(cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ch.Reset != (page == 0) || len(ch.Deleted) != 0 {
+			t.Fatalf("page %d: reset %v, %d deletes; want a reset on the first page only, no deletes", page, ch.Reset, len(ch.Deleted))
+		}
+		for _, r := range ch.Rules {
+			if seen[r.Key] {
+				t.Fatalf("%s read twice", r.Key)
+			}
+			seen[r.Key] = true
+			if err := r.Validate(); err != nil {
+				t.Errorf("invalid rule loaded: %v", err)
+			}
+		}
+		if cur = ch.Next; !ch.More {
+			if page != 1 {
+				t.Fatalf("%d rules read in %d pages, want 2", n, page+1)
+			}
+			break
 		}
 	}
-	if len(seen) != 25 {
-		t.Fatalf("duplicates in LoadAll: %d unique", len(seen))
+	if len(seen) != n {
+		t.Fatalf("read %d rules, want %d", len(seen), n)
+	}
+	if ch, err := s.ChangedSince(cur); err != nil || ch.Reset || ch.More || len(ch.Rules) != 0 || ch.Next != cur {
+		t.Fatalf("read on from the end: %+v, %v; want an empty page at the same cursor", ch, err)
 	}
 }
 
@@ -170,9 +191,6 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := s.Delete("k"); err == nil {
 		t.Error("Delete")
 	}
-	if _, err := s.LoadAll(); err == nil {
-		t.Error("LoadAll")
-	}
 	if err := s.Checkpoint("k", 1); err == nil {
 		t.Error("Checkpoint")
 	}
@@ -182,7 +200,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := s.Count(); err == nil {
 		t.Error("Count")
 	}
-	if _, err := s.ChangedSince(0); err == nil {
+	if _, err := s.ChangedSince(minisql.Cursor{}); err == nil {
 		t.Error("ChangedSince")
 	}
 }
