@@ -14,15 +14,21 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test vet lint race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test fmt vet lint race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
-# The pre-merge gate: static checks, the janus-vet analyzer suite, build,
-# and the full test suite.
-check: vet lint build test
+# The pre-merge gate: formatting, static checks, the janus-vet analyzer
+# suite, build, and the full test suite.
+check: fmt vet lint build test
 
 # The same gate with the race detector on — slower, run by its own CI job.
 # It skips lint, which check already runs.
 check-race: vet build race
+
+# Every Go file as gofmt prints it; the benchmark's build directory holds
+# other modules' sources and is skipped.
+fmt:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	[ -z "$$out" ] || { echo "gofmt -l: these files need formatting:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzAppendHTTPQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzParseHTTPRawQuery -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzServeRequest -fuzztime 10s ./internal/h1/
+	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s ./internal/tcp/
 	$(GO) test -run '^$$' -fuzz FuzzClientResponse -fuzztime 10s ./internal/client/
 	$(GO) test -run '^$$' -fuzz FuzzLBRelay -fuzztime 10s ./internal/lb/
 	$(GO) test -run '^$$' -fuzz FuzzHAFrameDecode -fuzztime 10s ./internal/qosserver/

@@ -8,8 +8,9 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 const (
@@ -62,20 +63,14 @@ func (r *Request) closes() bool { return r.Close || r.Body }
 // parts that depend on the request and the connection.
 type Handler func(out []byte, req *Request) []byte
 
-// Server serves HTTP/1.1 on a listener: one goroutine per connection, which
-// reads a request head with readRequest, calls the handler, and writes the
-// reply in one Write under a write deadline. Requests pipelined on a
-// connection are answered in order.
+// Server serves HTTP/1.1 on a listener (tcp.Serve): one goroutine per
+// connection, which reads a request head with readRequest, calls the
+// handler, and writes the reply in one Write under a write deadline.
+// Requests pipelined on a connection are answered in order.
 type Server struct {
-	ln      net.Listener
+	srv     *tcp.Server
 	handler Handler
 	idle    time.Duration
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	wg sync.WaitGroup
 }
 
 // Serve serves ln with handler until Close.
@@ -84,38 +79,9 @@ func Serve(ln net.Listener, handler Handler) *Server {
 }
 
 func serve(ln net.Listener, handler Handler, idle time.Duration) *Server {
-	s := &Server{ln: ln, handler: handler, idle: idle, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.accept()
+	s := &Server{handler: handler, idle: idle}
+	s.srv = tcp.Serve(ln, s.serveConn)
 	return s
-}
-
-func (s *Server) accept() {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		nc, err := s.ln.Accept()
-		if errors.Is(err, net.ErrClosed) {
-			return
-		}
-		if err != nil {
-			// Out of file descriptors, say: wait, as net/http does, and retry.
-			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
-			time.Sleep(backoff)
-			continue
-		}
-		backoff = 0
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = nc.Close() // accepted as Close ran
-			return
-		}
-		s.conns[nc] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.serveConn(nc)
-	}
 }
 
 // serverConn is what a connection keeps between its requests.
@@ -128,8 +94,6 @@ type serverConn struct {
 }
 
 func (s *Server) serveConn(nc net.Conn) {
-	defer s.wg.Done()
-	defer s.forget(nc)
 	c := &serverConn{br: bufio.NewReaderSize(nc, ReadBuffer)}
 	var req Request
 	deadline := time.Now().Add(s.idle)
@@ -185,27 +149,10 @@ func linger(nc net.Conn) {
 	_, _ = io.CopyN(io.Discard, tc, lingerBytes) // ends at EOF, the deadline or the bound
 }
 
-func (s *Server) forget(nc net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, nc)
-	s.mu.Unlock()
-	_ = nc.Close() // the connection is done with, or Close closed it already
-}
-
 // Close stops accepting, closes every connection — a request in progress
 // gets no reply — and returns once every connection's goroutine has
 // returned.
-func (s *Server) Close() error {
-	err := s.ln.Close()
-	s.mu.Lock()
-	s.closed = true
-	for nc := range s.conns {
-		_ = nc.Close() // its goroutine sees the error and returns
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 // readRequest reads one request head: the request line and the header
 // lines up to the blank line. It is the strict counterpart of readHead and

@@ -115,7 +115,7 @@ func TestServe(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				s := startServer(t, serverIdle)
-				nc, err := net.Dial("tcp", s.ln.Addr().String())
+				nc, err := net.Dial("tcp", s.srv.Addr().String())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,7 @@ func TestIdleConnectionClosed(t *testing.T) {
 	const idle = 200 * time.Millisecond
 	s := startServer(t, idle)
 	for _, request := range []string{"", get} {
-		nc, err := net.Dial("tcp", s.ln.Addr().String())
+		nc, err := net.Dial("tcp", s.srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,11 +210,11 @@ func TestServerIdleOutlastsPool(t *testing.T) {
 	}
 }
 
-// countingListener counts the bytes the server reads from the connections it
-// accepts.
+// countingListener counts the connections the server accepts and the bytes
+// it reads from them.
 type countingListener struct {
 	net.Listener
-	read atomic.Int64
+	accepted, read atomic.Int64
 }
 
 func (l *countingListener) Accept() (net.Conn, error) {
@@ -222,6 +222,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	l.accepted.Add(1)
 	return &countingConn{Conn: nc, read: &l.read}, nil
 }
 
@@ -265,19 +266,17 @@ func TestCloseEndsConnections(t *testing.T) {
 		}
 		readers = append(readers, br)
 	}
-	// Wait until the server holds all three connections and has read every
-	// byte sent: closing a socket with unread bytes resets it, and the test
-	// wants each connection to see a plain close.
+	// Wait until the server has accepted all three connections and read
+	// every byte sent: closing a socket with unread bytes resets it, and the
+	// test wants each connection to see a plain close.
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		s.mu.Lock()
-		n := len(s.conns)
-		s.mu.Unlock()
+		n := ln.accepted.Load()
 		read := ln.read.Load()
-		if n == len(readers) && read == int64(len(get)+len(partial)) {
+		if n == int64(len(readers)) && read == int64(len(get)+len(partial)) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("server holds %d connections and has read %d bytes, want %d and %d", n, read, len(readers), len(get)+len(partial))
+			t.Fatalf("server accepted %d connections and has read %d bytes, want %d and %d", n, read, len(readers), len(get)+len(partial))
 		}
 	}
 	if err := s.Close(); err != nil {

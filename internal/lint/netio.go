@@ -103,6 +103,9 @@ var netIOScope = []string{
 	"internal/trace",
 	"internal/client",
 	"internal/h1",
+	"internal/tcp",
+	"internal/minisql",
+	"internal/memcache",
 }
 
 var errDropMethods = map[string]bool{

@@ -17,13 +17,13 @@ func TestFromSpecZipfTiered(t *testing.T) {
 		{"zipf:2:1", true},
 		{"zipf:1.0001:500000", true},
 		// zipf reject
-		{"zipf:1:10", false},    // exponent must be > 1
-		{"zipf:0.5:10", false},  // exponent must be > 1
-		{"zipf:1.3:0", false},   // population >= 1
-		{"zipf:1.3:-5", false},  // population >= 1
-		{"zipf:1.3", false},     // missing population
-		{"zipf:x:10", false},    // non-numeric exponent
-		{"zipf:1.3:x", false},   // non-numeric population
+		{"zipf:1:10", false},   // exponent must be > 1
+		{"zipf:0.5:10", false}, // exponent must be > 1
+		{"zipf:1.3:0", false},  // population >= 1
+		{"zipf:1.3:-5", false}, // population >= 1
+		{"zipf:1.3", false},    // missing population
+		{"zipf:x:10", false},   // non-numeric exponent
+		{"zipf:1.3:x", false},  // non-numeric population
 		{"zipf:1.3:10:9", false},
 		// tiered accept
 		{"tiered:zipf:1.3:100@8,uuid@2", true},
@@ -32,13 +32,13 @@ func TestFromSpecZipfTiered(t *testing.T) {
 		{"tiered:seq:5@0.5,words@0.5", true},
 		// tiered reject
 		{"tiered:", false},
-		{"tiered:uuid@0", false},               // weight must be > 0
-		{"tiered:uuid@-1", false},              // weight must be > 0
-		{"tiered:uuid", false},                 // no @weight
-		{"tiered:zipf:1.3:10@2,uuid", false},   // trailing component without weight
-		{"tiered:tiered:uuid@1@1", false},      // nesting forbidden
-		{"tiered:bogus@1", false},              // bad sub-spec
-		{"tiered:zipf:1:10@1", false},          // bad zipf inside tiered
+		{"tiered:uuid@0", false},             // weight must be > 0
+		{"tiered:uuid@-1", false},            // weight must be > 0
+		{"tiered:uuid", false},               // no @weight
+		{"tiered:zipf:1.3:10@2,uuid", false}, // trailing component without weight
+		{"tiered:tiered:uuid@1@1", false},    // nesting forbidden
+		{"tiered:bogus@1", false},            // bad sub-spec
+		{"tiered:zipf:1:10@1", false},        // bad zipf inside tiered
 	}
 	for _, c := range cases {
 		gen, err := FromSpec(c.spec, 1)

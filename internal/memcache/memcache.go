@@ -1,7 +1,8 @@
 // Package memcache is a minimal memcached implementation (server and
 // client) speaking the memcached text protocol. It stands in for the
 // dedicated Memcached session server in the photo-sharing application of
-// the paper's §V-D evaluation.
+// the paper's §V-D evaluation. The server is a handler on internal/tcp's
+// accept loop.
 //
 // Supported commands: set, add, get (multi-key), delete, touch, incr,
 // decr, flush_all, stats, version, quit. Expiration follows memcached
@@ -15,11 +16,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/tcp"
 )
 
 // Item is one cache entry.
@@ -174,15 +178,10 @@ func (c *Cache) Stats() (gets, hits, sets int64) {
 	return c.gets.n, c.hits.n, c.sets.n
 }
 
-// Server exposes a Cache over the memcached text protocol.
+// Server exposes a Cache over the memcached text protocol (tcp.Serve).
 type Server struct {
 	cache *Cache
-	ln    net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	srv   *tcp.Server
 }
 
 // NewServer starts a server on addr ("127.0.0.1:0" for ephemeral).
@@ -191,60 +190,18 @@ func NewServer(cache *Cache, addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memcache: listen %s: %w", addr, err)
 	}
-	s := &Server{cache: cache, ln: ln, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{cache: cache}
+	s.srv = tcp.Serve(ln, s.serve)
 	return s, nil
 }
 
 // Addr returns the listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr().String() }
 
 // Close stops the server.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serve(conn)
-	}
-}
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) serve(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		conn.Close()
-	}()
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
 	for {
@@ -281,7 +238,7 @@ func (s *Server) dispatch(fields []string, r *bufio.Reader, w *bufio.Writer) (qu
 			return false
 		}
 		data := make([]byte, nbytes+2)
-		if _, err := readFull(r, data); err != nil {
+		if _, err := io.ReadFull(r, data); err != nil {
 			return true
 		}
 		if !bytes.HasSuffix(data, []byte("\r\n")) {
@@ -301,7 +258,7 @@ func (s *Server) dispatch(fields []string, r *bufio.Reader, w *bufio.Writer) (qu
 		for _, key := range fields[1:] {
 			if it, ok := s.cache.Get(key); ok {
 				fmt.Fprintf(w, "VALUE %s %d %d\r\n", it.Key, it.Flags, len(it.Value))
-				w.Write(it.Value)
+				_, _ = w.Write(it.Value) // a failed write sticks: Flush reports it
 				fmt.Fprint(w, "\r\n")
 			}
 		}
@@ -366,18 +323,6 @@ func (s *Server) dispatch(fields []string, r *bufio.Reader, w *bufio.Writer) (qu
 	return false
 }
 
-func readFull(r *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := r.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
 // Client is a minimal memcached text-protocol client over one connection.
 type Client struct {
 	mu   sync.Mutex
@@ -408,7 +353,7 @@ func (c *Client) store(cmd, key string, flags uint32, exptime int64, value []byt
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	fmt.Fprintf(c.w, "%s %s %d %d %d\r\n", cmd, key, flags, exptime, len(value))
-	c.w.Write(value)
+	_, _ = c.w.Write(value) // a failed write sticks: Flush reports it
 	fmt.Fprint(c.w, "\r\n")
 	if err := c.w.Flush(); err != nil {
 		return err
@@ -463,7 +408,7 @@ func (c *Client) Get(key string) ([]byte, error) {
 			return nil, fmt.Errorf("memcache: bad response %q", line)
 		}
 		buf := make([]byte, n+2)
-		if _, err := readFull(c.r, buf); err != nil {
+		if _, err := io.ReadFull(c.r, buf); err != nil {
 			return nil, err
 		}
 		value = buf[:n]

@@ -92,7 +92,7 @@ func (c *Client) roundTrip(req, f *frame, want byte) error {
 
 func (c *Client) closeLocked() {
 	if c.conn != nil {
-		c.conn.Close()
+		_ = c.conn.Close() // the connection is dropped either way
 		c.conn = nil
 	}
 }
@@ -147,7 +147,7 @@ func (p *Pool) Execute(sql string, args ...Value) (Result, error) {
 	}
 	res, err := c.Execute(sql, args...)
 	if errors.Is(err, errConn) {
-		c.Close()
+		_ = c.Close() // closes nothing: the failure closed the connection
 		p.clients <- nil
 		return res, err
 	}
@@ -166,7 +166,7 @@ func (p *Pool) Close() {
 	p.mu.Unlock()
 	for i := 0; i < p.size; i++ {
 		if c := <-p.clients; c != nil {
-			c.Close()
+			_ = c.Close() // Client.Close returns nil
 		}
 	}
 }

@@ -2,12 +2,13 @@ package minisql
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/tcp"
 )
 
 // Frame types exchanged on the wire. Every message in either direction is
@@ -361,35 +362,20 @@ func newFrameReader(r io.Reader) *frameReader {
 	return &frameReader{br: bufio.NewReader(r), buf: make([]byte, 0, 512), intern: make(map[string]string)}
 }
 
-// next reads and decodes one frame. A length of zero or above maxFrame is
-// an error before anything is allocated, and a larger buffer grows as the
-// bytes arrive, not to what the length claims.
+// next reads and decodes one frame (tcp.ReadFrame). A buffer grown for a
+// large frame is kept up to keepBuf.
 func (r *frameReader) next(f *frame) error {
-	buf := r.buf[:4]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
+	body, err := tcp.ReadFrame(r.br, r.buf, maxFrame)
+	if errors.Is(err, tcp.ErrLength) {
+		return fmt.Errorf("%w: %w", errFrame, err)
+	}
+	if err != nil {
 		return err
 	}
-	size := binary.BigEndian.Uint32(buf)
-	if size == 0 || size > maxFrame {
-		return fmt.Errorf("%w: length %d", errFrame, size)
+	if cap(body) <= keepBuf {
+		r.buf = body[:0]
 	}
-	n := int(size)
-	if n <= cap(r.buf) {
-		buf = r.buf[:n]
-		if _, err := io.ReadFull(r.br, buf); err != nil {
-			return err
-		}
-	} else {
-		var b bytes.Buffer
-		if _, err := io.CopyN(&b, r.br, int64(n)); err != nil {
-			return err
-		}
-		buf = b.Bytes()
-		if cap(buf) <= keepBuf {
-			r.buf = buf[:0]
-		}
-	}
-	return decodeFrame(buf, f, r.intern)
+	return decodeFrame(body, f, r.intern)
 }
 
 // frameWriter sends frames on one connection, each encoded into one reused

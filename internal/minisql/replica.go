@@ -74,8 +74,9 @@ func (r *Replica) connect(addr string, first bool) (fr *frameReader, hangUp func
 	if err != nil {
 		return nil, nil, fmt.Errorf("minisql: replica dial %s: %w", addr, err)
 	}
-	stop := context.AfterFunc(r.ctx, func() { conn.Close() })
-	hangUp = func() { stop(); conn.Close() }
+	// A hang-up discards the Close error: the stream is given up either way.
+	stop := context.AfterFunc(r.ctx, func() { _ = conn.Close() })
+	hangUp = func() { stop(); _ = conn.Close() }
 	fr, w := newFrameReader(conn), frameWriter{w: conn}
 	err = conn.SetDeadline(time.Now().Add(roundTripTimeout))
 	if err == nil {

@@ -8,25 +8,21 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/tcp"
 )
 
 // ErrReadOnly is returned for write statements sent to a standby.
 var ErrReadOnly = errors.New("minisql: server is read-only (standby)")
 
-// Server exposes an Engine over TCP and acts as the replication master for
-// any subscribed standbys: each reads the engine's change feed from its own
-// cursor (stream).
+// Server exposes an Engine over TCP (tcp.Serve) and acts as the
+// replication master for any subscribed standbys: each reads the engine's
+// change feed from its own cursor (stream).
 type Server struct {
 	engine   *Engine
-	ln       net.Listener
+	srv      *tcp.Server
 	readOnly atomic.Bool
 	logger   *log.Logger
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	quit   chan struct{}
-	wg     sync.WaitGroup
 }
 
 // NewServer wraps engine in a TCP server listening on addr (use "127.0.0.1:0"
@@ -39,78 +35,34 @@ func NewServer(engine *Engine, addr string, logger *log.Logger) (*Server, error)
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	s := &Server{
-		engine: engine,
-		ln:     ln,
-		logger: logger,
-		conns:  make(map[net.Conn]struct{}),
-		quit:   make(chan struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &Server{engine: engine, logger: logger}
+	s.srv = tcp.Serve(ln, s.serveConn)
 	return s, nil
 }
 
 // Addr returns the listening address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.srv.Addr().String() }
 
 // SetReadOnly marks the server as a standby (write statements rejected) or
 // master.
 func (s *Server) SetReadOnly(ro bool) { s.readOnly.Store(ro) }
 
-// Close stops the listener and all connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *Server) dropConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
+// Close stops the listener and all connections, standbys' streams included.
+func (s *Server) Close() error { return s.srv.Close() }
 
 func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.dropConn(conn)
 	r := newFrameReader(conn)
 	w := &frameWriter{w: conn}
 	var wMu sync.Mutex // replication goroutine shares the writer
+	var streams sync.WaitGroup
 	done := make(chan struct{})
-	defer close(done)
+	defer func() {
+		close(done)
+		// Closed before the wait: a stream blocked sending to a silent
+		// standby returns only when its write fails.
+		_ = conn.Close()
+		streams.Wait()
+	}()
 	for {
 		var f frame
 		if err := r.next(&f); err != nil {
@@ -131,9 +83,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		case frameSubscribe:
 			// Replication streaming runs in its own goroutine so this loop
 			// keeps reading; a remote disconnect then surfaces as a read
-			// error here, which closes done and the connection.
-			s.wg.Add(1)
-			go s.stream(conn, w, &wMu, f.Cursor, done)
+			// error here, which closes done and the connection. The cursor
+			// is an argument: a closure capturing f would move every
+			// request's frame to the heap.
+			streams.Add(1)
+			go s.stream(conn, w, &wMu, f.Cursor, done, &streams)
 			continue
 		default:
 			return // protocol violation
@@ -152,8 +106,8 @@ func (s *Server) serveConn(conn net.Conn) {
 // after it, one frame per cut, waiting for a write whenever it has caught
 // up. A standby that reads slowly gets larger cuts, never a gap. When a send
 // fails the connection closes, so the standby sees it and re-follows.
-func (s *Server) stream(conn net.Conn, w *frameWriter, wMu *sync.Mutex, cur Cursor, done <-chan struct{}) {
-	defer s.wg.Done()
+func (s *Server) stream(conn net.Conn, w *frameWriter, wMu *sync.Mutex, cur Cursor, done <-chan struct{}, streams *sync.WaitGroup) {
+	defer streams.Done()
 	defer conn.Close()
 	for {
 		snap, reset, wait := s.engine.since(cur)
@@ -162,9 +116,8 @@ func (s *Server) stream(conn net.Conn, w *frameWriter, wMu *sync.Mutex, cur Curs
 			case <-wait:
 				continue
 			case <-done:
-			case <-s.quit:
+				return
 			}
-			return
 		}
 		f := frame{Type: frameFeed, Snap: snap}
 		if reset {

@@ -361,25 +361,68 @@ func TestStalledStandbyCatchesUp(t *testing.T) {
 	}
 }
 
-// TestStandbyRefollowsAfterLostConnection: the master drops the replication
-// connection in the middle of a burst; the standby connects again by itself,
-// reads on from its cursor and ends equal to the master.
+// relay forwards each connection it accepts to a server; cut closes every
+// connection it holds, on both sides, and accepting goes on.
+type relay struct {
+	ln    net.Listener
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startRelay(t *testing.T, addr string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &relay{ln: ln}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", addr)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			r.mu.Lock()
+			r.conns = append(r.conns, in, out)
+			r.mu.Unlock()
+			go func() { io.Copy(out, in); out.Close() }()
+			go func() { io.Copy(in, out); in.Close() }()
+		}
+	}()
+	t.Cleanup(func() { ln.Close(); r.cut() })
+	return r
+}
+
+func (r *relay) cut() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.conns {
+		c.Close()
+	}
+	r.conns = nil
+}
+
+// TestStandbyRefollowsAfterLostConnection: the replication connection drops
+// in the middle of a burst; the standby connects again by itself, reads on
+// from its cursor and ends equal to the master.
 func TestStandbyRefollowsAfterLostConnection(t *testing.T) {
 	srv, master := startServer(t)
 	mustExec(t, master, `CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`)
 	standby := NewEngine()
 	rep := NewReplica(standby)
-	if err := rep.Follow(srv.Addr()); err != nil {
+	link := startRelay(t, srv.Addr())
+	if err := rep.Follow(link.ln.Addr().String()); err != nil {
 		t.Fatal(err)
 	}
 	defer rep.Stop()
 	for i := 0; i < 20_000; i++ {
 		if i == 10_000 {
-			srv.mu.Lock()
-			for c := range srv.conns {
-				c.Close()
-			}
-			srv.mu.Unlock()
+			link.cut()
 		}
 		mustExec(t, master, `REPLACE INTO qos_rules VALUES (?, 1, 1, ?)`, Text(fmt.Sprintf("k%04d", i%5000)), Float(float64(i)))
 	}

@@ -11,15 +11,18 @@
 //     over sequence-numbered writes and a bounded set of delete tombstones,
 //     with one rule for whether a reader's cursor reads on (changes.go),
 //   - a length-prefixed binary TCP wire protocol with a pooled client
-//     (codec.go): every frame in either direction is a 4-byte length, a
-//     type byte and the frame's fields — lists as a uvarint count, texts as
-//     a uvarint length and bytes, a value as its kind byte then a zig-zag
-//     varint (INT), 8 big-endian IEEE 754 bytes (FLOAT), a text (TEXT) or
-//     nothing (NULL),
-//   - master/standby replication over the same change feed — the standby
-//     applies each entry at the master's sequence number, re-follows by
-//     itself after a lost connection — and promotion, mirroring the
-//     Multi-AZ RDS failover behaviour the paper relies on.
+//     (codec.go), served as a handler on internal/tcp's accept loop and
+//     read with tcp.ReadFrame: every frame in either direction is a 4-byte
+//     length, a type byte and the frame's fields — lists as a uvarint
+//     count, texts as a uvarint length and bytes, a value as its kind byte
+//     then a zig-zag varint (INT), 8 big-endian IEEE 754 bytes (FLOAT), a
+//     text (TEXT) or nothing (NULL),
+//   - master/standby replication over the same change feed — the master
+//     streams to each standby on the connection it subscribed on, until
+//     that connection ends; the standby applies each entry at the master's
+//     sequence number and re-follows by itself after a lost connection —
+//     and promotion, mirroring the Multi-AZ RDS failover behaviour the
+//     paper relies on.
 //
 // The paper's access pattern is: a full-table scan at warm-up ("SELECT *
 // FROM qos_rules", here the change feed read from no cursor), point reads on

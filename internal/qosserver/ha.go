@@ -33,7 +33,9 @@ var (
 // master answers with a snapshot of every (rule, credit, default-flag)
 // entry in the local table, and the snapshot replaces the slave's table.
 // The membership handoff (handoff.go) speaks the same frames (peercodec.go)
-// to the same listener. Each connection carries one exchange.
+// to the same listener. Each connection carries one exchange. The listener
+// is internal/tcp's accept loop with servePeer as its handler, and both
+// ends read a frame with tcp.ReadFrame.
 
 const (
 	// peerDialTimeout bounds the dial to a peer's replication listener, and
@@ -44,59 +46,9 @@ const (
 	peerTimeout     = 2 * time.Second
 )
 
-// haListener is the master side: it waits for incoming connections from
-// slave nodes and serves table snapshots on request.
-type haListener struct {
-	s  *Server
-	ln net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-func newHAListener(s *Server, addr string) (*haListener, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("qosserver: ha listen %s: %w", addr, err)
-	}
-	h := &haListener{s: s, ln: ln, conns: make(map[net.Conn]struct{})}
-	h.wg.Add(1)
-	go h.acceptLoop()
-	return h, nil
-}
-
-func (h *haListener) Addr() string { return h.ln.Addr().String() }
-
-func (h *haListener) acceptLoop() {
-	defer h.wg.Done()
-	for {
-		conn, err := h.ln.Accept()
-		if err != nil {
-			return
-		}
-		h.mu.Lock()
-		if h.closed {
-			h.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		h.conns[conn] = struct{}{}
-		h.mu.Unlock()
-		h.wg.Add(1)
-		go h.serve(conn)
-	}
-}
-
-func (h *haListener) serve(conn net.Conn) {
-	defer h.wg.Done()
-	defer func() {
-		h.mu.Lock()
-		delete(h.conns, conn)
-		h.mu.Unlock()
-		_ = conn.Close()
-	}()
+// servePeer answers the one exchange of a connection to the replication
+// listener (tcp.Serve): a pull with a snapshot, a handoff with an ack.
+func (s *Server) servePeer(conn net.Conn) {
 	if err := conn.SetDeadline(time.Now().Add(peerTimeout)); err != nil {
 		return
 	}
@@ -107,9 +59,9 @@ func (h *haListener) serve(conn net.Conn) {
 	reply := peerFrame{Type: peerAck}
 	switch f.Type {
 	case peerPull:
-		reply = peerFrame{Type: peerSnapshot, Entries: h.s.snapshotTable()}
+		reply = peerFrame{Type: peerSnapshot, Entries: s.snapshotTable()}
 	case peerHandoff:
-		h.s.applyHandoff(f.Entries)
+		s.applyHandoff(f.Entries)
 	default:
 		return
 	}
@@ -135,21 +87,6 @@ func exchange(addr string, req *peerFrame, want byte) (peerFrame, error) {
 		err = fmt.Errorf("%w: type %d, want %d", errPeerFrame, f.Type, want)
 	}
 	return f, err
-}
-
-func (h *haListener) Close() {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	h.closed = true
-	for c := range h.conns {
-		_ = c.Close()
-	}
-	h.mu.Unlock()
-	_ = h.ln.Close()
-	h.wg.Wait()
 }
 
 // snapshotTable captures every entry of the local table with its current

@@ -1,7 +1,6 @@
 package qosserver
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 	"math"
 
 	"repro/internal/bucket"
+	"repro/internal/tcp"
 	"repro/internal/wire"
 )
 
@@ -66,23 +66,16 @@ func appendPeerFrame(dst []byte, f *peerFrame) []byte {
 	return dst
 }
 
-// readPeerFrame reads one frame. A length of zero or above maxPeerFrame is
-// an error before anything is allocated, and the body buffer grows as its
-// bytes arrive, not to what the length claims.
+// readPeerFrame reads one frame (tcp.ReadFrame) and decodes it.
 func readPeerFrame(r io.Reader) (peerFrame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	body, err := tcp.ReadFrame(r, nil, maxPeerFrame)
+	if errors.Is(err, tcp.ErrLength) {
+		return peerFrame{}, fmt.Errorf("%w: %w", errPeerFrame, err)
+	}
+	if err != nil {
 		return peerFrame{}, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
-	if size == 0 || size > maxPeerFrame {
-		return peerFrame{}, fmt.Errorf("%w: length %d", errPeerFrame, size)
-	}
-	var body bytes.Buffer
-	if _, err := io.CopyN(&body, r, int64(size)); err != nil {
-		return peerFrame{}, err
-	}
-	return decodePeerFrame(body.Bytes())
+	return decodePeerFrame(body)
 }
 
 // decodePeerFrame decodes one frame body (the bytes after the length). It

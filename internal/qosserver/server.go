@@ -32,6 +32,7 @@
 package qosserver
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -50,6 +51,7 @@ import (
 	"repro/internal/minisql"
 	"repro/internal/store"
 	"repro/internal/table"
+	"repro/internal/tcp"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -236,7 +238,7 @@ type Server struct {
 	syncQueries    *metrics.Counter
 	syncReconciles *metrics.Counter
 
-	ha *haListener
+	ha *tcp.Server // the replication listener: HA pulls and handoffs
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -390,12 +392,12 @@ func New(cfg Config) (*Server, error) {
 		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger: one per resident key, so a key moved to another server is audited only on its new owner", func() float64 { return float64(s.table.Len()) })
 	}
 	if cfg.ReplicationAddr != "" {
-		ha, err := newHAListener(s, cfg.ReplicationAddr)
+		ln, err := net.Listen("tcp", cfg.ReplicationAddr)
 		if err != nil {
 			_ = conn.Close()
-			return nil, err
+			return nil, fmt.Errorf("qosserver: ha listen %s: %w", cfg.ReplicationAddr, err)
 		}
-		s.ha = ha
+		s.ha = tcp.Serve(ln, s.servePeer)
 	}
 	s.wg.Add(1 + cfg.Workers)
 	go s.listen()
@@ -448,7 +450,7 @@ func (s *Server) ReplicationAddr() string {
 	if s.ha == nil {
 		return ""
 	}
-	return s.ha.Addr()
+	return s.ha.Addr().String()
 }
 
 // fpUDPRecv models inbound packet loss on the server's UDP socket: a
@@ -1056,7 +1058,7 @@ func (s *Server) Close() error {
 		close(s.quit)
 		err = s.conn.Close()
 		if s.ha != nil {
-			s.ha.Close()
+			err = errors.Join(err, s.ha.Close())
 		}
 		s.wg.Wait()
 	})
