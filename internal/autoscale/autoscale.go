@@ -5,12 +5,14 @@
 // metrics such as the average latency observed on the load balancer, the
 // average CPU utilization on the request router nodes").
 //
-// A Group periodically evaluates a scalar metric against a high/low
-// threshold band and invokes scale-out/scale-in actions, bounded by
-// min/max capacity and a cooldown. The router layer is stateless, so its
-// actions are plain. Resizing the QoS layer changes key ownership and needs
-// the membership layer's bucket handoff (cluster.AddQoSServer and
-// RemoveQoSServer, with Config.Membership).
+// A Group evaluates a scalar metric against a high/low threshold band and
+// invokes scale-out/scale-in actions, bounded by min/max capacity and a
+// cooldown. Its owner steps it with EvaluateOnce on the owner's own clock:
+// the scenario suite's real tier on its injected clock, the DES tier on
+// simulated time. The router layer is stateless, so its actions are plain.
+// Resizing the QoS layer changes key ownership and needs the membership
+// layer's bucket handoff (cluster.AddQoSServer and RemoveQoSServer, with
+// Config.Membership).
 package autoscale
 
 import (
@@ -40,9 +42,7 @@ type Config struct {
 	ScaleOut, ScaleIn Action
 	// Capacity reports current capacity.
 	Capacity func() int
-	// Interval is the evaluation period (default 10s).
-	Interval time.Duration
-	// Cooldown suppresses further actions after one fires (default 2×Interval).
+	// Cooldown suppresses further actions after one fires (default 20s).
 	Cooldown time.Duration
 	// Clock is injectable for tests (default time.Now).
 	Clock func() time.Time
@@ -81,13 +81,12 @@ func (d Decision) String() string {
 	}
 }
 
-// Group is a running autoscaler.
+// Group is an autoscaler.
 type Group struct {
 	cfg Config
 
 	// evalMu serializes whole control steps. Without it, two concurrent
-	// EvaluateOnce calls (the Start loop plus a manual caller, or two
-	// loops after a double Start) both observe capacity below Max and
+	// EvaluateOnce callers both observe capacity below Max and
 	// cooling=false, then both fire ScaleOut — breaching Max and the
 	// cooldown, and invoking the user's Capacity/Scale* callbacks
 	// concurrently even though nothing documents them as thread-safe.
@@ -97,11 +96,6 @@ type Group struct {
 	lastAction time.Time
 	history    []Event
 	lastErr    error
-
-	quit    chan struct{}
-	done    chan struct{}
-	started bool
-	once    sync.Once
 }
 
 // Event records one evaluation.
@@ -112,8 +106,8 @@ type Event struct {
 	Capacity int
 }
 
-// New validates the config and returns a stopped Group; call Start for the
-// background loop or EvaluateOnce for manual stepping.
+// New validates the config and returns a Group; its owner calls EvaluateOnce
+// on a clock of its own.
 func New(cfg Config) (*Group, error) {
 	if cfg.Metric == nil || cfg.ScaleOut == nil || cfg.ScaleIn == nil || cfg.Capacity == nil {
 		return nil, errors.New("autoscale: Metric, ScaleOut, ScaleIn and Capacity are required")
@@ -127,16 +121,13 @@ func New(cfg Config) (*Group, error) {
 	if cfg.HighWater <= cfg.LowWater {
 		return nil, fmt.Errorf("autoscale: HighWater %v <= LowWater %v", cfg.HighWater, cfg.LowWater)
 	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 10 * time.Second
-	}
 	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 2 * cfg.Interval
+		cfg.Cooldown = 20 * time.Second
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Group{cfg: cfg, quit: make(chan struct{}), done: make(chan struct{})}, nil
+	return &Group{cfg: cfg}, nil
 }
 
 // EvaluateOnce runs one control step and returns its decision. Steps are
@@ -223,43 +214,4 @@ func (g *Group) History() []Event {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return append([]Event(nil), g.history...)
-}
-
-// Start launches the periodic evaluation loop. Calling Start again on a
-// running Group is a no-op: a second loop would double the evaluation rate
-// and race the first on the done channel.
-func (g *Group) Start() {
-	g.mu.Lock()
-	if g.started {
-		g.mu.Unlock()
-		return
-	}
-	g.started = true
-	g.mu.Unlock()
-	go func() {
-		defer close(g.done)
-		t := time.NewTicker(g.cfg.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-g.quit:
-				return
-			case <-t.C:
-				g.EvaluateOnce()
-			}
-		}
-	}()
-}
-
-// Stop halts the loop (idempotent; safe even if Start was never called).
-func (g *Group) Stop() {
-	g.once.Do(func() {
-		close(g.quit)
-		g.mu.Lock()
-		started := g.started
-		g.mu.Unlock()
-		if started {
-			<-g.done
-		}
-	})
 }

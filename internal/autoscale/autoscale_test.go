@@ -28,7 +28,6 @@ func (h *harness) config() Config {
 		},
 		ScaleIn:  func() (int, error) { return int(h.capacity.Add(-1)), nil },
 		Capacity: func() int { return int(h.capacity.Load()) },
-		Interval: time.Millisecond,
 		Cooldown: time.Millisecond,
 	}
 }
@@ -45,7 +44,6 @@ func newGroup(t *testing.T, mutate func(*Config)) (*harness, *Group) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.Stop)
 	return h, g
 }
 
@@ -146,29 +144,6 @@ func TestHistoryRecorded(t *testing.T) {
 	if ev[1].Metric != 95 {
 		t.Fatalf("metric = %v", ev[1].Metric)
 	}
-}
-
-func TestBackgroundLoop(t *testing.T) {
-	h, g := newGroup(t, func(c *Config) {
-		c.Interval = time.Millisecond
-		c.Cooldown = time.Millisecond
-	})
-	h.metric.Store(95.0)
-	g.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for h.capacity.Load() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatalf("loop never scaled to max (cap=%d)", h.capacity.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	g.Stop()
-	g.Stop() // idempotent
-}
-
-func TestStopWithoutStart(t *testing.T) {
-	_, g := newGroup(t, nil)
-	g.Stop() // must not hang
 }
 
 func TestDecisionString(t *testing.T) {

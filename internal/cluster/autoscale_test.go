@@ -34,13 +34,11 @@ func TestAutoscaledRouterLayer(t *testing.T) {
 			return c.RouterCount(), nil
 		},
 		Capacity: func() int { return c.RouterCount() },
-		Interval: time.Millisecond,
 		Cooldown: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Stop()
 
 	step := func(want autoscale.Decision) {
 		t.Helper()

@@ -24,6 +24,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/tick"
 )
 
 // ErrNXDomain is returned when a name has no records.
@@ -52,9 +54,7 @@ type failover struct {
 	secondary []string
 	usePri    bool
 	check     HealthChecker
-	interval  time.Duration
-	stop      chan struct{}
-	done      chan struct{}
+	loop      *tick.Loop // the health check; stopped outside s.mu, which it takes
 }
 
 // HealthChecker probes a target address and reports whether it is healthy.
@@ -70,12 +70,23 @@ func NewServerWithClock(clock Clock) *Server {
 
 // SetA installs or replaces the A record for name.
 func (s *Server) SetA(name string, ttl time.Duration, addrs ...string) {
+	s.replace(name, &record{addrs: append([]string(nil), addrs...), ttl: ttl})
+}
+
+// replace sets name's record to r (nil deletes it) and stops the health
+// check of the failover record it replaces.
+func (s *Server) replace(name string, r *record) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old := s.records[name]; old != nil && old.failover != nil {
-		stopFailoverLocked(old.failover)
+	old := s.records[name]
+	if r != nil {
+		s.records[name] = r
+	} else {
+		delete(s.records, name)
 	}
-	s.records[name] = &record{addrs: append([]string(nil), addrs...), ttl: ttl}
+	s.mu.Unlock()
+	if old != nil && old.failover != nil {
+		old.failover.loop.Stop()
+	}
 }
 
 // AddA appends addresses to an existing record (creating it if needed).
@@ -110,14 +121,7 @@ func (s *Server) RemoveA(name, addr string) {
 }
 
 // Delete removes a name entirely.
-func (s *Server) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r := s.records[name]; r != nil && r.failover != nil {
-		stopFailoverLocked(r.failover)
-	}
-	delete(s.records, name)
-}
+func (s *Server) Delete(name string) { s.replace(name, nil) }
 
 // SetFailover installs a health-checked failover record: name resolves to
 // primary while check(primary) is true, and to secondary otherwise. The
@@ -132,47 +136,21 @@ func (s *Server) SetFailover(name string, ttl time.Duration, primary, secondary 
 		secondary: []string{secondary},
 		usePri:    true,
 		check:     check,
-		interval:  interval,
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 	}
+	fo.loop = tick.Every(interval, func() { s.checkFailover(name, fo) })
+	s.replace(name, &record{ttl: ttl, failover: fo})
+}
+
+// checkFailover runs fo's health check and, while fo is still name's
+// record, points the name at the primary or the secondary by its verdict.
+func (s *Server) checkFailover(name string, fo *failover) bool {
+	healthy := fo.check(fo.primary[0])
 	s.mu.Lock()
-	if old := s.records[name]; old != nil && old.failover != nil {
-		stopFailoverLocked(old.failover)
+	if r := s.records[name]; r != nil && r.failover == fo {
+		fo.usePri = healthy
 	}
-	s.records[name] = &record{ttl: ttl, failover: fo}
 	s.mu.Unlock()
-	go s.healthLoop(name, fo)
-}
-
-func stopFailoverLocked(fo *failover) {
-	select {
-	case <-fo.stop:
-	default:
-		close(fo.stop)
-	}
-}
-
-func (s *Server) healthLoop(name string, fo *failover) {
-	defer close(fo.done)
-	ticker := time.NewTicker(fo.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-fo.stop:
-			return
-		case <-ticker.C:
-			healthy := fo.check(fo.primary[0])
-			s.mu.Lock()
-			r := s.records[name]
-			if r == nil || r.failover != fo {
-				s.mu.Unlock()
-				return
-			}
-			fo.usePri = healthy
-			s.mu.Unlock()
-		}
-	}
+	return healthy
 }
 
 // CheckNow forces an immediate health evaluation of a failover record,
@@ -187,13 +165,7 @@ func (s *Server) CheckNow(name string) (primaryActive bool, err error) {
 	}
 	fo := r.failover
 	s.mu.Unlock()
-	healthy := fo.check(fo.primary[0])
-	s.mu.Lock()
-	if cur := s.records[name]; cur != nil && cur.failover == fo {
-		fo.usePri = healthy
-	}
-	s.mu.Unlock()
-	return healthy, nil
+	return s.checkFailover(name, fo), nil
 }
 
 // Query answers a DNS query: the full (permuted) address list and its TTL.
@@ -246,15 +218,14 @@ func (s *Server) Names() []string {
 // Close stops all failover health-check loops.
 func (s *Server) Close() {
 	s.mu.Lock()
-	var waits []chan struct{}
+	var loops []*tick.Loop
 	for _, r := range s.records {
 		if r.failover != nil {
-			stopFailoverLocked(r.failover)
-			waits = append(waits, r.failover.done)
+			loops = append(loops, r.failover.loop)
 		}
 	}
 	s.mu.Unlock()
-	for _, w := range waits {
-		<-w
+	for _, l := range loops {
+		l.Stop()
 	}
 }

@@ -3,6 +3,8 @@ package membership
 import (
 	"sync"
 	"time"
+
+	"repro/internal/tick"
 )
 
 // Member is one backend known to the coordinator.
@@ -49,9 +51,7 @@ type Coordinator struct {
 	subs    map[int]func(View)
 	nextSub int
 
-	quit chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	monitor *tick.Loop // the expiry monitor; nil without a TTL
 }
 
 type memberState struct {
@@ -72,7 +72,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		clock:   clock,
 		members: make(map[string]*memberState),
 		subs:    make(map[int]func(View)),
-		quit:    make(chan struct{}),
 	}
 	c.view = View{Epoch: 0}
 	if cfg.TTL > 0 {
@@ -80,8 +79,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		if interval <= 0 {
 			interval = time.Millisecond
 		}
-		c.wg.Add(1)
-		go c.monitor(interval)
+		c.monitor = tick.Every(interval, func() { c.CheckNow() })
 	}
 	return c
 }
@@ -249,26 +247,5 @@ func (c *Coordinator) expireLocked() {
 	}
 }
 
-func (c *Coordinator) monitor(interval time.Duration) {
-	defer c.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.quit:
-			return
-		case <-t.C:
-			c.mu.Lock()
-			c.expireLocked()
-			c.mu.Unlock()
-		}
-	}
-}
-
 // Close stops the expiry monitor. The coordinator remains queryable.
-func (c *Coordinator) Close() {
-	c.once.Do(func() {
-		close(c.quit)
-		c.wg.Wait()
-	})
-}
+func (c *Coordinator) Close() { c.monitor.Stop() }

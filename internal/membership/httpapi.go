@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/tick"
 )
 
 // Failpoints on the client side of the coordinator API (peer = coordinator
@@ -188,9 +189,7 @@ type Beater struct {
 	// beats stop landing is about to be ejected from the view).
 	lastOKNs atomic.Int64
 
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop *tick.Loop // nil until Start succeeds
 }
 
 // NewBeater creates a beater for member name with handoff address addr.
@@ -199,35 +198,26 @@ func NewBeater(client *Client, name, addr string, interval time.Duration) *Beate
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Beater{client: client, name: name, addr: addr, interval: interval,
-		quit: make(chan struct{}), done: make(chan struct{})}
+	return &Beater{client: client, name: name, addr: addr, interval: interval}
 }
 
 // Start sends the first heartbeat synchronously (so the member is
-// registered when Start returns) and then beats in the background.
+// registered when Start returns) and then beats in the background. When
+// that heartbeat fails, nothing runs in the background.
 func (b *Beater) Start() error {
+	if err := b.beat(); err != nil {
+		return err
+	}
+	b.loop = tick.Every(b.interval, func() { _ = b.beat() }) // a missed beat shows in ContactAge
+	return nil
+}
+
+func (b *Beater) beat() error {
 	if _, err := b.client.Heartbeat(b.name, b.addr); err != nil {
 		return err
 	}
 	b.lastOKNs.Store(time.Now().UnixNano())
-	go b.loop()
 	return nil
-}
-
-func (b *Beater) loop() {
-	defer close(b.done)
-	t := time.NewTicker(b.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-b.quit:
-			return
-		case <-t.C:
-			if _, err := b.client.Heartbeat(b.name, b.addr); err == nil {
-				b.lastOKNs.Store(time.Now().UnixNano())
-			}
-		}
-	}
 }
 
 // ContactAge reports how long ago the coordinator last acknowledged a
@@ -244,12 +234,7 @@ func (b *Beater) ContactAge() time.Duration {
 func (b *Beater) Interval() time.Duration { return b.interval }
 
 // Stop halts the beater; the member will be ejected once its TTL expires.
-func (b *Beater) Stop() {
-	b.once.Do(func() {
-		close(b.quit)
-		<-b.done
-	})
-}
+func (b *Beater) Stop() { b.loop.Stop() }
 
 // Poller periodically fetches the coordinator view and invokes a callback
 // whenever the epoch advances; router nodes run one to hot-swap their view.
@@ -267,9 +252,7 @@ type Poller struct {
 	// its coordinator is routing on a potentially obsolete view).
 	lastOKNs atomic.Int64
 
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop *tick.Loop // nil until Start succeeds
 }
 
 // NewPoller creates a poller invoking onView on every epoch change.
@@ -278,17 +261,17 @@ func NewPoller(client *Client, interval time.Duration, onView func(View)) *Polle
 	if interval <= 0 {
 		interval = time.Second
 	}
-	return &Poller{client: client, interval: interval, onView: onView,
-		quit: make(chan struct{}), done: make(chan struct{})}
+	return &Poller{client: client, interval: interval, onView: onView}
 }
 
 // Start fetches the first view synchronously (delivering it to the
-// callback) and then polls in the background.
+// callback) and then polls in the background. When that fetch fails,
+// nothing runs in the background.
 func (p *Poller) Start() error {
 	if err := p.PollOnce(); err != nil {
 		return err
 	}
-	go p.loop()
+	p.loop = tick.Every(p.interval, func() { _ = p.PollOnce() }) // a failed poll shows in ContactAge
 	return nil
 }
 
@@ -312,20 +295,6 @@ func (p *Poller) PollOnce() error {
 	return nil
 }
 
-func (p *Poller) loop() {
-	defer close(p.done)
-	t := time.NewTicker(p.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-t.C:
-			p.PollOnce()
-		}
-	}
-}
-
 // ContactAge reports how long ago a view fetch last succeeded (zero before
 // the first success).
 func (p *Poller) ContactAge() time.Duration {
@@ -340,9 +309,4 @@ func (p *Poller) ContactAge() time.Duration {
 func (p *Poller) Interval() time.Duration { return p.interval }
 
 // Stop halts the poller.
-func (p *Poller) Stop() {
-	p.once.Do(func() {
-		close(p.quit)
-		<-p.done
-	})
-}
+func (p *Poller) Stop() { p.loop.Stop() }

@@ -94,6 +94,37 @@ func TestBeaterKeepsMemberAlive(t *testing.T) {
 	t.Fatal("member not ejected after beater stopped")
 }
 
+// TestStopAfterFailedStart stops a Beater and a Poller whose Start failed
+// against an endpoint nothing listens on: no loop runs, so Stop has nothing
+// to wait for and must return at once.
+func TestStopAfterFailedStart(t *testing.T) {
+	cl := &Client{Endpoint: "127.0.0.1:1"}
+	b := NewBeater(cl, "qos-0", "", time.Millisecond)
+	p := NewPoller(cl, time.Millisecond, func(View) {})
+	for _, c := range []struct {
+		name string
+		s    interface {
+			Start() error
+			Stop()
+		}
+	}{{"Beater", b}, {"Poller", p}} {
+		name, s := c.name, c.s
+		if err := s.Start(); err == nil {
+			t.Fatalf("%s.Start against a dead endpoint succeeded", name)
+		}
+		stopped := make(chan struct{})
+		go func() {
+			s.Stop()
+			close(stopped)
+		}()
+		select {
+		case <-stopped:
+		case <-time.After(time.Second):
+			t.Fatalf("%s.Stop hangs after a failed Start", name)
+		}
+	}
+}
+
 func TestPollerDeliversEpochChanges(t *testing.T) {
 	c, s := newService(t, CoordinatorConfig{})
 	c.Join("qos-0", "")

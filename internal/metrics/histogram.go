@@ -11,6 +11,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,7 +55,7 @@ func bucketIndex(v int64) int {
 		return int(v) // exact buckets for small values
 	}
 	// Position of the highest set bit.
-	exp := 63 - leadingZeros64(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	// Take the subBucketBits bits below the leading bit as the linear slot.
 	slot := (v >> (uint(exp) - histSubBucketBits)) & (histSubBuckets - 1)
 	idx := (exp-histSubBucketBits+1)*histSubBuckets + int(slot)
@@ -82,18 +83,6 @@ func bucketHigh(idx int) int64 {
 	exp := idx/histSubBuckets + histSubBucketBits - 1
 	width := int64(1) << (uint(exp) - histSubBucketBits)
 	return bucketLow(idx) + width - 1
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		n++
-		x <<= 1
-	}
-	return n
 }
 
 // Record adds one observation of v.

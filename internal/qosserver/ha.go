@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/tick"
 )
 
 // Failpoints on the replication seams. Pull sits on the slave's dial to the
@@ -141,11 +141,8 @@ type Replicator struct {
 
 	pulls   atomic.Int64
 	lastErr atomic.Value // string
-	started atomic.Bool
 
-	quit chan struct{}
-	done chan struct{}
-	once sync.Once
+	loop *tick.Loop // nil until Start succeeds
 }
 
 // NewReplicator creates a replicator that copies the table of the master at
@@ -156,44 +153,24 @@ func NewReplicator(slave *Server, masterAddr string, interval time.Duration) *Re
 		interval = 100 * time.Millisecond
 	}
 	slave.following.Store(true)
-	return &Replicator{
-		slave:    slave,
-		master:   masterAddr,
-		interval: interval,
-		quit:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
+	return &Replicator{slave: slave, master: masterAddr, interval: interval}
 }
 
 // Start begins replication. The first pull happens synchronously so the
-// slave is warm when Start returns.
+// slave is warm when Start returns; when it fails, nothing runs in the
+// background.
 func (r *Replicator) Start() error {
 	if err := r.PullOnce(); err != nil {
 		return err
 	}
-	r.started.Store(true)
-	go r.loop()
+	r.loop = tick.Every(r.interval, r.pull)
 	return nil
 }
 
-func (r *Replicator) loop() {
-	defer close(r.done)
-	t := time.NewTicker(r.interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.quit:
-			return
-		case <-t.C:
-			select {
-			case <-r.quit: // a Stop that raced the tick waits for no pull
-				return
-			default:
-			}
-			if err := r.PullOnce(); err != nil {
-				r.lastErr.Store(err.Error())
-			}
-		}
+// pull is one background pull; Err reports its error.
+func (r *Replicator) pull() {
+	if err := r.PullOnce(); err != nil {
+		r.lastErr.Store(err.Error())
 	}
 }
 
@@ -233,11 +210,6 @@ func (r *Replicator) Err() error {
 // slave stops pulling and starts serving as the new master, checkpoints
 // included).
 func (r *Replicator) Stop() {
-	r.once.Do(func() {
-		close(r.quit)
-		if r.started.Load() {
-			<-r.done
-		}
-		r.slave.following.Store(false)
-	})
+	r.loop.Stop()
+	r.slave.following.Store(false)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bucket"
 	"repro/internal/minisql"
 	"repro/internal/store"
+	"repro/internal/tick"
 	"repro/internal/wire"
 )
 
@@ -286,8 +287,7 @@ func TestPeerExchangesTimeOutOnASilentPeer(t *testing.T) {
 	t.Run("stop", func(t *testing.T) {
 		t.Parallel()
 		rep := NewReplicator(newServer(t, Config{}), addr, time.Millisecond)
-		rep.started.Store(true)
-		go rep.loop()
+		rep.loop = tick.Every(rep.interval, rep.pull)
 		time.Sleep(50 * time.Millisecond) // the loop is inside a pull
 		within(t, 3*time.Second, "Replicator.Stop", rep.Stop)
 	})

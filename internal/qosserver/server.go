@@ -52,6 +52,7 @@ import (
 	"repro/internal/store"
 	"repro/internal/table"
 	"repro/internal/tcp"
+	"repro/internal/tick"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -177,8 +178,6 @@ type Server struct {
 	// feed would list their rules.
 	fallbacks keySet
 
-	decisionLatency *metrics.Histogram
-
 	// Per-stage sojourn decomposition (DESIGN.md §12): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
 	// decide = dequeue → all decisions made, send = decisions → response
@@ -194,8 +193,9 @@ type Server struct {
 	audit          *audit.Ledger // nil when auditing is disabled
 	auditOverspend *metrics.Counter
 
-	// lastSyncNs is the wall time of the last completed rule-sync pass,
-	// read by the readiness probe (a janusd enforcing stale rules should
+	// lastSyncNs is the wall time of the last rule-sync pass that read the
+	// database to its end (or found the server following a master), read
+	// by the readiness probe (a janusd enforcing stale rules should
 	// stop taking new traffic before it enforces very old ones).
 	lastSyncNs atomic.Int64
 
@@ -239,6 +239,9 @@ type Server struct {
 	syncReconciles *metrics.Counter
 
 	ha *tcp.Server // the replication listener: HA pulls and handoffs
+
+	// loops are the periodic passes: rule sync, checkpoint, audit.
+	loops []*tick.Loop
 
 	quit chan struct{}
 	wg   sync.WaitGroup
@@ -340,32 +343,30 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	s := &Server{
-		cfg:             cfg,
-		table:           table.NewSharded[*entry](0),
-		clock:           clock,
-		conn:            conn,
-		fifo:            make(chan packet, cfg.QueueSize),
-		cdl:             newCodel(cfg.CodelTarget, cfg.CodelInterval),
-		decisionLatency: metrics.NewHistogram(),
-		registry:        reg,
-		tracer:          tracer,
-		received:        reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP socket"),
-		dropped:         reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
-		codelDrops:      reg.Counter("janus_qos_codel_drops_total", "requests answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
-		malformed:       reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
-		decisions:       reg.Counter("janus_qos_decisions_total", "admission decisions made"),
-		allowed:         reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
-		denied:          reg.Counter("janus_qos_decisions_denied_total", "decisions that denied the request"),
-		dbQueries:       reg.Counter("janus_qos_db_queries_total", "rule fetches that hit the database"),
-		defaultHit:      reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
-		dbErrors:        reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
-		sendErrors:      reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
-		syncQueries:     reg.Counter("janus_qos_sync_queries_total", "change-feed pages rule sync read from the database"),
-		syncReconciles:  reg.Counter("janus_qos_sync_reconciles_total", "reset scans of the whole rules table by rule sync and preload (no cursor yet, a peer's rules installed, or a cursor the database does not read on from)"),
-		quit:            make(chan struct{}),
-		logger:          logger,
+		cfg:            cfg,
+		table:          table.NewSharded[*entry](0),
+		clock:          clock,
+		conn:           conn,
+		fifo:           make(chan packet, cfg.QueueSize),
+		cdl:            newCodel(cfg.CodelTarget, cfg.CodelInterval),
+		registry:       reg,
+		tracer:         tracer,
+		received:       reg.Counter("janus_qos_received_total", "datagrams pulled off the UDP socket"),
+		dropped:        reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
+		codelDrops:     reg.Counter("janus_qos_codel_drops_total", "requests answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
+		malformed:      reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
+		decisions:      reg.Counter("janus_qos_decisions_total", "admission decisions made"),
+		allowed:        reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
+		denied:         reg.Counter("janus_qos_decisions_denied_total", "decisions that denied the request"),
+		dbQueries:      reg.Counter("janus_qos_db_queries_total", "rule fetches that hit the database"),
+		defaultHit:     reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
+		dbErrors:       reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
+		sendErrors:     reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
+		syncQueries:    reg.Counter("janus_qos_sync_queries_total", "change-feed pages rule sync read from the database"),
+		syncReconciles: reg.Counter("janus_qos_sync_reconciles_total", "reset scans of the whole rules table by rule sync and preload (no cursor yet, a peer's rules installed, or a cursor the database does not read on from)"),
+		quit:           make(chan struct{}),
+		logger:         logger,
 	}
-	reg.RegisterHistogram("janus_qos_decision_latency_ns", "worker-side admission decision latency in nanoseconds", s.decisionLatency)
 	reg.GaugeFunc("janus_qos_table_keys", "keys resident in the local QoS table", func() float64 { return float64(s.table.Len()) })
 	reg.GaugeFunc("janus_qos_fifo_depth", "datagrams queued between the listener and the workers", func() float64 { return float64(len(s.fifo)) })
 	reg.GaugeFunc("janus_qos_codel_state", "1 while the intake FIFO's CoDel controller is in the dropping state (0 = queue healthy)", func() float64 {
@@ -407,39 +408,20 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SyncInterval > 0 && cfg.Store != nil {
 		// The system-maintenance thread: pull the rules edited since the
 		// last pass.
-		s.every(cfg.SyncInterval, func(time.Time) { s.SyncOnce() })
+		s.loops = append(s.loops, tick.Every(cfg.SyncInterval, s.SyncOnce))
 	}
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
-		s.every(cfg.CheckpointInterval, func(time.Time) { s.CheckpointOnce() })
+		s.loops = append(s.loops, tick.Every(cfg.CheckpointInterval, s.CheckpointOnce))
 	}
 	if s.audit != nil {
 		// Overspends reach the counter and the flight recorder without
 		// anyone scraping /debug/audit.
-		s.every(cfg.AuditInterval, func(time.Time) { s.AuditReport() })
+		s.loops = append(s.loops, tick.Every(cfg.AuditInterval, func() { s.AuditReport() }))
 	}
 	// Readiness baseline: the server booted with whatever rules it has;
 	// staleness is measured from here until the first sync pass lands.
 	s.lastSyncNs.Store(clock().UnixNano())
 	return s, nil
-}
-
-// every calls fn on a ticker of period d until Close — the one loop behind
-// rule sync, checkpointing and the audit pass.
-func (s *Server) every(d time.Duration, fn func(now time.Time)) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(d)
-		defer t.Stop()
-		for {
-			select {
-			case <-s.quit:
-				return
-			case now := <-t.C:
-				fn(now)
-			}
-		}
-	}()
 }
 
 // Addr returns the UDP address the server listens on.
@@ -610,25 +592,22 @@ func (s *Server) CurrentSojourn() time.Duration {
 // checks and the autoscaler, without registry-name coupling.
 func (s *Server) SojournTotal() *metrics.Histogram { return s.sojournTotal }
 
-// decideTimed is the worker's decision step for one request: Decide
-// between two clock reads, the decision latency recorded, and — for a
-// sampled request — the worker-side processing time echoed and its span
-// filed.
+// decideTimed is the worker's decision step for one request. A sampled
+// request is decided between two clock reads, echoes the worker-side
+// processing time and files its span; any other pays only the TraceID == 0
+// comparison (the sojourn's decide stage times every request).
 //
 //janus:hotpath
 func (s *Server) decideTimed(req *wire.Request) wire.Response {
+	if req.TraceID == 0 {
+		return s.Decide(*req)
+	}
 	start := s.clock()
 	resp := s.Decide(*req)
 	d := s.clock().Sub(start)
-	s.decisionLatency.RecordDuration(d)
-	// The untraced hot path pays only the TraceID == 0 comparison; a
-	// sampled request echoes its ID plus the worker-side processing time,
-	// and files its span in the local /debug/traces buffer.
-	if req.TraceID != 0 {
-		resp.ServerNanos = int64(d)
-		//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
-		s.recordSpan(req.TraceID, resp.Status, start, d)
-	}
+	resp.ServerNanos = int64(d)
+	//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
+	s.recordSpan(req.TraceID, resp.Status, start, d)
 	return resp
 }
 
@@ -808,8 +787,9 @@ func (s *Server) Preload() error {
 // pass whose cursor the database will not read on from (minisql's continuity
 // rule) read the whole table as a reset scan instead. A pass does nothing
 // while the server follows an HA master, whose snapshots keep its table
-// current; the first pass after Replicator.Stop scans. Concurrent calls run
-// one after the other. Exported so tests and orchestration can force a pass
+// current; the first pass after Replicator.Stop scans. A pass that fails to
+// read the database leaves SyncAge growing. Concurrent calls run one after
+// the other. Exported so tests and orchestration can force a pass
 // without waiting for the ticker.
 func (s *Server) SyncOnce() {
 	if s.cfg.Store == nil {
@@ -820,8 +800,11 @@ func (s *Server) SyncOnce() {
 		if s.fromPeer.Swap(false) {
 			s.cursor = minisql.Cursor{}
 		}
-		s.sync(s.clock(), false)
+		err := s.sync(s.clock(), false)
 		s.syncMu.Unlock()
+		if err != nil {
+			return // SyncAge grows while the database is out of reach
+		}
 	}
 	s.lastSyncNs.Store(s.clock().UnixNano())
 }
@@ -919,8 +902,8 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time, install bool, hel
 	}
 }
 
-// SyncAge reports how long ago the last rule-sync pass completed (measured
-// from boot before the first pass) and whether periodic sync is configured
+// SyncAge reports how long ago the last rule-sync pass succeeded (measured
+// from boot before the first one) and whether periodic sync is configured
 // at all — the readiness probe's staleness input.
 func (s *Server) SyncAge() (age time.Duration, enabled bool) {
 	enabled = s.cfg.SyncInterval > 0 && s.cfg.Store != nil
@@ -981,9 +964,6 @@ func (s *Server) Stats() Stats {
 		SendErrors: s.sendErrors.Value(),
 	}
 }
-
-// DecisionLatency returns the decision-latency histogram.
-func (s *Server) DecisionLatency() *metrics.Histogram { return s.decisionLatency }
 
 // Registry returns the metrics registry carrying the server's counters.
 func (s *Server) Registry() *metrics.Registry { return s.registry }
@@ -1059,6 +1039,9 @@ func (s *Server) Close() error {
 		err = s.conn.Close()
 		if s.ha != nil {
 			err = errors.Join(err, s.ha.Close())
+		}
+		for _, l := range s.loops {
+			l.Stop()
 		}
 		s.wg.Wait()
 	})

@@ -269,6 +269,31 @@ func syncCounters(s *Server) (queries, reconciles int64) {
 // TestSyncQueriesPerPass: after the first pass, a sync pass costs one
 // statement per page of changed rules, not one per resident key, and still
 // applies every kind of edit.
+// deadExecutor is a database out of reach: every statement fails.
+type deadExecutor struct{}
+
+func (deadExecutor) Execute(string, ...minisql.Value) (minisql.Result, error) {
+	return minisql.Result{}, errors.New("database unreachable")
+}
+
+// TestFailedSyncGoesStale: a pass that cannot read the database must not
+// count as a sync, or /readyz never reports rules_sync_stale while the
+// database is down.
+func TestFailedSyncGoesStale(t *testing.T) {
+	var nowNs atomic.Int64
+	nowNs.Store(time.Unix(1000, 0).UnixNano())
+	s := newServer(t, Config{
+		Store:        store.New(deadExecutor{}),
+		SyncInterval: time.Hour,
+		Clock:        func() time.Time { return time.Unix(0, nowNs.Load()) },
+	})
+	nowNs.Add(int64(10 * time.Minute))
+	s.SyncOnce()
+	if age, enabled := s.SyncAge(); !enabled || age < 10*time.Minute {
+		t.Fatalf("SyncAge = %v (enabled %v) after a failed pass 10m after boot, want >= 10m", age, enabled)
+	}
+}
+
 func TestSyncQueriesPerPass(t *testing.T) {
 	const resident = 10000
 	rules := make([]bucket.Rule, resident)
@@ -789,10 +814,10 @@ func TestStatsAndLatencyHistogram(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Decide(wire.Request{Key: "k"})
 	}
-	if s.DecisionLatency().Count() != 0 {
+	if s.sojournDecide.Count() != 0 {
 		// Decide() called directly does not go through the worker path;
-		// latency is recorded only by workers.
-		t.Fatal("direct Decide recorded worker latency")
+		// the decide stage is timed only by workers.
+		t.Fatal("direct Decide recorded a decide-stage sojourn")
 	}
 	c, err := transport.Dial(s.Addr(), clientCfg)
 	if err != nil {
@@ -804,8 +829,13 @@ func TestStatsAndLatencyHistogram(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.DecisionLatency().Count() == 0 {
-		t.Fatal("no decision latency recorded via UDP path")
+	// A worker files the sojourn after it sends the reply.
+	deadline := time.Now().Add(2 * time.Second)
+	for s.sojournDecide.Count() < 10 {
+		if time.Now().After(deadline) {
+			t.Fatalf("decide stage counted %d of 10 requests via UDP path", s.sojournDecide.Count())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

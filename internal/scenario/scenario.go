@@ -93,8 +93,8 @@ func (b Band) group(lat *metrics.Histogram, out, in autoscale.Action, capacity f
 			return float64(d) / float64(time.Millisecond)
 		},
 		ScaleOut: out, ScaleIn: in, Capacity: capacity,
-		Interval: b.EvalInterval, Cooldown: b.Cooldown,
-		Clock: clock,
+		Cooldown: b.Cooldown,
+		Clock:    clock,
 	})
 }
 

@@ -17,26 +17,44 @@ for d in janus-dbd janusd janus-router janus-lb janus-coordinator; do
     go build -o "$BIN/$d" "./cmd/$d"
 done
 
-DB=127.0.0.1:7600
-QOS=127.0.0.1:7601
-ROUTER=127.0.0.1:7602
-LB=127.0.0.1:7603
-COORD=127.0.0.1:7604
-QOS_M=127.0.0.1:7611
-ROUTER_M=127.0.0.1:7612
-LB_M=127.0.0.1:7613
-COORD_M=127.0.0.1:7614
+# Every daemon binds port 0 and logs each address it bound as
+# "<what> on <scheme>://<addr>"; the script reads the addresses back from
+# those lines, so no fixed port can collide with another job on the host.
+wait_log() { # file text
+    for _ in $(seq 1 100); do
+        grep -q "$2" "$1" 2>/dev/null && return 0
+        sleep 0.1
+    done
+    echo "FAIL: $1 never logged \"$2\"" >&2
+    cat "$1" >&2
+    return 1
+}
 
-"$BIN/janus-dbd" -addr "$DB" &
-"$BIN/janus-coordinator" -addr "$COORD" -metrics-addr "$COORD_M" &
-sleep 0.5
-"$BIN/janusd" -addr "$QOS" -db "$DB" -sync 0 -checkpoint 0 \
-    -default-rate 1000 -default-capacity 1000 -metrics-addr "$QOS_M" &
-"$BIN/janus-router" -addr "$ROUTER" -backends "$QOS" \
-    -timeout 50ms -metrics-addr "$ROUTER_M" &
-sleep 0.5
-"$BIN/janus-lb" -addr "$LB" -backends "$ROUTER" \
-    -metrics-addr "$LB_M" -trace-sample 1 &
+addr_of() { # file what: the <addr> of the "<what> on <scheme>://<addr>" line
+    wait_log "$1" "$2 on [a-z]*://" || return 1
+    sed -n "s|.*$2 on [a-z]*://\([^ ]*\).*|\1|p" "$1" | head -n 1
+}
+
+ANY=127.0.0.1:0
+
+"$BIN/janus-dbd" -addr "$ANY" 2>"$BIN/db.log" &
+"$BIN/janus-coordinator" -addr "$ANY" -metrics-addr "$ANY" 2>"$BIN/coord.log" &
+DB=$(addr_of "$BIN/db.log" "master")
+COORD=$(addr_of "$BIN/coord.log" "membership coordinator")
+COORD_M=$(addr_of "$BIN/coord.log" "metrics/debug")
+"$BIN/janusd" -addr "$ANY" -db "$DB" -sync 0 -checkpoint 0 \
+    -default-rate 1000 -default-capacity 1000 -metrics-addr "$ANY" 2>"$BIN/qos.log" &
+QOS=$(addr_of "$BIN/qos.log" "QoS server")
+QOS_M=$(addr_of "$BIN/qos.log" "metrics/debug")
+"$BIN/janus-router" -addr "$ANY" -backends "$QOS" \
+    -timeout 50ms -metrics-addr "$ANY" 2>"$BIN/router.log" &
+ROUTER=$(addr_of "$BIN/router.log" "request router")
+ROUTER_M=$(addr_of "$BIN/router.log" "metrics/debug")
+"$BIN/janus-lb" -addr "$ANY" -backends "$ROUTER" \
+    -metrics-addr "$ANY" -trace-sample 1 2>"$BIN/lb.log" &
+LB=$(addr_of "$BIN/lb.log" "gateway load balancer")
+LB_M=$(addr_of "$BIN/lb.log" "metrics/debug")
+echo "db $DB, coordinator $COORD, janusd $QOS, router $ROUTER, lb $LB"
 
 wait_http() {
     for _ in $(seq 1 50); do
@@ -123,22 +141,9 @@ fi
 echo "ok: janusd /debug/qos shows the bucket table"
 
 echo "checking a database standby..."
-DB_MASTER=127.0.0.1:7620
-DB_STANDBY=127.0.0.1:7621
-
-wait_log() { # file text
-    for _ in $(seq 1 100); do
-        grep -q "$2" "$1" 2>/dev/null && return 0
-        sleep 0.1
-    done
-    echo "FAIL: $1 never logged \"$2\"" >&2
-    cat "$1" >&2
-    return 1
-}
-
-"$BIN/janus-dbd" -addr "$DB_MASTER" -seed 1000 2>"$BIN/db-master.log" &
-wait_log "$BIN/db-master.log" "master on"
-"$BIN/janus-dbd" -addr "$DB_STANDBY" -follow "$DB_MASTER" 2>"$BIN/db-standby.log" &
+"$BIN/janus-dbd" -addr "$ANY" -seed 1000 2>"$BIN/db-master.log" &
+DB_MASTER=$(addr_of "$BIN/db-master.log" "master")
+"$BIN/janus-dbd" -addr "$ANY" -follow "$DB_MASTER" 2>"$BIN/db-standby.log" &
 STANDBY=$!
 wait_log "$BIN/db-standby.log" "standby on"
 kill -USR1 "$STANDBY"
