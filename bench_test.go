@@ -17,9 +17,7 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/lb"
 	"repro/internal/qosserver"
 	"repro/internal/table"
 	"repro/internal/transport"
@@ -70,8 +68,11 @@ func BenchmarkEmbeddedDecision(b *testing.B) {
 // today's sync/checkpoint/audit scans do — the condition under which the
 // single global lock stalls the decision path.
 func BenchmarkAblationTableSharding(b *testing.B) {
-	mk := func(kind table.Kind, now time.Time) (table.Table, []string) {
-		tb := table.New(kind)
+	mk := func(kind string, now time.Time) (bucketMap, []string) {
+		var tb bucketMap = table.NewSharded[*bucket.Bucket](0)
+		if kind == "mutex" {
+			tb = &mutexTable{m: make(map[string]*bucket.Bucket)}
+		}
 		keys := make([]string, 512)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%d", i)
@@ -79,7 +80,7 @@ func BenchmarkAblationTableSharding(b *testing.B) {
 		}
 		return tb, keys
 	}
-	decide := func(b *testing.B, tb table.Table, keys []string, now time.Time) {
+	decide := func(b *testing.B, tb bucketMap, keys []string, now time.Time) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
@@ -89,14 +90,14 @@ func BenchmarkAblationTableSharding(b *testing.B) {
 			}
 		})
 	}
-	for _, kind := range []table.Kind{table.KindMutex, table.KindSharded} {
-		b.Run(string(kind), func(b *testing.B) {
+	for _, kind := range []string{"mutex", "sharded"} {
+		b.Run(kind, func(b *testing.B) {
 			now := time.Now()
 			tb, keys := mk(kind, now)
 			b.ResetTimer()
 			decide(b, tb, keys, now)
 		})
-		b.Run(string(kind)+"+housekeeping", func(b *testing.B) {
+		b.Run(kind+"+housekeeping", func(b *testing.B) {
 			now := time.Now()
 			tb, keys := mk(kind, now)
 			stop := make(chan struct{})
@@ -118,6 +119,44 @@ func BenchmarkAblationTableSharding(b *testing.B) {
 			b.StopTimer()
 			close(stop)
 		})
+	}
+}
+
+// bucketMap is what BenchmarkAblationTableSharding asks of a QoS table.
+type bucketMap interface {
+	Get(key string) *bucket.Bucket
+	Put(key string, b *bucket.Bucket)
+	Range(fn func(string, *bucket.Bucket) bool)
+}
+
+// mutexTable is the paper's single-lock synchronized hash map (§III-C), the
+// §V-C arm of BenchmarkAblationTableSharding.
+type mutexTable struct {
+	mu sync.Mutex
+	m  map[string]*bucket.Bucket
+}
+
+func (t *mutexTable) Get(key string) *bucket.Bucket {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[key]
+}
+
+func (t *mutexTable) Put(key string, b *bucket.Bucket) {
+	t.mu.Lock()
+	t.m[key] = b
+	t.mu.Unlock()
+}
+
+// Range holds the lock for the whole pass, as the paper's house-keeping
+// thread does.
+func (t *mutexTable) Range(fn func(string, *bucket.Bucket) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k, b := range t.m {
+		if !fn(k, b) {
+			return
+		}
 	}
 }
 
@@ -165,13 +204,14 @@ func BenchmarkAblationUDPvsTCP(b *testing.B) {
 					if err != nil {
 						return
 					}
-					req, err := wire.DecodeRequest(buf[:n])
+					var req wire.Request
+					err = wire.DecodeRequestReuse(buf[:n], &req)
 					if err != nil {
 						return
 					}
 					resp := handler(req)
 					resp.ID = req.ID
-					pkt, _ := wire.EncodeResponse(resp)
+					pkt, _ := wire.AppendResponse(nil, resp)
 					conn.Write(pkt)
 				}(conn)
 			}
@@ -183,7 +223,7 @@ func BenchmarkAblationUDPvsTCP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pkt, _ := wire.EncodeRequest(wire.Request{ID: uint64(i), Key: "k", Cost: 1})
+			pkt, _ := wire.AppendRequest(nil, wire.Request{ID: uint64(i), Key: "k", Cost: 1})
 			if _, err := conn.Write(pkt); err != nil {
 				b.Fatal(err)
 			}
@@ -236,28 +276,4 @@ func BenchmarkAblationRefillStrategy(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationLBPolicy compares the two gateway-LB routing policies
-// end to end against uniform fast back ends.
-func BenchmarkAblationLBPolicy(b *testing.B) {
-	for _, policy := range []lb.Policy{lb.RoundRobin, lb.LeastConnections} {
-		b.Run(string(policy), func(b *testing.B) {
-			c, err := cluster.New(cluster.Config{
-				Routers: 2, QoSServers: 1, LBPolicy: policy,
-				Rules: []bucket.Rule{{Key: "k", RefillRate: 1e9, Capacity: 1e9, Credit: 1e9}},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			checker := c.Checker()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := checker.Check("k"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

@@ -112,7 +112,7 @@ func TestInvariantCodelNeverInflatesAdmission(t *testing.T) {
 			var id uint64
 			for i := g; !stop.Load(); i++ {
 				id++
-				pkt, err := wire.EncodeRequest(wire.Request{ID: id, Key: rules[i%numKeys].Key, Cost: 1})
+				pkt, err := wire.AppendRequest(nil, wire.Request{ID: id, Key: rules[i%numKeys].Key, Cost: 1})
 				if err != nil {
 					return
 				}

@@ -1,14 +1,14 @@
 // Command janus-lb runs the gateway load balancer (paper §II-A, Fig 1a):
 // an HTTP reverse proxy distributing QoS requests across request router
-// nodes with round-robin or least-connections routing. It forwards GET
-// requests only (others get 405) over one pool of persistent HTTP/1.1
-// connections per router, and relays each router's reply once it has been
-// read whole; a router that fails before its reply head is read is skipped
-// for the next one, and 502 is the answer when none is left.
+// nodes round robin. It forwards GET requests only (others get 405) over
+// one pool of persistent HTTP/1.1 connections per router, and relays each
+// router's reply once it has been read whole; a router that fails before its
+// reply head is read is skipped for the next one, and 502 is the answer when
+// none is left.
 //
 // Example:
 //
-//	janus-lb -addr 127.0.0.1:9090 -backends 127.0.0.1:8080,127.0.0.1:8081 -policy round-robin
+//	janus-lb -addr 127.0.0.1:9090 -backends 127.0.0.1:8080,127.0.0.1:8081
 package main
 
 import (
@@ -29,7 +29,6 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:9090", "HTTP listen address")
 		backends    = flag.String("backends", "", "comma-separated request router addresses")
-		policy      = flag.String("policy", "round-robin", "routing policy: round-robin|least-connections")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug endpoints (empty disables)")
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace end to end [0,1]")
 	)
@@ -41,7 +40,6 @@ func main() {
 	l, err := lb.New(lb.Config{
 		Addr:     *addr,
 		Backends: strings.Split(*backends, ","),
-		Policy:   lb.Policy(*policy),
 		Logger:   logger,
 	})
 	if err != nil {
@@ -69,7 +67,7 @@ func main() {
 		logger.Printf("metrics/debug on http://%s", dbg.Addr())
 	}
 
-	logger.Printf("gateway load balancer on http://%s (%s, %d back ends)", l.Addr(), *policy, len(l.Backends()))
+	logger.Printf("gateway load balancer on http://%s (round robin, %d back ends)", l.Addr(), len(l.Backends()))
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)

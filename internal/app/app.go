@@ -85,8 +85,8 @@ var indexTemplate = template.Must(template.New("index").Parse(`<!DOCTYPE html>
 </body></html>
 `))
 
-// InitSchema creates the photos table.
-func InitSchema(db Executor) error {
+// initSchema creates the photos table.
+func initSchema(db Executor) error {
 	_, err := db.Execute(`CREATE TABLE IF NOT EXISTS photos (id INT PRIMARY KEY, owner TEXT, title TEXT, uploaded INT)`)
 	return err
 }
@@ -99,7 +99,7 @@ func New(cfg Config) (*App, error) {
 	if cfg.SessionTTL <= 0 {
 		cfg.SessionTTL = 3600
 	}
-	if err := InitSchema(cfg.DB); err != nil {
+	if err := initSchema(cfg.DB); err != nil {
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -274,7 +274,7 @@ func (a *App) insertPhoto(owner, title string) (int64, error) {
 
 // Seed inserts n demo photos.
 func Seed(db Executor, n int) error {
-	if err := InitSchema(db); err != nil {
+	if err := initSchema(db); err != nil {
 		return err
 	}
 	owners := []string{"alice", "bob", "carol", "dave"}

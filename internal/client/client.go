@@ -150,14 +150,6 @@ func ByRemoteIP(r *http.Request) string {
 	return host
 }
 
-// ByUserAgent keys on the User-Agent header (the search-crawler use case).
-func ByUserAgent(r *http.Request) string { return r.Header.Get("User-Agent") }
-
-// ByHeader keys on an arbitrary header (e.g. an API token).
-func ByHeader(name string) KeyFunc {
-	return func(r *http.Request) string { return r.Header.Get(name) }
-}
-
 // ThrottledBody is the response body sent with 403 replies.
 const ThrottledBody = "Throttled by Janus QoS\n"
 

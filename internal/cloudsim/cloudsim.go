@@ -183,11 +183,11 @@ type Result struct {
 	Events int
 }
 
-// RouterCPUMean returns the average router-layer CPU utilization.
-func (r Result) RouterCPUMean() float64 { return meanCPU(r.Routers) }
+// routerCPUMean returns the average router-layer CPU utilization.
+func (r Result) routerCPUMean() float64 { return meanCPU(r.Routers) }
 
-// QoSCPUMean returns the average QoS-layer CPU utilization.
-func (r Result) QoSCPUMean() float64 { return meanCPU(r.QoS) }
+// qosCPUMean returns the average QoS-layer CPU utilization.
+func (r Result) qosCPUMean() float64 { return meanCPU(r.QoS) }
 
 func meanCPU(nodes []NodeReport) float64 {
 	if len(nodes) == 0 {
@@ -200,9 +200,9 @@ func meanCPU(nodes []NodeReport) float64 {
 	return sum / float64(len(nodes))
 }
 
-// ActiveRouters counts router nodes that served any traffic (used by the
+// activeRouters counts router nodes that served any traffic (used by the
 // DNS-TTL skew ablation).
-func (r Result) ActiveRouters() int {
+func (r Result) activeRouters() int {
 	n := 0
 	for _, nr := range r.Routers {
 		if nr.Throughput > 0 {

@@ -93,11 +93,11 @@ func TestRouterBottleneckCapsThroughput(t *testing.T) {
 		t.Fatalf("throughput = %.0f, want ~%.0f (router-bound)", res.Throughput, want)
 	}
 	// Router CPU pegged, QoS CPU low.
-	if res.RouterCPUMean() < 0.9 {
-		t.Fatalf("router CPU = %.2f, want ~1", res.RouterCPUMean())
+	if res.routerCPUMean() < 0.9 {
+		t.Fatalf("router CPU = %.2f, want ~1", res.routerCPUMean())
 	}
-	if res.QoSCPUMean() > 0.3 {
-		t.Fatalf("QoS CPU = %.2f, want low", res.QoSCPUMean())
+	if res.qosCPUMean() > 0.3 {
+		t.Fatalf("QoS CPU = %.2f, want low", res.qosCPUMean())
 	}
 }
 

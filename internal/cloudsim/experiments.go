@@ -71,8 +71,8 @@ func sweep(horizontal bool, layer func(sim.InstanceType, int) Deployment, client
 			VCPUs:      n * t.VCPUs,
 			Nodes:      n,
 			Throughput: res.Throughput,
-			RouterCPU:  res.RouterCPUMean(),
-			QoSCPU:     res.QoSCPUMean(),
+			RouterCPU:  res.routerCPUMean(),
+			QoSCPU:     res.qosCPUMean(),
 		})
 	}
 	return out, nil
@@ -219,5 +219,5 @@ func DNSTTLSkew(routerNodes, clientMachines int, seed int64) (active int, throug
 	if err != nil {
 		return 0, 0, err
 	}
-	return res.ActiveRouters(), res.Throughput, nil
+	return res.activeRouters(), res.Throughput, nil
 }

@@ -54,8 +54,6 @@ type Config struct {
 	QoSWorkers int
 	// Mode selects gateway or DNS load balancing.
 	Mode Mode
-	// LBPolicy applies in Gateway mode.
-	LBPolicy lb.Policy
 	// LBHopDelay, when non-nil, runs once per proxied request and may
 	// sleep — used by experiments to model the gateway appliance's extra
 	// network hop at AWS distances.
@@ -265,7 +263,7 @@ func New(cfg Config) (c *Cluster, err error) {
 		for i, r := range c.Routers {
 			addrs[i] = r.Addr()
 		}
-		c.LB, err = lb.New(lb.Config{Addr: "127.0.0.1:0", Backends: addrs, Policy: cfg.LBPolicy, HopDelay: cfg.LBHopDelay})
+		c.LB, err = lb.New(lb.Config{Addr: "127.0.0.1:0", Backends: addrs, HopDelay: cfg.LBHopDelay})
 		if err != nil {
 			return nil, err
 		}
@@ -594,13 +592,6 @@ func (c *Cluster) rebalancePair(pair *QoSPair, v membership.View) error {
 	return err
 }
 
-// QoSServerCount returns the current QoS-layer width.
-func (c *Cluster) QoSServerCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.QoS)
-}
-
 // View returns the current membership view (zero View when Membership is
 // disabled).
 func (c *Cluster) View() membership.View {
@@ -609,41 +600,11 @@ func (c *Cluster) View() membership.View {
 	return c.view.Clone()
 }
 
-// TotalDefaultReplies sums router-fabricated default replies across the
-// router layer — the membership acceptance metric: a clean scale event
-// fabricates none.
-func (c *Cluster) TotalDefaultReplies() int64 {
-	c.mu.Lock()
-	routers := append([]*router.Router(nil), c.Routers...)
-	c.mu.Unlock()
-	var n int64
-	for _, r := range routers {
-		n += r.Stats().DefaultReplies
-	}
-	return n
-}
-
 // RouterCount returns the current router-layer width.
 func (c *Cluster) RouterCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.Routers)
-}
-
-// FailDB kills the database master and promotes the standby (DBHA only):
-// the DNS health check flips the record, the standby leaves read-only mode,
-// and subsequent store traffic lands on it.
-func (c *Cluster) FailDB() error {
-	if c.DBStandbyServer == nil {
-		return fmt.Errorf("cluster: DBHA not enabled")
-	}
-	c.DBServer.Close()
-	c.dbReplica.Promote()
-	c.DBStandbyServer.SetReadOnly(false)
-	if _, err := c.DNS.CheckNow(DBName); err != nil {
-		return err
-	}
-	return nil
 }
 
 // AggregateQoSStats sums the operation counters across every QoS node
@@ -662,25 +623,6 @@ func (c *Cluster) AggregateQoSStats() qosserver.Stats {
 		}
 	}
 	return agg
-}
-
-// MaxCurrentSojourn returns the worst queue-stage sojourn gauge across the
-// QoS masters — the cluster-wide CoDel control signal, usable as an
-// autoscale metric.
-func (c *Cluster) MaxCurrentSojourn() time.Duration {
-	c.mu.Lock()
-	pairs := append([]*QoSPair(nil), c.QoS...)
-	c.mu.Unlock()
-	var max time.Duration
-	for _, p := range pairs {
-		if p.Master == nil {
-			continue
-		}
-		if d := p.Master.CurrentSojourn(); d > max {
-			max = d
-		}
-	}
-	return max
 }
 
 // TotalDecisions sums admission decisions across all QoS nodes.

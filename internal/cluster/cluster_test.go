@@ -9,10 +9,10 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/lb"
 	"repro/internal/loadgen"
 	"repro/internal/membership"
 	"repro/internal/minisql"
+	"repro/internal/promtext"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -96,19 +96,6 @@ func TestUnknownKeyUsesDefaultRule(t *testing.T) {
 	ok, _ = c.Check("guest-ip-1.2.3.4")
 	if ok {
 		t.Fatal("guest second admitted beyond default capacity")
-	}
-}
-
-func TestLeastConnectionsPolicy(t *testing.T) {
-	c := newCluster(t, Config{
-		Routers:  2,
-		LBPolicy: lb.LeastConnections,
-		Rules:    rules(1, 1e9, 1e9),
-	})
-	for i := 0; i < 10; i++ {
-		if ok, err := c.Check("user-0"); err != nil || !ok {
-			t.Fatalf("ok=%v err=%v", ok, err)
-		}
 	}
 }
 
@@ -314,8 +301,14 @@ func TestQoSIntakeAndAuditPassThrough(t *testing.T) {
 	if agg.Decisions != 10 || agg.Dropped != 0 {
 		t.Fatalf("aggregate stats = %+v", agg)
 	}
-	if c.MaxCurrentSojourn() < 0 {
-		t.Fatal("negative sojourn")
+	var prom strings.Builder
+	c.QoS[0].Master.Registry().WriteProm(&prom)
+	m, err := promtext.Parse(strings.NewReader(prom.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := m.Value("janus_qos_sojourn_current_ns"); !ok || v < 0 {
+		t.Fatalf("current sojourn = %v (exposed %v), want a non-negative gauge", v, ok)
 	}
 	if c.QoS[0].Master.SojournTotal().Count() == 0 {
 		t.Fatal("sojourn histogram empty")

@@ -24,7 +24,7 @@ func TestDBHAFailover(t *testing.T) {
 	}
 	waitStandbyRules(t, c, 4)
 
-	if err := c.FailDB(); err != nil {
+	if err := c.failDB(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -83,7 +83,7 @@ func TestSyncAfterDBFailover(t *testing.T) {
 		}
 	}
 	q.SyncOnce()
-	if err := c.FailDB(); err != nil {
+	if err := c.failDB(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Store.Put(bucket.Rule{Key: "user-0", RefillRate: 0, Capacity: 50, Credit: 50}); err != nil {
@@ -122,7 +122,7 @@ func TestSyncAfterCaughtUpDBFailover(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.FailDB(); err != nil {
+	if err := c.failDB(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Store.Put(bucket.Rule{Key: "user-0", RefillRate: 0, Capacity: 50, Credit: 50}); err != nil {
@@ -142,8 +142,8 @@ func TestSyncAfterCaughtUpDBFailover(t *testing.T) {
 
 func TestFailDBWithoutHA(t *testing.T) {
 	c := newCluster(t, Config{})
-	if err := c.FailDB(); err == nil {
-		t.Fatal("FailDB without DBHA succeeded")
+	if err := c.failDB(); err == nil {
+		t.Fatal("failDB without DBHA succeeded")
 	}
 }
 

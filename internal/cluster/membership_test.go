@@ -110,8 +110,8 @@ func TestScaleOutMidLoadConservesCredit(t *testing.T) {
 	if newView.Epoch != oldView.Epoch+1 || len(newView.Backends) != 5 {
 		t.Fatalf("post-scale view = %+v", newView)
 	}
-	if c.QoSServerCount() != 5 {
-		t.Fatalf("QoS servers = %d", c.QoSServerCount())
+	if c.qosServerCount() != 5 {
+		t.Fatalf("QoS servers = %d", c.qosServerCount())
 	}
 
 	// (a) Owner stability: over the real rule keys, at most 25% moved —
@@ -149,7 +149,7 @@ func TestScaleOutMidLoadConservesCredit(t *testing.T) {
 	}
 
 	// (c) No request was answered by the default-reply path.
-	if n := c.TotalDefaultReplies(); n != 0 {
+	if n := c.totalDefaultReplies(); n != 0 {
 		t.Fatalf("default replies during scale-out: %d", n)
 	}
 
@@ -196,15 +196,15 @@ func TestScaleInHandsBucketsBack(t *testing.T) {
 	if err := c.RemoveQoSServer(); err != nil {
 		t.Fatal(err)
 	}
-	if c.QoSServerCount() != 2 || len(c.View().Backends) != 2 {
-		t.Fatalf("post-scale-in: %d servers, view %+v", c.QoSServerCount(), c.View())
+	if c.qosServerCount() != 2 || len(c.View().Backends) != 2 {
+		t.Fatalf("post-scale-in: %d servers, view %+v", c.qosServerCount(), c.View())
 	}
 	// Quiescent scale-in: conservation is exact.
 	want := float64(nKeys)*capacity - float64(3*nKeys)
 	if got := sumCredits(t, c, nKeys, capacity); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("credits after scale-in = %v, want %v", got, want)
 	}
-	if n := c.TotalDefaultReplies(); n != 0 {
+	if n := c.totalDefaultReplies(); n != 0 {
 		t.Fatalf("default replies during scale-in: %d", n)
 	}
 	// The survivors keep serving every key with the carried-over credit.
@@ -273,7 +273,7 @@ func TestScaleEventsMoveOnlyTheNewOwnersKeys(t *testing.T) {
 			t.Fatalf("leave: %s on %q, want its pre-join owner %s", key, left[key], was)
 		}
 	}
-	if n := c.TotalDefaultReplies(); n != 0 {
+	if n := c.totalDefaultReplies(); n != 0 {
 		t.Fatalf("default replies through the scale events: %d", n)
 	}
 	for _, p := range c.QoS {

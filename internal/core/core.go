@@ -111,18 +111,6 @@ func (j *Janus) SetRule(r bucket.Rule) error {
 	return nil
 }
 
-// DeleteRule removes a rule; affected keys fall back to the default rule
-// after the next sync.
-func (j *Janus) DeleteRule(key string) error {
-	if _, err := j.store.Delete(key); err != nil {
-		return err
-	}
-	for _, s := range j.servers {
-		s.SyncOnce()
-	}
-	return nil
-}
-
 // Rule fetches the stored rule for key.
 func (j *Janus) Rule(key string) (bucket.Rule, bool, error) { return j.store.Get(key) }
 

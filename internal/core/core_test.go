@@ -108,8 +108,11 @@ func TestDeleteRuleFallsBackToDefault(t *testing.T) {
 	if !j.Check("k") {
 		t.Fatal("initial check denied")
 	}
-	if err := j.DeleteRule("k"); err != nil {
+	if _, err := j.Store().Delete("k"); err != nil {
 		t.Fatal(err)
+	}
+	for _, s := range j.servers {
+		s.SyncOnce()
 	}
 	if j.Check("k") {
 		t.Fatal("deleted rule still admits (default is deny)")

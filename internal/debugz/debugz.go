@@ -74,8 +74,8 @@ type Options struct {
 	Logger *log.Logger
 }
 
-// Mux builds the debug HTTP mux for opts.
-func Mux(opts Options) *http.ServeMux {
+// newMux builds the debug HTTP mux for opts.
+func newMux(opts Options) *http.ServeMux {
 	mux := http.NewServeMux()
 	var index []string
 	if opts.Registry != nil {
@@ -188,7 +188,7 @@ func Serve(addr string, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("debugz: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, server: &http.Server{Handler: Mux(opts)}}
+	s := &Server{ln: ln, server: &http.Server{Handler: newMux(opts)}}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()

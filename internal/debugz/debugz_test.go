@@ -44,7 +44,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) (*httptest.ResponseRecor
 }
 
 func TestMuxMetrics(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/metrics")
 	if rec.Code != 200 || !strings.Contains(body, "janus_test_total 42") {
 		t.Fatalf("code=%d body:\n%s", rec.Code, body)
@@ -52,7 +52,7 @@ func TestMuxMetrics(t *testing.T) {
 }
 
 func TestMuxTraces(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/debug/traces")
 	if rec.Code != 200 {
 		t.Fatalf("code=%d", rec.Code)
@@ -70,7 +70,7 @@ func TestMuxTraces(t *testing.T) {
 }
 
 func TestMuxSection(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	_, body := get(t, mux, "/debug/qos")
 	var m map[string]int
 	if err := json.Unmarshal([]byte(body), &m); err != nil || m["keys"] != 3 {
@@ -79,7 +79,7 @@ func TestMuxSection(t *testing.T) {
 }
 
 func TestMuxIndexAndHealth(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	_, body := get(t, mux, "/")
 	for _, want := range []string{"/metrics", "/debug/traces", "/debug/qos", "/debug/pprof/", "/healthz"} {
 		if !strings.Contains(body, want) {
@@ -96,7 +96,7 @@ func TestMuxIndexAndHealth(t *testing.T) {
 }
 
 func TestMuxPprof(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/debug/pprof/goroutine?debug=1")
 	if rec.Code != 200 || !strings.Contains(body, "goroutine") {
 		t.Fatalf("pprof code=%d body:\n%.200s", rec.Code, body)
@@ -104,7 +104,7 @@ func TestMuxPprof(t *testing.T) {
 }
 
 func TestMuxOmitsDisabledEndpoints(t *testing.T) {
-	mux := Mux(Options{Service: "bare"})
+	mux := newMux(Options{Service: "bare"})
 	if rec, _ := get(t, mux, "/metrics"); rec.Code != 404 {
 		t.Fatalf("metrics without registry code=%d, want 404", rec.Code)
 	}
@@ -148,7 +148,7 @@ func TestServeDisabled(t *testing.T) {
 
 func TestMuxReadyz(t *testing.T) {
 	// nil Ready: always ready.
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/readyz")
 	if rec.Code != 200 || !strings.Contains(body, `"ready": true`) {
 		t.Fatalf("nil-Ready readyz: code=%d body:\n%s", rec.Code, body)
@@ -159,7 +159,7 @@ func TestMuxReadyz(t *testing.T) {
 	opts.Ready = func() ReadyStatus {
 		return ReadyStatus{Ready: false, Detail: map[string]any{"view_age_seconds": 42.5}}
 	}
-	mux = Mux(opts)
+	mux = newMux(opts)
 	rec, body = get(t, mux, "/readyz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("stale readyz code = %d, want 503", rec.Code)
@@ -181,7 +181,7 @@ func TestMuxReadyz(t *testing.T) {
 
 func TestMuxEvents(t *testing.T) {
 	events.Record("test", "probe", "debugz", 7)
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/debug/events")
 	if rec.Code != 200 {
 		t.Fatalf("code=%d", rec.Code)
@@ -205,7 +205,7 @@ func TestMuxEvents(t *testing.T) {
 }
 
 func TestMuxBuildInfo(t *testing.T) {
-	mux := Mux(testOptions())
+	mux := newMux(testOptions())
 	rec, body := get(t, mux, "/metrics")
 	if rec.Code != 200 {
 		t.Fatalf("code=%d", rec.Code)

@@ -158,9 +158,6 @@ func (e *Engine) Run(until Time) int {
 	return n
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.events) }
-
 // Exp draws an exponential variate with the given mean.
 func (e *Engine) Exp(mean Time) Time {
 	if mean <= 0 {
@@ -193,11 +190,10 @@ type Station struct {
 	// accounting
 	busyTime    Time // integral of busy servers over time
 	lastChange  Time
-	maxQueue    int
 	queueLimit  int // 0 = unbounded
 	served      int64
 	dropped     int64
-	waitTimeSum Time
+	waitTimeSum Time // queueing delay of started jobs, for the tests' M/M/1 check
 }
 
 type job struct {
@@ -244,9 +240,6 @@ func (s *Station) Submit(service Time, id int) bool {
 	}
 	s.queue[(s.head+s.n)&(len(s.queue)-1)] = job{arrived: s.eng.Now(), service: service, id: id}
 	s.n++
-	if s.n > s.maxQueue {
-		s.maxQueue = s.n
-	}
 	return true
 }
 
@@ -285,20 +278,9 @@ func (s *Station) Served() int64 { return s.served }
 // Dropped returns the number of jobs rejected at a full queue.
 func (s *Station) Dropped() int64 { return s.dropped }
 
-// MaxQueue returns the high-water mark of the waiting room.
-func (s *Station) MaxQueue() int { return s.maxQueue }
-
-// MeanWait returns the average queueing delay of started jobs.
-func (s *Station) MeanWait() Time {
-	if s.served == 0 {
-		return 0
-	}
-	return Time(int64(s.waitTimeSum) / s.served)
-}
-
-// BusyFraction returns the time-averaged fraction of busy servers since
+// busyFraction returns the time-averaged fraction of busy servers since
 // simulation start (0..1).
-func (s *Station) BusyFraction() float64 {
+func (s *Station) busyFraction() float64 {
 	s.account()
 	now := s.eng.Now()
 	if now == 0 {
@@ -309,7 +291,7 @@ func (s *Station) BusyFraction() float64 {
 
 // Utilization returns the time-averaged number of busy servers.
 func (s *Station) Utilization() float64 {
-	return s.BusyFraction() * float64(s.servers)
+	return s.busyFraction() * float64(s.servers)
 }
 
 // Ceil converts a float seconds value to Time, rounding up to 1ns minimum

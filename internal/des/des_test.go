@@ -47,8 +47,8 @@ func TestRunStopsAtUntil(t *testing.T) {
 	if ran {
 		t.Fatal("future event executed")
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d", e.Pending())
+	if n := len(e.events); n != 1 {
+		t.Fatalf("pending = %d", n)
 	}
 	e.Run(FromSeconds(6))
 	if !ran {
@@ -153,6 +153,9 @@ func TestStationSerialService(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		st.Submit(svc, i)
 	}
+	if st.n != 2 {
+		t.Fatalf("waiting room holds %d, want 2", st.n)
+	}
 	e.Run(FromSeconds(1))
 	want := []Time{svc, 2 * svc, 3 * svc}
 	for i := range want {
@@ -160,8 +163,8 @@ func TestStationSerialService(t *testing.T) {
 			t.Fatalf("completion %d at %v, want %v", i, done[i], want[i])
 		}
 	}
-	if st.Served() != 3 || st.MaxQueue() != 2 {
-		t.Fatalf("served=%d maxq=%d", st.Served(), st.MaxQueue())
+	if st.Served() != 3 {
+		t.Fatalf("served=%d", st.Served())
 	}
 }
 
@@ -220,7 +223,7 @@ func TestStationThroughputMatchesCapacity(t *testing.T) {
 	if math.Abs(rate-want)/want > 0.02 {
 		t.Fatalf("rate = %.0f, want ~%.0f", rate, want)
 	}
-	if bf := st.BusyFraction(); bf < 0.98 {
+	if bf := st.busyFraction(); bf < 0.98 {
 		t.Fatalf("busy fraction = %.3f at saturation", bf)
 	}
 }
@@ -231,7 +234,7 @@ func TestStationBusyFractionPartialLoad(t *testing.T) {
 	// One job of 1s within a 4s horizon: busy fraction = 0.25.
 	st.Submit(FromSeconds(1), 0)
 	e.Run(FromSeconds(4))
-	if bf := st.BusyFraction(); math.Abs(bf-0.25) > 0.01 {
+	if bf := st.busyFraction(); math.Abs(bf-0.25) > 0.01 {
 		t.Fatalf("busy fraction = %v", bf)
 	}
 	if u := st.Utilization(); math.Abs(u-0.25) > 0.01 {
@@ -246,7 +249,7 @@ func TestStationMeanWait(t *testing.T) {
 	st.Submit(svc, 0) // waits 0
 	st.Submit(svc, 1) // waits 1s
 	e.Run(FromSeconds(10))
-	if mw := st.MeanWait(); mw != FromSeconds(0.5) {
+	if mw := st.meanWait(); mw != FromSeconds(0.5) {
 		t.Fatalf("mean wait = %v", mw)
 	}
 }

@@ -10,6 +10,14 @@ import (
 // M/M/1 and M/M/c results, which anchors every throughput and wait-time
 // number cloudsim produces.
 
+// meanWait returns the average queueing delay of started jobs.
+func (s *Station) meanWait() Time {
+	if s.served == 0 {
+		return 0
+	}
+	return Time(int64(s.waitTimeSum) / s.served)
+}
+
 // runMMc drives a Poisson arrival process (rate lambda) into a station with
 // c servers and exponential service (rate mu per server) and returns the
 // mean wait in queue and the served count.
@@ -29,7 +37,7 @@ func runMMc(t *testing.T, lambda, mu float64, c int, horizon time.Duration) (mea
 	}
 	eng.At(0, arrive)
 	eng.Run(end)
-	return st.MeanWait().Seconds(), st.Served()
+	return st.meanWait().Seconds(), st.Served()
 }
 
 func TestMM1MeanWaitMatchesTheory(t *testing.T) {
@@ -60,7 +68,7 @@ func TestMM1UtilizationMatchesRho(t *testing.T) {
 	}
 	eng.At(0, arrive)
 	eng.Run(end)
-	if got := st.BusyFraction(); math.Abs(got-0.6) > 0.03 {
+	if got := st.busyFraction(); math.Abs(got-0.6) > 0.03 {
 		t.Fatalf("utilization = %.3f, want ~0.60", got)
 	}
 }

@@ -39,7 +39,7 @@ type Server struct {
 	mu      sync.Mutex
 	records map[string]*record
 	clock   Clock
-	queries int64
+	queries int64 // queries served, for the tests of resolver caching
 }
 
 type record struct {
@@ -61,10 +61,10 @@ type failover struct {
 type HealthChecker func(addr string) bool
 
 // NewServer returns an empty zone.
-func NewServer() *Server { return NewServerWithClock(time.Now) }
+func NewServer() *Server { return newServerWithClock(time.Now) }
 
-// NewServerWithClock returns an empty zone using the given clock.
-func NewServerWithClock(clock Clock) *Server {
+// newServerWithClock returns an empty zone using the given clock.
+func newServerWithClock(clock Clock) *Server {
 	return &Server{records: make(map[string]*record), clock: clock}
 }
 
@@ -194,13 +194,6 @@ func (s *Server) Query(name string) ([]string, time.Duration, error) {
 	}
 	r.rotation = (r.rotation + 1) % n
 	return out, r.ttl, nil
-}
-
-// Queries returns the number of queries served (for cache-behaviour tests).
-func (s *Server) Queries() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
 }
 
 // Names returns all registered names, sorted.

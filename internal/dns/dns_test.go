@@ -8,6 +8,13 @@ import (
 	"time"
 )
 
+// queryCount returns the number of queries s has served.
+func (s *Server) queryCount() int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queries
+}
+
 func TestQueryNXDomain(t *testing.T) {
 	s := NewServer()
 	if _, _, err := s.Query("nope"); !errors.Is(err, ErrNXDomain) {
@@ -152,9 +159,9 @@ func TestSetAReplacesFailover(t *testing.T) {
 func TestResolverCachesUntilTTL(t *testing.T) {
 	now := time.Unix(0, 0)
 	clock := func() time.Time { return now }
-	s := NewServerWithClock(clock)
+	s := newServerWithClock(clock)
 	s.SetA("n", 30*time.Second, "a", "b")
-	r := NewResolverWithClock(s, clock)
+	r := newResolverWithClock(s, clock)
 
 	first, err := r.ResolveOne("n")
 	if err != nil {
@@ -162,7 +169,7 @@ func TestResolverCachesUntilTTL(t *testing.T) {
 	}
 	// Within the TTL every resolution hits the cache: same first address,
 	// no extra server queries.
-	q0 := s.Queries()
+	q0 := s.queryCount()
 	for i := 0; i < 10; i++ {
 		now = now.Add(time.Second)
 		got, err := r.ResolveOne("n")
@@ -170,8 +177,8 @@ func TestResolverCachesUntilTTL(t *testing.T) {
 			t.Fatalf("cached resolve changed: %q vs %q (err %v)", got, first, err)
 		}
 	}
-	if s.Queries() != q0 {
-		t.Fatalf("cache miss during TTL: %d extra queries", s.Queries()-q0)
+	if s.queryCount() != q0 {
+		t.Fatalf("cache miss during TTL: %d extra queries", s.queryCount()-q0)
 	}
 	// After expiry the next query re-fetches and round-robin advances.
 	now = now.Add(30 * time.Second)
@@ -182,8 +189,8 @@ func TestResolverCachesUntilTTL(t *testing.T) {
 	if got == first {
 		t.Fatalf("expected rotated answer after TTL, still %q", got)
 	}
-	if s.Queries() != q0+1 {
-		t.Fatalf("queries = %d, want %d", s.Queries(), q0+1)
+	if s.queryCount() != q0+1 {
+		t.Fatalf("queries = %d, want %d", s.queryCount(), q0+1)
 	}
 }
 
@@ -230,7 +237,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				switch i % 4 {
 				case 0:
-					r.Resolve("n")
+					r.resolve("n")
 				case 1:
 					s.Query("n")
 				case 2:

@@ -25,18 +25,18 @@ type cacheEntry struct {
 
 // NewResolver returns a caching resolver backed by server.
 func NewResolver(server *Server) *Resolver {
-	return NewResolverWithClock(server, time.Now)
+	return newResolverWithClock(server, time.Now)
 }
 
-// NewResolverWithClock returns a resolver using the given clock for TTL
+// newResolverWithClock returns a resolver using the given clock for TTL
 // accounting.
-func NewResolverWithClock(server *Server, clock Clock) *Resolver {
+func newResolverWithClock(server *Server, clock Clock) *Resolver {
 	return &Resolver{server: server, clock: clock, cache: make(map[string]cacheEntry)}
 }
 
-// Resolve returns the cached address list for name, querying the server on
+// resolve returns the cached address list for name, querying the server on
 // a cache miss or TTL expiry. The returned slice must not be modified.
-func (r *Resolver) Resolve(name string) ([]string, error) {
+func (r *Resolver) resolve(name string) ([]string, error) {
 	now := r.clock()
 	r.mu.Lock()
 	if e, ok := r.cache[name]; ok && now.Before(e.expires) {
@@ -58,7 +58,7 @@ func (r *Resolver) Resolve(name string) ([]string, error) {
 // ResolveOne returns the first address for name — the connection target an
 // OS-level client would pick.
 func (r *Resolver) ResolveOne(name string) (string, error) {
-	addrs, err := r.Resolve(name)
+	addrs, err := r.resolve(name)
 	if err != nil {
 		return "", err
 	}
@@ -68,7 +68,7 @@ func (r *Resolver) ResolveOne(name string) (string, error) {
 	return addrs[0], nil
 }
 
-// UncachedResolver bypasses caching entirely; every Resolve is a fresh
+// UncachedResolver bypasses caching entirely; every resolution is a fresh
 // query. The cluster's routers resolve QoS server names with it: a router
 // re-resolves only after a timeout has invalidated a backend, and must then
 // see the post-failover answer at once, not a cached pre-failover one.
@@ -79,15 +79,15 @@ func NewUncachedResolver(server *Server) *UncachedResolver {
 	return &UncachedResolver{server: server}
 }
 
-// Resolve queries the server directly.
-func (r *UncachedResolver) Resolve(name string) ([]string, error) {
+// resolve queries the server directly.
+func (r *UncachedResolver) resolve(name string) ([]string, error) {
 	addrs, _, err := r.server.Query(name)
 	return addrs, err
 }
 
 // ResolveOne returns the first address from a fresh query.
 func (r *UncachedResolver) ResolveOne(name string) (string, error) {
-	addrs, err := r.Resolve(name)
+	addrs, err := r.resolve(name)
 	if err != nil {
 		return "", err
 	}

@@ -36,7 +36,7 @@
 //
 // # Arming
 //
-// Failpoints are armed three ways, all sharing the spec syntax of ParseAction:
+// Failpoints are armed three ways, all sharing the spec syntax of parseAction:
 //
 //   - the JANUS_FAILPOINTS environment variable, read at process init
 //     ("name=drop(p=0.2);other=delay(2ms)") — specs for names whose site has
@@ -313,7 +313,7 @@ const EnvVar = "JANUS_FAILPOINTS"
 
 func init() {
 	if spec := os.Getenv(EnvVar); spec != "" {
-		if err := ArmSpec(spec); err != nil {
+		if err := armSpec(spec); err != nil {
 			// Init cannot return an error; a malformed env spec must not be
 			// silently inert.
 			fmt.Fprintf(os.Stderr, "failpoint: %s: %v\n", EnvVar, err)
@@ -404,11 +404,11 @@ func DisarmAll() {
 	registry.pending = make(map[string]Action)
 }
 
-// ArmSpec arms from a semicolon-separated "name=action" list (the EnvVar
+// armSpec arms from a semicolon-separated "name=action" list (the EnvVar
 // syntax). Names with no registered site are held pending and armed when the
 // site registers, so env specs work regardless of package-init order.
-func ArmSpec(spec string) error {
-	set, err := ParseSet(spec)
+func armSpec(spec string) error {
+	set, err := parseSet(spec)
 	if err != nil {
 		return err
 	}
@@ -449,12 +449,12 @@ func List() []Info {
 	for name, f := range registry.fps {
 		info := Info{Name: name, Hits: f.hits.Load(), Registered: true}
 		if st := f.state.Load(); st != nil {
-			info.Armed = FormatAction(st.action)
+			info.Armed = formatAction(st.action)
 		}
 		out = append(out, info)
 	}
 	for name, a := range registry.pending {
-		out = append(out, Info{Name: name, Armed: FormatAction(a)})
+		out = append(out, Info{Name: name, Armed: formatAction(a)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

@@ -1,6 +1,8 @@
 package failpoint
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +19,23 @@ var (
 	fpTestHTTP  = New("failpointtest/site/http")
 	fpTestPanic = New("failpointtest/site/panic")
 )
+
+// listRemote fetches the remote registry state.
+func (c *Client) listRemote() ([]Info, error) {
+	resp, err := c.httpClient().Get("http://" + c.Endpoint + "/debug/failpoints")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("failpoint: remote list: %s", resp.Status)
+	}
+	var out []Info
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func TestDisarmedByDefault(t *testing.T) {
 	if fpTestBasic.Armed() {
@@ -203,7 +222,7 @@ func TestPanicAction(t *testing.T) {
 
 func TestArmSpecPendingAppliesAtRegistration(t *testing.T) {
 	t.Cleanup(DisarmAll)
-	if err := ArmSpec("failpointtest/site/late=delay(2ms,n=5)"); err != nil {
+	if err := armSpec("failpointtest/site/late=delay(2ms,n=5)"); err != nil {
 		t.Fatal(err)
 	}
 	// The pending entry is visible (Registered: false) so env typos show.
@@ -238,26 +257,26 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		"panic",
 	}
 	for _, spec := range cases {
-		a, err := ParseAction(spec)
+		a, err := parseAction(spec)
 		if err != nil {
-			t.Fatalf("ParseAction(%q): %v", spec, err)
+			t.Fatalf("parseAction(%q): %v", spec, err)
 		}
-		if got := FormatAction(a); got != spec {
+		if got := formatAction(a); got != spec {
 			t.Errorf("round trip %q → %q", spec, got)
 		}
 	}
 }
 
 func TestParsePositionalArgs(t *testing.T) {
-	a, err := ParseAction("error(connection refused)")
+	a, err := parseAction("error(connection refused)")
 	if err != nil || a.Err != "connection refused" {
 		t.Fatalf("positional error message: %+v, %v", a, err)
 	}
-	a, err = ParseAction("delay(5ms)")
+	a, err = parseAction("delay(5ms)")
 	if err != nil || a.Delay != 5*time.Millisecond {
 		t.Fatalf("positional delay: %+v, %v", a, err)
 	}
-	a, err = ParseAction("partition(a:1|b:2)")
+	a, err = parseAction("partition(a:1|b:2)")
 	if err != nil || len(a.Peers) != 2 {
 		t.Fatalf("positional peers: %+v, %v", a, err)
 	}
@@ -268,12 +287,12 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"explode", "drop(p=2)", "drop(p=x)", "delay", "delay(xyz)",
 		"drop(", "drop(n=-1)",
 	} {
-		if _, err := ParseAction(spec); err == nil {
-			t.Errorf("ParseAction(%q) accepted", spec)
+		if _, err := parseAction(spec); err == nil {
+			t.Errorf("parseAction(%q) accepted", spec)
 		}
 	}
-	if _, err := ParseSet("noequals"); err == nil {
-		t.Error("ParseSet without '=' accepted")
+	if _, err := parseSet("noequals"); err == nil {
+		t.Error("parseSet without '=' accepted")
 	}
 }
 
@@ -291,7 +310,7 @@ func TestHTTPHandler(t *testing.T) {
 	if !fpTestHTTP.Armed() {
 		t.Fatal("remote arm did not arm")
 	}
-	infos, err := cl.ListRemote()
+	infos, err := cl.listRemote()
 	if err != nil {
 		t.Fatal(err)
 	}

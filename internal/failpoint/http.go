@@ -13,7 +13,7 @@ import (
 //	POST /debug/failpoints?name=N&action=SPEC  → arm N (action=off disarms)
 //	POST /debug/failpoints?all=off             → disarm everything
 //
-// SPEC uses the ParseAction syntax. Responses to POST echo the updated list
+// SPEC uses the parseAction syntax. Responses to POST echo the updated list
 // so a chaos harness can arm-and-verify in one exchange.
 func Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -32,7 +32,7 @@ func Handler() http.Handler {
 				http.Error(w, "name and action required (or all=off)", http.StatusBadRequest)
 				return
 			}
-			a, err := ParseAction(spec)
+			a, err := parseAction(spec)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
@@ -86,23 +86,6 @@ func (c *Client) Disarm(name string) error { return c.Arm(name, "off") }
 // DisarmAll disarms every failpoint in the remote process.
 func (c *Client) DisarmAll() error {
 	return c.post("http://" + c.Endpoint + "/debug/failpoints?all=off")
-}
-
-// ListRemote fetches the remote registry state.
-func (c *Client) ListRemote() ([]Info, error) {
-	resp, err := c.httpClient().Get("http://" + c.Endpoint + "/debug/failpoints")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("failpoint: remote list: %s", resp.Status)
-	}
-	var out []Info
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 func (c *Client) post(url string) error {

@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-// ParseAction parses one action spec:
+// parseAction parses one action spec:
 //
 //	off | drop | delay | error | dup | partition | panic
 //
@@ -32,7 +32,7 @@ import (
 //	dup(p=0.5)
 //	partition(127.0.0.1:7101|127.0.0.1:7102)
 //	panic
-func ParseAction(spec string) (Action, error) {
+func parseAction(spec string) (Action, error) {
 	spec = strings.TrimSpace(spec)
 	name, args := spec, ""
 	if i := strings.IndexByte(spec, '('); i >= 0 {
@@ -146,9 +146,9 @@ func splitPeers(s string) []string {
 	return out
 }
 
-// FormatAction renders a in the ParseAction syntax (the /debug/failpoints
-// display form). FormatAction and ParseAction round-trip.
-func FormatAction(a Action) string {
+// formatAction renders a in the parseAction syntax (the /debug/failpoints
+// display form). formatAction and parseAction round-trip.
+func formatAction(a Action) string {
 	var args []string
 	if a.Kind == Delay && a.Delay > 0 {
 		args = append(args, a.Delay.String())
@@ -174,9 +174,9 @@ func FormatAction(a Action) string {
 	return a.Kind.String() + "(" + strings.Join(args, ",") + ")"
 }
 
-// ParseSet parses a semicolon-separated "name=action" list (the EnvVar and
+// parseSet parses a semicolon-separated "name=action" list (the EnvVar and
 // chaos-harness syntax) into a name → Action map.
-func ParseSet(spec string) (map[string]Action, error) {
+func parseSet(spec string) (map[string]Action, error) {
 	out := make(map[string]Action)
 	for _, pair := range strings.Split(spec, ";") {
 		pair = strings.TrimSpace(pair)
@@ -188,7 +188,7 @@ func ParseSet(spec string) (map[string]Action, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("failpoint: malformed entry %q (want name=action)", pair)
 		}
-		a, err := ParseAction(actionSpec)
+		a, err := parseAction(actionSpec)
 		if err != nil {
 			return nil, err
 		}

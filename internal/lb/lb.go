@@ -1,14 +1,14 @@
 // Package lb implements the gateway load balancer (paper §II-A, Fig 1a) —
 // the ELB analogue. It is an HTTP reverse proxy in front of the request
 // router layer: it accepts the QoS client's HTTP request, holds it, opens
-// its own HTTP exchange with a back-end router chosen by the configured
-// policy, and relays the answer. That extra TCP leg is precisely the
-// ~500 µs of additional round-trip latency the paper measures against DNS
-// load balancing in Fig 5.
+// its own HTTP exchange with a back-end router chosen round robin, and
+// relays the answer. That extra TCP leg is precisely the ~500 µs of
+// additional round-trip latency the paper measures against DNS load
+// balancing in Fig 5.
 //
-// Two routing policies are provided (§II-A): round robin, which hands
-// requests to back ends one by one, and least connections, which picks the
-// back end with the fewest outstanding requests.
+// Round robin is the one routing policy (§II-A): requests go to the back
+// ends one by one. Each back end's requests in flight are exported as
+// janus_lb_backend_outstanding.
 //
 // Both sides are internal/h1, with no net/http in between. The accept side
 // is h1's server; each back end holds an h1 pool of persistent connections,
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"slices"
@@ -66,23 +65,12 @@ var fpProxyDial = failpoint.New("lb/proxy/dial")
 // included.
 const forwardBudget = 10 * time.Second
 
-// Policy selects the back-end choice algorithm.
-type Policy string
-
-// Supported policies.
-const (
-	RoundRobin       Policy = "round-robin"
-	LeastConnections Policy = "least-connections"
-)
-
 // Config configures a gateway load balancer.
 type Config struct {
 	// Addr is the HTTP listen address.
 	Addr string
 	// Backends are the initial back-end addresses (request router nodes).
 	Backends []string
-	// Policy is the routing policy (RoundRobin if empty).
-	Policy Policy
 	// HopDelay, when non-nil, is invoked once per proxied request and may
 	// sleep to model the extra network hop of a hardware appliance.
 	HopDelay func()
@@ -155,12 +143,6 @@ func (l *LB) newBackendState(addr string) *backendState {
 
 // New starts a load balancer.
 func New(cfg Config) (*LB, error) {
-	if cfg.Policy == "" {
-		cfg.Policy = RoundRobin
-	}
-	if cfg.Policy != RoundRobin && cfg.Policy != LeastConnections {
-		return nil, fmt.Errorf("lb: unknown policy %q", cfg.Policy)
-	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
@@ -246,37 +228,19 @@ func (l *LB) Backends() []string {
 	return out
 }
 
-// pick chooses a back end per the policy, skipping those already tried.
+// pick chooses the next back end round robin, skipping those already tried.
 func (l *LB) pick(tried []*backendState) *backendState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	n := len(l.backends)
-	if n == 0 {
-		return nil
-	}
-	switch l.cfg.Policy {
-	case LeastConnections:
-		var best *backendState
-		bestOut := int64(math.MaxInt64)
-		for _, b := range l.backends {
-			if slices.Contains(tried, b) {
-				continue
-			}
-			if out := b.outstanding.Value(); out < bestOut {
-				best, bestOut = b, out
-			}
+	for i := 0; i < n; i++ {
+		b := l.backends[l.rrNext]
+		l.rrNext = (l.rrNext + 1) % n
+		if !slices.Contains(tried, b) {
+			return b
 		}
-		return best
-	default: // RoundRobin
-		for i := 0; i < n; i++ {
-			b := l.backends[l.rrNext]
-			l.rrNext = (l.rrNext + 1) % n
-			if !slices.Contains(tried, b) {
-				return b
-			}
-		}
-		return nil
 	}
+	return nil
 }
 
 // proxy answers one client request: the reply of the first back end that

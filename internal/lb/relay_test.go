@@ -141,19 +141,22 @@ func TestNoFailoverAfterReplyStarted(t *testing.T) {
 }
 
 // TestStaleKeepAliveResentToSameBackend: a back end that closes every
-// connection after one reply without saying so. Each later request finds
-// its pooled connection dead before any reply byte and is re-sent once, on
-// a fresh connection to the same back end; no request reaches it twice and
-// the other back end is never asked.
+// connection after one reply without saying so. Each later request on its
+// round-robin turn finds its pooled connection dead before any reply byte
+// and is re-sent once, on a fresh connection to the same back end; no
+// request reaches it twice and the other back end serves only its own turns.
 func TestStaleKeepAliveResentToSameBackend(t *testing.T) {
 	stale := answering(t, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nstale", true)
 	other, served := countingEcho(t, "other")
-	// Least connections with nothing outstanding always picks the first.
-	l := newLB(t, Config{Backends: []string{stale.addr(), addrOf(other)}, Policy: LeastConnections})
-	const requests = 5
-	for i := 0; i < requests; i++ {
-		if body, code := get(t, l.Addr(), "/qos?key=k"); code != http.StatusOK || body != "stale" {
-			t.Fatalf("request %d: %d %q", i, code, body)
+	l := newLB(t, Config{Backends: []string{stale.addr(), addrOf(other)}})
+	const requests = 5 // on each back end
+	for i := 0; i < 2*requests; i++ {
+		want := "stale"
+		if i%2 == 1 {
+			want = "other"
+		}
+		if body, code := get(t, l.Addr(), "/qos?key=k"); code != http.StatusOK || body != want {
+			t.Fatalf("request %d: %d %q, want 200 %q", i, code, body, want)
 		}
 	}
 	if n := stale.requests.Load(); n != requests {
@@ -162,8 +165,8 @@ func TestStaleKeepAliveResentToSameBackend(t *testing.T) {
 	if n := stale.accepts.Load(); n != requests {
 		t.Fatalf("%d connections for %d requests, want one dial per request", n, requests)
 	}
-	if n, errs := served.Load(), l.Stats().BackendErrors; n != 0 || errs != 0 {
-		t.Fatalf("other back end served %d, backend errors %d; want 0 and 0", n, errs)
+	if n, errs := served.Load(), l.Stats().BackendErrors; n != requests || errs != 0 {
+		t.Fatalf("other back end served %d, backend errors %d; want %d and 0", n, errs, requests)
 	}
 }
 

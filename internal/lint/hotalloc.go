@@ -18,7 +18,7 @@ import (
 	"sort"
 )
 
-// NewHotAlloc enforces the zero-allocation contract on the decision path. A
+// newHotAlloc enforces the zero-allocation contract on the decision path. A
 // function annotated //janus:hotpath sits on the admission route (wire
 // encode/decode, bucket consume, failpoint gates, trace
 // sampling, metrics increments), where one stray heap allocation costs more
@@ -47,7 +47,7 @@ import (
 //
 // hotalloc fails closed: a compile that cannot run or fails, or a compiled
 // package the log says nothing about, is a finding.
-func NewHotAlloc() *Analyzer {
+func newHotAlloc() *Analyzer {
 	return &Analyzer{
 		Name:      "hotalloc",
 		Doc:       "//janus:hotpath functions must be free of heap allocations",
@@ -128,12 +128,12 @@ func runHotAlloc(mp *ModulePass) {
 
 	escapes, logged, err := compilerSites(prog, pkgs)
 	if err != nil {
-		mp.Reportf(pkgs[0].Files[0].Name.Pos(), "the compiler's escape analysis did not run, so no //janus:hotpath function is checked: %v", err)
+		mp.reportf(pkgs[0].Files[0].Name.Pos(), "the compiler's escape analysis did not run, so no //janus:hotpath function is checked: %v", err)
 		return
 	}
 	for _, pkg := range pkgs {
 		if !logged[pkg.Dir] {
-			mp.Reportf(pkg.Files[0].Name.Pos(), "the compiler logged nothing for %s, so its functions are unchecked", pkg.Path)
+			mp.reportf(pkg.Files[0].Name.Pos(), "the compiler logged nothing for %s, so its functions are unchecked", pkg.Path)
 		}
 	}
 
@@ -148,7 +148,7 @@ func runHotAlloc(mp *ModulePass) {
 	}
 	suppressed := func(s allocSite) bool {
 		for _, p := range s.chain() {
-			if mp.Suppressed("hotalloc", p) {
+			if mp.suppressed("hotalloc", p) {
 				return true
 			}
 		}
@@ -165,7 +165,7 @@ func runHotAlloc(mp *ModulePass) {
 				in := s.inl[len(s.inl)-1]
 				via = fmt.Sprintf(" (inlined from %s:%d)", filepath.Base(in.Filename), in.Line)
 			}
-			mp.ReportAt(s.pos, "%s in //janus:hotpath function %s%s", s.what, fd.name, via)
+			mp.reportAt(s.pos, "%s in //janus:hotpath function %s%s", s.what, fd.name, via)
 		}
 		for _, c := range fdCalls {
 			if inlinedAt(sites, c) {
@@ -181,7 +181,7 @@ func runHotAlloc(mp *ModulePass) {
 			}
 			if len(kept) > 0 {
 				first := kept[0].pos
-				mp.ReportAt(c.pos, "call to %s allocates (%d site(s); first: %s at %s:%d); make it allocation-free and annotate it //janus:hotpath, or suppress with the cold-path rationale",
+				mp.reportAt(c.pos, "call to %s allocates (%d site(s); first: %s at %s:%d); make it allocation-free and annotate it //janus:hotpath, or suppress with the cold-path rationale",
 					c.callee.name, len(kept), kept[0].what, filepath.Base(first.Filename), first.Line)
 			}
 		}

@@ -12,11 +12,11 @@ import (
 // fixtureFindings runs hotalloc over the fixture once for the tests that
 // read it: every run compiles the fixture.
 var fixtureFindings = sync.OnceValues(func() ([]Finding, error) {
-	prog, err := LoadDir(filepath.Join("testdata", "src", "hotallocbad"), "repro/internal/hotallocbad")
+	prog, err := loadDir(filepath.Join("testdata", "src", "hotallocbad"), "repro/internal/hotallocbad")
 	if err != nil {
 		return nil, err
 	}
-	return Run(prog, []*Analyzer{NewHotAlloc()}), nil
+	return Run(prog, []*Analyzer{newHotAlloc()}), nil
 })
 
 func hotallocFixture(t *testing.T) []Finding {
@@ -81,7 +81,7 @@ func useGoCommand(t *testing.T, cmd string) {
 // passing.
 func wantFailClosed(t *testing.T, prog *Program, msgPart string) {
 	t.Helper()
-	got := findingsOn(Run(prog, []*Analyzer{NewHotAlloc()}), "hotalloc")
+	got := findingsOn(Run(prog, []*Analyzer{newHotAlloc()}), "hotalloc")
 	for _, f := range got {
 		if strings.Contains(f.Message, msgPart) {
 			return
@@ -112,7 +112,7 @@ func hot(k string) int {
 			t.Fatal(err)
 		}
 	}
-	prog, err := LoadDir(dir, "repro/internal/broken")
+	prog, err := loadDir(dir, "repro/internal/broken")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,15 +97,15 @@ type Pass struct {
 	Prog *Program
 	Pkg  *Package
 	// File is the file owning the node currently being visited; it is only
-	// valid inside Inspect callbacks.
+	// valid inside inspect callbacks.
 	File *ast.File
 
 	analyzer *Analyzer
 	runner   *runner
 }
 
-// Inspect calls fn for every node of the package's files, in preorder.
-func (p *Pass) Inspect(fn func(ast.Node)) {
+// inspect calls fn for every node of the package's files, in preorder.
+func (p *Pass) inspect(fn func(ast.Node)) {
 	for _, file := range p.Pkg.Files {
 		p.File = file
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -117,8 +117,8 @@ func (p *Pass) Inspect(fn func(ast.Node)) {
 	}
 }
 
-// Reportf records a finding at pos attributed to the pass's analyzer.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos attributed to the pass's analyzer.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.runner.report(p.analyzer.Name, p.Prog.Fset.Position(pos), format, args...)
 }
 
@@ -130,22 +130,22 @@ type ModulePass struct {
 	runner   *runner
 }
 
-// Reportf records a finding at pos attributed to the pass's analyzer.
-func (mp *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records a finding at pos attributed to the pass's analyzer.
+func (mp *ModulePass) reportf(pos token.Pos, format string, args ...any) {
 	mp.runner.report(mp.analyzer.Name, mp.Prog.Fset.Position(pos), format, args...)
 }
 
-// ReportAt is Reportf for positions that do not come from the FileSet (the
+// reportAt is reportf for positions that do not come from the FileSet (the
 // compiler's escape log).
-func (mp *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
+func (mp *ModulePass) reportAt(pos token.Position, format string, args ...any) {
 	mp.runner.report(mp.analyzer.Name, pos, format, args...)
 }
 
-// Suppressed reports whether a finding by the named analyzer at pos would
+// suppressed reports whether a finding by the named analyzer at pos would
 // be silenced by a //lint:ignore directive, and if so counts the directive
 // as used. hotalloc uses it for sites it does not report itself: inside a
 // callee it charges at the call, and along an inlined site's chain.
-func (mp *ModulePass) Suppressed(analyzer string, pos token.Position) bool {
+func (mp *ModulePass) suppressed(analyzer string, pos token.Position) bool {
 	return mp.runner.sup.suppresses(Finding{Analyzer: analyzer, Pos: pos})
 }
 
@@ -162,7 +162,7 @@ func (r *runner) report(analyzer string, pos token.Position, format string, args
 
 // Analyzers returns a fresh full suite.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{NewSimClock(), NewNetIO(), NewHotAlloc()}
+	return []*Analyzer{newSimClock(), newNetIO(), newHotAlloc()}
 }
 
 // Run executes the analyzers over prog, drops suppressed findings, reports

@@ -1,18 +1,51 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// loadDir loads the single directory dir as a one-package program under the
+// given import path. Tests use it to present fixture packages to analyzers
+// as if they lived at a real path (e.g. testdata loaded as
+// "repro/internal/sim").
+func loadDir(dir, importPath string) (*Program, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	modPath := importPath
+	if i := strings.Index(importPath, "/"); i > 0 {
+		modPath = importPath[:i]
+	}
+	prog := &Program{
+		ModulePath: modPath,
+		Fset:       stdFset,
+		byPath:     make(map[string]*Package),
+	}
+	files, pkgName, err := parseDir(prog.Fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no non-test Go files in %s", dir)
+	}
+	pkg := &Package{Path: importPath, Dir: dir, Name: pkgName, Files: files, Fset: prog.Fset}
+	prog.Packages = []*Package{pkg}
+	prog.byPath[importPath] = pkg
+	prog.typecheck()
+	return prog, nil
+}
+
 // loadFixture loads testdata/src/<name> under the given pseudo import path.
 func loadFixture(t *testing.T, name, importPath string) *Program {
 	t.Helper()
-	prog, err := LoadDir(filepath.Join("testdata", "src", name), importPath)
+	prog, err := loadDir(filepath.Join("testdata", "src", name), importPath)
 	if err != nil {
-		t.Fatalf("LoadDir(%s): %v", name, err)
+		t.Fatalf("loadDir(%s): %v", name, err)
 	}
 	for _, pkg := range prog.Packages {
 		for _, terr := range pkg.TypeErrors {
@@ -53,7 +86,7 @@ func renderFindings(fs []Finding) string {
 
 func TestSimClockFixture(t *testing.T) {
 	prog := loadFixture(t, "simclockbad", "repro/internal/sim")
-	got := Run(prog, []*Analyzer{NewSimClock()})
+	got := Run(prog, []*Analyzer{newSimClock()})
 	if len(got) != 5 {
 		t.Errorf("want 5 simclock findings, got %d:\n%s", len(got), renderFindings(got))
 	}
@@ -70,7 +103,7 @@ func TestSimClockFixture(t *testing.T) {
 
 func TestSimClockOutOfScopePackageIsIgnored(t *testing.T) {
 	prog := loadFixture(t, "simclockbad", "repro/internal/store")
-	if got := Run(prog, []*Analyzer{NewSimClock()}); len(got) != 0 {
+	if got := Run(prog, []*Analyzer{newSimClock()}); len(got) != 0 {
 		t.Errorf("out-of-scope package should produce no findings, got:\n%s", renderFindings(got))
 	}
 }
@@ -78,7 +111,7 @@ func TestSimClockOutOfScopePackageIsIgnored(t *testing.T) {
 // TestErrDropFixture covers netio's dropped-error rule.
 func TestErrDropFixture(t *testing.T) {
 	prog := loadFixture(t, "errdropbad", "repro/internal/transport")
-	got := Run(prog, []*Analyzer{NewNetIO()})
+	got := Run(prog, []*Analyzer{newNetIO()})
 	if len(got) != 5 {
 		t.Errorf("want 5 netio findings, got %d:\n%s", len(got), renderFindings(got))
 	}
@@ -91,7 +124,7 @@ func TestErrDropFixture(t *testing.T) {
 
 func TestErrDropOutOfScopePackageIsIgnored(t *testing.T) {
 	prog := loadFixture(t, "errdropbad", "repro/internal/metrics")
-	if got := Run(prog, []*Analyzer{NewNetIO()}); len(got) != 0 {
+	if got := Run(prog, []*Analyzer{newNetIO()}); len(got) != 0 {
 		t.Errorf("out-of-scope package should produce no findings, got:\n%s", renderFindings(got))
 	}
 }
@@ -99,7 +132,7 @@ func TestErrDropOutOfScopePackageIsIgnored(t *testing.T) {
 // TestDeadlineFixture covers netio's deadline rule.
 func TestDeadlineFixture(t *testing.T) {
 	prog := loadFixture(t, "deadlinebad", "repro/internal/transport")
-	got := Run(prog, []*Analyzer{NewNetIO()})
+	got := Run(prog, []*Analyzer{newNetIO()})
 	if len(got) != 2 {
 		t.Errorf("want 2 netio findings, got %d:\n%s", len(got), renderFindings(got))
 	}
@@ -115,7 +148,7 @@ func TestDeadlineFixture(t *testing.T) {
 
 func TestDeadlineScope(t *testing.T) {
 	prog := loadFixture(t, "deadlinebad", "repro/internal/sim")
-	got := Run(prog, []*Analyzer{NewNetIO()})
+	got := Run(prog, []*Analyzer{newNetIO()})
 	if len(got) != 0 {
 		t.Errorf("netio fired outside its scope:\n%s", renderFindings(got))
 	}
@@ -162,7 +195,7 @@ func unusedDirective() time.Time {
 	if err := os.WriteFile(filepath.Join(dir, "fixture.go"), []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	prog, err := LoadDir(dir, "repro/internal/sim")
+	prog, err := loadDir(dir, "repro/internal/sim")
 	if err != nil {
 		t.Fatal(err)
 	}

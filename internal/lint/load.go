@@ -142,38 +142,6 @@ func LoadModule(root string) (*Program, error) {
 	return prog, nil
 }
 
-// LoadDir loads the single directory dir as a one-package program under the
-// given import path. Tests use it to present fixture packages to analyzers
-// as if they lived at a real path (e.g. testdata loaded as
-// "repro/internal/sim").
-func LoadDir(dir, importPath string) (*Program, error) {
-	dir, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, err
-	}
-	modPath := importPath
-	if i := strings.Index(importPath, "/"); i > 0 {
-		modPath = importPath[:i]
-	}
-	prog := &Program{
-		ModulePath: modPath,
-		Fset:       stdFset,
-		byPath:     make(map[string]*Package),
-	}
-	files, pkgName, err := parseDir(prog.Fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no non-test Go files in %s", dir)
-	}
-	pkg := &Package{Path: importPath, Dir: dir, Name: pkgName, Files: files, Fset: prog.Fset}
-	prog.Packages = []*Package{pkg}
-	prog.byPath[importPath] = pkg
-	prog.typecheck()
-	return prog, nil
-}
-
 func parseDir(fset *token.FileSet, dir string) ([]*ast.File, string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

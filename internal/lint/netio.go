@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// NewNetIO guards socket I/O in the networking packages (netIOScope) with
+// newNetIO guards socket I/O in the networking packages (netIOScope) with
 // two rules.
 //
 // Dropped errors. The UDP discipline is deliberately fire-and-forget at the
@@ -39,25 +39,25 @@ import (
 //     (UDP accept-style readers), and for helpers whose callers armed the
 //     deadline. The annotation says what bounds the call;
 //   - a //lint:ignore netio directive with a reason covers the line.
-func NewNetIO() *Analyzer {
+func newNetIO() *Analyzer {
 	a := &Analyzer{
 		Name:  "netio",
 		Doc:   "no silently discarded Close/SetDeadline/Write errors, and net reads/writes run under a deadline or an audited helper",
 		Scope: netIOScope,
 	}
 	a.Run = func(p *Pass) {
-		p.Inspect(func(n ast.Node) {
+		p.inspect(func(n ast.Node) {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
 				if call, ok := n.X.(*ast.CallExpr); ok {
 					if name, bad := dropsError(p.Pkg, call); bad {
-						p.Reportf(call.Pos(), "error from %s is silently discarded; handle it, count it, or discard explicitly with `_ =`",
+						p.reportf(call.Pos(), "error from %s is silently discarded; handle it, count it, or discard explicitly with `_ =`",
 							name)
 					}
 				}
 			case *ast.DeferStmt:
 				if name, bad := dropsError(p.Pkg, n.Call); bad && !strings.HasSuffix(name, ".Close") {
-					p.Reportf(n.Call.Pos(), "deferred %s discards its error; only `defer x.Close()` is exempt",
+					p.reportf(n.Call.Pos(), "deferred %s discards its error; only `defer x.Close()` is exempt",
 						name)
 				}
 			case *ast.FuncDecl:
@@ -179,7 +179,7 @@ func checkDeadlines(p *Pass, decl *ast.FuncDecl) {
 		if armedAt >= 0 && armedAt < call.Pos() {
 			continue
 		}
-		p.Reportf(call.Pos(), "%s runs without a deadline: no Set*Deadline precedes it in this function; arm one, or annotate the function //janus:deadlined documenting what bounds the call",
+		p.reportf(call.Pos(), "%s runs without a deadline: no Set*Deadline precedes it in this function; arm one, or annotate the function //janus:deadlined documenting what bounds the call",
 			exprString(call.Fun))
 	}
 }

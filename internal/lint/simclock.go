@@ -4,7 +4,7 @@ import (
 	"go/ast"
 )
 
-// NewSimClock flags wall-clock and global-RNG use inside the simulation and
+// newSimClock flags wall-clock and global-RNG use inside the simulation and
 // experiment packages. The DES engine (internal/des), the simulated
 // instance models (internal/sim, internal/cloudsim), and the load
 // generator (internal/loadgen) must derive every timestamp from an
@@ -16,14 +16,14 @@ import (
 // Seeded sources (rand.New(rand.NewSource(seed))) are allowed; only the
 // process-global convenience functions are banned. time.Since/Until are
 // banned too: each hides a time.Now() inside.
-func NewSimClock() *Analyzer {
+func newSimClock() *Analyzer {
 	a := &Analyzer{
 		Name:  "simclock",
 		Doc:   "no wall clock or global math/rand in simulation/experiment packages",
 		Scope: simClockScope,
 	}
 	a.Run = func(p *Pass) {
-		p.Inspect(func(n ast.Node) {
+		p.inspect(func(n ast.Node) {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return
@@ -39,12 +39,12 @@ func NewSimClock() *Analyzer {
 			switch importedPath(p.Pkg, p.File, id) {
 			case "time":
 				if hint, banned := bannedTimeFuncs[sel.Sel.Name]; banned {
-					p.Reportf(sel.Pos(), "time.%s in simulation package %s breaks experiment reproducibility; %s",
+					p.reportf(sel.Pos(), "time.%s in simulation package %s breaks experiment reproducibility; %s",
 						sel.Sel.Name, p.Pkg.Path, hint)
 				}
 			case "math/rand", "math/rand/v2":
 				if bannedRandFuncs[sel.Sel.Name] {
-					p.Reportf(sel.Pos(), "global rand.%s in simulation package %s breaks experiment reproducibility; draw from a seeded *rand.Rand",
+					p.reportf(sel.Pos(), "global rand.%s in simulation package %s breaks experiment reproducibility; draw from a seeded *rand.Rand",
 						sel.Sel.Name, p.Pkg.Path)
 				}
 			}

@@ -122,10 +122,10 @@ func (c *Coordinator) Leave(name string) View {
 	return c.publishLocked()
 }
 
-// Heartbeat refreshes a member's liveness deadline, admitting it first if
+// heartbeat refreshes a member's liveness deadline, admitting it first if
 // unknown and re-admitting it if it had been ejected. addr updates the
 // handoff address when non-empty.
-func (c *Coordinator) Heartbeat(name, addr string) View {
+func (c *Coordinator) heartbeat(name, addr string) View {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.members[name]

@@ -66,8 +66,8 @@ func TestCoordinatorHeartbeatEjectionAndReadmission(t *testing.T) {
 
 	// qos-1 stops beating; the others keep beating.
 	clk.advance(700 * time.Millisecond)
-	c.Heartbeat("qos-0", "")
-	c.Heartbeat("qos-2", "")
+	c.heartbeat("qos-0", "")
+	c.heartbeat("qos-2", "")
 	clk.advance(700 * time.Millisecond)
 	v := c.CheckNow()
 	if len(v.Backends) != 2 || v.Backends[0] != "qos-0" || v.Backends[1] != "qos-2" {
@@ -76,7 +76,7 @@ func TestCoordinatorHeartbeatEjectionAndReadmission(t *testing.T) {
 	ejectEpoch := v.Epoch
 
 	// Recovery: a heartbeat re-admits qos-1 in its original slot.
-	v = c.Heartbeat("qos-1", "a1-new")
+	v = c.heartbeat("qos-1", "a1-new")
 	if v.Epoch != ejectEpoch+1 {
 		t.Fatalf("re-admission epoch = %d, want %d", v.Epoch, ejectEpoch+1)
 	}
@@ -94,7 +94,7 @@ func TestCoordinatorHeartbeatEjectionAndReadmission(t *testing.T) {
 func TestCoordinatorHeartbeatRegistersUnknownMember(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{})
 	defer c.Close()
-	v := c.Heartbeat("qos-7", "addr7")
+	v := c.heartbeat("qos-7", "addr7")
 	if v.Epoch != 1 || len(v.Backends) != 1 || v.Backends[0] != "qos-7" {
 		t.Fatalf("heartbeat-join: %+v", v)
 	}
@@ -151,8 +151,5 @@ func TestViewClone(t *testing.T) {
 	cl.Backends[0] = "z"
 	if v.Backends[0] != "a" {
 		t.Fatal("Clone shares backing arrays")
-	}
-	if (View{}).IndexOf("a") != -1 {
-		t.Fatal("IndexOf on empty view")
 	}
 }

@@ -55,7 +55,7 @@ func Handler(c *Coordinator) http.Handler {
 			http.Error(w, "name required", http.StatusBadRequest)
 			return
 		}
-		writeView(w, c.Heartbeat(name, q.Get("addr")))
+		writeView(w, c.heartbeat(name, q.Get("addr")))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
@@ -139,9 +139,9 @@ func (cl *Client) FetchView() (View, error) {
 	return decodeView(resp)
 }
 
-// Heartbeat sends one heartbeat for member name (registering it on first
+// heartbeat sends one heartbeat for member name (registering it on first
 // contact) and returns the coordinator's resulting view.
-func (cl *Client) Heartbeat(name, addr string) (View, error) {
+func (cl *Client) heartbeat(name, addr string) (View, error) {
 	if fpHeartbeatSend.Armed() {
 		switch o := fpHeartbeatSend.EvalPeer(cl.Endpoint); o.Kind {
 		case failpoint.Error, failpoint.Partition:
@@ -213,7 +213,7 @@ func (b *Beater) Start() error {
 }
 
 func (b *Beater) beat() error {
-	if _, err := b.client.Heartbeat(b.name, b.addr); err != nil {
+	if _, err := b.client.heartbeat(b.name, b.addr); err != nil {
 		return err
 	}
 	b.lastOKNs.Store(time.Now().UnixNano())
@@ -268,15 +268,15 @@ func NewPoller(client *Client, interval time.Duration, onView func(View)) *Polle
 // callback) and then polls in the background. When that fetch fails,
 // nothing runs in the background.
 func (p *Poller) Start() error {
-	if err := p.PollOnce(); err != nil {
+	if err := p.pollOnce(); err != nil {
 		return err
 	}
-	p.loop = tick.Every(p.interval, func() { _ = p.PollOnce() }) // a failed poll shows in ContactAge
+	p.loop = tick.Every(p.interval, func() { _ = p.pollOnce() }) // a failed poll shows in ContactAge
 	return nil
 }
 
-// PollOnce fetches the view once, invoking the callback if the epoch moved.
-func (p *Poller) PollOnce() error {
+// pollOnce fetches the view once, invoking the callback if the epoch moved.
+func (p *Poller) pollOnce() error {
 	v, err := p.client.FetchView()
 	if err != nil {
 		return err

@@ -25,7 +25,7 @@ func TestHTTPHeartbeatAndView(t *testing.T) {
 	_, s := newService(t, CoordinatorConfig{})
 	cl := &Client{Endpoint: s.Addr()}
 
-	v, err := cl.Heartbeat("qos-0", "127.0.0.1:9100")
+	v, err := cl.heartbeat("qos-0", "127.0.0.1:9100")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,17 +58,6 @@ func (v View) Clone() View {
 	return c
 }
 
-// IndexOf returns the partition index of the named backend, or -1 when the
-// backend is not in the view.
-func (v View) IndexOf(name string) int {
-	for i, b := range v.Backends {
-		if b == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Owner returns the backend name owning key.
 func (v View) Owner(key string) (string, error) {
 	i, err := Pick(key, len(v.Backends))

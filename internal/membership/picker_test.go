@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -121,7 +122,7 @@ func TestViewOwnerAndRemapFraction(t *testing.T) {
 	old := View{Epoch: 1, Backends: []string{"a", "b", "c", "d"}}
 	next := View{Epoch: 2, Backends: []string{"a", "b", "c", "d", "e"}}
 	owner, err := old.Owner("some-key")
-	if err != nil || old.IndexOf(owner) < 0 {
+	if err != nil || !slices.Contains(old.Backends, owner) {
 		t.Fatalf("owner = %q err = %v", owner, err)
 	}
 	if _, err := (View{}).Owner("k"); !errors.Is(err, ErrNoBackends) {

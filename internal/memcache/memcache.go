@@ -4,8 +4,8 @@
 // the paper's §V-D evaluation. The server is a handler on internal/tcp's
 // accept loop.
 //
-// Supported commands: set, add, get (multi-key), delete, touch, incr,
-// decr, flush_all, stats, version, quit. Expiration follows memcached
+// Supported commands: set, add, get (multi-key), delete, stats, version,
+// quit; any other command is answered ERROR. Expiration follows memcached
 // semantics: an exptime of 0 never expires; positive values are relative
 // seconds (the ≥30-days-is-absolute rule is not needed by the workload and
 // is not implemented).
@@ -48,10 +48,10 @@ type metrics struct{ n int64 }
 func (m *metrics) inc() { m.n++ }
 
 // NewCache returns an empty cache.
-func NewCache() *Cache { return NewCacheWithClock(time.Now) }
+func NewCache() *Cache { return newCacheWithClock(time.Now) }
 
-// NewCacheWithClock returns a cache with an injectable clock.
-func NewCacheWithClock(clock func() time.Time) *Cache {
+// newCacheWithClock returns a cache with an injectable clock.
+func newCacheWithClock(clock func() time.Time) *Cache {
 	return &Cache{items: make(map[string]*Item), clock: clock}
 }
 
@@ -114,54 +114,6 @@ func (c *Cache) Delete(key string) bool {
 	}
 	delete(c.items, key)
 	return true
-}
-
-// Touch updates an item's expiry; it reports whether the key existed.
-func (c *Cache) Touch(key string, exptime int64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok || c.expired(it) {
-		return false
-	}
-	it.expires = c.expiry(exptime)
-	return true
-}
-
-// IncrDecr adjusts a numeric value by delta (negative for decr, clamped at
-// zero, per memcached). It returns the new value and whether the key held a
-// number.
-func (c *Cache) IncrDecr(key string, delta int64) (uint64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	it, ok := c.items[key]
-	if !ok || c.expired(it) {
-		return 0, false
-	}
-	cur, err := strconv.ParseUint(string(it.Value), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	var next uint64
-	if delta >= 0 {
-		next = cur + uint64(delta)
-	} else {
-		d := uint64(-delta)
-		if d > cur {
-			next = 0
-		} else {
-			next = cur - d
-		}
-	}
-	it.Value = []byte(strconv.FormatUint(next, 10))
-	return next, true
-}
-
-// FlushAll empties the cache.
-func (c *Cache) FlushAll() {
-	c.mu.Lock()
-	c.items = make(map[string]*Item)
-	c.mu.Unlock()
 }
 
 // Len returns the number of resident (possibly expired) entries.
@@ -273,42 +225,6 @@ func (s *Server) dispatch(fields []string, r *bufio.Reader, w *bufio.Writer) (qu
 		} else {
 			fmt.Fprint(w, "NOT_FOUND\r\n")
 		}
-	case "touch":
-		if len(fields) != 3 {
-			fmt.Fprint(w, "CLIENT_ERROR bad command line\r\n")
-			return false
-		}
-		exptime, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil {
-			fmt.Fprint(w, "CLIENT_ERROR bad command line\r\n")
-			return false
-		}
-		if s.cache.Touch(fields[1], exptime) {
-			fmt.Fprint(w, "TOUCHED\r\n")
-		} else {
-			fmt.Fprint(w, "NOT_FOUND\r\n")
-		}
-	case "incr", "decr":
-		if len(fields) != 3 {
-			fmt.Fprint(w, "CLIENT_ERROR bad command line\r\n")
-			return false
-		}
-		delta, err := strconv.ParseInt(fields[2], 10, 64)
-		if err != nil || delta < 0 {
-			fmt.Fprint(w, "CLIENT_ERROR invalid numeric delta argument\r\n")
-			return false
-		}
-		if fields[0] == "decr" {
-			delta = -delta
-		}
-		if v, ok := s.cache.IncrDecr(fields[1], delta); ok {
-			fmt.Fprintf(w, "%d\r\n", v)
-		} else {
-			fmt.Fprint(w, "NOT_FOUND\r\n")
-		}
-	case "flush_all":
-		s.cache.FlushAll()
-		fmt.Fprint(w, "OK\r\n")
 	case "stats":
 		gets, hits, sets := s.cache.Stats()
 		fmt.Fprintf(w, "STAT cmd_get %d\r\nSTAT get_hits %d\r\nSTAT cmd_set %d\r\nSTAT curr_items %d\r\nEND\r\n",
@@ -440,36 +356,4 @@ func (c *Client) Delete(key string) error {
 	default:
 		return fmt.Errorf("memcache: %s", strings.TrimRight(line, "\r\n"))
 	}
-}
-
-// Incr increments a numeric key by delta.
-func (c *Client) Incr(key string, delta uint64) (uint64, error) {
-	return c.arith("incr", key, delta)
-}
-
-// Decr decrements a numeric key by delta (clamped at zero).
-func (c *Client) Decr(key string, delta uint64) (uint64, error) {
-	return c.arith("decr", key, delta)
-}
-
-func (c *Client) arith(cmd, key string, delta uint64) (uint64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	fmt.Fprintf(c.w, "%s %s %d\r\n", cmd, key, delta)
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return 0, err
-	}
-	line = strings.TrimRight(line, "\r\n")
-	if line == "NOT_FOUND" {
-		return 0, ErrCacheMiss
-	}
-	v, err := strconv.ParseUint(line, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("memcache: %s", line)
-	}
-	return v, nil
 }

@@ -26,10 +26,9 @@ func TestWritePromGolden(t *testing.T) {
 	}
 	r.RegisterHistogram("demo_batch_size", "entries per batch", bh)
 
-	lh := NewHistogram()
+	lh := r.HistogramScaled("demo_sojourn_seconds", "stage sojourn", 1e-9, Label{"stage", "queue"})
 	lh.Record(1000)
 	lh.Record(3000)
-	r.RegisterHistogramScaled("demo_sojourn_seconds", "stage sojourn", lh, 1e-9, Label{"stage", "queue"})
 
 	var sb strings.Builder
 	r.WriteProm(&sb)
@@ -86,11 +85,11 @@ func TestCumulativeCounts(t *testing.T) {
 
 func TestScaleConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.RegisterHistogramScaled("s_seconds", "s", NewHistogram(), 1e-9)
+	r.HistogramScaled("s_seconds", "s", 1e-9)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("conflicting scale did not panic")
 		}
 	}()
-	r.RegisterHistogramScaled("s_seconds", "s", NewHistogram(), 1e-6)
+	r.HistogramScaled("s_seconds", "s", 1e-6)
 }

@@ -339,8 +339,8 @@ func (w *Welford) N() int64 { w.mu.Lock(); defer w.mu.Unlock(); return w.n }
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { w.mu.Lock(); defer w.mu.Unlock(); return w.mean }
 
-// Variance returns the population variance.
-func (w *Welford) Variance() float64 {
+// variance returns the population variance.
+func (w *Welford) variance() float64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.n < 2 {
@@ -350,7 +350,7 @@ func (w *Welford) Variance() float64 {
 }
 
 // StdDev returns the population standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
+func (w *Welford) StdDev() float64 { return math.Sqrt(w.variance()) }
 
 // Min returns the smallest observation (0 if empty).
 func (w *Welford) Min() float64 { w.mu.Lock(); defer w.mu.Unlock(); return w.min }

@@ -235,7 +235,7 @@ func TestWelfordMatchesDirectComputation(t *testing.T) {
 		variance := m2 / float64(len(xs))
 		scale := math.Max(1, variance)
 		return math.Abs(w.Mean()-mean) < 1e-6*math.Max(1, math.Abs(mean)) &&
-			math.Abs(w.Variance()-variance) < 1e-6*scale
+			math.Abs(w.variance()-variance) < 1e-6*scale
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

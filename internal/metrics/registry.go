@@ -175,30 +175,13 @@ func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...
 	r.mu.Unlock()
 }
 
-// RegisterHistogramScaled is RegisterHistogram with a unit conversion
-// applied at exposition time: every value, sum, and bucket bound of the
-// family renders multiplied by scale. Histograms record int64 (typically
-// nanoseconds); a scale of 1e-9 exposes the family in seconds, matching
-// the Prometheus base-unit convention for *_seconds names. The scale is a
-// family property: re-registering the family with a different non-zero
-// scale panics.
-func (r *Registry) RegisterHistogramScaled(name, help string, h *Histogram, scale float64, labels ...Label) {
-	s := r.get(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.families[name]
-	if f.scale != 0 && scale != 0 && f.scale != scale {
-		panic(fmt.Sprintf("metrics: %s registered with scales %g and %g", name, f.scale, scale))
-	}
-	if scale != 0 {
-		f.scale = scale
-	}
-	s.h = h
-}
-
 // HistogramScaled returns the histogram registered under name+labels with
-// an exposition scale, creating it on first use (see
-// RegisterHistogramScaled for scale semantics).
+// an exposition scale, creating it on first use. The scale is applied at
+// exposition time: every value, sum, and bucket bound of the family renders
+// multiplied by it. Histograms record int64 (typically nanoseconds); a scale
+// of 1e-9 exposes the family in seconds, matching the Prometheus base-unit
+// convention for *_seconds names. The scale is a family property: asking for
+// the family with a different non-zero scale panics.
 func (r *Registry) HistogramScaled(name, help string, scale float64, labels ...Label) *Histogram {
 	s := r.get(name, help, kindHistogram, labels)
 	r.mu.Lock()

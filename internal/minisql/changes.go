@@ -166,7 +166,7 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		if since[i], err = coerce(v, KindInt); err != nil || since[i].IsNull() {
+		if since[i], err = coerce(v, KindInt); err != nil || since[i].isNull() {
 			return Result{}, fmt.Errorf("minisql: SINCE needs an integer cursor, got %s", v)
 		}
 	}

@@ -108,7 +108,7 @@ func TestChangeFeedPagesTombstonesAndOrigins(t *testing.T) {
 		t.Fatalf("feed from the horizon holds %d deletes, want %d", len(got), Tombstones)
 	}
 	for _, row := range got {
-		if row[1] != Bool(true) || !row[3].IsNull() {
+		if row[1] != Bool(true) || !row[3].isNull() {
 			t.Fatalf("tombstone %v: want _deleted = 1 and only the key", row)
 		}
 	}
@@ -122,7 +122,7 @@ func TestChangeFeedPagesTombstonesAndOrigins(t *testing.T) {
 	// A restored copy keeps the snapshot's origin and sequence numbers, so a
 	// cursor taken on the original reads on from the copy.
 	other := NewEngine()
-	if err := other.Restore(e.Snapshot()); err != nil {
+	if err := other.apply(e.Snapshot(), true); err != nil {
 		t.Fatal(err)
 	}
 	got, want := readFeed(t, e, from)
@@ -153,14 +153,14 @@ func TestContinuityRule(t *testing.T) {
 	old := master.Snapshot().At // head 4: the table took 1, the rows 2-4
 	// A promoted standby that had applied up to old, then one write of its own.
 	promoted := NewEngine()
-	if err := promoted.Restore(master.Snapshot()); err != nil {
+	if err := promoted.apply(master.Snapshot(), true); err != nil {
 		t.Fatal(err)
 	}
 	promoted.promote()
 	mustExec(t, promoted, `UPDATE qos_rules SET credit = 2 WHERE key = 'a'`)
 	// An engine whose horizon is above old: one more delete than it keeps.
 	forgetful := NewEngine()
-	if err := forgetful.Restore(master.Snapshot()); err != nil {
+	if err := forgetful.apply(master.Snapshot(), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i <= Tombstones; i++ {
@@ -218,7 +218,7 @@ func TestContinuityRule(t *testing.T) {
 	// A standby at old reads on from the promoted engine: it applies the cut
 	// after its cursor and takes the promoted engine's origin.
 	standby := NewEngine()
-	if err := standby.Restore(master.Snapshot()); err != nil {
+	if err := standby.apply(master.Snapshot(), true); err != nil {
 		t.Fatal(err)
 	}
 	cut, reset, _ := promoted.since(old)

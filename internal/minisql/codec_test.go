@@ -11,7 +11,7 @@ import (
 
 // sampleFrames holds one frame of each type, every field of it set.
 func sampleFrames() []frame {
-	rows := [][]Value{{Text("a"), Float(1.5)}, {Text("b"), Null()}}
+	rows := [][]Value{{Text("a"), Float(1.5)}, {Text("b"), null()}}
 	return []frame{
 		{Type: frameQuery, SQL: "SELECT key FROM qos_rules WHERE key = ?", Args: []Value{Text("a")}},
 		{Type: frameResult, Result: Result{Columns: []string{"key", "credit"}, Rows: rows, Affected: 2,
@@ -23,7 +23,7 @@ func sampleFrames() []frame {
 			Head:   9, Horizon: 2, Rows: rows}}}},
 		{Type: frameFeed, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 11}, Tables: []TableSnapshot{{Name: "t",
 			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
-			Head:   11, Rows: [][]Value{{Int(10), Bool(false), Text("a"), Float(2)}, {Int(11), Bool(true), Text("b"), Null()}}}}}},
+			Head:   11, Rows: [][]Value{{Int(10), Bool(false), Text("a"), Float(2)}, {Int(11), Bool(true), Text("b"), null()}}}}}},
 		{Type: framePing},
 		{Type: framePong, Serving: true},
 	}
@@ -52,7 +52,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // come back nil.
 func TestFrameKeepsEdgeValuesAndNils(t *testing.T) {
 	args := []Value{Float(math.NaN()), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
-		Int(math.MinInt64), Int(math.MaxInt64), Text(""), Null()}
+		Int(math.MinInt64), Int(math.MaxInt64), Text(""), null()}
 	got := decodeEncoded(t, &frame{Type: frameQuery, Args: args})
 	for i, v := range got.Args {
 		if v.Kind != args[i].Kind || v.I != args[i].I || math.Float64bits(v.F) != math.Float64bits(args[i].F) || v.S != args[i].S {
@@ -77,7 +77,7 @@ func TestFrameGolden(t *testing.T) {
 		hex  string
 	}{
 		{"query with every value kind",
-			frame{Type: frameQuery, SQL: "INSERT INTO t VALUES (?, ?, ?, ?)", Args: []Value{Null(), Int(-2), Float(1.5), Text("k")}},
+			frame{Type: frameQuery, SQL: "INSERT INTO t VALUES (?, ?, ?, ?)", Args: []Value{null(), Int(-2), Float(1.5), Text("k")}},
 			"00000033" + "00" + "21" + hex.EncodeToString([]byte("INSERT INTO t VALUES (?, ?, ?, ?)")) +
 				"04" + "00" + "0103" + "023ff8000000000000" + "03016b"},
 		{"result with a feed",

@@ -151,7 +151,7 @@ type boundCond struct {
 }
 
 func (c boundCond) matches(v Value) bool {
-	cmp := Compare(v, c.Value)
+	cmp := compare(v, c.Value)
 	switch c.Op {
 	case OpEq:
 		return cmp == 0
@@ -321,7 +321,7 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 		}
 		row := make([]Value, len(t.schema))
 		for i := range row {
-			row[i] = Null()
+			row[i] = null()
 		}
 		for i, ex := range exprRow {
 			v, err := bind(ex, args, &next)
@@ -335,7 +335,7 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 			row[pos[i]] = cv
 		}
 		pk := row[t.pkCol]
-		if pk.IsNull() {
+		if pk.isNull() {
 			return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
 		}
 		if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.Replace {
@@ -450,7 +450,7 @@ func (e *Engine) selectRows(s SelectStmt, args []Value) (Result, error) {
 			return Result{}, fmt.Errorf("minisql: no column %q in table %q", s.Order.Column, t.name)
 		}
 		sort.SliceStable(idxs, func(a, b int) bool {
-			cmp := Compare(t.rows[idxs[a]][oi], t.rows[idxs[b]][oi])
+			cmp := compare(t.rows[idxs[a]][oi], t.rows[idxs[b]][oi])
 			if s.Order.Desc {
 				return cmp > 0
 			}
@@ -516,7 +516,7 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 			continue
 		}
 		for _, ri := range idxs {
-			if Equal(t.rows[ri][t.pkCol], sv.val) {
+			if equal(t.rows[ri][t.pkCol], sv.val) {
 				continue
 			}
 			if _, dup := t.pkIndex[sv.val]; dup || len(idxs) > 1 {
@@ -534,7 +534,7 @@ func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
 		if !changed {
 			continue // the same values again: nothing to number
 		}
-		if !Equal(old, t.rows[ri][t.pkCol]) {
+		if !equal(old, t.rows[ri][t.pkCol]) {
 			// The row moved to another key: the old one reads as deleted.
 			delete(t.pkIndex, old)
 			t.pkIndex[t.rows[ri][t.pkCol]] = ri
@@ -573,40 +573,4 @@ func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
 		t.bury(pk, e.seq)
 	}
 	return int64(len(idxs)), nil
-}
-
-// TableNames returns the names of all tables, sorted.
-func (e *Engine) TableNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make([]string, 0, len(e.tables))
-	for n := range e.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Schema returns the column definitions of a table.
-func (e *Engine) Schema(table string) ([]ColumnDef, error) {
-	t, err := e.getTable(table)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]ColumnDef, len(t.schema))
-	copy(out, t.schema)
-	return out, nil
-}
-
-// RowCount returns the number of rows in a table.
-func (e *Engine) RowCount(table string) (int, error) {
-	t, err := e.getTable(table)
-	if err != nil {
-		return 0, err
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows), nil
 }

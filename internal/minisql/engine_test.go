@@ -72,7 +72,7 @@ func TestReplaceUpserts(t *testing.T) {
 	if res.Rows[0][0] != Float(20) {
 		t.Fatalf("capacity = %v", res.Rows[0][0])
 	}
-	if n, _ := e.RowCount("qos_rules"); n != 1 {
+	if n, _ := e.rowCount("qos_rules"); n != 1 {
 		t.Fatalf("rows = %d", n)
 	}
 }
@@ -132,7 +132,7 @@ func TestDeleteMaintainsIndex(t *testing.T) {
 			t.Errorf("key %s: rows = %d, want %d", k, got, want)
 		}
 	}
-	if n, _ := e.RowCount("qos_rules"); n != 9 {
+	if n, _ := e.rowCount("qos_rules"); n != 9 {
 		t.Fatalf("rows = %d", n)
 	}
 }
@@ -224,7 +224,7 @@ func TestNullHandling(t *testing.T) {
 	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	mustExec(t, e, `INSERT INTO t VALUES (1, NULL)`)
 	res := mustExec(t, e, `SELECT v FROM t WHERE id = 1`)
-	if !res.Rows[0][0].IsNull() {
+	if !res.Rows[0][0].isNull() {
 		t.Fatalf("v = %v", res.Rows[0][0])
 	}
 	// NULL PK rejected.
@@ -238,7 +238,7 @@ func TestInsertColumnSubset(t *testing.T) {
 	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)`)
 	mustExec(t, e, `INSERT INTO t (id, b) VALUES (1, 'hi')`)
 	res := mustExec(t, e, `SELECT a, b FROM t WHERE id = 1`)
-	if !res.Rows[0][0].IsNull() || res.Rows[0][1] != Text("hi") {
+	if !res.Rows[0][0].isNull() || res.Rows[0][1] != Text("hi") {
 		t.Fatalf("row = %v", res.Rows[0])
 	}
 }
@@ -273,7 +273,7 @@ func TestCreateTableIfNotExistsIdempotent(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, `CREATE TABLE IF NOT EXISTS qos_rules (key TEXT PRIMARY KEY)`)
 	// Original schema preserved (4 columns).
-	sch, err := e.Schema("qos_rules")
+	sch, err := e.schemaOf("qos_rules")
 	if err != nil || len(sch) != 4 {
 		t.Fatalf("schema = %v, %v", sch, err)
 	}
@@ -283,7 +283,7 @@ func TestTableNames(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE b (x INT PRIMARY KEY)`)
 	mustExec(t, e, `CREATE TABLE a (x INT PRIMARY KEY)`)
-	names := e.TableNames()
+	names := e.tableNames()
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
 	}
@@ -308,7 +308,7 @@ func TestCutHoldsChangedRowsOnly(t *testing.T) {
 	snap, reset, _ := e.since(cur)
 	want := fmt.Sprint([][]Value{
 		{Int(cur.Seq + 2), Bool(false), Text("a"), Float(1), Float(1), Float(5)},
-		{Int(cur.Seq + 3), Bool(true), Text("b"), Null(), Null(), Null()},
+		{Int(cur.Seq + 3), Bool(true), Text("b"), null(), null(), null()},
 	})
 	if reset || len(snap.Tables) != 1 || fmt.Sprint(snap.Tables[0].Rows) != want || snap.At.Seq != cur.Seq+3 {
 		t.Fatalf("cut after %+v: reset %v, %+v; want %s up to %d", cur, reset, snap, want, cur.Seq+3)
@@ -342,7 +342,7 @@ func TestConcurrentPointWrites(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n, _ := e.RowCount("qos_rules"); n != keys {
+	if n, _ := e.rowCount("qos_rules"); n != keys {
 		t.Fatalf("rows = %d", n)
 	}
 }
@@ -356,12 +356,12 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	snap := e.Snapshot()
 	e2 := NewEngine()
-	if err := e2.Restore(snap); err != nil {
+	if err := e2.apply(snap, true); err != nil {
 		t.Fatal(err)
 	}
 	for _, table := range []string{"qos_rules", "t2"} {
-		n1, _ := e.RowCount(table)
-		n2, _ := e2.RowCount(table)
+		n1, _ := e.rowCount(table)
+		n2, _ := e2.rowCount(table)
 		if n1 != n2 {
 			t.Fatalf("%s rows: %d vs %d", table, n1, n2)
 		}
@@ -382,15 +382,15 @@ func TestValueCompareProperty(t *testing.T) {
 	// Compare must be antisymmetric and consistent with Equal.
 	f := func(a, b int64) bool {
 		va, vb := Int(a), Int(b)
-		return Compare(va, vb) == -Compare(vb, va) &&
-			(Compare(va, vb) == 0) == (a == b)
+		return compare(va, vb) == -compare(vb, va) &&
+			(compare(va, vb) == 0) == (a == b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := func(a, b string) bool {
 		va, vb := Text(a), Text(b)
-		return Compare(va, vb) == -Compare(vb, va)
+		return compare(va, vb) == -compare(vb, va)
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
@@ -398,22 +398,22 @@ func TestValueCompareProperty(t *testing.T) {
 }
 
 func TestValueCompareMixed(t *testing.T) {
-	if Compare(Int(3), Float(3.0)) != 0 {
+	if compare(Int(3), Float(3.0)) != 0 {
 		t.Error("int/float equality broken")
 	}
-	if Compare(Int(3), Float(3.5)) >= 0 {
+	if compare(Int(3), Float(3.5)) >= 0 {
 		t.Error("int/float order broken")
 	}
-	if Compare(Null(), Int(0)) >= 0 {
+	if compare(null(), Int(0)) >= 0 {
 		t.Error("NULL must sort first")
 	}
-	if Compare(Null(), Null()) != 0 {
+	if compare(null(), null()) != 0 {
 		t.Error("NULL != NULL under Compare")
 	}
-	if Compare(Int(5), Text("5")) == 0 {
+	if compare(Int(5), Text("5")) == 0 {
 		t.Error("number must not equal text")
 	}
-	if Compare(Text("a"), Int(5)) != -Compare(Int(5), Text("a")) {
+	if compare(Text("a"), Int(5)) != -compare(Int(5), Text("a")) {
 		t.Error("mixed compare not antisymmetric")
 	}
 }
@@ -422,13 +422,13 @@ func TestValueCoercionHelpers(t *testing.T) {
 	if Int(7).AsFloat() != 7 || Float(2.5).AsInt() != 2 || Text("11").AsInt() != 11 {
 		t.Error("numeric coercions broken")
 	}
-	if Int(7).AsText() != "7" || Null().AsText() != "" {
+	if Int(7).AsText() != "7" || null().AsText() != "" {
 		t.Error("text coercions broken")
 	}
 	if Bool(true) != Int(1) || Bool(false) != Int(0) {
 		t.Error("bool encoding broken")
 	}
-	if Null().String() != "NULL" || Text("x").String() != "'x'" {
+	if null().String() != "NULL" || Text("x").String() != "'x'" {
 		t.Error("String() rendering broken")
 	}
 	if KindText.String() != "TEXT" || Kind(9).String() == "" {

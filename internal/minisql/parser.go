@@ -295,7 +295,7 @@ func (p *parser) expr() (Expr, error) {
 		return Expr{Value: Text(t.text)}, nil
 	case t.kind == tokKeyword && t.text == "NULL":
 		p.pos++
-		return Expr{Value: Null()}, nil
+		return Expr{Value: null()}, nil
 	default:
 		return Expr{}, p.errorf("expected value, found %q", t.text)
 	}

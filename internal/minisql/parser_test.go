@@ -62,7 +62,7 @@ func TestParseInsert(t *testing.T) {
 	if ins.Rows[0][0].Value != Int(1) || ins.Rows[0][1].Value != Text("x") {
 		t.Fatalf("row0 = %+v", ins.Rows[0])
 	}
-	if !ins.Rows[1][0].Placeholder || !ins.Rows[1][1].Value.IsNull() {
+	if !ins.Rows[1][0].Placeholder || !ins.Rows[1][1].Value.isNull() {
 		t.Fatalf("row1 = %+v", ins.Rows[1])
 	}
 }

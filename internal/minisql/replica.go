@@ -25,10 +25,9 @@ type Replica struct {
 	stop   context.CancelFunc
 	cursor Cursor // the cut applied last; only the receiving goroutine uses it
 
-	promoted atomic.Bool
-	applied  atomic.Int64
-	lastErr  atomic.Value // string
-	wg       sync.WaitGroup
+	applied atomic.Int64
+	lastErr atomic.Value // string
+	wg      sync.WaitGroup
 }
 
 // NewReplica creates a replica applying into engine. Call Follow to start.
@@ -139,22 +138,18 @@ func (r *Replica) run(addr string, fr *frameReader, hangUp func()) {
 	}
 }
 
-// Promote detaches from the master and marks the replica as promoted: the
-// engine numbers later writes under an origin of its own, forked from the
+// Promote detaches from the master and promotes the replica: the engine
+// numbers later writes under an origin of its own, forked from the
 // master's at Applied. The caller flips the co-located Server out of
 // read-only mode to begin serving writes (the DNS failover in the cluster
 // layer then points clients here).
 func (r *Replica) Promote() {
-	r.promoted.Store(true)
 	r.Stop()
 	r.engine.promote()
 	// A connection error observed while the master was dying is expected
 	// and moot once this node takes over.
 	r.lastErr.Store("")
 }
-
-// Promoted reports whether Promote has been called.
-func (r *Replica) Promoted() bool { return r.promoted.Load() }
 
 // Stop terminates replication without promoting.
 func (r *Replica) Stop() {

@@ -238,7 +238,7 @@ func TestReplicationSnapshotAndStream(t *testing.T) {
 	}
 	defer rep.Stop()
 	// Snapshot applied synchronously.
-	if n, _ := standby.RowCount("t"); n != 50 {
+	if n, _ := standby.rowCount("t"); n != 50 {
 		t.Fatalf("standby rows after snapshot = %d", n)
 	}
 	// Live stream.
@@ -249,11 +249,11 @@ func TestReplicationSnapshotAndStream(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if n, _ := standby.RowCount("t"); n == 80 {
+		if n, _ := standby.rowCount("t"); n == 80 {
 			break
 		}
 		if time.Now().After(deadline) {
-			n, _ := standby.RowCount("t")
+			n, _ := standby.rowCount("t")
 			t.Fatalf("standby rows = %d, want 80 (applied=%d, err=%v)", n, rep.Applied(), rep.Err())
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -321,7 +321,7 @@ func waitApplied(t *testing.T, rep *Replica, master *Engine, table string) {
 // returns them.
 func sameRows(t *testing.T, master, standby *Engine, table string) [][]Value {
 	t.Helper()
-	schema, err := master.Schema(table)
+	schema, err := master.schemaOf(table)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +453,8 @@ func TestReplicaPromote(t *testing.T) {
 	srv.Close()
 	rep.Promote()
 	standbySrv.SetReadOnly(false)
-	if !rep.Promoted() {
-		t.Fatal("not promoted")
+	if standby.lineage.Load().fork == (Cursor{}) {
+		t.Fatal("not promoted: the standby's lineage has no fork")
 	}
 	// Promotion must not record a spurious replication error.
 	if err := rep.Err(); err != nil {

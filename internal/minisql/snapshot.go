@@ -65,11 +65,6 @@ func (e *Engine) since(cur Cursor) (snap SnapshotData, reset bool, wait <-chan s
 	return snap, reset, nil
 }
 
-// Restore replaces the engine's entire contents with the snapshot: the same
-// rows and tombstones at the same sequence numbers, under the snapshot's
-// origin.
-func (e *Engine) Restore(snap SnapshotData) error { return e.apply(snap, true) }
-
 // apply writes a cut into the engine, as a standby does with each one its
 // master streams: tables it does not have yet are created, and every entry
 // lands at the master's sequence number. A reset cut replaces every table
@@ -119,7 +114,7 @@ func (e *Engine) apply(snap SnapshotData, reset bool) error {
 // names — the row's values, or its deletion — at its sequence number.
 func (t *tableData) apply(ts TableSnapshot, at int64) error {
 	for _, row := range ts.Rows {
-		if len(row) != 2+len(t.schema) || row[0].Kind != KindInt || row[0].I <= t.head || row[0].I > at || row[2+t.pkCol].IsNull() {
+		if len(row) != 2+len(t.schema) || row[0].Kind != KindInt || row[0].I <= t.head || row[0].I > at || row[2+t.pkCol].isNull() {
 			return fmt.Errorf("minisql: malformed entry %v for %q at head %d", row, t.name, t.head)
 		}
 		seq, pk := row[0].I, row[2+t.pkCol]

@@ -71,8 +71,8 @@ type Value struct {
 	S    string
 }
 
-// Null, Int, Float and Text construct values.
-func Null() Value           { return Value{Kind: KindNull} }
+// null, Int, Float and Text construct values.
+func null() Value           { return Value{Kind: KindNull} }
 func Int(v int64) Value     { return Value{Kind: KindInt, I: v} }
 func Float(v float64) Value { return Value{Kind: KindFloat, F: v} }
 func Text(v string) Value   { return Value{Kind: KindText, S: v} }
@@ -85,8 +85,8 @@ func Bool(v bool) Value {
 	return Int(0)
 }
 
-// IsNull reports whether v is the SQL NULL.
-func (v Value) IsNull() bool { return v.Kind == KindNull }
+// isNull reports whether v is the SQL NULL.
+func (v Value) isNull() bool { return v.Kind == KindNull }
 
 // AsInt coerces v to int64 (text parses, float truncates, null is 0).
 func (v Value) AsInt() int64 {
@@ -143,10 +143,10 @@ func (v Value) String() string {
 	return v.AsText()
 }
 
-// Compare orders a against b: -1, 0, +1. NULL sorts before everything.
+// compare orders a against b: -1, 0, +1. NULL sorts before everything.
 // Numeric kinds compare numerically (int vs float allowed); text compares
 // lexicographically; a numeric never equals a text.
-func Compare(a, b Value) int {
+func compare(a, b Value) int {
 	an, bn := a.Kind == KindNull, b.Kind == KindNull
 	switch {
 	case an && bn:
@@ -185,13 +185,13 @@ func Compare(a, b Value) int {
 	}
 }
 
-// Equal reports a == b under Compare semantics.
-func Equal(a, b Value) bool { return Compare(a, b) == 0 }
+// equal reports a == b under compare semantics.
+func equal(a, b Value) bool { return compare(a, b) == 0 }
 
 // coerce converts v to the column kind k, returning an error on an
 // impossible conversion (typed columns reject mismatched text).
 func coerce(v Value, k Kind) (Value, error) {
-	if v.IsNull() {
+	if v.isNull() {
 		return v, nil
 	}
 	switch k {

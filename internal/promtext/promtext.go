@@ -143,11 +143,6 @@ func parseQuoted(in string) (val, rest string, ok bool) {
 	return "", "", false
 }
 
-// Samples returns every sample recorded under name, in exposition order.
-func (m Metrics) Samples(name string) []Sample {
-	return m.byName[name]
-}
-
 // Value returns the first sample of name whose labels include every match
 // pair. A series with no labels matches an empty match list.
 func (m Metrics) Value(name string, match ...Label) (float64, bool) {

@@ -43,8 +43,8 @@ garbage line without a value
 	if v, ok := m.Value("weird", Label{"msg", "a\"b\\c\nd"}); !ok || v != 2 {
 		t.Errorf("escaped label value not decoded: %v, %v", v, ok)
 	}
-	if got := len(m.Samples("janus_qos_sojourn_seconds")); got != 1 {
-		t.Errorf("Samples(sojourn) = %d entries, want 1", got)
+	if got := len(m.byName["janus_qos_sojourn_seconds"]); got != 1 {
+		t.Errorf("janus_qos_sojourn_seconds: %d samples, want 1", got)
 	}
 }
 

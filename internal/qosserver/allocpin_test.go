@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bucket"
 	"repro/internal/transport"
@@ -233,8 +234,12 @@ func TestAllocPinUDPIntake(t *testing.T) {
 // TestAllocPinResidentKeyBytes pins the footprint of a resident key:
 // 50 000 default-rule keys decided with auditing on and no store, measured
 // as the live-heap growth per key after a GC. The keys are named before the
-// first reading, so only what the server holds for them counts.
+// first reading, so only what the server holds for them counts. An entry
+// itself must stay within the 128 B size class.
 func TestAllocPinResidentKeyBytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n > 128 {
+		t.Errorf("an entry is %d B, over the 128 B size class", n)
+	}
 	skipIfInstrumented(t)
 	const keys = 50_000
 	s, err := New(Config{

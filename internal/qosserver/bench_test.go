@@ -107,7 +107,7 @@ func BenchmarkPullOnce(b *testing.B) {
 	b.Cleanup(rep.Stop)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rep.PullOnce(); err != nil {
+		if err := rep.pullOnce(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -160,7 +160,7 @@ func NewReplicator(slave *Server, masterAddr string, interval time.Duration) *Re
 // slave is warm when Start returns; when it fails, nothing runs in the
 // background.
 func (r *Replicator) Start() error {
-	if err := r.PullOnce(); err != nil {
+	if err := r.pullOnce(); err != nil {
 		return err
 	}
 	r.loop = tick.Every(r.interval, r.pull)
@@ -169,13 +169,13 @@ func (r *Replicator) Start() error {
 
 // pull is one background pull; Err reports its error.
 func (r *Replicator) pull() {
-	if err := r.PullOnce(); err != nil {
+	if err := r.pullOnce(); err != nil {
 		r.lastErr.Store(err.Error())
 	}
 }
 
-// PullOnce performs a single replication pull.
-func (r *Replicator) PullOnce() error {
+// pullOnce performs a single replication pull.
+func (r *Replicator) pullOnce() error {
 	if fpHAPull.Armed() {
 		switch o := fpHAPull.EvalPeer(r.master); o.Kind {
 		case failpoint.Error, failpoint.Partition:

@@ -129,7 +129,7 @@ func TestFollowingSlaveDoesNotCheckpoint(t *testing.T) {
 	}
 
 	consume(master, 3)
-	if err := rep.PullOnce(); err != nil { // the slave holds 7
+	if err := rep.pullOnce(); err != nil { // the slave holds 7
 		t.Fatal(err)
 	}
 	consume(master, 2)
@@ -163,7 +163,7 @@ func TestFollowingSlaveDoesNotSync(t *testing.T) {
 	slave := newServer(t, Config{Store: store.New(counted), SyncInterval: time.Hour})
 	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
 	defer rep.Stop()
-	if err := rep.PullOnce(); err != nil {
+	if err := rep.pullOnce(); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(10 * time.Millisecond)
@@ -265,8 +265,8 @@ func TestPeerExchangesTimeOutOnASilentPeer(t *testing.T) {
 	t.Run("pull", func(t *testing.T) {
 		t.Parallel()
 		rep := NewReplicator(newServer(t, Config{}), addr, time.Hour)
-		within(t, 3*time.Second, "PullOnce", func() {
-			if err := rep.PullOnce(); err == nil {
+		within(t, 3*time.Second, "pullOnce", func() {
+			if err := rep.pullOnce(); err == nil {
 				t.Error("pull from a silent peer succeeded")
 			}
 		})
@@ -303,7 +303,7 @@ func TestSnapshotReplacesTheSlavesTable(t *testing.T) {
 	slave := newServer(t, Config{Audit: true})
 	rep := NewReplicator(slave, master.ReplicationAddr(), time.Hour)
 	defer rep.Stop()
-	if err := rep.PullOnce(); err != nil {
+	if err := rep.pullOnce(); err != nil {
 		t.Fatal(err)
 	}
 	if n := slave.TableLen(); n != 100 {
@@ -312,7 +312,7 @@ func TestSnapshotReplacesTheSlavesTable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		master.table.Delete(fmt.Sprintf("k%d", i))
 	}
-	if err := rep.PullOnce(); err != nil {
+	if err := rep.pullOnce(); err != nil {
 		t.Fatal(err)
 	}
 	if n := slave.TableLen(); n != 0 {

@@ -192,7 +192,7 @@ func TestSyncAfterPeerInstall(t *testing.T) {
 			// A following slave does not sync; the pass after Stop does.
 			rep := NewReplicator(to, from.ReplicationAddr(), time.Hour)
 			defer rep.Stop()
-			return rep.PullOnce()
+			return rep.pullOnce()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

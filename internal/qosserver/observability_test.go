@@ -92,8 +92,8 @@ func TestSojournStageMonotonicity(t *testing.T) {
 	if total := s.sojournTotal.Sum(); sum != total {
 		t.Errorf("stage sum %dns != total %dns; the decomposition must be exact (shared endpoint timestamps)", sum, total)
 	}
-	if cur := int64(s.CurrentSojourn()); cur != s.sojournQueue.Sum() {
-		t.Errorf("CurrentSojourn() = %dns, want the queue-stage sojourn %dns", cur, s.sojournQueue.Sum())
+	if cur := int64(gauge(t, s, "janus_qos_sojourn_current_ns")); cur != s.sojournQueue.Sum() {
+		t.Errorf("janus_qos_sojourn_current_ns = %dns, want the queue-stage sojourn %dns", cur, s.sojournQueue.Sum())
 	}
 }
 

@@ -27,7 +27,7 @@ func TestFIFOOverflowDropsAndRetriesRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	pkt, _ := wire.EncodeRequest(wire.Request{ID: 1, Key: "k", Cost: 1})
+	pkt, _ := wire.AppendRequest(nil, wire.Request{ID: 1, Key: "k", Cost: 1})
 	for i := 0; i < 5000; i++ {
 		conn.Write(pkt)
 	}
@@ -94,7 +94,7 @@ func TestIdenticalRetriesDoubleCharge(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 80; i++ {
-		pkt, _ := wire.EncodeRequest(wire.Request{ID: uint64(i), Key: "k", Cost: 1})
+		pkt, _ := wire.AppendRequest(nil, wire.Request{ID: uint64(i), Key: "k", Cost: 1})
 		conn.Write(pkt)
 		conn.Write(pkt) // retransmission
 	}
@@ -193,7 +193,7 @@ func pace(tb testing.TB, conn net.Conn, key string, rate int, d time.Duration) i
 	for deadline := time.Now().Add(d); time.Now().Before(deadline); {
 		for i := 0; i < burst; i++ {
 			id++
-			pkt, err := wire.EncodeRequest(wire.Request{ID: id, Key: key, Cost: 1})
+			pkt, err := wire.AppendRequest(nil, wire.Request{ID: id, Key: key, Cost: 1})
 			if err != nil {
 				tb.Fatal(err)
 			}
@@ -251,7 +251,7 @@ func measureCapacity(t *testing.T, addr string) int {
 	const probes = 50
 	rtts := make([]time.Duration, 0, probes)
 	for i := 0; i < probes; i++ {
-		pkt, err := wire.EncodeRequest(wire.Request{ID: uint64(i + 1), Key: "capacity-probe", Cost: 1})
+		pkt, err := wire.AppendRequest(nil, wire.Request{ID: uint64(i + 1), Key: "capacity-probe", Cost: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

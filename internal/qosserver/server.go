@@ -173,10 +173,10 @@ type Server struct {
 	fifo chan packet
 	cdl  *codel
 
-	// fallbacks holds the default-rule keys whose rule fetch failed: the
-	// next sync pass that reads the database evicts them, since no change
-	// feed would list their rules.
-	fallbacks keySet
+	// fetchFailed is set after a first-sight fetch failed and its fallback
+	// entry is in the table; the next sync pass that reads the database
+	// clears it and scans the table for fallbacks.
+	fetchFailed atomic.Bool
 
 	// Per-stage sojourn decomposition (DESIGN.md §12): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
@@ -260,44 +260,20 @@ type packet struct {
 }
 
 // entry is everything the server holds for one resident key: the leaky
-// bucket, the key's audit account, and whether the default rule installed
-// it. Every grant reinstalls it in place (install), so the account carries
-// across the key's residency, and deleting the key from the table drops all
-// three.
+// bucket, the key's audit account, whether the default rule installed it,
+// and whether that was because the rule fetch failed. Every grant
+// reinstalls it in place (install), so the account carries across the key's
+// residency, and deleting the key from the table drops all of it.
 type entry struct {
 	bucket.Bucket
 	acct audit.Account
 	// isDefault marks keys served by the default rule, so responses carry
 	// StatusDefaultRule and checkpointing skips them.
 	isDefault atomic.Bool
-}
-
-// keySet is a concurrent string set, for the fallbacks: a cold path, which
-// only first-sight installs and sync passes touch.
-type keySet struct {
-	mu sync.RWMutex
-	m  map[string]struct{}
-}
-
-func (ks *keySet) Store(key string) {
-	ks.mu.Lock()
-	if ks.m == nil {
-		ks.m = make(map[string]struct{})
-	}
-	ks.m[key] = struct{}{}
-	ks.mu.Unlock()
-}
-
-// drain empties the set and returns what it held.
-func (ks *keySet) drain() []string {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	var keys []string
-	for key := range ks.m {
-		keys = append(keys, key)
-	}
-	clear(ks.m)
-	return keys
+	// fallback marks a key whose first-sight fetch failed: the next sync
+	// pass that reads the database evicts it if it is still on the default
+	// rule, since no change feed would list its rule.
+	fallback atomic.Bool
 }
 
 // New starts a QoS server.
@@ -581,12 +557,6 @@ func (s *Server) observeSojourn(recvNs, deqNs, decNs, sentNs int64) {
 	s.curSojournNs.Store(deqNs - recvNs)
 }
 
-// CurrentSojourn returns the queue-stage sojourn of the most recently
-// dequeued packet — the signal a CoDel-style drop policy watches.
-func (s *Server) CurrentSojourn() time.Duration {
-	return time.Duration(s.curSojournNs.Load())
-}
-
 // SojournTotal returns the end-to-end (recv→sent) sojourn histogram in
 // nanoseconds — the per-node tail signal the scenario harness feeds to SLO
 // checks and the autoscaler, without registry-name coupling.
@@ -672,13 +642,17 @@ var fpAuditDoubleCredit = failpoint.New("qosserver/audit/double-credit")
 // installRule fetches the rule for key from the database (or applies the
 // default) and installs its entry in the local table.
 func (s *Server) installRule(key string, now time.Time) *entry {
-	e, _ := s.table.GetOrCreate(key, func() *entry {
+	e, created := s.table.GetOrCreate(key, func() *entry {
 		rule, isDefault, failed := s.fetchRule(key)
-		if failed {
-			s.fallbacks.Store(key)
-		}
-		return s.newEntry(rule, isDefault, now)
+		e := s.newEntry(rule, isDefault, now)
+		e.fallback.Store(failed)
+		return e
 	})
+	if created && e.fallback.Load() {
+		// Set only now that the entry is in the table, so the pass that
+		// clears the flag finds the entry.
+		s.fetchFailed.Store(true)
+	}
 	return e
 }
 
@@ -832,11 +806,9 @@ func (s *Server) sync(now time.Time, install bool) error {
 		// The database answers again, so the keys that got the error
 		// fallback re-fetch their rule on their next request. One that left
 		// the default rule meanwhile holds a rule from a sync pass or a peer,
-		// and stays.
-		for _, key := range s.fallbacks.drain() {
-			if e := s.table.Get(key); e != nil && e.isDefault.Load() {
-				s.table.Delete(key)
-			}
+		// and stays. The table is scanned only after a fetch failed.
+		if s.fetchFailed.Swap(false) {
+			s.evict(func(_ string, e *entry) bool { return e.fallback.Swap(false) && e.isDefault.Load() })
 		}
 		if ch.Reset {
 			s.syncReconciles.Inc()

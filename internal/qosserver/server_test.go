@@ -679,6 +679,57 @@ func TestErrorFallbackEndsWithOutage(t *testing.T) {
 	}
 }
 
+// TestFallbackKeepsPeerRule: a key that got the error fallback during a
+// database outage and then a real rule from a peer's handoff keeps the
+// peer's rule, credit included, through the sync pass after recovery; only
+// fallbacks still on the default rule re-fetch.
+func TestFallbackKeepsPeerRule(t *testing.T) {
+	rule := bucket.Rule{Key: "k", RefillRate: 0, Capacity: 5, Credit: 5}
+	for _, failOpen := range []bool{false, true} {
+		flaky := &flakyExecutor{Executor: minisql.NewEngine()}
+		db := store.New(flaky)
+		if err := db.Init(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(rule); err != nil {
+			t.Fatal(err)
+		}
+		dst := newServer(t, Config{Store: db, FailOpen: failOpen, ReplicationAddr: "127.0.0.1:0"})
+		dst.SyncOnce()
+		flaky.down.Store(true)
+		dst.Decide(wire.Request{Key: "k"})
+		if !defaultKey(dst, "k") {
+			t.Fatalf("failOpen=%v: precondition: k is not on the error fallback", failOpen)
+		}
+
+		// The peer holds k's rule with 2 of its 5 credits left, and hands it over.
+		src := newHandoffServer(t, rule)
+		for i := 0; i < 3; i++ {
+			if !src.Decide(wire.Request{Key: "k"}).Allow {
+				t.Fatalf("failOpen=%v: peer denied k", failOpen)
+			}
+		}
+		if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 1 {
+			t.Fatalf("failOpen=%v: handoff moved %d, err %v", failOpen, moved, err)
+		}
+		if defaultKey(dst, "k") {
+			t.Fatalf("failOpen=%v: precondition: the handoff left k on the default rule", failOpen)
+		}
+
+		flaky.down.Store(false)
+		dst.SyncOnce()
+		allowed := 0
+		for i := 0; i < 10; i++ {
+			if dst.Decide(wire.Request{Key: "k"}).Allow {
+				allowed++
+			}
+		}
+		if allowed != 2 {
+			t.Errorf("failOpen=%v: admitted %d of 10 after recovery, want the peer's 2", failOpen, allowed)
+		}
+	}
+}
+
 // TestRemovedKeysLeaveNoState: a key that leaves the table takes its whole
 // entry with it — bucket, default-rule mark and audit account. Here 1 000
 // first-sight keys get the error fallback during a database outage; the sync

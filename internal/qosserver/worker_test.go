@@ -97,7 +97,7 @@ func TestWorkerAnswersRetiredBitFrameForEntryZero(t *testing.T) {
 	db := newDB(t, bucket.Rule{Key: "alice", RefillRate: 0, Capacity: 2, Credit: 2})
 	s := newServer(t, Config{Store: db})
 
-	pkt, err := wire.EncodeRequest(wire.Request{ID: 1, Key: "alice", Cost: 1})
+	pkt, err := wire.AppendRequest(nil, wire.Request{ID: 1, Key: "alice", Cost: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

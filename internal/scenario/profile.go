@@ -16,10 +16,10 @@ func Steady(rate float64) RateProfile {
 	return func(time.Duration) float64 { return rate }
 }
 
-// Diurnal oscillates base ± amplitude sinusoidally with the given period,
+// diurnal oscillates base ± amplitude sinusoidally with the given period,
 // starting at the trough so a run always opens under light load and climbs
 // into its first peak.
-func Diurnal(base, amplitude float64, period time.Duration) RateProfile {
+func diurnal(base, amplitude float64, period time.Duration) RateProfile {
 	return func(elapsed time.Duration) float64 {
 		phase := 2*math.Pi*float64(elapsed)/float64(period) - math.Pi/2
 		r := base + amplitude*math.Sin(phase)
@@ -30,10 +30,10 @@ func Diurnal(base, amplitude float64, period time.Duration) RateProfile {
 	}
 }
 
-// FlashCrowd holds base until at, ramps linearly to base*mult within ramp
+// flashCrowd holds base until at, ramps linearly to base*mult within ramp
 // (the 10×-in-≤1s step), holds the peak for hold, then settles at after —
 // lower than base, so the post-crowd lull drives scale-in.
-func FlashCrowd(base, after, mult float64, at, ramp, hold time.Duration) RateProfile {
+func flashCrowd(base, after, mult float64, at, ramp, hold time.Duration) RateProfile {
 	peak := base * mult
 	return func(elapsed time.Duration) float64 {
 		switch {

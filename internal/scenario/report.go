@@ -1,11 +1,6 @@
 package scenario
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"sync"
-)
+import "fmt"
 
 // ScaleEvent is one autoscale action in a run's trace, in virtual (DES) or
 // wall (real) seconds since run start.
@@ -140,48 +135,4 @@ func (s SLO) Check(r *Report) []string {
 	r.Violations = v
 	r.SLOPass = len(v) == 0
 	return v
-}
-
-// Bench is the on-disk SCENARIOS_SLO.json document.
-type Bench struct {
-	Suite      string   `json:"suite"`
-	Command    string   `json:"command"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	Date       string   `json:"date"`
-	Acceptance []string `json:"acceptance"`
-	Notes      string   `json:"notes"`
-	Scenarios  []Report `json:"scenarios"`
-}
-
-// Collector accumulates reports across scenario runs for a single Bench
-// document; safe for concurrent Add.
-type Collector struct {
-	mu      sync.Mutex
-	reports []Report
-}
-
-// Add appends one run's report.
-func (c *Collector) Add(r Report) {
-	c.mu.Lock()
-	c.reports = append(c.reports, r)
-	c.mu.Unlock()
-}
-
-// Reports returns a copy of what has been collected.
-func (c *Collector) Reports() []Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Report(nil), c.reports...)
-}
-
-// WriteJSON renders the Bench document (header fields supplied by the
-// caller, which knows the date and platform) to path, indented.
-func (c *Collector) WriteJSON(path string, b Bench) error {
-	b.Scenarios = c.Reports()
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -79,12 +79,12 @@ type Band struct {
 
 // group builds the band's autoscale group over latency histogram lat.
 func (b Band) group(lat *metrics.Histogram, out, in autoscale.Action, capacity func() int, clock func() time.Time) (*autoscale.Group, error) {
-	win := NewHistWindow(lat)
+	win := newHistWindow(lat)
 	return autoscale.New(autoscale.Config{
 		Min: b.MinRouters, Max: b.MaxRouters,
 		HighWater: b.HighWaterMs, LowWater: b.LowWaterMs,
 		Metric: func() float64 {
-			d, n := win.Advance(0.90)
+			d, n := win.advance(0.90)
 			if n == 0 {
 				// An empty window is no evidence either way: report the
 				// middle of the band so the group holds.
@@ -238,7 +238,7 @@ var registry = []Scenario{
 		Desc:          "sinusoidal day/night pacing swinging 0.2×–1.4× one node's capacity across three cycles; autoscale follows the wave",
 		Tenants:       []Tenant{{Name: "user", Weight: 1, Users: 500_000, RealKeys: 64, Rate: 50, Capacity: 100}},
 		ZipfS:         1.2,
-		Profile:       func(cap float64, dur time.Duration) RateProfile { return Diurnal(0.8*cap, 0.6*cap, dur/3) },
+		Profile:       func(cap float64, dur time.Duration) RateProfile { return diurnal(0.8*cap, 0.6*cap, dur/3) },
 		DESMaxRouters: 3,
 		Real: RealParams{
 			DecideDelay: 2 * time.Millisecond, Duration: 7 * time.Second, LongDuration: 21 * time.Second,
@@ -261,7 +261,7 @@ var registry = []Scenario{
 		Profile: func(cap float64, dur time.Duration) RateProfile {
 			// The ramp stays a fixed 500ms — the 10×-in-≤1s step is the
 			// point — while onset and hold scale with the run budget.
-			return FlashCrowd(0.5*cap, 0.25*cap, 10, dur/4, 500*time.Millisecond, dur*3/20)
+			return flashCrowd(0.5*cap, 0.25*cap, 10, dur/4, 500*time.Millisecond, dur*3/20)
 		},
 		DESMaxRouters: 4,
 		Real: RealParams{

@@ -18,9 +18,9 @@ type HistWindow struct {
 	prevTotal int64
 }
 
-// NewHistWindow wraps h. Bounds span 50µs to 60s in ×1.5 steps, matching
+// newHistWindow wraps h. Bounds span 50µs to 60s in ×1.5 steps, matching
 // the log-bucket resolution of the underlying histogram.
-func NewHistWindow(h *metrics.Histogram) *HistWindow {
+func newHistWindow(h *metrics.Histogram) *HistWindow {
 	var bounds []int64
 	for b := int64(50 * time.Microsecond); b <= int64(time.Minute); b += b / 2 {
 		bounds = append(bounds, b)
@@ -28,10 +28,10 @@ func NewHistWindow(h *metrics.Histogram) *HistWindow {
 	return &HistWindow{h: h, bounds: bounds, prev: make([]int64, len(bounds))}
 }
 
-// Advance closes the current window: it returns the q-quantile of the
+// advance closes the current window: it returns the q-quantile of the
 // observations recorded since the previous Advance and how many there were
 // (0 observations returns 0 duration). Not safe for concurrent use.
-func (w *HistWindow) Advance(q float64) (time.Duration, int64) {
+func (w *HistWindow) advance(q float64) (time.Duration, int64) {
 	cur := w.h.CumulativeCounts(w.bounds)
 	total := w.h.Count()
 	n := total - w.prevTotal

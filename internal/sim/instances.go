@@ -54,16 +54,6 @@ var Catalog = []InstanceType{C3Large, C3XLarge, C32XLarge, C34XLarge, C38XLarge,
 // (Figs 7 and 10).
 var CSeries = []InstanceType{C3Large, C3XLarge, C32XLarge, C34XLarge, C38XLarge}
 
-// ByName looks an instance type up in the catalogue.
-func ByName(name string) (InstanceType, bool) {
-	for _, t := range Catalog {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return InstanceType{}, false
-}
-
 // Names returns all catalogue names, sorted.
 func Names() []string {
 	out := make([]string, len(Catalog))

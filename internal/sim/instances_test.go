@@ -35,16 +35,6 @@ func TestCatalogMatchesTableI(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	it, ok := ByName("c3.8xlarge")
-	if !ok || it.VCPUs != 32 {
-		t.Fatalf("ByName: %+v %v", it, ok)
-	}
-	if _, ok := ByName("m5.enormous"); ok {
-		t.Fatal("unknown type found")
-	}
-}
-
 func TestNamesSorted(t *testing.T) {
 	names := Names()
 	if len(names) != len(Catalog) {

@@ -15,9 +15,9 @@ import (
 // detector turns any unsynchronized map access in the mutex or sharded
 // paths into a test failure; the final assertions catch lost updates.
 func TestTableRaceStress(t *testing.T) {
-	for _, kind := range []Kind{KindMutex, KindSharded} {
-		t.Run(string(kind), func(t *testing.T) {
-			tbl := New(kind)
+	for _, name := range []string{"mutex", "sharded"} {
+		t.Run(name, func(t *testing.T) {
+			tbl := impls()[name]()
 			now := time.Unix(0, 0)
 			const (
 				workers = 8

@@ -2,21 +2,18 @@
 // (paper §III-C: "The local QoS table is represented by a synchronized hash
 // map, where the key is the QoS key and the value is the leaky bucket").
 //
-// The table every QoS server runs is Sharded: the key space is split across
-// 64 independently locked shards chosen by a string hash, which removes the
-// global serialization point §V-C blames for the QoS layer's CPU
-// under-utilization ("the implementation of the locking mechanism being used
-// to manage the QoS rules in the local QoS table").
+// The table is Sharded: the key space is split across 64 independently
+// locked shards chosen by a string hash, which removes the global
+// serialization point §V-C blames for the QoS layer's CPU under-utilization
+// ("the implementation of the locking mechanism being used to manage the QoS
+// rules in the local QoS table").
 //
 // Sharded is generic in the value a key maps to. A QoS server keeps one
 // entry per resident key in it (the bucket, the key's audit account and its
-// default-rule mark together), so a decision makes one locked lookup; the
-// Table interface is Sharded over *bucket.Bucket, the paper's map.
-//
-// Mutex — one lock around one map, the paper's original design — is kept
-// only as the reference implementation TestImplementationsAgreeProperty
-// compares Sharded against and as the §V-C arm of
-// BenchmarkAblationTableSharding; no product configuration selects it.
+// default-rule and fallback marks together), so a decision makes one locked
+// lookup. The paper's single-lock map lives on only in tests: as the
+// reference implementation TestImplementationsAgreeProperty compares Sharded
+// against, and as the §V-C arm of BenchmarkAblationTableSharding.
 package table
 
 import (
@@ -25,95 +22,8 @@ import (
 	"repro/internal/bucket"
 )
 
-// Table is a concurrent map from QoS key to leaky bucket.
-type Table interface {
-	// Get returns the bucket for key, or nil if absent.
-	Get(key string) *bucket.Bucket
-	// GetOrCreate returns the bucket for key, creating it with factory
-	// (called at most once per insertion) when absent. The bool reports
-	// whether a new bucket was created.
-	GetOrCreate(key string, factory func() *bucket.Bucket) (*bucket.Bucket, bool)
-	// Put inserts or replaces the bucket for key.
-	Put(key string, b *bucket.Bucket)
-	// Delete removes key; it reports whether the key was present.
-	Delete(key string) bool
-	// Len returns the number of entries.
-	Len() int
-	// Range calls fn for every entry until fn returns false. The iteration
-	// order is unspecified and entries inserted concurrently may or may not
-	// be visited.
-	Range(fn func(key string, b *bucket.Bucket) bool)
-}
-
-// Mutex is the paper's original single-lock synchronized hash map: the
-// reference implementation for tests and the §V-C ablation.
-type Mutex struct {
-	mu sync.Mutex
-	m  map[string]*bucket.Bucket
-}
-
-// NewMutex returns an empty single-lock table.
-func NewMutex() *Mutex { return &Mutex{m: make(map[string]*bucket.Bucket)} }
-
-// Get implements Table.
-func (t *Mutex) Get(key string) *bucket.Bucket {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.m[key]
-}
-
-// GetOrCreate implements Table.
-func (t *Mutex) GetOrCreate(key string, factory func() *bucket.Bucket) (*bucket.Bucket, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if b, ok := t.m[key]; ok {
-		return b, false
-	}
-	b := factory()
-	t.m[key] = b
-	return b, true
-}
-
-// Put implements Table.
-func (t *Mutex) Put(key string, b *bucket.Bucket) {
-	t.mu.Lock()
-	t.m[key] = b
-	t.mu.Unlock()
-}
-
-// Delete implements Table.
-func (t *Mutex) Delete(key string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if _, ok := t.m[key]; !ok {
-		return false
-	}
-	delete(t.m, key)
-	return true
-}
-
-// Len implements Table.
-func (t *Mutex) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.m)
-}
-
-// Range implements Table. The lock is held for the duration of iteration,
-// which is the serialization cost the sharded variant removes.
-func (t *Mutex) Range(fn func(string, *bucket.Bucket) bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for k, b := range t.m {
-		if !fn(k, b) {
-			return
-		}
-	}
-}
-
-// Sharded splits the key space across independently locked shards. Its
-// methods are Table's with V for *bucket.Bucket; Get returns the zero V (nil
-// for a pointer) for an absent key.
+// Sharded is a concurrent map from key to V that splits the key space
+// across independently locked shards.
 type Sharded[V any] struct {
 	shards []shard[V]
 	mask   uint32
@@ -163,7 +73,8 @@ func (t *Sharded[V]) shardFor(key string) *shard[V] {
 	return &t.shards[hashFor(key)&t.mask]
 }
 
-// Get implements Table.
+// Get returns the value for key, or the zero V (nil for a pointer) if
+// absent.
 //
 //janus:hotpath
 func (t *Sharded[V]) Get(key string) V {
@@ -173,7 +84,9 @@ func (t *Sharded[V]) Get(key string) V {
 	return s.m[key]
 }
 
-// GetOrCreate implements Table.
+// GetOrCreate returns the value for key, creating it with factory when
+// absent; the bool reports whether this call created it. Under a race
+// factory may run more than once, but exactly one value is installed.
 func (t *Sharded[V]) GetOrCreate(key string, factory func() V) (V, bool) {
 	s := t.shardFor(key)
 	s.mu.RLock()
@@ -192,7 +105,7 @@ func (t *Sharded[V]) GetOrCreate(key string, factory func() V) (V, bool) {
 	return b, true
 }
 
-// Put implements Table.
+// Put inserts or replaces the value for key.
 func (t *Sharded[V]) Put(key string, v V) {
 	s := t.shardFor(key)
 	s.mu.Lock()
@@ -200,7 +113,7 @@ func (t *Sharded[V]) Put(key string, v V) {
 	s.mu.Unlock()
 }
 
-// Delete implements Table.
+// Delete removes key; it reports whether the key was present.
 func (t *Sharded[V]) Delete(key string) bool {
 	s := t.shardFor(key)
 	s.mu.Lock()
@@ -212,7 +125,7 @@ func (t *Sharded[V]) Delete(key string) bool {
 	return true
 }
 
-// Len implements Table.
+// Len returns the number of entries.
 func (t *Sharded[V]) Len() int {
 	n := 0
 	for i := range t.shards {
@@ -224,8 +137,10 @@ func (t *Sharded[V]) Len() int {
 	return n
 }
 
-// Range implements Table. Each shard's lock is held only while that shard is
-// iterated, so concurrent access to other shards proceeds unimpeded.
+// Range calls fn for every entry until fn returns false. The order is
+// unspecified, and an entry inserted concurrently may or may not be visited.
+// Each shard's lock is held only while that shard is iterated, so concurrent
+// access to other shards proceeds unimpeded.
 func (t *Sharded[V]) Range(fn func(string, V) bool) {
 	for i := range t.shards {
 		s := &t.shards[i]
@@ -240,28 +155,8 @@ func (t *Sharded[V]) Range(fn func(string, V) bool) {
 	}
 }
 
-// Kind names a table implementation.
-type Kind string
-
-// Table kinds. Product code builds its table with New("") and gets
-// KindSharded; KindMutex is for the tests and ablation named above.
-const (
-	KindMutex   Kind = "mutex"
-	KindSharded Kind = "sharded"
-)
-
-// New constructs a table of the given kind; anything but KindMutex is
-// sharded with the default shard count.
-func New(kind Kind) Table {
-	switch kind {
-	case KindMutex:
-		return NewMutex()
-	default:
-		return NewSharded[*bucket.Bucket](0)
-	}
-}
-
-var (
-	_ Table = (*Mutex)(nil)
-	_ Table = (*Sharded[*bucket.Bucket])(nil)
-)
+// New returns a sharded table of buckets with the default shard count. No
+// product code calls it: it is kept for the benchmark's table.get and
+// table.getorcreate layers (benchmark/layers.go), which build their table
+// with New(""), and it goes when they call NewSharded.
+func New(string) *Sharded[*bucket.Bucket] { return NewSharded[*bucket.Bucket](0) }

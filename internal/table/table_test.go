@@ -13,12 +13,82 @@ import (
 
 var t0 = time.Unix(1_000_000, 0)
 
-func impls() map[string]func() Table {
-	return map[string]func() Table{
-		"mutex":    func() Table { return NewMutex() },
-		"sharded":  func() Table { return NewSharded[*bucket.Bucket](0) },
-		"sharded1": func() Table { return NewSharded[*bucket.Bucket](1) },
-		"sharded3": func() Table { return NewSharded[*bucket.Bucket](3) }, // rounds up to 4
+// bucketTable is the map API the tests drive, over *bucket.Bucket.
+type bucketTable interface {
+	Get(key string) *bucket.Bucket
+	GetOrCreate(key string, factory func() *bucket.Bucket) (*bucket.Bucket, bool)
+	Put(key string, b *bucket.Bucket)
+	Delete(key string) bool
+	Len() int
+	Range(fn func(key string, b *bucket.Bucket) bool)
+}
+
+// Mutex is the paper's original single-lock synchronized hash map (§III-C),
+// the reference implementation Sharded is tested against.
+type Mutex struct {
+	mu sync.Mutex
+	m  map[string]*bucket.Bucket
+}
+
+func NewMutex() *Mutex { return &Mutex{m: make(map[string]*bucket.Bucket)} }
+
+func (t *Mutex) Get(key string) *bucket.Bucket {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.m[key]
+}
+
+func (t *Mutex) GetOrCreate(key string, factory func() *bucket.Bucket) (*bucket.Bucket, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if b, ok := t.m[key]; ok {
+		return b, false
+	}
+	b := factory()
+	t.m[key] = b
+	return b, true
+}
+
+func (t *Mutex) Put(key string, b *bucket.Bucket) {
+	t.mu.Lock()
+	t.m[key] = b
+	t.mu.Unlock()
+}
+
+func (t *Mutex) Delete(key string) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.m[key]; !ok {
+		return false
+	}
+	delete(t.m, key)
+	return true
+}
+
+func (t *Mutex) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.m)
+}
+
+// Range holds the lock for the whole iteration, the serialization Sharded
+// removes.
+func (t *Mutex) Range(fn func(string, *bucket.Bucket) bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for k, b := range t.m {
+		if !fn(k, b) {
+			return
+		}
+	}
+}
+
+func impls() map[string]func() bucketTable {
+	return map[string]func() bucketTable{
+		"mutex":    func() bucketTable { return NewMutex() },
+		"sharded":  func() bucketTable { return NewSharded[*bucket.Bucket](0) },
+		"sharded1": func() bucketTable { return NewSharded[*bucket.Bucket](1) },
+		"sharded3": func() bucketTable { return NewSharded[*bucket.Bucket](3) }, // rounds up to 4
 	}
 }
 
@@ -180,18 +250,6 @@ func TestShardedPowerOfTwoRounding(t *testing.T) {
 		if len(tb.shards) != c.want {
 			t.Errorf("NewSharded(%d) shards = %d, want %d", c.in, len(tb.shards), c.want)
 		}
-	}
-}
-
-func TestNewKind(t *testing.T) {
-	if _, ok := New(KindMutex).(*Mutex); !ok {
-		t.Error("KindMutex did not build *Mutex")
-	}
-	if _, ok := New(KindSharded).(*Sharded[*bucket.Bucket]); !ok {
-		t.Error("KindSharded did not build *Sharded")
-	}
-	if _, ok := New("bogus").(*Sharded[*bucket.Bucket]); !ok {
-		t.Error("unknown kind did not fall back to sharded")
 	}
 }
 

@@ -159,9 +159,9 @@ type Sampler struct {
 	seq       atomic.Uint64
 }
 
-// NewSampler returns a sampler tracing the given fraction of requests
+// newSampler returns a sampler tracing the given fraction of requests
 // (clamped to [0, 1]).
-func NewSampler(rate float64) *Sampler {
+func newSampler(rate float64) *Sampler {
 	s := &Sampler{}
 	s.SetRate(rate)
 	return s
@@ -369,7 +369,7 @@ func NewRecorder(cfg Config) *Recorder {
 		size = 256
 	}
 	return &Recorder{
-		sampler: NewSampler(cfg.Rate),
+		sampler: newSampler(cfg.Rate),
 		ring:    NewRing(size),
 		slow:    newTopK(cfg.TopK),
 	}
@@ -406,8 +406,8 @@ func (r *Recorder) Recorded() int64 { return r.recorded.Load() }
 // Recent returns the buffered traces, newest first.
 func (r *Recorder) Recent() []*Trace { return r.ring.Snapshot() }
 
-// Slowest returns the slow-trace capture, slowest first.
-func (r *Recorder) Slowest() []*Trace { return r.slow.snapshot() }
+// slowest returns the slow-trace capture, slowest first.
+func (r *Recorder) slowest() []*Trace { return r.slow.snapshot() }
 
 // Dump is the JSON document served at /debug/traces.
 type Dump struct {
@@ -425,6 +425,6 @@ func (r *Recorder) Dump(service string) Dump {
 		Rate:     r.Rate(),
 		Recorded: r.Recorded(),
 		Recent:   r.Recent(),
-		Slowest:  r.Slowest(),
+		Slowest:  r.slowest(),
 	}
 }

@@ -65,7 +65,7 @@ func TestSpanHeaderRoundTrip(t *testing.T) {
 }
 
 func TestSamplerDisabled(t *testing.T) {
-	s := NewSampler(0)
+	s := newSampler(0)
 	for i := 0; i < 1000; i++ {
 		if id, ok := s.Sample(); ok || id != 0 {
 			t.Fatalf("disabled sampler returned (%d, %v)", id, ok)
@@ -74,7 +74,7 @@ func TestSamplerDisabled(t *testing.T) {
 }
 
 func TestSamplerAlways(t *testing.T) {
-	s := NewSampler(1)
+	s := newSampler(1)
 	seen := make(map[uint64]bool)
 	for i := 0; i < 1000; i++ {
 		id, ok := s.Sample()
@@ -89,7 +89,7 @@ func TestSamplerAlways(t *testing.T) {
 }
 
 func TestSamplerFraction(t *testing.T) {
-	s := NewSampler(0.1)
+	s := newSampler(0.1)
 	const n = 100000
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -104,7 +104,7 @@ func TestSamplerFraction(t *testing.T) {
 }
 
 func TestSamplerSetRate(t *testing.T) {
-	s := NewSampler(0)
+	s := newSampler(0)
 	if r := s.Rate(); r != 0 {
 		t.Fatalf("Rate() = %v, want 0", r)
 	}
@@ -227,7 +227,7 @@ func TestSplitmix64Bijective(t *testing.T) {
 }
 
 func BenchmarkSamplerDisabled(b *testing.B) {
-	s := NewSampler(0)
+	s := newSampler(0)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			if _, ok := s.Sample(); ok {
@@ -240,7 +240,7 @@ func BenchmarkSamplerDisabled(b *testing.B) {
 func BenchmarkSamplerRates(b *testing.B) {
 	for _, rate := range []float64{0.01, 1} {
 		b.Run(fmt.Sprintf("rate=%v", rate), func(b *testing.B) {
-			s := NewSampler(rate)
+			s := newSampler(rate)
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
 					s.Sample()

@@ -333,10 +333,9 @@ type Handler func(req wire.Request) wire.Response
 // PacketConn directly; this Server is the simple synchronous variant used
 // by tests and small tools.
 type Server struct {
-	conn      *net.UDPConn
-	handler   Handler
-	wg        sync.WaitGroup
-	writeErrs atomic.Int64
+	conn    *net.UDPConn
+	handler Handler
+	wg      sync.WaitGroup
 }
 
 // NewServer starts a synchronous UDP server on addr ("127.0.0.1:0" for an
@@ -395,21 +394,14 @@ func (s *Server) serve() {
 		}
 		resp := s.handler(req)
 		resp.ID = req.ID
-		// Fire-and-forget (the client retries), but a send the kernel
-		// refused is still counted so it cannot hide.
-		out, err = wire.AppendResponse(out[:0], resp)
-		if err != nil {
-			s.writeErrs.Add(1)
+		// Fire-and-forget: a reply that cannot be encoded or sent is
+		// dropped, and the client retries.
+		if out, err = wire.AppendResponse(out[:0], resp); err != nil {
 			continue
 		}
-		if _, err := s.conn.WriteToUDPAddrPort(out, raddr); err != nil {
-			s.writeErrs.Add(1)
-		}
+		_, _ = s.conn.WriteToUDPAddrPort(out, raddr)
 	}
 }
-
-// WriteErrors reports how many response sends the kernel refused.
-func (s *Server) WriteErrors() int64 { return s.writeErrs.Load() }
 
 // Close stops the server.
 func (s *Server) Close() error {

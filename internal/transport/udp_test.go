@@ -236,12 +236,13 @@ func TestClientIgnoresGarbageResponses(t *testing.T) {
 			if err != nil {
 				return
 			}
-			req, err := wire.DecodeRequest(buf[:n])
+			var req wire.Request
+			err = wire.DecodeRequestReuse(buf[:n], &req)
 			if err != nil {
 				continue
 			}
 			raw.WriteToUDP([]byte("junk"), addr)
-			pkt, _ := wire.EncodeResponse(wire.Response{ID: req.ID, Allow: true})
+			pkt, _ := wire.AppendResponse(nil, wire.Response{ID: req.ID, Allow: true})
 			raw.WriteToUDP(pkt, addr)
 		}
 	}()
@@ -257,7 +258,7 @@ func TestClientIgnoresGarbageResponses(t *testing.T) {
 }
 
 // oldServer is a janusd reduced to the singleton codec
-// (wire.DecodeRequest / wire.AppendResponse) on a raw socket.
+// (wire.DecodeRequestReuse / wire.AppendResponse) on a raw socket.
 func oldServer(t *testing.T) string {
 	t.Helper()
 	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
@@ -274,7 +275,8 @@ func oldServer(t *testing.T) string {
 			if err != nil {
 				return
 			}
-			req, err := wire.DecodeRequest(buf[:n])
+			var req wire.Request
+			err = wire.DecodeRequestReuse(buf[:n], &req)
 			if err != nil {
 				continue
 			}

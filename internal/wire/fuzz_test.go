@@ -13,7 +13,7 @@ import (
 // accepts re-encodes to an equivalent value.
 
 func FuzzDecodeRequest(f *testing.F) {
-	seed, _ := EncodeRequest(Request{ID: 7, Key: "alice", Cost: 1})
+	seed, _ := encodeRequest(Request{ID: 7, Key: "alice", Cost: 1})
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{Magic})
@@ -22,16 +22,16 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(leaseAskFrame)
 	f.Add(leaseRenewTracedFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeRequest(data)
+		req, err := decodeRequest(data)
 		if err != nil {
 			return
 		}
 		// Accepted datagrams round-trip.
-		re, err := EncodeRequest(req)
+		re, err := encodeRequest(req)
 		if err != nil {
 			t.Fatalf("re-encode of accepted request failed: %v", err)
 		}
-		back, err := DecodeRequest(re)
+		back, err := decodeRequest(re)
 		if err != nil || back != req {
 			t.Fatalf("round trip changed value: %+v -> %+v (%v)", req, back, err)
 		}

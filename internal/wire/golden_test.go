@@ -31,12 +31,12 @@ func TestFrameGolden(t *testing.T) {
 		var b []byte
 		var err error
 		if tc.req != nil {
-			b, err = EncodeRequest(*tc.req)
-			if got, derr := DecodeRequest(golden); derr != nil || got != *tc.req {
+			b, err = encodeRequest(*tc.req)
+			if got, derr := decodeRequest(golden); derr != nil || got != *tc.req {
 				t.Errorf("%s: decoded %+v, %v", tc.name, got, derr)
 			}
 		} else {
-			b, err = EncodeResponse(*tc.resp)
+			b, err = encodeResponse(*tc.resp)
 			if got, derr := DecodeResponse(golden); derr != nil || got != *tc.resp {
 				t.Errorf("%s: decoded %+v, %v", tc.name, got, derr)
 			}

@@ -7,14 +7,14 @@ import (
 
 func TestTracedRequestRoundTrip(t *testing.T) {
 	req := Request{ID: 7, Key: "tenant-a", Cost: 2.5, TraceID: 0xdeadbeefcafe}
-	buf, err := EncodeRequest(req)
+	buf, err := encodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf[3]&FlagTraced == 0 {
 		t.Fatal("traced request missing FlagTraced")
 	}
-	got, err := DecodeRequest(buf)
+	got, err := decodeRequest(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestTracedRequestRoundTrip(t *testing.T) {
 }
 
 func TestUntracedRequestHasNoFlag(t *testing.T) {
-	buf, err := EncodeRequest(Request{ID: 1, Key: "k", Cost: 1})
+	buf, err := encodeRequest(Request{ID: 1, Key: "k", Cost: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,13 +67,13 @@ func TestTracedResponseNanosClamped(t *testing.T) {
 // TestTracedFrameTruncated covers the decode guard: a frame whose flag
 // promises trace fields but whose payload is short must fail cleanly.
 func TestTracedFrameTruncated(t *testing.T) {
-	buf, err := EncodeRequest(Request{ID: 1, Key: "k", TraceID: 5})
+	buf, err := encodeRequest(Request{ID: 1, Key: "k", TraceID: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	short := buf[:len(buf)-4]
 	reseal(short)
-	if _, err := DecodeRequest(short); err != ErrTruncated {
+	if _, err := decodeRequest(short); err != ErrTruncated {
 		t.Fatalf("truncated traced request error = %v, want ErrTruncated", err)
 	}
 
@@ -90,13 +90,13 @@ func TestTracedFrameTruncated(t *testing.T) {
 // optional field (simulated by clearing the flag and re-sealing) still
 // decodes the base payload from a longer frame.
 func TestOldDecoderSkipsTrailingFields(t *testing.T) {
-	buf, err := EncodeRequest(Request{ID: 3, Key: "key", Cost: 1, TraceID: 0x1234})
+	buf, err := encodeRequest(Request{ID: 3, Key: "key", Cost: 1, TraceID: 0x1234})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf[3] &^= FlagTraced // what an old encoder's flag byte would say
 	reseal(buf)
-	got, err := DecodeRequest(buf)
+	got, err := decodeRequest(buf)
 	if err != nil {
 		t.Fatalf("old-style decode of longer frame: %v", err)
 	}

@@ -280,20 +280,6 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeRequest encodes req into a fresh buffer.
-func EncodeRequest(req Request) ([]byte, error) {
-	return AppendRequest(make([]byte, 0, requestHeaderLen+len(req.Key)+traceIDLen), req)
-}
-
-// DecodeRequest parses a binary request datagram.
-func DecodeRequest(buf []byte) (Request, error) {
-	var req Request
-	if err := DecodeRequestReuse(buf, &req); err != nil {
-		return Request{}, err
-	}
-	return req, nil
-}
-
 // DecodeRequestReuse parses a binary request datagram into *req, reusing its
 // storage: when the incoming key equals req.Key byte-for-byte the existing
 // string is kept (the comparison against string(buf) does not allocate), so a
@@ -351,11 +337,6 @@ func AppendResponse(dst []byte, resp Response) ([]byte, error) {
 	}
 	seal(buf)
 	return dst, nil
-}
-
-// EncodeResponse encodes resp into a fresh buffer.
-func EncodeResponse(resp Response) ([]byte, error) {
-	return AppendResponse(make([]byte, 0, responseTracedLen), resp)
 }
 
 // DecodeResponse parses a binary response datagram.

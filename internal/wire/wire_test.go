@@ -10,10 +10,25 @@ import (
 	"testing/quick"
 )
 
+// encodeRequest encodes req into a fresh buffer.
+func encodeRequest(req Request) ([]byte, error) { return AppendRequest(nil, req) }
+
+// decodeRequest parses a binary request datagram into a fresh Request.
+func decodeRequest(buf []byte) (Request, error) {
+	var req Request
+	if err := DecodeRequestReuse(buf, &req); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+// encodeResponse encodes resp into a fresh buffer.
+func encodeResponse(resp Response) ([]byte, error) { return AppendResponse(nil, resp) }
+
 // mustEncodeResponse is the test-side shim for the error-returning encoder,
 // which encodes every response.
 func mustEncodeResponse(resp Response) []byte {
-	buf, err := EncodeResponse(resp)
+	buf, err := encodeResponse(resp)
 	if err != nil {
 		panic(err)
 	}
@@ -29,11 +44,11 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 8, Key: "日本語キー", Cost: 0.001},
 	}
 	for _, want := range cases {
-		buf, err := EncodeRequest(want)
+		buf, err := encodeRequest(want)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", want, err)
 		}
-		got, err := DecodeRequest(buf)
+		got, err := decodeRequest(buf)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", want, err)
 		}
@@ -66,11 +81,11 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			key = key[:MaxKeyLen]
 		}
 		want := Request{ID: id, Key: key, Cost: float64(costMilli) / 1000}
-		buf, err := EncodeRequest(want)
+		buf, err := encodeRequest(want)
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRequest(buf)
+		got, err := decodeRequest(buf)
 		return err == nil && got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -79,29 +94,29 @@ func TestRequestRoundTripProperty(t *testing.T) {
 }
 
 func TestKeyTooLong(t *testing.T) {
-	_, err := EncodeRequest(Request{Key: strings.Repeat("k", MaxKeyLen+1)})
+	_, err := encodeRequest(Request{Key: strings.Repeat("k", MaxKeyLen+1)})
 	if err != ErrKeyTooLong {
 		t.Fatalf("err = %v, want ErrKeyTooLong", err)
 	}
 }
 
 func TestNegativeCostClamped(t *testing.T) {
-	buf, err := EncodeRequest(Request{ID: 1, Key: "k", Cost: -5})
+	buf, err := encodeRequest(Request{ID: 1, Key: "k", Cost: -5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(buf)
+	got, err := decodeRequest(buf)
 	if err != nil || got.Cost != 0 {
 		t.Fatalf("cost = %v err=%v, want 0", got.Cost, err)
 	}
 }
 
 func TestHugeCostSaturates(t *testing.T) {
-	buf, err := EncodeRequest(Request{ID: 1, Key: "k", Cost: 1e18})
+	buf, err := encodeRequest(Request{ID: 1, Key: "k", Cost: 1e18})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRequest(buf)
+	got, err := decodeRequest(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,29 +126,29 @@ func TestHugeCostSaturates(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	good, _ := EncodeRequest(Request{ID: 9, Key: "hello", Cost: 1})
+	good, _ := encodeRequest(Request{ID: 9, Key: "hello", Cost: 1})
 
 	t.Run("truncated header", func(t *testing.T) {
-		if _, err := DecodeRequest(good[:10]); err != ErrTruncated {
+		if _, err := decodeRequest(good[:10]); err != ErrTruncated {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("truncated key", func(t *testing.T) {
-		if _, err := DecodeRequest(good[:len(good)-2]); err == nil {
+		if _, err := decodeRequest(good[:len(good)-2]); err == nil {
 			t.Fatal("no error on truncated key")
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[0] = 'X'
-		if _, err := DecodeRequest(b); err != ErrBadMagic {
+		if _, err := decodeRequest(b); err != ErrBadMagic {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[1] = 99
-		if _, err := DecodeRequest(b); err != ErrBadVersion {
+		if _, err := decodeRequest(b); err != ErrBadVersion {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -145,14 +160,14 @@ func TestDecodeErrors(t *testing.T) {
 	t.Run("corrupt payload", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[len(b)-1] ^= 0xFF
-		if _, err := DecodeRequest(b); err != ErrBadChecksum {
+		if _, err := decodeRequest(b); err != ErrBadChecksum {
 			t.Fatalf("err = %v", err)
 		}
 	})
 	t.Run("corrupt cost", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[17] ^= 0x01
-		if _, err := DecodeRequest(b); err != ErrBadChecksum {
+		if _, err := decodeRequest(b); err != ErrBadChecksum {
 			t.Fatalf("err = %v", err)
 		}
 	})
@@ -163,7 +178,7 @@ func TestDecodeErrors(t *testing.T) {
 // second entry appended after head's payload, resealed.
 func retiredBitFrame(tb testing.TB, head Request) []byte {
 	tb.Helper()
-	buf, err := EncodeRequest(head)
+	buf, err := encodeRequest(head)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -181,7 +196,7 @@ func TestRetiredBitFrameReadsEntryZero(t *testing.T) {
 		{ID: 7, Key: "alice", Cost: 1},
 		{ID: 8, Key: "bob", Cost: 2.5, TraceID: 0xfeed},
 	} {
-		got, err := DecodeRequest(retiredBitFrame(t, head))
+		got, err := decodeRequest(retiredBitFrame(t, head))
 		if err != nil || got != head {
 			t.Fatalf("DecodeRequest = %+v, %v; want entry 0 %+v", got, err, head)
 		}
@@ -228,15 +243,15 @@ func TestRetiredLeaseSectionsAreIgnored(t *testing.T) {
 		{leaseAskFrame, Request{ID: 11, Key: "hot", Cost: 1}},
 		{leaseRenewTracedFrame, Request{ID: 12, Key: "hot", Cost: 2, TraceID: 0x77}},
 	} {
-		plain, err := EncodeRequest(c.want)
+		plain, err := encodeRequest(c.want)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromPlain, err := DecodeRequest(plain)
+		fromPlain, err := decodeRequest(plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeRequest(c.frame)
+		got, err := decodeRequest(c.frame)
 		if err != nil || got != c.want || got != fromPlain {
 			t.Errorf("DecodeRequest = %+v, %v; want %+v, as the frame without the lease section", got, err, c.want)
 		}
@@ -261,7 +276,7 @@ func TestRetiredLeaseSectionsAreIgnored(t *testing.T) {
 
 func TestFuzzDecodeNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
-		DecodeRequest(data)
+		decodeRequest(data)
 		DecodeResponse(data)
 		return true
 	}
@@ -281,11 +296,11 @@ func TestAppendReusesBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := DecodeRequest(buf[:first])
+	r1, err := decodeRequest(buf[:first])
 	if err != nil || r1.Key != "aaa" {
 		t.Fatalf("first record: %+v, %v", r1, err)
 	}
-	r2, err := DecodeRequest(buf[first:])
+	r2, err := decodeRequest(buf[first:])
 	if err != nil || r2.Key != "bbbb" {
 		t.Fatalf("second record: %+v, %v", r2, err)
 	}
