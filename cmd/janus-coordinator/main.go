@@ -14,15 +14,11 @@ package main
 
 import (
 	"flag"
-	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/debugz"
-	"repro/internal/events"
 	"repro/internal/membership"
 	"repro/internal/metrics"
 )
@@ -34,17 +30,17 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "HTTP address for /metrics and /debug endpoints (empty disables)")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "janus-coordinator ", log.LstdFlags|log.Lmicroseconds)
+	d := daemon.New("janus-coordinator")
 
 	coord := membership.NewCoordinator(membership.CoordinatorConfig{TTL: *ttl})
 	defer coord.Close()
 	coord.Subscribe(func(v membership.View) {
-		logger.Printf("epoch %d: %d backend(s) [%s]", v.Epoch, len(v.Backends), strings.Join(v.Backends, " "))
+		d.Log.Printf("epoch %d: %d backend(s) [%s]", v.Epoch, len(v.Backends), strings.Join(v.Backends, " "))
 	})
 
 	svc, err := membership.NewService(coord, *addr)
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		d.Log.Fatalf("start: %v", err)
 	}
 	defer svc.Close()
 
@@ -53,36 +49,17 @@ func main() {
 		func() float64 { return float64(coord.Epoch()) })
 	reg.GaugeFunc("janus_coordinator_members", "live members in the current view",
 		func() float64 { return float64(len(coord.View().Backends)) })
-	dbg, err := debugz.Serve(*metricsAddr, debugz.Options{
-		Service:  "janus-coordinator",
+	defer debugz.ServeFor(d, *metricsAddr, debugz.Options{
 		Registry: reg,
 		Sections: []debugz.Section{{
 			Name: "membership",
 			Help: "published view (epoch, backends)",
 			Fn:   func() any { return coord.View() },
 		}},
-		Logger: logger,
-	})
-	if err != nil {
-		logger.Fatalf("debug endpoint: %v", err)
-	}
-	defer dbg.Close()
-	if dbg.Addr() != "" {
-		logger.Printf("metrics/debug on http://%s", dbg.Addr())
-	}
+	}).Close()
 
-	logger.Printf("membership coordinator on http://%s (ttl=%v)", svc.Addr(), *ttl)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
-	for s := range sig {
-		if s == syscall.SIGQUIT {
-			// Flight-recorder dump on demand (kill -QUIT).
-			events.Default.WriteTo(os.Stderr, "janus-coordinator")
-			continue
-		}
-		break
-	}
+	d.Listening("membership coordinator", "http", svc.Addr(), "(ttl=%v)", *ttl)
+	d.Wait(nil)
 	v := coord.View()
-	logger.Printf("shutdown at epoch %d with %d member(s)", v.Epoch, len(v.Backends))
+	d.Log.Printf("shutdown at epoch %d with %d member(s)", v.Epoch, len(v.Backends))
 }

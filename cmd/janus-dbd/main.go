@@ -12,14 +12,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"log"
 	"math/rand"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/bucket"
+	"repro/internal/daemon"
 	"repro/internal/loadgen"
 	"repro/internal/minisql"
 	"repro/internal/store"
@@ -36,27 +32,33 @@ func main() {
 		rngSeed = flag.Int64("rng", 1, "random seed for rule generation")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "janus-dbd ", log.LstdFlags|log.Lmicroseconds)
+	d := daemon.New("janus-dbd")
 
 	engine := minisql.NewEngine()
-	srv, err := minisql.NewServer(engine, *addr, logger)
+	srv, err := minisql.NewServer(engine, *addr, d.Log)
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		d.Log.Fatalf("start: %v", err)
 	}
 	defer srv.Close()
 
-	var rep *minisql.Replica
+	var promote func()
 	if *follow != "" {
 		srv.SetReadOnly(true)
-		rep = minisql.NewReplica(engine)
+		rep := minisql.NewReplica(engine)
 		if err := rep.Follow(*follow); err != nil {
-			logger.Fatalf("follow %s: %v", *follow, err)
+			d.Log.Fatalf("follow %s: %v", *follow, err)
 		}
-		logger.Printf("standby on tcp://%s following %s", srv.Addr(), *follow)
+		defer rep.Stop()
+		promote = func() {
+			rep.Promote()
+			srv.SetReadOnly(false)
+			d.Log.Printf("promoted to master (at master sequence %d)", rep.Applied())
+		}
+		d.Listening("standby", "tcp", srv.Addr(), "following %s", *follow)
 	} else {
 		st := store.New(engine)
 		if err := st.Init(); err != nil {
-			logger.Fatalf("init schema: %v", err)
+			d.Log.Fatalf("init schema: %v", err)
 		}
 		if *seed > 0 {
 			rng := rand.New(rand.NewSource(*rngSeed))
@@ -65,30 +67,16 @@ func main() {
 				rate := *minRate + rng.Float64()*(*maxRate-*minRate)
 				capacity := rate * *burst
 				if err := st.Put(bucket.Rule{Key: k, RefillRate: rate, Capacity: capacity, Credit: capacity}); err != nil {
-					logger.Fatalf("seed: %v", err)
+					d.Log.Fatalf("seed: %v", err)
 				}
 			}
-			logger.Printf("seeded %d rules (rate %g..%g req/s)", *seed, *minRate, *maxRate)
+			d.Log.Printf("seeded %d rules (rate %g..%g req/s)", *seed, *minRate, *maxRate)
 		}
-		logger.Printf("master on tcp://%s", srv.Addr())
+		d.Listening("master", "tcp", srv.Addr(), "")
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
-	for s := range sig {
-		if s == syscall.SIGUSR1 && rep != nil {
-			rep.Promote()
-			srv.SetReadOnly(false)
-			logger.Printf("promoted to master (at master sequence %d)", rep.Applied())
-			rep = nil
-			continue
-		}
-		break
-	}
-	if rep != nil {
-		rep.Stop()
-	}
+	d.Wait(promote)
 	if n, err := store.New(engine).Count(); err == nil {
-		fmt.Fprintf(os.Stderr, "janus-dbd: %d rules at shutdown\n", n)
+		d.Log.Printf("%d rules at shutdown", n)
 	}
 }

@@ -13,15 +13,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 
+	"repro/internal/daemon"
 	"repro/internal/debugz"
-	"repro/internal/events"
 	"repro/internal/lb"
 )
 
@@ -33,23 +28,22 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests to trace end to end [0,1]")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "janus-lb ", log.LstdFlags|log.Lmicroseconds)
+	d := daemon.New("janus-lb")
 	if *backends == "" {
-		logger.Fatal("at least one -backends address is required")
+		d.Log.Fatal("at least one -backends address is required")
 	}
 	l, err := lb.New(lb.Config{
 		Addr:     *addr,
 		Backends: strings.Split(*backends, ","),
-		Logger:   logger,
+		Logger:   d.Log,
 	})
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		d.Log.Fatalf("start: %v", err)
 	}
 	defer l.Close()
 	l.Tracer().SetRate(*traceSample)
 
-	dbg, err := debugz.Serve(*metricsAddr, debugz.Options{
-		Service:  "janus-lb",
+	defer debugz.ServeFor(d, *metricsAddr, debugz.Options{
 		Registry: l.Registry(),
 		Tracer:   l.Tracer(),
 		Sections: []debugz.Section{{
@@ -57,32 +51,14 @@ func main() {
 			Help: "back-end addresses and per-backend served counts",
 			Fn:   func() any { return l.ServedPerBackend() },
 		}},
-		Logger: logger,
-	})
-	if err != nil {
-		logger.Fatalf("debug endpoint: %v", err)
-	}
-	defer dbg.Close()
-	if dbg.Addr() != "" {
-		logger.Printf("metrics/debug on http://%s", dbg.Addr())
-	}
+	}).Close()
 
-	logger.Printf("gateway load balancer on http://%s (round robin, %d back ends)", l.Addr(), len(l.Backends()))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
-	for s := range sig {
-		if s == syscall.SIGQUIT {
-			// Flight-recorder dump on demand (kill -QUIT).
-			events.Default.WriteTo(os.Stderr, "janus-lb")
-			continue
-		}
-		break
-	}
+	d.Listening("gateway load balancer", "http", l.Addr(), "(round robin, %d back ends)", len(l.Backends()))
+	d.Wait(nil)
 	st := l.Stats()
-	fmt.Fprintf(os.Stderr, "janus-lb: requests=%d proxied=%d backendErrors=%d latency{%s}\n",
+	d.Log.Printf("requests=%d proxied=%d backendErrors=%d latency{%s}",
 		st.Requests, st.Proxied, st.BackendErrors, l.Latency().Snapshot())
 	for addr, served := range l.ServedPerBackend() {
-		fmt.Fprintf(os.Stderr, "janus-lb:   %s served %d\n", addr, served)
+		d.Log.Printf("  %s served %d", addr, served)
 	}
 }

@@ -20,15 +20,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/debugz"
-	"repro/internal/events"
 	"repro/internal/membership"
 	"repro/internal/router"
 	"repro/internal/transport"
@@ -47,7 +43,7 @@ func main() {
 		traceSample  = flag.Float64("trace-sample", 0, "fraction of direct (non-LB) requests to trace [0,1]")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "janus-router ", log.LstdFlags|log.Lmicroseconds)
+	d := daemon.New("janus-router")
 
 	var (
 		initial []string
@@ -61,13 +57,13 @@ func main() {
 		coord = &membership.Client{Endpoint: *coordAddr}
 		v, err := waitForView(coord, 30*time.Second)
 		if err != nil {
-			logger.Fatalf("coordinator %s: %v", *coordAddr, err)
+			d.Log.Fatalf("coordinator %s: %v", *coordAddr, err)
 		}
 		initial = v.Backends
 	case *backends != "":
 		initial = strings.Split(*backends, ",")
 	default:
-		logger.Fatal("either -backends or -coordinator is required")
+		d.Log.Fatal("either -backends or -coordinator is required")
 	}
 
 	r, err := router.New(router.Config{
@@ -75,10 +71,10 @@ func main() {
 		Backends:     initial,
 		Transport:    transport.Config{Timeout: *timeout, Retries: *retries},
 		DefaultReply: *defaultReply,
-		Logger:       logger,
+		Logger:       d.Log,
 	})
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		d.Log.Fatalf("start: %v", err)
 	}
 	defer r.Close()
 	r.Tracer().SetRate(*traceSample)
@@ -87,18 +83,17 @@ func main() {
 	if coord != nil {
 		poller = membership.NewPoller(coord, *pollIv, func(v membership.View) {
 			if err := r.UpdateView(v); err != nil {
-				logger.Printf("view epoch %d rejected: %v", v.Epoch, err)
+				d.Log.Printf("view epoch %d rejected: %v", v.Epoch, err)
 			}
 		})
 		if err := poller.Start(); err != nil {
-			logger.Fatalf("poll coordinator %s: %v", *coordAddr, err)
+			d.Log.Fatalf("poll coordinator %s: %v", *coordAddr, err)
 		}
 		defer poller.Stop()
-		logger.Printf("following coordinator %s (poll=%v)", *coordAddr, *pollIv)
+		d.Log.Printf("following coordinator %s (poll=%v)", *coordAddr, *pollIv)
 	}
 
-	dbg, err := debugz.Serve(*metricsAddr, debugz.Options{
-		Service:  "janus-router",
+	defer debugz.ServeFor(d, *metricsAddr, debugz.Options{
 		Registry: r.Registry(),
 		Tracer:   r.Tracer(),
 		Sections: []debugz.Section{{
@@ -123,32 +118,13 @@ func main() {
 			}
 			return st
 		},
-		Logger: logger,
-	})
-	if err != nil {
-		logger.Fatalf("debug endpoint: %v", err)
-	}
-	defer dbg.Close()
-	if dbg.Addr() != "" {
-		logger.Printf("metrics/debug on http://%s", dbg.Addr())
-	}
+	}).Close()
 
-	logger.Printf("request router on http://%s with %d QoS partitions (timeout=%v retries=%d)",
-		r.Addr(), r.NumBackends(), *timeout, *retries)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT)
-	for s := range sig {
-		if s == syscall.SIGQUIT {
-			// Flight-recorder dump on demand: kill -QUIT and read recent
-			// epoch swaps and default-reply episodes off stderr.
-			events.Default.WriteTo(os.Stderr, "janus-router")
-			continue
-		}
-		break
-	}
+	d.Listening("request router", "http", r.Addr(), "with %d QoS partitions (timeout=%v retries=%d)",
+		r.NumBackends(), *timeout, *retries)
+	d.Wait(nil)
 	st := r.Stats()
-	fmt.Fprintf(os.Stderr, "janus-router: requests=%d timeouts=%d defaultReplies=%d epoch=%d viewSwaps=%d lastRemap=%.3f latency{%s}\n",
+	d.Log.Printf("requests=%d timeouts=%d defaultReplies=%d epoch=%d viewSwaps=%d lastRemap=%.3f latency{%s}",
 		st.Requests, st.Timeouts, st.DefaultReplies, st.Epoch, st.ViewSwaps, st.LastRemapFraction, r.Latency().Snapshot())
 }
 

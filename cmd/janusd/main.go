@@ -11,14 +11,10 @@ package main
 
 import (
 	"flag"
-	"fmt"
-	"log"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/bucket"
+	"repro/internal/daemon"
 	"repro/internal/debugz"
 	"repro/internal/events"
 	"repro/internal/membership"
@@ -52,7 +48,7 @@ func main() {
 		auditIv     = flag.Duration("audit-interval", time.Second, "background admission-audit pass interval")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "janusd ", log.LstdFlags|log.Lmicroseconds)
+	d := daemon.New("janusd")
 
 	var st *store.Store
 	if *dbAddr != "" {
@@ -60,7 +56,7 @@ func main() {
 		defer pool.Close()
 		st = store.New(pool)
 		if err := st.Init(); err != nil {
-			logger.Fatalf("database init: %v", err)
+			d.Log.Fatalf("database init: %v", err)
 		}
 	}
 
@@ -76,20 +72,20 @@ func main() {
 		Store:              st,
 		FailOpen:           *failOpen,
 		ReplicationAddr:    *replAddr,
-		Logger:             logger,
+		Logger:             d.Log,
 		Audit:              *auditOn,
 		AuditInterval:      *auditIv,
 	}
 	srv, err := qosserver.New(cfg)
 	if err != nil {
-		logger.Fatalf("start: %v", err)
+		d.Log.Fatalf("start: %v", err)
 	}
 	defer srv.Close()
 	if *preload {
 		if err := srv.Preload(); err != nil {
-			logger.Fatalf("preload: %v", err)
+			d.Log.Fatalf("preload: %v", err)
 		}
-		logger.Printf("preloaded %d rules", srv.TableLen())
+		d.Log.Printf("preloaded %d rules", srv.TableLen())
 	}
 	var beater *membership.Beater
 	if *coordAddr != "" {
@@ -104,14 +100,13 @@ func main() {
 		}
 		beater = membership.NewBeater(&membership.Client{Endpoint: *coordAddr}, name, srv.ReplicationAddr(), *beatIv)
 		if err := beater.Start(); err != nil {
-			logger.Fatalf("join coordinator %s: %v", *coordAddr, err)
+			d.Log.Fatalf("join coordinator %s: %v", *coordAddr, err)
 		}
 		defer beater.Stop()
-		logger.Printf("joined coordinator %s as %q (beat=%v)", *coordAddr, name, *beatIv)
+		d.Log.Printf("joined coordinator %s as %q (beat=%v)", *coordAddr, name, *beatIv)
 	}
 
-	dbg, err := debugz.Serve(*metricsAddr, debugz.Options{
-		Service:  "janusd",
+	defer debugz.ServeFor(d, *metricsAddr, debugz.Options{
 		Registry: srv.Registry(),
 		Tracer:   srv.Tracer(),
 		Sections: []debugz.Section{{
@@ -151,51 +146,30 @@ func main() {
 			}
 			return st
 		},
-		Logger: logger,
-	})
-	if err != nil {
-		logger.Fatalf("debug endpoint: %v", err)
-	}
-	defer dbg.Close()
-	if dbg.Addr() != "" {
-		logger.Printf("metrics/debug on http://%s", dbg.Addr())
-	}
+	}).Close()
 
-	logger.Printf("QoS server on udp://%s (workers=%d codel-target=%v)",
-		srv.Addr(), srv.SnapshotIntake().Workers, *codelTarget)
+	d.Listening("QoS server", "udp", srv.Addr(), "(workers=%d codel-target=%v)", srv.SnapshotIntake().Workers, *codelTarget)
 	if srv.ReplicationAddr() != "" {
-		logger.Printf("HA replication on tcp://%s", srv.ReplicationAddr())
+		d.Listening("HA replication", "tcp", srv.ReplicationAddr(), "")
 	}
 
-	var rep *qosserver.Replicator
+	var promote func()
 	if *follow != "" {
-		rep = qosserver.NewReplicator(srv, *follow, *followIv)
+		rep := qosserver.NewReplicator(srv, *follow, *followIv)
 		if err := rep.Start(); err != nil {
-			logger.Fatalf("follow %s: %v", *follow, err)
+			d.Log.Fatalf("follow %s: %v", *follow, err)
 		}
-		logger.Printf("replicating from %s every %v", *follow, *followIv)
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1, syscall.SIGQUIT)
-	for s := range sig {
-		if s == syscall.SIGQUIT {
-			// Flight-recorder dump on demand: kill -QUIT a misbehaving node
-			// and read the last few thousand operational events off stderr.
-			events.Default.WriteTo(os.Stderr, "janusd")
-			continue
-		}
-		if s == syscall.SIGUSR1 && rep != nil {
-			// Promotion: stop pulling, keep serving the warm table.
+		d.Log.Printf("replicating from %s every %v", *follow, *followIv)
+		promote = func() {
+			// Stop pulling, keep serving the warm table.
 			rep.Stop()
 			events.Record("janusd", "promote", srv.Addr(), 0)
-			logger.Printf("promoted: replication stopped, serving as master")
-			rep = nil
-			continue
+			d.Log.Printf("promoted: replication stopped, serving as master")
 		}
-		break
 	}
+
+	d.Wait(promote)
 	st0 := srv.Stats()
-	fmt.Fprintf(os.Stderr, "janusd: decisions=%d allowed=%d denied=%d dbQueries=%d dropped=%d degraded=%d\n",
+	d.Log.Printf("decisions=%d allowed=%d denied=%d dbQueries=%d dropped=%d degraded=%d",
 		st0.Decisions, st0.Allowed, st0.Denied, st0.DBQueries, st0.Dropped, st0.Degraded)
 }

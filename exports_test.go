@@ -22,6 +22,8 @@ var exportAllowlist = map[string]string{
 	"h1.Idle":             "the client's exchange tests count a pool's idle connections",
 	"lint.Import":         "moduleImporter implements go/types.Importer",
 	"metrics.Sum":         "the qosserver and chaos tests check exact sojourn sums",
+	"proctest.Exited":     "process tests read a daemon's exit status after a signal",
+	"proctest.Logged":     "process tests wait for a daemon's log line after a signal",
 	"trace.MarshalJSON":   "HexID implements json.Marshaler",
 	"trace.UnmarshalJSON": "HexID implements json.Unmarshaler",
 }

@@ -20,7 +20,6 @@ package debugz
 import (
 	"encoding/json"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -28,6 +27,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/daemon"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/metrics"
@@ -70,8 +70,6 @@ type Options struct {
 	// always-ready. Liveness (/healthz) is separate and unconditional:
 	// a daemon with a stale view is alive but should stop taking traffic.
 	Ready func() ReadyStatus
-	// Logger receives serve errors; nil discards.
-	Logger *log.Logger
 }
 
 // newMux builds the debug HTTP mux for opts.
@@ -175,6 +173,21 @@ type Server struct {
 	ln     net.Listener
 	server *http.Server
 	wg     sync.WaitGroup
+}
+
+// ServeFor serves the debug mux for opts on addr, daemon d's -metrics-addr,
+// under d's name, and logs its listen line. A bind error ends the process.
+// The caller closes the returned server (nil when addr is empty) at shutdown.
+func ServeFor(d *daemon.Daemon, addr string, opts Options) *Server {
+	opts.Service = d.Name
+	s, err := Serve(addr, opts)
+	if err != nil {
+		d.Log.Fatalf("debug endpoint: %v", err)
+	}
+	if s != nil {
+		d.Listening("metrics/debug", "http", s.Addr(), "")
+	}
+	return s
 }
 
 // Serve binds addr and serves the debug mux for opts until Close. An empty

@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/failpoint"
 	"repro/internal/h1"
 	"repro/internal/metrics"
@@ -112,6 +113,8 @@ type LB struct {
 	ln     net.Listener
 	server *h1.Server
 	logger *log.Logger
+	// spanErrLog bounds the log of malformed span headers, one per traced reply.
+	spanErrLog daemon.Throttle
 
 	mu       sync.Mutex
 	backends []*backendState
@@ -300,7 +303,7 @@ func (l *LB) proxy(out []byte, req *h1.Request) []byte {
 func (l *LB) completeTrace(tid uint64, spanHdr, backend string, retries int, start time.Time, d time.Duration) {
 	downstream, err := trace.DecodeSpans(spanHdr)
 	if err != nil {
-		l.logger.Printf("lb: dropping malformed span header from %s: %v", backend, err)
+		l.spanErrLog.Printf(l.logger, "lb: dropping malformed span header from %s: %v", backend, err)
 	}
 	spans := make([]trace.Span, 0, 1+len(downstream))
 	spans = append(spans, trace.Span{

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -137,6 +138,31 @@ func TestNoFailoverAfterReplyStarted(t *testing.T) {
 	}
 	if st := l.Stats(); st.BackendErrors != 1 || st.Proxied != 1 {
 		t.Fatalf("stats = %+v, want one exchange, failed", st)
+	}
+}
+
+// TestMalformedSpansLogThrottled: a back end that sends a malformed
+// X-Janus-Spans header with every traced reply has each reply relayed, but
+// the log gets at most one line a second for the headers.
+func TestMalformedSpansLogThrottled(t *testing.T) {
+	b := answering(t, "HTTP/1.1 200 OK\r\nX-Janus-Spans: not-json\r\nContent-Length: 4\r\n\r\ntrue", false)
+	var logged bytes.Buffer
+	l := newLB(t, Config{Backends: []string{b.addr()}, Logger: log.New(&logged, "", 0)})
+	l.Tracer().SetRate(1)
+	req := getRequest("/qos?key=k&cost=1")
+	const requests = 10000
+	var out []byte
+	for i := 0; i < requests; i++ {
+		out = l.proxy(out[:0], req)
+		if !bytes.HasPrefix(out, []byte("HTTP/1.1 200 ")) || !bytes.HasSuffix(out, []byte("true")) {
+			t.Fatalf("request %d: relayed %q", i, out)
+		}
+	}
+	if lines := strings.Count(logged.String(), "\n"); lines > 5 {
+		t.Errorf("%d log lines for %d malformed span headers, want <= 5", lines, requests)
+	}
+	if n := l.Registry().Counter("janus_lb_requests_total", "").Value(); n != requests {
+		t.Errorf("janus_lb_requests_total = %d, want %d", n, requests)
 	}
 }
 

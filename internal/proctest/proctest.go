@@ -1,22 +1,23 @@
 // Package proctest runs the module's daemons as child processes for
 // process-level tests.
 //
-// Every daemon logs each listener it bound in one form, "<what> on
-// <scheme>://<addr>" (for example "QoS server on udp://127.0.0.1:41234"), so
-// a test passes port 0 to every listen flag and reads the bound addresses
-// back with Addr. No port is chosen before the daemon binds it, so parallel
-// test packages cannot race for one.
+// Every daemon logs each listener it bound with daemon.Listening (for
+// example "QoS server on udp://127.0.0.1:41234"), so a test passes port 0 to
+// every listen flag and reads the bound addresses back with Addr. No port is
+// chosen before the daemon binds it, so parallel test packages cannot race
+// for one.
 package proctest
 
 import (
 	"bytes"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/daemon"
 )
 
 // AnyPort is the listen address to give every listen flag: loopback, port
@@ -56,14 +57,22 @@ func Start(t testing.TB, bin string, args ...string) *Daemon {
 // returns its address. It fails the test if the daemon exits first.
 func (d *Daemon) Addr(t testing.TB, what string) string {
 	t.Helper()
-	re := regexp.MustCompile(regexp.QuoteMeta(" "+what+" on ") + `[a-z]+://(\S+)`)
+	// The logger writes each line whole, so the rest of this one is there.
+	addr, _ := daemon.ListenAddr(d.Logged(t, " "+what+" on "), what)
+	return addr
+}
+
+// Logged waits up to 10 s for the daemon's stderr to contain text, and
+// returns it. It fails the test if the daemon exits first.
+func (d *Daemon) Logged(t testing.TB, text string) string {
+	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for over := false; ; {
-		if m := re.FindStringSubmatch(d.stderr.String()); m != nil {
-			return m[1]
+		if out := d.stderr.String(); strings.Contains(out, text) {
+			return out
 		}
 		if over {
-			t.Fatalf("%s never logged %q on an address", filepath.Base(d.Cmd.Path), what)
+			t.Fatalf("%s never logged %q", filepath.Base(d.Cmd.Path), text)
 		}
 		select {
 		case <-d.exited:
@@ -73,6 +82,13 @@ func (d *Daemon) Addr(t testing.TB, what string) string {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
+}
+
+// Exited waits for the daemon to exit and returns its exit status, -1 when
+// a signal ended it.
+func (d *Daemon) Exited() int {
+	<-d.exited
+	return d.Cmd.ProcessState.ExitCode()
 }
 
 // Stop kills the process and waits for it; it is safe to call more than

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/bucket"
+	"repro/internal/daemon"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/metrics"
@@ -230,10 +231,9 @@ type Server struct {
 	dbErrors   *metrics.Counter
 	sendErrors *metrics.Counter
 
-	// fetchErrLogNs is the earliest time the next rule-fetch error may be
-	// logged; fetchErrQuiet counts those not logged since the last line.
-	fetchErrLogNs atomic.Int64
-	fetchErrQuiet atomic.Int64
+	// fetchErrLog bounds the rule-fetch error log, which a key spray against
+	// a down database would otherwise write once per key.
+	fetchErrLog daemon.Throttle
 
 	syncQueries    *metrics.Counter
 	syncReconciles *metrics.Counter
@@ -693,7 +693,7 @@ func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool
 	r, found, err := s.cfg.Store.Get(key)
 	if err != nil {
 		s.dbErrors.Inc()
-		s.logFetchError(key, err)
+		s.fetchErrLog.Printf(s.logger, "qosserver: rule fetch for %q failed: %v", key, err)
 		if s.cfg.FailOpen {
 			// Admit generously until the database recovers.
 			return bucket.Rule{Key: key, RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, true, true
@@ -704,27 +704,6 @@ func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool
 		return s.defaultRuleFor(key), true, false
 	}
 	return r, false, false
-}
-
-// fetchErrLogEvery bounds the rule-fetch error log: every first-sight key
-// fetches its rule, so a key spray against a down database would otherwise
-// write one line per key. janus_qos_db_errors_total still counts them all.
-const fetchErrLogEvery = time.Second
-
-// logFetchError logs at most one failed rule fetch per fetchErrLogEvery,
-// carrying the count of those it did not log since the previous line.
-func (s *Server) logFetchError(key string, err error) {
-	now := s.clock().UnixNano()
-	next := s.fetchErrLogNs.Load()
-	if now < next || !s.fetchErrLogNs.CompareAndSwap(next, now+int64(fetchErrLogEvery)) {
-		s.fetchErrQuiet.Add(1)
-		return
-	}
-	if n := s.fetchErrQuiet.Swap(0); n > 0 {
-		s.logger.Printf("qosserver: rule fetch for %q failed: %v (%d more failed fetches not logged)", key, err, n)
-		return
-	}
-	s.logger.Printf("qosserver: rule fetch for %q failed: %v", key, err)
 }
 
 func (s *Server) defaultRuleFor(key string) bucket.Rule {

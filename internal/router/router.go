@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/daemon"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/h1"
@@ -126,6 +127,9 @@ type Router struct {
 	ln     net.Listener
 	server *h1.Server
 	logger *log.Logger
+	// unavailableLog bounds the per-request log of a backend that cannot be
+	// resolved or dialed.
+	unavailableLog daemon.Throttle
 
 	state  atomic.Pointer[routeState]
 	swapMu sync.Mutex // serializes UpdateView
@@ -461,7 +465,7 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 	}
 	client, err := b.getClient()
 	if err != nil {
-		r.logger.Printf("router: backend %s unavailable: %v", b.name, err)
+		r.unavailableLog.Printf(r.logger, "router: backend %s unavailable: %v", b.name, err)
 		return r.defaultReply(), info
 	}
 	resp, attempts, err := client.DoAttempts(qreq)

@@ -1,16 +1,20 @@
 package router
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/bucket"
 	"repro/internal/membership"
+	"repro/internal/metrics"
 	"repro/internal/minisql"
 	"repro/internal/qosserver"
 	"repro/internal/store"
@@ -326,6 +330,31 @@ func TestResolverFailoverOnTimeout(t *testing.T) {
 	}
 	if r.Stats().Redials == 0 {
 		t.Fatal("no redial counted")
+	}
+}
+
+// TestUnresolvableBackendLogThrottled: while a backend name does not
+// resolve, every request gets a default reply and is counted, but the log
+// gets at most one line a second for them.
+func TestUnresolvableBackendLogThrottled(t *testing.T) {
+	var logged bytes.Buffer
+	r := newRouter(t, Config{
+		Backends: []string{"qos-1.janus"},
+		Resolver: &nameResolver{}, // no names: every resolution fails
+		Logger:   log.New(&logged, "", 0),
+	})
+	const requests = 10000
+	for i := 0; i < requests; i++ {
+		if resp := r.Route(wire.Request{Key: fmt.Sprintf("k%d", i)}); resp.Status != wire.StatusDefaultReply {
+			t.Fatalf("request %d: status %v, want %v", i, resp.Status, wire.StatusDefaultReply)
+		}
+	}
+	if lines := strings.Count(logged.String(), "\n"); lines > 5 {
+		t.Errorf("%d log lines for %d requests to an unresolvable backend, want <= 5", lines, requests)
+	}
+	replies := r.Registry().Counter("janus_router_default_replies_total", "", metrics.Label{Key: "mode", Value: "fail_closed"})
+	if n := replies.Value(); n != requests {
+		t.Errorf("janus_router_default_replies_total = %d, want %d", n, requests)
 	}
 }
 

@@ -18,8 +18,10 @@ for d in janus-dbd janusd janus-router janus-lb janus-coordinator; do
 done
 
 # Every daemon binds port 0 and logs each address it bound as
-# "<what> on <scheme>://<addr>"; the script reads the addresses back from
-# those lines, so no fixed port can collide with another job on the host.
+# "<what> on <scheme>://<addr>", the format daemon.Listening
+# (internal/daemon) writes; addr_of reads the addresses back from those
+# lines as daemon.ListenAddr does in Go, so no fixed port can collide with
+# another job on the host.
 wait_log() { # file text
     for _ in $(seq 1 100); do
         grep -q "$2" "$1" 2>/dev/null && return 0
