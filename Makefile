@@ -107,7 +107,7 @@ bench-smoke:
 # a /qos request on the router one object more than Router.Route (the key's
 # string), the router's key→owner pick (membership.Pick) nothing, and a
 # first-sight rule fetch (store.Get's point select through a warmed minisql
-# Client over loopback) 8 objects on a miss and 14 on a hit, the engine's
+# Client over loopback) 5 objects on a miss and 10 on a hit, the engine's
 # included; and the live heap a resident key holds in the QoS server's table
 # (TestAllocPinResidentKeyBytes, at most 190 B). The pins assert their
 # budgets, so this is a test run, not a benchmark run.

@@ -146,7 +146,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if !strings.Contains(lbExp, `janus_lb_backend_served_total{backend="`+routerAddr+`"} 7`) {
 		t.Fatalf("missing per-backend served counter:\n%s", lbExp)
 	}
-	if !strings.Contains(lbExp, `janus_lb_latency_ns_count 7`) {
+	if !strings.Contains(lbExp, `janus_lb_latency_seconds_count 7`) {
 		t.Fatalf("missing lb latency summary:\n%s", lbExp)
 	}
 

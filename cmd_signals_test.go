@@ -4,6 +4,7 @@ package repro
 // (internal/daemon): SIGUSR1 promotes a follower once and never shuts a
 // daemon down, SIGQUIT writes the flight recorder to stderr and keeps the
 // daemon serving, and SIGTERM ends it with status 0 after its shutdown line.
+// Before its first listener is up, SIGTERM ends a daemon at once, status 0.
 
 import (
 	"os"
@@ -96,4 +97,22 @@ func TestDaemonSignals(t *testing.T) {
 			tc.d.Logged(t, tc.shutdown)
 		})
 	}
+
+	t.Run("janus-router during start-up", func(t *testing.T) {
+		// Nothing answers on port 1: the router waits for a first view.
+		d := start("janus-router", "-coordinator", "127.0.0.1:1")
+		time.Sleep(time.Second)
+		if err := d.Cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		sent := time.Now()
+		code := d.Exited()
+		if took := time.Since(sent); took > 5*time.Second {
+			t.Fatalf("exited %v after SIGTERM, want within 5s", took)
+		}
+		if code != 0 {
+			t.Fatalf("exit status %d after SIGTERM, want 0", code)
+		}
+		d.Logged(t, "SIGTERM during start-up")
+	})
 }

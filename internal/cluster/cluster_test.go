@@ -307,7 +307,7 @@ func TestQoSIntakeAndAuditPassThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := m.Value("janus_qos_sojourn_current_ns"); !ok || v < 0 {
+	if v, ok := m.Value("janus_qos_sojourn_current_seconds"); !ok || v < 0 {
 		t.Fatalf("current sojourn = %v (exposed %v), want a non-negative gauge", v, ok)
 	}
 	if c.QoS[0].Master.SojournTotal().Count() == 0 {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -21,22 +22,67 @@ type Daemon struct {
 	Name string      // as given to New
 	Log  *log.Logger // stderr, each line prefixed with Name
 	sig  chan os.Signal
+	// A send on up ends the start-up signal loop (starting), once; usr1
+	// counts the SIGUSR1s that loop held for Wait.
+	up   chan struct{}
+	once sync.Once
+	usr1 int
 }
 
 // New starts the scaffold of the daemon called name. From this call on, a
-// signal waits for Wait instead of taking its default action.
+// signal no longer takes its default action. Until the first Listening line,
+// SIGINT and SIGTERM end the process at once with status 0, since nothing
+// is served yet that a shutdown would close; from that line on they wait for
+// Wait. SIGQUIT and SIGUSR1 act as Wait says throughout (a SIGUSR1 sent
+// during start-up promotes once Wait runs).
 func New(name string) *Daemon {
-	// Room for a few signals sent during start-up; a full channel drops them.
-	d := &Daemon{Name: name, sig: make(chan os.Signal, 4)}
+	// Room for a few signals sent before Wait; a full channel drops them.
+	d := &Daemon{Name: name, sig: make(chan os.Signal, 4), up: make(chan struct{})}
 	d.Log = log.New(os.Stderr, name+" ", log.LstdFlags|log.Lmicroseconds)
 	signal.Notify(d.sig, os.Interrupt, syscall.SIGTERM, syscall.SIGQUIT, syscall.SIGUSR1)
+	go d.starting()
 	return d
+}
+
+// starting handles signals until the first listener is up.
+func (d *Daemon) starting() {
+	for {
+		select {
+		case <-d.up:
+			return
+		case s := <-d.sig:
+			switch s {
+			case syscall.SIGQUIT:
+				events.Default.WriteTo(os.Stderr, d.Name)
+			case syscall.SIGUSR1:
+				d.usr1++
+			default:
+				name := "SIGTERM"
+				if s == os.Interrupt {
+					name = "SIGINT"
+				}
+				d.Log.Printf("%s during start-up: exiting", name)
+				os.Exit(0)
+			}
+		}
+	}
+}
+
+// started ends the start-up signal loop, if New began one, and returns once
+// it has ended.
+func (d *Daemon) started() {
+	d.once.Do(func() {
+		if d.up != nil {
+			d.up <- struct{}{}
+		}
+	})
 }
 
 // Listening logs "<what> on <scheme>://<addr>", then the detail that format
 // and args make: the one form in which every daemon reports a listener it
-// bound.
+// bound. The first one ends start-up.
 func (d *Daemon) Listening(what, scheme, addr, format string, args ...any) {
+	d.started()
 	d.Log.Print(strings.TrimSpace(what + " on " + scheme + "://" + addr + " " + fmt.Sprintf(format, args...)))
 }
 
@@ -55,15 +101,24 @@ func ListenAddr(out, what string) (string, bool) {
 // SIGUSR1 calls promote; a later one, or any when promote is nil, is logged
 // and ignored.
 func (d *Daemon) Wait(promote func()) {
-	for s := range d.sig {
-		switch {
-		case s == syscall.SIGQUIT:
-			events.Default.WriteTo(os.Stderr, d.Name)
-		case s == syscall.SIGUSR1 && promote == nil:
+	d.started()
+	usr1 := func() {
+		if promote == nil {
 			d.Log.Print("SIGUSR1 ignored: nothing to promote")
-		case s == syscall.SIGUSR1:
-			promote()
-			promote = nil
+			return
+		}
+		promote()
+		promote = nil
+	}
+	for range d.usr1 {
+		usr1()
+	}
+	for s := range d.sig {
+		switch s {
+		case syscall.SIGQUIT:
+			events.Default.WriteTo(os.Stderr, d.Name)
+		case syscall.SIGUSR1:
+			usr1()
 		default:
 			return
 		}

@@ -166,7 +166,7 @@ func New(cfg Config) (*LB, error) {
 		cfg:      cfg,
 		ln:       ln,
 		logger:   logger,
-		latency:  metrics.NewHistogram(),
+		latency:  reg.HistogramScaled("janus_lb_latency_seconds", "end-to-end proxy latency in seconds", 1e-9),
 		registry: reg,
 		tracer:   tracer,
 		requests: reg.Counter("janus_lb_requests_total", "HTTP requests accepted at the gateway"),
@@ -175,7 +175,6 @@ func New(cfg Config) (*LB, error) {
 			"proxied exchanges that failed against a back end"),
 		noBackends: reg.Counter("janus_lb_no_backends_total", "requests failed because no back end was usable"),
 	}
-	reg.RegisterHistogram("janus_lb_latency_ns", "end-to-end proxy latency in nanoseconds", l.latency)
 	for _, b := range cfg.Backends {
 		l.backends = append(l.backends, l.newBackendState(b))
 	}

@@ -20,11 +20,10 @@ func TestWritePromGolden(t *testing.T) {
 	r.Counter("demo_requests_total", "requests admitted").Add(7)
 	r.Gauge("demo_inflight", "requests in flight").Add(3)
 
-	bh := NewHistogram()
+	bh := r.HistogramScaled("demo_batch_size", "entries per batch", 0)
 	for _, v := range []int64{1, 2, 5, 7} {
 		bh.Record(v)
 	}
-	r.RegisterHistogram("demo_batch_size", "entries per batch", bh)
 
 	lh := r.HistogramScaled("demo_sojourn_seconds", "stage sojourn", 1e-9, Label{"stage", "queue"})
 	lh.Record(1000)

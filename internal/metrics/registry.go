@@ -148,13 +148,6 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.get(name, help, kindGauge, labels).g
 }
 
-// Histogram returns the histogram registered under name+labels, creating it
-// on first use. It is exported as a Prometheus summary (quantiles + _sum +
-// _count) because the log-bucketed layout has too many buckets to ship raw.
-func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
-	return r.get(name, help, kindHistogram, labels).h
-}
-
 // GaugeFunc registers a gauge whose value is computed by fn at exposition
 // time — used for values owned elsewhere (view epoch, table size).
 // Re-registering replaces the function.
@@ -165,22 +158,13 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.mu.Unlock()
 }
 
-// RegisterHistogram attaches an existing histogram under name+labels, so
-// components that already own a Histogram can expose it without re-plumbing.
-// Re-registering replaces the histogram.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
-	s := r.get(name, help, kindHistogram, labels)
-	r.mu.Lock()
-	s.h = h
-	r.mu.Unlock()
-}
-
 // HistogramScaled returns the histogram registered under name+labels with
 // an exposition scale, creating it on first use. The scale is applied at
 // exposition time: every value, sum, and bucket bound of the family renders
-// multiplied by it. Histograms record int64 (typically nanoseconds); a scale
-// of 1e-9 exposes the family in seconds, matching the Prometheus base-unit
-// convention for *_seconds names. The scale is a family property: asking for
+// multiplied by it (a scale of 0 renders the recorded integers). Histograms
+// record int64 (typically nanoseconds); a scale of 1e-9 exposes the family
+// in seconds, matching the Prometheus base-unit convention for *_seconds
+// names. The scale is a family property: asking for
 // the family with a different non-zero scale panics.
 func (r *Registry) HistogramScaled(name, help string, scale float64, labels ...Label) *Histogram {
 	s := r.get(name, help, kindHistogram, labels)
@@ -205,8 +189,8 @@ func (r *Registry) snapshotFamilies() []*family {
 	for _, f := range r.families {
 		cp := &family{name: f.name, help: f.help, kind: f.kind, scale: f.scale, series: make(map[string]*series, len(f.series))}
 		for ls, s := range f.series {
-			// Copy the series value under the lock: fn and h may be replaced
-			// by GaugeFunc/RegisterHistogram after creation.
+			// Copy the series value under the lock: GaugeFunc may replace fn
+			// after creation.
 			sc := *s
 			cp.series[ls] = &sc
 		}

@@ -90,11 +90,10 @@ func TestRegistryGaugeFunc(t *testing.T) {
 
 func TestRegistryHistogramSummary(t *testing.T) {
 	r := NewRegistry()
-	h := NewHistogram()
+	h := r.HistogramScaled("latency_ns", "latency", 0)
 	for i := 1; i <= 100; i++ {
 		h.Record(int64(i) * 1000)
 	}
-	r.RegisterHistogram("latency_ns", "latency", h)
 	var sb strings.Builder
 	r.WriteProm(&sb)
 	out := sb.String()
@@ -115,7 +114,7 @@ func TestRegistryHistogramSummary(t *testing.T) {
 
 func TestRegistryHistogramLabelledQuantiles(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat_ns", "lat", Label{"backend", "b1"})
+	h := r.HistogramScaled("lat_ns", "lat", 0, Label{"backend", "b1"})
 	h.Record(10)
 	var sb strings.Builder
 	r.WriteProm(&sb)

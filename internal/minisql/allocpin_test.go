@@ -6,9 +6,10 @@ import "testing"
 // over loopback. AllocsPerRun counts the whole process, so the budget is
 // both ends of the connection plus the engine: a miss is the caller's
 // variadic argument slice, the server's decoded argument slice and key
-// string, and the engine's other five; a hit adds the engine's three for
-// the row and the client's row list, row and key string. Neither end
-// allocates for the frame itself, the SQL text or the column names.
+// string, and the engine's projection and column-name list; a hit adds the
+// engine's row list and the one array that holds the row's values, and the
+// client's row list, row and key string. Neither end allocates for the
+// frame itself, the SQL text or the column names.
 func TestPointSelectAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc pins run uninstrumented")
@@ -27,8 +28,8 @@ func TestPointSelectAllocPin(t *testing.T) {
 		rows   int
 		allocs float64
 	}{
-		{Text("absent"), 0, 8},
-		{Text("present"), 1, 14},
+		{Text("absent"), 0, 5},
+		{Text("present"), 1, 10},
 	} {
 		run := func() {
 			if res, err := c.Execute(get, tc.key); err != nil || len(res.Rows) != tc.rows {

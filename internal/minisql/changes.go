@@ -68,13 +68,13 @@ func (l *lineage) continues(cur Cursor, head, horizon int64) bool {
 	return cur.Origin != 0 && onLine && horizon <= cur.Seq && cur.Seq <= head
 }
 
-// ChangesStmt is SELECT CHANGES FROM t SINCE origin, seq.
-type ChangesStmt struct {
-	Table string
-	Since [2]Expr
+// changesStmt is SELECT CHANGES FROM t SINCE origin, seq.
+type changesStmt struct {
+	table string
+	since [2]expr
 }
 
-func (ChangesStmt) stmt() {}
+func (changesStmt) stmt() {}
 
 // change is one entry of a table's change log: the sequence number of a write
 // or delete and the primary key it touched. An entry stays in the log after a
@@ -155,14 +155,14 @@ func (t *tableData) compact() {
 }
 
 // changes answers SELECT CHANGES: up to FeedPage entries after the cursor.
-func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
-	t, err := e.getTable(s.Table)
+func (e *Engine) changes(s changesStmt, args []Value) (Result, error) {
+	t, err := e.getTable(s.table)
 	if err != nil {
 		return Result{}, err
 	}
 	var since [2]Value
 	for i, argi := 0, 0; i < 2; i++ {
-		v, err := bind(s.Since[i], args, &argi)
+		v, err := bind(s.since[i], args, &argi)
 		if err != nil {
 			return Result{}, err
 		}
@@ -176,7 +176,7 @@ func (e *Engine) changes(s ChangesStmt, args []Value) (Result, error) {
 	cols := make([]string, 0, 2+len(t.schema))
 	cols = append(cols, "_seq", "_deleted")
 	for _, c := range t.schema {
-		cols = append(cols, c.Name)
+		cols = append(cols, c.name)
 	}
 	feed := Feed{Next: Cursor{lin.origin, t.head}}
 	if !lin.continues(cur, t.head, t.horizon) {

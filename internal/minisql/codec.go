@@ -100,8 +100,8 @@ func appendFrame(dst []byte, f *frame) []byte {
 			dst = appendText(dst, t.Name)
 			dst = binary.AppendUvarint(dst, uint64(len(t.Schema)))
 			for _, c := range t.Schema {
-				dst = appendText(dst, c.Name)
-				dst = append(dst, byte(c.Kind), boolByte(c.PrimaryKey))
+				dst = appendText(dst, c.name)
+				dst = append(dst, byte(c.kind), boolByte(c.pk))
 			}
 			dst = binary.AppendVarint(dst, t.Head)
 			dst = binary.AppendVarint(dst, t.Horizon)
@@ -189,9 +189,9 @@ func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 				t := &f.Snap.Tables[i]
 				t.Name = d.text()
 				if n := d.count(); n > 0 {
-					t.Schema = make([]ColumnDef, n)
+					t.Schema = make([]columnDef, n)
 					for j := range t.Schema {
-						t.Schema[j] = ColumnDef{Name: d.text(), Kind: d.kind(), PrimaryKey: d.flag()}
+						t.Schema[j] = columnDef{name: d.text(), kind: d.kind(), pk: d.flag()}
 					}
 				}
 				t.Head, t.Horizon = d.varint(), d.varint()

@@ -19,10 +19,10 @@ func sampleFrames() []frame {
 		{Type: frameResult, Err: "minisql: no such table \"t\""},
 		{Type: frameSubscribe, Cursor: Cursor{Origin: math.MaxUint64, Seq: 12}},
 		{Type: frameSnapshot, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 9}, Tables: []TableSnapshot{{Name: "t",
-			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
+			Schema: []columnDef{{name: "key", kind: KindText, pk: true}, {name: "credit", kind: KindFloat}},
 			Head:   9, Horizon: 2, Rows: rows}}}},
 		{Type: frameFeed, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 11}, Tables: []TableSnapshot{{Name: "t",
-			Schema: []ColumnDef{{Name: "key", Kind: KindText, PrimaryKey: true}, {Name: "credit", Kind: KindFloat}},
+			Schema: []columnDef{{name: "key", kind: KindText, pk: true}, {name: "credit", kind: KindFloat}},
 			Head:   11, Rows: [][]Value{{Int(10), Bool(false), Text("a"), Float(2)}, {Int(11), Bool(true), Text("b"), null()}}}}}},
 		{Type: framePing},
 		{Type: framePong, Serving: true},
@@ -90,13 +90,13 @@ func TestFrameGolden(t *testing.T) {
 			"00000007" + "02" + "cef5b7f70f" + "0e"},
 		{"snapshot",
 			frame{Type: frameSnapshot, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 3}, Tables: []TableSnapshot{{Name: "t",
-				Schema: []ColumnDef{{Name: "k", Kind: KindText, PrimaryKey: true}}, Head: 3, Horizon: 1,
+				Schema: []columnDef{{name: "k", kind: KindText, pk: true}}, Head: 3, Horizon: 1,
 				Rows: [][]Value{{Int(3), Bool(false), Text("a")}}}}}},
 			"00000016" + "03" + "0106" + "01" + "0174" + "01" + "016b" + "03" + "01" + "06" + "02" +
 				"01" + "03" + "0106" + "0100" + "030161"},
 		{"feed",
 			frame{Type: frameFeed, Snap: SnapshotData{At: Cursor{Origin: 1, Seq: 4}, Tables: []TableSnapshot{{Name: "t",
-				Schema: []ColumnDef{{Name: "k", Kind: KindText, PrimaryKey: true}}, Head: 4, Horizon: 1,
+				Schema: []columnDef{{name: "k", kind: KindText, pk: true}}, Head: 4, Horizon: 1,
 				Rows: [][]Value{{Int(4), Bool(true), Text("a")}}}}}},
 			"00000016" + "07" + "0108" + "01" + "0174" + "01" + "016b" + "03" + "01" + "08" + "02" +
 				"01" + "03" + "0108" + "0102" + "030161"},

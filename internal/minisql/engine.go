@@ -3,7 +3,6 @@ package minisql
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,7 @@ type Engine struct {
 	tables map[string]*tableData
 
 	cacheMu   sync.RWMutex
-	stmtCache map[string]Statement
+	stmtCache map[string]statement
 
 	// writeMu serializes writes, so a standby streaming from this engine
 	// (server.go) takes a cut between two of them. Reads are unaffected. It
@@ -46,7 +45,7 @@ type Engine struct {
 type tableData struct {
 	mu      sync.RWMutex
 	name    string
-	schema  []ColumnDef
+	schema  []columnDef
 	colIdx  map[string]int
 	pkCol   int
 	rows    [][]Value
@@ -58,7 +57,7 @@ type tableData struct {
 func NewEngine() *Engine {
 	e := &Engine{
 		tables:    make(map[string]*tableData),
-		stmtCache: make(map[string]Statement),
+		stmtCache: make(map[string]statement),
 	}
 	e.lineage.Store(&lineage{origin: newOrigin()})
 	return e
@@ -66,21 +65,21 @@ func NewEngine() *Engine {
 
 // parseCached parses sql, memoizing the AST. Statements are immutable after
 // parse (placeholders are bound into copies), so sharing is safe.
-func (e *Engine) parseCached(sql string) (Statement, error) {
+func (e *Engine) parseCached(sql string) (statement, error) {
 	e.cacheMu.RLock()
 	st, ok := e.stmtCache[sql]
 	e.cacheMu.RUnlock()
 	if ok {
 		return st, nil
 	}
-	st, err := Parse(sql)
+	st, err := parse(sql)
 	if err != nil {
 		return nil, err
 	}
 	e.cacheMu.Lock()
 	// Bound growth: an adversarial unique-statement stream must not leak.
 	if len(e.stmtCache) > 4096 {
-		e.stmtCache = make(map[string]Statement)
+		e.stmtCache = make(map[string]statement)
 	}
 	e.stmtCache[sql] = st
 	e.cacheMu.Unlock()
@@ -111,18 +110,18 @@ func (e *Engine) notify() {
 
 // readOnly reports whether st only reads: it then runs beside writes, and a
 // standby serves it.
-func readOnly(st Statement) bool {
+func readOnly(st statement) bool {
 	switch st.(type) {
-	case SelectStmt, ChangesStmt:
+	case selectStmt, changesStmt:
 		return true
 	}
 	return false
 }
 
 // bind resolves an expression against the placeholder argument list.
-func bind(ex Expr, args []Value, next *int) (Value, error) {
-	if !ex.Placeholder {
-		return ex.Value, nil
+func bind(ex expr, args []Value, next *int) (Value, error) {
+	if !ex.placeholder {
+		return ex.value, nil
 	}
 	if *next >= len(args) {
 		return Value{}, fmt.Errorf("minisql: not enough arguments: need more than %d", len(args))
@@ -132,59 +131,21 @@ func bind(ex Expr, args []Value, next *int) (Value, error) {
 	return v, nil
 }
 
-func bindConds(conds []Cond, args []Value, next *int) ([]boundCond, error) {
-	out := make([]boundCond, len(conds))
-	for i, c := range conds {
-		v, err := bind(c.Expr, args, next)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = boundCond{Column: c.Column, Op: c.Op, Value: v}
-	}
-	return out, nil
-}
-
-type boundCond struct {
-	Column string
-	Op     CondOp
-	Value  Value
-}
-
-func (c boundCond) matches(v Value) bool {
-	cmp := compare(v, c.Value)
-	switch c.Op {
-	case OpEq:
-		return cmp == 0
-	case OpNe:
-		return cmp != 0
-	case OpLt:
-		return cmp < 0
-	case OpLe:
-		return cmp <= 0
-	case OpGt:
-		return cmp > 0
-	case OpGe:
-		return cmp >= 0
-	default:
-		return false
-	}
-}
-
-func (e *Engine) exec(st Statement, args []Value) (Result, error) {
+func (e *Engine) exec(st statement, args []Value) (Result, error) {
 	switch s := st.(type) {
-	case CreateTableStmt:
+	case createTableStmt:
 		return Result{}, e.createTable(s)
-	case InsertStmt:
+	case insertStmt:
 		n, err := e.insert(s, args)
 		return Result{Affected: n}, err
-	case SelectStmt:
+	case selectStmt:
 		return e.selectRows(s, args)
-	case ChangesStmt:
+	case changesStmt:
 		return e.changes(s, args)
-	case UpdateStmt:
+	case updateStmt:
 		n, err := e.update(s, args)
 		return Result{Affected: n}, err
-	case DeleteStmt:
+	case deleteStmt:
 		n, err := e.deleteRows(s, args)
 		return Result{Affected: n}, err
 	default:
@@ -202,18 +163,18 @@ func (e *Engine) getTable(name string) (*tableData, error) {
 	return t, nil
 }
 
-func (e *Engine) createTable(s CreateTableStmt) error {
-	t, err := newTable(s.Name, s.Columns)
+func (e *Engine) createTable(s createTableStmt) error {
+	t, err := newTable(s.name, s.columns)
 	if err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, exists := e.tables[t.name]; exists {
-		if s.IfNotExists {
+		if s.ifNotExists {
 			return nil
 		}
-		return fmt.Errorf("minisql: table %q already exists", s.Name)
+		return fmt.Errorf("minisql: table %q already exists", s.name)
 	}
 	e.seq++ // creation takes a number, so the head passes every older cursor
 	t.head = e.seq
@@ -222,25 +183,25 @@ func (e *Engine) createTable(s CreateTableStmt) error {
 }
 
 // newTable builds an empty table from its column definitions.
-func newTable(name string, cols []ColumnDef) (*tableData, error) {
+func newTable(name string, cols []columnDef) (*tableData, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("minisql: table %q has no columns", name)
 	}
 	t := &tableData{
 		name:    strings.ToLower(name),
-		schema:  append([]ColumnDef(nil), cols...),
+		schema:  append([]columnDef(nil), cols...),
 		colIdx:  make(map[string]int, len(cols)),
 		pkCol:   -1,
 		pkIndex: make(map[Value]int),
 		feed:    feed{tombs: make(map[Value]int64)},
 	}
 	for i, c := range cols {
-		lc := strings.ToLower(c.Name)
+		lc := strings.ToLower(c.name)
 		if _, dup := t.colIdx[lc]; dup {
-			return nil, fmt.Errorf("minisql: duplicate column %q", c.Name)
+			return nil, fmt.Errorf("minisql: duplicate column %q", c.name)
 		}
 		t.colIdx[lc] = i
-		if c.PrimaryKey {
+		if c.pk {
 			if t.pkCol >= 0 {
 				return nil, fmt.Errorf("minisql: multiple primary keys in %q", name)
 			}
@@ -274,71 +235,41 @@ func (t *tableData) remove(ri int) {
 	t.rows, t.seqs = t.rows[:last], t.seqs[:last]
 }
 
-// columnPositions maps stated insert columns to schema positions; an empty
-// column list means "all columns in schema order".
-func (t *tableData) columnPositions(cols []string) ([]int, error) {
-	if len(cols) == 0 {
-		pos := make([]int, len(t.schema))
-		for i := range pos {
-			pos[i] = i
-		}
-		return pos, nil
-	}
-	pos := make([]int, len(cols))
-	for i, c := range cols {
-		idx, ok := t.colIdx[strings.ToLower(c)]
-		if !ok {
-			return nil, fmt.Errorf("minisql: no column %q in table %q", c, t.name)
-		}
-		pos[i] = idx
-	}
-	return pos, nil
-}
-
-func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
-	t, err := e.getTable(s.Table)
+func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
+	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
 	}
 	next := 0
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pos, err := t.columnPositions(s.Columns)
-	if err != nil {
-		return 0, err
-	}
 	// Bind, coerce and key-check every row before changing any: a statement
 	// is atomic, so one that fails leaves no row and no sequence number
 	// behind.
-	rows := make([][]Value, len(s.Rows))
+	rows := make([][]Value, len(s.rows))
 	var fresh map[Value]bool // keys an earlier row of this INSERT adds
-	if len(s.Rows) > 1 && !s.Replace {
-		fresh = make(map[Value]bool, len(s.Rows))
+	if len(s.rows) > 1 && !s.replace {
+		fresh = make(map[Value]bool, len(s.rows))
 	}
-	for r, exprRow := range s.Rows {
-		if len(exprRow) != len(pos) {
-			return 0, fmt.Errorf("minisql: row has %d values, want %d", len(exprRow), len(pos))
+	for r, exprRow := range s.rows {
+		if len(exprRow) != len(t.schema) {
+			return 0, fmt.Errorf("minisql: row has %d values, want %d", len(exprRow), len(t.schema))
 		}
 		row := make([]Value, len(t.schema))
-		for i := range row {
-			row[i] = null()
-		}
 		for i, ex := range exprRow {
 			v, err := bind(ex, args, &next)
 			if err != nil {
 				return 0, err
 			}
-			cv, err := coerce(v, t.schema[pos[i]].Kind)
-			if err != nil {
+			if row[i], err = coerce(v, t.schema[i].kind); err != nil {
 				return 0, err
 			}
-			row[pos[i]] = cv
 		}
 		pk := row[t.pkCol]
 		if pk.isNull() {
 			return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
 		}
-		if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.Replace {
+		if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.replace {
 			return 0, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
 		}
 		if fresh != nil {
@@ -362,215 +293,160 @@ func (e *Engine) insert(s InsertStmt, args []Value) (int64, error) {
 	return int64(len(rows)), nil
 }
 
-// candidateRows returns the indexes of rows matching the bound conditions,
-// using the PK index when a `pk = v` term is present (the Janus fast path).
-// A condition on a column the table lacks is an error.
-func (t *tableData) candidateRows(conds []boundCond) ([]int, error) {
-	pk := -1
-	for i, c := range conds {
-		idx, ok := t.colIdx[strings.ToLower(c.Column)]
-		if !ok {
-			return nil, fmt.Errorf("minisql: no column %q in table %q", c.Column, t.name)
-		}
-		if c.Op == OpEq && idx == t.pkCol && pk < 0 {
-			pk = i
-		}
+// lookup returns the index of the row that WHERE c names, and whether there
+// is one. c's column must be the primary key; a value that cannot take the
+// key's type names no row.
+func (t *tableData) lookup(c cond, args []Value, next *int) (int, bool, error) {
+	pk := t.schema[t.pkCol]
+	if !strings.EqualFold(c.column, pk.name) {
+		return 0, false, fmt.Errorf("minisql: WHERE must name the primary key %q of table %q, not %q", pk.name, t.name, c.column)
 	}
-	if pk >= 0 {
-		cv, err := coerce(conds[pk].Value, t.schema[t.pkCol].Kind)
-		if err != nil {
-			return []int{}, nil // un-coercible value matches nothing
-		}
-		if ri, found := t.pkIndex[cv]; found && t.rowMatches(ri, conds) {
-			return []int{ri}, nil
-		}
-		return []int{}, nil
-	}
-	var out []int
-	for i := range t.rows {
-		if t.rowMatches(i, conds) {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-func (t *tableData) rowMatches(ri int, conds []boundCond) bool {
-	for _, c := range conds {
-		idx := t.colIdx[strings.ToLower(c.Column)]
-		if !c.matches(t.rows[ri][idx]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (e *Engine) selectRows(s SelectStmt, args []Value) (Result, error) {
-	t, err := e.getTable(s.Table)
+	v, err := bind(c.key, args, next)
 	if err != nil {
-		return Result{}, err
+		return 0, false, err
 	}
-	next := 0
-	conds, err := bindConds(s.Where, args, &next)
+	if v, err = coerce(v, pk.kind); err != nil {
+		return 0, false, nil
+	}
+	ri, ok := t.pkIndex[v]
+	return ri, ok, nil
+}
+
+func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
+	t, err := e.getTable(s.table)
 	if err != nil {
 		return Result{}, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idxs, err := t.candidateRows(conds)
-	if err != nil {
-		return Result{}, err
+	rows := t.rows
+	if s.where != nil {
+		next := 0
+		ri, ok, err := t.lookup(*s.where, args, &next)
+		if err != nil {
+			return Result{}, err
+		}
+		rows = nil
+		if ok {
+			rows = t.rows[ri : ri+1]
+		}
 	}
-	if s.Count {
-		return Result{Columns: []string{"count"}, Rows: [][]Value{{Int(int64(len(idxs)))}}}, nil
+	if s.count {
+		return Result{Columns: []string{"count"}, Rows: [][]Value{{Int(int64(len(rows)))}}}, nil
 	}
 
 	// Projection.
 	proj := make([]int, 0, len(t.schema))
-	var cols []string
-	if len(s.Columns) == 0 {
+	cols := make([]string, 0, len(t.schema))
+	if len(s.columns) == 0 {
 		for i, c := range t.schema {
 			proj = append(proj, i)
-			cols = append(cols, c.Name)
-		}
-	} else {
-		for _, c := range s.Columns {
-			idx, ok := t.colIdx[strings.ToLower(c)]
-			if !ok {
-				return Result{}, fmt.Errorf("minisql: no column %q in table %q", c, t.name)
-			}
-			proj = append(proj, idx)
-			cols = append(cols, t.schema[idx].Name)
+			cols = append(cols, c.name)
 		}
 	}
-
-	if s.Order != nil {
-		oi, ok := t.colIdx[strings.ToLower(s.Order.Column)]
+	for _, c := range s.columns {
+		idx, ok := t.colIdx[strings.ToLower(c)]
 		if !ok {
-			return Result{}, fmt.Errorf("minisql: no column %q in table %q", s.Order.Column, t.name)
+			return Result{}, fmt.Errorf("minisql: no column %q in table %q", c, t.name)
 		}
-		sort.SliceStable(idxs, func(a, b int) bool {
-			cmp := compare(t.rows[idxs[a]][oi], t.rows[idxs[b]][oi])
-			if s.Order.Desc {
-				return cmp > 0
+		proj = append(proj, idx)
+		cols = append(cols, t.schema[idx].name)
+	}
+
+	if s.orderBy != "" {
+		oi, ok := t.colIdx[strings.ToLower(s.orderBy)]
+		if !ok {
+			return Result{}, fmt.Errorf("minisql: no column %q in table %q", s.orderBy, t.name)
+		}
+		rows = slices.Clone(rows) // sorting t.rows would move rows under pkIndex
+		slices.SortStableFunc(rows, func(a, b []Value) int {
+			if s.desc {
+				a, b = b, a
 			}
-			return cmp < 0
+			return compare(a[oi], b[oi])
 		})
 	}
-	if s.Limit >= 0 && len(idxs) > s.Limit {
-		idxs = idxs[:s.Limit]
+	if s.limit >= 0 && len(rows) > s.limit {
+		rows = rows[:s.limit]
 	}
 
-	out := make([][]Value, 0, len(idxs))
-	for _, ri := range idxs {
-		row := make([]Value, len(proj))
+	// One backing array holds every result value.
+	out, vals := make([][]Value, len(rows)), make([]Value, len(rows)*len(proj))
+	for r, row := range rows {
+		o := vals[r*len(proj) : (r+1)*len(proj) : (r+1)*len(proj)]
 		for i, ci := range proj {
-			row[i] = t.rows[ri][ci]
+			o[i] = row[ci]
 		}
-		out = append(out, row)
+		out[r] = o
 	}
 	return Result{Columns: cols, Rows: out}, nil
 }
 
-func (e *Engine) update(s UpdateStmt, args []Value) (int64, error) {
-	t, err := e.getTable(s.Table)
+func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
+	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
 	}
-	// Bind SET expressions first (placeholder order: SET then WHERE).
-	next := 0
 	type setVal struct {
 		col int
 		val Value
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sets := make([]setVal, 0, len(s.Sets))
-	for _, sv := range s.Sets {
-		idx, ok := t.colIdx[strings.ToLower(sv.Column)]
+	// Bind every SET value before changing anything (placeholder order: SET
+	// then WHERE).
+	next := 0
+	sets := make([]setVal, 0, len(s.sets))
+	for _, sc := range s.sets {
+		idx, ok := t.colIdx[strings.ToLower(sc.column)]
 		if !ok {
-			return 0, fmt.Errorf("minisql: no column %q in table %q", sv.Column, t.name)
+			return 0, fmt.Errorf("minisql: no column %q in table %q", sc.column, t.name)
 		}
-		v, err := bind(sv.Expr, args, &next)
+		if idx == t.pkCol {
+			// A row keeps its key: a new key is a DELETE and an INSERT.
+			return 0, fmt.Errorf("minisql: UPDATE cannot set the primary key %q of table %q", sc.column, t.name)
+		}
+		v, err := bind(sc.value, args, &next)
 		if err != nil {
 			return 0, err
 		}
-		cv, err := coerce(v, t.schema[idx].Kind)
+		cv, err := coerce(v, t.schema[idx].kind)
 		if err != nil {
 			return 0, err
 		}
 		sets = append(sets, setVal{idx, cv})
 	}
-	conds, err := bindConds(s.Where, args, &next)
-	if err != nil {
+	ri, ok, err := t.lookup(s.where, args, &next)
+	if err != nil || !ok {
 		return 0, err
 	}
-	idxs, err := t.candidateRows(conds)
-	if err != nil {
-		return 0, err
-	}
-	// A new primary key is checked before any row changes, for the reason
-	// insert gives: it must be free, and only one row can take it.
+	changed := false
 	for _, sv := range sets {
-		if sv.col != t.pkCol {
-			continue
-		}
-		for _, ri := range idxs {
-			if equal(t.rows[ri][t.pkCol], sv.val) {
-				continue
-			}
-			if _, dup := t.pkIndex[sv.val]; dup || len(idxs) > 1 {
-				return 0, fmt.Errorf("minisql: duplicate primary key %s", sv.val)
-			}
-		}
+		changed = changed || t.rows[ri][sv.col] != sv.val
+		t.rows[ri][sv.col] = sv.val
 	}
-	for _, ri := range idxs {
-		old := t.rows[ri][t.pkCol]
-		changed := false
-		for _, sv := range sets {
-			changed = changed || t.rows[ri][sv.col] != sv.val
-			t.rows[ri][sv.col] = sv.val
-		}
-		if !changed {
-			continue // the same values again: nothing to number
-		}
-		if !equal(old, t.rows[ri][t.pkCol]) {
-			// The row moved to another key: the old one reads as deleted.
-			delete(t.pkIndex, old)
-			t.pkIndex[t.rows[ri][t.pkCol]] = ri
-			e.seq++
-			t.bury(old, e.seq)
-		}
+	if changed { // the same values again take no number
 		e.seq++
 		t.stamp(ri, e.seq)
 	}
-	return int64(len(idxs)), nil
+	return 1, nil
 }
 
-func (e *Engine) deleteRows(s DeleteStmt, args []Value) (int64, error) {
-	t, err := e.getTable(s.Table)
-	if err != nil {
-		return 0, err
-	}
-	next := 0
-	conds, err := bindConds(s.Where, args, &next)
+func (e *Engine) deleteRows(s deleteStmt, args []Value) (int64, error) {
+	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	idxs, err := t.candidateRows(conds)
-	if err != nil {
+	next := 0
+	ri, ok, err := t.lookup(s.where, args, &next)
+	if err != nil || !ok {
 		return 0, err
 	}
-	// Delete from the highest index down so swap-removal does not disturb
-	// earlier candidates.
-	sort.Sort(sort.Reverse(sort.IntSlice(idxs)))
-	for _, ri := range idxs {
-		pk := t.rows[ri][t.pkCol]
-		t.remove(ri)
-		e.seq++
-		t.bury(pk, e.seq)
-	}
-	return int64(len(idxs)), nil
+	pk := t.rows[ri][t.pkCol]
+	t.remove(ri)
+	e.seq++
+	t.bury(pk, e.seq)
+	return 1, nil
 }

@@ -95,20 +95,23 @@ func TestUpdateByPrimaryKey(t *testing.T) {
 	}
 }
 
+// TestUpdatePrimaryKeyMaintainsIndex: an UPDATE cannot move a row to another
+// key, so the index keeps every row where it was.
 func TestUpdatePrimaryKeyMaintainsIndex(t *testing.T) {
 	e := newTestEngine(t)
 	mustExec(t, e, `INSERT INTO qos_rules VALUES ('old', 1, 10, 10)`)
-	mustExec(t, e, `UPDATE qos_rules SET key = 'new' WHERE key = 'old'`)
-	if len(mustExec(t, e, `SELECT * FROM qos_rules WHERE key = 'old'`).Rows) != 0 {
-		t.Fatal("old key still resolves")
+	if _, err := e.Execute(`UPDATE qos_rules SET key = 'new' WHERE key = 'old'`); err == nil {
+		t.Fatal("UPDATE moved a row to another key")
 	}
-	if len(mustExec(t, e, `SELECT * FROM qos_rules WHERE key = 'new'`).Rows) != 1 {
-		t.Fatal("new key does not resolve")
+	if len(mustExec(t, e, `SELECT * FROM qos_rules WHERE key = 'old'`).Rows) != 1 {
+		t.Fatal("old key does not resolve")
 	}
-	// PK collision via update is rejected.
+	if len(mustExec(t, e, `SELECT * FROM qos_rules WHERE key = 'new'`).Rows) != 0 {
+		t.Fatal("new key resolves")
+	}
 	mustExec(t, e, `INSERT INTO qos_rules VALUES ('other', 1, 1, 1)`)
 	if _, err := e.Execute(`UPDATE qos_rules SET key = 'new' WHERE key = 'other'`); err == nil {
-		t.Fatal("PK collision via UPDATE accepted")
+		t.Fatal("UPDATE moved a row to another key")
 	}
 }
 
@@ -137,34 +140,38 @@ func TestDeleteMaintainsIndex(t *testing.T) {
 	}
 }
 
+// TestDeleteRangePredicate: a range is no WHERE; the rows stay.
 func TestDeleteRangePredicate(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, v INT)`)
 	for i := 0; i < 20; i++ {
 		mustExec(t, e, `INSERT INTO t VALUES (?, ?)`, Int(int64(i)), Int(int64(i%5)))
 	}
-	res := mustExec(t, e, `DELETE FROM t WHERE v >= 3`)
-	if res.Affected != 8 {
-		t.Fatalf("affected = %d, want 8", res.Affected)
+	if _, err := e.Execute(`DELETE FROM t WHERE v >= 3`); err == nil {
+		t.Fatal("DELETE with a range succeeded")
 	}
 	count := mustExec(t, e, `SELECT COUNT(*) FROM t`)
-	if count.Rows[0][0] != Int(12) {
+	if count.Rows[0][0] != Int(20) {
 		t.Fatalf("count = %v", count.Rows[0][0])
 	}
-	// All survivors findable by PK.
-	res = mustExec(t, e, `SELECT * FROM t WHERE v < 3`)
-	if len(res.Rows) != 12 {
-		t.Fatalf("survivors = %d", len(res.Rows))
+	if _, err := e.Execute(`SELECT * FROM t WHERE v < 3`); err == nil {
+		t.Fatal("SELECT with a range succeeded")
 	}
 }
 
+// TestFullScanAndConjunction: a WHERE is one equality on the primary key,
+// never a conjunction or a scan on another column.
 func TestFullScanAndConjunction(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)`)
 	mustExec(t, e, `INSERT INTO t VALUES (1, 10, 'x'), (2, 20, 'x'), (3, 20, 'y')`)
-	res := mustExec(t, e, `SELECT id FROM t WHERE a = 20 AND b = 'x'`)
-	if len(res.Rows) != 1 || res.Rows[0][0] != Int(2) {
-		t.Fatalf("rows = %v", res.Rows)
+	for _, sql := range []string{`SELECT id FROM t WHERE a = 20 AND b = 'x'`, `SELECT id FROM t WHERE a = 20`, `SELECT id FROM t WHERE id = 2 AND b = 'x'`} {
+		if res, err := e.Execute(sql); err == nil {
+			t.Errorf("%s = %v, want an error", sql, res.Rows)
+		}
+	}
+	if res := mustExec(t, e, `SELECT id FROM t`); len(res.Rows) != 3 {
+		t.Fatalf("scan = %v", res.Rows)
 	}
 }
 
@@ -233,13 +240,73 @@ func TestNullHandling(t *testing.T) {
 	}
 }
 
+// TestInsertColumnSubset: an INSERT writes whole rows; a column list does
+// not parse, and a short row is an error.
 func TestInsertColumnSubset(t *testing.T) {
 	e := NewEngine()
 	mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, a INT, b TEXT)`)
-	mustExec(t, e, `INSERT INTO t (id, b) VALUES (1, 'hi')`)
+	for _, sql := range []string{`INSERT INTO t (id, b) VALUES (1, 'hi')`, `INSERT INTO t VALUES (1, 'hi')`} {
+		if _, err := e.Execute(sql); err == nil {
+			t.Errorf("%s succeeded", sql)
+		}
+	}
+	mustExec(t, e, `INSERT INTO t VALUES (1, NULL, 'hi')`)
 	res := mustExec(t, e, `SELECT a, b FROM t WHERE id = 1`)
 	if !res.Rows[0][0].isNull() || res.Rows[0][1] != Text("hi") {
 		t.Fatalf("row = %v", res.Rows[0])
+	}
+}
+
+// removedForms are SQL forms that minisql does not run, one input each:
+// comparisons other than =, AND/OR, a WHERE on a column other than the
+// primary key, INSERT column lists, type aliases, back-quoted identifiers,
+// UPDATE and DELETE without a WHERE, and an UPDATE that sets the key.
+var removedForms = []string{
+	`SELECT * FROM qos_rules WHERE credit != 1`,
+	`SELECT * FROM qos_rules WHERE credit <> 1`,
+	`SELECT key FROM qos_rules WHERE credit < 1`,
+	`DELETE FROM qos_rules WHERE credit <= 1`,
+	`UPDATE qos_rules SET credit = 0 WHERE credit > 1`,
+	`SELECT COUNT(*) FROM qos_rules WHERE credit >= 1`,
+	`DELETE FROM qos_rules WHERE key = 'a' AND credit = 1`,
+	`UPDATE qos_rules SET credit = 0 WHERE key = 'a' OR key = 'b'`,
+	`SELECT key FROM qos_rules WHERE credit = 1`,
+	`UPDATE qos_rules SET credit = 0 WHERE capacity = 10`,
+	`DELETE FROM qos_rules WHERE refill_rate = 1`,
+	`INSERT INTO qos_rules (key, credit) VALUES ('n', 1)`,
+	`REPLACE INTO qos_rules (key, refill_rate, capacity, credit) VALUES ('a', 9, 9, 9)`,
+	`CREATE TABLE t (id INTEGER PRIMARY KEY)`,
+	`CREATE TABLE t (id BIGINT PRIMARY KEY)`,
+	`CREATE TABLE t (id INT PRIMARY KEY, v DOUBLE)`,
+	`CREATE TABLE t (id INT PRIMARY KEY, v REAL)`,
+	`CREATE TABLE t (id VARCHAR(10) PRIMARY KEY)`,
+	"SELECT * FROM `qos_rules`",
+	"UPDATE qos_rules SET `credit` = 0 WHERE key = 'a'",
+	`UPDATE qos_rules SET credit = 0`,
+	`DELETE FROM qos_rules`,
+	`UPDATE qos_rules SET key = 'moved' WHERE key = 'a'`,
+	`UPDATE qos_rules SET credit = 0, key = 'a' WHERE key = 'a'`,
+}
+
+// TestRemovedFormsChangeNothing: each removed form, sent to an engine that
+// holds rows, fails and leaves the tables, the feed head and every row as
+// they were.
+func TestRemovedFormsChangeNothing(t *testing.T) {
+	e := newTestEngine(t)
+	mustExec(t, e, `INSERT INTO qos_rules VALUES ('a', 1, 10, 1), ('b', 1, 10, 2), ('c', 2, 20, 3)`)
+	state := func() string {
+		head, _ := feedState(t, e, "qos_rules")
+		rows := mustExec(t, e, `SELECT * FROM qos_rules ORDER BY key`).Rows
+		return fmt.Sprint(e.tableNames(), e.Snapshot().At.Seq, head, rows)
+	}
+	before := state()
+	for _, sql := range removedForms {
+		if res, err := e.Execute(sql); err == nil {
+			t.Errorf("%s = %+v, want an error", sql, res)
+		}
+		if now := state(); now != before {
+			t.Fatalf("%s changed the database:\n%s\nwas\n%s", sql, now, before)
+		}
 	}
 }
 

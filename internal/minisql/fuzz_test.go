@@ -29,8 +29,11 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, seed := range removedForms {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
-		st, err := Parse(sql)
+		st, err := parse(sql)
 		if err == nil && st == nil {
 			t.Fatal("nil statement with nil error")
 		}
@@ -38,9 +41,10 @@ func FuzzParse(f *testing.F) {
 }
 
 // FuzzExecute: executing arbitrary SQL against a live engine must never
-// panic or corrupt the PK index (checked via a follow-up point query), and
-// the change feed from cursor 0 must still list every row once, in sequence
-// order.
+// panic or corrupt the PK index (checked via a follow-up point query), a
+// statement that fails must leave the sequence and the row count as they
+// were (statements are atomic), and the change feed from cursor 0 must still
+// list every row once, in sequence order.
 func FuzzExecute(f *testing.F) {
 	f.Add("INSERT INTO qos_rules VALUES ('a', 1, 2, 3)")
 	f.Add("SELECT * FROM qos_rules")
@@ -51,6 +55,9 @@ func FuzzExecute(f *testing.F) {
 	f.Add("SELECT CHANGES FROM qos_rules SINCE 12345, 2")
 	f.Add("REPLACE INTO qos_rules VALUES ('a', 1, 2, 3), ('seed', 'x', 1, 1)")
 	f.Add("UPDATE qos_rules SET key = 'b' WHERE key = 'seed'")
+	for _, seed := range removedForms {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		e := NewEngine()
 		if _, err := e.Execute(`CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`); err != nil {
@@ -59,7 +66,16 @@ func FuzzExecute(f *testing.F) {
 		if _, err := e.Execute(`INSERT INTO qos_rules VALUES ('seed', 1, 2, 3)`); err != nil {
 			t.Fatal(err)
 		}
-		e.Execute(sql) // outcome irrelevant; must not panic
+		count := func() int64 { return mustExec(t, e, `SELECT COUNT(*) FROM qos_rules`).Rows[0][0].AsInt() }
+		head, rows := e.Snapshot().At.Seq, count()
+		if _, err := e.Execute(sql); err != nil { // must not panic
+			if now := e.Snapshot().At.Seq; now != head {
+				t.Fatalf("failed statement (%v) moved the sequence %d -> %d", err, head, now)
+			}
+			if now := count(); now != rows {
+				t.Fatalf("failed statement (%v) changed COUNT(*) %d -> %d", err, rows, now)
+			}
+		}
 		// Index integrity: the seed row is either present with consistent
 		// values or deleted.
 		res, err := e.Execute(`SELECT refill_rate FROM qos_rules WHERE key = 'seed'`)
@@ -73,7 +89,6 @@ func FuzzExecute(f *testing.F) {
 		if err != nil {
 			t.Fatalf("change feed: %v", err)
 		}
-		count, _ := e.Execute(`SELECT COUNT(*) FROM qos_rules`)
 		live, last := int64(0), int64(0)
 		for _, row := range feed.Rows {
 			if seq := row[0].AsInt(); seq <= last || seq > feed.Feed.Next.Seq {
@@ -87,8 +102,8 @@ func FuzzExecute(f *testing.F) {
 		if feed.Feed.More || !feed.Feed.Reset {
 			t.Fatalf("one page of %d entries from the zero cursor reads as %+v, want the whole reset scan", len(feed.Rows), *feed.Feed)
 		}
-		if live != count.Rows[0][0].AsInt() {
-			t.Fatalf("feed lists %d rows, table holds %d", live, count.Rows[0][0].AsInt())
+		if n := count(); live != n {
+			t.Fatalf("feed lists %d rows, table holds %d", live, n)
 		}
 	})
 }

@@ -15,14 +15,14 @@ func (e *Engine) tableNames() []string {
 }
 
 // schemaOf returns the column definitions of a table.
-func (e *Engine) schemaOf(table string) ([]ColumnDef, error) {
+func (e *Engine) schemaOf(table string) ([]columnDef, error) {
 	t, err := e.getTable(table)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]ColumnDef, len(t.schema))
+	out := make([]columnDef, len(t.schema))
 	copy(out, t.schema)
 	return out, nil
 }

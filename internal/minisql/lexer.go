@@ -15,7 +15,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokSymbol // ( ) , * = < > <= >= != <> ? ;
+	tokSymbol // ( ) , * = ? ;
 )
 
 type token struct {
@@ -26,13 +26,12 @@ type token struct {
 
 var keywords = map[string]bool{
 	"CREATE": true, "TABLE": true, "IF": true, "NOT": true, "EXISTS": true,
-	"PRIMARY": true, "KEY": true, "INT": true, "INTEGER": true, "BIGINT": true,
-	"FLOAT": true, "DOUBLE": true, "REAL": true, "TEXT": true, "VARCHAR": true,
+	"PRIMARY": true, "KEY": true, "INT": true, "FLOAT": true, "TEXT": true,
 	"INSERT": true, "REPLACE": true, "INTO": true, "VALUES": true,
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true,
+	"SELECT": true, "FROM": true, "WHERE": true,
 	"ORDER": true, "BY": true, "ASC": true, "DESC": true, "LIMIT": true,
 	"UPDATE": true, "SET": true, "DELETE": true,
-	"COUNT": true, "NULL": true, "OR": true, "CHANGES": true, "SINCE": true,
+	"COUNT": true, "NULL": true, "CHANGES": true, "SINCE": true,
 }
 
 // lex tokenizes a SQL string. It returns an error with position context on
@@ -89,26 +88,6 @@ func lex(input string) ([]token, error) {
 				toks = append(toks, token{tokKeyword, up, start})
 			} else {
 				toks = append(toks, token{tokIdent, word, start})
-			}
-		case c == '`': // quoted identifier
-			start := i
-			i++
-			j := strings.IndexByte(input[i:], '`')
-			if j < 0 {
-				return nil, fmt.Errorf("minisql: unterminated quoted identifier at %d", start)
-			}
-			toks = append(toks, token{tokIdent, input[i : i+j], start})
-			i += j + 1
-		case c == '<' || c == '>' || c == '!':
-			start := i
-			if i+1 < n && (input[i+1] == '=' || c == '<' && input[i+1] == '>') {
-				toks = append(toks, token{tokSymbol, input[i : i+2], start})
-				i += 2
-			} else if c == '!' {
-				return nil, fmt.Errorf("minisql: stray '!' at %d", i)
-			} else {
-				toks = append(toks, token{tokSymbol, string(c), start})
-				i++
 			}
 		case c == '(' || c == ')' || c == ',' || c == '*' || c == '=' || c == '?' || c == ';':
 			toks = append(toks, token{tokSymbol, string(c), i})

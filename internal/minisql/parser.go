@@ -6,94 +6,80 @@ import (
 	"strings"
 )
 
-// Statement is a parsed SQL statement.
-type Statement interface{ stmt() }
+// statement is a parsed SQL statement.
+type statement interface{ stmt() }
 
-// ColumnDef defines one column of a CREATE TABLE.
-type ColumnDef struct {
-	Name       string
-	Kind       Kind
-	PrimaryKey bool
+// columnDef defines one column of a table.
+type columnDef struct {
+	name string
+	kind Kind
+	pk   bool
 }
 
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] name (col type [PRIMARY KEY], ...).
-type CreateTableStmt struct {
-	Name        string
-	IfNotExists bool
-	Columns     []ColumnDef
+// createTableStmt is CREATE TABLE [IF NOT EXISTS] name (col INT|FLOAT|TEXT [PRIMARY KEY], ...).
+type createTableStmt struct {
+	name        string
+	ifNotExists bool
+	columns     []columnDef
 }
 
-// Expr is a literal value or a ?-placeholder inside a statement.
-type Expr struct {
-	Placeholder bool
-	Value       Value
+// expr is a literal value or a ?-placeholder inside a statement.
+type expr struct {
+	placeholder bool
+	value       Value
 }
 
-// InsertStmt is INSERT|REPLACE INTO t [(cols)] VALUES (...), (...).
-type InsertStmt struct {
-	Table   string
-	Replace bool // REPLACE INTO upserts on primary-key conflict
-	Columns []string
-	Rows    [][]Expr
+// insertStmt is INSERT|REPLACE INTO t VALUES (...), (...): whole rows, in
+// the table's column order.
+type insertStmt struct {
+	table   string
+	replace bool // REPLACE INTO upserts on primary-key conflict
+	rows    [][]expr
 }
 
-// CondOp enumerates comparison operators in WHERE clauses.
-type CondOp string
-
-// Supported comparison operators.
-const (
-	OpEq CondOp = "="
-	OpNe CondOp = "!="
-	OpLt CondOp = "<"
-	OpLe CondOp = "<="
-	OpGt CondOp = ">"
-	OpGe CondOp = ">="
-)
-
-// Cond is one `col OP expr` term; WHERE clauses are conjunctions of Conds.
-type Cond struct {
-	Column string
-	Op     CondOp
-	Expr   Expr
+// cond is WHERE col = expr, the only condition there is. The engine accepts
+// it only on the table's primary key, so it names at most one row.
+type cond struct {
+	column string
+	key    expr
 }
 
-// OrderBy describes an ORDER BY term.
-type OrderBy struct {
-	Column string
-	Desc   bool
+// selectStmt is SELECT cols|*|COUNT(*) FROM t [WHERE k = e] [ORDER BY col
+// [ASC|DESC]] [LIMIT n].
+type selectStmt struct {
+	table   string
+	columns []string // empty means *
+	count   bool     // SELECT COUNT(*)
+	where   *cond
+	orderBy string // empty means no ORDER BY
+	desc    bool
+	limit   int // -1 means no limit
 }
 
-// SelectStmt is SELECT cols|*|COUNT(*) FROM t [WHERE ...] [ORDER BY ...] [LIMIT n].
-type SelectStmt struct {
-	Table   string
-	Columns []string // empty means *
-	Count   bool     // SELECT COUNT(*)
-	Where   []Cond
-	Order   *OrderBy
-	Limit   int // -1 means no limit
+// setClause is one col = expr of an UPDATE.
+type setClause struct {
+	column string
+	value  expr
 }
 
-// UpdateStmt is UPDATE t SET col=expr, ... [WHERE ...].
-type UpdateStmt struct {
-	Table string
-	Sets  []struct {
-		Column string
-		Expr   Expr
-	}
-	Where []Cond
+// updateStmt is UPDATE t SET col = e, ... WHERE k = e.
+type updateStmt struct {
+	table string
+	sets  []setClause
+	where cond
 }
 
-// DeleteStmt is DELETE FROM t [WHERE ...].
-type DeleteStmt struct {
-	Table string
-	Where []Cond
+// deleteStmt is DELETE FROM t WHERE k = e.
+type deleteStmt struct {
+	table string
+	where cond
 }
 
-func (CreateTableStmt) stmt() {}
-func (InsertStmt) stmt()      {}
-func (SelectStmt) stmt()      {}
-func (UpdateStmt) stmt()      {}
-func (DeleteStmt) stmt()      {}
+func (createTableStmt) stmt() {}
+func (insertStmt) stmt()      {}
+func (selectStmt) stmt()      {}
+func (updateStmt) stmt()      {}
+func (deleteStmt) stmt()      {}
 
 type parser struct {
 	toks []token
@@ -101,8 +87,8 @@ type parser struct {
 	sql  string
 }
 
-// Parse parses a single SQL statement (an optional trailing ';' is allowed).
-func Parse(sql string) (Statement, error) {
+// parse parses a single SQL statement (an optional trailing ';' is allowed).
+func parse(sql string) (statement, error) {
 	toks, err := lex(sql)
 	if err != nil {
 		return nil, err
@@ -156,6 +142,18 @@ func (p *parser) expectSymbol(s string) error {
 	return nil
 }
 
+// list parses one or more items separated by commas.
+func (p *parser) list(item func() error) error {
+	for {
+		if err := item(); err != nil {
+			return err
+		}
+		if !p.acceptSymbol(",") {
+			return nil
+		}
+	}
+}
+
 // ident also accepts keywords used as identifiers (e.g. a column named
 // "key", which the paper's qos_rules schema uses).
 func (p *parser) ident() (string, error) {
@@ -171,7 +169,7 @@ func (p *parser) ident() (string, error) {
 	return "", p.errorf("expected identifier, found %q", t.text)
 }
 
-func (p *parser) statement() (Statement, error) {
+func (p *parser) statement() (statement, error) {
 	switch {
 	case p.acceptKeyword("CREATE"):
 		return p.createTable()
@@ -190,11 +188,11 @@ func (p *parser) statement() (Statement, error) {
 	}
 }
 
-func (p *parser) createTable() (Statement, error) {
+func (p *parser) createTable() (statement, error) {
 	if err := p.expectKeyword("TABLE"); err != nil {
 		return nil, err
 	}
-	st := CreateTableStmt{}
+	st := createTableStmt{}
 	if p.acceptKeyword("IF") {
 		if err := p.expectKeyword("NOT"); err != nil {
 			return nil, err
@@ -202,106 +200,79 @@ func (p *parser) createTable() (Statement, error) {
 		if err := p.expectKeyword("EXISTS"); err != nil {
 			return nil, err
 		}
-		st.IfNotExists = true
+		st.ifNotExists = true
 	}
-	name, err := p.ident()
-	if err != nil {
+	var err error
+	if st.name, err = p.ident(); err != nil {
 		return nil, err
 	}
-	st.Name = name
 	if err := p.expectSymbol("("); err != nil {
 		return nil, err
 	}
-	for {
+	err = p.list(func() error {
 		col, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		kind, err := p.columnType()
-		if err != nil {
-			return nil, err
+		def := columnDef{name: col}
+		switch t := p.cur(); {
+		case p.acceptKeyword("INT"):
+			def.kind = KindInt
+		case p.acceptKeyword("FLOAT"):
+			def.kind = KindFloat
+		case p.acceptKeyword("TEXT"):
+			def.kind = KindText
+		default:
+			return p.errorf("expected column type INT, FLOAT or TEXT, found %q", t.text)
 		}
-		def := ColumnDef{Name: col, Kind: kind}
 		if p.acceptKeyword("PRIMARY") {
 			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
+				return err
 			}
-			def.PrimaryKey = true
+			def.pk = true
 		}
-		st.Columns = append(st.Columns, def)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
-	}
-	if err := p.expectSymbol(")"); err != nil {
+		st.columns = append(st.columns, def)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return st, nil
+	return st, p.expectSymbol(")")
 }
 
-func (p *parser) columnType() (Kind, error) {
-	t := p.cur()
-	if t.kind != tokKeyword {
-		return KindNull, p.errorf("expected column type, found %q", t.text)
-	}
-	p.pos++
-	switch t.text {
-	case "INT", "INTEGER", "BIGINT":
-		return KindInt, nil
-	case "FLOAT", "DOUBLE", "REAL":
-		return KindFloat, nil
-	case "TEXT":
-		return KindText, nil
-	case "VARCHAR":
-		// VARCHAR(n): size is parsed and ignored.
-		if p.acceptSymbol("(") {
-			if p.cur().kind != tokNumber {
-				return KindNull, p.errorf("expected VARCHAR size")
-			}
-			p.pos++
-			if err := p.expectSymbol(")"); err != nil {
-				return KindNull, err
-			}
-		}
-		return KindText, nil
-	default:
-		return KindNull, p.errorf("unknown column type %q", t.text)
-	}
-}
-
-func (p *parser) expr() (Expr, error) {
+// term parses a literal or a ?-placeholder.
+func (p *parser) term() (expr, error) {
 	t := p.cur()
 	switch {
 	case t.kind == tokSymbol && t.text == "?":
 		p.pos++
-		return Expr{Placeholder: true}, nil
+		return expr{placeholder: true}, nil
 	case t.kind == tokNumber:
 		p.pos++
 		if strings.ContainsAny(t.text, ".eE") {
 			f, err := strconv.ParseFloat(t.text, 64)
 			if err != nil {
-				return Expr{}, p.errorf("bad number %q", t.text)
+				return expr{}, p.errorf("bad number %q", t.text)
 			}
-			return Expr{Value: Float(f)}, nil
+			return expr{value: Float(f)}, nil
 		}
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
-			return Expr{}, p.errorf("bad integer %q", t.text)
+			return expr{}, p.errorf("bad integer %q", t.text)
 		}
-		return Expr{Value: Int(n)}, nil
+		return expr{value: Int(n)}, nil
 	case t.kind == tokString:
 		p.pos++
-		return Expr{Value: Text(t.text)}, nil
+		return expr{value: Text(t.text)}, nil
 	case t.kind == tokKeyword && t.text == "NULL":
 		p.pos++
-		return Expr{Value: null()}, nil
+		return expr{value: null()}, nil
 	default:
-		return Expr{}, p.errorf("expected value, found %q", t.text)
+		return expr{}, p.errorf("expected value, found %q", t.text)
 	}
 }
 
-func (p *parser) insert(replace bool) (Statement, error) {
+func (p *parser) insert(replace bool) (statement, error) {
 	if err := p.expectKeyword("INTO"); err != nil {
 		return nil, err
 	}
@@ -309,156 +280,94 @@ func (p *parser) insert(replace bool) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := InsertStmt{Table: name, Replace: replace}
-	if p.acceptSymbol("(") {
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			st.Columns = append(st.Columns, col)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-	}
+	st := insertStmt{table: name, replace: replace}
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	for {
+	err = p.list(func() error {
 		if err := p.expectSymbol("("); err != nil {
-			return nil, err
+			return err
 		}
-		var row []Expr
-		for {
-			e, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
+		var row []expr
+		err := p.list(func() error {
+			e, err := p.term()
 			row = append(row, e)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		st.Rows = append(st.Rows, row)
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
+		st.rows = append(st.rows, row)
+		return p.expectSymbol(")")
+	})
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
 
-func (p *parser) whereClause() ([]Cond, error) {
-	if !p.acceptKeyword("WHERE") {
-		return nil, nil
+// cond parses col = expr, after WHERE.
+func (p *parser) cond() (cond, error) {
+	col, err := p.ident()
+	if err != nil {
+		return cond{}, err
 	}
-	var conds []Cond
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		t := p.cur()
-		if t.kind != tokSymbol {
-			return nil, p.errorf("expected comparison operator")
-		}
-		var op CondOp
-		switch t.text {
-		case "=":
-			op = OpEq
-		case "!=", "<>":
-			op = OpNe
-		case "<":
-			op = OpLt
-		case "<=":
-			op = OpLe
-		case ">":
-			op = OpGt
-		case ">=":
-			op = OpGe
-		default:
-			return nil, p.errorf("unsupported operator %q", t.text)
-		}
-		p.pos++
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		conds = append(conds, Cond{Column: col, Op: op, Expr: e})
-		if p.acceptKeyword("AND") {
-			continue
-		}
-		break
+	if err := p.expectSymbol("="); err != nil {
+		return cond{}, err
 	}
-	return conds, nil
+	key, err := p.term()
+	return cond{column: col, key: key}, err
 }
 
-func (p *parser) selectStmt() (Statement, error) {
+func (p *parser) selectStmt() (statement, error) {
 	if p.acceptKeyword("CHANGES") {
 		return p.changes()
 	}
-	st := SelectStmt{Limit: -1}
+	st := selectStmt{limit: -1}
 	switch {
 	case p.acceptSymbol("*"):
 	case p.acceptKeyword("COUNT"):
-		if err := p.expectSymbol("("); err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol("*"); err != nil {
-			return nil, err
-		}
-		if err := p.expectSymbol(")"); err != nil {
-			return nil, err
-		}
-		st.Count = true
-	default:
-		for {
-			col, err := p.ident()
-			if err != nil {
+		for _, s := range []string{"(", "*", ")"} {
+			if err := p.expectSymbol(s); err != nil {
 				return nil, err
 			}
-			st.Columns = append(st.Columns, col)
-			if p.acceptSymbol(",") {
-				continue
-			}
-			break
+		}
+		st.count = true
+	default:
+		err := p.list(func() error {
+			col, err := p.ident()
+			st.columns = append(st.columns, col)
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
+	var err error
+	if st.table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	st.Table = name
-	if st.Where, err = p.whereClause(); err != nil {
-		return nil, err
+	if p.acceptKeyword("WHERE") {
+		c, err := p.cond()
+		if err != nil {
+			return nil, err
+		}
+		st.where = &c
 	}
 	if p.acceptKeyword("ORDER") {
 		if err := p.expectKeyword("BY"); err != nil {
 			return nil, err
 		}
-		col, err := p.ident()
-		if err != nil {
+		if st.orderBy, err = p.ident(); err != nil {
 			return nil, err
 		}
-		ob := &OrderBy{Column: col}
-		if p.acceptKeyword("DESC") {
-			ob.Desc = true
-		} else {
+		st.desc = p.acceptKeyword("DESC")
+		if !st.desc {
 			p.acceptKeyword("ASC")
 		}
-		st.Order = ob
 	}
 	if p.acceptKeyword("LIMIT") {
 		t := p.cur()
@@ -470,13 +379,13 @@ func (p *parser) selectStmt() (Statement, error) {
 		if err != nil || n < 0 {
 			return nil, p.errorf("bad LIMIT %q", t.text)
 		}
-		st.Limit = n
+		st.limit = n
 	}
 	return st, nil
 }
 
 // changes parses the rest of SELECT CHANGES FROM t SINCE origin, seq.
-func (p *parser) changes() (Statement, error) {
+func (p *parser) changes() (statement, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
@@ -487,56 +396,53 @@ func (p *parser) changes() (Statement, error) {
 	if err := p.expectKeyword("SINCE"); err != nil {
 		return nil, err
 	}
-	st := ChangesStmt{Table: name}
-	if st.Since[0], err = p.expr(); err != nil {
+	st := changesStmt{table: name}
+	if st.since[0], err = p.term(); err != nil {
 		return nil, err
 	}
 	if err := p.expectSymbol(","); err != nil {
 		return nil, err
 	}
-	if st.Since[1], err = p.expr(); err != nil {
+	if st.since[1], err = p.term(); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func (p *parser) update() (Statement, error) {
+func (p *parser) update() (statement, error) {
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
-	st := UpdateStmt{Table: name}
+	st := updateStmt{table: name}
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	for {
+	err = p.list(func() error {
 		col, err := p.ident()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := p.expectSymbol("="); err != nil {
-			return nil, err
+			return err
 		}
-		e, err := p.expr()
-		if err != nil {
-			return nil, err
-		}
-		st.Sets = append(st.Sets, struct {
-			Column string
-			Expr   Expr
-		}{col, e})
-		if p.acceptSymbol(",") {
-			continue
-		}
-		break
+		e, err := p.term()
+		st.sets = append(st.sets, setClause{col, e})
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if st.Where, err = p.whereClause(); err != nil {
+	if err := p.expectKeyword("WHERE"); err != nil {
+		return nil, err
+	}
+	if st.where, err = p.cond(); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-func (p *parser) deleteStmt() (Statement, error) {
+func (p *parser) deleteStmt() (statement, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
@@ -544,11 +450,12 @@ func (p *parser) deleteStmt() (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := DeleteStmt{Table: name}
-	where, err := p.whereClause()
-	if err != nil {
+	if err := p.expectKeyword("WHERE"); err != nil {
 		return nil, err
 	}
-	st.Where = where
+	st := deleteStmt{table: name}
+	if st.where, err = p.cond(); err != nil {
+		return nil, err
+	}
 	return st, nil
 }

@@ -325,7 +325,7 @@ func sameRows(t *testing.T, master, standby *Engine, table string) [][]Value {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := `SELECT * FROM ` + table + ` ORDER BY ` + schema[0].Name
+	all := `SELECT * FROM ` + table + ` ORDER BY ` + schema[0].name
 	m, s := mustExec(t, master, all), mustExec(t, standby, all)
 	if fmt.Sprint(m.Rows) != fmt.Sprint(s.Rows) {
 		t.Fatalf("%s diverged: master holds %d rows, standby %d", table, len(m.Rows), len(s.Rows))

@@ -22,7 +22,7 @@ type SnapshotData struct {
 // the columns; a delete carries only the key).
 type TableSnapshot struct {
 	Name          string
-	Schema        []ColumnDef
+	Schema        []columnDef
 	Head, Horizon int64
 	Rows          [][]Value
 }

@@ -4,9 +4,14 @@
 // It implements exactly the surface Janus needs, and implements it for real:
 //
 //   - a typed storage engine (tables, rows, primary-key hash index),
-//   - a SQL subset — CREATE TABLE (every table has a primary key), INSERT
-//     [OR REPLACE], SELECT (with WHERE conjunctions, ORDER BY, LIMIT),
-//     UPDATE, DELETE — with ?-placeholders, each statement atomic,
+//   - a SQL subset, the statements Janus sends and no more — CREATE TABLE
+//     [IF NOT EXISTS] with INT, FLOAT and TEXT columns and one PRIMARY KEY;
+//     INSERT and REPLACE of whole rows, several per statement; SELECT of
+//     columns, * or COUNT(*) with optional WHERE, ORDER BY col [ASC|DESC]
+//     and LIMIT; UPDATE … SET; DELETE — with ?-placeholders and NULL, each
+//     statement atomic. A WHERE is exactly one `<primary key> = value`, and
+//     UPDATE and DELETE require it, so each touches at most one row; an
+//     UPDATE never sets the key. Every changed row takes one sequence number,
 //   - a per-table change feed, SELECT CHANGES FROM t SINCE origin, seq,
 //     over sequence-numbered writes and a bounded set of delete tombstones,
 //     with one rule for whether a reader's cursor reads on (changes.go),
@@ -184,9 +189,6 @@ func compare(a, b Value) int {
 		return 0
 	}
 }
-
-// equal reports a == b under compare semantics.
-func equal(a, b Value) bool { return compare(a, b) == 0 }
 
 // coerce converts v to the column kind k, returning an error on an
 // impossible conversion (typed columns reject mismatched text).

@@ -92,8 +92,8 @@ func TestSojournStageMonotonicity(t *testing.T) {
 	if total := s.sojournTotal.Sum(); sum != total {
 		t.Errorf("stage sum %dns != total %dns; the decomposition must be exact (shared endpoint timestamps)", sum, total)
 	}
-	if cur := int64(gauge(t, s, "janus_qos_sojourn_current_ns")); cur != s.sojournQueue.Sum() {
-		t.Errorf("janus_qos_sojourn_current_ns = %dns, want the queue-stage sojourn %dns", cur, s.sojournQueue.Sum())
+	if cur, want := gauge(t, s, "janus_qos_sojourn_current_seconds"), float64(s.sojournQueue.Sum())*1e-9; cur != want {
+		t.Errorf("janus_qos_sojourn_current_seconds = %gs, want the queue-stage sojourn %gs", cur, want)
 	}
 }
 

@@ -357,8 +357,8 @@ func New(cfg Config) (*Server, error) {
 	s.sojournDecide = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "decide"})
 	s.sojournSend = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "send"})
 	s.sojournTotal = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "total"})
-	reg.GaugeFunc("janus_qos_sojourn_current_ns", "queue-stage sojourn of the most recently dequeued packet in nanoseconds (the CoDel control signal)",
-		func() float64 { return float64(s.curSojournNs.Load()) })
+	reg.GaugeFunc("janus_qos_sojourn_current_seconds", "queue-stage sojourn of the most recently dequeued packet in seconds (the CoDel control signal)",
+		func() float64 { return float64(s.curSojournNs.Load()) * 1e-9 })
 	if cfg.Audit {
 		s.auditOverspend = reg.Counter("janus_qos_audit_overspend_total", "buckets found over the C + r·t conservation budget (counted once per bucket generation)")
 		s.audit = audit.NewLedger(audit.Config{Clock: clock, OnOverspend: func(o audit.Overspend) {

@@ -244,7 +244,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:            cfg,
 		ln:             ln,
 		logger:         logger,
-		latency:        metrics.NewHistogram(),
+		latency:        reg.HistogramScaled("janus_router_latency_seconds", "HTTP request latency in seconds", 1e-9),
 		registry:       reg,
 		tracer:         tracer,
 		requests:       reg.Counter("janus_router_requests_total", "HTTP QoS requests handled"),
@@ -254,7 +254,6 @@ func New(cfg Config) (*Router, error) {
 		redials:        reg.Counter("janus_router_redials_total", "backend reconnects after failure"),
 		viewSwaps:      reg.Counter("janus_router_view_swaps_total", "membership views adopted after the initial one"),
 	}
-	reg.RegisterHistogram("janus_router_latency_ns", "HTTP request latency in nanoseconds", r.latency)
 	reg.GaugeFunc("janus_router_view_epoch", "epoch of the view currently routing traffic", func() float64 {
 		return float64(r.state.Load().view.Epoch)
 	})

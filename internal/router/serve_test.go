@@ -129,6 +129,9 @@ func TestRouteAllocPin(t *testing.T) {
 // string. The client side allocates nothing (AllocsPerRun counts the whole
 // process, the UDP echo back end included on both sides of the comparison).
 func TestServeQoSAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc pins run uninstrumented")
+	}
 	echo, err := transport.NewServer("127.0.0.1:0", func(wire.Request) wire.Response { return wire.Response{Allow: true} })
 	if err != nil {
 		t.Fatal(err)

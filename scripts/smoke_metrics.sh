@@ -91,7 +91,7 @@ check_metrics "$COORD_M" "janus_coordinator_epoch"
 
 echo "checking cumulative histogram buckets..."
 check_metrics "$QOS_M" 'janus_qos_sojourn_seconds_bucket{stage="total",le="+Inf"}'
-check_metrics "$LB_M" 'janus_lb_latency_ns_bucket{le="+Inf"}'
+check_metrics "$LB_M" 'janus_lb_latency_seconds_bucket{le="+Inf"}'
 
 echo "checking build identity..."
 for m in "$QOS_M" "$ROUTER_M" "$LB_M" "$COORD_M"; do
