@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,6 +42,32 @@ func attachFlightRecorder(t *testing.T, addrs ...string) {
 			t.Logf("flight recorder %s:\n%s", addr, body)
 		}
 	})
+}
+
+// fpClient arms failpoints in a daemon process through the
+// /debug/failpoints endpoint its debugz mux serves (failpoint.Handler).
+type fpClient struct {
+	endpoint string // the daemon's debug host:port
+}
+
+// Arm arms name with the action spec (failpoint's spec grammar).
+func (c fpClient) Arm(name, spec string) error {
+	return c.post(url.Values{"name": {name}, "action": {spec}})
+}
+
+// DisarmAll disarms every failpoint in the daemon.
+func (c fpClient) DisarmAll() error { return c.post(url.Values{"all": {"off"}}) }
+
+func (c fpClient) post(q url.Values) error {
+	resp, err := http.Post("http://"+c.endpoint+"/debug/failpoints?"+q.Encode(), "text/plain", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("failpoint: remote arm: %s", resp.Status)
+	}
+	return nil
 }
 
 // startDaemon runs the named daemon, built by TestMain, under

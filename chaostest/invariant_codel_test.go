@@ -1,7 +1,7 @@
 package chaostest
 
 // Invariant 6 — CoDel degraded replies never inflate admission: under
-// sustained overload the QoS server's queue controller (DESIGN.md §13)
+// sustained overload the QoS server's queue controller (DESIGN.md §3.4)
 // answers shed requests with StatusDegraded instead of deciding them. A
 // degraded reply consumes no credit and carries the fail-closed default
 // verdict, so no interleaving of overload, receive loss, and shedding may

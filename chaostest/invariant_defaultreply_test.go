@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/failpoint"
 	"repro/internal/proctest"
 	"repro/internal/wire"
 )
@@ -50,7 +49,7 @@ func TestInvariantBoundedDefaultReply(t *testing.T) {
 
 	// Black-hole the QoS server: every datagram it receives is dropped
 	// before the handler sees it, exactly like wire loss.
-	fpc := &failpoint.Client{Endpoint: qosDebug}
+	fpc := fpClient{qosDebug}
 	if err := fpc.Arm("qosserver/udp/recv", "drop"); err != nil {
 		t.Fatalf("arm: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/failpoint"
 	"repro/internal/membership"
 	"repro/internal/proctest"
 )
@@ -97,7 +96,7 @@ func TestInvariantSingleOwnerPerEpoch(t *testing.T) {
 
 	// Partition router B from the coordinator: its polls fail, freezing it
 	// on its current epoch while the cluster keeps changing.
-	fpB := &failpoint.Client{Endpoint: debugB}
+	fpB := fpClient{debugB}
 	if err := fpB.Arm("membership/view/fetch", "error(coordinator partitioned)"); err != nil {
 		t.Fatalf("arm: %v", err)
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/failpoint"
 	"repro/internal/minisql"
 	"repro/internal/proctest"
 	"repro/internal/store"
@@ -89,7 +88,7 @@ func TestInvariantPromotionPreservesCredit(t *testing.T) {
 	// Freeze replication: snapshots still arrive but are never applied, so
 	// the slave's table is pinned at credit 6. Then consume 2 more on the
 	// master inside this now-lost window.
-	fpc := &failpoint.Client{Endpoint: slaveDebug}
+	fpc := fpClient{slaveDebug}
 	if err := fpc.Arm("qosserver/ha/apply-snapshot", "drop"); err != nil {
 		t.Fatalf("arm: %v", err)
 	}

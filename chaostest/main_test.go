@@ -2,7 +2,7 @@
 // clusters — multi-process where the failure involves process death or
 // promotion signals, in-process where it needs server-side counters — and
 // injects faults through the internal/failpoint registry to prove the
-// degradation guarantees the design documents promise (DESIGN.md §8):
+// degradation guarantees the design documents promise (DESIGN.md §4.2):
 //
 //  1. Retry exhaustion yields the router's default reply within the
 //     bounded retry budget (TestInvariantBoundedDefaultReply).

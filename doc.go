@@ -2,12 +2,16 @@
 // Framework for Software-as-a-Service Applications" (Jiang, Lee, Zomaya —
 // IEEE CLUSTER 2018).
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); runnable binaries under cmd/; usage examples under examples/.
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation — run them with:
+// The implementation lives under internal/ (DESIGN.md §1 lists every
+// package), the daemons and tools under cmd/, usage examples under
+// examples/. cmd/janus-bench regenerates every table and figure of the
+// paper's evaluation:
 //
-//	go test -bench=. -benchtime=1x -benchmem
+//	go run ./cmd/janus-bench -run all
 //
-// or use cmd/janus-bench for the full formatted report.
+// and the tests of internal/cloudsim and internal/experiments assert their
+// shapes. The benchmarks in this package are the §V-C design-choice
+// ablations and BenchmarkEmbeddedDecision:
+//
+//	go test -run '^$' -bench 'Ablation|EmbeddedDecision' .
 package repro

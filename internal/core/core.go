@@ -34,9 +34,6 @@ type Config struct {
 	// partitions reduce lock contention across keys, mirroring scaling the
 	// QoS server layer out.
 	Partitions int
-	// Workers is the per-partition worker count for the UDP path; the
-	// embedded Check path is synchronous and does not use it.
-	Workers int
 	// DefaultRule applies to unknown keys (zero value denies).
 	DefaultRule bucket.Rule
 	// Rules seeds the rule database.
@@ -70,7 +67,6 @@ func New(cfg Config) (*Janus, error) {
 	for i := 0; i < cfg.Partitions; i++ {
 		s, err := qosserver.New(qosserver.Config{
 			Addr:               "127.0.0.1:0",
-			Workers:            cfg.Workers,
 			DefaultRule:        cfg.DefaultRule,
 			Store:              j.store,
 			SyncInterval:       cfg.SyncInterval,

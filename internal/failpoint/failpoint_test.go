@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -20,9 +21,22 @@ var (
 	fpTestPanic = New("failpointtest/site/panic")
 )
 
+// postFailpoints sends one POST to a /debug/failpoints endpoint.
+func postFailpoints(base string, q url.Values) error {
+	resp, err := http.Post(base+"/debug/failpoints?"+q.Encode(), "text/plain", nil)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("failpoint: remote arm: %s", resp.Status)
+	}
+	return nil
+}
+
 // listRemote fetches the remote registry state.
-func (c *Client) listRemote() ([]Info, error) {
-	resp, err := c.httpClient().Get("http://" + c.Endpoint + "/debug/failpoints")
+func listRemote(base string) ([]Info, error) {
+	resp, err := http.Get(base + "/debug/failpoints")
 	if err != nil {
 		return nil, err
 	}
@@ -302,15 +316,14 @@ func TestHTTPHandler(t *testing.T) {
 	mux.Handle("/debug/failpoints", Handler())
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
-	cl := &Client{Endpoint: strings.TrimPrefix(srv.URL, "http://")}
 
-	if err := cl.Arm(fpTestHTTP.Name(), "drop(p=0.25,seed=9)"); err != nil {
+	if err := postFailpoints(srv.URL, url.Values{"name": {fpTestHTTP.Name()}, "action": {"drop(p=0.25,seed=9)"}}); err != nil {
 		t.Fatal(err)
 	}
 	if !fpTestHTTP.Armed() {
 		t.Fatal("remote arm did not arm")
 	}
-	infos, err := cl.listRemote()
+	infos, err := listRemote(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,10 +339,10 @@ func TestHTTPHandler(t *testing.T) {
 	if !found {
 		t.Fatal("armed failpoint missing from remote list")
 	}
-	if err := cl.Arm("failpointtest/no/such-site", "drop"); err == nil {
+	if err := postFailpoints(srv.URL, url.Values{"name": {"failpointtest/no/such-site"}, "action": {"drop"}}); err == nil {
 		t.Fatal("remote arm of unknown name must fail")
 	}
-	if err := cl.DisarmAll(); err != nil {
+	if err := postFailpoints(srv.URL, url.Values{"all": {"off"}}); err != nil {
 		t.Fatal(err)
 	}
 	if fpTestHTTP.Armed() {

@@ -2,7 +2,6 @@ package failpoint
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 )
 
@@ -56,63 +55,4 @@ func writeList(w http.ResponseWriter) {
 		// The header is already out; nothing more to do.
 		return
 	}
-}
-
-// Client arms failpoints in a remote process through its /debug/failpoints
-// endpoint — the chaos harness's remote control for daemon processes.
-type Client struct {
-	// Endpoint is the daemon's debug host:port (no scheme).
-	Endpoint string
-	// HTTPClient overrides the default client when non-nil.
-	HTTPClient *http.Client
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-// Arm arms name with the given action spec in the remote process.
-func (c *Client) Arm(name, spec string) error {
-	return c.post(fmt.Sprintf("http://%s/debug/failpoints?name=%s&action=%s",
-		c.Endpoint, queryEscape(name), queryEscape(spec)))
-}
-
-// Disarm disarms name in the remote process.
-func (c *Client) Disarm(name string) error { return c.Arm(name, "off") }
-
-// DisarmAll disarms every failpoint in the remote process.
-func (c *Client) DisarmAll() error {
-	return c.post("http://" + c.Endpoint + "/debug/failpoints?all=off")
-}
-
-func (c *Client) post(url string) error {
-	resp, err := c.httpClient().Post(url, "text/plain", nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("failpoint: remote arm: %s", resp.Status)
-	}
-	return nil
-}
-
-// queryEscape covers the characters that appear in action specs without
-// pulling in net/url's full semantics (specs never contain '&' or '#').
-func queryEscape(s string) string {
-	out := make([]byte, 0, len(s))
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case ' ':
-			out = append(out, '+')
-		case '+', '%', '&', '#', '=', ';', '?':
-			out = append(out, '%', "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&15])
-		default:
-			out = append(out, c)
-		}
-	}
-	return string(out)
 }

@@ -111,3 +111,31 @@ func BenchmarkParseStatement(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOrderByLimit is the photo app's index query (internal/app) on a
+// table of 100 000 photos: the newest 24 by id.
+func BenchmarkOrderByLimit(b *testing.B) {
+	e := NewEngine()
+	if _, err := e.Execute(`CREATE TABLE photos (id INT PRIMARY KEY, owner TEXT, title TEXT, uploaded INT)`); err != nil {
+		b.Fatal(err)
+	}
+	const rows = 100000
+	for i := 0; i < rows; i += 250 {
+		stmt, args := `INSERT INTO photos VALUES (?, 'u', 't', ?)`, []Value{Int(int64(i)), Int(int64(i))}
+		for j := i + 1; j < i+250; j++ {
+			stmt += `, (?, 'u', 't', ?)`
+			args = append(args, Int(int64(j)), Int(int64(j)))
+		}
+		if _, err := e.Execute(stmt, args...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := e.Execute(`SELECT id, owner, title, uploaded FROM photos ORDER BY id DESC LIMIT 24`)
+		if err != nil || len(res.Rows) != 24 || res.Rows[0][0] != Int(rows-1) {
+			b.Fatalf("rows=%v err=%v", res.Rows, err)
+		}
+	}
+}

@@ -358,13 +358,11 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 		if !ok {
 			return Result{}, fmt.Errorf("minisql: no column %q in table %q", s.orderBy, t.name)
 		}
-		rows = slices.Clone(rows) // sorting t.rows would move rows under pkIndex
-		slices.SortStableFunc(rows, func(a, b []Value) int {
-			if s.desc {
-				a, b = b, a
-			}
-			return compare(a[oi], b[oi])
-		})
+		n := len(rows)
+		if s.limit >= 0 {
+			n = s.limit
+		}
+		rows = topRows(rows, oi, s.desc, n)
 	}
 	if s.limit >= 0 && len(rows) > s.limit {
 		rows = rows[:s.limit]
@@ -380,6 +378,61 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 		out[r] = o
 	}
 	return Result{Columns: cols, Rows: out}, nil
+}
+
+// topRows returns the first n of rows in the order a stable sort on column
+// oi gives them (descending if desc), without copying or sorting the rest
+// (t.rows itself stays put under pkIndex): a max-heap of at most n storage
+// indices, keyed on (value, index) so that ties keep their storage order,
+// holds the n first rows seen so far.
+func topRows(rows [][]Value, oi int, desc bool, n int) [][]Value {
+	after := func(i, j int) bool { // row i sorts after row j
+		c := compare(rows[i][oi], rows[j][oi])
+		if desc {
+			c = -c
+		}
+		return c > 0 || c == 0 && i > j
+	}
+	h := make([]int, min(n, len(rows)))
+	down := func(p int) { // sift h[p] down to restore the heap
+		for {
+			m, l, r := p, 2*p+1, 2*p+2
+			if l < len(h) && after(h[l], h[m]) {
+				m = l
+			}
+			if r < len(h) && after(h[r], h[m]) {
+				m = r
+			}
+			if m == p {
+				return
+			}
+			h[p], h[m] = h[m], h[p]
+			p = m
+		}
+	}
+	for i := range h {
+		h[i] = i
+	}
+	for p := len(h)/2 - 1; p >= 0; p-- {
+		down(p)
+	}
+	for i := len(h); i < len(rows); i++ {
+		if len(h) > 0 && after(h[0], i) {
+			h[0] = i
+			down(0)
+		}
+	}
+	slices.SortFunc(h, func(i, j int) int {
+		if after(i, j) {
+			return 1
+		}
+		return -1 // indices are distinct, so no two rows tie
+	})
+	out := make([][]Value, len(h))
+	for k, i := range h {
+		out[k] = rows[i]
+	}
+	return out
 }
 
 func (e *Engine) update(s updateStmt, args []Value) (int64, error) {

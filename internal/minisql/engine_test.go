@@ -2,6 +2,8 @@ package minisql
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -193,6 +195,59 @@ func TestOrderByAndLimit(t *testing.T) {
 	asc := mustExec(t, e, `SELECT id FROM photos ORDER BY id ASC LIMIT 2`)
 	if asc.Rows[0][0] != Int(1) || asc.Rows[1][0] != Int(2) {
 		t.Fatalf("asc rows = %v", asc.Rows)
+	}
+}
+
+// TestOrderByLimitMatchesStableSort holds the bounded top-n selection of
+// ORDER BY [LIMIT] to what it replaced: a stable sort of every row, in
+// storage order, truncated to the limit. The tables are random with many
+// ties and NULLs, and deletes move rows, so storage order is not insertion
+// order.
+func TestOrderByLimitMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 40; trial++ {
+		e := NewEngine()
+		mustExec(t, e, `CREATE TABLE t (id INT PRIMARY KEY, v INT, s TEXT)`)
+		n := 1 + rng.Intn(60)
+		for id := 0; id < n; id++ {
+			v, s := Int(int64(rng.Intn(4))), Text(string(rune('a'+rng.Intn(3))))
+			if rng.Intn(8) == 0 {
+				v = null()
+			}
+			mustExec(t, e, `INSERT INTO t VALUES (?, ?, ?)`, Int(int64(id)), v, s)
+		}
+		for id := 0; id < n; id++ {
+			if rng.Intn(5) == 0 {
+				mustExec(t, e, `DELETE FROM t WHERE id = ?`, Int(int64(id)))
+			}
+		}
+		stored := mustExec(t, e, `SELECT * FROM t`).Rows
+		k := len(stored) / 2
+		for _, col := range []int{1, 2} {
+			for _, desc := range []bool{false, true} {
+				for _, limit := range []int{-1, 0, 1, k, len(stored), len(stored) + 1} { // -1: no LIMIT
+					want := slices.Clone(stored)
+					slices.SortStableFunc(want, func(a, b []Value) int {
+						if desc {
+							a, b = b, a
+						}
+						return compare(a[col], b[col])
+					})
+					dir := "ASC"
+					if desc {
+						dir = "DESC"
+					}
+					sql := fmt.Sprintf(`SELECT * FROM t ORDER BY %s %s`, []string{"id", "v", "s"}[col], dir)
+					if limit >= 0 {
+						want = want[:min(limit, len(want))]
+						sql += fmt.Sprintf(` LIMIT %d`, limit)
+					}
+					if got := mustExec(t, e, sql).Rows; fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("trial %d: %s\n got %v\nwant %v", trial, sql, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package qosserver
 
-// CoDel queue management for the intake FIFO (DESIGN.md §13).
+// CoDel queue management for the intake FIFO (DESIGN.md §3.4).
 //
 // The seed FIFO dropped datagrams only when it was FULL — the bufferbloat
 // failure mode: under sustained overload a drop-when-full queue sits at its

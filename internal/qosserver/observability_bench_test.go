@@ -8,7 +8,7 @@ import (
 
 // BenchmarkObservabilitySojournObserve isolates the per-request cost of the
 // sojourn decomposition itself — four histogram records plus the current-
-// sojourn gauge store, the price every decided packet pays (DESIGN.md §12).
+// sojourn gauge store, the price every decided packet pays (DESIGN.md §6).
 // Run with `go test -run '^$' -bench SojournObserve ./internal/qosserver`.
 func BenchmarkObservabilitySojournObserve(b *testing.B) {
 	s, err := New(Config{

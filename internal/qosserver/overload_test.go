@@ -115,7 +115,7 @@ func TestIdenticalRetriesDoubleCharge(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Overload scenario suite (DESIGN.md §13).
+// Overload scenario suite (DESIGN.md §3.4).
 //
 // Each scenario drives a real server over real UDP with the service rate
 // pinned by the qosserver/worker/decide failpoint: a Delay action stalls

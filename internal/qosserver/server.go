@@ -167,7 +167,7 @@ type Server struct {
 	table *table.Sharded[*entry]
 	clock func() time.Time
 
-	// The intake (DESIGN.md §13): one UDP socket, one FIFO, and the CoDel
+	// The intake (DESIGN.md §3.4): one UDP socket, one FIFO, and the CoDel
 	// controller that watches the FIFO's sojourn, in front of cfg.Workers
 	// worker goroutines.
 	conn *net.UDPConn
@@ -179,7 +179,7 @@ type Server struct {
 	// clears it and scans the table for fallbacks.
 	fetchFailed atomic.Bool
 
-	// Per-stage sojourn decomposition (DESIGN.md §12): where a request's
+	// Per-stage sojourn decomposition (DESIGN.md §6): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
 	// decide = dequeue → all decisions made, send = decisions → response
 	// datagram handed to the kernel, total = recv → sent. curSojournNs

@@ -207,7 +207,7 @@ func (sc Scenario) ruleFor(key string) (rate, capacity float64) {
 }
 
 // registry holds the named scenarios. Rates are multiples of one node's
-// capacity; budget calibration notes live in DESIGN.md §14.
+// capacity; budget calibration notes live in DESIGN.md §3.7.
 var registry = []Scenario{
 	{
 		Name:          "zipf-churn",

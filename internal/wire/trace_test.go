@@ -86,7 +86,7 @@ func TestTracedFrameTruncated(t *testing.T) {
 }
 
 // TestOldDecoderSkipsTrailingFields proves the forward-compat contract
-// documented in DESIGN.md §7: a decoder that does not know about a trailing
+// documented in DESIGN.md §5: a decoder that does not know about a trailing
 // optional field (simulated by clearing the flag and re-sealing) still
 // decodes the base payload from a longer frame.
 func TestOldDecoderSkipsTrailingFields(t *testing.T) {

@@ -39,8 +39,8 @@
 // evolution pattern: new fields are appended after the existing payload and
 // gated by a flag bit, so decoders that predate the field skip it (the key
 // length / fixed response length bound what they read, and the CRC covers
-// the full datagram on both sides). See DESIGN.md §7. Every datagram
-// carries exactly one request or one response (DESIGN.md §10); decoders
+// the full datagram on both sides). See DESIGN.md §5. Every datagram
+// carries exactly one request or one response (DESIGN.md §3.3); decoders
 // ignore flag bits they do not know and any bytes after the sections their
 // known bits gate.
 package wire
@@ -104,7 +104,7 @@ const (
 	// StatusDegraded means the QoS server's CoDel queue controller answered
 	// the request with the degraded-mode default instead of running the
 	// admission decision: the request sat in the intake FIFO beyond the
-	// sojourn target and was shed to keep the queue short (DESIGN.md §13).
+	// sojourn target and was shed to keep the queue short (DESIGN.md §3.4).
 	// The verdict carries the server's fail-open/fail-closed default and
 	// consumed no credit.
 	StatusDegraded Status = 5

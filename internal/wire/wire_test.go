@@ -312,6 +312,8 @@ func TestStatusString(t *testing.T) {
 		StatusDefaultRule:  "default-rule",
 		StatusDefaultReply: "default-reply",
 		StatusError:        "error",
+		StatusDegraded:     "degraded",
+		Status(4):          "status(4)", // retired: it has no name, and no sender may reuse it
 		Status(77):         "status(77)",
 	} {
 		if got := s.String(); got != want {
