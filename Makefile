@@ -14,7 +14,7 @@ JANUS_CHAOS_SEED ?= 1
 # identical run for the same seed).
 JANUS_SCENARIO_SEED ?= 1
 
-.PHONY: check check-race build test fmt vet lint race chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
+.PHONY: check check-race build test fmt vet lint race examples chaos chaos-long fuzz-smoke bench bench-smoke bench-allocs race-overload race-scenarios scenarios scenarios-long smoke-metrics
 
 # The pre-merge gate: formatting, static checks, the janus-vet analyzer
 # suite, build, and the full test suite.
@@ -53,6 +53,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Runs every example to completion (photoshare without -serve), so a change
+# that breaks what an example does, not only what it compiles against,
+# fails here. Kept out of go test ./...: each boots a loopback deployment.
+examples:
+	@for ex in quickstart nosqlquota photoshare multitier; do \
+		echo "# go run ./examples/$$ex"; \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
 
 # The chaos suite: real clusters under injected loss/delay/partition,
 # asserting the four degradation invariants (see chaostest). Fixed seed,

@@ -11,7 +11,8 @@
 //
 // and the tests of internal/cloudsim and internal/experiments assert their
 // shapes. The benchmarks in this package are the §V-C design-choice
-// ablations and BenchmarkEmbeddedDecision:
+// ablations and BenchmarkEmbeddedDecision, which calls Decide on one QoS
+// server with no socket in the path:
 //
 //	go test -run '^$' -bench 'Ablation|EmbeddedDecision' .
 package repro

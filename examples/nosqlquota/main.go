@@ -5,8 +5,9 @@
 //
 //	go run ./examples/nosqlquota
 //
-// A toy NoSQL service (backed by the memcache substrate) checks Janus with
-// the key "<user>/<database>" before every operation.
+// A toy NoSQL service (backed by the memcache substrate) checks an
+// in-process Janus deployment with the key "<user>/<database>" before every
+// operation.
 package main
 
 import (
@@ -14,30 +15,42 @@ import (
 	"log"
 
 	"repro/internal/bucket"
-	"repro/internal/core"
+	"repro/internal/cluster"
 	"repro/internal/memcache"
 )
 
 // nosqlService is the execution engine of Fig 4b: auth is out of scope,
 // QoS gates every call, the memcache substrate stores the data.
 type nosqlService struct {
-	janus *core.Janus
+	janus *cluster.Cluster
 	data  *memcache.Cache
 }
 
 func quotaKey(user, database string) string { return user + "/" + database }
 
-func (s *nosqlService) Put(user, database, key, value string) error {
-	if !s.janus.Check(quotaKey(user, database)) {
+// admit asks Janus whether user may run one operation on database.
+func (s *nosqlService) admit(user, database string) error {
+	ok, err := s.janus.Check(quotaKey(user, database))
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return fmt.Errorf("throttled: %s over quota on %s", user, database)
+	}
+	return nil
+}
+
+func (s *nosqlService) Put(user, database, key, value string) error {
+	if err := s.admit(user, database); err != nil {
+		return err
 	}
 	s.data.Set(database+"/"+key, 0, 0, []byte(value))
 	return nil
 }
 
 func (s *nosqlService) Get(user, database, key string) (string, error) {
-	if !s.janus.Check(quotaKey(user, database)) {
-		return "", fmt.Errorf("throttled: %s over quota on %s", user, database)
+	if err := s.admit(user, database); err != nil {
+		return "", err
 	}
 	it, ok := s.data.Get(database + "/" + key)
 	if !ok {
@@ -47,8 +60,8 @@ func (s *nosqlService) Get(user, database, key string) (string, error) {
 }
 
 func main() {
-	janus, err := core.New(core.Config{
-		Partitions: 2,
+	janus, err := cluster.New(cluster.Config{
+		QoSServers: 2,
 		Rules: []bucket.Rule{
 			// acme bought a big allowance on its production database and a
 			// tiny one on analytics.
@@ -84,12 +97,15 @@ func main() {
 	fmt.Printf("put: %v\n", errString(svc.Put("acme", "staging", "k", "v")))
 
 	fmt.Println("\n== upgrade the analytics plan at runtime ==")
-	if err := janus.SetRule(bucket.Rule{Key: "acme/analytics", RefillRate: 100, Capacity: 100, Credit: 100}); err != nil {
+	if err := janus.Store.Put(bucket.Rule{Key: "acme/analytics", RefillRate: 100, Capacity: 100, Credit: 100}); err != nil {
 		log.Fatal(err)
+	}
+	for _, p := range janus.QoS {
+		p.Master.SyncOnce() // the rule sync a timer would run
 	}
 	fmt.Printf("put after upgrade: %v\n", errString(svc.Put("acme", "analytics", "event-9", "x")))
 
-	st := janus.Stats()
+	st := janus.AggregateQoSStats()
 	fmt.Printf("\nJanus stats: %d decisions, %d allowed, %d denied\n", st.Decisions, st.Allowed, st.Denied)
 }
 

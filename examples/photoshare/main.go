@@ -122,5 +122,5 @@ func main() {
 	fmt.Printf("anonymous visitor after 1.2s: HTTP %d\n", code)
 
 	fmt.Printf("\nJanus made %d admission decisions across %d QoS servers\n",
-		janus.TotalDecisions(), len(janus.QoS))
+		janus.AggregateQoSStats().Decisions, len(janus.QoS))
 }

@@ -1,10 +1,12 @@
-// Quickstart: embed Janus in-process and make admission decisions.
+// Quickstart: run Janus in-process and make admission decisions.
 //
 //	go run ./examples/quickstart
 //
-// It creates two QoS rules — a paid user with burst credit and a free tier
-// — checks requests against them, and shows credit accumulation allowing a
-// burst (paper §II-C).
+// It boots the whole deployment on loopback (gateway LB → router → QoS
+// servers → rule database), creates two QoS rules — a paid user with burst
+// credit and a free tier — checks requests against them, and shows credit
+// accumulation allowing a burst (paper §II-C). A service in production
+// checks a running deployment with client.New(endpoint) instead.
 package main
 
 import (
@@ -13,12 +15,12 @@ import (
 	"time"
 
 	"repro/internal/bucket"
-	"repro/internal/core"
+	"repro/internal/cluster"
 )
 
 func main() {
-	janus, err := core.New(core.Config{
-		Partitions: 4,
+	janus, err := cluster.New(cluster.Config{
+		QoSServers: 2,
 		// Unknown keys get a small guest allowance (paper §II-D).
 		DefaultRule: bucket.LimitedGuest("", 1, 3),
 		Rules: []bucket.Rule{
@@ -32,18 +34,25 @@ func main() {
 		log.Fatal(err)
 	}
 	defer janus.Close()
+	check := func(key string) bool {
+		ok, err := janus.Check(key)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return ok
+	}
 
 	fmt.Println("== burst: alice spends her full 1000-credit bucket at once ==")
 	admitted := 0
 	for i := 0; i < 1100; i++ {
-		if janus.Check("alice") {
+		if check("alice") {
 			admitted++
 		}
 	}
 	fmt.Printf("alice: %d/1100 requests admitted (capacity 1000 + a few refills)\n", admitted)
 
 	fmt.Println("\n== steady state: denied now, ~100 more admitted after 1s of refill ==")
-	if janus.Check("alice") {
+	if check("alice") {
 		fmt.Println("alice admitted immediately (unexpected)")
 	} else {
 		fmt.Println("alice denied: bucket empty")
@@ -51,7 +60,7 @@ func main() {
 	time.Sleep(time.Second)
 	admitted = 0
 	for i := 0; i < 200; i++ {
-		if janus.Check("alice") {
+		if check("alice") {
 			admitted++
 		}
 	}
@@ -59,19 +68,24 @@ func main() {
 
 	fmt.Println("\n== free tier and guests ==")
 	for i := 1; i <= 12; i++ {
-		fmt.Printf("bob request %2d: %v\n", i, janus.Check("bob"))
+		fmt.Printf("bob request %2d: %v\n", i, check("bob"))
 	}
 	for i := 1; i <= 5; i++ {
-		fmt.Printf("guest request %d: %v\n", i, janus.Check("203.0.113.7"))
+		fmt.Printf("guest request %d: %v\n", i, check("203.0.113.7"))
 	}
 
 	fmt.Println("\n== live rule management ==")
-	if err := janus.SetRule(bucket.Rule{Key: "bob", RefillRate: 1000, Capacity: 1000, Credit: 1000}); err != nil {
+	// A rule edit is a database write; each QoS server picks it up on its
+	// next rule sync, run here at once instead of waiting for a timer.
+	if err := janus.Store.Put(bucket.Rule{Key: "bob", RefillRate: 1000, Capacity: 1000, Credit: 1000}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("bob upgraded; next request: %v\n", janus.Check("bob"))
+	for _, p := range janus.QoS {
+		p.Master.SyncOnce()
+	}
+	fmt.Printf("bob upgraded; next request: %v\n", check("bob"))
 
-	st := janus.Stats()
+	st := janus.AggregateQoSStats()
 	fmt.Printf("\nstats: %d decisions, %d allowed, %d denied, %d db lookups\n",
 		st.Decisions, st.Allowed, st.Denied, st.DBQueries)
 }

@@ -120,14 +120,8 @@ func New(cfg Config) (*App, error) {
 	if cfg.QoS != nil {
 		// The paper's wrapper: QoS check (key = REMOTE_ADDR, or the
 		// X-Forwarded-For set by a test client) before the original page.
-		key := func(r *http.Request) string {
-			if fwd := r.Header.Get("X-Forwarded-For"); fwd != "" {
-				return strings.TrimSpace(strings.Split(fwd, ",")[0])
-			}
-			return client.ByRemoteIP(r)
-		}
-		index = cfg.QoS.Wrap(key, index)
-		upload = cfg.QoS.Wrap(key, upload)
+		index = cfg.QoS.Wrap(clientIP, index)
+		upload = cfg.QoS.Wrap(clientIP, upload)
 	}
 	mux.Handle("/", index)
 	mux.Handle("/upload", upload)

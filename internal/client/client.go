@@ -74,11 +74,11 @@ func New(endpoint string) *Client {
 
 // Check performs qos_check(key): TRUE admits, FALSE throttles.
 func (c *Client) Check(key string) (bool, error) {
-	return c.CheckCost(key, 1)
+	return c.checkCost(key, 1)
 }
 
-// CheckCost performs a weighted check consuming cost credits.
-func (c *Client) CheckCost(key string, cost float64) (bool, error) {
+// checkCost performs a weighted check consuming cost credits.
+func (c *Client) checkCost(key string, cost float64) (bool, error) {
 	now := time.Now()
 	deadline := now.Add(c.budget)
 	cn, err := c.pool.Get(now, deadline)

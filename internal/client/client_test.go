@@ -47,7 +47,7 @@ func TestCheckCostPassesThrough(t *testing.T) {
 	}))
 	defer s.Close()
 	c := New(s.Listener.Addr().String())
-	if _, err := c.CheckCost("k", 2.5); err != nil {
+	if _, err := c.checkCost("k", 2.5); err != nil {
 		t.Fatal(err)
 	}
 	if gotCost.Load() != "2.5" {

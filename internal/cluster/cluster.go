@@ -2,9 +2,10 @@
 // database layer (minisql, optionally master/standby), QoS server layer
 // (optionally with HA slave pairs), request router layer, and either a
 // gateway load balancer or DNS load balancing (paper Fig 1a/1b). It is the
-// real networked system — every request crosses real TCP/UDP sockets — and
-// is used by the integration tests, the examples, and the real-path
-// experiments (Fig 5, Fig 13).
+// one way to run Janus inside a Go process, and it is the real networked
+// system — every request crosses real TCP/UDP sockets, and each key has one
+// owner in the QoS tier, as in production. The integration tests, the
+// examples and the real-path experiments (Fig 5, Fig 13) run on it.
 package cluster
 
 import (
@@ -156,6 +157,8 @@ type Cluster struct {
 	// Coord is the membership coordinator (Membership mode only).
 	Coord *membership.Coordinator
 
+	checker loadgen.Checker // Check's client, built once by New
+
 	mu     sync.Mutex
 	view   membership.View // last published view (Membership mode)
 	closed bool
@@ -268,6 +271,7 @@ func New(cfg Config) (c *Cluster, err error) {
 			return nil, err
 		}
 	}
+	c.checker = c.Checker()
 	return c, nil
 }
 
@@ -406,9 +410,12 @@ func (c *Cluster) Checker() loadgen.Checker {
 	})
 }
 
-// Check performs one admission check through the full stack.
+// Check performs one admission check through the full stack, on the
+// cluster's own checker: one client for the life of the cluster, so
+// repeated checks reuse its connections and, in DNS mode, stay on one
+// router within a TTL.
 func (c *Cluster) Check(key string) (bool, error) {
-	return c.Checker().Check(key)
+	return c.checker.Check(key)
 }
 
 // FailMaster kills QoS master i (simulating a node failure), triggers the
@@ -623,20 +630,6 @@ func (c *Cluster) AggregateQoSStats() qosserver.Stats {
 		}
 	}
 	return agg
-}
-
-// TotalDecisions sums admission decisions across all QoS nodes.
-func (c *Cluster) TotalDecisions() int64 {
-	var n int64
-	for _, p := range c.QoS {
-		if p.Master != nil {
-			n += p.Master.Stats().Decisions
-		}
-		if p.Slave != nil {
-			n += p.Slave.Stats().Decisions
-		}
-	}
-	return n
 }
 
 // Close tears the whole deployment down.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,8 +56,8 @@ func TestGatewayEndToEnd(t *testing.T) {
 			t.Fatalf("%s over-quota admitted: ok=%v err=%v", key, ok, err)
 		}
 	}
-	if c.TotalDecisions() != 16 {
-		t.Fatalf("decisions = %d", c.TotalDecisions())
+	if n := c.AggregateQoSStats().Decisions; n != 16 {
+		t.Fatalf("decisions = %d", n)
 	}
 }
 
@@ -82,6 +83,37 @@ func TestDNSModeEndToEnd(t *testing.T) {
 	ok, _ = checker.Check("user-0")
 	if ok {
 		t.Fatal("third request admitted beyond capacity")
+	}
+}
+
+// TestCheckReusesItsConnections: Cluster.Check goes through one client
+// for the life of the cluster, so repeated checks reuse its connections
+// instead of opening a pool (and, in DNS mode, a resolver) per call.
+func TestCheckReusesItsConnections(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	for _, mode := range []Mode{DNS, Gateway} {
+		c := newCluster(t, Config{Routers: 2, Mode: mode, Rules: rules(1, 1e9, 1e9)})
+		check := func(n int) {
+			for i := 0; i < n; i++ {
+				if ok, err := c.Check("user-0"); err != nil || !ok {
+					t.Fatalf("mode %d check %d: ok=%v err=%v", mode, i, ok, err)
+				}
+			}
+		}
+		// The first checks open the client's connection and, in Gateway
+		// mode, the LB's leg to each router and each router's UDP socket.
+		check(10)
+		before := openFDs()
+		check(200)
+		if grown := openFDs() - before; grown > 2 {
+			t.Fatalf("mode %d: 200 checks opened %d descriptors", mode, grown)
+		}
 	}
 }
 

@@ -44,7 +44,8 @@ func (c Clock) now() time.Time                         { return c.Now() }
 func (c Clock) after(d time.Duration) <-chan time.Time { return c.After(d) }
 
 // Checker performs one admission check; implementations include
-// *client.Client (against an LB or a router) and in-process deployments.
+// *client.Client (against an LB or a router) and the checkers that
+// cluster.Checker builds.
 type Checker interface {
 	Check(key string) (allowed bool, err error)
 }
@@ -82,6 +83,61 @@ func (r Result) Throughput() float64 {
 	return float64(r.Accepted+r.Rejected) / r.Elapsed.Seconds()
 }
 
+// recorder collects one run's outcomes; its methods are safe for
+// concurrent use by the run's workers.
+type recorder struct {
+	clock Clock
+	start time.Time
+	res   Result
+
+	accepted, rejected, errors metrics.Counter
+}
+
+func newRecorder(clock Clock, start time.Time, trackSeries bool) *recorder {
+	r := &recorder{clock: clock, start: start, res: Result{
+		Latency:         metrics.NewHistogram(),
+		AcceptedLatency: metrics.NewHistogram(),
+		RejectedLatency: metrics.NewHistogram(),
+	}}
+	if trackSeries {
+		r.res.AcceptedSeries = metrics.NewTimeSeries(start, time.Second)
+		r.res.RejectedSeries = metrics.NewTimeSeries(start, time.Second)
+	}
+	return r
+}
+
+// check issues one admission check and records its verdict and latency; an
+// error counts as an error only, with no latency.
+func (r *recorder) check(c Checker, key string) {
+	t0 := r.clock.now()
+	ok, err := c.Check(key)
+	lat := r.clock.now().Sub(t0)
+	if err != nil {
+		r.errors.Inc()
+		return
+	}
+	r.res.Latency.RecordDuration(lat)
+	count, hist, series := &r.rejected, r.res.RejectedLatency, r.res.RejectedSeries
+	if ok {
+		count, hist, series = &r.accepted, r.res.AcceptedLatency, r.res.AcceptedSeries
+	}
+	count.Inc()
+	hist.RecordDuration(lat)
+	if series != nil {
+		series.Observe(r.clock.now(), 1)
+	}
+}
+
+// result closes the run.
+func (r *recorder) result() Result {
+	res := r.res
+	res.Accepted = r.accepted.Value()
+	res.Rejected = r.rejected.Value()
+	res.Errors = r.errors.Value()
+	res.Elapsed = r.clock.now().Sub(r.start)
+	return res
+}
+
 // ClosedLoopConfig drives N concurrent workers, each issuing its next
 // request as soon as the previous completes — ab's concurrency model.
 type ClosedLoopConfig struct {
@@ -107,16 +163,8 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig) Result {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
-	res := Result{
-		Latency:         metrics.NewHistogram(),
-		AcceptedLatency: metrics.NewHistogram(),
-		RejectedLatency: metrics.NewHistogram(),
-	}
 	start := cfg.Clock.now()
-	if cfg.TrackSeries {
-		res.AcceptedSeries = metrics.NewTimeSeries(start, time.Second)
-		res.RejectedSeries = metrics.NewTimeSeries(start, time.Second)
-	}
+	rec := newRecorder(cfg.Clock, start, cfg.TrackSeries)
 	var remaining int64 = cfg.Requests
 	var remMu sync.Mutex
 	take := func() bool {
@@ -140,7 +188,6 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig) Result {
 		deadline = start.Add(d)
 	}
 
-	var accepted, rejected, errors metrics.Counter
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Concurrency; w++ {
 		wg.Add(1)
@@ -159,37 +206,12 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig) Result {
 				if !take() {
 					return
 				}
-				key := keys.Next()
-				t0 := cfg.Clock.now()
-				ok, err := cfg.Checker.Check(key)
-				lat := cfg.Clock.now().Sub(t0)
-				if err != nil {
-					errors.Inc()
-					continue
-				}
-				res.Latency.RecordDuration(lat)
-				if ok {
-					accepted.Inc()
-					res.AcceptedLatency.RecordDuration(lat)
-					if res.AcceptedSeries != nil {
-						res.AcceptedSeries.Observe(cfg.Clock.now(), 1)
-					}
-				} else {
-					rejected.Inc()
-					res.RejectedLatency.RecordDuration(lat)
-					if res.RejectedSeries != nil {
-						res.RejectedSeries.Observe(cfg.Clock.now(), 1)
-					}
-				}
+				rec.check(cfg.Checker, keys.Next())
 			}
 		}()
 	}
 	wg.Wait()
-	res.Accepted = accepted.Value()
-	res.Rejected = rejected.Value()
-	res.Errors = errors.Value()
-	res.Elapsed = cfg.Clock.now().Sub(start)
-	return res
+	return rec.result()
 }
 
 // OpenLoopConfig paces requests at a target rate independent of response
@@ -230,18 +252,8 @@ func RunOpenLoop(ctx context.Context, cfg OpenLoopConfig) Result {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
-	res := Result{
-		Latency:         metrics.NewHistogram(),
-		AcceptedLatency: metrics.NewHistogram(),
-		RejectedLatency: metrics.NewHistogram(),
-	}
 	start := cfg.Clock.now()
-	if cfg.TrackSeries {
-		res.AcceptedSeries = metrics.NewTimeSeries(start, time.Second)
-		res.RejectedSeries = metrics.NewTimeSeries(start, time.Second)
-	}
-	var accepted, rejected, errors metrics.Counter
-
+	rec := newRecorder(cfg.Clock, start, cfg.TrackSeries)
 	jobs := make(chan string, cfg.Workers*4)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
@@ -249,27 +261,7 @@ func RunOpenLoop(ctx context.Context, cfg OpenLoopConfig) Result {
 		go func() {
 			defer wg.Done()
 			for key := range jobs {
-				t0 := cfg.Clock.now()
-				ok, err := cfg.Checker.Check(key)
-				lat := cfg.Clock.now().Sub(t0)
-				if err != nil {
-					errors.Inc()
-					continue
-				}
-				res.Latency.RecordDuration(lat)
-				if ok {
-					accepted.Inc()
-					res.AcceptedLatency.RecordDuration(lat)
-					if res.AcceptedSeries != nil {
-						res.AcceptedSeries.Observe(cfg.Clock.now(), 1)
-					}
-				} else {
-					rejected.Inc()
-					res.RejectedLatency.RecordDuration(lat)
-					if res.RejectedSeries != nil {
-						res.RejectedSeries.Observe(cfg.Clock.now(), 1)
-					}
-				}
+				rec.check(cfg.Checker, key)
 			}
 		}()
 	}
@@ -315,14 +307,10 @@ pacing:
 		default:
 			// All workers busy and the queue is full: the request is
 			// effectively dropped by the client, as ab does under overload.
-			errors.Inc()
+			rec.errors.Inc()
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	res.Accepted = accepted.Value()
-	res.Rejected = rejected.Value()
-	res.Errors = errors.Value()
-	res.Elapsed = cfg.Clock.now().Sub(start)
-	return res
+	return rec.result()
 }

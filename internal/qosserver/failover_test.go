@@ -66,7 +66,7 @@ func TestFailoverRecovery(t *testing.T) {
 			prepare: func(t *testing.T, db *store.Store) *Server {
 				s1 := newServer(t, Config{Store: db})
 				consume(s1, "k", 4)
-				s1.CheckpointOnce()
+				s1.checkpointOnce()
 				consume(s1, "k", 3) // never checkpointed
 				s1.Close()
 				return newServer(t, Config{Store: db})
@@ -85,7 +85,7 @@ func TestFailoverRecovery(t *testing.T) {
 			prepare: func(t *testing.T, db *store.Store) *Server {
 				s1 := newServer(t, Config{Store: db})
 				consume(s1, "k1", 4)
-				s1.CheckpointOnce() // k2 has no bucket yet: its row is untouched
+				s1.checkpointOnce() // k2 has no bucket yet: its row is untouched
 				consume(s1, "k2", 2)
 				s1.Close()
 				return newServer(t, Config{Store: db})
@@ -113,7 +113,7 @@ func TestFailoverRecovery(t *testing.T) {
 			name:  "replacement/corrupt-checkpoint-clamped",
 			rules: []bucket.Rule{{Key: "k", RefillRate: 0, Capacity: 10, Credit: 10}},
 			prepare: func(t *testing.T, db *store.Store) *Server {
-				if err := db.Checkpoint("k", 25); err != nil {
+				if err := db.CheckpointBatch(map[string]float64{"k": 25}); err != nil {
 					t.Fatal(err)
 				}
 				return newServer(t, Config{Store: db})

@@ -122,7 +122,7 @@ func TestFollowingSlaveDoesNotCheckpoint(t *testing.T) {
 	}
 	checkpointed := func(s *Server, want float64) {
 		t.Helper()
-		s.CheckpointOnce()
+		s.checkpointOnce()
 		if r, _, err := db.Get("a"); err != nil || r.Credit != want {
 			t.Fatalf("row credit = %v (err %v), want %v", r.Credit, err, want)
 		}

@@ -387,7 +387,7 @@ func New(cfg Config) (*Server, error) {
 		s.loops = append(s.loops, tick.Every(cfg.SyncInterval, s.SyncOnce))
 	}
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
-		s.loops = append(s.loops, tick.Every(cfg.CheckpointInterval, s.CheckpointOnce))
+		s.loops = append(s.loops, tick.Every(cfg.CheckpointInterval, s.checkpointOnce))
 	}
 	if s.audit != nil {
 		// Overspends reach the counter and the flight recorder without
@@ -593,7 +593,9 @@ func (s *Server) recordSpan(traceID uint64, status wire.Status, start time.Time,
 
 // Decide makes the admission decision for one request against the local
 // table, fetching the rule from the database on first sight of a key.
-// It is exported for in-process deployments and the simulation harness.
+// The UDP workers call it for every datagram; it is exported as the
+// socket-free decision path for the isolated QoS-server rows of
+// benchmark/, BenchmarkEmbeddedDecision in the repository root, and tests.
 //
 //janus:hotpath
 func (s *Server) Decide(req wire.Request) wire.Response {
@@ -875,10 +877,10 @@ func (s *Server) accounts(yield func(string, *audit.Account) bool) {
 	s.table.Range(func(key string, e *entry) bool { return yield(key, &e.acct) })
 }
 
-// CheckpointOnce performs one credit write-back pass. It does nothing while
+// checkpointOnce performs one credit write-back pass. It does nothing while
 // the server is an HA slave following its master: the master checkpoints
 // the credits the slave only replicates.
-func (s *Server) CheckpointOnce() {
+func (s *Server) checkpointOnce() {
 	if s.cfg.Store == nil || s.following.Load() {
 		return
 	}

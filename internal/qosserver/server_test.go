@@ -86,6 +86,9 @@ func TestDecideUnknownKeyGuestDefault(t *testing.T) {
 	if r1.Status != wire.StatusDefaultRule {
 		t.Fatalf("status = %v", r1.Status)
 	}
+	if st := s.Stats(); st.DefaultHit != 3 {
+		t.Fatalf("default hits = %d, want 3", st.DefaultHit)
+	}
 }
 
 func TestDecideNoStoreUsesDefault(t *testing.T) {
@@ -117,6 +120,31 @@ func TestDecideWeightedCost(t *testing.T) {
 	}
 	if resp := s.Decide(wire.Request{Key: "k", Cost: 3}); !resp.Allow {
 		t.Fatal("exact remainder denied")
+	}
+}
+
+// TestDecideConcurrentConservesCredits: goroutines race on a key's first
+// sight and then on its bucket; the key gets one entry, and exactly its
+// capacity is admitted.
+func TestDecideConcurrentConservesCredits(t *testing.T) {
+	db := newDB(t, bucket.Rule{Key: "k", RefillRate: 0, Capacity: 1000, Credit: 1000})
+	s := newServer(t, Config{Store: db})
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if s.Decide(wire.Request{Key: "k", Cost: 1}).Allow {
+					admitted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 1000 {
+		t.Fatalf("admitted %d, want exactly 1000", n)
 	}
 }
 
@@ -337,7 +365,7 @@ func TestSyncQueriesPerPass(t *testing.T) {
 					return err
 				}
 			}
-			if err := direct.Checkpoint("k09999", 3); err != nil {
+			if err := direct.CheckpointBatch(map[string]float64{"k09999": 3}); err != nil {
 				return err
 			}
 			return direct.Put(bucket.Rule{Key: "new-user", RefillRate: 10, Capacity: 10, Credit: 10})
@@ -346,12 +374,12 @@ func TestSyncQueriesPerPass(t *testing.T) {
 		// the database already holds is not a change: only k09999's
 		// differs. A checkpoint after every key consumed changes every
 		// credit, and the next pass reads them all, a page per FeedPage.
-		{"checkpoint of unchanged credits", func() error { s.CheckpointOnce(); return nil }, 1},
+		{"checkpoint of unchanged credits", func() error { s.checkpointOnce(); return nil }, 1},
 		{"checkpoint after every key consumed", func() error {
 			for _, r := range rules {
 				s.Decide(wire.Request{Key: r.Key, Cost: 1})
 			}
-			s.CheckpointOnce()
+			s.checkpointOnce()
 			return nil
 		}, resident/minisql.FeedPage + 1},
 		{"no edits", func() error { return nil }, 1},
@@ -532,7 +560,7 @@ func TestCheckpointWritesCreditsBack(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Decide(wire.Request{Key: "k"})
 	}
-	s.CheckpointOnce()
+	s.checkpointOnce()
 	r, found, err := db.Get("k")
 	if err != nil || !found {
 		t.Fatalf("found=%v err=%v", found, err)
@@ -550,7 +578,7 @@ func TestReplacementServerResumesFromCheckpoint(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s1.Decide(wire.Request{Key: "k"})
 	}
-	s1.CheckpointOnce()
+	s1.checkpointOnce()
 	s1.Close()
 	s2 := newServer(t, Config{Store: db})
 	allowed := 0
@@ -660,7 +688,7 @@ func TestErrorFallbackEndsWithOutage(t *testing.T) {
 		flaky.down.Store(true)
 		s.Decide(wire.Request{Key: "k"})
 		flaky.down.Store(false)
-		s.CheckpointOnce()
+		s.checkpointOnce()
 		if r, _, err := db.Get("k"); err != nil || r.Credit != 2 {
 			t.Fatalf("failOpen=%v: checkpoint wrote the fallback back: credit %v, err %v", failOpen, r.Credit, err)
 		}

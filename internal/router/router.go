@@ -433,8 +433,9 @@ type routeInfo struct {
 	attempts int
 }
 
-// Route performs the backend selection and UDP exchange for one request.
-// It is exported for in-process deployments and the simulation harness.
+// Route performs the backend selection and UDP exchange for one request,
+// without the HTTP front. It is exported for the isolated router row of
+// benchmark/ and for tests.
 func (r *Router) Route(qreq wire.Request) wire.Response {
 	resp, _ := r.route(qreq)
 	return resp

@@ -106,11 +106,11 @@ func (s *Store) Delete(key string) (bool, error) {
 	return res.Affected > 0, nil
 }
 
-// Checkpoint writes back the current credit for one key (§II-D
+// checkpoint writes back the current credit for one key (§II-D
 // check-pointing). A key absent from the database (default-rule key) is a
 // no-op, not an error. A credit that changed is an entry in the change feed
 // (ChangedSince) like any edit; rewriting the same credit is not.
-func (s *Store) Checkpoint(key string, credit float64) error {
+func (s *Store) checkpoint(key string, credit float64) error {
 	_, err := s.db.Execute(`UPDATE qos_rules SET credit = ? WHERE key = ?`,
 		minisql.Float(credit), minisql.Text(key))
 	return err
@@ -121,7 +121,7 @@ func (s *Store) Checkpoint(key string, credit float64) error {
 func (s *Store) CheckpointBatch(credits map[string]float64) error {
 	var firstErr error
 	for k, c := range credits {
-		if err := s.Checkpoint(k, c); err != nil && firstErr == nil {
+		if err := s.checkpoint(k, c); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -129,7 +129,7 @@ func TestChangedSinceReadsWholeTable(t *testing.T) {
 func TestCheckpoint(t *testing.T) {
 	s := newStore(t)
 	s.Put(bucket.Rule{Key: "k", RefillRate: 1, Capacity: 100, Credit: 100})
-	if err := s.Checkpoint("k", 42.5); err != nil {
+	if err := s.checkpoint("k", 42.5); err != nil {
 		t.Fatal(err)
 	}
 	got, _, _ := s.Get("k")
@@ -137,7 +137,7 @@ func TestCheckpoint(t *testing.T) {
 		t.Fatalf("credit = %v", got.Credit)
 	}
 	// Checkpointing an unknown (default-rule) key is a silent no-op.
-	if err := s.Checkpoint("unknown", 1); err != nil {
+	if err := s.checkpoint("unknown", 1); err != nil {
 		t.Fatalf("checkpoint unknown key: %v", err)
 	}
 }
@@ -191,7 +191,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if _, err := s.Delete("k"); err == nil {
 		t.Error("Delete")
 	}
-	if err := s.Checkpoint("k", 1); err == nil {
+	if err := s.checkpoint("k", 1); err == nil {
 		t.Error("Checkpoint")
 	}
 	if err := s.CheckpointBatch(map[string]float64{"k": 1}); err == nil {
