@@ -108,17 +108,20 @@ bench-smoke:
 # dequeue, a live server's UDP intake — budgets in
 # internal/qosserver/allocpin_test.go), plus the legs around it: the
 # router→janusd UDP exchange (transport Do) and Router.Route allocate
-# nothing, client.Check and the LB's proxy of a router-shaped reply on a
-# warmed connection nothing, the h1 server loop nothing beyond its handler,
-# a /qos request on the router one object more than Router.Route (the key's
-# string), the router's key→owner pick (membership.Pick) nothing, and a
-# first-sight rule fetch (store.Get's point select through a warmed minisql
-# Client over loopback) 5 objects on a miss and 10 on a hit, the engine's
-# included; and the live heap a resident key holds in the QoS server's table
+# nothing, a request decoded with its key left in the datagram
+# (wire.DecodeRequestKey) and a table lookup by those bytes
+# (table.Sharded.GetBytes) nothing whatever the key, client.Check and the
+# LB's proxy of a router-shaped reply on a warmed connection nothing, the
+# h1 server loop nothing beyond its handler, a /qos request on the router
+# one object more than Router.Route (the key's string), the router's
+# key→owner pick (membership.Pick) nothing, and a first-sight rule fetch
+# (store.Get's point select through a warmed minisql Client over loopback)
+# 5 objects on a miss and 10 on a hit, the engine's included; and the live
+# heap a resident key holds in the QoS server's table
 # (TestAllocPinResidentKeyBytes, at most 190 B). The pins assert their
 # budgets, so this is a test run, not a benchmark run.
 bench-allocs:
-	$(GO) test ./internal/qosserver ./internal/transport ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql -run AllocPin -count=1 -v
+	$(GO) test ./internal/qosserver ./internal/transport ./internal/wire ./internal/table ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql -run AllocPin -count=1 -v
 
 # The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
 # rule-churn suites, 20 consecutive green runs under the race

@@ -36,11 +36,11 @@ import (
 // strings, per-response encode buffers) — the reason the pin exists — or
 // that the path was born allocation-free and is pinned to stay so.
 var allocBudgets = map[string]float64{
-	"singleton_decode_decide_encode": 0, // was 4
+	"singleton_decode_decide_encode": 0, // was 4; 1 while a key change made the key's string
 	"sojourn_observe":                0, // born at 0: runs per datagram after every response
 	"singleton_decide_audited":       0, // born at 0: auditing is meant to run in production
 	"codel_decide":                   0, // born at 0: runs per datagram on every worker loop
-	"udp_intake":                     0, // was 9: the peer address and a packet copy per read, 6 in the client's exchange
+	"udp_intake":                     0, // was 9: the peer address and a packet copy per read, 6 in the client's exchange; 1 while a key change made the key's string
 }
 
 // residentKeyBytes is the heap one resident key may hold: its table entry
@@ -80,29 +80,44 @@ func newPinServer(t *testing.T) *Server {
 	return s
 }
 
+// pinKeys are the resident keys a pinned loop cycles through: the key
+// changes on every operation, as it does under uniform draws, so a path
+// that makes a string per key change shows. Three, not two: the FIFO hands
+// datagrams to the waiting workers in turn, so with two workers and two
+// keys each worker would see one recurring key.
+var pinKeys = [3]string{"alloc-pin-a", "alloc-pin-b", "alloc-pin-c"}
+
 // TestAllocPinSingleton pins the worker's admission path — decode the
-// request frame (reuse decoder), the worker's decision step (clock reads,
-// Decide, latency record), encode the response frame into a reused buffer —
-// at its recorded budget.
+// request frame (byte-key decoder), the worker's decision step (clock
+// reads, the lookup by the key's bytes, the decision, latency record),
+// encode the response frame into a reused buffer — at its recorded budget.
 func TestAllocPinSingleton(t *testing.T) {
 	skipIfInstrumented(t)
 	budget := pinBudget(t, "singleton_decode_decide_encode")
 	s := newPinServer(t)
 
-	pkt, err := wire.AppendRequest(nil, wire.Request{ID: 7, Key: "alloc-pin-singleton", Cost: 1})
-	if err != nil {
-		t.Fatalf("AppendRequest: %v", err)
+	var pkts [len(pinKeys)][]byte
+	for i, key := range pinKeys {
+		var err error
+		if pkts[i], err = wire.AppendRequest(nil, wire.Request{ID: 7, Key: key, Cost: 1}); err != nil {
+			t.Fatalf("AppendRequest: %v", err)
+		}
+		s.Decide(wire.Request{Key: key, Cost: 1}) // resident before the loop
 	}
 	var req wire.Request
 	out := make([]byte, 0, wire.MaxDatagram)
 	var failure error
+	n := 0
 
 	got := testing.AllocsPerRun(200, func() {
-		if err := wire.DecodeRequestReuse(pkt, &req); err != nil {
+		pkt := pkts[n%len(pkts)]
+		n++
+		key, err := wire.DecodeRequestKey(pkt, &req)
+		if err != nil {
 			failure = err
 			return
 		}
-		out, err = wire.AppendResponse(out[:0], s.decideTimed(&req))
+		out, err = wire.AppendResponse(out[:0], s.decideTimed(&req, key))
 		if err != nil {
 			failure = err
 		}
@@ -197,9 +212,10 @@ func TestAllocPinCodelDecide(t *testing.T) {
 }
 
 // TestAllocPinUDPIntake pins the whole datagram path of a live server —
-// listen (read, pooled copy, FIFO), a worker (decode, return the buffer,
-// decide, encode, send) — with a transport.Client on a recurring key as the
-// peer, so the client's exchange is inside the measurement too.
+// listen (read, pooled copy, FIFO), a worker (decode, decide, return the
+// buffer, encode, send) — with a transport.Client alternating between
+// resident keys as the peer, so the client's exchange is inside the
+// measurement too.
 func TestAllocPinUDPIntake(t *testing.T) {
 	skipIfInstrumented(t)
 	budget := pinBudget(t, "udp_intake")
@@ -210,10 +226,11 @@ func TestAllocPinUDPIntake(t *testing.T) {
 	}
 	t.Cleanup(func() { c.Close() })
 
-	req := wire.Request{Key: "alloc-pin-intake", Cost: 1}
 	var failure error
+	n := 0
 	exchange := func() {
-		resp, err := c.Do(req)
+		resp, err := c.Do(wire.Request{Key: pinKeys[n%len(pinKeys)], Cost: 1})
+		n++
 		if err == nil && !resp.Allow {
 			err = fmt.Errorf("denied: %+v", resp)
 		}
@@ -221,7 +238,9 @@ func TestAllocPinUDPIntake(t *testing.T) {
 			failure = err
 		}
 	}
-	exchange()
+	for range pinKeys {
+		exchange() // every key resident before the measurement
+	}
 	got := testing.AllocsPerRun(200, exchange)
 	if failure != nil {
 		t.Fatalf("pinned exchange failed: %v", failure)

@@ -252,7 +252,7 @@ type Server struct {
 
 type packet struct {
 	// data is the datagram, in a buffer from packetBufs; the worker returns
-	// it once decoded.
+	// it once it has decided.
 	data  *[]byte
 	raddr netip.AddrPort
 	// recvNs timestamps the socket read, opening the sojourn clock.
@@ -424,8 +424,8 @@ var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 //
 // One read buffer holds any datagram up to the UDP payload limit (a key may
 // be up to wire.MaxKeyLen bytes); each packet is queued as a copy in a
-// pooled buffer, which the worker returns as soon as it has decoded it
-// (decoding copies keys out, so nothing aliases the buffer). The peer is a
+// pooled buffer, which the worker returns once it has decided (it reads the
+// key in place from that buffer). The peer is a
 // netip.AddrPort value, so in steady state the intake allocates nothing.
 //
 //janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDPAddrPort with an error and ends the loop
@@ -489,8 +489,9 @@ var fpWorkerDecide = failpoint.New("qosserver/worker/decide")
 func (s *Server) worker() {
 	defer s.wg.Done()
 	// The decoded request and the encode buffer are owned by this worker and
-	// reused across packets: with a recurring key set the whole
-	// decode→decide→encode pass allocates nothing (see the AllocPin tests).
+	// reused across packets, and a resident key is found from its bytes in
+	// the datagram: the whole decode→decide→encode pass allocates nothing
+	// for any resident key (see the AllocPin tests).
 	var req wire.Request
 	out := make([]byte, 0, 64)
 	for {
@@ -501,9 +502,9 @@ func (s *Server) worker() {
 		case pkt = <-s.fifo:
 		}
 		deqNs := s.clock().UnixNano()
-		err := wire.DecodeRequestReuse(*pkt.data, &req)
-		packetBufs.Put(pkt.data)
+		key, err := wire.DecodeRequestKey(*pkt.data, &req)
 		if err != nil {
+			packetBufs.Put(pkt.data)
 			s.malformed.Inc()
 			continue
 		}
@@ -517,8 +518,11 @@ func (s *Server) worker() {
 					o.Sleep()
 				}
 			}
-			resp = s.decideTimed(&req)
+			resp = s.decideTimed(&req, key)
 		}
+		// key aliases the buffer, so it goes back only now: after the lookup
+		// and, on a miss, after the key's string was made.
+		packetBufs.Put(pkt.data)
 		decNs := s.clock().UnixNano()
 		out, _ = wire.AppendResponse(out[:0], resp) // a response always encodes
 		// Fire and forget (§III-C: "The worker thread does not care about
@@ -562,18 +566,19 @@ func (s *Server) observeSojourn(recvNs, deqNs, decNs, sentNs int64) {
 // checks and the autoscaler, without registry-name coupling.
 func (s *Server) SojournTotal() *metrics.Histogram { return s.sojournTotal }
 
-// decideTimed is the worker's decision step for one request. A sampled
-// request is decided between two clock reads, echoes the worker-side
-// processing time and files its span; any other pays only the TraceID == 0
-// comparison (the sojourn's decide stage times every request).
+// decideTimed is the worker's decision step for one request whose key is
+// still in its datagram. A sampled request is decided between two clock
+// reads, echoes the worker-side processing time and files its span; any
+// other pays only the TraceID == 0 comparison (the sojourn's decide stage
+// times every request).
 //
 //janus:hotpath
-func (s *Server) decideTimed(req *wire.Request) wire.Response {
+func (s *Server) decideTimed(req *wire.Request, key []byte) wire.Response {
 	if req.TraceID == 0 {
-		return s.Decide(*req)
+		return s.decideKey(req, key)
 	}
 	start := s.clock()
-	resp := s.Decide(*req)
+	resp := s.decideKey(req, key)
 	d := s.clock().Sub(start)
 	resp.ServerNanos = int64(d)
 	//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
@@ -593,19 +598,43 @@ func (s *Server) recordSpan(traceID uint64, status wire.Status, start time.Time,
 
 // Decide makes the admission decision for one request against the local
 // table, fetching the rule from the database on first sight of a key.
-// The UDP workers call it for every datagram; it is exported as the
-// socket-free decision path for the isolated QoS-server rows of
-// benchmark/, BenchmarkEmbeddedDecision in the repository root, and tests.
+// The UDP workers make the same decision through decideKey; Decide is
+// exported as the socket-free decision path for the isolated QoS-server
+// rows of benchmark/, BenchmarkEmbeddedDecision in the repository root, and
+// tests.
 //
 //janus:hotpath
 func (s *Server) Decide(req wire.Request) wire.Response {
 	now := s.clock()
 	e := s.table.Get(req.Key)
-	status := wire.StatusOK
 	if e == nil {
 		//lint:ignore hotalloc first sight of a key installs its rule; every later decision hits the table
 		e = s.installRule(req.Key, now)
 	}
+	return s.decide(e, &req, now)
+}
+
+// decideKey is Decide for a key still in its datagram: a resident key is
+// found from its bytes, and only a key seen for the first time is copied
+// into the string the table keeps.
+//
+//janus:hotpath
+func (s *Server) decideKey(req *wire.Request, key []byte) wire.Response {
+	now := s.clock()
+	e := s.table.GetBytes(key)
+	if e == nil {
+		//lint:ignore hotalloc first sight of a key makes its string and installs its rule; every later decision finds it from the bytes
+		e = s.installRule(string(key), now)
+	}
+	return s.decide(e, req, now)
+}
+
+// decide is the admission decision, Decide's and decideKey's alike: one
+// request against its key's resident entry.
+//
+//janus:hotpath
+func (s *Server) decide(e *entry, req *wire.Request, now time.Time) wire.Response {
+	status := wire.StatusOK
 	if e.isDefault.Load() {
 		status = wire.StatusDefaultRule
 		s.defaultHit.Inc()

@@ -100,7 +100,7 @@ func TestQoSReplyHeaders(t *testing.T) {
 }
 
 // TestRouteAllocPin: routing a request to a UDP back end allocates nothing
-// once warm — the pick, the exchange's pooled waiter, and the echo server's
+// once warm — the pick, the exchange on an idle socket, and the echo server's
 // side of the datagram (AllocsPerRun counts the whole process).
 func TestRouteAllocPin(t *testing.T) {
 	if raceEnabled {

@@ -54,12 +54,13 @@ func NewSharded[V any](n int) *Sharded[V] {
 	return t
 }
 
-// hashFor hashes key with inline FNV-1a: hashing the string directly (no
-// []byte conversion, no hash.Hash construction) keeps the per-decision
-// lookup allocation-free regardless of key length.
+// hashFor hashes key with inline FNV-1a: hashing the string or the bytes
+// directly (no conversion, no hash.Hash construction) keeps the
+// per-decision lookup allocation-free regardless of key length, and a key
+// hashes alike in either form.
 //
 //janus:hotpath
-func hashFor(key string) uint32 {
+func hashFor[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -82,6 +83,18 @@ func (t *Sharded[V]) Get(key string) V {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.m[key]
+}
+
+// GetBytes is Get for a key held as bytes, such as a key still inside the
+// datagram that carried it. The map index converts nothing, so a lookup
+// allocates nothing.
+//
+//janus:hotpath
+func (t *Sharded[V]) GetBytes(key []byte) V {
+	s := &t.shards[hashFor(key)&t.mask]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.m[string(key)]
 }
 
 // GetOrCreate returns the value for key, creating it with factory when

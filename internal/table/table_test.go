@@ -291,3 +291,43 @@ func TestImplementationsAgreeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestGetBytesMatchesGet: a key found by its bytes is the key found by its
+// string, present or absent, in every shard count.
+func TestGetBytesMatchesGet(t *testing.T) {
+	for _, shards := range []int{1, 4, 0} {
+		tb := NewSharded[*bucket.Bucket](shards)
+		for i := 0; i < 500; i += 2 {
+			tb.Put(fmt.Sprintf("key-%d", i), newBucket())
+		}
+		for i := 0; i < 500; i++ {
+			key := fmt.Sprintf("key-%d", i)
+			if hashFor(key) != hashFor([]byte(key)) {
+				t.Fatalf("%q hashes differently as bytes", key)
+			}
+			if got, want := tb.GetBytes([]byte(key)), tb.Get(key); got != want || (want == nil) != (i%2 == 1) {
+				t.Fatalf("shards %d: GetBytes(%q) = %p, Get = %p", shards, key, got, want)
+			}
+		}
+	}
+}
+
+// TestGetBytesAllocPin: looking up resident keys by their bytes allocates
+// nothing, however the key changes from one lookup to the next.
+func TestGetBytesAllocPin(t *testing.T) {
+	tb := NewSharded[*bucket.Bucket](0)
+	keys := [][]byte{[]byte("alice"), []byte("bob")}
+	for _, k := range keys {
+		tb.Put(string(k), newBucket())
+	}
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		if tb.GetBytes(keys[i%2]) == nil {
+			t.Fatalf("%s not found", keys[i%2])
+		}
+		i++
+	})
+	if n != 0 {
+		t.Errorf("GetBytes over alternating keys: %v allocs/op, want 0", n)
+	}
+}

@@ -10,18 +10,21 @@
 // Requests are idempotent-enough for retransmission (a retried consume may
 // in the worst case double-charge one credit, which the paper accepts).
 //
-// Client is safe for concurrent use: each in-flight request gets a unique
-// ID and leaves as one datagram, and a single reader goroutine hands each
-// response to the waiter whose ID it carries.
+// Client is safe for concurrent use and starts no goroutine: an exchange
+// holds one of at most 64 connected sockets, sends each attempt on it, and
+// reads its own reply by ID, dropping late or duplicate ones.
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/failpoint"
@@ -100,102 +103,110 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Client issues QoS requests to one QoS server address over a single UDP
-// socket.
+// maxSockets bounds the sockets, and so the descriptors, a Client spends on
+// its QoS server. An exchange that finds all of them busy waits for one
+// inside its budget, which costs throughput: against the one shared socket
+// this client replaced, 16 sockets served 16 % fewer checks a second at 64
+// closed-loop clients on one router, and 64 sockets 7 % fewer at 128.
+const maxSockets = 64
+
+// waitTimers holds the timers of exchanges waiting for a socket.
+var waitTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+
+// Client issues QoS requests to one QoS server address.
 type Client struct {
 	cfg    Config
-	conn   *net.UDPConn
-	raddr  string // resolved peer address, the partition-failpoint key
+	raddr  *net.UDPAddr
+	peer   string // raddr as a string, the partition-failpoint key
 	nextID atomic.Uint64
 
-	mu      sync.Mutex
-	waiters map[uint64]chan wire.Response
-	closed  bool
+	idle    chan *socket // sockets no exchange holds
+	open    atomic.Int32 // sockets dialled, plus claims past the bound not yet undone
+	closed  atomic.Bool
+	closing chan struct{} // closed by Close, to wake exchanges waiting for a socket
 
 	// stats are private to the client unless Config.Stats shared a set.
 	stats *Stats
 }
 
-// waiter is what one exchange needs besides the socket: the reply channel
-// readLoop delivers to, the per-attempt timer and the encode buffer. Every
-// DoAttempts takes one from waiterPool and returns it empty — channel
-// drained, timer stopped — so a steady stream of exchanges allocates
-// nothing.
-type waiter struct {
-	ch    chan wire.Response
-	timer *time.Timer
-	buf   []byte
+// socket is a connected UDP socket with its exchange's buffers.
+type socket struct {
+	conn *net.UDPConn
+	out  []byte // the encoded request, sent again on each attempt
+	in   [wire.MaxResponseDatagram]byte
 }
 
-var waiterPool = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &waiter{ch: make(chan wire.Response, 1), timer: t}
-}}
-
-// Dial creates a client bound to the QoS server at addr ("host:port").
+// Dial creates a client bound to the QoS server at addr ("host:port"). Its
+// sockets are dialled as exchanges need them.
 func Dial(addr string, cfg Config) (*Client, error) {
 	raddr, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve %s: %w", addr, err)
 	}
-	conn, err := net.DialUDP("udp", nil, raddr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
 	c := &Client{
 		cfg:     cfg.withDefaults(),
-		conn:    conn,
-		raddr:   raddr.String(),
-		waiters: make(map[uint64]chan wire.Response),
-		stats:   cfg.Stats,
+		raddr:   raddr,
+		peer:    raddr.String(),
+		idle:    make(chan *socket, maxSockets),
+		closing: make(chan struct{}),
+		stats:   cmp.Or(cfg.Stats, newPrivateStats()),
 	}
-	if c.stats == nil {
-		c.stats = newPrivateStats()
-	}
-	go c.readLoop()
 	return c, nil
 }
 
-// readLoop drains responses off the socket until the client closes. The read
-// blocks by design: this loop is the client's demultiplexer. Close() closes
-// the socket, which unblocks Read with an error and ends the loop.
-//
-// The send to a waiter's channel happens under c.mu: once DoAttempts has
-// deleted its entry under the same lock, no reply — late or duplicate — can
-// reach the channel, so draining it after the delete leaves it empty for
-// the pool's next user.
-//
-//janus:deadlined Close() unblocks the read
-func (c *Client) readLoop() {
-	buf := make([]byte, wire.MaxDatagram)
+// take returns an idle socket, else dials one while fewer than maxSockets
+// are open, else waits for one until deadline.
+func (c *Client) take(deadline time.Time) (*socket, error) {
+	if c.closed.Load() {
+		return nil, net.ErrClosed
+	}
+	select {
+	case s := <-c.idle:
+		return s, nil
+	default:
+	}
+	if c.open.Add(1) <= maxSockets {
+		conn, err := net.DialUDP("udp", nil, c.raddr)
+		if err != nil {
+			c.open.Add(-1)
+			return nil, fmt.Errorf("transport: dial %s: %w", c.peer, err)
+		}
+		return &socket{conn: conn}, nil
+	}
+	c.open.Add(-1)
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(time.Until(deadline)) // no stale tick since Go 1.23
+	defer waitTimers.Put(t)
+	defer t.Stop()
+	select {
+	case s := <-c.idle:
+		return s, nil
+	case <-c.closing:
+		return nil, net.ErrClosed
+	case <-t.C:
+		return nil, ErrTimeout
+	}
+}
+
+// give returns s to the idle sockets; one returned after Close is closed,
+// by this drain or by Close's.
+func (c *Client) give(s *socket) {
+	c.idle <- s
+	if c.closed.Load() {
+		_ = c.drain() // the exchange that held s has no one to report to
+	}
+}
+
+// drain closes every idle socket.
+func (c *Client) drain() error {
+	var errs []error
 	for {
-		n, err := c.conn.Read(buf)
-		if err != nil {
-			return // socket closed
+		select {
+		case s := <-c.idle:
+			errs = append(errs, s.conn.Close())
+		default:
+			return errors.Join(errs...)
 		}
-		// Every request leaves as a singleton frame, so every reply is one.
-		resp, err := wire.DecodeResponse(buf[:n])
-		if err != nil {
-			continue // corrupt datagram; the sender will retry
-		}
-		if fpClientRecv.Armed() {
-			switch o := fpClientRecv.EvalPeer(c.raddr); o.Kind {
-			case failpoint.Drop, failpoint.Partition:
-				continue // response lost on the wire
-			case failpoint.Delay:
-				o.Sleep()
-			}
-		}
-		c.stats.Responses.Inc()
-		c.mu.Lock()
-		if ch := c.waiters[resp.ID]; ch != nil {
-			select {
-			case ch <- resp:
-			default: // duplicate response for an already-answered request
-			}
-		}
-		c.mu.Unlock()
 	}
 }
 
@@ -212,37 +223,25 @@ func (c *Client) Do(req wire.Request) (wire.Response, error) {
 // trace span — the paper's 100 µs × 5 budget is only explainable per
 // request with this number.
 func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
-	req.ID = c.nextID.Add(1)
-	w := waiterPool.Get().(*waiter)
-	packet, err := wire.AppendRequest(w.buf[:0], req)
+	// One Retries × Timeout budget covers the exchange, a wait for a socket
+	// and any stall included, so 5 retries never take much more than 5× the
+	// per-attempt timeout: the bound the router's default reply promises.
+	deadline := time.Now().Add(time.Duration(c.cfg.Retries) * c.cfg.Timeout)
+	s, err := c.take(deadline)
 	if err != nil {
-		waiterPool.Put(w)
 		return wire.Response{}, 0, err
 	}
-	w.buf = packet
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		waiterPool.Put(w)
-		return wire.Response{}, 0, net.ErrClosed
+	defer c.give(s)
+	req.ID = c.nextID.Add(1)
+	if s.out, err = wire.AppendRequest(s.out[:0], req); err != nil {
+		return wire.Response{}, 0, err
 	}
-	c.waiters[req.ID] = w.ch
-	c.mu.Unlock()
-	defer c.release(req.ID, w)
-
-	// The whole exchange runs against one budget of Retries × Timeout,
-	// fixed before the first attempt. Each attempt waits at most Timeout,
-	// and anything that stalls the send side (scheduling, injected delay
-	// failpoints) eats into the budget instead of extending it — so 5
-	// retries can never take much more than ~5× the per-try timeout, which
-	// is the latency bound the router's default reply promises (§III-B).
-	deadline := time.Now().Add(time.Duration(c.cfg.Retries) * c.cfg.Timeout)
 	attempts := 0
-	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
-		attempts = attempt + 1
+	for attempts < c.cfg.Retries {
+		attempts++
 		sends := 1
 		if fpClientSend.Armed() {
-			switch o := fpClientSend.EvalPeer(c.raddr); o.Kind {
+			switch o := fpClientSend.EvalPeer(c.peer); o.Kind {
 			case failpoint.Drop, failpoint.Partition:
 				sends = 0 // request lost on the wire; still wait and retry
 			case failpoint.Delay:
@@ -255,57 +254,54 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 		}
 		for i := 0; i < sends; i++ {
 			c.stats.Attempts.Inc()
-			//lint:ignore netio fire-and-forget UDP send; the bounded wait below is the exchange's real timeout
-			if _, err := c.conn.Write(packet); err != nil {
+			// A connected socket reports an ICMP refusal of an earlier
+			// datagram on its next call, once; it costs that call's datagram.
+			//lint:ignore netio fire-and-forget UDP send; the read deadline below is the exchange's real timeout
+			if _, err := s.conn.Write(s.out); err != nil && !errors.Is(err, syscall.ECONNREFUSED) {
 				return wire.Response{}, attempts, fmt.Errorf("transport: send: %w", err)
 			}
 		}
-		wait := time.Until(deadline)
-		if wait <= 0 {
-			// Budget exhausted before this attempt could wait: count the
-			// timeout and stop retrying rather than overrun the bound.
-			c.stats.Timeouts.Inc()
+		now := time.Now()
+		if !now.Before(deadline) {
+			c.stats.Timeouts.Inc() // no budget left for this attempt to wait
 			break
 		}
-		if wait > c.cfg.Timeout {
-			wait = c.cfg.Timeout
+		if err := s.conn.SetReadDeadline(now.Add(min(deadline.Sub(now), c.cfg.Timeout))); err != nil {
+			return wire.Response{}, attempts, fmt.Errorf("transport: receive: %w", err)
 		}
-		stopTimer(w.timer)
-		w.timer.Reset(wait)
-		select {
-		case resp := <-w.ch:
-			return resp, attempts, nil
-		case <-w.timer.C:
-			c.stats.Timeouts.Inc()
+		// Every datagram but the reply to req.ID is dropped: a corrupt one,
+		// or a late or duplicate reply to an earlier exchange on s.
+		for {
+			n, err := s.conn.Read(s.in[:])
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				break
+			} else if errors.Is(err, syscall.ECONNREFUSED) {
+				continue // a lost datagram
+			} else if err != nil {
+				return wire.Response{}, attempts, fmt.Errorf("transport: receive: %w", err)
+			}
+			resp, err := wire.DecodeResponse(s.in[:n])
+			if err != nil {
+				continue
+			}
+			if fpClientRecv.Armed() {
+				switch o := fpClientRecv.EvalPeer(c.peer); o.Kind {
+				case failpoint.Drop, failpoint.Partition:
+					continue // response lost on the wire
+				case failpoint.Delay:
+					if o.Sleep(); !time.Now().Before(deadline) {
+						continue // delayed past the budget: late
+					}
+				}
+			}
+			c.stats.Responses.Inc()
+			if resp.ID == req.ID {
+				return resp, attempts, nil
+			}
 		}
+		c.stats.Timeouts.Inc()
 	}
 	return wire.Response{}, attempts, ErrTimeout
-}
-
-// release ends an exchange and returns its waiter to the pool. The order
-// matters: the entry leaves c.waiters under c.mu first, so readLoop, which
-// sends under the same lock, can deliver nothing more; only then is a
-// duplicate or late reply that got in before the delete drained.
-func (c *Client) release(id uint64, w *waiter) {
-	c.mu.Lock()
-	delete(c.waiters, id)
-	c.mu.Unlock()
-	select {
-	case <-w.ch:
-	default:
-	}
-	stopTimer(w.timer)
-	waiterPool.Put(w)
-}
-
-// stopTimer stops t and empties its channel, so the next Reset starts clean.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }
 
 // Stats reports cumulative attempt/timeout/response counts. When
@@ -315,12 +311,15 @@ func (c *Client) Stats() (attempts, timeouts, responses int64) {
 	return c.stats.Attempts.Value(), c.stats.Timeouts.Value(), c.stats.Responses.Value()
 }
 
-// Close releases the socket, which ends readLoop.
+// Close closes the idle sockets; a socket still in an exchange is closed
+// when its exchange ends. Exchanges started after Close fail with
+// net.ErrClosed.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	c.closed = true
-	c.mu.Unlock()
-	return c.conn.Close()
+	if !c.closed.CompareAndSwap(false, true) {
+		return nil
+	}
+	close(c.closing)
+	return c.drain()
 }
 
 // Handler processes one decoded request and returns the response to send.

@@ -1,8 +1,13 @@
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
+	"net/netip"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -258,7 +263,10 @@ func TestClientIgnoresGarbageResponses(t *testing.T) {
 }
 
 // oldServer is a janusd reduced to the singleton codec
-// (wire.DecodeRequestReuse / wire.AppendResponse) on a raw socket.
+// (wire.DecodeRequestKey / wire.AppendResponse) on a raw socket. Like
+// echoHandler it admits keys that start with 'a', but it reads the verdict
+// from the key's bytes and the peer as a netip.AddrPort, so it allocates
+// nothing per datagram whatever the key.
 func oldServer(t *testing.T) string {
 	t.Helper()
 	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
@@ -268,22 +276,20 @@ func oldServer(t *testing.T) string {
 	}
 	t.Cleanup(func() { raw.Close() })
 	go func() {
+		var req wire.Request
 		buf := make([]byte, 65536)
 		out := make([]byte, 0, 64)
 		for {
-			n, addr, err := raw.ReadFromUDP(buf)
+			n, addr, err := raw.ReadFromUDPAddrPort(buf)
 			if err != nil {
 				return
 			}
-			var req wire.Request
-			err = wire.DecodeRequestReuse(buf[:n], &req)
+			key, err := wire.DecodeRequestKey(buf[:n], &req)
 			if err != nil {
 				continue
 			}
-			resp := echoHandler(req)
-			resp.ID = req.ID
-			out, _ = wire.AppendResponse(out[:0], resp)
-			raw.WriteToUDP(out, addr)
+			out, _ = wire.AppendResponse(out[:0], wire.Response{ID: req.ID, Allow: len(key) > 0 && key[0] == 'a'})
+			raw.WriteToUDPAddrPort(out, addr)
 		}
 	}()
 	return raw.LocalAddr().String()
@@ -348,18 +354,26 @@ func TestHighConcurrencyThroughput(t *testing.T) {
 	}
 }
 
-// TestDoAllocPin: an exchange with the echo server allocates nothing on
-// either end once warm — the client's waiter comes from its pool, and the
-// server reads and writes the peer as a netip.AddrPort value.
-// AllocsPerRun counts the whole process, the server included.
+// TestDoAllocPin: exchanges whose key changes every time allocate nothing
+// on either end once warm — the client's socket and its buffers come from
+// its idle list, and the server answers from the key's bytes. AllocsPerRun
+// counts the whole process, the server included.
 func TestDoAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc pins run uninstrumented")
 	}
-	_, c := startPair(t, genericCfg)
+	c, err := Dial(oldServer(t), genericCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := []string{"alice", "anna", "alfred"}
+	n := 0
 	do := func() {
-		if resp, err := c.Do(wire.Request{Key: "alice", Cost: 1}); err != nil || !resp.Allow {
-			t.Fatalf("resp=%+v err=%v", resp, err)
+		key := keys[n%len(keys)]
+		n++
+		if resp, err := c.Do(wire.Request{Key: key, Cost: 1}); err != nil || !resp.Allow {
+			t.Fatalf("%s: resp=%+v err=%v", key, resp, err)
 		}
 	}
 	do()
@@ -396,12 +410,10 @@ func ownReplies(t *testing.T, c *Client, n int) (answered int) {
 }
 
 // TestDuplicateRepliesStayWithTheirExchange: every request leaves twice, so
-// every ID is answered twice. The second reply must die with its exchange,
-// not wait in the pooled waiter for the next one. The second reply races the
-// exchange's release, which takes parallel threads to show: the test runs
-// more of them than a small machine has CPUs, so the kernel also preempts
-// the reader mid-delivery, and each round dials a fresh client, so the
-// reader and the caller are placed anew.
+// every ID is answered twice. The second reply waits on the socket for the
+// next exchange, which must read and drop it, not take it for its own. The
+// test runs more threads than a small machine has CPUs, so the kernel also
+// preempts the caller between reads, and each round dials a fresh client.
 func TestDuplicateRepliesStayWithTheirExchange(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	srv, err := NewServer("127.0.0.1:0", echoHandler)
@@ -429,8 +441,10 @@ func TestDuplicateRepliesStayWithTheirExchange(t *testing.T) {
 }
 
 // TestLateRepliesStayWithTheirExchange: some replies reach the client only
-// after their exchange has timed out and its waiter gone back to the pool.
-// The next exchange, on the same waiter, must still get its own reply.
+// after their exchange's budget ran out (the recv delay outlasts it), and
+// the retry's reply is then still on the socket when it goes back to the
+// idle list. The next exchange, on the same socket, must still get its own
+// reply.
 func TestLateRepliesStayWithTheirExchange(t *testing.T) {
 	const timeout = 2 * time.Millisecond
 	_, c := startPair(t, Config{Timeout: timeout, Retries: 2})
@@ -438,5 +452,342 @@ func TestLateRepliesStayWithTheirExchange(t *testing.T) {
 	answered := ownReplies(t, c, 300)
 	if answered == 0 || answered == 300 {
 		t.Fatalf("%d of 300 requests answered; the test needs some late replies and some on time", answered)
+	}
+}
+
+// TestExchangesStartNoGoroutine: a client runs every exchange on its
+// caller's goroutine; dialling it and exchanging leaves the goroutine count
+// where it was.
+func TestExchangesStartNoGoroutine(t *testing.T) {
+	addr := oldServer(t)
+	before := runtime.NumGoroutine()
+	c, err := Dial(addr, genericCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n := ownReplies(t, c, 50); n != 50 {
+		t.Fatalf("%d of 50 requests answered", n)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines %d before Dial, %d after 50 exchanges", before, after)
+	}
+}
+
+// openFDs counts the process's open descriptors, skipping the test where
+// /proc is absent.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(fds)
+}
+
+// TestSocketsAreBounded: twice maxSockets exchanges at once share
+// maxSockets sockets. The server holds its replies until maxSockets
+// requests are in, and no further request arrives while it holds them: the
+// other exchanges wait for a socket. Then every exchange is answered, at
+// most maxSockets peers ever sent, and Close brings the descriptor count
+// back to where it was.
+func TestSocketsAreBounded(t *testing.T) {
+	const exchanges = 2 * maxSockets
+	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
+	raw, err := net.ListenUDP("udp", laddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	base := openFDs(t)
+	type result struct {
+		peers, held, early, fds int
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		var req wire.Request
+		buf := make([]byte, 65536)
+		peers := map[netip.AddrPort]bool{}
+		answer := func(id uint64, peer netip.AddrPort) {
+			out, _ := wire.AppendResponse(nil, wire.Response{ID: id, Allow: true})
+			raw.WriteToUDPAddrPort(out, peer)
+		}
+		type pending struct {
+			id   uint64
+			peer netip.AddrPort
+		}
+		var held []pending
+		for answered := 0; answered < exchanges; {
+			n, peer, err := raw.ReadFromUDPAddrPort(buf)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				// Every socket is held and no other request came in.
+				fds, _ := os.ReadDir("/proc/self/fd")
+				r.fds = len(fds)
+				for _, p := range held {
+					answer(p.id, p.peer)
+				}
+				answered += len(held)
+				held = nil
+				raw.SetReadDeadline(time.Time{})
+				continue
+			} else if err != nil {
+				return
+			}
+			if _, err := wire.DecodeRequestKey(buf[:n], &req); err != nil {
+				continue
+			}
+			peers[peer] = true
+			switch {
+			case r.held < maxSockets:
+				held = append(held, pending{req.ID, peer})
+				if r.held++; r.held == maxSockets {
+					raw.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+				}
+			case held != nil:
+				r.early++ // a request beyond the bound while every socket is held
+				held = append(held, pending{req.ID, peer})
+			default:
+				answer(req.ID, peer)
+				answered++
+			}
+		}
+		r.peers = len(peers)
+		done <- r
+	}()
+	c, err := Dial(raw.LocalAddr().String(), Config{Timeout: 10 * time.Second, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var failures atomic.Int64
+	for i := 0; i < exchanges; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := c.Do(wire.Request{Key: "alice", Cost: 1}); err != nil || !resp.Allow {
+				failures.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if f := failures.Load(); f != 0 {
+		t.Fatalf("%d of %d exchanges failed", f, exchanges)
+	}
+	r := <-done
+	if r.early != 0 {
+		t.Errorf("%d requests arrived while %d sockets were held, want none", r.early, maxSockets)
+	}
+	if r.peers > maxSockets {
+		t.Errorf("%d sockets sent %d exchanges, bound %d", r.peers, exchanges, maxSockets)
+	}
+	if open := r.fds - base; open != maxSockets {
+		t.Errorf("%d sockets open with every socket held, want %d", open, maxSockets)
+	}
+	if idle := openFDs(t) - base; idle > maxSockets {
+		t.Errorf("%d sockets open once idle, bound %d", idle, maxSockets)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFDs(t); n != base {
+		t.Errorf("%d descriptors open after Close, %d before Dial", n, base)
+	}
+}
+
+// TestCloseDuringExchanges: Close while exchanges run ends every later one
+// with net.ErrClosed, and each socket is closed, whether it was idle at
+// Close or came back from an exchange after it.
+func TestCloseDuringExchanges(t *testing.T) {
+	addr := oldServer(t)
+	base := openFDs(t)
+	c, err := Dial(addr, genericCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var unexpected atomic.Int64
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				_, err := c.Do(wire.Request{Key: "alice", Cost: 1})
+				if errors.Is(err, net.ErrClosed) {
+					return
+				}
+				if err != nil {
+					unexpected.Add(1)
+				}
+			}
+		}()
+	}
+	time.Sleep(20 * time.Millisecond)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if n := unexpected.Load(); n != 0 {
+		t.Errorf("%d exchanges failed with an error other than net.ErrClosed", n)
+	}
+	if n := openFDs(t); n != base {
+		t.Errorf("%d descriptors open after Close, %d before Dial", n, base)
+	}
+}
+
+// TestWaitForASocketKeepsTheBudget: an exchange that finds every socket in
+// use waits for one only inside its own Retries × Timeout budget, and then
+// fails with ErrTimeout.
+func TestWaitForASocketKeepsTheBudget(t *testing.T) {
+	laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
+	raw, err := net.ListenUDP("udp", laddr) // never answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const budget = 2 * 100 * time.Millisecond
+	c, err := Dial(raw.LocalAddr().String(), Config{Timeout: 100 * time.Millisecond, Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	held := make([]*socket, 0, maxSockets)
+	for i := 0; i < maxSockets; i++ {
+		s, err := c.take(time.Now().Add(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		held = append(held, s)
+	}
+	start := time.Now()
+	_, attempts, err := c.DoAttempts(wire.Request{Key: "alice", Cost: 1})
+	if el := time.Since(start); !errors.Is(err, ErrTimeout) || attempts != 0 || el < budget || el > budget+budget/2 {
+		t.Errorf("with every socket held: attempts=%d err=%v after %v, want ErrTimeout after no attempt and about %v", attempts, err, el, budget)
+	}
+	for _, s := range held {
+		c.give(s)
+	}
+}
+
+// TestResponseHeadroom: a newer server may append up to 64 bytes of
+// sections to the longest response frame (wire.MaxResponseDatagram), and
+// the client still reads the reply; one byte more and the reply is lost.
+func TestResponseHeadroom(t *testing.T) {
+	for _, tc := range []struct {
+		extra  int
+		answer bool
+	}{{0, true}, {64, true}, {65, false}} {
+		laddr, _ := net.ResolveUDPAddr("udp", "127.0.0.1:0")
+		raw, err := net.ListenUDP("udp", laddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			var req wire.Request
+			buf := make([]byte, 65536)
+			for {
+				n, peer, err := raw.ReadFromUDPAddrPort(buf)
+				if err != nil {
+					return
+				}
+				if _, err := wire.DecodeRequestKey(buf[:n], &req); err != nil {
+					continue
+				}
+				// The longest frame this version writes (a traced one),
+				// then tc.extra bytes of a section it does not know, sealed
+				// again: the CRC32 at [12:16] covers [16:].
+				out, _ := wire.AppendResponse(nil, wire.Response{ID: req.ID, Allow: true, TraceID: 7})
+				out = append(out, make([]byte, tc.extra)...)
+				binary.BigEndian.PutUint32(out[12:], crc32.ChecksumIEEE(out[16:]))
+				raw.WriteToUDPAddrPort(out, peer)
+			}
+		}()
+		c, err := Dial(raw.LocalAddr().String(), Config{Timeout: 50 * time.Millisecond, Retries: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.Do(wire.Request{Key: "alice", Cost: 1})
+		if got := err == nil && resp.Allow; got != tc.answer {
+			t.Errorf("%d bytes appended: resp=%+v err=%v, want answered %v", tc.extra, resp, err, tc.answer)
+		}
+		c.Close()
+		raw.Close()
+	}
+}
+
+// TestRecvDelayStallsOnlyItsExchange: a reply held up on its way in (the
+// transport/client/recv failpoint's Delay) delays its own exchange and no
+// other exchange on the same client.
+func TestRecvDelayStallsOnlyItsExchange(t *testing.T) {
+	const delay = 500 * time.Millisecond
+	c, err := Dial(oldServer(t), Config{Timeout: 2 * time.Second, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	hits := fpClientRecv.Hits()
+	arm(t, "transport/client/recv", failpoint.Action{Kind: failpoint.Delay, Delay: delay, Count: 1})
+	slow := make(chan error, 1)
+	go func() {
+		start := time.Now()
+		resp, err := c.Do(wire.Request{Key: "alice", Cost: 1})
+		if err == nil && (!resp.Allow || time.Since(start) < delay) {
+			err = fmt.Errorf("resp=%+v after %v, want allow after at least %v", resp, time.Since(start), delay)
+		}
+		slow <- err
+	}()
+	for fpClientRecv.Hits() == hits {
+		time.Sleep(time.Millisecond)
+	}
+	// The first exchange is now asleep on its reply.
+	start := time.Now()
+	resp, err := c.Do(wire.Request{Key: "alice", Cost: 1})
+	if el := time.Since(start); err != nil || !resp.Allow || el > delay/2 {
+		t.Errorf("concurrent exchange: resp=%+v err=%v after %v; the delayed reply held it up", resp, err, el)
+	}
+	if err := <-slow; err != nil {
+		t.Errorf("delayed exchange: %v", err)
+	}
+}
+
+// TestClientOutlivesARefusal: an exchange with a port nothing listens on
+// times out (each refusal the kernel reports on the connected socket counts
+// as a lost datagram), and the first exchange once a server binds that port
+// is answered, even with a refusal still queued on its socket, however many
+// times the server comes and goes.
+func TestClientOutlivesARefusal(t *testing.T) {
+	free, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := free.LocalAddr().String()
+	free.Close()
+	c, err := Dial(addr, Config{Timeout: 20 * time.Millisecond, Retries: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for round := 0; round < 3; round++ {
+		if _, err := c.Do(wire.Request{Key: "alice", Cost: 1}); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("round %d, no server on the port: err=%v, want ErrTimeout", round, err)
+		}
+		// Leave a refusal queued on the idle socket, so that the next
+		// exchange's first send is the call that reports it.
+		s, err := c.take(time.Now().Add(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.conn.Write([]byte("stray"))
+		time.Sleep(10 * time.Millisecond)
+		c.give(s)
+		srv, err := NewServer(addr, echoHandler)
+		if err != nil {
+			t.Skipf("port %s taken meanwhile: %v", addr, err)
+		}
+		resp, err := c.Do(wire.Request{Key: "alice", Cost: 1})
+		srv.Close()
+		if err != nil || !resp.Allow {
+			t.Fatalf("round %d, first exchange once the server is up: resp=%+v err=%v", round, resp, err)
+		}
 	}
 }

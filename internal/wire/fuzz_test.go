@@ -23,8 +23,17 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(leaseRenewTracedFrame)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := decodeRequest(data)
+		// The byte-key decoder agrees with the string one on every input.
+		var fields Request
+		key, keyErr := DecodeRequestKey(data, &fields)
+		if keyErr != err {
+			t.Fatalf("DecodeRequestKey error %v, DecodeRequestReuse error %v", keyErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if fields.Key = req.Key; fields != req || string(key) != req.Key {
+			t.Fatalf("DecodeRequestKey = %+v, key %q; DecodeRequestReuse = %+v", fields, key, req)
 		}
 		// Accepted datagrams round-trip.
 		re, err := encodeRequest(req)

@@ -42,7 +42,9 @@
 // the full datagram on both sides). See DESIGN.md §5. Every datagram
 // carries exactly one request or one response (DESIGN.md §3.3); decoders
 // ignore flag bits they do not know and any bytes after the sections their
-// known bits gate.
+// known bits gate. A response's appended sections get at most 64 bytes in
+// all (MaxResponseDatagram): the router reads replies into a buffer of that
+// size.
 package wire
 
 import (
@@ -69,6 +71,13 @@ const (
 	MaxKeyLen         = math.MaxUint16
 	MaxDatagram       = 64 * 1024
 	checksummedOffset = 16 // bytes [16:] are covered by the CRC
+
+	// MaxResponseDatagram is the longest response a reader must take in:
+	// the longest frame this version writes, plus 64 bytes for the sections
+	// a newer server appends. Those sections must fit in the 64 bytes; a
+	// longer datagram reaches a reader truncated, fails its CRC and is
+	// dropped (DESIGN.md §5).
+	MaxResponseDatagram = responseTracedLen + 64
 )
 
 // FlagTraced marks a datagram carrying the optional trailing trace fields
@@ -280,37 +289,48 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRequestReuse parses a binary request datagram into *req, reusing its
-// storage: when the incoming key equals req.Key byte-for-byte the existing
-// string is kept (the comparison against string(buf) does not allocate), so a
-// decoder fed a recurring key set — the steady state of every router→server
-// socket — performs zero heap allocations per datagram. Every field of *req
-// is overwritten; on error *req is left in an unspecified state.
+// DecodeRequestKey parses a binary request datagram into every field of *req
+// but Key, and returns the key's bytes, which alias buf. A server that finds
+// the key's state from those bytes makes no string for a key it already
+// holds, so decoding allocates nothing whatever the key. On error *req is
+// left in an unspecified state.
 //
 //janus:hotpath
-func DecodeRequestReuse(buf []byte, req *Request) error {
+func DecodeRequestKey(buf []byte, req *Request) ([]byte, error) {
 	if err := checkHeader(buf, typeRequest); err != nil {
-		return err
+		return nil, err
 	}
 	if len(buf) < requestHeaderLen {
-		return ErrTruncated
+		return nil, ErrTruncated
 	}
 	n := int(binary.BigEndian.Uint16(buf[20:]))
 	if len(buf) < requestHeaderLen+n {
-		return ErrTruncated
+		return nil, ErrTruncated
 	}
 	req.ID = binary.BigEndian.Uint64(buf[4:])
 	req.Cost = float64(binary.BigEndian.Uint32(buf[16:])) / costScale
-	if key := buf[22 : 22+n]; req.Key != string(key) {
-		//lint:ignore hotalloc a key change re-interns the string; recurring keys reuse it
-		req.Key = string(key)
-	}
 	req.TraceID = 0
 	if off := requestHeaderLen + n; buf[3]&FlagTraced != 0 {
 		if len(buf) < off+traceIDLen {
-			return ErrTruncated
+			return nil, ErrTruncated
 		}
 		req.TraceID = binary.BigEndian.Uint64(buf[off:])
+	}
+	return buf[22 : 22+n], nil
+}
+
+// DecodeRequestReuse is DecodeRequestKey with the key copied into req.Key,
+// reusing its storage: when the incoming key equals req.Key byte-for-byte
+// the existing string is kept, so a decoder fed one recurring key allocates
+// nothing. Every field of *req is overwritten; on error *req is left in an
+// unspecified state.
+func DecodeRequestReuse(buf []byte, req *Request) error {
+	key, err := DecodeRequestKey(buf, req)
+	if err != nil {
+		return err
+	}
+	if req.Key != string(key) {
+		req.Key = string(key)
 	}
 	return nil
 }

@@ -306,6 +306,31 @@ func TestAppendReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestKeyAllocPin: decoding a stream whose key changes on every
+// datagram allocates nothing, as a worker's decode must under uniform keys;
+// DecodeRequestReuse pays a string per key change.
+func TestDecodeRequestKeyAllocPin(t *testing.T) {
+	var frames [2][]byte
+	for i, key := range []string{"alice", "bob"} {
+		var err error
+		if frames[i], err = encodeRequest(Request{ID: uint64(i), Key: key, Cost: 1, TraceID: 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var req Request
+	i := 0
+	n := testing.AllocsPerRun(200, func() {
+		key, err := DecodeRequestKey(frames[i%2], &req)
+		if err != nil || len(key) == 0 || req.TraceID != 9 {
+			t.Fatalf("DecodeRequestKey = %q, %+v, %v", key, req, err)
+		}
+		i++
+	})
+	if n != 0 {
+		t.Errorf("DecodeRequestKey over alternating keys: %v allocs/op, want 0", n)
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
 		StatusOK:           "ok",
