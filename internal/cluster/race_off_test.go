@@ -1,0 +1,8 @@
+//go:build !race
+
+package cluster
+
+// raceEnabled reports whether the race detector instrumented this build.
+// The alloc pin skips under -race: instrumentation allocates, and sync.Pool
+// drops items.
+const raceEnabled = false

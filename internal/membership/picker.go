@@ -10,11 +10,12 @@ import "fmt"
 //
 // Pick is the only key→owner mapping: every router and the cluster's
 // bucket handoff must agree on it, so it is not configurable. FNV-1a is
-// computed over the string in place (as table.hashFor does), which keeps
-// the pick allocation-free regardless of key length.
+// computed over the key's bytes in place (as table.hashFor does), so a key
+// held as a string or as bytes has the same owner, and the pick is
+// allocation-free regardless of key length.
 //
 //janus:hotpath
-func Pick(key string, n int) (int, error) {
+func Pick[K string | []byte](key K, n int) (int, error) {
 	if n <= 0 {
 		return 0, ErrNoBackends
 	}

@@ -46,8 +46,8 @@ func TestPickersRejectEmptyView(t *testing.T) {
 }
 
 // TestPickMatchesFNVReference pins Pick bit for bit to the mapping as first
-// written, FNV-1a-64 through hash/fnv and then jump: a key whose owner
-// differed would move on upgrade.
+// written, FNV-1a-64 through hash/fnv and then jump, for the key held as a
+// string and as bytes: a key whose owner differed would move on upgrade.
 func TestPickMatchesFNVReference(t *testing.T) {
 	for _, k := range append(keys(10000), "", "ключ", strings.Repeat("k", 200)) {
 		h := fnv.New64a()
@@ -55,6 +55,9 @@ func TestPickMatchesFNVReference(t *testing.T) {
 		for n := 1; n <= 64; n++ {
 			if got, err := Pick(k, n); err != nil || got != jump(h.Sum64(), n) {
 				t.Fatalf("Pick(%q, %d) = %d, %v; reference %d", k, n, got, err, jump(h.Sum64(), n))
+			}
+			if got, err := Pick([]byte(k), n); err != nil || got != jump(h.Sum64(), n) {
+				t.Fatalf("Pick([]byte(%q), %d) = %d, %v; reference %d", k, n, got, err, jump(h.Sum64(), n))
 			}
 		}
 	}

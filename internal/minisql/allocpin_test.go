@@ -4,12 +4,11 @@ import "testing"
 
 // TestPointSelectAllocPin: store.Get's statement through a warmed Client
 // over loopback. AllocsPerRun counts the whole process, so the budget is
-// both ends of the connection plus the engine: a miss is the caller's
-// variadic argument slice, the server's decoded argument slice and key
-// string, and the engine's projection and column-name list; a hit adds the
-// engine's row list and the one array that holds the row's values, and the
-// client's row list, row and key string. Neither end allocates for the
-// frame itself, the SQL text or the column names.
+// both ends of the connection plus the engine: a miss is the server's
+// string of the key argument, and nothing else; a hit adds the engine's row
+// list and the one array that holds the row's values, and the client's row
+// list, row and key string. Neither end allocates for the frame itself, the
+// SQL text, the argument list or the projection, and no column names travel.
 func TestPointSelectAllocPin(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc pins run uninstrumented")
@@ -28,8 +27,8 @@ func TestPointSelectAllocPin(t *testing.T) {
 		rows   int
 		allocs float64
 	}{
-		{Text("absent"), 0, 5},
-		{Text("present"), 1, 10},
+		{Text("absent"), 0, 1},
+		{Text("present"), 1, 6},
 	} {
 		run := func() {
 			if res, err := c.Execute(get, tc.key); err != nil || len(res.Rows) != tc.rows {

@@ -173,11 +173,6 @@ func (e *Engine) changes(s changesStmt, args []Value) (Result, error) {
 	cur, lin := Cursor{uint64(since[0].I), since[1].I}, e.lineage.Load()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	cols := make([]string, 0, 2+len(t.schema))
-	cols = append(cols, "_seq", "_deleted")
-	for _, c := range t.schema {
-		cols = append(cols, c.name)
-	}
 	feed := Feed{Next: Cursor{lin.origin, t.head}}
 	if !lin.continues(cur, t.head, t.horizon) {
 		cur.Seq, feed.Reset = 0, true
@@ -186,7 +181,7 @@ func (e *Engine) changes(s changesStmt, args []Value) (Result, error) {
 	if n := len(rows); n >= FeedPage && rows[n-1][0].I < t.head {
 		feed.Next.Seq, feed.More = max(rows[n-1][0].I, t.horizon), true
 	}
-	return Result{Columns: cols, Rows: rows, Feed: &feed}, nil
+	return Result{Rows: rows, Feed: &feed}, nil
 }
 
 // entries returns the table's entries after cursor, each key at its latest

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/tcp"
 )
@@ -44,8 +45,10 @@ const (
 	// keepBuf is the largest read or write buffer a connection keeps
 	// between frames; a snapshot or full-table reply allocates its own.
 	keepBuf = 64 << 10
+	// keepArgs is the longest argument list a connection keeps (40 KB).
+	keepArgs = 1 << 10
 	// internMax and internLen bound the strings a connection interns: SQL
-	// texts and column names, which repeat from one frame to the next.
+	// texts, which repeat from one frame to the next.
 	internMax = 256
 	internLen = 4 << 10
 )
@@ -56,8 +59,8 @@ var errFrame = errors.New("minisql: malformed frame")
 // appendFrame appends f's encoding to dst. Fields, in order, per type:
 //
 //	query           SQL text, args (values)
-//	result          error text, columns (texts), rows, affected (varint),
-//	                feed (0, or 1 then next cursor, more and reset bytes)
+//	result          error text, rows, affected (varint), feed (0, or 1
+//	                then next cursor, more and reset bytes)
 //	subscribe       cursor
 //	snapshot, feed  the cut's cursor, table count, then per table its name,
 //	                column count, per column (name, kind byte, primary-key
@@ -70,6 +73,11 @@ var errFrame = errors.New("minisql: malformed frame")
 // rows are a list of value lists. A value is its kind byte, then for INT a
 // zig-zag varint, for FLOAT the 8 big-endian IEEE 754 bytes, for TEXT a
 // text, and nothing for NULL.
+//
+// A result carries no column names: a caller knows the columns it asked
+// for. Older trees sent a column list between the error text and the rows,
+// so their nodes cannot talk to these; janusd and janus-dbd ship from one
+// tree, and no frame makes a promise across versions.
 func appendFrame(dst []byte, f *frame) []byte {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, f.Type)
@@ -79,10 +87,6 @@ func appendFrame(dst []byte, f *frame) []byte {
 		dst = appendValues(dst, f.Args)
 	case frameResult:
 		dst = appendText(dst, f.Err)
-		dst = binary.AppendUvarint(dst, uint64(len(f.Result.Columns)))
-		for _, c := range f.Result.Columns {
-			dst = appendText(dst, c)
-		}
 		dst = appendRows(dst, f.Result.Rows)
 		dst = binary.AppendVarint(dst, f.Result.Affected)
 		if fd := f.Result.Feed; fd == nil {
@@ -158,22 +162,19 @@ func appendRows(dst []byte, rows [][]Value) []byte {
 // decodeFrame decodes one frame body (the bytes after the length) into f.
 // It accepts exactly what appendFrame produces: a body that decodes
 // re-encodes to the same bytes. Strings are copied out of body; intern, if
-// not nil, shares the copies of SQL texts and column names between frames.
+// not nil, shares the copies of SQL texts between frames. A query's
+// arguments go into the storage of f.Args, which a frame of any other type
+// keeps, empty: a connection that decodes every frame into one f reuses one
+// argument list.
 func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 	d := decoder{b: body, intern: intern}
-	*f = frame{Type: d.u8()}
+	*f = frame{Type: d.u8(), Args: f.Args[:0]}
 	switch f.Type {
 	case frameQuery:
 		f.SQL = d.internText()
-		f.Args = d.values()
+		f.Args = d.values(f.Args)
 	case frameResult:
 		f.Err = d.text()
-		if n := d.count(); n > 0 {
-			f.Result.Columns = make([]string, n)
-			for i := range f.Result.Columns {
-				f.Result.Columns[i] = d.internText()
-			}
-		}
 		f.Result.Rows = d.rows()
 		f.Result.Affected = d.varint()
 		if d.flag() {
@@ -314,14 +315,18 @@ func (d *decoder) internText() string {
 	return s
 }
 
-func (d *decoder) values() []Value {
+// values reads a list of values into dst's storage, grown as it needs.
+func (d *decoder) values(dst []Value) []Value {
 	n := d.count()
 	if n == 0 {
-		return nil
+		return dst[:0]
 	}
-	vs := make([]Value, n)
+	vs := slices.Grow(dst[:0], n)[:n]
+	// Every slot is written, a NULL too: dst holds the last frame's values.
 	for i := range vs {
 		switch k := d.kind(); k {
+		case KindNull:
+			vs[i] = null()
 		case KindInt:
 			vs[i] = Int(d.varint())
 		case KindFloat:
@@ -345,7 +350,7 @@ func (d *decoder) rows() [][]Value {
 	}
 	rows := make([][]Value, n)
 	for i := range rows {
-		rows[i] = d.values()
+		rows[i] = d.values(nil)
 	}
 	return rows
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -14,7 +15,7 @@ func sampleFrames() []frame {
 	rows := [][]Value{{Text("a"), Float(1.5)}, {Text("b"), null()}}
 	return []frame{
 		{Type: frameQuery, SQL: "SELECT key FROM qos_rules WHERE key = ?", Args: []Value{Text("a")}},
-		{Type: frameResult, Result: Result{Columns: []string{"key", "credit"}, Rows: rows, Affected: 2,
+		{Type: frameResult, Result: Result{Rows: rows, Affected: 2,
 			Feed: &Feed{Next: Cursor{Origin: math.MaxUint64, Seq: -1}, More: true, Reset: true}}},
 		{Type: frameResult, Err: "minisql: no such table \"t\""},
 		{Type: frameSubscribe, Cursor: Cursor{Origin: math.MaxUint64, Seq: 12}},
@@ -59,12 +60,29 @@ func TestFrameKeepsEdgeValuesAndNils(t *testing.T) {
 			t.Errorf("arg %d: got %#v, want %#v", i, v, args[i])
 		}
 	}
-	empty := decodeEncoded(t, &frame{Type: frameResult, Result: Result{Columns: []string{}, Rows: [][]Value{}}})
-	if empty.Result.Columns != nil || empty.Result.Rows != nil || empty.Result.Feed != nil {
+	empty := decodeEncoded(t, &frame{Type: frameResult, Result: Result{Rows: [][]Value{}}})
+	if empty.Result.Rows != nil || empty.Result.Feed != nil {
 		t.Errorf("empty result decodes as %#v, want nil lists and no feed", empty.Result)
 	}
 	if q := decodeEncoded(t, &frame{Type: frameQuery, Args: []Value{}}); q.Args != nil {
 		t.Errorf("empty args decode as %#v, want nil", q.Args)
+	}
+}
+
+// TestFrameReuseWritesEveryArg: a connection decodes every frame into one
+// frame, so a NULL argument must not keep the last frame's value in its slot.
+func TestFrameReuseWritesEveryArg(t *testing.T) {
+	r := newFrameReader(bytes.NewReader(slices.Concat(
+		appendFrame(nil, &frame{Type: frameQuery, Args: []Value{Int(1), Text("stale"), Float(2)}}),
+		appendFrame(nil, &frame{Type: frameQuery, Args: []Value{null(), null()}}))))
+	var f frame
+	for range 2 {
+		if err := r.next(&f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := []Value{null(), null()}; !reflect.DeepEqual(f.Args, want) {
+		t.Fatalf("second frame's args = %#v, want %#v", f.Args, want)
 	}
 }
 
@@ -81,9 +99,9 @@ func TestFrameGolden(t *testing.T) {
 			"00000033" + "00" + "21" + hex.EncodeToString([]byte("INSERT INTO t VALUES (?, ?, ?, ?)")) +
 				"04" + "00" + "0103" + "023ff8000000000000" + "03016b"},
 		{"result with a feed",
-			frame{Type: frameResult, Result: Result{Columns: []string{"_seq", "key"}, Rows: [][]Value{{Int(7), Text("a")}},
+			frame{Type: frameResult, Result: Result{Rows: [][]Value{{Int(7), Text("a")}},
 				Feed: &Feed{Next: Cursor{Origin: 0xfeedface, Seq: 9}, More: true}}},
-			"0000001d" + "01" + "00" + "02" + "045f736571" + "036b6579" + "01" + "02" + "010e" + "030161" + "00" +
+			"00000013" + "01" + "00" + "01" + "02" + "010e" + "030161" + "00" +
 				"01" + "cef5b7f70f" + "12" + "01" + "00"},
 		{"subscribe",
 			frame{Type: frameSubscribe, Cursor: Cursor{Origin: 0xfeedface, Seq: 7}},

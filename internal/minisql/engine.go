@@ -10,9 +10,8 @@ import (
 
 // Result is the outcome of executing a statement.
 type Result struct {
-	// Columns names the result columns of a SELECT.
-	Columns []string
-	// Rows holds the result rows of a SELECT.
+	// Rows holds the result rows of a SELECT, in the order of its column
+	// list (the table's for *).
 	Rows [][]Value
 	// Affected counts rows written by INSERT/UPDATE/DELETE.
 	Affected int64
@@ -332,27 +331,22 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 		}
 	}
 	if s.count {
-		return Result{Columns: []string{"count"}, Rows: [][]Value{{Int(int64(len(rows)))}}}, nil
+		return Result{Rows: [][]Value{{Int(int64(len(rows)))}}}, nil
 	}
-
-	// Projection.
-	proj := make([]int, 0, len(t.schema))
-	cols := make([]string, 0, len(t.schema))
+	// The projection, checked even when no row returns; on the stack.
+	proj := make([]int, 0, 8)
 	if len(s.columns) == 0 {
-		for i, c := range t.schema {
+		for i := range t.schema {
 			proj = append(proj, i)
-			cols = append(cols, c.name)
 		}
 	}
 	for _, c := range s.columns {
-		idx, ok := t.colIdx[strings.ToLower(c)]
+		ci, ok := t.colIdx[strings.ToLower(c)]
 		if !ok {
 			return Result{}, fmt.Errorf("minisql: no column %q in table %q", c, t.name)
 		}
-		proj = append(proj, idx)
-		cols = append(cols, t.schema[idx].name)
+		proj = append(proj, ci)
 	}
-
 	if s.orderBy != "" {
 		oi, ok := t.colIdx[strings.ToLower(s.orderBy)]
 		if !ok {
@@ -367,7 +361,9 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 	if s.limit >= 0 && len(rows) > s.limit {
 		rows = rows[:s.limit]
 	}
-
+	if len(rows) == 0 {
+		return Result{}, nil
+	}
 	// One backing array holds every result value.
 	out, vals := make([][]Value, len(rows)), make([]Value, len(rows)*len(proj))
 	for r, row := range rows {
@@ -377,7 +373,7 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 		}
 		out[r] = o
 	}
-	return Result{Columns: cols, Rows: out}, nil
+	return Result{Rows: out}, nil
 }
 
 // topRows returns the first n of rows in the order a stable sort on column

@@ -63,8 +63,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		_ = conn.Close()
 		streams.Wait()
 	}()
+	// Every frame decodes into f, so the connection reuses one argument list
+	// up to keepArgs: the engine copies each value it keeps.
+	var f frame
 	for {
-		var f frame
+		if cap(f.Args) > keepArgs {
+			f.Args = nil
+		}
 		if err := r.next(&f); err != nil {
 			return // gone, or a malformed frame: this connection only
 		}

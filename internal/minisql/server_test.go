@@ -531,9 +531,12 @@ func TestClientClosedErrors(t *testing.T) {
 	}
 }
 
+// TestManySequentialQueriesOneConn: the server decodes every frame of a
+// connection into one argument list, so each row must still hold the values
+// its own statement sent.
 func TestManySequentialQueriesOneConn(t *testing.T) {
 	srv, e := startServer(t)
-	if _, err := e.Execute(`CREATE TABLE t (id INT PRIMARY KEY)`); err != nil {
+	if _, err := e.Execute(`CREATE TABLE t (id INT PRIMARY KEY, name TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Dial(srv.Addr())
@@ -541,14 +544,27 @@ func TestManySequentialQueriesOneConn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Every third name is NULL, after a TEXT in the same argument slot.
+	name := func(i int) Value {
+		if i%3 == 0 {
+			return null()
+		}
+		return Text(fmt.Sprint("name-", i))
+	}
 	for i := 0; i < 500; i++ {
-		if _, err := c.Execute(`REPLACE INTO t VALUES (?)`, Int(int64(i%10))); err != nil {
+		if _, err := c.Execute(`REPLACE INTO t VALUES (?, ?)`, Int(int64(i%10)), name(i)); err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
 	}
-	res, err := c.Execute(fmt.Sprintf(`SELECT COUNT(*) FROM t`))
+	res, err := c.Execute(`SELECT COUNT(*) FROM t`)
 	if err != nil || res.Rows[0][0] != Int(10) {
 		t.Fatalf("count: %+v %v", res, err)
+	}
+	for id := 0; id < 10; id++ {
+		res, err := c.Execute(`SELECT name FROM t WHERE id = ?`, Int(int64(id)))
+		if want := name(490 + id); err != nil || len(res.Rows) != 1 || res.Rows[0][0] != want {
+			t.Fatalf("id %d: %+v, %v; want %v", id, res, err, want)
+		}
 	}
 }
 

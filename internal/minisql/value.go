@@ -21,7 +21,8 @@
 //     length, a type byte and the frame's fields — lists as a uvarint
 //     count, texts as a uvarint length and bytes, a value as its kind byte
 //     then a zig-zag varint (INT), 8 big-endian IEEE 754 bytes (FLOAT), a
-//     text (TEXT) or nothing (NULL),
+//     text (TEXT) or nothing (NULL); a result carries its rows and no
+//     column names,
 //   - master/standby replication over the same change feed — the master
 //     streams to each standby on the connection it subscribed on, until
 //     that connection ends; the standby applies each entry at the master's
@@ -37,6 +38,7 @@
 package minisql
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 )
@@ -149,9 +151,12 @@ func (v Value) String() string {
 }
 
 // compare orders a against b: -1, 0, +1. NULL sorts before everything.
-// Numeric kinds compare numerically (int vs float allowed); text compares
-// lexicographically; a numeric never equals a text.
+// Numeric kinds compare numerically (int vs float allowed, two INTs exactly
+// as int64); text compares lexicographically; a numeric never equals a text.
 func compare(a, b Value) int {
+	if a.Kind == KindInt && b.Kind == KindInt {
+		return cmp.Compare(a.I, b.I)
+	}
 	an, bn := a.Kind == KindNull, b.Kind == KindNull
 	switch {
 	case an && bn:
@@ -164,14 +169,7 @@ func compare(a, b Value) int {
 	at, bt := a.Kind == KindText, b.Kind == KindText
 	switch {
 	case at && bt:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(a.S, b.S)
 	case at != bt:
 		// Mixed text/number: order numbers before text, never equal.
 		if at {

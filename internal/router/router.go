@@ -22,11 +22,11 @@
 //
 // The HTTP side is internal/h1's server, not net/http's. The router serves
 // GET /qos?key=K[&cost=N], whose key and cost are parsed straight from the
-// request-URI bytes (wire.ParseHTTPRawQuery), and GET /healthz. Any other
-// method gets 405 and a request with a body 400. A verdict's reply is the
-// status line, precomputed header text (Content-Type and X-Janus-Status;
-// X-Janus-Spans only when traced), Date, Content-Length and the body "true"
-// or "false".
+// request-URI bytes (wire.ParseHTTPRawQuery) and whose key is routed as
+// bytes, and GET /healthz. Any other method gets 405 and a request with a
+// body 400. A verdict's reply is the status line, precomputed header text
+// (Content-Type and X-Janus-Status; X-Janus-Spans only when traced), Date,
+// Content-Length and the body "true" or "false".
 package router
 
 import (
@@ -359,13 +359,19 @@ func (r *Router) serve(out []byte, req *h1.Request) []byte {
 	return r.handleQoS(out, req, query)
 }
 
+// handleQoS answers a /qos request. The key is decoded into out, the
+// connection's reply buffer, and routed from there as bytes; the reply then
+// takes the buffer's place, so a check makes no string of its key.
 func (r *Router) handleQoS(out []byte, req *h1.Request, query []byte) []byte {
 	start := time.Now()
-	qreq, err := wire.ParseHTTPRawQuery(query)
+	var qreq wire.Request
+	buf, err := wire.ParseHTTPRawQuery(out, query, &qreq)
 	if err != nil {
 		r.badRequests.Inc()
 		return h1.AppendText(out, req, http.StatusBadRequest, "", err.Error()+"\n")
 	}
+	key := buf[len(out):]
+	out = buf[:len(out)]
 	// A trace started upstream (the LB) arrives in the header; without one
 	// the router's own sampler may start a trace — one atomic load when
 	// sampling is disabled.
@@ -374,7 +380,7 @@ func (r *Router) handleQoS(out []byte, req *h1.Request, query []byte) []byte {
 	} else if id, ok := r.tracer.Sample(); ok {
 		qreq.TraceID = id
 	}
-	resp, info := r.route(qreq)
+	resp, info := route(r, qreq, key)
 	r.requests.Inc()
 	d := time.Since(start)
 	r.latency.RecordDuration(d)
@@ -437,16 +443,17 @@ type routeInfo struct {
 // without the HTTP front. It is exported for the isolated router row of
 // benchmark/ and for tests.
 func (r *Router) Route(qreq wire.Request) wire.Response {
-	resp, _ := r.route(qreq)
+	resp, _ := route(r, qreq, qreq.Key)
 	return resp
 }
 
-func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
+// route sends qreq with key in place of its Key to the key's QoS server.
+func route[K string | []byte](r *Router, qreq wire.Request, key K) (wire.Response, routeInfo) {
 	st := r.state.Load()
-	i, err := membership.Pick(qreq.Key, len(st.backends))
+	i, err := membership.Pick(key, len(st.backends))
 	if err != nil {
 		// Unreachable in practice: New and UpdateView refuse empty views.
-		r.logger.Printf("router: pick for %q failed: %v", qreq.Key, err)
+		r.logger.Printf("router: pick for %q failed: %v", key, err)
 		return r.defaultReply(), routeInfo{}
 	}
 	b := st.backends[i]
@@ -468,7 +475,7 @@ func (r *Router) route(qreq wire.Request) (wire.Response, routeInfo) {
 		r.unavailableLog.Printf(r.logger, "router: backend %s unavailable: %v", b.name, err)
 		return r.defaultReply(), info
 	}
-	resp, attempts, err := client.DoAttempts(qreq)
+	resp, attempts, err := transport.DoKey(client, qreq, key)
 	info.attempts = attempts
 	if err != nil {
 		r.timeouts.Inc()

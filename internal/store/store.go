@@ -11,6 +11,7 @@ package store
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/bucket"
 	"repro/internal/minisql"
@@ -20,6 +21,8 @@ import (
 const TableName = "qos_rules"
 
 // Executor abstracts statement execution (engine, client, pool, failover).
+// Execute keeps nothing of args after it returns: Get hands it a pooled
+// array.
 type Executor interface {
 	Execute(sql string, args ...minisql.Value) (minisql.Result, error)
 }
@@ -50,10 +53,19 @@ func ruleFromRow(row []minisql.Value) (bucket.Rule, error) {
 	}, nil
 }
 
+// getArgs holds Get's one-value argument arrays. A call through the
+// Executor interface moves its arguments to the heap, so without the pool
+// every first-sight fetch would allocate one.
+var getArgs = sync.Pool{New: func() any { return new([1]minisql.Value) }}
+
 // Get fetches one rule by QoS key; found is false when the key is absent
 // (the caller then applies the default rule, §II-D).
 func (s *Store) Get(key string) (rule bucket.Rule, found bool, err error) {
-	res, err := s.db.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, minisql.Text(key))
+	args := getArgs.Get().(*[1]minisql.Value)
+	args[0] = minisql.Text(key)
+	res, err := s.db.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, args[:]...)
+	*args = [1]minisql.Value{}
+	getArgs.Put(args)
 	if err != nil {
 		return bucket.Rule{}, false, err
 	}

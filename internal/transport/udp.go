@@ -214,15 +214,16 @@ func (c *Client) drain() error {
 // configured discipline. On exhaustion it returns ErrTimeout — the caller
 // (the request router) then substitutes its default reply.
 func (c *Client) Do(req wire.Request) (wire.Response, error) {
-	resp, _, err := c.DoAttempts(req)
+	resp, _, err := DoKey(c, req, req.Key)
 	return resp, err
 }
 
-// DoAttempts is Do, additionally reporting how many attempts the exchange
-// took (1 = no retries). The router records the count in the request's
-// trace span — the paper's 100 µs × 5 budget is only explainable per
-// request with this number.
-func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
+// DoKey is c.Do with the key given apart from req, whose Key it ignores, so
+// the router sends a key it holds as bytes without making a string of it.
+// It also reports how many attempts the exchange took (1 = no retries): the
+// router records the count in the request's trace span, since the paper's
+// 100 µs × 5 budget is only explainable per request with this number.
+func DoKey[K string | []byte](c *Client, req wire.Request, key K) (wire.Response, int, error) {
 	// One Retries × Timeout budget covers the exchange, a wait for a socket
 	// and any stall included, so 5 retries never take much more than 5× the
 	// per-attempt timeout: the bound the router's default reply promises.
@@ -233,7 +234,7 @@ func (c *Client) DoAttempts(req wire.Request) (wire.Response, int, error) {
 	}
 	defer c.give(s)
 	req.ID = c.nextID.Add(1)
-	if s.out, err = wire.AppendRequest(s.out[:0], req); err != nil {
+	if s.out, err = wire.AppendRequestKey(s.out[:0], req, key); err != nil {
 		return wire.Response{}, 0, err
 	}
 	attempts := 0

@@ -117,31 +117,61 @@ func TestRetryRecoversFromDrops(t *testing.T) {
 	}
 }
 
+// TestTimeoutAfterAllRetries: against a server that never answers, an
+// exchange makes every attempt its Retries × Timeout budget has room for,
+// waits the whole budget out, and fails with ErrTimeout. A wake-up late
+// enough to spend a later attempt's share of the budget may cost that
+// attempt: the one budget is the design (TestRetryBudgetBoundsTotalLatency).
+// So fewer attempts pass only when the last one reached the server after the
+// budget had run out, which 20 ms attempts make rare; an exchange that stops
+// early while budget remains fails here.
 func TestTimeoutAfterAllRetries(t *testing.T) {
-	// Server that drops everything.
-	srv, err := NewServer("127.0.0.1:0", echoHandler)
+	silent, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	armServerDrop(t, 0)
-	c, err := Dial(srv.Addr(), Config{Timeout: 2 * time.Millisecond, Retries: 3})
+	// One arrival time per datagram; the buffer holds more than an exchange
+	// sends, so the reader never blocks.
+	arrivals := make(chan time.Time, 16)
+	go func() {
+		defer close(arrivals)
+		buf := make([]byte, wire.MaxDatagram)
+		for {
+			if _, err := silent.Read(buf); err != nil {
+				return
+			}
+			arrivals <- time.Now()
+		}
+	}()
+	const timeout, retries = 20 * time.Millisecond, 3
+	c, err := Dial(silent.LocalAddr().String(), Config{Timeout: timeout, Retries: retries})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	start := time.Now()
 	_, err = c.Do(wire.Request{Key: "alice", Cost: 1})
+	elapsed := time.Since(start)
+	silent.Close()
+	var last time.Time
+	received := 0
+	for at := range arrivals {
+		last = at
+		received++
+	}
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
-	// Worst case per the paper: retries × timeout (500 µs there; scaled here).
-	if el := time.Since(start); el < 6*time.Millisecond {
-		t.Fatalf("returned after %v, want >= 3 attempts × 2ms", el)
+	budget := retries * timeout
+	if elapsed < budget {
+		t.Fatalf("returned after %v, before the %v budget ran out", elapsed, budget)
 	}
 	attempts, timeouts, _ := c.Stats()
-	if attempts != 3 || timeouts != 3 {
-		t.Fatalf("attempts=%d timeouts=%d, want 3/3", attempts, timeouts)
+	if attempts != int64(received) || timeouts != attempts || attempts < 1 || attempts > retries {
+		t.Fatalf("attempts=%d timeouts=%d, server received %d; want equal counts of 1 to %d", attempts, timeouts, received, retries)
+	}
+	if attempts < retries && last.Sub(start) < budget {
+		t.Fatalf("%d of %d attempts, the last at %v: an attempt was skipped with budget left", attempts, retries, last.Sub(start))
 	}
 }
 
@@ -171,7 +201,7 @@ func TestRetryBudgetBoundsTotalLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	_, attempts, derr := c.DoAttempts(wire.Request{Key: "alice", Cost: 1})
+	_, attempts, derr := DoKey(c, wire.Request{Cost: 1}, "alice")
 	el := time.Since(start)
 	if !errors.Is(derr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", derr)
@@ -660,7 +690,7 @@ func TestWaitForASocketKeepsTheBudget(t *testing.T) {
 		held = append(held, s)
 	}
 	start := time.Now()
-	_, attempts, err := c.DoAttempts(wire.Request{Key: "alice", Cost: 1})
+	_, attempts, err := DoKey(c, wire.Request{Cost: 1}, "alice")
 	if el := time.Since(start); !errors.Is(err, ErrTimeout) || attempts != 0 || el < budget || el > budget+budget/2 {
 		t.Errorf("with every socket held: attempts=%d err=%v after %v, want ErrTimeout after no attempt and about %v", attempts, err, el, budget)
 	}

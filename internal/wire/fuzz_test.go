@@ -71,8 +71,8 @@ func FuzzParseHTTPRawQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, query string) {
 		values, _ := url.ParseQuery(query)
 		want, wantErr := ParseHTTPQuery(values)
-		got, err := ParseHTTPRawQuery([]byte(query))
-		if (err == nil) != (wantErr == nil) || got != want {
+		got, err := parseRaw(t, query)
+		if (err == nil) != (wantErr == nil) || got != want || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("ParseHTTPRawQuery(%q) = %+v, %v; ParseHTTPQuery gives %+v, %v", query, got, err, want, wantErr)
 		}
 	})

@@ -74,40 +74,58 @@ func appendQueryEscaped[S string | []byte](dst []byte, s S) []byte {
 // ParseHTTPQuery extracts a Request from URL query values. A missing cost
 // defaults to 1 credit.
 func ParseHTTPQuery(values url.Values) (Request, error) {
-	return httpRequest(values.Get(HTTPKeyParam), values.Get(HTTPCostParam))
+	key := values.Get(HTTPKeyParam)
+	cost, err := httpCost(key, values.Get(HTTPCostParam))
+	if err != nil {
+		return Request{}, err
+	}
+	return Request{Key: key, Cost: cost}, nil
 }
 
 // ParseHTTPRawQuery is ParseHTTPQuery on the raw query of a request-URI
 // (the bytes after '?'), read by url.ParseQuery's rules without building
 // the url.Values: the query splits at '&', '+' and %XX are decoded, a pair
 // holding a ';' or a bad escape is skipped, and the first key and the first
-// cost count. It allocates only the key's string.
-func ParseHTTPRawQuery(query []byte) (Request, error) {
+// cost count. It sets every field of *req but Key, which it leaves empty,
+// and appends the key's decoded bytes to dst, returning the extended slice.
+// Once dst has room for the key it allocates nothing. On error it returns
+// dst and leaves *req in an unspecified state.
+//
+//janus:hotpath
+func ParseHTTPRawQuery(dst, query []byte, req *Request) ([]byte, error) {
 	rawKey, rawCost := queryParams(query)
-	var buf [64]byte
-	key := string(appendUnescaped(buf[:0], rawKey))
-	return httpRequest(key, appendUnescaped(buf[:0], rawCost))
+	buf := appendUnescaped(dst, rawKey)
+	var num [64]byte
+	cost, err := httpCost(buf[len(dst):], appendUnescaped(num[:0], rawCost))
+	if err != nil {
+		return dst, err
+	}
+	*req = Request{Cost: cost}
+	return buf, nil
 }
 
-// httpRequest validates what an HTTP query carries: a key of 1 to MaxKeyLen
-// bytes and, unless it is empty, a cost that parses as a finite number ≥ 0.
-// A missing cost is 1 credit.
-func httpRequest[C string | []byte](key string, cost C) (Request, error) {
-	if key == "" {
-		return Request{}, fmt.Errorf("wire: missing %q query parameter", HTTPKeyParam)
+// httpCost validates what an HTTP query carries, a key of 1 to MaxKeyLen
+// bytes and, unless it is empty, a cost that parses as a finite number ≥ 0,
+// and returns the cost: 1 credit when it is missing.
+//
+//janus:hotpath
+func httpCost[K, C string | []byte](key K, cost C) (float64, error) {
+	if len(key) == 0 {
+		//lint:ignore hotalloc a refused query: the router answers 400
+		return 0, fmt.Errorf("wire: missing %q query parameter", HTTPKeyParam)
 	}
 	if len(key) > MaxKeyLen {
-		return Request{}, ErrKeyTooLong
+		return 0, ErrKeyTooLong
 	}
-	req := Request{Key: key, Cost: 1}
-	if len(cost) > 0 {
-		c, err := strconv.ParseFloat(string(cost), 64)
-		if err != nil || c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			return Request{}, fmt.Errorf("wire: invalid cost %q", string(cost))
-		}
-		req.Cost = c
+	if len(cost) == 0 {
+		return 1, nil
 	}
-	return req, nil
+	c, err := strconv.ParseFloat(string(cost), 64)
+	if err != nil || c < 0 || math.IsNaN(c) || math.IsInf(c, 0) {
+		//lint:ignore hotalloc a refused query: the router answers 400
+		return 0, fmt.Errorf("wire: invalid cost %q", string(cost))
+	}
+	return c, nil
 }
 
 // queryParams returns the raw values of the first key and the first cost

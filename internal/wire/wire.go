@@ -266,11 +266,19 @@ func checkHeader(buf []byte, wantType byte) error {
 //
 //janus:hotpath
 func AppendRequest(dst []byte, req Request) ([]byte, error) {
-	if len(req.Key) > MaxKeyLen {
+	return AppendRequestKey(dst, req, req.Key)
+}
+
+// AppendRequestKey is AppendRequest with the key given apart from req, whose
+// Key it ignores: a caller holding the key as bytes encodes it from there.
+//
+//janus:hotpath
+func AppendRequestKey[K string | []byte](dst []byte, req Request, key K) ([]byte, error) {
+	if len(key) > MaxKeyLen {
 		return dst, ErrKeyTooLong
 	}
 	start := len(dst)
-	need := requestHeaderLen + len(req.Key)
+	need := requestHeaderLen + len(key)
 	var flags byte
 	if req.TraceID != 0 {
 		flags |= FlagTraced
@@ -280,10 +288,10 @@ func AppendRequest(dst []byte, req Request) ([]byte, error) {
 	buf := dst[start:]
 	putHeader(buf, typeRequest, flags, req.ID)
 	binary.BigEndian.PutUint32(buf[16:], scaleCost(req.Cost))
-	binary.BigEndian.PutUint16(buf[20:], uint16(len(req.Key)))
-	copy(buf[22:], req.Key)
+	binary.BigEndian.PutUint16(buf[20:], uint16(len(key)))
+	copy(buf[22:], key)
 	if req.TraceID != 0 {
-		binary.BigEndian.PutUint64(buf[requestHeaderLen+len(req.Key):], req.TraceID)
+		binary.BigEndian.PutUint64(buf[requestHeaderLen+len(key):], req.TraceID)
 	}
 	seal(buf)
 	return dst, nil

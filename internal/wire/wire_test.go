@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"net/url"
@@ -86,7 +87,14 @@ func TestRequestRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, err := decodeRequest(buf)
-		return err == nil && got == want
+		if err != nil || got != want {
+			return false
+		}
+		// The key given as bytes, beside a Key that is ignored, encodes alike.
+		other := want
+		other.Key = "ignored"
+		byKey, err := AppendRequestKey(nil, other, []byte(key))
+		return err == nil && bytes.Equal(byKey, buf)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -448,6 +456,25 @@ var httpQueries = []struct {
 	{query: "key=" + strings.Repeat("x", MaxKeyLen+1)},
 }
 
+// parseRaw is ParseHTTPRawQuery with the key appended after a prefix that
+// must survive, returned as the request's Key.
+func parseRaw(t *testing.T, query string) (Request, error) {
+	t.Helper()
+	var req Request
+	buf, err := ParseHTTPRawQuery([]byte("prefix"), []byte(query), &req)
+	if string(buf[:6]) != "prefix" {
+		t.Fatalf("ParseHTTPRawQuery(%.40q) overwrote dst: %q", query, buf)
+	}
+	if err != nil {
+		return Request{}, err
+	}
+	if req.Key != "" {
+		t.Fatalf("ParseHTTPRawQuery(%.40q) set Key %q", query, req.Key)
+	}
+	req.Key = string(buf[6:])
+	return req, nil
+}
+
 // TestHTTPQueryErrors runs every query of httpQueries through ParseHTTPQuery,
 // after url.ParseQuery as the router's net/http handler did, and through
 // ParseHTTPRawQuery.
@@ -455,7 +482,7 @@ func TestHTTPQueryErrors(t *testing.T) {
 	for _, c := range httpQueries {
 		values, _ := url.ParseQuery(c.query)
 		got, err := ParseHTTPQuery(values)
-		raw, rawErr := ParseHTTPRawQuery([]byte(c.query))
+		raw, rawErr := parseRaw(t, c.query)
 		for _, r := range []struct {
 			name string
 			req  Request
@@ -465,16 +492,21 @@ func TestHTTPQueryErrors(t *testing.T) {
 				t.Errorf("%s(%.40q) = %+v, %v; want %+v, ok %v", r.name, c.query, r.req, r.err, c.want, c.ok)
 			}
 		}
+		if err != nil && rawErr != nil && err.Error() != rawErr.Error() {
+			t.Errorf("%.40q: ParseHTTPQuery says %q, ParseHTTPRawQuery %q", c.query, err, rawErr)
+		}
 	}
 }
 
-// TestParseHTTPRawQueryAllocs: the key's string is the one allocation,
-// escaped or not, with a cost or without.
+// TestParseHTTPRawQueryAllocs: decoding a key into a buffer with room for it
+// allocates nothing, escaped or not, with a cost or without.
 func TestParseHTTPRawQueryAllocs(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	var req Request
 	for _, query := range []string{"key=user-42", "cost=2.5&key=user+42%2F"} {
 		q := []byte(query)
-		if n := testing.AllocsPerRun(100, func() { _, _ = ParseHTTPRawQuery(q) }); n != 1 {
-			t.Errorf("ParseHTTPRawQuery(%q) allocates %v times, want 1", query, n)
+		if n := testing.AllocsPerRun(100, func() { _, _ = ParseHTTPRawQuery(buf, q, &req) }); n != 0 {
+			t.Errorf("ParseHTTPRawQuery(%q) allocates %v times, want 0", query, n)
 		}
 	}
 }
