@@ -16,38 +16,26 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/bucket"
-	"repro/internal/qosserver"
+	"repro/internal/metrics"
 	"repro/internal/table"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// newBenchServer is a QoS server whose default rule never runs dry, for the
-// root benchmarks that need a bare back end.
-func newBenchServer(b *testing.B) *qosserver.Server {
-	b.Helper()
-	srv, err := qosserver.New(qosserver.Config{
-		Addr:        "127.0.0.1:0",
-		DefaultRule: bucket.Rule{RefillRate: 1e12, Capacity: 1e12, Credit: 1e12},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { srv.Close() })
-	return srv
-}
-
-// BenchmarkEmbeddedDecision measures the pure decision path (no sockets):
-// Decide on one QoS server, for a key already in its table.
+// BenchmarkEmbeddedDecision measures the pure decision path, with no socket
+// and no goroutine: admission.Table.Decide, the decision janusd's workers
+// make, for a key already in its table, under a default rule that never
+// runs dry.
 func BenchmarkEmbeddedDecision(b *testing.B) {
-	srv := newBenchServer(b)
+	tbl := admission.New(nil, bucket.Rule{RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, false, nil, time.Now, metrics.NewRegistry(), nil)
 	req := wire.Request{Key: "k", Cost: 1}
-	srv.Decide(req)
+	tbl.Decide(req)
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			srv.Decide(req)
+			tbl.Decide(req)
 		}
 	})
 }
@@ -70,7 +58,7 @@ func BenchmarkAblationTableSharding(b *testing.B) {
 		keys := make([]string, 512)
 		for i := range keys {
 			keys[i] = fmt.Sprintf("key-%d", i)
-			tb.Put(keys[i], bucket.NewFull(keys[i], 1e9, 1e9, now))
+			tb.Put(keys[i], bucket.New(bucket.LimitedGuest(keys[i], 1e9, 1e9), now))
 		}
 		return tb, keys
 	}
@@ -80,7 +68,7 @@ func BenchmarkAblationTableSharding(b *testing.B) {
 			for pb.Next() {
 				k := keys[i&511]
 				i++
-				tb.Get(k).Allow(now)
+				tb.Get(k).TryConsume(1, now)
 			}
 		})
 	}
@@ -237,10 +225,10 @@ func BenchmarkAblationUDPvsTCP(b *testing.B) {
 func BenchmarkAblationRefillStrategy(b *testing.B) {
 	now := time.Now()
 	b.Run("lazy", func(b *testing.B) {
-		bk := bucket.NewFull("k", 1e9, 1e9, now)
+		bk := bucket.New(bucket.LimitedGuest("k", 1e9, 1e9), now)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bk.Allow(now.Add(time.Duration(i)))
+			bk.TryConsume(1, now.Add(time.Duration(i)))
 		}
 	})
 	b.Run("tick", func(b *testing.B) {

@@ -11,8 +11,9 @@
 //
 // and the tests of internal/cloudsim and internal/experiments assert their
 // shapes. The benchmarks in this package are the §V-C design-choice
-// ablations and BenchmarkEmbeddedDecision, which calls Decide on one QoS
-// server with no socket in the path:
+// ablations and BenchmarkEmbeddedDecision, which times the QoS server's
+// decision (internal/admission's Table.Decide) with no socket and no
+// goroutine:
 //
 //	go test -run '^$' -bench 'Ablation|EmbeddedDecision' .
 package repro

@@ -95,11 +95,6 @@ func New(rule Rule, now time.Time) *Bucket {
 	}
 }
 
-// NewFull creates a bucket that starts at full capacity.
-func NewFull(key string, rate, capacity float64, now time.Time) *Bucket {
-	return New(Rule{Key: key, RefillRate: rate, Capacity: capacity, Credit: capacity}, now)
-}
-
 func clamp(v, capacity float64) float64 {
 	if v < 0 {
 		return 0
@@ -138,9 +133,6 @@ func (b *Bucket) TryConsume(n float64, now time.Time) bool {
 	}
 	return false
 }
-
-// Allow is TryConsume(1, now): one API call costs one credit.
-func (b *Bucket) Allow(now time.Time) bool { return b.TryConsume(1, now) }
 
 // Credit returns the credit available at time now.
 func (b *Bucket) Credit(now time.Time) float64 {

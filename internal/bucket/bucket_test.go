@@ -43,20 +43,20 @@ func TestLimitedGuestStartsFull(t *testing.T) {
 }
 
 func TestBucketStartsFull(t *testing.T) {
-	b := NewFull("k", 100, 1000, t0)
+	b := New(LimitedGuest("k", 100, 1000), t0)
 	if got := b.Credit(t0); got != 1000 {
 		t.Fatalf("initial credit = %v, want 1000", got)
 	}
 }
 
 func TestConsumeDepletes(t *testing.T) {
-	b := NewFull("k", 0, 3, t0)
+	b := New(LimitedGuest("k", 0, 3), t0)
 	for i := 0; i < 3; i++ {
-		if !b.Allow(t0) {
+		if !b.TryConsume(1, t0) {
 			t.Fatalf("request %d denied with credit remaining", i)
 		}
 	}
-	if b.Allow(t0) {
+	if b.TryConsume(1, t0) {
 		t.Fatal("request admitted with empty bucket")
 	}
 	if got := b.Credit(t0); got != 0 {
@@ -67,7 +67,7 @@ func TestConsumeDepletes(t *testing.T) {
 func TestDenyAllNeverAdmits(t *testing.T) {
 	b := New(DenyAll("k"), t0)
 	for i := 0; i < 10; i++ {
-		if b.Allow(t0.Add(time.Duration(i) * time.Hour)) {
+		if b.TryConsume(1, t0.Add(time.Duration(i)*time.Hour)) {
 			t.Fatal("deny-all bucket admitted a request")
 		}
 	}
@@ -76,13 +76,13 @@ func TestDenyAllNeverAdmits(t *testing.T) {
 func TestLazyRefillEquationOne(t *testing.T) {
 	// f(t) = C + (A-B)t with A=10/s, start full at C=100, consume nothing:
 	// credit stays clamped at C.
-	b := NewFull("k", 10, 100, t0)
+	b := New(LimitedGuest("k", 10, 100), t0)
 	if got := b.Credit(t0.Add(time.Hour)); got != 100 {
 		t.Fatalf("credit = %v, want clamp at 100", got)
 	}
 	// Drain fully, then credit = A*t until the clamp.
 	for i := 0; i < 100; i++ {
-		if !b.Allow(t0) {
+		if !b.TryConsume(1, t0) {
 			t.Fatalf("drain request %d denied", i)
 		}
 	}
@@ -99,13 +99,13 @@ func TestBurstThenSteadyState(t *testing.T) {
 	// of 500/s for 10s (5000 requests = 1000 credit + 100*10*... no: 1000 +
 	// 100/s*10s = 2000 admitted over 10s). Verify total admitted over the
 	// window equals capacity + rate*elapsed.
-	b := NewFull("k", 100, 1000, t0)
+	b := New(LimitedGuest("k", 100, 1000), t0)
 	admitted := 0
 	// Offer 500 req/s for 10 seconds in 10ms steps (5 per step).
 	for step := 0; step < 1000; step++ {
 		now := t0.Add(time.Duration(step) * 10 * time.Millisecond)
 		for r := 0; r < 5; r++ {
-			if b.Allow(now) {
+			if b.TryConsume(1, now) {
 				admitted++
 			}
 		}
@@ -117,9 +117,9 @@ func TestBurstThenSteadyState(t *testing.T) {
 }
 
 func TestClockBackwardsDoesNotInflate(t *testing.T) {
-	b := NewFull("k", 100, 100, t0)
+	b := New(LimitedGuest("k", 100, 100), t0)
 	for i := 0; i < 100; i++ {
-		b.Allow(t0)
+		b.TryConsume(1, t0)
 	}
 	// Clock jumps back one hour; credit must not grow and future refill must
 	// anchor at the earlier instant without double-counting.
@@ -132,7 +132,7 @@ func TestClockBackwardsDoesNotInflate(t *testing.T) {
 }
 
 func TestSetCreditClamps(t *testing.T) {
-	b := NewFull("k", 1, 50, t0)
+	b := New(LimitedGuest("k", 1, 50), t0)
 	b.SetCredit(9999, t0)
 	if got := b.Credit(t0); got != 50 {
 		t.Fatalf("credit = %v, want clamp at 50", got)
@@ -152,7 +152,7 @@ func TestResetMatchesNew(t *testing.T) {
 		DenyAll("k"),
 	}
 	for _, r := range rules {
-		b := NewFull("k", 7, 70, t0)
+		b := New(LimitedGuest("k", 7, 70), t0)
 		b.TryConsume(30, t0.Add(time.Second))
 		at := t0.Add(2 * time.Second)
 		b.Reset(r, at)
@@ -165,7 +165,7 @@ func TestResetMatchesNew(t *testing.T) {
 }
 
 func TestTryConsumeNonPositive(t *testing.T) {
-	b := NewFull("k", 1, 10, t0)
+	b := New(LimitedGuest("k", 1, 10), t0)
 	if b.TryConsume(0, t0) {
 		t.Fatal("consumed zero credits")
 	}
@@ -178,7 +178,7 @@ func TestTryConsumeNonPositive(t *testing.T) {
 }
 
 func TestTryConsumeMoreThanOne(t *testing.T) {
-	b := NewFull("k", 0, 10, t0)
+	b := New(LimitedGuest("k", 0, 10), t0)
 	if !b.TryConsume(7, t0) {
 		t.Fatal("batch consume denied")
 	}
@@ -191,7 +191,7 @@ func TestTryConsumeMoreThanOne(t *testing.T) {
 }
 
 func TestRuleSnapshotRoundTrip(t *testing.T) {
-	b := NewFull("k", 5, 100, t0)
+	b := New(LimitedGuest("k", 5, 100), t0)
 	b.TryConsume(30, t0)
 	r := b.Rule("k", t0)
 	if r.Key != "k" || r.RefillRate != 5 || r.Capacity != 100 || r.Credit != 70 {
@@ -218,7 +218,7 @@ func TestCreditInvariantProperty(t *testing.T) {
 	f := func(rate, capacity float64, ops []op) bool {
 		rate = math.Abs(math.Mod(rate, 1000))
 		capacity = math.Abs(math.Mod(capacity, 10000))
-		b := NewFull("k", rate, capacity, t0)
+		b := New(LimitedGuest("k", rate, capacity), t0)
 		now := t0
 		for _, o := range ops {
 			now = now.Add(time.Duration(o.AfterMS) * time.Millisecond)
@@ -231,7 +231,7 @@ func TestCreditInvariantProperty(t *testing.T) {
 			case 2:
 				b.SetCredit(o.Amount, now)
 			case 3:
-				b.Allow(now)
+				b.TryConsume(1, now)
 			}
 			c := b.Credit(now)
 			if c < 0 || c > capacity {
@@ -250,7 +250,7 @@ func TestCreditInvariantProperty(t *testing.T) {
 func TestConservationProperty(t *testing.T) {
 	f := func(capacity float64, requests []float64) bool {
 		capacity = math.Abs(math.Mod(capacity, 1000))
-		b := NewFull("k", 0, capacity, t0)
+		b := New(LimitedGuest("k", 0, capacity), t0)
 		var spent float64
 		for _, r := range requests {
 			amt := math.Abs(math.Mod(r, 50)) + 0.001
@@ -268,7 +268,7 @@ func TestConservationProperty(t *testing.T) {
 func TestConcurrentConsumeConservation(t *testing.T) {
 	// 8 goroutines race to consume from a bucket with 10k credits and no
 	// refill; exactly 10k requests must be admitted in total.
-	b := NewFull("k", 0, 10000, t0)
+	b := New(LimitedGuest("k", 0, 10000), t0)
 	var wg sync.WaitGroup
 	total := new(int64)
 	var mu sync.Mutex
@@ -278,7 +278,7 @@ func TestConcurrentConsumeConservation(t *testing.T) {
 			defer wg.Done()
 			local := int64(0)
 			for i := 0; i < 5000; i++ {
-				if b.Allow(t0) {
+				if b.TryConsume(1, t0) {
 					local++
 				}
 			}

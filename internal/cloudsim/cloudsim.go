@@ -8,8 +8,8 @@
 // the paper's modified "ab" does; the latency curve offers it a constant
 // open-loop rate; failure locality adds a QoS-node outage; the scenario
 // suite's DES tier (internal/scenario) drives it open-loop with a key
-// stream, per-key admission on internal/bucket buckets and an autoscaled
-// router layer.
+// stream, per-key admission through janusd's internal/admission table and
+// an autoscaled router layer.
 //
 // Routers and QoS servers are multi-server FIFO stations whose service
 // slots equal the node's vCPUs and whose service-time distribution is
@@ -21,11 +21,13 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/bucket"
 	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // RoutingMode selects how clients reach the router layer (§II-A).
@@ -115,11 +117,10 @@ type RunConfig struct {
 	Rate func(elapsed time.Duration) float64
 	// Keys draws each request's QoS key for Rules.
 	Keys interface{ Next() string }
-	// Rules, when set, gives each key's token-bucket rule: the QoS node
-	// decides every request on an internal/bucket bucket for its key,
-	// created full at first sight and driven by the virtual clock.
-	// Result.Keys tallies the decisions. It requires Keys.
-	Rules func(key string) (rate, capacity float64)
+	// Rules, when set, has the QoS node decide every request through one
+	// admission.Table on the virtual clock (no audit, the zero default
+	// rule). Result.Keys tallies the decisions. It requires Keys.
+	Rules admission.Rules
 	// Loris is the fraction of requests that are slow-loris jobs: each holds
 	// a router worker for lorisFactor mean service times and is left out of
 	// Result.Latency.
@@ -157,10 +158,7 @@ type NodeReport struct {
 }
 
 // KeyTally is one key's admission record over a whole run.
-type KeyTally struct {
-	Requested, Admitted, Rejected int64
-	b                             *bucket.Bucket
-}
+type KeyTally struct{ Requested, Admitted, Rejected int64 }
 
 // Result summarizes a run.
 type Result struct {
@@ -280,6 +278,7 @@ func Run(dep Deployment, cfg RunConfig) (Result, error) {
 	eng := des.NewEngine(cfg.Seed)
 	r := &run{dep: dep, cfg: cfg, eng: eng, res: Result{Latency: metrics.NewHistogram()}}
 	if cfg.Rules != nil {
+		r.adm = admission.New(cfg.Rules, bucket.Rule{}, false, nil, r.clock, metrics.NewRegistry(), nil)
 		r.res.Keys = make(map[string]*KeyTally)
 	}
 	r.warmup = des.FromDuration(cfg.Warmup)
@@ -327,6 +326,7 @@ type run struct {
 	cfg RunConfig
 	eng *des.Engine
 	res Result // Latency, Degraded and Keys accumulate here
+	adm *admission.Table
 
 	routers, qos []*node
 	live         []int // indexes of the routers receiving new requests
@@ -362,7 +362,7 @@ type request struct {
 	start, reach des.Time // reach: client -> router, paid again on the way back
 	client       int
 	router, qos  int
-	key          *KeyTally
+	key          string // "" without RunConfig.Rules
 	loris        bool
 	answer       answer
 }
@@ -415,13 +415,13 @@ func (r *run) issue(client int) {
 	q := &r.reqs[id]
 	*q = request{start: r.eng.Now(), client: client}
 	if keys := r.res.Keys; keys != nil {
-		key := r.cfg.Keys.Next()
-		if q.key = keys[key]; q.key == nil {
-			rate, capacity := r.cfg.Rules(key)
-			q.key = &KeyTally{b: bucket.NewFull(key, rate, capacity, r.clock())}
-			keys[key] = q.key
+		q.key = r.cfg.Keys.Next()
+		k := keys[q.key]
+		if k == nil {
+			k = new(KeyTally)
+			keys[q.key] = k
 		}
-		q.key.Requested++
+		k.Requested++
 	}
 	q.qos = r.eng.Rand().Intn(len(r.qos))
 	q.loris = r.cfg.Loris > 0 && r.eng.Rand().Float64() < r.cfg.Loris
@@ -471,12 +471,12 @@ func (r *run) arriveAtQoS(id int) {
 	n.st.Submit(r.eng.Exp(n.svc), id)
 }
 
-// decided runs when a QoS node has handled a request: its key's bucket, if
-// any, decides it, and the answer travels back to the client.
+// decided runs when a QoS node has handled a request: the admission table,
+// if any, decides it, and the answer travels back to the client.
 func (r *run) decided(id int) {
 	q := &r.reqs[id]
-	if k := q.key; k != nil {
-		if k.b.Allow(r.clock()) {
+	if k := r.res.Keys[q.key]; k != nil {
+		if r.adm.Decide(wire.Request{Key: q.key, Cost: 1}).Allow {
 			k.Admitted++
 		} else {
 			k.Rejected++

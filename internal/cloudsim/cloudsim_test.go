@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bucket"
 	"repro/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func TestRunValidatesDeployment(t *testing.T) {
 		t.Fatal("outage of a node outside the QoS layer accepted")
 	}
 	rules := shortCfg(10)
-	rules.Rules = func(string) (float64, float64) { return 1, 1 }
+	rules.Rules = func(key string) (bucket.Rule, bool, error) { return bucket.LimitedGuest(key, 1, 1), true, nil }
 	if _, err := Run(good, rules); err == nil {
 		t.Fatal("per-key rules without a key stream accepted")
 	}

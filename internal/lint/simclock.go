@@ -6,7 +6,8 @@ import (
 
 // newSimClock flags wall-clock and global-RNG use inside the simulation and
 // experiment packages. The DES engine (internal/des), the simulated
-// instance models (internal/sim, internal/cloudsim), and the load
+// instance models (internal/sim, internal/cloudsim), the admission table
+// the simulator decides through (internal/admission), and the load
 // generator (internal/loadgen) must derive every timestamp from an
 // injected clock and every random draw from an explicitly seeded source —
 // that is what makes the paper's experiments (Fig 12–14) reproducible
@@ -56,6 +57,7 @@ func newSimClock() *Analyzer {
 // simClockScope lists the module-relative packages that must stay
 // deterministic.
 var simClockScope = []string{
+	"internal/admission",
 	"internal/des",
 	"internal/sim",
 	"internal/cloudsim",

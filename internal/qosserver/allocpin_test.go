@@ -7,6 +7,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/admission"
 	"repro/internal/bucket"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -256,7 +257,7 @@ func TestAllocPinUDPIntake(t *testing.T) {
 // first reading, so only what the server holds for them counts. An entry
 // itself must stay within the 128 B size class.
 func TestAllocPinResidentKeyBytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n > 128 {
+	if n := unsafe.Sizeof(admission.Entry{}); n > 128 {
 		t.Errorf("an entry is %d B, over the 128 B size class", n)
 	}
 	skipIfInstrumented(t)

@@ -70,7 +70,7 @@ func FuzzHAFrameDecode(f *testing.F) {
 		srv.applyHandoff(entries)
 		probe := now.Add(time.Hour) // force a refill advance as well
 		for _, e := range entries {
-			b := srv.table.Get(e.Rule.Key)
+			b := srv.adm.Get(e.Rule.Key)
 			if b == nil {
 				continue
 			}
@@ -82,7 +82,7 @@ func FuzzHAFrameDecode(f *testing.F) {
 		}
 		// Reset so state cannot accumulate across iterations.
 		for _, e := range entries {
-			srv.table.Delete(e.Rule.Key)
+			srv.adm.Delete(e.Rule.Key)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/failpoint"
 	"repro/internal/tick"
 )
@@ -93,9 +94,9 @@ func exchange(addr string, req *peerFrame, want byte) (peerFrame, error) {
 // credit (brought current to now) and default flag.
 func (s *Server) snapshotTable() []peerEntry {
 	now := s.clock()
-	out := make([]peerEntry, 0, s.table.Len())
-	s.table.Range(func(key string, e *entry) bool {
-		out = append(out, peerEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
+	out := make([]peerEntry, 0, s.adm.Len())
+	s.adm.Range(func(key string, e *admission.Entry) bool {
+		out = append(out, peerEntry{Rule: e.Rule(key, now), Default: e.Default()})
 		return true
 	})
 	return out
@@ -122,10 +123,10 @@ func (s *Server) applySnapshot(entries []peerEntry) {
 		if e.Rule.Validate() != nil {
 			continue
 		}
-		s.put(e.Rule, e.Default, now)
+		s.adm.Put(e.Rule, e.Default, now)
 		held[e.Rule.Key] = struct{}{}
 	}
-	s.evict(func(key string, _ *entry) bool {
+	s.adm.Evict(func(key string, _ *admission.Entry) bool {
 		_, ok := held[key]
 		return !ok
 	})

@@ -40,7 +40,7 @@ func TestHAReplicationWarmSlave(t *testing.T) {
 	if slave.TableLen() != 2 {
 		t.Fatalf("slave table len = %d, want 2", slave.TableLen())
 	}
-	ba := slave.table.Get("a")
+	ba := slave.adm.Get("a")
 	if ba == nil || ba.Credit(time.Now()) != 6 {
 		t.Fatalf("slave credit for a = %v, want 6", ba.Credit(time.Now()))
 	}
@@ -66,7 +66,7 @@ func TestHAContinuousPulls(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		b := slave.table.Get("a")
+		b := slave.adm.Get("a")
 		if b != nil && b.Credit(time.Now()) == 70 {
 			break
 		}
@@ -310,7 +310,7 @@ func TestSnapshotReplacesTheSlavesTable(t *testing.T) {
 		t.Fatalf("slave holds %d keys after the first pull, want 100", n)
 	}
 	for i := 0; i < 100; i++ {
-		master.table.Delete(fmt.Sprintf("k%d", i))
+		master.adm.Delete(fmt.Sprintf("k%d", i))
 	}
 	if err := rep.pullOnce(); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package qosserver
 import (
 	"fmt"
 
+	"repro/internal/admission"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 )
@@ -50,9 +51,9 @@ var (
 func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 	now := s.clock()
 	groups := make(map[string][]peerEntry)
-	s.table.Range(func(key string, e *entry) bool {
+	s.adm.Range(func(key string, e *admission.Entry) bool {
 		if addr := owner(key); addr != "" {
-			groups[addr] = append(groups[addr], peerEntry{Rule: e.Rule(key, now), Default: e.isDefault.Load()})
+			groups[addr] = append(groups[addr], peerEntry{Rule: e.Rule(key, now), Default: e.Default()})
 		}
 		return true
 	})
@@ -67,7 +68,7 @@ func (s *Server) Rebalance(owner func(key string) string) (int, error) {
 			continue
 		}
 		for _, e := range entries {
-			s.table.Delete(e.Rule.Key)
+			s.adm.Delete(e.Rule.Key)
 		}
 		events.Record("qosserver", "handoff-push", addr, float64(len(entries)))
 		moved += len(entries)
@@ -118,17 +119,8 @@ func (s *Server) applyHandoffEntries(entries []peerEntry) {
 		// Frames arrive over the network; a corrupt or malicious peer must
 		// not install rules the bucket math cannot uphold (negative
 		// capacity, credit outside [0, capacity], empty key).
-		if e.Rule.Validate() != nil {
-			continue
-		}
-		if have := s.table.Get(e.Rule.Key); have != nil &&
-			have.RefillRate() == e.Rule.RefillRate && have.Capacity() == e.Rule.Capacity {
-			if cur := have.Credit(now); e.Rule.Credit < cur {
-				have.SetCredit(e.Rule.Credit, now)
-			}
-			have.isDefault.Store(e.Default)
-		} else {
-			s.put(e.Rule, e.Default, now)
+		if e.Rule.Validate() == nil {
+			s.adm.Merge(e.Rule, e.Default, now)
 		}
 	}
 	// The sender's rules may predate edits this server's sync cursor has

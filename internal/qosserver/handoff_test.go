@@ -68,7 +68,7 @@ func TestRebalanceMovesCreditsToNewOwner(t *testing.T) {
 	}
 	now := time.Now()
 	for i := 5; i < 10; i++ {
-		b := dst.table.Get(fmt.Sprintf("u%d", i))
+		b := dst.adm.Get(fmt.Sprintf("u%d", i))
 		if b == nil {
 			t.Fatalf("u%d missing on destination", i)
 		}
@@ -78,7 +78,7 @@ func TestRebalanceMovesCreditsToNewOwner(t *testing.T) {
 		}
 	}
 	// u0 consumed nothing; the Cost: 0 decide was denied but made it resident.
-	if b := src.table.Get("u0"); b == nil || b.Credit(now) != 10 {
+	if b := src.adm.Get("u0"); b == nil || b.Credit(now) != 10 {
 		t.Fatal("u0 disturbed by rebalance")
 	}
 }
@@ -120,7 +120,7 @@ func TestRebalanceMinMerge(t *testing.T) {
 	if moved, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil || moved != 1 {
 		t.Fatalf("moved = %d err = %v", moved, err)
 	}
-	if got := dst.table.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
+	if got := dst.adm.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("merged credit = %v, want min(3, 8) = 3", got)
 	}
 
@@ -131,7 +131,7 @@ func TestRebalanceMinMerge(t *testing.T) {
 	if _, err := src2.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil {
 		t.Fatal(err)
 	}
-	if got := dst.table.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
+	if got := dst.adm.Get("k").Credit(time.Now()); math.Abs(got-3) > 1e-9 {
 		t.Fatalf("merged credit = %v, want 3 (never refunded)", got)
 	}
 }
@@ -146,7 +146,7 @@ func TestRebalanceGeometryChangeInstallsWholesale(t *testing.T) {
 	if _, err := src.Rebalance(func(string) string { return dst.ReplicationAddr() }); err != nil {
 		t.Fatal(err)
 	}
-	b := dst.table.Get("k")
+	b := dst.adm.Get("k")
 	if b.Capacity() != 20 || b.RefillRate() != 5 {
 		t.Fatalf("geometry = (%v, %v), want (20, 5)", b.RefillRate(), b.Capacity())
 	}
@@ -167,7 +167,7 @@ func TestRebalanceDefaultFlagTravels(t *testing.T) {
 	if !defaultKey(dst, "ghost") {
 		t.Fatal("default flag lost in handoff")
 	}
-	if src.table.Get("ghost") != nil {
+	if src.adm.Get("ghost") != nil {
 		t.Fatal("entry not removed from the source")
 	}
 }
@@ -213,14 +213,14 @@ func TestSyncAfterPeerInstall(t *testing.T) {
 			if err := tc.install(from, to); err != nil {
 				t.Fatal(err)
 			}
-			if b := to.table.Get("edited"); b == nil || b.Capacity() != 10 {
+			if b := to.adm.Get("edited"); b == nil || b.Capacity() != 10 {
 				t.Fatalf("precondition: the sender's stale rule was not installed: %v", b)
 			}
 			to.SyncOnce()
-			if b := to.table.Get("edited"); b.Capacity() != 50 {
+			if b := to.adm.Get("edited"); b.Capacity() != 50 {
 				t.Fatalf("edited rule still has capacity %v after the pass", b.Capacity())
 			}
-			if defaultKey(to, "bought") || to.table.Get("bought").Capacity() != 7 {
+			if defaultKey(to, "bought") || to.adm.Get("bought").Capacity() != 7 {
 				t.Fatal("purchased key still on the default rule after the pass")
 			}
 			if _, r := syncCounters(to); r != 2 {

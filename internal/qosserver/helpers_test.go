@@ -24,8 +24,8 @@ func (w *connWrapper) Close() error                { return w.conn.Close() }
 // defaultKey reports whether key is resident on s and served by the default
 // rule.
 func defaultKey(s *Server, key string) bool {
-	e := s.table.Get(key)
-	return e != nil && e.isDefault.Load()
+	e := s.adm.Get(key)
+	return e != nil && e.Default()
 }
 
 // gauge reads one unlabelled series from s's /metrics exposition.

@@ -3,10 +3,10 @@
 //
 // The major components mirror the paper's Java implementation one-for-one:
 //
-//   - the local QoS table: a synchronized map from QoS key to leaky bucket
-//     (internal/table, 64 independently locked shards), whose value is one
-//     entry per resident key holding the bucket, the key's audit account and
-//     its default-rule mark;
+//   - the local QoS table and the admission decision made against it
+//     (internal/admission): one entry per resident key holding the leaky
+//     bucket, the key's audit account and its default-rule mark, and the
+//     rule installed on a key's first sight;
 //   - the UDP listener goroutine, which receives datagrams from the request
 //     router and pushes them into a FIFO;
 //   - N worker goroutines polling the FIFO (N defaults to the number of
@@ -43,15 +43,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/bucket"
-	"repro/internal/daemon"
 	"repro/internal/events"
 	"repro/internal/failpoint"
 	"repro/internal/metrics"
 	"repro/internal/minisql"
 	"repro/internal/store"
-	"repro/internal/table"
 	"repro/internal/tcp"
 	"repro/internal/tick"
 	"repro/internal/trace"
@@ -164,7 +163,7 @@ func (s *Stats) Add(o Stats) {
 // Server is a running QoS server node.
 type Server struct {
 	cfg   Config
-	table *table.Sharded[*entry]
+	adm   *admission.Table
 	clock func() time.Time
 
 	// The intake (DESIGN.md §3.4): one UDP socket, one FIFO, and the CoDel
@@ -173,11 +172,6 @@ type Server struct {
 	conn *net.UDPConn
 	fifo chan packet
 	cdl  *codel
-
-	// fetchFailed is set after a first-sight fetch failed and its fallback
-	// entry is in the table; the next sync pass that reads the database
-	// clears it and scans the table for fallbacks.
-	fetchFailed atomic.Bool
 
 	// Per-stage sojourn decomposition (DESIGN.md §6): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
@@ -191,7 +185,6 @@ type Server struct {
 	sojournTotal  *metrics.Histogram
 	curSojournNs  atomic.Int64
 
-	audit          *audit.Ledger // nil when auditing is disabled
 	auditOverspend *metrics.Counter
 
 	// lastSyncNs is the wall time of the last rule-sync pass that read the
@@ -223,17 +216,7 @@ type Server struct {
 	dropped    *metrics.Counter
 	codelDrops *metrics.Counter
 	malformed  *metrics.Counter
-	decisions  *metrics.Counter
-	allowed    *metrics.Counter
-	denied     *metrics.Counter
-	dbQueries  *metrics.Counter
-	defaultHit *metrics.Counter
-	dbErrors   *metrics.Counter
 	sendErrors *metrics.Counter
-
-	// fetchErrLog bounds the rule-fetch error log, which a key spray against
-	// a down database would otherwise write once per key.
-	fetchErrLog daemon.Throttle
 
 	syncQueries    *metrics.Counter
 	syncReconciles *metrics.Counter
@@ -257,23 +240,6 @@ type packet struct {
 	raddr netip.AddrPort
 	// recvNs timestamps the socket read, opening the sojourn clock.
 	recvNs int64
-}
-
-// entry is everything the server holds for one resident key: the leaky
-// bucket, the key's audit account, whether the default rule installed it,
-// and whether that was because the rule fetch failed. Every grant
-// reinstalls it in place (install), so the account carries across the key's
-// residency, and deleting the key from the table drops all of it.
-type entry struct {
-	bucket.Bucket
-	acct audit.Account
-	// isDefault marks keys served by the default rule, so responses carry
-	// StatusDefaultRule and checkpointing skips them.
-	isDefault atomic.Bool
-	// fallback marks a key whose first-sight fetch failed: the next sync
-	// pass that reads the database evicts it if it is still on the default
-	// rule, since no change feed would list its rule.
-	fallback atomic.Bool
 }
 
 // New starts a QoS server.
@@ -320,7 +286,6 @@ func New(cfg Config) (*Server, error) {
 
 	s := &Server{
 		cfg:            cfg,
-		table:          table.NewSharded[*entry](0),
 		clock:          clock,
 		conn:           conn,
 		fifo:           make(chan packet, cfg.QueueSize),
@@ -331,19 +296,12 @@ func New(cfg Config) (*Server, error) {
 		dropped:        reg.Counter("janus_qos_dropped_total", "datagrams LOST at the intake (clients saw nothing and must retry)", metrics.Label{Key: "reason", Value: "fifo_full"}),
 		codelDrops:     reg.Counter("janus_qos_codel_drops_total", "requests answered with the degraded-mode default by the CoDel controller (no credit consumed, never silently lost)"),
 		malformed:      reg.Counter("janus_qos_malformed_total", "datagrams that failed to decode"),
-		decisions:      reg.Counter("janus_qos_decisions_total", "admission decisions made"),
-		allowed:        reg.Counter("janus_qos_decisions_allowed_total", "decisions that admitted the request"),
-		denied:         reg.Counter("janus_qos_decisions_denied_total", "decisions that denied the request"),
-		dbQueries:      reg.Counter("janus_qos_db_queries_total", "rule fetches that hit the database"),
-		defaultHit:     reg.Counter("janus_qos_default_rule_total", "decisions served by the default rule"),
-		dbErrors:       reg.Counter("janus_qos_db_errors_total", "database operations that failed"),
 		sendErrors:     reg.Counter("janus_qos_send_errors_total", "response datagrams the kernel refused to send"),
 		syncQueries:    reg.Counter("janus_qos_sync_queries_total", "change-feed pages rule sync read from the database"),
 		syncReconciles: reg.Counter("janus_qos_sync_reconciles_total", "reset scans of the whole rules table by rule sync and preload (no cursor yet, a peer's rules installed, or a cursor the database does not read on from)"),
 		quit:           make(chan struct{}),
 		logger:         logger,
 	}
-	reg.GaugeFunc("janus_qos_table_keys", "keys resident in the local QoS table", func() float64 { return float64(s.table.Len()) })
 	reg.GaugeFunc("janus_qos_fifo_depth", "datagrams queued between the listener and the workers", func() float64 { return float64(len(s.fifo)) })
 	reg.GaugeFunc("janus_qos_codel_state", "1 while the intake FIFO's CoDel controller is in the dropping state (0 = queue healthy)", func() float64 {
 		if dropping, _ := s.cdl.snapshot(); dropping {
@@ -359,15 +317,22 @@ func New(cfg Config) (*Server, error) {
 	s.sojournTotal = reg.HistogramScaled("janus_qos_sojourn_seconds", sojournHelp, 1e-9, metrics.Label{Key: "stage", Value: "total"})
 	reg.GaugeFunc("janus_qos_sojourn_current_seconds", "queue-stage sojourn of the most recently dequeued packet in seconds (the CoDel control signal)",
 		func() float64 { return float64(s.curSojournNs.Load()) * 1e-9 })
+	var ledger *audit.Ledger
 	if cfg.Audit {
 		s.auditOverspend = reg.Counter("janus_qos_audit_overspend_total", "buckets found over the C + r·t conservation budget (counted once per bucket generation)")
-		s.audit = audit.NewLedger(audit.Config{Clock: clock, OnOverspend: func(o audit.Overspend) {
+		ledger = audit.NewLedger(audit.Config{Clock: clock, OnOverspend: func(o audit.Overspend) {
 			s.auditOverspend.Inc()
 			events.Recordf("audit", "overspend", o.Key, o.Over, "admitted=%.1f budget=%.1f gen=%d", o.Admitted, o.Budget, o.Generation)
 			s.logger.Printf("qosserver: audit overspend on %q gen %d: admitted %.1f > budget %.1f", o.Key, o.Generation, o.Admitted, o.Budget)
 		}})
-		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger: one per resident key, so a key moved to another server is audited only on its new owner", func() float64 { return float64(s.table.Len()) })
+		reg.GaugeFunc("janus_qos_audit_buckets", "buckets tracked by the admission-audit ledger: one per resident key, so a key moved to another server is audited only on its new owner", func() float64 { return float64(s.adm.Len()) })
 	}
+	var rules admission.Rules
+	if cfg.Store != nil {
+		rules = cfg.Store.Get
+	}
+	s.adm = admission.New(rules, cfg.DefaultRule, cfg.FailOpen, ledger, clock, reg, logger)
+	reg.GaugeFunc("janus_qos_table_keys", "keys resident in the local QoS table", func() float64 { return float64(s.adm.Len()) })
 	if cfg.ReplicationAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ReplicationAddr)
 		if err != nil {
@@ -389,7 +354,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CheckpointInterval > 0 && cfg.Store != nil {
 		s.loops = append(s.loops, tick.Every(cfg.CheckpointInterval, s.checkpointOnce))
 	}
-	if s.audit != nil {
+	if cfg.Audit {
 		// Overspends reach the counter and the flight recorder without
 		// anyone scraping /debug/audit.
 		s.loops = append(s.loops, tick.Every(cfg.AuditInterval, func() { s.AuditReport() }))
@@ -575,10 +540,10 @@ func (s *Server) SojournTotal() *metrics.Histogram { return s.sojournTotal }
 //janus:hotpath
 func (s *Server) decideTimed(req *wire.Request, key []byte) wire.Response {
 	if req.TraceID == 0 {
-		return s.decideKey(req, key)
+		return s.adm.DecideKey(req, key)
 	}
 	start := s.clock()
-	resp := s.decideKey(req, key)
+	resp := s.adm.DecideKey(req, key)
 	d := s.clock().Sub(start)
 	resp.ServerNanos = int64(d)
 	//lint:ignore hotalloc trace-sampled branch; the span allocation is amortized by the sampling rate
@@ -596,155 +561,11 @@ func (s *Server) recordSpan(traceID uint64, status wire.Status, start time.Time,
 	}}})
 }
 
-// Decide makes the admission decision for one request against the local
-// table, fetching the rule from the database on first sight of a key.
-// The UDP workers make the same decision through decideKey; Decide is
-// exported as the socket-free decision path for the isolated QoS-server
-// rows of benchmark/, BenchmarkEmbeddedDecision in the repository root, and
-// tests.
+// Decide is the workers' decision without the datagram, for the isolated
+// QoS-server rows of benchmark/ and for tests.
 //
 //janus:hotpath
-func (s *Server) Decide(req wire.Request) wire.Response {
-	now := s.clock()
-	e := s.table.Get(req.Key)
-	if e == nil {
-		//lint:ignore hotalloc first sight of a key installs its rule; every later decision hits the table
-		e = s.installRule(req.Key, now)
-	}
-	return s.decide(e, &req, now)
-}
-
-// decideKey is Decide for a key still in its datagram: a resident key is
-// found from its bytes, and only a key seen for the first time is copied
-// into the string the table keeps.
-//
-//janus:hotpath
-func (s *Server) decideKey(req *wire.Request, key []byte) wire.Response {
-	now := s.clock()
-	e := s.table.GetBytes(key)
-	if e == nil {
-		//lint:ignore hotalloc first sight of a key makes its string and installs its rule; every later decision finds it from the bytes
-		e = s.installRule(string(key), now)
-	}
-	return s.decide(e, req, now)
-}
-
-// decide is the admission decision, Decide's and decideKey's alike: one
-// request against its key's resident entry.
-//
-//janus:hotpath
-func (s *Server) decide(e *entry, req *wire.Request, now time.Time) wire.Response {
-	status := wire.StatusOK
-	if e.isDefault.Load() {
-		status = wire.StatusDefaultRule
-		s.defaultHit.Inc()
-	}
-	cost := req.Cost
-	if cost == 0 {
-		cost = 1
-	}
-	allow := e.TryConsume(cost, now)
-	if !allow && fpAuditDoubleCredit.Armed() {
-		if o := fpAuditDoubleCredit.Eval(); o.Kind != failpoint.Off {
-			// The injected conservation bug: an exhausted bucket silently
-			// refills to capacity without a ledger grant. Subsequent
-			// admissions spend minted credit, which the audit pass MUST
-			// report as overspend (see TestAuditCatchesDoubleCredit).
-			e.SetCredit(e.Capacity(), now)
-		}
-	}
-	s.decisions.Inc()
-	if allow {
-		s.allowed.Inc()
-		s.audit.Admit(&e.acct, cost)
-	} else {
-		s.denied.Inc()
-	}
-	return wire.Response{ID: req.ID, Allow: allow, Status: status, TraceID: req.TraceID}
-}
-
-// fpAuditDoubleCredit mints credit on an exhausted bucket without telling
-// the audit ledger — the canonical conservation bug (a double-applied
-// handoff would look exactly like this). It exists to prove the audit
-// ledger detects what it claims to detect; it fires only on the deny path,
-// so the admission fast path never sees it.
-var fpAuditDoubleCredit = failpoint.New("qosserver/audit/double-credit")
-
-// installRule fetches the rule for key from the database (or applies the
-// default) and installs its entry in the local table.
-func (s *Server) installRule(key string, now time.Time) *entry {
-	e, created := s.table.GetOrCreate(key, func() *entry {
-		rule, isDefault, failed := s.fetchRule(key)
-		e := s.newEntry(rule, isDefault, now)
-		e.fallback.Store(failed)
-		return e
-	})
-	if created && e.fallback.Load() {
-		// Set only now that the entry is in the table, so the pass that
-		// clears the flag finds the entry.
-		s.fetchFailed.Store(true)
-	}
-	return e
-}
-
-// put installs rule for its key: in place when the key is resident, else as
-// a new entry, whole before any decision can find it.
-func (s *Server) put(rule bucket.Rule, isDefault bool, now time.Time) {
-	e, created := s.table.GetOrCreate(rule.Key, func() *entry { return s.newEntry(rule, isDefault, now) })
-	if !created {
-		s.install(e, rule, isDefault, now)
-	}
-}
-
-func (s *Server) newEntry(rule bucket.Rule, isDefault bool, now time.Time) *entry {
-	e := new(entry)
-	s.install(e, rule, isDefault, now)
-	return e
-}
-
-// install is the single chokepoint for wholesale credit grants —
-// first-sight install, sync geometry change, a default key gaining a row,
-// handoff install, replication snapshot, preload — so the audit ledger's
-// Install hook lives here, ahead of the bucket reset it accounts for.
-// (Min-merge paths lower credit via SetCredit and grant nothing.)
-func (s *Server) install(e *entry, rule bucket.Rule, isDefault bool, now time.Time) {
-	s.audit.Install(&e.acct, min(rule.Credit, rule.Capacity), rule.RefillRate)
-	e.Reset(rule, now)
-	e.isDefault.Store(isDefault)
-}
-
-// fetchRule queries the database; isDefault reports that the default rule
-// was applied (unknown key or database failure per FailOpen policy), and
-// failed that the database errored.
-func (s *Server) fetchRule(key string) (rule bucket.Rule, isDefault, failed bool) {
-	if s.cfg.Store == nil {
-		return s.defaultRuleFor(key), true, false
-	}
-	s.dbQueries.Inc()
-	r, found, err := s.cfg.Store.Get(key)
-	if err != nil {
-		s.dbErrors.Inc()
-		s.fetchErrLog.Printf(s.logger, "qosserver: rule fetch for %q failed: %v", key, err)
-		if s.cfg.FailOpen {
-			// Admit generously until the database recovers.
-			return bucket.Rule{Key: key, RefillRate: 1e12, Capacity: 1e12, Credit: 1e12}, true, true
-		}
-		return bucket.DenyAll(key), true, true
-	}
-	if !found {
-		return s.defaultRuleFor(key), true, false
-	}
-	return r, false, false
-}
-
-func (s *Server) defaultRuleFor(key string) bucket.Rule {
-	d := s.cfg.DefaultRule
-	d.Key = key
-	if d.Credit > d.Capacity {
-		d.Credit = d.Capacity
-	}
-	return d
-}
+func (s *Server) Decide(req wire.Request) wire.Response { return s.adm.Decide(req) }
 
 // Preload pulls every rule from the database into the local table; used to
 // warm a node before admitting traffic. It is the reset scan of a sync pass
@@ -807,19 +628,15 @@ func (s *Server) sync(now time.Time, install bool) error {
 		s.syncQueries.Inc()
 		ch, err := s.cfg.Store.ChangedSince(s.cursor)
 		if err != nil {
-			s.dbErrors.Inc()
+			s.adm.DBErrors.Inc()
 			if held != nil {
 				s.cursor = minisql.Cursor{}
 			}
 			return err
 		}
 		// The database answers again, so the keys that got the error
-		// fallback re-fetch their rule on their next request. One that left
-		// the default rule meanwhile holds a rule from a sync pass or a peer,
-		// and stays. The table is scanned only after a fetch failed.
-		if s.fetchFailed.Swap(false) {
-			s.evict(func(_ string, e *entry) bool { return e.fallback.Swap(false) && e.isDefault.Load() })
-		}
+		// fallback re-fetch their rule on their next request.
+		s.adm.RetryFallbacks()
 		if ch.Reset {
 			s.syncReconciles.Inc()
 			held = make(map[string]struct{})
@@ -828,26 +645,12 @@ func (s *Server) sync(now time.Time, install bool) error {
 		s.cursor, more = ch.Next, ch.More
 	}
 	if held != nil {
-		s.evict(func(key string, e *entry) bool {
+		s.adm.Evict(func(key string, e *admission.Entry) bool {
 			_, ok := held[key]
-			return !ok && !e.isDefault.Load()
+			return !ok && !e.Default()
 		})
 	}
 	return nil
-}
-
-// evict removes every resident key that gone reports, with its whole entry.
-func (s *Server) evict(gone func(key string, e *entry) bool) {
-	var keys []string
-	s.table.Range(func(key string, e *entry) bool {
-		if gone(key, e) {
-			keys = append(keys, key)
-		}
-		return true
-	})
-	for _, key := range keys {
-		s.table.Delete(key)
-	}
 }
 
 // applyChanges applies one page of the change feed, and adds the keys of its
@@ -858,9 +661,9 @@ func (s *Server) evict(gone func(key string, e *entry) bool) {
 // shard's write lock: the Get here waits for the install and then finds it.
 func (s *Server) applyChanges(ch store.Changes, now time.Time, install bool, held map[string]struct{}) {
 	for _, key := range ch.Deleted {
-		if e := s.table.Get(key); e != nil && !e.isDefault.Load() {
+		if e := s.adm.Get(key); e != nil && !e.Default() {
 			// Rule deleted: evict; next request applies the default rule.
-			s.table.Delete(key)
+			s.adm.Delete(key)
 		}
 	}
 	for _, r := range ch.Rules {
@@ -873,13 +676,13 @@ func (s *Server) applyChanges(ch store.Changes, now time.Time, install bool, hel
 		if held != nil {
 			held[r.Key] = struct{}{}
 		}
-		switch e := s.table.Get(r.Key); {
+		switch e := s.adm.Get(r.Key); {
 		case e == nil:
 			if install {
-				s.put(r, false, now)
+				s.adm.Put(r, false, now)
 			}
-		case e.isDefault.Load() || r.RefillRate != e.RefillRate() || r.Capacity != e.Capacity():
-			s.install(e, r, false, now)
+		case e.Default() || r.RefillRate != e.RefillRate() || r.Capacity != e.Capacity():
+			s.adm.Install(e, r, false, now)
 		}
 	}
 }
@@ -894,17 +697,7 @@ func (s *Server) SyncAge() (age time.Duration, enabled bool) {
 
 // AuditReport runs one on-demand audit pass — the /debug/audit document.
 // With auditing disabled the verdict is "disabled".
-func (s *Server) AuditReport() audit.Report {
-	if s.audit == nil {
-		return audit.Report{Verdict: "disabled"}
-	}
-	return s.audit.Audit(s.accounts)
-}
-
-// accounts yields the audit account of every resident key.
-func (s *Server) accounts(yield func(string, *audit.Account) bool) {
-	s.table.Range(func(key string, e *entry) bool { return yield(key, &e.acct) })
-}
+func (s *Server) AuditReport() audit.Report { return s.adm.Audit() }
 
 // checkpointOnce performs one credit write-back pass. It does nothing while
 // the server is an HA slave following its master: the master checkpoints
@@ -915,20 +708,20 @@ func (s *Server) checkpointOnce() {
 	}
 	now := s.clock()
 	credits := make(map[string]float64)
-	s.table.Range(func(key string, e *entry) bool {
-		if !e.isDefault.Load() {
+	s.adm.Range(func(key string, e *admission.Entry) bool {
+		if !e.Default() {
 			credits[key] = e.Credit(now)
 		}
 		return true
 	})
 	if err := s.cfg.Store.CheckpointBatch(credits); err != nil {
-		s.dbErrors.Inc()
+		s.adm.DBErrors.Inc()
 		s.logger.Printf("qosserver: checkpoint failed: %v", err)
 	}
 }
 
 // TableLen returns the number of keys resident in the local table.
-func (s *Server) TableLen() int { return s.table.Len() }
+func (s *Server) TableLen() int { return s.adm.Len() }
 
 // Stats returns a snapshot of the operation counters.
 func (s *Server) Stats() Stats {
@@ -937,12 +730,12 @@ func (s *Server) Stats() Stats {
 		Dropped:    s.dropped.Value(),
 		Degraded:   s.codelDrops.Value(),
 		Malformed:  s.malformed.Value(),
-		Decisions:  s.decisions.Value(),
-		Allowed:    s.allowed.Value(),
-		Denied:     s.denied.Value(),
-		DBQueries:  s.dbQueries.Value(),
-		DefaultHit: s.defaultHit.Value(),
-		DBErrors:   s.dbErrors.Value(),
+		Decisions:  s.adm.Decisions.Value(),
+		Allowed:    s.adm.Allowed.Value(),
+		Denied:     s.adm.Denied.Value(),
+		DBQueries:  s.adm.DBQueries.Value(),
+		DefaultHit: s.adm.DefaultHit.Value(),
+		DBErrors:   s.adm.DBErrors.Value(),
 		SendErrors: s.sendErrors.Value(),
 	}
 }
@@ -1000,13 +793,13 @@ type BucketSnapshot struct {
 func (s *Server) SnapshotBuckets(limit int) []BucketSnapshot {
 	now := s.clock()
 	var out []BucketSnapshot
-	s.table.Range(func(key string, e *entry) bool {
+	s.adm.Range(func(key string, e *admission.Entry) bool {
 		out = append(out, BucketSnapshot{
 			Key:        key,
 			Credit:     e.Credit(now),
 			Capacity:   e.Capacity(),
 			RefillRate: e.RefillRate(),
-			Default:    e.isDefault.Load(),
+			Default:    e.Default(),
 		})
 		return limit <= 0 || len(out) < limit
 	})

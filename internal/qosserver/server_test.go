@@ -46,108 +46,6 @@ func newServer(t *testing.T, cfg Config) *Server {
 
 var clientCfg = transport.Config{Timeout: 100 * time.Millisecond, Retries: 5}
 
-func TestDecideKnownKey(t *testing.T) {
-	db := newDB(t, bucket.Rule{Key: "alice", RefillRate: 0, Capacity: 3, Credit: 3})
-	s := newServer(t, Config{Store: db})
-	for i := 0; i < 3; i++ {
-		resp := s.Decide(wire.Request{Key: "alice", Cost: 1})
-		if !resp.Allow || resp.Status != wire.StatusOK {
-			t.Fatalf("request %d: %+v", i, resp)
-		}
-	}
-	resp := s.Decide(wire.Request{Key: "alice", Cost: 1})
-	if resp.Allow {
-		t.Fatalf("admitted beyond capacity: %+v", resp)
-	}
-	st := s.Stats()
-	if st.Decisions != 4 || st.Allowed != 3 || st.Denied != 1 || st.DBQueries != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDecideUnknownKeyDeniedByDefault(t *testing.T) {
-	db := newDB(t)
-	s := newServer(t, Config{Store: db})
-	resp := s.Decide(wire.Request{Key: "stranger", Cost: 1})
-	if resp.Allow || resp.Status != wire.StatusDefaultRule {
-		t.Fatalf("resp = %+v", resp)
-	}
-}
-
-func TestDecideUnknownKeyGuestDefault(t *testing.T) {
-	db := newDB(t)
-	s := newServer(t, Config{Store: db, DefaultRule: bucket.Rule{RefillRate: 10, Capacity: 2, Credit: 2}})
-	r1 := s.Decide(wire.Request{Key: "guest", Cost: 1})
-	r2 := s.Decide(wire.Request{Key: "guest", Cost: 1})
-	r3 := s.Decide(wire.Request{Key: "guest", Cost: 1})
-	if !r1.Allow || !r2.Allow || r3.Allow {
-		t.Fatalf("guest decisions = %v %v %v", r1.Allow, r2.Allow, r3.Allow)
-	}
-	if r1.Status != wire.StatusDefaultRule {
-		t.Fatalf("status = %v", r1.Status)
-	}
-	if st := s.Stats(); st.DefaultHit != 3 {
-		t.Fatalf("default hits = %d, want 3", st.DefaultHit)
-	}
-}
-
-func TestDecideNoStoreUsesDefault(t *testing.T) {
-	s := newServer(t, Config{DefaultRule: bucket.Rule{RefillRate: 1, Capacity: 1, Credit: 1}})
-	if resp := s.Decide(wire.Request{Key: "x"}); !resp.Allow {
-		t.Fatalf("resp = %+v", resp)
-	}
-}
-
-func TestDecideZeroCostTreatedAsOne(t *testing.T) {
-	db := newDB(t, bucket.Rule{Key: "k", RefillRate: 0, Capacity: 1, Credit: 1})
-	s := newServer(t, Config{Store: db})
-	if resp := s.Decide(wire.Request{Key: "k"}); !resp.Allow {
-		t.Fatal("first request denied")
-	}
-	if resp := s.Decide(wire.Request{Key: "k"}); resp.Allow {
-		t.Fatal("bucket not charged for zero-cost request")
-	}
-}
-
-func TestDecideWeightedCost(t *testing.T) {
-	db := newDB(t, bucket.Rule{Key: "k", RefillRate: 0, Capacity: 10, Credit: 10})
-	s := newServer(t, Config{Store: db})
-	if resp := s.Decide(wire.Request{Key: "k", Cost: 7}); !resp.Allow {
-		t.Fatal("batch denied")
-	}
-	if resp := s.Decide(wire.Request{Key: "k", Cost: 4}); resp.Allow {
-		t.Fatal("over-budget batch admitted")
-	}
-	if resp := s.Decide(wire.Request{Key: "k", Cost: 3}); !resp.Allow {
-		t.Fatal("exact remainder denied")
-	}
-}
-
-// TestDecideConcurrentConservesCredits: goroutines race on a key's first
-// sight and then on its bucket; the key gets one entry, and exactly its
-// capacity is admitted.
-func TestDecideConcurrentConservesCredits(t *testing.T) {
-	db := newDB(t, bucket.Rule{Key: "k", RefillRate: 0, Capacity: 1000, Credit: 1000})
-	s := newServer(t, Config{Store: db})
-	var admitted atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				if s.Decide(wire.Request{Key: "k", Cost: 1}).Allow {
-					admitted.Add(1)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if n := admitted.Load(); n != 1000 {
-		t.Fatalf("admitted %d, want exactly 1000", n)
-	}
-}
-
 func TestUDPEndToEnd(t *testing.T) {
 	db := newDB(t, bucket.Rule{Key: "alice", RefillRate: 0, Capacity: 5, Credit: 5})
 	s := newServer(t, Config{Store: db})
@@ -240,7 +138,7 @@ func TestSyncPicksUpRuleUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SyncOnce()
-	b := s.table.Get("k")
+	b := s.adm.Get("k")
 	if b == nil || b.Capacity() != 100 {
 		t.Fatalf("bucket not updated: %v", b)
 	}
@@ -254,7 +152,7 @@ func TestSyncEvictsDeletedRule(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SyncOnce()
-	if s.table.Get("k") != nil {
+	if s.adm.Get("k") != nil {
 		t.Fatal("deleted rule still resident")
 	}
 	// Next request applies the default (deny-all) rule.
@@ -353,7 +251,7 @@ func TestSyncQueriesPerPass(t *testing.T) {
 			counted.n.Load()-pages-1, q-pages, r-1)
 	}
 
-	checkpointed := s.table.Get("k09999")
+	checkpointed := s.adm.Get("k09999")
 	for _, pass := range []struct {
 		name    string
 		edit    func() error
@@ -407,16 +305,16 @@ func TestSyncQueriesPerPass(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		if b := s.table.Get(rules[i].Key); b == nil || b.Capacity() != 99 {
+		if b := s.adm.Get(rules[i].Key); b == nil || b.Capacity() != 99 {
 			t.Fatalf("edited %s not reinstalled: %v", rules[i].Key, b)
 		}
 	}
 	for i := 100; i < 200; i++ {
-		if s.table.Get(rules[i].Key) != nil {
+		if s.adm.Get(rules[i].Key) != nil {
 			t.Fatalf("deleted %s still resident", rules[i].Key)
 		}
 	}
-	if s.table.Get("k09999") != checkpointed {
+	if s.adm.Get("k09999") != checkpointed {
 		t.Fatal("a checkpointed credit replaced an unchanged bucket")
 	}
 	if resp := s.Decide(wire.Request{Key: "new-user"}); !resp.Allow || resp.Status != wire.StatusOK {
@@ -457,7 +355,7 @@ func TestSyncConcurrentPasses(t *testing.T) {
 	wg.Wait()
 	s.SyncOnce()
 	for i, r := range rules {
-		if b := s.table.Get(r.Key); b == nil || b.Capacity() != float64(11+150+i) {
+		if b := s.adm.Get(r.Key); b == nil || b.Capacity() != float64(11+150+i) {
 			t.Fatalf("%s: %v, want capacity %d", r.Key, b, 11+150+i)
 		}
 	}
@@ -488,7 +386,7 @@ func TestSyncTombstoneOverflow(t *testing.T) {
 		t.Fatalf("%d keys resident after deleting all but 10", s.TableLen())
 	}
 	for _, r := range rules[:10] {
-		if s.table.Get(r.Key) == nil {
+		if s.adm.Get(r.Key) == nil {
 			t.Fatalf("surviving rule %s evicted", r.Key)
 		}
 	}
@@ -545,7 +443,7 @@ func TestResetScanRestartsOnForgottenDeletes(t *testing.T) {
 	}
 	s.SyncOnce() // no cursor yet: a reset scan
 	for _, i := range resident {
-		if got, want := s.table.Get(rules[i].Key) != nil, i >= deleted; got != want {
+		if got, want := s.adm.Get(rules[i].Key) != nil, i >= deleted; got != want {
 			t.Errorf("%s resident = %v, want %v", rules[i].Key, got, want)
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // deployment (desRouter routers, one c3.8xlarge QoS node) under the
 // scenario's open-loop rate profile and key stream. desBand's autoscale
 // group adds and drains routers on the windowed p90 of end-to-end latency,
-// and the QoS node decides every request on internal/bucket buckets driven
-// by the virtual clock. The run is strictly single-threaded and seeded —
-// the same seed reproduces the identical Report.
+// and the QoS node decides every request through an admission.Table on the
+// virtual clock. The run is strictly single-threaded and seeded — the same
+// seed reproduces the identical Report.
 func RunDES(sc Scenario, seed int64) Report {
 	band := desBand
 	band.MaxRouters = sc.DESMaxRouters
@@ -67,7 +67,7 @@ func RunDES(sc Scenario, seed int64) Report {
 		FinalRouters:    ctl.Routers(),
 	}
 
-	// Conservation oracle: the buckets decided; each key's admissions are
+	// Conservation oracle: the table decided; each key's admissions are
 	// held to C + r·T here. Keys go in sorted order so the float
 	// accumulation — and therefore the Report — is identical per seed.
 	T := desDuration.Seconds()
@@ -83,8 +83,8 @@ func RunDES(sc Scenario, seed int64) Report {
 		rep.Requests += tally.Requested
 		rep.Admitted += tally.Admitted
 		rep.Rejected += tally.Rejected
-		rate, capacity := sc.ruleFor(k)
-		bound := capacity + rate*T
+		rule, _, _ := sc.ruleFor(k)
+		bound := rule.Capacity + rule.RefillRate*T
 		if bound <= 0 {
 			continue
 		}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"strconv"
@@ -68,6 +69,50 @@ func TestDESDeterministicPerSeed(t *testing.T) {
 		c, _ := json.Marshal(RunDES(sc, seed+1))
 		if string(a) == string(c) {
 			t.Errorf("%s: different seeds produced identical reports", sc.Name)
+		}
+	}
+}
+
+// TestDESMatchesCheckedInReports holds the DES tier to SCENARIOS_SLO.json:
+// at the canonical seed each scenario's report marshals to the bytes of its
+// "des" row, so a change that moves any figure of the simulated deployment
+// regenerates the file (make scenarios) in the same change. It is skipped
+// while make scenarios regenerates the file or another seed is asked for.
+func TestDESMatchesCheckedInReports(t *testing.T) {
+	if os.Getenv("JANUS_SCENARIOS_JSON") != "" || os.Getenv("JANUS_SCENARIO_SEED") != "" {
+		t.Skip("regenerating the reports, or not at the canonical seed")
+	}
+	data, err := os.ReadFile("../../SCENARIOS_SLO.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct{ Scenarios []json.RawMessage }
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]byte{}
+	for _, raw := range doc.Scenarios {
+		var row struct{ Scenario, Tier string }
+		if err := json.Unmarshal(raw, &row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Tier == "des" {
+			var b bytes.Buffer
+			if err := json.Compact(&b, raw); err != nil {
+				t.Fatal(err)
+			}
+			rows[row.Scenario] = b.Bytes()
+		}
+	}
+	for _, sc := range All() {
+		got, err := json.Marshal(suiteRun(t, sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, ok := rows[sc.Name]; !ok {
+			t.Errorf("%s: SCENARIOS_SLO.json has no des row", sc.Name)
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("%s: report differs from its SCENARIOS_SLO.json row:\n got %s\nwant %s", sc.Name, got, want)
 		}
 	}
 }

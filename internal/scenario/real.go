@@ -21,12 +21,7 @@ func realRules(sc Scenario) []bucket.Rule {
 	var rules []bucket.Rule
 	for _, t := range sc.Tenants {
 		for rank := 0; rank < t.RealKeys; rank++ {
-			rules = append(rules, bucket.Rule{
-				Key:        t.Name + "-" + loadgen.ZipfKey(t.RealKeys, rank),
-				RefillRate: t.Rate,
-				Capacity:   t.Capacity,
-				Credit:     t.Capacity,
-			})
+			rules = append(rules, t.rule(t.Name+"-"+loadgen.ZipfKey(t.RealKeys, rank)))
 		}
 	}
 	return rules

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/bucket"
 	"repro/internal/loadgen"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -196,14 +197,20 @@ func (sc Scenario) keyGen(seed int64, real bool) loadgen.KeyGen {
 	return g
 }
 
-// ruleFor resolves the token-bucket rule class of a key by tenant prefix.
-func (sc Scenario) ruleFor(key string) (rate, capacity float64) {
+// rule is key's rule in the tenant's class, for both tiers and the oracle.
+func (t Tenant) rule(key string) bucket.Rule {
+	return bucket.Rule{Key: key, RefillRate: t.Rate, Capacity: t.Capacity, Credit: t.Capacity}
+}
+
+// ruleFor, the DES tier's admission.Rules, finds a key's rule by tenant
+// prefix; a key of no tenant gets the zero default rule, which denies.
+func (sc Scenario) ruleFor(key string) (bucket.Rule, bool, error) {
 	for _, t := range sc.Tenants {
 		if strings.HasPrefix(key, t.Name+"-") {
-			return t.Rate, t.Capacity
+			return t.rule(key), true, nil
 		}
 	}
-	return 0, 0 // unknown prefix: deny, like the zero default rule
+	return bucket.Rule{}, false, nil
 }
 
 // registry holds the named scenarios. Rates are multiples of one node's

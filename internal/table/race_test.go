@@ -34,12 +34,12 @@ func TestTableRaceStress(t *testing.T) {
 						k := key(i + w)
 						switch i % 6 {
 						case 0:
-							tbl.Put(k, bucket.NewFull(k, 10, 100, now))
+							tbl.Put(k, bucket.New(bucket.LimitedGuest(k, 10, 100), now))
 						case 1:
 							tbl.Get(k)
 						case 2:
 							tbl.GetOrCreate(k, func() *bucket.Bucket {
-								return bucket.NewFull(k, 10, 100, now)
+								return bucket.New(bucket.LimitedGuest(k, 10, 100), now)
 							})
 						case 3:
 							tbl.Delete(k)
@@ -95,7 +95,7 @@ func TestShardedGetOrCreateSingleFactory(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			b, _ := tbl.GetOrCreate("shared", func() *bucket.Bucket {
-				return bucket.NewFull("shared", 1, 10, now)
+				return bucket.New(bucket.LimitedGuest("shared", 1, 10), now)
 			})
 			results[w] = b
 		}(w)

@@ -92,7 +92,7 @@ func impls() map[string]func() bucketTable {
 	}
 }
 
-func newBucket() *bucket.Bucket { return bucket.NewFull("k", 1, 10, t0) }
+func newBucket() *bucket.Bucket { return bucket.New(bucket.LimitedGuest("k", 1, 10), t0) }
 
 func TestTableBasicOperations(t *testing.T) {
 	for name, mk := range impls() {
