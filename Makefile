@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/minisql/
 	$(GO) test -run '^$$' -fuzz FuzzExecute -fuzztime 10s ./internal/minisql/
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 10s ./internal/minisql/
+	$(GO) test -run '^$$' -fuzz FuzzBucketMatchesModel -fuzztime 10s ./internal/bucket/
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): four
 # workloads through the client-visible path, the run a PR is judged on.
@@ -119,17 +120,20 @@ bench-smoke:
 # 1 object on a miss and 6 on a hit, the engine's included, and a whole
 # DNS-mode check through internal/cluster nothing for a resident key and 3
 # objects for a first-sight one; and the live heap a resident key holds in
-# the QoS server's table (TestAllocPinResidentKeyBytes, at most 190 B). The
+# the QoS server's table (TestAllocPinResidentKeyBytes, at most 150 B). The
 # pins assert their budgets, so this is a test run, not a benchmark run.
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/transport ./internal/wire ./internal/table ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql ./internal/store ./internal/cluster -run AllocPin -count=1 -v
 
 # The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
-# rule-churn suites, 20 consecutive green runs under the race
-# detector (ISSUE 9 satellite 3). Kept out of the pre-merge gate for time;
-# run it when touching intake, table sharding, or the CoDel controller.
+# rule-churn suites, and the bucket's lock-free decisions beside reinstalls
+# and min-merges, 20 consecutive green runs under the race detector. Kept
+# out of the pre-merge gate for time; run it when touching intake, table
+# sharding, the bucket or the CoDel controller.
 race-overload:
-	$(GO) test -race -count=20 -run 'TestCodel|TestOverload|TestIntakeShardedStress|TestIntakeServesConcurrentClients' ./internal/qosserver/
+	$(GO) test -race -count=20 -run 'TestCodel|TestOverload|TestIntakeShardedStress|TestIntakeServesConcurrentClients|TestReinstallInPlaceRaceFree' ./internal/qosserver/
+	$(GO) test -race -count=20 -run 'TestConcurrentConsumeConservation' ./internal/bucket/
+	$(GO) test -race -count=20 -run 'TestMergeBesideDecisionsConserves' ./internal/admission/
 	JANUS_CHAOS_SEED=$(JANUS_CHAOS_SEED) $(GO) test -race -count=20 -run TestInvariantCodelNeverInflatesAdmission ./chaostest/
 
 # The scenario suite — the SLO regression gate: five named adversarial

@@ -197,17 +197,16 @@ func (t *Table) Put(rule bucket.Rule, isDefault bool, now time.Time) {
 }
 
 // Merge applies a rule handed over by a peer: on the resident entry's
-// geometry it only ever lowers the credit (min-merge); any other rule is
-// installed wholesale.
+// geometry it only ever lowers the credit (min-merge, one swap of the
+// bucket's word, so a decision beside it keeps its charge); any other rule
+// is installed wholesale.
 func (t *Table) Merge(rule bucket.Rule, isDefault bool, now time.Time) {
 	e := t.Get(rule.Key)
 	if e == nil || e.RefillRate() != rule.RefillRate || e.Capacity() != rule.Capacity {
 		t.Put(rule, isDefault, now)
 		return
 	}
-	if rule.Credit < e.Credit(now) {
-		e.SetCredit(rule.Credit, now)
-	}
+	e.MinCredit(rule.Credit, now)
 	e.isDefault.Store(isDefault)
 }
 

@@ -163,3 +163,57 @@ func TestImportsNoIO(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeBesideDecisionsConserves: four goroutines decide one key while
+// another min-merges, again and again, a credit just under the one it has
+// just read. A merge only lowers credit, so the key admits at most C + r·t;
+// a merge that read the credit and then stored it would hand back every
+// decision that landed in between.
+func TestMergeBesideDecisionsConserves(t *testing.T) {
+	for _, rate := range []float64{0, 1000} {
+		const capacity = 50_000
+		rule := bucket.Rule{Key: "k", RefillRate: rate, Capacity: capacity, Credit: capacity}
+		s := newTable(rulesOf(rule), bucket.Rule{})
+		start := time.Now()
+		var admitted atomic.Int64
+		if s.Decide(wire.Request{Key: "k", Cost: 1}).Allow {
+			admitted.Add(1)
+		}
+		e := s.Get("k")
+		var deciders, merger sync.WaitGroup
+		stop := make(chan struct{})
+		for g := 0; g < 4; g++ {
+			deciders.Add(1)
+			go func() {
+				defer deciders.Done()
+				for range capacity / 2 {
+					if s.Decide(wire.Request{Key: "k", Cost: 1}).Allow {
+						admitted.Add(1)
+					}
+				}
+			}()
+		}
+		merger.Add(1)
+		go func() {
+			defer merger.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := time.Now()
+				if c := e.Credit(now); c > 1 {
+					s.Merge(bucket.Rule{Key: "k", RefillRate: rate, Capacity: capacity, Credit: c - 0.001}, false, now)
+				}
+			}
+		}()
+		deciders.Wait()
+		close(stop)
+		merger.Wait()
+		bound := capacity + rate*time.Since(start).Seconds()
+		if n := float64(admitted.Load()); n > bound {
+			t.Errorf("r = %v: admitted %v, over C + r·t = %.0f", rate, n, bound)
+		}
+	}
+}
