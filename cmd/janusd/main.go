@@ -27,7 +27,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7101", "UDP listen address")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = #CPUs)")
-		queue       = flag.Int("queue", 65536, "intake FIFO capacity")
+		queue       = flag.Int("queue", 65536, "intake FIFO capacity in datagrams (8 B a slot)")
 		codelTarget = flag.Duration("codel-target", qosserver.DefaultCodelTarget, "CoDel queue sojourn target (<= 0 selects the default)")
 		codelIv     = flag.Duration("codel-interval", qosserver.DefaultCodelInterval, "CoDel standing-queue detection interval")
 		dbAddr      = flag.String("db", "", "minisql database address (empty = no database)")

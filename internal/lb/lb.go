@@ -121,6 +121,8 @@ type LB struct {
 	rrNext   int
 
 	latency *metrics.Histogram
+	// relays recycles the sinks of finished exchanges, up to its capacity.
+	relays chan *relay
 
 	registry *metrics.Registry
 	tracer   *trace.Recorder
@@ -167,6 +169,7 @@ func New(cfg Config) (*LB, error) {
 		ln:       ln,
 		logger:   logger,
 		latency:  reg.HistogramScaled("janus_lb_latency_seconds", "end-to-end proxy latency in seconds", 1e-9),
+		relays:   make(chan *relay, freeRelays),
 		registry: reg,
 		tracer:   tracer,
 		requests: reg.Counter("janus_lb_requests_total", "HTTP requests accepted at the gateway"),
@@ -341,12 +344,20 @@ func (l *LB) forward(out []byte, req *h1.Request, b *backendState, tid uint64) (
 		return nil, "", false, err
 	}
 	cn.Req = appendRequest(cn.Req[:0], req.URI, b.tail, tid)
-	rl := relays.Get().(*relay)
+	var rl *relay
+	select {
+	case rl = <-l.relays:
+	default:
+		rl = new(relay)
+	}
 	*rl = relay{out: out}
 	cn, h, err := b.pool.Send(cn, deadline, rl)
 	reply, date, at := rl.out, rl.date, rl.spans
-	*rl = relay{} // the pool keeps no client's buffer
-	relays.Put(rl)
+	*rl = relay{} // the free list keeps no client's buffer
+	select {
+	case l.relays <- rl:
+	default: // full: left to the GC
+	}
 	if err != nil {
 		return nil, "", false, err
 	}
@@ -388,8 +399,8 @@ func appendRequest(dst, uri []byte, tail string, tid uint64) []byte {
 	return append(dst, "\r\n"...)
 }
 
-// relays recycles the sinks of finished exchanges.
-var relays = sync.Pool{New: func() any { return new(relay) }}
+// freeRelays bounds LB.relays; why not a sync.Pool: DESIGN.md §3.4.
+const freeRelays = 64
 
 // relay is the h1.Sink of one exchange: it appends the back end's status
 // line and end-to-end header lines, as read, to the client's reply, noting

@@ -2,13 +2,16 @@ package qosserver
 
 import (
 	"fmt"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"repro/internal/admission"
 	"repro/internal/bucket"
+	"repro/internal/failpoint"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -250,6 +253,184 @@ func TestAllocPinUDPIntake(t *testing.T) {
 	}
 	if got != budget {
 		t.Errorf("UDP intake listen→FIFO→worker→send: %v allocs/op, budget %v", got, budget)
+	}
+}
+
+// intakeMallocsAcrossGC bounds the process's mallocs over 400 intake
+// exchanges with a GC before every tenth. What remains is the runtime's own
+// per-GC work (about 2 objects a cycle); while the packet buffers came from
+// a sync.Pool, each GC cost the intake 3 more, and the same loop read
+// 193–206.
+const intakeMallocsAcrossGC = 140
+
+// TestAllocPinUDPIntakeAcrossGC runs the TestAllocPinUDPIntake exchange
+// 400 times with runtime.GC() before every tenth and bounds the total
+// mallocs: a recycler that GC empties allocates again after every cycle,
+// which AllocsPerRun's integer division would hide.
+func TestAllocPinUDPIntakeAcrossGC(t *testing.T) {
+	skipIfInstrumented(t)
+	s := newPinServer(t)
+	c, err := transport.Dial(s.Addr(), transport.Config{Timeout: time.Second, Retries: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	exchange := func(n int) {
+		resp, err := c.Do(wire.Request{Key: pinKeys[n%len(pinKeys)], Cost: 1})
+		if err == nil && !resp.Allow {
+			err = fmt.Errorf("denied: %+v", resp)
+		}
+		if err != nil {
+			t.Fatalf("exchange %d: %v", n, err)
+		}
+	}
+	for n := range 100 {
+		exchange(n) // keys resident, sockets and packets warmed
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := range 400 {
+		if n%10 == 0 {
+			runtime.GC()
+		}
+		exchange(n)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.Mallocs - before.Mallocs
+	t.Logf("400 exchanges across 40 GCs: %d mallocs (budget %d)", got, intakeMallocsAcrossGC)
+	if got > intakeMallocsAcrossGC {
+		t.Errorf("400 exchanges across 40 GCs: %d mallocs, budget %d", got, intakeMallocsAcrossGC)
+	}
+}
+
+// TestAllocPinIdleServerHeap pins the heap a server holds at the default
+// QueueSize: the FIFO is 64 Ki slots of 8 B. While a slot held the packet
+// itself (48 B), the FIFO alone was 3 MiB.
+func TestAllocPinIdleServerHeap(t *testing.T) {
+	const budget = 1 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("idle server: %d B of heap (budget %d B)", held, budget)
+	if held > budget {
+		t.Errorf("an idle server holds %d B of heap, budget %d B", held, budget)
+	}
+}
+
+// TestAllocPinIntakeBurst fills a 4096-slot FIFO behind a stalled worker,
+// lets it drain, and checks that after a GC the server holds no more than
+// its idle heap plus a full free list: the packets of a burst beyond the
+// free list's bound are garbage once answered. It also runs under -race in
+// make race-overload, since the listener and the worker share the free
+// list.
+func TestAllocPinIntakeBurst(t *testing.T) {
+	const queue = 4096
+	s, err := New(Config{
+		Addr:        "127.0.0.1:0",
+		Workers:     1,
+		QueueSize:   queue,
+		DefaultRule: bucket.Rule{RefillRate: 1e9, Capacity: 1e9, Credit: 1e9},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() { s.Close() })
+	conn, err := net.Dial("udp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	pkt, err := wire.AppendRequest(nil, wire.Request{ID: 1, Key: "burst", Cost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(pkt); err != nil {
+		t.Fatal(err)
+	}
+	waitQuiet(t, s) // the key resident, the worker's buffers made
+
+	// Two GCs: the first leaves sync.Pools elsewhere in the process in
+	// their victim caches, the second frees those.
+	var idle, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&idle)
+
+	governService(t, 50*time.Millisecond)
+	for sent := 0; s.Stats().Dropped == 0; sent++ {
+		if sent == 64*queue {
+			t.Fatalf("the FIFO never filled: %+v after %d datagrams", s.SnapshotIntake(), sent)
+		}
+		if _, err := conn.Write(pkt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := failpoint.Disarm(fpWorkerDecide.Name()); err != nil {
+		t.Fatal(err)
+	}
+	waitQuiet(t, s)
+
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	// A full free list (a packet and its 64 B buffer each), and 16 KiB for
+	// what arming the failpoint and the runtime keep.
+	budget := int64(freePackets*(unsafe.Sizeof(packet{})+64)) + 16<<10
+	held := int64(after.HeapAlloc) - int64(idle.HeapAlloc)
+	st := s.Stats()
+	t.Logf("after a burst of %d datagrams (%d dropped): %d B over the idle heap (budget %d B)", st.Received, st.Dropped, held, budget)
+	if held > budget {
+		t.Errorf("after a burst the server holds %d B over its idle heap, budget %d B", held, budget)
+	}
+}
+
+// TestIntakeRecyclesNoOutsizedBuffer: a request for a 5 000-byte key is
+// answered, and its packet, whose buffer grew past maxRecycledData, does
+// not join the free list.
+func TestIntakeRecyclesNoOutsizedBuffer(t *testing.T) {
+	s := newPinServer(t)
+	c, err := transport.Dial(s.Addr(), transport.Config{Timeout: time.Second, Retries: 1})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	for _, key := range []string{"short", strings.Repeat("k", 5000)} {
+		if resp, err := c.Do(wire.Request{Key: key, Cost: 1}); err != nil || !resp.Allow {
+			t.Fatalf("key of %d B: %+v %v", len(key), resp, err)
+		}
+	}
+	waitQuiet(t, s)
+	for len(s.free) > 0 {
+		if pkt := <-s.free; cap(pkt.data) > maxRecycledData {
+			t.Errorf("the free list holds a %d B buffer, over %d B", cap(pkt.data), maxRecycledData)
+		}
+	}
+}
+
+// waitQuiet polls until every datagram s received was dropped or answered
+// (decided, shed or found malformed), twice in a row 20 ms apart.
+func waitQuiet(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for quiet := 0; quiet < 2; time.Sleep(20 * time.Millisecond) {
+		st := s.Stats()
+		if st.Received == st.Dropped+st.Decisions+st.Degraded+st.Malformed {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the intake never went quiet: %+v", st)
+		}
 	}
 }
 

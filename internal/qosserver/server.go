@@ -170,8 +170,11 @@ type Server struct {
 	// controller that watches the FIFO's sojourn, in front of cfg.Workers
 	// worker goroutines.
 	conn *net.UDPConn
-	fifo chan packet
+	fifo chan *packet
 	cdl  *codel
+	// free recycles the packets workers are done with, up to its capacity;
+	// a packet returned to a full list is left to the GC.
+	free chan *packet
 
 	// Per-stage sojourn decomposition (DESIGN.md §6): where a request's
 	// time inside this daemon went. queue = socket recv → FIFO dequeue,
@@ -233,14 +236,27 @@ type Server struct {
 	logger    *log.Logger
 }
 
+// packet is one queued datagram. The FIFO holds pointers, so an idle
+// slot costs 8 B whatever the capacity; packets themselves are recycled
+// through Server.free.
 type packet struct {
-	// data is the datagram, in a buffer from packetBufs; the worker returns
-	// it once it has decided.
-	data  *[]byte
+	data  []byte
 	raddr netip.AddrPort
 	// recvNs timestamps the socket read, opening the sojourn clock.
 	recvNs int64
 }
+
+// freePackets bounds Server.free: enough for the few packets CoDel lets
+// queue, and a burst beyond it pins nothing once drained. A sync.Pool would
+// do the same job but drops its contents at every GC and allocates its
+// per-P arrays again on the next Put, so the intake's allocation count
+// would follow the GC frequency.
+const freePackets = 64
+
+// maxRecycledData is the largest buffer a recycled packet keeps: a request
+// for any key under about 4 KiB, while the free list holds at most
+// freePackets × 4 KiB rather than buffers grown for 64 KiB datagrams.
+const maxRecycledData = 4 << 10
 
 // New starts a QoS server.
 func New(cfg Config) (*Server, error) {
@@ -288,7 +304,8 @@ func New(cfg Config) (*Server, error) {
 		cfg:            cfg,
 		clock:          clock,
 		conn:           conn,
-		fifo:           make(chan packet, cfg.QueueSize),
+		fifo:           make(chan *packet, cfg.QueueSize),
+		free:           make(chan *packet, freePackets),
 		cdl:            newCodel(cfg.CodelTarget, cfg.CodelInterval),
 		registry:       reg,
 		tracer:         tracer,
@@ -388,9 +405,9 @@ var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 // (worker-side) long before the queue fills.
 //
 // One read buffer holds any datagram up to the UDP payload limit (a key may
-// be up to wire.MaxKeyLen bytes); each packet is queued as a copy in a
-// pooled buffer, which the worker returns once it has decided (it reads the
-// key in place from that buffer). The peer is a
+// be up to wire.MaxKeyLen bytes); each datagram is queued as a copy in a
+// packet from the free list, which the worker returns once it has decided
+// (it reads the key in place from the packet). The peer is a
 // netip.AddrPort value, so in steady state the intake allocates nothing.
 //
 //janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDPAddrPort with an error and ends the loop
@@ -414,23 +431,34 @@ func (s *Server) listen() {
 			}
 		}
 		s.received.Inc()
-		data := packetBufs.Get().(*[]byte)
-		*data = append((*data)[:0], buf[:n]...)
+		var pkt *packet
 		select {
-		case s.fifo <- packet{data: data, raddr: raddr, recvNs: s.clock().UnixNano()}:
+		case pkt = <-s.free:
 		default:
-			packetBufs.Put(data)
+			pkt = &packet{data: make([]byte, 0, 64)}
+		}
+		pkt.data = append(pkt.data[:0], buf[:n]...)
+		pkt.raddr, pkt.recvNs = raddr, s.clock().UnixNano()
+		select {
+		case s.fifo <- pkt:
+		default:
+			s.recycle(pkt)
 			s.dropped.Inc()
 		}
 	}
 }
 
-// packetBufs holds the buffers queued datagrams travel in from listen to a
-// worker.
-var packetBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, 64)
-	return &b
-}}
+// recycle returns pkt to the free list, or leaves it to the GC when the
+// list is full or pkt's buffer grew past maxRecycledData.
+func (s *Server) recycle(pkt *packet) {
+	if cap(pkt.data) > maxRecycledData {
+		return
+	}
+	select {
+	case s.free <- pkt:
+	default:
+	}
+}
 
 // fpWorkerDecide pins the cost of the full decision path: a Delay action
 // models a slow decision service (cold cache, CPU contention, an expensive
@@ -460,21 +488,22 @@ func (s *Server) worker() {
 	var req wire.Request
 	out := make([]byte, 0, 64)
 	for {
-		var pkt packet
+		var pkt *packet
 		select {
 		case <-s.quit:
 			return
 		case pkt = <-s.fifo:
 		}
 		deqNs := s.clock().UnixNano()
-		key, err := wire.DecodeRequestKey(*pkt.data, &req)
+		raddr, recvNs := pkt.raddr, pkt.recvNs
+		key, err := wire.DecodeRequestKey(pkt.data, &req)
 		if err != nil {
-			packetBufs.Put(pkt.data)
+			s.recycle(pkt)
 			s.malformed.Inc()
 			continue
 		}
 		var resp wire.Response
-		if s.cdl.onDequeue(deqNs-pkt.recvNs, deqNs) {
+		if s.cdl.onDequeue(deqNs-recvNs, deqNs) {
 			s.codelDrops.Inc()
 			resp = degradedReply(&req, s.cfg.FailOpen)
 		} else {
@@ -485,9 +514,9 @@ func (s *Server) worker() {
 			}
 			resp = s.decideTimed(&req, key)
 		}
-		// key aliases the buffer, so it goes back only now: after the lookup
+		// key aliases the packet, so it goes back only now: after the lookup
 		// and, on a miss, after the key's string was made.
-		packetBufs.Put(pkt.data)
+		s.recycle(pkt)
 		decNs := s.clock().UnixNano()
 		out, _ = wire.AppendResponse(out[:0], resp) // a response always encodes
 		// Fire and forget (§III-C: "The worker thread does not care about
@@ -495,10 +524,10 @@ func (s *Server) worker() {
 		// send the kernel refused is counted, or silent drops would read as
 		// router-side packet loss.
 		//lint:ignore netio fire-and-forget UDP send; WriteToUDPAddrPort does not block on the peer
-		if _, err := s.conn.WriteToUDPAddrPort(out, pkt.raddr); err != nil {
+		if _, err := s.conn.WriteToUDPAddrPort(out, raddr); err != nil {
 			s.sendErrors.Inc()
 		}
-		s.observeSojourn(pkt.recvNs, deqNs, decNs, s.clock().UnixNano())
+		s.observeSojourn(recvNs, deqNs, decNs, s.clock().UnixNano())
 	}
 }
 

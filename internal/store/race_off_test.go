@@ -3,6 +3,5 @@
 package store
 
 // raceEnabled reports whether the race detector instrumented this build.
-// The alloc pin skips under -race: instrumentation allocates, and sync.Pool
-// drops items.
+// The alloc pin skips under -race: instrumentation allocates.
 const raceEnabled = false

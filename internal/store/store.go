@@ -11,7 +11,6 @@ package store
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/bucket"
 	"repro/internal/minisql"
@@ -21,7 +20,7 @@ import (
 const TableName = "qos_rules"
 
 // Executor abstracts statement execution (engine, client, pool, failover).
-// Execute keeps nothing of args after it returns: Get hands it a pooled
+// Execute keeps nothing of args after it returns: Get hands it a recycled
 // array.
 type Executor interface {
 	Execute(sql string, args ...minisql.Value) (minisql.Result, error)
@@ -30,10 +29,17 @@ type Executor interface {
 // Store provides typed access to QoS rules.
 type Store struct {
 	db Executor
+	// args recycles Get's one-value argument arrays, up to its capacity. A
+	// call through the Executor interface moves its arguments to the heap,
+	// so without it every first-sight fetch would allocate one.
+	args chan *[1]minisql.Value
 }
 
+// freeArgs bounds Store.args; why not a sync.Pool: DESIGN.md §3.4.
+const freeArgs = 64
+
 // New wraps an executor.
-func New(db Executor) *Store { return &Store{db: db} }
+func New(db Executor) *Store { return &Store{db: db, args: make(chan *[1]minisql.Value, freeArgs)} }
 
 // Init creates the rules table if it does not exist.
 func (s *Store) Init() error {
@@ -53,19 +59,22 @@ func ruleFromRow(row []minisql.Value) (bucket.Rule, error) {
 	}, nil
 }
 
-// getArgs holds Get's one-value argument arrays. A call through the
-// Executor interface moves its arguments to the heap, so without the pool
-// every first-sight fetch would allocate one.
-var getArgs = sync.Pool{New: func() any { return new([1]minisql.Value) }}
-
 // Get fetches one rule by QoS key; found is false when the key is absent
 // (the caller then applies the default rule, §II-D).
 func (s *Store) Get(key string) (rule bucket.Rule, found bool, err error) {
-	args := getArgs.Get().(*[1]minisql.Value)
+	var args *[1]minisql.Value
+	select {
+	case args = <-s.args:
+	default:
+		args = new([1]minisql.Value)
+	}
 	args[0] = minisql.Text(key)
 	res, err := s.db.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, args[:]...)
 	*args = [1]minisql.Value{}
-	getArgs.Put(args)
+	select {
+	case s.args <- args:
+	default: // full: left to the GC
+	}
 	if err != nil {
 		return bucket.Rule{}, false, err
 	}

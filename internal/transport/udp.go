@@ -110,8 +110,8 @@ func (c Config) withDefaults() Config {
 // closed-loop clients on one router, and 64 sockets 7 % fewer at 128.
 const maxSockets = 64
 
-// waitTimers holds the timers of exchanges waiting for a socket.
-var waitTimers = sync.Pool{New: func() any { return time.NewTimer(time.Hour) }}
+// freeTimers bounds Client.timers; why not a sync.Pool: DESIGN.md §3.4.
+const freeTimers = 64
 
 // Client issues QoS requests to one QoS server address.
 type Client struct {
@@ -123,7 +123,8 @@ type Client struct {
 	idle    chan *socket // sockets no exchange holds
 	open    atomic.Int32 // sockets dialled, plus claims past the bound not yet undone
 	closed  atomic.Bool
-	closing chan struct{} // closed by Close, to wake exchanges waiting for a socket
+	closing chan struct{}    // closed by Close, to wake exchanges waiting for a socket
+	timers  chan *time.Timer // recycles the timers of exchanges that waited for a socket
 
 	// stats are private to the client unless Config.Stats shared a set.
 	stats *Stats
@@ -149,6 +150,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 		peer:    raddr.String(),
 		idle:    make(chan *socket, maxSockets),
 		closing: make(chan struct{}),
+		timers:  make(chan *time.Timer, freeTimers),
 		stats:   cmp.Or(cfg.Stats, newPrivateStats()),
 	}
 	return c, nil
@@ -174,10 +176,14 @@ func (c *Client) take(deadline time.Time) (*socket, error) {
 		return &socket{conn: conn}, nil
 	}
 	c.open.Add(-1)
-	t := waitTimers.Get().(*time.Timer)
-	t.Reset(time.Until(deadline)) // no stale tick since Go 1.23
-	defer waitTimers.Put(t)
-	defer t.Stop()
+	var t *time.Timer
+	select {
+	case t = <-c.timers:
+		t.Reset(time.Until(deadline)) // no stale tick since Go 1.23
+	default:
+		t = time.NewTimer(time.Until(deadline))
+	}
+	defer c.recycle(t)
 	select {
 	case s := <-c.idle:
 		return s, nil
@@ -185,6 +191,16 @@ func (c *Client) take(deadline time.Time) (*socket, error) {
 		return nil, net.ErrClosed
 	case <-t.C:
 		return nil, ErrTimeout
+	}
+}
+
+// recycle stops t and returns it to c.timers, or leaves it to the GC when
+// the list is full.
+func (c *Client) recycle(t *time.Timer) {
+	t.Stop()
+	select {
+	case c.timers <- t:
+	default:
 	}
 }
 
