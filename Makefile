@@ -120,23 +120,26 @@ bench-smoke:
 # 1 object on a miss and 6 on a hit, the engine's included, and a whole
 # DNS-mode check through internal/cluster nothing for a resident key and 3
 # objects for a first-sight one; and the live heap a resident key holds in
-# the QoS server's table (TestAllocPinResidentKeyBytes, at most 150 B),
-# janusd's intake mallocs over 400 exchanges across 40 GCs, an idle janusd's
-# heap (at most 1 MiB) and what a drained burst leaves behind. The pins
-# assert their budgets, so this is a test run, not a benchmark run.
+# the QoS server's table (TestAllocPinResidentKeyBytes, at most 110 B, its
+# entry 64 B), janusd's intake mallocs over 400 exchanges across 40 GCs, an
+# idle janusd's heap (at most 1 MiB), what a drained burst leaves behind, and
+# what a first exchange allocates after New (not the listener's buffer).
+# The pins assert their budgets, so this is a test run, not a benchmark run.
 bench-allocs:
 	$(GO) test ./internal/qosserver ./internal/transport ./internal/wire ./internal/table ./internal/client ./internal/lb ./internal/h1 ./internal/router ./internal/membership ./internal/minisql ./internal/store ./internal/cluster -run AllocPin -count=1 -v
 
 # The intake race-stress acceptance: the concurrent-intake + CoDel + handoff +
-# rule-churn suites, a burst through the intake's packet free list, and the
-# bucket's lock-free decisions beside reinstalls and min-merges, 20
-# consecutive green runs under the race detector. Kept
-# out of the pre-merge gate for time; run it when touching intake, table
-# sharding, the bucket or the CoDel controller.
+# rule-churn suites, a burst through the intake's packet free list, the
+# bucket's lock-free decisions beside reinstalls and min-merges, and the audit
+# ledger's installs, admissions and passes under its one mutex, 20
+# consecutive green runs under the race detector. Kept out of the pre-merge
+# gate for time; run it when touching intake, table sharding, the bucket, the
+# audit ledger or the CoDel controller.
 race-overload:
 	$(GO) test -race -count=20 -run 'TestCodel|TestOverload|TestIntakeShardedStress|TestIntakeServesConcurrentClients|TestReinstallInPlaceRaceFree|TestAllocPinIntakeBurst' ./internal/qosserver/
 	$(GO) test -race -count=20 -run 'TestConcurrentConsumeConservation' ./internal/bucket/
 	$(GO) test -race -count=20 -run 'TestMergeBesideDecisionsConserves' ./internal/admission/
+	$(GO) test -race -count=20 -run 'TestLedgerConcurrentInstallAdmitAudit' ./internal/audit/
 	JANUS_CHAOS_SEED=$(JANUS_CHAOS_SEED) $(GO) test -race -count=20 -run TestInvariantCodelNeverInflatesAdmission ./chaostest/
 
 # The scenario suite — the SLO regression gate: five named adversarial

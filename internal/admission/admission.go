@@ -25,18 +25,33 @@ import (
 // failed. (*store.Store).Get is one.
 type Rules func(key string) (rule bucket.Rule, found bool, err error)
 
-// Entry is all a resident key holds: its bucket, its audit account, whether
-// the default rule installed it, and whether its rule fetch failed. Install
-// reinstalls it in place, so the account carries across the key's
-// residency, and deleting the key drops all of it.
+// Entry is all a resident key holds, 64 B in one allocation: its 24 B bucket
+// and its 40 B audit account, whose owner's word carries the entry's marks
+// (whether the default rule installed it, and whether its rule fetch
+// failed). Install reinstalls it in place, so the account carries across the
+// key's residency, and deleting the key drops all of it.
 type Entry struct {
 	bucket.Bucket
-	acct                audit.Account
-	isDefault, fallback atomic.Bool
+	acct audit.Account
 }
 
+// The entry's marks, bits of its account's owner's word.
+const (
+	markDefault  = 1 << iota // the default rule installed the entry
+	markFallback             // the entry is its failed fetch's fallback
+)
+
 // Default reports whether the default rule installed the entry.
-func (e *Entry) Default() bool { return e.isDefault.Load() }
+func (e *Entry) Default() bool { return e.acct.Marks.Load()&markDefault != 0 }
+
+// setDefault sets or clears the default-rule mark.
+func (e *Entry) setDefault(isDefault bool) {
+	if isDefault {
+		e.acct.Marks.Or(markDefault)
+	} else {
+		e.acct.Marks.And(^uint32(markDefault))
+	}
+}
 
 // Table is the local QoS table, one *Entry per resident key, and the
 // decision made against it. All methods are safe for concurrent use.
@@ -115,7 +130,7 @@ func (t *Table) DecideKey(req *wire.Request, key []byte) wire.Response {
 //janus:hotpath
 func (t *Table) decide(e *Entry, req *wire.Request, now time.Time) wire.Response {
 	status := wire.StatusOK
-	if e.isDefault.Load() {
+	if e.Default() {
 		status = wire.StatusDefaultRule
 		t.DefaultHit.Inc()
 	}
@@ -152,10 +167,12 @@ func (t *Table) installRule(key string, now time.Time) *Entry {
 	e, created := t.GetOrCreate(key, func() *Entry {
 		rule, isDefault, failed := t.fetchRule(key)
 		e := t.Install(new(Entry), rule, isDefault, now)
-		e.fallback.Store(failed)
+		if failed {
+			e.acct.Marks.Or(markFallback)
+		}
 		return e
 	})
-	if created && e.fallback.Load() {
+	if created && e.acct.Marks.Load()&markFallback != 0 {
 		t.fetchFailed.Store(true) // only now, so RetryFallbacks finds the entry
 	}
 	return e
@@ -207,7 +224,7 @@ func (t *Table) Merge(rule bucket.Rule, isDefault bool, now time.Time) {
 		return
 	}
 	e.MinCredit(rule.Credit, now)
-	e.isDefault.Store(isDefault)
+	e.setDefault(isDefault)
 }
 
 // Install reinstalls e from rule and returns it. It is the one chokepoint
@@ -217,7 +234,7 @@ func (t *Table) Merge(rule bucket.Rule, isDefault bool, now time.Time) {
 func (t *Table) Install(e *Entry, rule bucket.Rule, isDefault bool, now time.Time) *Entry {
 	t.audit.Install(&e.acct, min(rule.Credit, rule.Capacity), rule.RefillRate)
 	e.Reset(rule, now)
-	e.isDefault.Store(isDefault)
+	e.setDefault(isDefault)
 	return e
 }
 
@@ -240,7 +257,9 @@ func (t *Table) Evict(gone func(key string, e *Entry) bool) {
 // It scans the table only after a fetch failed.
 func (t *Table) RetryFallbacks() {
 	if t.fetchFailed.Swap(false) {
-		t.Evict(func(_ string, e *Entry) bool { return e.fallback.Swap(false) && e.isDefault.Load() })
+		t.Evict(func(_ string, e *Entry) bool {
+			return e.acct.Marks.And(^uint32(markFallback))&markFallback != 0 && e.Default()
+		})
 	}
 }
 

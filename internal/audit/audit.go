@@ -31,8 +31,9 @@
 // in its owner's table entry, arrives and leaves with it, and the owner
 // yields its accounts to an audit pass. When enabled, the admission hot path
 // pays one lock-free float add (Admit, zero-alloc, //janus:hotpath-clean);
-// installs and audit passes run on cold control paths under per-account
-// mutexes.
+// installs and audit passes run on cold control paths under the ledger's one
+// mutex. An account is 40 B, so a 24 B bucket and its account fill one 64 B
+// allocation.
 package audit
 
 import (
@@ -74,27 +75,33 @@ type Report struct {
 }
 
 // Account is the ledger's view of one bucket, held by the bucket's owner;
-// the zero value has been granted nothing. The accounting fields are guarded
-// by mu (cold paths only); admittedBits is the lock-free hot counter.
+// the zero value has been granted nothing. admittedBits is the lock-free hot
+// counter; the other accounting fields are guarded by the ledger's mutex
+// (cold paths only).
 type Account struct {
 	admittedBits atomic.Uint64 // float64 bits of total admitted cost
 
-	mu        sync.Mutex
-	installed float64 // Σ credit granted by installs
-	accrued   float64 // refill accrued at superseded rates
-	rate      float64 // current refill rate (units/sec)
-	anchorNs  int64   // when rate last changed (Unix nanos)
-	gen       uint64  // credit-grant generation
-	flagged   bool    // overspend already reported for this generation
+	granted  float64 // Σ credit granted by installs + refill accrued at superseded rates
+	rate     float64 // current refill rate (units/sec)
+	anchorNs int64   // when rate last changed (Unix nanos)
+	gen      uint32  // credit-grant generation, with flagged as its top bit
+
+	// Marks is the owner's word, in what would otherwise be the account's
+	// padding: the ledger never reads or writes it.
+	Marks atomic.Uint32
 }
+
+// flagged is the gen bit set once an overspend of the generation has been
+// reported; the generation is the bits below it.
+const flagged = 1 << 31
 
 func (a *Account) admitted() float64 {
 	return math.Float64frombits(a.admittedBits.Load())
 }
 
-// budget computes the conservation budget at nowNs (mu held).
+// budget computes the conservation budget at nowNs (ledger mutex held).
 func (a *Account) budget(nowNs int64) float64 {
-	b := a.installed + a.accrued
+	b := a.granted
 	if dt := nowNs - a.anchorNs; dt > 0 && a.rate > 0 {
 		b += a.rate * float64(dt) / 1e9
 	}
@@ -113,9 +120,12 @@ type Config struct {
 }
 
 // Ledger holds what the accounts of one daemon share: the audit clock, the
-// overspend counter and the hook.
+// mutex over the accounts' cold fields, the overspend counter and the hook.
+// An owner that installs or audits under a lock of its own holds it before
+// mu, which is always taken last.
 type Ledger struct {
 	clock       func() time.Time
+	mu          sync.Mutex
 	onOverspend func(Overspend)
 	overspends  atomic.Int64
 	// pass is an audit pass's state with its check bound once, kept between
@@ -125,6 +135,7 @@ type Ledger struct {
 }
 
 type pass struct {
+	l     *Ledger
 	rep   Report
 	fresh []Overspend // first found this generation: counted after the walk
 	check func(key string, a *Account) bool
@@ -151,16 +162,21 @@ func (l *Ledger) Install(a *Account, credit, rate float64) {
 		return
 	}
 	nowNs := l.clock().UnixNano()
-	a.mu.Lock()
-	if dt := nowNs - a.anchorNs; a.gen > 0 && dt > 0 && a.rate > 0 {
-		a.accrued += a.rate * float64(dt) / 1e9
+	l.mu.Lock()
+	// A zero account has rate 0, so only a reinstall folds accrual in.
+	if dt := nowNs - a.anchorNs; dt > 0 && a.rate > 0 {
+		a.granted += a.rate * float64(dt) / 1e9
 	}
-	a.installed += credit
+	a.granted += credit
 	a.rate = rate
 	a.anchorNs = nowNs
-	a.gen++
-	a.flagged = false
-	a.mu.Unlock()
+	// The next generation, flagged cleared; after 2^31−1 installs of one
+	// bucket it restarts at 1, since 0 means never installed.
+	a.gen = a.gen&^flagged + 1
+	if a.gen == flagged {
+		a.gen = 1
+	}
+	l.mu.Unlock()
 }
 
 // Admit reports cost admitted against a's bucket. This is the hot-path
@@ -196,7 +212,7 @@ func (l *Ledger) Overspends() int64 {
 func (l *Ledger) Audit(accounts iter.Seq2[string, *Account]) Report {
 	p := l.pass.Swap(nil)
 	if p == nil {
-		p = new(pass)
+		p = &pass{l: l}
 		p.check = p.audit
 	}
 	p.rep = Report{Verdict: "ok", Nanos: l.clock().UnixNano()}
@@ -220,23 +236,23 @@ func (p *pass) audit(key string, a *Account) bool {
 	admitted := a.admitted()
 	p.rep.Buckets++
 	p.rep.Admitted += admitted
-	a.mu.Lock()
+	p.l.mu.Lock()
 	budget := a.budget(p.rep.Nanos)
 	// Tolerance: float accumulation error across millions of admissions,
 	// never enough to mask a real double-grant.
 	eps := 1e-6 + 1e-9*math.Abs(budget)
 	over := admitted - budget
 	isOver := over > eps
-	fresh := isOver && !a.flagged
+	fresh := isOver && a.gen&flagged == 0
 	if fresh {
-		a.flagged = true
+		a.gen |= flagged
 	}
-	gen := a.gen
-	a.mu.Unlock()
+	gen := a.gen &^ flagged
+	p.l.mu.Unlock()
 	if !isOver {
 		return true
 	}
-	o := Overspend{Key: key, Generation: gen, Admitted: admitted, Budget: budget, Over: over}
+	o := Overspend{Key: key, Generation: uint64(gen), Admitted: admitted, Budget: budget, Over: over}
 	if len(p.rep.Overspent) < 100 {
 		p.rep.Overspent = append(p.rep.Overspent, o)
 	}

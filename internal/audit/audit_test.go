@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -315,5 +316,235 @@ func TestConcurrentAdmitTotals(t *testing.T) {
 	}
 	if rep.Verdict != "ok" {
 		t.Fatalf("verdict %s", rep.Verdict)
+	}
+}
+
+// refAccount is the reference model of an account: the ledger's arithmetic
+// as it was with two sums, a 64-bit generation and a flag of its own.
+type refAccount struct {
+	admitted, installed, accrued, rate float64
+	anchorNs                           int64
+	gen                                uint64
+	flagged                            bool
+}
+
+func (r *refAccount) install(nowNs int64, credit, rate float64) {
+	if dt := nowNs - r.anchorNs; r.gen > 0 && dt > 0 && r.rate > 0 {
+		r.accrued += r.rate * float64(dt) / 1e9
+	}
+	r.installed += credit
+	r.rate = rate
+	r.anchorNs = nowNs
+	r.gen++
+	r.flagged = false
+}
+
+func (r *refAccount) budget(nowNs int64) float64 {
+	b := r.installed + r.accrued
+	if dt := nowNs - r.anchorNs; dt > 0 && r.rate > 0 {
+		b += r.rate * float64(dt) / 1e9
+	}
+	return b
+}
+
+// TestLedgerMatchesReferenceModel runs random install, admit, clock and
+// audit sequences against the ledger and the reference model: every pass
+// reaches the same verdict for every account, names the same generation,
+// counts an overspend once per generation, and the budgets agree within
+// the pass's tolerance. Admissions are not gated, so overspends happen.
+func TestLedgerMatchesReferenceModel(t *testing.T) {
+	keys := []string{"a", "b", "c", "d"}
+	overspends := 0
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := newSimClock()
+		fired := 0
+		l := NewLedger(Config{Clock: clk.Now, OnOverspend: func(Overspend) { fired++ }})
+		accts := make([]Account, len(keys))
+		refs := make([]refAccount, len(keys))
+		// The pass walks the keys in order, so its report lines up with refs.
+		all := func(yield func(string, *Account) bool) {
+			for i, k := range keys {
+				if !yield(k, &accts[i]) {
+					return
+				}
+			}
+		}
+		wantFresh := 0
+		for step := 0; step < 3000; step++ {
+			i := rng.Intn(len(keys))
+			switch op := rng.Intn(10); {
+			case op < 2:
+				clk.Advance(time.Duration(rng.Intn(500)) * time.Millisecond)
+			case op < 4:
+				credit, rate := rng.Float64()*100, rng.Float64()*50
+				if rng.Intn(4) == 0 {
+					rate = 0
+				}
+				l.Install(&accts[i], credit, rate)
+				refs[i].install(clk.Now().UnixNano(), credit, rate)
+			case op < 9:
+				cost := 1 + rng.Float64()*10
+				l.Admit(&accts[i], cost)
+				refs[i].admitted += cost
+			default:
+				rep := l.Audit(all)
+				var over []Overspend
+				for j, k := range keys {
+					r := &refs[j]
+					budget := r.budget(rep.Nanos)
+					eps := 1e-6 + 1e-9*math.Abs(budget)
+					l.mu.Lock()
+					got := accts[j].budget(rep.Nanos)
+					l.mu.Unlock()
+					if math.Abs(got-budget) > eps {
+						t.Fatalf("seed %d step %d: %s budget %v, model %v", seed, step, k, got, budget)
+					}
+					if accts[j].admitted() != r.admitted {
+						t.Fatalf("seed %d step %d: %s admitted %v, model %v", seed, step, k, accts[j].admitted(), r.admitted)
+					}
+					if r.admitted-budget > eps {
+						over = append(over, Overspend{Key: k, Generation: r.gen})
+						if !r.flagged {
+							r.flagged = true
+							wantFresh++
+						}
+					}
+				}
+				if len(rep.Overspent) != len(over) {
+					t.Fatalf("seed %d step %d: %d overspent, model %d: %+v", seed, step, len(rep.Overspent), len(over), rep.Overspent)
+				}
+				for j, o := range over {
+					if got := rep.Overspent[j]; got.Key != o.Key || got.Generation != o.Generation {
+						t.Fatalf("seed %d step %d: overspend %s gen %d, model %s gen %d", seed, step, got.Key, got.Generation, o.Key, o.Generation)
+					}
+				}
+				want := "ok"
+				if len(over) > 0 {
+					want = "overspend"
+				}
+				if rep.Verdict != want {
+					t.Fatalf("seed %d step %d: verdict %s, model %s", seed, step, rep.Verdict, want)
+				}
+				if l.Overspends() != int64(wantFresh) || fired != wantFresh {
+					t.Fatalf("seed %d step %d: counted %d, fired %d, model %d", seed, step, l.Overspends(), fired, wantFresh)
+				}
+			}
+		}
+		overspends += wantFresh
+	}
+	if overspends < 100 {
+		t.Fatalf("%d overspends over all sequences; the comparison saw mostly ok", overspends)
+	}
+}
+
+// TestGenerationWrapsPastZero: past 2^31−1 installs of one bucket the
+// generation restarts at 1, and an overspend is still reported with it.
+func TestGenerationWrapsPastZero(t *testing.T) {
+	l := NewLedger(Config{})
+	var a Account
+	a.gen = flagged - 1 | flagged // the last generation, its overspend reported
+	l.Install(&a, 1, 0)
+	l.Admit(&a, 2)
+	rep := l.Audit(func(yield func(string, *Account) bool) { yield("k", &a) })
+	if len(rep.Overspent) != 1 || rep.Overspent[0].Generation != 1 || l.Overspends() != 1 {
+		t.Fatalf("after the wrap: %+v, counted %d; want generation 1, counted once", rep, l.Overspends())
+	}
+}
+
+// TestLedgerConcurrentInstallAdmitAudit runs installs (with rate changes),
+// admissions and audit passes side by side on shared accounts under the
+// ledger's one mutex (make race-overload runs it under -race). Each honest
+// account is granted exactly what will be admitted from it, so any budget a
+// racing install or pass tore would read as an overspend; one minted
+// account is overspent once and must be counted once however many passes
+// see it.
+func TestLedgerConcurrentInstallAdmitAudit(t *testing.T) {
+	const accounts, admitters, per = 8, 4, 2000
+	var fired atomic.Int64
+	l := NewLedger(Config{OnOverspend: func(o Overspend) {
+		if o.Key != "minted" {
+			t.Errorf("honest account reported: %+v", o)
+		}
+		fired.Add(1)
+	}})
+	var accts [accounts]Account
+	for i := range accts {
+		l.Install(&accts[i], admitters*per/accounts, 0)
+	}
+	var minted Account
+	l.Install(&minted, 10, 0)
+	l.Admit(&minted, 20)
+	all := func(yield func(string, *Account) bool) {
+		for i := range accts {
+			if !yield(fmt.Sprint(i), &accts[i]) {
+				return
+			}
+		}
+		yield("minted", &minted)
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var side sync.WaitGroup
+	// Reinstalls grant nothing more but move the rate: 0 → r → 0, so the
+	// accrual between them is folded in while passes read the account.
+	side.Add(1)
+	go func() {
+		defer side.Done()
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.Install(&accts[n%accounts], 0, float64(n%3))
+		}
+	}()
+	for range 2 {
+		side.Add(1)
+		go func() {
+			defer side.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, o := range l.Audit(all).Overspent {
+					if o.Key != "minted" {
+						t.Errorf("honest account over budget mid-run: %+v", o)
+					}
+				}
+			}
+		}()
+	}
+	for w := range admitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range per {
+				l.Admit(&accts[(w+i)%accounts], 1)
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	side.Wait()
+
+	rep := l.Audit(all)
+	if rep.Admitted != admitters*per+20 {
+		t.Fatalf("admitted %v, want %d", rep.Admitted, admitters*per+20)
+	}
+	for i := range accts {
+		if got := accts[i].admitted(); got != admitters*per/accounts {
+			t.Errorf("account %d admitted %v, want %d", i, got, admitters*per/accounts)
+		}
+	}
+	if len(rep.Overspent) != 1 || rep.Overspent[0].Key != "minted" {
+		t.Fatalf("overspent %+v, want the minted account alone", rep.Overspent)
+	}
+	if l.Overspends() != 1 || fired.Load() != 1 {
+		t.Fatalf("minted overspend counted %d, hook fired %d; want 1 and 1", l.Overspends(), fired.Load())
 	}
 }

@@ -50,10 +50,11 @@ var allocBudgets = map[string]float64{
 // residentKeyBytes is the heap one resident key may hold: its table entry
 // (bucket, audit account and default-rule mark in one object) and its slot
 // in the table's shard map. It was 232.8 B when the default-rule mark and
-// the audit account lived in maps of their own, and 162.9 B while the bucket
-// held a mutex, a float credit and a time.Time (130.9 B since it is one
-// word beside its geometry).
-const residentKeyBytes = 150
+// the audit account lived in maps of their own, 162.9 B while the bucket
+// held a mutex, a float credit and a time.Time, and 130.9 B while the 96 B
+// entry's audit account held a mutex, two sums and the marks beside it
+// (98.9 B since the entry is 64 B).
+const residentKeyBytes = 110
 
 func pinBudget(t *testing.T, name string) float64 {
 	t.Helper()
@@ -326,6 +327,45 @@ func TestAllocPinIdleServerHeap(t *testing.T) {
 	}
 }
 
+// TestAllocPinListenerReadyAtNew: New makes the listener's 64 KiB read
+// buffer, so the listener's first datagram allocates only the datagram's own
+// state, and a test that bounds the process's allocations after New
+// (FuzzHAFrameDecode) cannot find the buffer in its window. With one P the
+// listener cannot run before the first reading; the exchange after it proves
+// that it ran.
+func TestAllocPinListenerReadyAtNew(t *testing.T) {
+	skipIfInstrumented(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := newPinServer(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	conn, err := net.Dial("udp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	pkt, err := wire.AppendRequest(nil, wire.Request{ID: 1, Key: "first", Cost: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(pkt); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var reply [64]byte
+	if _, err := conn.Read(reply[:]); err != nil {
+		t.Fatalf("no reply: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a first exchange after New: %d B allocated", got)
+	if got >= wire.MaxDatagram {
+		t.Errorf("a first exchange after New allocated %d B, the listener's %d B read buffer among it", got, wire.MaxDatagram)
+	}
+}
+
 // TestAllocPinIntakeBurst fills a 4096-slot FIFO behind a stalled worker,
 // lets it drain, and checks that after a GC the server holds no more than
 // its idle heap plus a full free list: the packets of a burst beyond the
@@ -438,10 +478,10 @@ func waitQuiet(t *testing.T, s *Server) {
 // 50 000 default-rule keys decided with auditing on and no store, measured
 // as the live-heap growth per key after a GC. The keys are named before the
 // first reading, so only what the server holds for them counts. An entry
-// itself must stay within the 96 B size class.
+// itself must stay within the 64 B size class.
 func TestAllocPinResidentKeyBytes(t *testing.T) {
-	if n := unsafe.Sizeof(admission.Entry{}); n > 96 {
-		t.Errorf("an entry is %d B, over the 96 B size class", n)
+	if n := unsafe.Sizeof(admission.Entry{}); n > 64 {
+		t.Errorf("an entry is %d B, over the 64 B size class", n)
 	}
 	skipIfInstrumented(t)
 	const keys = 50_000

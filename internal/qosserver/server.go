@@ -115,7 +115,9 @@ type Config struct {
 	// resident bucket, exporting violations as
 	// janus_qos_audit_overspend_total. Off by default: auditing costs one
 	// lock-free float add per admission and no map read or allocation
-	// (TestAllocPinAuditedDecide).
+	// (TestAllocPinAuditedDecide). Its account is 40 B per resident key, of
+	// the 64 B entry (TestAllocPinResidentKeyBytes), held whether or not
+	// auditing is on.
 	Audit bool
 	// AuditInterval is the period of the background audit pass when Audit
 	// is enabled; 0 means 1s.
@@ -359,7 +361,9 @@ func New(cfg Config) (*Server, error) {
 		s.ha = tcp.Serve(ln, s.servePeer)
 	}
 	s.wg.Add(1 + cfg.Workers)
-	go s.listen()
+	// The listener's read buffer is made here, so that all it needs is
+	// allocated before New returns.
+	go s.listen(make([]byte, wire.MaxDatagram))
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
 	}
@@ -404,16 +408,15 @@ var fpUDPRecv = failpoint.New("qosserver/udp/recv")
 // FIFO should never get near full: the controller sheds by ANSWERING
 // (worker-side) long before the queue fills.
 //
-// One read buffer holds any datagram up to the UDP payload limit (a key may
-// be up to wire.MaxKeyLen bytes); each datagram is queued as a copy in a
-// packet from the free list, which the worker returns once it has decided
-// (it reads the key in place from the packet). The peer is a
+// buf, the one read buffer, holds any datagram up to the UDP payload limit
+// (a key may be up to wire.MaxKeyLen bytes); each datagram is queued as a
+// copy in a packet from the free list, which the worker returns once it has
+// decided (it reads the key in place from the packet). The peer is a
 // netip.AddrPort value, so in steady state the intake allocates nothing.
 //
 //janus:deadlined the accept-style read blocks by design: Close() closes the socket, which unblocks ReadFromUDPAddrPort with an error and ends the loop
-func (s *Server) listen() {
+func (s *Server) listen(buf []byte) {
 	defer s.wg.Done()
-	buf := make([]byte, wire.MaxDatagram)
 	for {
 		n, raddr, err := s.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
