@@ -117,11 +117,13 @@ bench-smoke:
 # nothing more than Router.Route (the key stays bytes), the router's
 # key→owner pick (membership.Pick) nothing, a first-sight rule fetch
 # (store.Get's point select through a warmed minisql Client over loopback)
-# 1 object on a miss and 6 on a hit, the engine's included, and a whole
-# DNS-mode check through internal/cluster nothing for a resident key and 3
-# objects for a first-sight one; and the live heap a resident key holds in
-# the QoS server's table (TestAllocPinResidentKeyBytes, at most 110 B, its
-# entry 64 B), janusd's intake mallocs over 400 exchanges across 40 GCs, an
+# nothing on a miss and 5 objects on a hit, the engine's included, a
+# checkpoint UPDATE over loopback nothing, and a whole DNS-mode check through
+# internal/cluster nothing for a resident key and 2 objects for a first-sight
+# one; and the live heap a minisql rule row holds (at most 330 B) and a
+# resident key holds in the QoS server's table
+# (TestAllocPinResidentKeyBytes, at most 110 B, its entry 64 B), janusd's
+# intake mallocs over 400 exchanges across 40 GCs, an
 # idle janusd's heap (at most 1 MiB), what a drained burst leaves behind, and
 # what a first exchange allocates after New (not the listener's buffer).
 # The pins assert their budgets, so this is a test run, not a benchmark run.

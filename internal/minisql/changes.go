@@ -135,7 +135,7 @@ func (t *tableData) isTomb(c change) bool {
 }
 
 func (t *tableData) isRow(c change) (int, bool) {
-	ri, ok := t.pkIndex[c.pk]
+	ri, ok := t.pkIndex.get(c.pk)
 	return ri, ok && t.seqs[ri] == c.seq
 }
 
@@ -155,14 +155,14 @@ func (t *tableData) compact() {
 }
 
 // changes answers SELECT CHANGES: up to FeedPage entries after the cursor.
-func (e *Engine) changes(s changesStmt, args []Value) (Result, error) {
+func (e *Engine) changes(s changesStmt, args *params) (Result, error) {
 	t, err := e.getTable(s.table)
 	if err != nil {
 		return Result{}, err
 	}
 	var since [2]Value
-	for i, argi := 0, 0; i < 2; i++ {
-		v, err := bind(s.since[i], args, &argi)
+	for i := range since {
+		v, err := args.value(s.since[i])
 		if err != nil {
 			return Result{}, err
 		}

@@ -31,6 +31,7 @@ type frame struct {
 	Type    byte
 	SQL     string
 	Args    []Value
+	Raw     [][]byte // a decoded query's TEXT argument bytes (params)
 	Result  Result
 	Err     string
 	Cursor  Cursor       // subscribe
@@ -45,7 +46,8 @@ const (
 	// keepBuf is the largest read or write buffer a connection keeps
 	// between frames; a snapshot or full-table reply allocates its own.
 	keepBuf = 64 << 10
-	// keepArgs is the longest argument list a connection keeps (40 KB).
+	// keepArgs is the longest argument list a connection keeps (40 KB, and
+	// 24 B for each TEXT argument's bytes).
 	keepArgs = 1 << 10
 	// internMax and internLen bound the strings a connection interns: SQL
 	// texts, which repeat from one frame to the next.
@@ -84,7 +86,7 @@ func appendFrame(dst []byte, f *frame) []byte {
 	switch f.Type {
 	case frameQuery:
 		dst = appendText(dst, f.SQL)
-		dst = appendValues(dst, f.Args)
+		dst = appendValues(dst, f.Args, f.Raw)
 	case frameResult:
 		dst = appendText(dst, f.Err)
 		dst = appendRows(dst, f.Result.Rows)
@@ -130,21 +132,25 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-func appendText(dst []byte, s string) []byte {
+func appendText[T string | []byte](dst []byte, s T) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func appendValues(dst []byte, vs []Value) []byte {
+// appendValues appends the list vs; raw, when not nil, holds the bytes of
+// its TEXT values in order, as a decoded query keeps them (params).
+func appendValues(dst []byte, vs []Value, raw [][]byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
 	for _, v := range vs {
 		dst = append(dst, byte(v.Kind))
-		switch v.Kind {
-		case KindInt:
+		switch {
+		case v.Kind == KindInt:
 			dst = binary.AppendVarint(dst, v.I)
-		case KindFloat:
+		case v.Kind == KindFloat:
 			dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
-		case KindText:
+		case v.Kind == KindText && raw != nil:
+			dst, raw = appendText(dst, raw[0]), raw[1:]
+		case v.Kind == KindText:
 			dst = appendText(dst, v.S)
 		}
 	}
@@ -154,25 +160,27 @@ func appendValues(dst []byte, vs []Value) []byte {
 func appendRows(dst []byte, rows [][]Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	for _, r := range rows {
-		dst = appendValues(dst, r)
+		dst = appendValues(dst, r, nil)
 	}
 	return dst
 }
 
 // decodeFrame decodes one frame body (the bytes after the length) into f.
 // It accepts exactly what appendFrame produces: a body that decodes
-// re-encodes to the same bytes. Strings are copied out of body; intern, if
-// not nil, shares the copies of SQL texts between frames. A query's
-// arguments go into the storage of f.Args, which a frame of any other type
+// re-encodes to the same bytes. Strings are copied out of body, but for a
+// query's TEXT arguments, which stay in it (f.Raw, params); intern, if not
+// nil, shares the copies of SQL texts between frames. A query's arguments go
+// into the storage of f.Args and f.Raw, which a frame of any other type
 // keeps, empty: a connection that decodes every frame into one f reuses one
 // argument list.
 func decodeFrame(body []byte, f *frame, intern map[string]string) error {
 	d := decoder{b: body, intern: intern}
-	*f = frame{Type: d.u8(), Args: f.Args[:0]}
+	clear(f.Raw) // so that no slot holds on to an earlier frame's buffer
+	*f = frame{Type: d.u8(), Args: f.Args[:0], Raw: f.Raw[:0]}
 	switch f.Type {
 	case frameQuery:
 		f.SQL = d.internText()
-		f.Args = d.values(f.Args)
+		f.Args, f.Raw = d.args(f.Args, f.Raw)
 	case frameResult:
 		f.Err = d.text()
 		f.Result.Rows = d.rows()
@@ -315,32 +323,43 @@ func (d *decoder) internText() string {
 	return s
 }
 
-// values reads a list of values into dst's storage, grown as it needs.
-func (d *decoder) values(dst []Value) []Value {
+// value reads one value. A TEXT value comes back with S empty and its
+// bytes, still in the frame, as raw.
+func (d *decoder) value() (v Value, raw []byte) {
+	switch k := d.kind(); k {
+	case KindInt:
+		return Int(d.varint()), nil
+	case KindFloat:
+		if len(d.b) < 8 {
+			d.fail()
+			return null(), nil
+		}
+		v = Float(math.Float64frombits(binary.BigEndian.Uint64(d.b)))
+		d.b = d.b[8:]
+		return v, nil
+	case KindText:
+		return Value{Kind: KindText}, d.raw()
+	}
+	return null(), nil
+}
+
+// args reads a query's arguments into the storage of vals and raw, grown
+// as they need. A TEXT argument stays in the frame: raw holds the bytes of
+// each, in order.
+func (d *decoder) args(vals []Value, raw [][]byte) ([]Value, [][]byte) {
 	n := d.count()
 	if n == 0 {
-		return dst[:0]
+		return vals[:0], raw[:0]
 	}
-	vs := slices.Grow(dst[:0], n)[:n]
-	// Every slot is written, a NULL too: dst holds the last frame's values.
-	for i := range vs {
-		switch k := d.kind(); k {
-		case KindNull:
-			vs[i] = null()
-		case KindInt:
-			vs[i] = Int(d.varint())
-		case KindFloat:
-			if len(d.b) < 8 {
-				d.fail()
-				return nil
-			}
-			vs[i] = Float(math.Float64frombits(binary.BigEndian.Uint64(d.b)))
-			d.b = d.b[8:]
-		case KindText:
-			vs[i] = Text(d.text())
+	vals, raw = slices.Grow(vals[:0], n)[:n], raw[:0]
+	// Every slot is written, a NULL too: the storage holds the last frame's.
+	for i := range vals {
+		var b []byte
+		if vals[i], b = d.value(); vals[i].Kind == KindText {
+			raw = append(raw, b)
 		}
 	}
-	return vs
+	return vals, raw
 }
 
 func (d *decoder) rows() [][]Value {
@@ -350,9 +369,25 @@ func (d *decoder) rows() [][]Value {
 	}
 	rows := make([][]Value, n)
 	for i := range rows {
-		rows[i] = d.values(nil)
+		rows[i] = d.values()
 	}
 	return rows
+}
+
+// values reads a list of values, each TEXT a string of its own.
+func (d *decoder) values() []Value {
+	n := d.count()
+	if n == 0 {
+		return nil
+	}
+	vs := make([]Value, n)
+	for i := range vs {
+		var raw []byte
+		if vs[i], raw = d.value(); raw != nil {
+			vs[i].S = string(raw)
+		}
+	}
+	return vs
 }
 
 // frameReader reads frames off one connection through a buffered reader

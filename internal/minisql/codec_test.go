@@ -40,9 +40,21 @@ func decodeEncoded(t *testing.T, f *frame) frame {
 	return got
 }
 
+// owned returns f with each TEXT argument's bytes copied into its Value, as
+// a frame built in memory carries it.
+func owned(f frame) frame {
+	for i := range f.Args {
+		if f.Args[i].Kind == KindText {
+			f.Args[i].S, f.Raw = string(f.Raw[0]), f.Raw[1:]
+		}
+	}
+	f.Raw = nil
+	return f
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range sampleFrames() {
-		if got := decodeEncoded(t, &f); !reflect.DeepEqual(got, f) {
+		if got := owned(decodeEncoded(t, &f)); !reflect.DeepEqual(got, f) {
 			t.Errorf("frame type %d: got %+v, want %+v", f.Type, got, f)
 		}
 	}
@@ -53,8 +65,8 @@ func TestFrameRoundTrip(t *testing.T) {
 // come back nil.
 func TestFrameKeepsEdgeValuesAndNils(t *testing.T) {
 	args := []Value{Float(math.NaN()), Float(math.Copysign(0, -1)), Float(math.Inf(1)), Float(math.Inf(-1)),
-		Int(math.MinInt64), Int(math.MaxInt64), Text(""), null()}
-	got := decodeEncoded(t, &frame{Type: frameQuery, Args: args})
+		Int(math.MinInt64), Int(math.MaxInt64), Text(""), Text("a\x00b"), null()}
+	got := owned(decodeEncoded(t, &frame{Type: frameQuery, Args: args}))
 	for i, v := range got.Args {
 		if v.Kind != args[i].Kind || v.I != args[i].I || math.Float64bits(v.F) != math.Float64bits(args[i].F) || v.S != args[i].S {
 			t.Errorf("arg %d: got %#v, want %#v", i, v, args[i])
@@ -70,10 +82,11 @@ func TestFrameKeepsEdgeValuesAndNils(t *testing.T) {
 }
 
 // TestFrameReuseWritesEveryArg: a connection decodes every frame into one
-// frame, so a NULL argument must not keep the last frame's value in its slot.
+// frame, so a NULL argument must not keep the last frame's value in its
+// slot, and no slot of the argument bytes may keep the last frame's buffer.
 func TestFrameReuseWritesEveryArg(t *testing.T) {
 	r := newFrameReader(bytes.NewReader(slices.Concat(
-		appendFrame(nil, &frame{Type: frameQuery, Args: []Value{Int(1), Text("stale"), Float(2)}}),
+		appendFrame(nil, &frame{Type: frameQuery, Args: []Value{Int(1), Text("stale"), Float(2), Text("old")}}),
 		appendFrame(nil, &frame{Type: frameQuery, Args: []Value{null(), null()}}))))
 	var f frame
 	for range 2 {
@@ -83,6 +96,11 @@ func TestFrameReuseWritesEveryArg(t *testing.T) {
 	}
 	if want := []Value{null(), null()}; !reflect.DeepEqual(f.Args, want) {
 		t.Fatalf("second frame's args = %#v, want %#v", f.Args, want)
+	}
+	for i, b := range f.Raw[:cap(f.Raw)] {
+		if b != nil {
+			t.Errorf("argument byte slot %d still holds %q", i, b)
+		}
 	}
 }
 

@@ -48,8 +48,69 @@ type tableData struct {
 	colIdx  map[string]int
 	pkCol   int
 	rows    [][]Value
-	pkIndex map[Value]int // primary-key value -> index into rows
+	pkIndex index
 	feed
+}
+
+// index maps each primary key to the index of its row in rows. It is keyed
+// by the key column's own Go type, and a table makes only the map of its
+// key's kind: a TEXT key costs a string header where a Value costs 40 B,
+// and a key still in a frame's bytes names its row without a string made
+// (text[string(raw)] does not allocate). A FLOAT key compares as float64
+// does: -0 names +0's row, and NaN names none.
+type index struct {
+	text   map[string]int
+	ints   map[int64]int
+	floats map[float64]int
+}
+
+func newIndex(k Kind) (index, bool) {
+	switch k {
+	case KindText:
+		return index{text: make(map[string]int)}, true
+	case KindInt:
+		return index{ints: make(map[int64]int)}, true
+	case KindFloat:
+		return index{floats: make(map[float64]int)}, true
+	}
+	return index{}, false
+}
+
+// get returns the row of key k, which has the key column's kind (coerce);
+// a key of another kind, NULL included, names no row.
+func (x *index) get(k Value) (ri int, ok bool) {
+	switch k.Kind {
+	case KindText:
+		ri, ok = x.text[k.S]
+	case KindInt:
+		ri, ok = x.ints[k.I]
+	case KindFloat:
+		ri, ok = x.floats[k.F]
+	}
+	return ri, ok
+}
+
+// put files key k, of the key column's kind, under row ri.
+func (x *index) put(k Value, ri int) {
+	switch k.Kind {
+	case KindText:
+		x.text[k.S] = ri
+	case KindInt:
+		x.ints[k.I] = ri
+	case KindFloat:
+		x.floats[k.F] = ri
+	}
+}
+
+func (x *index) del(k Value) {
+	switch k.Kind {
+	case KindText:
+		delete(x.text, k.S)
+	case KindInt:
+		delete(x.ints, k.I)
+	case KindFloat:
+		delete(x.floats, k.F)
+	}
 }
 
 // NewEngine returns an empty database.
@@ -87,6 +148,11 @@ func (e *Engine) parseCached(sql string) (statement, error) {
 
 // Execute parses and runs one statement with the given placeholder values.
 func (e *Engine) Execute(sql string, args ...Value) (Result, error) {
+	return e.execute(sql, &params{vals: args})
+}
+
+// execute runs one statement, in process (Execute) or served (serveConn).
+func (e *Engine) execute(sql string, p *params) (Result, error) {
 	st, err := e.parseCached(sql)
 	if err != nil {
 		return Result{}, err
@@ -96,7 +162,7 @@ func (e *Engine) Execute(sql string, args ...Value) (Result, error) {
 		defer e.writeMu.Unlock()
 		defer e.notify()
 	}
-	return e.exec(st, args)
+	return e.exec(st, p)
 }
 
 // notify wakes the standbys waiting for a write. Caller holds writeMu.
@@ -117,20 +183,46 @@ func readOnly(st statement) bool {
 	return false
 }
 
-// bind resolves an expression against the placeholder argument list.
-func bind(ex expr, args []Value, next *int) (Value, error) {
-	if !ex.placeholder {
-		return ex.value, nil
-	}
-	if *next >= len(args) {
-		return Value{}, fmt.Errorf("minisql: not enough arguments: need more than %d", len(args))
-	}
-	v := args[*next]
-	*next++
-	return v, nil
+// params are a statement's placeholder arguments, bound in order. A TEXT
+// argument decoded off the wire stays in the frame's bytes until the engine
+// keeps it: its Value's S is empty, and raw holds the bytes of every TEXT
+// argument, in order. The connection reuses that buffer for its next frame,
+// so a value the engine keeps becomes a string of its own (value), and a
+// lookup reads the bytes in place (key).
+type params struct {
+	vals          []Value
+	raw           [][]byte // nil for arguments built in process
+	next, nextRaw int
 }
 
-func (e *Engine) exec(st statement, args []Value) (Result, error) {
+// key binds ex for a lookup: its value, and the bytes of a TEXT argument
+// still in a frame (raw nil otherwise).
+func (p *params) key(ex expr) (v Value, raw []byte, err error) {
+	if !ex.placeholder {
+		return ex.value, nil, nil
+	}
+	if p.next >= len(p.vals) {
+		return Value{}, nil, fmt.Errorf("minisql: not enough arguments: need more than %d", len(p.vals))
+	}
+	i := p.next
+	p.next++
+	if v = p.vals[i]; v.Kind == KindText && p.raw != nil {
+		raw = p.raw[p.nextRaw]
+		p.nextRaw++
+	}
+	return v, raw, nil
+}
+
+// value binds ex as a value the engine may keep.
+func (p *params) value(ex expr) (Value, error) {
+	v, raw, err := p.key(ex)
+	if raw != nil {
+		v.S = string(raw)
+	}
+	return v, err
+}
+
+func (e *Engine) exec(st statement, args *params) (Result, error) {
 	switch s := st.(type) {
 	case createTableStmt:
 		return Result{}, e.createTable(s)
@@ -187,12 +279,11 @@ func newTable(name string, cols []columnDef) (*tableData, error) {
 		return nil, fmt.Errorf("minisql: table %q has no columns", name)
 	}
 	t := &tableData{
-		name:    strings.ToLower(name),
-		schema:  append([]columnDef(nil), cols...),
-		colIdx:  make(map[string]int, len(cols)),
-		pkCol:   -1,
-		pkIndex: make(map[Value]int),
-		feed:    feed{tombs: make(map[Value]int64)},
+		name:   strings.ToLower(name),
+		schema: append([]columnDef(nil), cols...),
+		colIdx: make(map[string]int, len(cols)),
+		pkCol:  -1,
+		feed:   feed{tombs: make(map[Value]int64)},
 	}
 	for i, c := range cols {
 		lc := strings.ToLower(c.name)
@@ -211,13 +302,18 @@ func newTable(name string, cols []columnDef) (*tableData, error) {
 		// The change feed, and so a standby, names each row by its key.
 		return nil, fmt.Errorf("minisql: table %q has no primary key", name)
 	}
+	var ok bool
+	if t.pkIndex, ok = newIndex(t.schema[t.pkCol].kind); !ok {
+		// Only a snapshot off the wire can name such a column.
+		return nil, fmt.Errorf("minisql: primary key of table %q has kind %s", name, t.schema[t.pkCol].kind)
+	}
 	return t, nil
 }
 
 // add appends row to the table and returns its index.
 func (t *tableData) add(row []Value) int {
 	ri := len(t.rows)
-	t.pkIndex[row[t.pkCol]] = ri
+	t.pkIndex.put(row[t.pkCol], ri)
 	t.rows = append(t.rows, row)
 	t.seqs = append(t.seqs, 0)
 	return ri
@@ -226,20 +322,19 @@ func (t *tableData) add(row []Value) int {
 // remove deletes rows[ri], moving the last row into its place.
 func (t *tableData) remove(ri int) {
 	last := len(t.rows) - 1
-	delete(t.pkIndex, t.rows[ri][t.pkCol])
+	t.pkIndex.del(t.rows[ri][t.pkCol])
 	if ri != last {
 		t.rows[ri], t.seqs[ri] = t.rows[last], t.seqs[last]
-		t.pkIndex[t.rows[ri][t.pkCol]] = ri
+		t.pkIndex.put(t.rows[ri][t.pkCol], ri)
 	}
 	t.rows, t.seqs = t.rows[:last], t.seqs[:last]
 }
 
-func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
+func (e *Engine) insert(s insertStmt, args *params) (int64, error) {
 	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
 	}
-	next := 0
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Bind, coerce and key-check every row before changing any: a statement
@@ -256,7 +351,7 @@ func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
 		}
 		row := make([]Value, len(t.schema))
 		for i, ex := range exprRow {
-			v, err := bind(ex, args, &next)
+			v, err := args.value(ex)
 			if err != nil {
 				return 0, err
 			}
@@ -268,7 +363,7 @@ func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
 		if pk.isNull() {
 			return 0, fmt.Errorf("minisql: NULL primary key in table %q", t.name)
 		}
-		if _, dup := t.pkIndex[pk]; (dup || fresh[pk]) && !s.replace {
+		if _, dup := t.pkIndex.get(pk); (dup || fresh[pk]) && !s.replace {
 			return 0, fmt.Errorf("minisql: duplicate primary key %s in table %q", pk, t.name)
 		}
 		if fresh != nil {
@@ -277,7 +372,7 @@ func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
 		rows[r] = row
 	}
 	for _, row := range rows {
-		ri, dup := t.pkIndex[row[t.pkCol]]
+		ri, dup := t.pkIndex.get(row[t.pkCol])
 		if dup {
 			if slices.Equal(t.rows[ri], row) {
 				continue // the same values again: nothing changed
@@ -294,24 +389,32 @@ func (e *Engine) insert(s insertStmt, args []Value) (int64, error) {
 
 // lookup returns the index of the row that WHERE c names, and whether there
 // is one. c's column must be the primary key; a value that cannot take the
-// key's type names no row.
-func (t *tableData) lookup(c cond, args []Value, next *int) (int, bool, error) {
+// key's type names no row. A TEXT key still in a frame is looked up from
+// its bytes.
+func (t *tableData) lookup(c cond, args *params) (int, bool, error) {
 	pk := t.schema[t.pkCol]
 	if !strings.EqualFold(c.column, pk.name) {
 		return 0, false, fmt.Errorf("minisql: WHERE must name the primary key %q of table %q, not %q", pk.name, t.name, c.column)
 	}
-	v, err := bind(c.key, args, next)
+	v, raw, err := args.key(c.key)
 	if err != nil {
 		return 0, false, err
+	}
+	if raw != nil && pk.kind == KindText {
+		ri, ok := t.pkIndex.text[string(raw)]
+		return ri, ok, nil
+	}
+	if raw != nil {
+		v.S = string(raw) // coerced below: '5' names INT key 5
 	}
 	if v, err = coerce(v, pk.kind); err != nil {
 		return 0, false, nil
 	}
-	ri, ok := t.pkIndex[v]
+	ri, ok := t.pkIndex.get(v)
 	return ri, ok, nil
 }
 
-func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
+func (e *Engine) selectRows(s selectStmt, args *params) (Result, error) {
 	t, err := e.getTable(s.table)
 	if err != nil {
 		return Result{}, err
@@ -320,8 +423,7 @@ func (e *Engine) selectRows(s selectStmt, args []Value) (Result, error) {
 	defer t.mu.RUnlock()
 	rows := t.rows
 	if s.where != nil {
-		next := 0
-		ri, ok, err := t.lookup(*s.where, args, &next)
+		ri, ok, err := t.lookup(*s.where, args)
 		if err != nil {
 			return Result{}, err
 		}
@@ -431,7 +533,7 @@ func topRows(rows [][]Value, oi int, desc bool, n int) [][]Value {
 	return out
 }
 
-func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
+func (e *Engine) update(s updateStmt, args *params) (int64, error) {
 	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
@@ -443,9 +545,8 @@ func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Bind every SET value before changing anything (placeholder order: SET
-	// then WHERE).
-	next := 0
-	sets := make([]setVal, 0, len(s.sets))
+	// then WHERE). A constant capacity keeps the list on the stack.
+	sets := make([]setVal, 0, 8)
 	for _, sc := range s.sets {
 		idx, ok := t.colIdx[strings.ToLower(sc.column)]
 		if !ok {
@@ -455,7 +556,7 @@ func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
 			// A row keeps its key: a new key is a DELETE and an INSERT.
 			return 0, fmt.Errorf("minisql: UPDATE cannot set the primary key %q of table %q", sc.column, t.name)
 		}
-		v, err := bind(sc.value, args, &next)
+		v, err := args.value(sc.value)
 		if err != nil {
 			return 0, err
 		}
@@ -465,7 +566,7 @@ func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
 		}
 		sets = append(sets, setVal{idx, cv})
 	}
-	ri, ok, err := t.lookup(s.where, args, &next)
+	ri, ok, err := t.lookup(s.where, args)
 	if err != nil || !ok {
 		return 0, err
 	}
@@ -481,15 +582,14 @@ func (e *Engine) update(s updateStmt, args []Value) (int64, error) {
 	return 1, nil
 }
 
-func (e *Engine) deleteRows(s deleteStmt, args []Value) (int64, error) {
+func (e *Engine) deleteRows(s deleteStmt, args *params) (int64, error) {
 	t, err := e.getTable(s.table)
 	if err != nil {
 		return 0, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	next := 0
-	ri, ok, err := t.lookup(s.where, args, &next)
+	ri, ok, err := t.lookup(s.where, args)
 	if err != nil || !ok {
 		return 0, err
 	}

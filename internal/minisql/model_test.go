@@ -2,7 +2,10 @@ package minisql
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -24,7 +27,11 @@ func waitFor(t *testing.T, cond func() bool) {
 // step. This is the strongest single check on the storage engine + PK
 // index interplay (swap-deletes, upserts, coerced keys). The model also
 // numbers every write and delete, and the change feed from a random earlier
-// cursor must hold exactly each key's latest write or delete after it.
+// cursor must hold exactly each key's latest write or delete after it. The
+// stream runs in process and through a loopback Client, where the server
+// reads each TEXT argument from the frame's bytes; the keys include '' and
+// keys with NUL bytes, and INT- and FLOAT-keyed tables take keys in every
+// form that names a row, and some that name none.
 
 type modelRow struct {
 	rate, capacity, credit float64
@@ -38,13 +45,40 @@ type modelChange struct {
 }
 
 func TestEngineAgreesWithMapModel(t *testing.T) {
-	e := NewEngine()
-	if _, err := e.Execute(`CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`); err != nil {
+	for _, path := range []string{"engine", "loopback"} {
+		t.Run(path, func(t *testing.T) {
+			e := NewEngine()
+			exec := e.Execute
+			if path == "loopback" {
+				srv, err := NewServer(e, "127.0.0.1:0", nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				c, err := Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				exec = c.Execute
+			}
+			t.Run("text", func(t *testing.T) { checkTextModel(t, e, exec) })
+			t.Run("int", func(t *testing.T) { checkTypedModel(t, exec, KindInt) })
+			t.Run("float", func(t *testing.T) { checkTypedModel(t, exec, KindFloat) })
+		})
+	}
+}
+
+// execFunc runs one statement, in process or through a Client.
+type execFunc func(sql string, args ...Value) (Result, error)
+
+func checkTextModel(t *testing.T, e *Engine, exec execFunc) {
+	if _, err := exec(`CREATE TABLE qos_rules (key TEXT PRIMARY KEY, refill_rate FLOAT, capacity FLOAT, credit FLOAT)`); err != nil {
 		t.Fatal(err)
 	}
 	model := map[string]modelRow{}
 	changes := map[string]modelChange{}
-	seq := int64(1) // CREATE TABLE took number 1
+	seq := e.Snapshot().At.Seq // CREATE TABLE took the last number
 	origin := e.Snapshot().At.Origin
 	// write applies one write (live) or delete to the model. Like the engine,
 	// it numbers only a write that changes something.
@@ -61,14 +95,21 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 		changes[k] = modelChange{seq, r, !live}
 	}
 	rng := rand.New(rand.NewSource(2024))
-	keyOf := func() string { return fmt.Sprintf("k%d", rng.Intn(200)) }
+	odd := []string{"", "\x00", "k\x00", "k1\x00", "\x00k1"}
+	keyOf := func() string {
+		n := rng.Intn(200)
+		if n < len(odd) {
+			return odd[n]
+		}
+		return fmt.Sprintf("k%d", n)
+	}
 
 	for step := 0; step < 20000; step++ {
 		k := keyOf()
 		switch rng.Intn(7) {
 		case 0: // INSERT (may conflict)
 			r := modelRow{float64(rng.Intn(100)), float64(rng.Intn(1000)), float64(rng.Intn(1000))}
-			_, err := e.Execute(`INSERT INTO qos_rules VALUES (?, ?, ?, ?)`,
+			_, err := exec(`INSERT INTO qos_rules VALUES (?, ?, ?, ?)`,
 				Text(k), Float(r.rate), Float(r.capacity), Float(r.credit))
 			_, exists := model[k]
 			if exists && err == nil {
@@ -85,7 +126,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			if old, ok := model[k]; ok && rng.Intn(4) == 0 {
 				r = old
 			}
-			if _, err := e.Execute(`REPLACE INTO qos_rules VALUES (?, ?, ?, ?)`,
+			if _, err := exec(`REPLACE INTO qos_rules VALUES (?, ?, ?, ?)`,
 				Text(k), Float(r.rate), Float(r.capacity), Float(r.credit)); err != nil {
 				t.Fatalf("step %d: replace: %v", step, err)
 			}
@@ -95,7 +136,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			if old, ok := model[k]; ok && rng.Intn(4) == 0 {
 				c = old.credit
 			}
-			res, err := e.Execute(`UPDATE qos_rules SET credit = ? WHERE key = ?`, Float(c), Text(k))
+			res, err := exec(`UPDATE qos_rules SET credit = ? WHERE key = ?`, Float(c), Text(k))
 			if err != nil {
 				t.Fatalf("step %d: update: %v", step, err)
 			}
@@ -109,7 +150,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 				t.Fatalf("step %d: update of ghost affected %d", step, res.Affected)
 			}
 		case 3: // DELETE
-			res, err := e.Execute(`DELETE FROM qos_rules WHERE key = ?`, Text(k))
+			res, err := exec(`DELETE FROM qos_rules WHERE key = ?`, Text(k))
 			if err != nil {
 				t.Fatalf("step %d: delete: %v", step, err)
 			}
@@ -119,7 +160,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			}
 			write(k, modelRow{}, false)
 		case 4: // SELECT point
-			res, err := e.Execute(`SELECT refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, Text(k))
+			res, err := exec(`SELECT refill_rate, capacity, credit FROM qos_rules WHERE key = ?`, Text(k))
 			if err != nil {
 				t.Fatalf("step %d: select: %v", step, err)
 			}
@@ -134,7 +175,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 				}
 			}
 		case 5: // COUNT
-			res, err := e.Execute(`SELECT COUNT(*) FROM qos_rules`)
+			res, err := exec(`SELECT COUNT(*) FROM qos_rules`)
 			if err != nil {
 				t.Fatalf("step %d: count: %v", step, err)
 			}
@@ -143,7 +184,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 			}
 		case 6: // change feed
 			since := rng.Int63n(seq + 1)
-			res, err := e.Execute(`SELECT CHANGES FROM qos_rules SINCE ?, ?`, Int(int64(origin)), Int(since))
+			res, err := exec(`SELECT CHANGES FROM qos_rules SINCE ?, ?`, Int(int64(origin)), Int(since))
 			if err != nil {
 				t.Fatalf("step %d: changes: %v", step, err)
 			}
@@ -180,7 +221,7 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 	}
 
 	// Final full-table cross-check.
-	res, err := e.Execute(`SELECT key, refill_rate, capacity, credit FROM qos_rules`)
+	res, err := exec(`SELECT key, refill_rate, capacity, credit FROM qos_rules`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,6 +236,150 @@ func TestEngineAgreesWithMapModel(t *testing.T) {
 		if row[1].AsFloat() != r.rate || row[2].AsFloat() != r.capacity || row[3].AsFloat() != r.credit {
 			t.Fatalf("final row %v != model %v", row, r)
 		}
+	}
+}
+
+// typedKey is a key argument for an INT- or FLOAT-keyed table and what it
+// names: the model's key, none (a value that cannot take the key's type, or
+// NULL), or NaN, which names no row and yet is a key a row can be stored
+// under.
+type typedKey struct {
+	arg  Value
+	key  float64
+	none bool
+	nan  bool
+}
+
+// typedKeyOf draws a key for a table keyed by kind, in one of the forms that
+// name the same row: 5, '5' and 5.0 name INT key 5; -0.0, '-0' and 0 name
+// FLOAT key +0.
+func typedKeyOf(rng *rand.Rand, kind Kind) typedKey {
+	n := rng.Intn(20)
+	f := float64(n)
+	if kind == KindFloat && n%2 == 1 {
+		f = float64(n) / 4 // a fraction
+	}
+	k := typedKey{key: f}
+	switch rng.Intn(8) {
+	case 0:
+		k.arg = Text(strconv.FormatFloat(f, 'g', -1, 64))
+		if kind == KindFloat && f == 0 {
+			k.arg = Text("-0")
+		}
+	case 1:
+		k.arg = Int(int64(f))
+		k.key = math.Trunc(f)
+	case 2:
+		k.arg = Float(f)
+		if kind == KindInt {
+			k.key = math.Trunc(f)
+		}
+		if f == 0 {
+			k.arg = Float(math.Copysign(0, -1))
+		}
+	case 3:
+		k = typedKey{arg: [...]Value{Text(""), Text("x"), Text("1\x00"), null()}[rng.Intn(4)], none: true}
+		if kind == KindInt && rng.Intn(2) == 0 {
+			k.arg = Text("2.5") // a FLOAT key, but no INT
+		}
+	case 4:
+		if kind == KindFloat {
+			k = typedKey{arg: [...]Value{Float(math.NaN()), Text("NaN")}[rng.Intn(2)], nan: true}
+			break
+		}
+		fallthrough
+	default:
+		if kind == KindInt {
+			k.arg, k.key = Int(int64(n)), float64(n)
+		} else {
+			k.arg = Float(f)
+		}
+	}
+	return k
+}
+
+// checkTypedModel runs a random stream against a table keyed by kind, INT
+// or FLOAT, and a map model of it.
+func checkTypedModel(t *testing.T, exec execFunc, kind Kind) {
+	table := strings.ToLower(kind.String()) + "s"
+	if _, err := exec(fmt.Sprintf(`CREATE TABLE %s (id %s PRIMARY KEY, v INT)`, table, kind)); err != nil {
+		t.Fatal(err)
+	}
+	model := map[float64]int64{}
+	nans := 0 // rows stored under NaN, which no key names
+	rng := rand.New(rand.NewSource(int64(kind)))
+	for step := 0; step < 5000; step++ {
+		k, v := typedKeyOf(rng, kind), int64(step)
+		switch rng.Intn(6) {
+		case 0, 1: // INSERT (may conflict), REPLACE
+			verb := [...]string{"INSERT", "REPLACE"}[rng.Intn(2)]
+			_, err := exec(verb+` INTO `+table+` VALUES (?, ?)`, k.arg, Int(v))
+			_, dup := model[k.key]
+			switch {
+			case k.none:
+				if err == nil {
+					t.Fatalf("step %d: %s of key %v succeeded", step, verb, k.arg)
+				}
+			case dup && verb == "INSERT" && !k.nan:
+				if err == nil {
+					t.Fatalf("step %d: duplicate insert of %v succeeded", step, k.arg)
+				}
+			case err != nil:
+				t.Fatalf("step %d: %s of %v: %v", step, verb, k.arg, err)
+			case k.nan:
+				nans++
+			default:
+				model[k.key] = v
+			}
+		case 2: // UPDATE
+			res, err := exec(`UPDATE `+table+` SET v = ? WHERE id = ?`, Int(v), k.arg)
+			_, exists := model[k.key]
+			exists = exists && !k.none && !k.nan
+			if err != nil || res.Affected != map[bool]int64{true: 1}[exists] {
+				t.Fatalf("step %d: update of %v: %+v, %v; model has it: %v", step, k.arg, res, err, exists)
+			}
+			if exists {
+				model[k.key] = v
+			}
+		case 3: // DELETE
+			res, err := exec(`DELETE FROM `+table+` WHERE id = ?`, k.arg)
+			_, exists := model[k.key]
+			exists = exists && !k.none && !k.nan
+			if err != nil || res.Affected != map[bool]int64{true: 1}[exists] {
+				t.Fatalf("step %d: delete of %v: %+v, %v; model has it: %v", step, k.arg, res, err, exists)
+			}
+			if exists {
+				delete(model, k.key)
+			}
+		case 4: // SELECT point
+			res, err := exec(`SELECT v FROM `+table+` WHERE id = ?`, k.arg)
+			want, exists := model[k.key]
+			exists = exists && !k.none && !k.nan
+			if err != nil || len(res.Rows) != map[bool]int{true: 1}[exists] || exists && res.Rows[0][0] != Int(want) {
+				t.Fatalf("step %d: select of %v: %+v, %v; model %v, %v", step, k.arg, res, err, want, exists)
+			}
+		case 5: // COUNT
+			res, err := exec(`SELECT COUNT(*) FROM ` + table)
+			if err != nil || res.Rows[0][0] != Int(int64(len(model)+nans)) {
+				t.Fatalf("step %d: count %+v, %v; model %d and %d NaN", step, res, err, len(model), nans)
+			}
+		}
+	}
+	res, err := exec(`SELECT id, v FROM ` + table)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotNaN := 0
+	for _, row := range res.Rows {
+		id := row[0].AsFloat()
+		if math.IsNaN(id) {
+			gotNaN++
+		} else if want, ok := model[id]; !ok || row[1] != Int(want) {
+			t.Fatalf("final row %v, model %v, %v", row, want, ok)
+		}
+	}
+	if len(res.Rows) != len(model)+nans || gotNaN != nans {
+		t.Fatalf("final table holds %d rows, %d of them NaN; model %d and %d NaN", len(res.Rows), gotNaN, len(model), nans)
 	}
 }
 

@@ -64,11 +64,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		streams.Wait()
 	}()
 	// Every frame decodes into f, so the connection reuses one argument list
-	// up to keepArgs: the engine copies each value it keeps.
+	// up to keepArgs, and a query's TEXT arguments stay in r's buffer, which
+	// the next frame overwrites: the engine keeps no byte of it (params).
 	var f frame
 	for {
 		if cap(f.Args) > keepArgs {
-			f.Args = nil
+			f.Args, f.Raw = nil, nil
 		}
 		if err := r.next(&f); err != nil {
 			return // gone, or a malformed frame: this connection only
@@ -78,7 +79,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case frameQuery:
 			if s.readOnly.Load() && isWriteSQL(s.engine, f.SQL) {
 				reply.Err = ErrReadOnly.Error()
-			} else if res, err := s.engine.Execute(f.SQL, f.Args...); err != nil {
+			} else if res, err := s.engine.execute(f.SQL, &params{vals: f.Args, raw: f.Raw}); err != nil {
 				reply.Err = err.Error()
 			} else {
 				reply.Result = res

@@ -568,6 +568,60 @@ func TestManySequentialQueriesOneConn(t *testing.T) {
 	}
 }
 
+// TestStoredTextOutlivesFrameBuffer: the server reads a query's TEXT
+// arguments from its connection's frame buffer, which every later frame
+// overwrites, so each key, and each TEXT value, that the engine stores must
+// be a copy. Keys of one length sent through one connection land at the
+// same place in that buffer; after many later frames, every stored key and
+// name still reads back as sent, and the index still finds each key.
+func TestStoredTextOutlivesFrameBuffer(t *testing.T) {
+	srv, e := startServer(t)
+	mustExec(t, e, `CREATE TABLE t (key TEXT PRIMARY KEY, name TEXT)`)
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const n = 300
+	key := func(i int) string { return fmt.Sprintf("key-%05d", i) }
+	name := func(i int) string { return fmt.Sprintf("name-%05d", i) }
+	for i := 0; i < n; i++ {
+		stmt := `REPLACE INTO t VALUES (?, ?)`
+		args := []Value{Text(key(i)), Text("first")}
+		if i%2 == 1 {
+			stmt = `INSERT INTO t VALUES (?, ?)`
+		}
+		if _, err := c.Execute(stmt, args...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Execute(`UPDATE t SET name = ? WHERE key = ?`, Text(name(i)), Text(key(i))); err != nil {
+			t.Fatal(err)
+		}
+		// Lookups of absent keys overwrite the same bytes again.
+		if _, err := c.Execute(`SELECT name FROM t WHERE key = ?`, Text("zzz-zzzzz")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := mustExec(t, e, `SELECT key, name FROM t`)
+	if len(res.Rows) != n {
+		t.Fatalf("%d rows, want %d", len(res.Rows), n)
+	}
+	seen := map[string]bool{}
+	for _, row := range res.Rows {
+		k := row[0].S
+		var i int
+		if _, err := fmt.Sscanf(k, "key-%05d", &i); err != nil || k != key(i) || seen[k] || row[1] != Text(name(i)) {
+			t.Fatalf("stored row %v: not a key and name that were sent, or a second copy of one", row)
+		}
+		seen[k] = true
+	}
+	for i := 0; i < n; i++ {
+		if res := mustExec(t, e, `SELECT name FROM t WHERE key = ?`, Text(key(i))); len(res.Rows) != 1 || res.Rows[0][0] != Text(name(i)) {
+			t.Fatalf("key %q reads %+v, want its name", key(i), res.Rows)
+		}
+	}
+}
+
 // silentServer accepts connections and never answers, holding each open
 // until the test ends.
 func silentServer(t *testing.T) string {

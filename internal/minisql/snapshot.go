@@ -114,11 +114,11 @@ func (e *Engine) apply(snap SnapshotData, reset bool) error {
 // names — the row's values, or its deletion — at its sequence number.
 func (t *tableData) apply(ts TableSnapshot, at int64) error {
 	for _, row := range ts.Rows {
-		if len(row) != 2+len(t.schema) || row[0].Kind != KindInt || row[0].I <= t.head || row[0].I > at || row[2+t.pkCol].isNull() {
+		if len(row) != 2+len(t.schema) || row[0].Kind != KindInt || row[0].I <= t.head || row[0].I > at || row[2+t.pkCol].Kind != t.schema[t.pkCol].kind {
 			return fmt.Errorf("minisql: malformed entry %v for %q at head %d", row, t.name, t.head)
 		}
 		seq, pk := row[0].I, row[2+t.pkCol]
-		ri, live := t.pkIndex[pk]
+		ri, live := t.pkIndex.get(pk)
 		switch {
 		case row[1].AsInt() != 0:
 			if live {
